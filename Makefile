@@ -1,6 +1,6 @@
 # Convenience entry points; the project itself is a plain dune build.
 
-.PHONY: all build test check clean bench crashcheck-quick crashcheck-deep faultcheck proccheck verifycheck shardcheck ringcheck snapcheck qoscheck dircheck fmt
+.PHONY: all build quick test check clean bench crashcheck-quick crashcheck-deep faultcheck proccheck verifycheck shardcheck ringcheck snapcheck qoscheck dircheck fmt
 
 all: build
 
@@ -15,10 +15,11 @@ quick:
 test:
 	dune runtest
 
-# The pre-commit gate: everything compiles and every test passes
-# (dune runtest includes test_crash, i.e. the bounded crash-state
-# exploration, mutation check and cross-FS differential fuzz).
-check: crashcheck-quick faultcheck proccheck verifycheck shardcheck ringcheck snapcheck qoscheck dircheck
+# The pre-commit gate: everything compiles, is formatted, and every test
+# passes (dune runtest includes test_crash, the bounded crash-state
+# exploration and cross-FS differential fuzz, and test_mutation, which
+# runs every deliberate bug against the campaign that must catch it).
+check: fmt crashcheck-quick faultcheck proccheck verifycheck shardcheck ringcheck snapcheck qoscheck dircheck
 
 # Verification-plane gate: full vs incremental verification must give
 # byte-identical verdicts over the attack suite, the corruption
@@ -52,9 +53,9 @@ ringcheck:
 	dune exec bin/trioctl.exe -- procfail --seed 1 --scripts 2 --ops 6 --ring 4
 
 # Process-failure plane gate: the seeded kill/hang/watchdog/GC unit and
-# property tests, a pinned-seed exploration of process-death states
-# from the command line, and the skip-GC mutation self-test (the run
-# must exit 0 BECAUSE the leak invariant caught the disabled GC).
+# property tests, a pinned-seed kill-point campaign over process-death
+# states from the command line, and the same campaign under the skip-GC
+# mutation (exit 0 BECAUSE it failed on the accounting invariant).
 proccheck:
 	dune build
 	dune exec test/test_procfail.exe
@@ -88,10 +89,11 @@ crashcheck-deep:
 
 # Snapshot-plane gate: the snapshot unit/regression suite (root slots,
 # pinning accounting, ECC-gated rollback, recovery ladder), the
-# crash-during-commit exploration (every sampled kill point must leave
-# a certifiable root), the torn-commit mutation self-test (exit 0
-# BECAUSE the zero-valid-root window was observed), the take/list/
-# rollback/clone demo, and the recovery-speed differential gate.
+# crash-during-commit kill-point campaign (every sampled kill point must
+# leave a certifiable root), the same campaign under the torn-commit
+# mutation (exit 0 BECAUSE it failed on a zero-valid-root state), the
+# take/list/rollback/clone demo, and the recovery-speed differential
+# gate.
 snapcheck:
 	dune build
 	dune exec test/test_snapshot.exe
@@ -102,10 +104,10 @@ snapcheck:
 
 # Multi-tenant QoS gate: the token-bucket/backpressure/retry-deadline
 # suite (including the YCSB byzantine/SIGKILL composition and the
-# kills-inside-throttle-parks exploration), the trioctl qos dump, the
-# charge-bypass mutation self-test (exit 0 BECAUSE the campaign noticed
-# the victim was never throttled), and the noisy-neighbour isolation
-# bench (honest p99 within 2x of the all-honest baseline).
+# kills-inside-throttle-parks campaign), the trioctl qos dump, the same
+# campaign under the charge-bypass mutation (exit 0 BECAUSE it failed
+# as vacuous: the victim was never throttled), and the noisy-neighbour
+# isolation bench (honest p99 within 2x of the all-honest baseline).
 qoscheck:
 	dune build
 	dune exec test/test_qos.exe
@@ -114,12 +116,13 @@ qoscheck:
 	dune exec bench/main.exe -- --fast qos
 
 # Directory-index gate: the B-link tree suite (scale, collisions,
-# split boundaries, rename across indexed directories, the readdir
-# ordering contract, kills inside index updates), the trioctl dircheck
-# exploration, the skip-index-update mutation self-test (exit 0
-# BECAUSE verifier invariant I5 caught the unmaintained tree), and the
-# dirscale bench gate (index >= 10x the linear scan, sub-linear
-# growth, readdir via range scan).
+# split boundaries, dry-allocator builds, rename across indexed
+# directories, the readdir ordering contract, kills inside index
+# updates), the trioctl dircheck kill-point campaign, the same campaign
+# under the skip-index mutation (exit 0 BECAUSE it failed on
+# certification: verifier invariant I5 flagged the unmaintained tree at
+# a sharing point), and the dirscale bench gate (index >= 10x the
+# linear scan, sub-linear growth, readdir via range scan).
 dircheck:
 	dune build
 	dune exec test/test_dirindex.exe

@@ -1203,8 +1203,8 @@ let dirscale () =
     let ppn = 1 lsl 14 in
     Rig.run ~nodes:2 ~cpus_per_node:4 ~pages_per_node:ppn ~store_data:false (fun rig ->
         let sched = rig.Rig.sched in
-        if not indexed then Libfs.set_skip_index_updates true;
-        Fun.protect ~finally:(fun () -> Libfs.set_skip_index_updates false) @@ fun () ->
+        let scoped f = if indexed then f () else Trio_core.Mutation.(with_mutation Skip_index f) in
+        scoped @@ fun () ->
         let writer = Rig.mount_arckfs ~delegated:false rig in
         let fs = Libfs.ops writer in
         ignore (get_ok "mkdir" (fs.Fs.mkdir "/big" 0o755));

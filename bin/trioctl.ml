@@ -19,6 +19,8 @@ module Controller = Trio_core.Controller
 module Verifier = Trio_core.Verifier
 module Fs = Trio_core.Fs_intf
 module Vfs = Trio_core.Vfs
+module Mutation = Trio_core.Mutation
+module Explore = Trio_check.Explore
 open Cmdliner
 
 let ok what = function
@@ -469,10 +471,31 @@ let trace_cmd =
     Term.(const run $ fs_arg $ last_arg)
 
 (* ------------------------------------------------------------------ *)
+(* Mutation self-tests: every [--mutate] runs its subcommand's campaign
+   under one deliberate bug and exits 0 BECAUSE the campaign caught it. *)
+
+(* [campaign] prints its reports and returns the first failure of a
+   kill-point campaign. *)
+let kill_self_test m ~expect campaign =
+  let expected = Explore.reason_to_string expect in
+  Printf.printf "%s mutation armed: the campaign must fail (%s)\n%!" (Mutation.to_string m)
+    expected;
+  match Mutation.with_mutation m campaign with
+  | Some f when f.Explore.f_reason = expect ->
+    Printf.printf "mutation caught (%s)\n" expected;
+    0
+  | Some f ->
+    Printf.printf "MUTATION CAUGHT BY THE WRONG CHECK: %s, expected %s\n"
+      (Explore.reason_to_string f.Explore.f_reason) expected;
+    1
+  | None ->
+    Printf.printf "MUTATION NOT CAUGHT: the campaign passed\n";
+    1
+
+(* ------------------------------------------------------------------ *)
 (* crashcheck: systematic crash-state exploration / differential fuzzing *)
 
 let crashcheck_cmd =
-  let module Explore = Trio_check.Explore in
   let module Script = Trio_check.Script in
   let module Differ = Trio_check.Differ in
   let run script at survive seed scripts ops budget exhaustive_lines samples diff mutate
@@ -487,7 +510,6 @@ let crashcheck_cmd =
             exit 2)
         script
     in
-    if mutate then Arckfs.Journal.set_crash_test_reorder_commit true;
     let config =
       {
         Explore.default_config with
@@ -498,81 +520,94 @@ let crashcheck_cmd =
         shrink = not no_shrink;
       }
     in
-    match (at, parsed_script) with
-    | Some _, None ->
-      Printf.eprintf "--at requires --script\n";
-      exit 2
-    | Some crash_index, Some ops -> (
-      (* replay one specific crash state of one script *)
-      let survivors =
-        match Explore.parse_survivors survive with
-        | Ok s -> s
-        | Error e ->
-          Printf.eprintf "bad --survive: %s\n" e;
-          exit 2
-      in
-      Printf.printf "replaying: %s\n" (Script.to_string ops);
-      Printf.printf "crash after %d LibFS stores, surviving lines: %s\n" crash_index
-        (if survivors = [] then "none" else survive);
-      match Explore.check_state ops ~crash_index ~survivors with
-      | Ok () ->
-        Printf.printf "state is consistent: all completed ops durable, in-flight op atomic\n";
-        0
-      | Error d ->
-        Printf.printf "VIOLATION: %s\n" d;
-        1)
-    | None, _ when diff -> (
-      (* differential cross-FS fuzzing *)
-      match parsed_script with
-      | Some ops -> (
-        Printf.printf "diffing %d ops across: %s\n" (List.length ops)
-          (String.concat " " Differ.default_fses);
-        match Differ.diff ~shrink:(not no_shrink) ops with
-        | [] ->
-          Printf.printf "all file systems agree with the model\n";
+    let check () =
+      match (at, parsed_script) with
+      | Some _, None ->
+        Printf.eprintf "--at requires --script\n";
+        exit 2
+      | Some crash_index, Some ops -> (
+        (* replay one specific crash state of one script *)
+        let survivors =
+          match Explore.parse_survivors survive with
+          | Ok s -> s
+          | Error e ->
+            Printf.eprintf "bad --survive: %s\n" e;
+            exit 2
+        in
+        Printf.printf "replaying: %s\n" (Script.to_string ops);
+        Printf.printf "crash after %d LibFS stores, surviving lines: %s\n" crash_index
+          (if survivors = [] then "none" else survive);
+        match Explore.check_state ops ~crash_index ~survivors with
+        | Ok () ->
+          Printf.printf "state is consistent: all completed ops durable, in-flight op atomic\n";
           0
-        | ds ->
-          List.iter (fun d -> Format.printf "%a@." Differ.pp_divergence d) ds;
+        | Error d ->
+          Printf.printf "VIOLATION: %s\n" d;
           1)
-      | None -> (
-        Printf.printf "differential campaign: %d scripts x %d ops across %d file systems\n"
-          scripts ops
-          (List.length Differ.default_fses);
-        match Differ.campaign ~rounds:scripts ~len:ops ~seed () with
-        | None ->
-          Printf.printf "no divergence found\n";
-          0
-        | Some (script, ds) ->
-          Printf.printf "divergence on: %s\n" (Script.to_string script);
-          List.iter (fun d -> Format.printf "%a@." Differ.pp_divergence d) ds;
-          1))
-    | None, _ ->
-      (* crash-state exploration *)
-      let rng = Trio_util.Rng.create seed in
-      let scripts_to_run =
+      | None, _ when diff -> (
+        (* differential cross-FS fuzzing *)
         match parsed_script with
-        | Some ops -> [ ops ]
-        | None -> List.init scripts (fun _ -> Script.generate rng ~len:ops)
-      in
-      let failed = ref false in
-      List.iteri
-        (fun i ops ->
-          if not !failed then begin
-            Printf.printf "script %d/%d: %s\n%!" (i + 1) (List.length scripts_to_run)
-              (Script.to_string ops);
-            let o = Explore.explore ~config ops in
-            Printf.printf
-              "  %d crash points, %d states checked, enumeration %s\n%!" o.Explore.crash_points
-              o.Explore.states
-              (if o.Explore.exhaustive then "exhaustive" else "sampled");
-            match o.Explore.counterexample with
-            | None -> ()
-            | Some cx ->
-              failed := true;
-              Format.printf "VIOLATION (minimized):@.%a" Explore.pp_counterexample cx
-          end)
-        scripts_to_run;
-      if !failed then 1 else 0
+        | Some ops -> (
+          Printf.printf "diffing %d ops across: %s\n" (List.length ops)
+            (String.concat " " Differ.default_fses);
+          match Differ.diff ~shrink:(not no_shrink) ops with
+          | [] ->
+            Printf.printf "all file systems agree with the model\n";
+            0
+          | ds ->
+            List.iter (fun d -> Format.printf "%a@." Differ.pp_divergence d) ds;
+            1)
+        | None -> (
+          Printf.printf "differential campaign: %d scripts x %d ops across %d file systems\n"
+            scripts ops
+            (List.length Differ.default_fses);
+          match Differ.campaign ~rounds:scripts ~len:ops ~seed () with
+          | None ->
+            Printf.printf "no divergence found\n";
+            0
+          | Some (script, ds) ->
+            Printf.printf "divergence on: %s\n" (Script.to_string script);
+            List.iter (fun d -> Format.printf "%a@." Differ.pp_divergence d) ds;
+            1))
+      | None, _ ->
+        (* crash-state exploration *)
+        let rng = Trio_util.Rng.create seed in
+        let scripts_to_run =
+          match parsed_script with
+          | Some ops -> [ ops ]
+          | None -> List.init scripts (fun _ -> Script.generate rng ~len:ops)
+        in
+        let failed = ref false in
+        List.iteri
+          (fun i ops ->
+            if not !failed then begin
+              Printf.printf "script %d/%d: %s\n%!" (i + 1) (List.length scripts_to_run)
+                (Script.to_string ops);
+              let o = Explore.explore ~config ops in
+              Printf.printf
+                "  %d crash points, %d states checked, enumeration %s\n%!" o.Explore.crash_points
+                o.Explore.states
+                (if o.Explore.exhaustive then "exhaustive" else "sampled");
+              match o.Explore.counterexample with
+              | None -> ()
+              | Some cx ->
+                failed := true;
+                Format.printf "VIOLATION (minimized):@.%a" Explore.pp_counterexample cx
+            end)
+          scripts_to_run;
+        if !failed then 1 else 0
+    in
+    if not mutate then check ()
+    else begin
+      Printf.printf "reorder-commit mutation armed: the exploration must find a violation\n%!";
+      match Mutation.with_mutation Reorder_commit check with
+      | 1 ->
+        Printf.printf "mutation caught: the reordered journal commit broke a crash state\n";
+        0
+      | _ ->
+        Printf.printf "MUTATION NOT CAUGHT: every crash state stayed consistent\n";
+        1
+    end
   in
   let script_arg =
     Arg.(
@@ -622,8 +657,8 @@ let crashcheck_cmd =
       value & flag
       & info [ "mutate" ]
           ~doc:
-            "Enable the seeded journal-commit reordering bug (engine self-test: exploration must \
-             catch it)")
+            "Enable the seeded journal-commit reordering bug (engine self-test): exit 0 only if \
+             the exploration provably finds a violation")
   in
   let no_shrink_arg =
     Arg.(value & flag & info [ "no-shrink" ] ~doc:"Report counterexamples without minimizing")
@@ -641,57 +676,28 @@ let crashcheck_cmd =
 (* procfail: the process-failure plane (DESIGN.md §4.12) *)
 
 let procfail_cmd =
-  let module Explore = Trio_check.Explore in
   let module Script = Trio_check.Script in
   let run seed scripts ops kill_points hang_points timeout_us ring mutate =
-    let base =
-      {
-        Explore.pd_seed = seed;
-        pd_kill_points = kill_points;
-        pd_hang_points = hang_points;
-        pd_timeout_ns = timeout_us *. 1000.0;
-        pd_ring = (if ring > 0 then Some ring else None);
-      }
-    in
-    if ring > 0 then
-      Printf.printf "ring mode: victims mount with a depth-%d submission ring\n" ring;
-    if mutate then begin
-      Controller.set_crash_test_skip_gc true;
-      Printf.printf "skip-GC mutation armed: the leak invariant must catch it\n"
-    end;
+    let config = { Explore.kill_points; hang_points; timeout_ns = timeout_us *. 1000.0 } in
+    let ring = if ring > 0 then Some ring else None in
+    Option.iter (Printf.printf "ring mode: victims mount with a depth-%d submission ring\n") ring;
     let rng = Trio_util.Rng.create seed in
     let scripts_to_run = List.init scripts (fun _ -> Script.generate rng ~len:ops) in
-    let caught = ref false and failed = ref false in
-    List.iteri
-      (fun i script ->
-        if not (!failed || !caught) then begin
+    (* explore script after script up to the first failure *)
+    let first_failure () =
+      let rec go i = function
+        | [] -> None
+        | script :: rest -> (
           Printf.printf "script %d/%d: %s\n%!" (i + 1) scripts (Script.to_string script);
-          let config = { base with Explore.pd_seed = seed + i } in
-          let r = Explore.explore_proc_death ~config script in
-          Format.printf "  %a@." Explore.pp_proc_report r;
-          match r.Explore.pr_failure with
-          | None -> ()
-          | Some cx ->
-            if mutate then caught := true
-            else begin
-              failed := true;
-              Format.printf "VIOLATION:@.%a" Explore.pp_counterexample cx
-            end
-        end)
-      scripts_to_run;
-    if mutate then begin
-      Controller.set_crash_test_skip_gc false;
-      if !caught then begin
-        Printf.printf "mutation caught: leaked pages detected by the accounting invariant\n";
-        0
-      end
-      else begin
-        Printf.printf "MUTATION NOT CAUGHT: the leak invariant missed a disabled GC\n";
-        1
-      end
-    end
-    else if !failed then 1
-    else 0
+          let r = Explore.explore_proc_death ~config ?ring script in
+          Format.printf "  %a@." Explore.pp_report r;
+          match r.Explore.k_failure with None -> go (i + 1) rest | failure -> failure)
+      in
+      go 0 scripts_to_run
+    in
+    if mutate then kill_self_test Skip_gc ~expect:Accounting first_failure
+    else if first_failure () = None then 0
+    else 1
   in
   let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Script/sampling seed") in
   let scripts_arg =
@@ -747,7 +753,9 @@ let verifycheck_cmd =
     if mutate then begin
       Printf.printf
         "drop-writes mutation armed: incremental verification must diverge from the full walk\n";
-      let v = Vdiff.mutation_self_test ~seeds ~script_seed ~script_len () in
+      let v =
+        Mutation.with_mutation Drop_writes (Vdiff.differential ~seeds ~script_seed ~script_len)
+      in
       Format.printf "%a@." Vdiff.pp_verdict v;
       if v.Vdiff.vd_diffs <> [] then begin
         Printf.printf "mutation caught: sabotaged dirty tracking changed the verdicts\n";
@@ -793,7 +801,6 @@ let verifycheck_cmd =
    crash-during-commit exploration, and the torn-commit self-test *)
 
 let snap_cmd =
-  let module Explore = Trio_check.Explore in
   let module Script = Trio_check.Script in
   let module Layout = Trio_core.Layout in
   (* Reconstruct "/d/f" paths from the root's (ino, parent) graph. *)
@@ -915,53 +922,26 @@ let snap_cmd =
           gc.Controller.gc_snap_pinned;
         0)
   in
-  let explore seed scripts ops kill_points =
+  (* explore [scripts] generated scripts up to the first failure *)
+  let explore seed scripts ops kill_points () =
     let rng = Trio_util.Rng.create seed in
-    let failed = ref false in
-    List.iteri
-      (fun i script ->
-        if not !failed then begin
-          Printf.printf "script %d/%d: %s\n%!" (i + 1) scripts (Script.to_string script);
-          let config = { Explore.default_snap_config with sc_kill_points = kill_points } in
-          let r = Explore.explore_snapshot_commit ~config script in
-          Format.printf "  %a@." Explore.pp_snap_report r;
-          match r.Explore.sn_failure with
-          | None -> ()
-          | Some cx ->
-            failed := true;
-            Format.printf "VIOLATION:@.%a" Explore.pp_counterexample cx
-        end)
-      (List.init scripts (fun _ -> Script.generate rng ~len:ops));
-    if !failed then 1 else 0
-  in
-  let self_test seed ops kill_points =
-    Printf.printf
-      "torn-commit mutation armed: root record published before its payload, into the live \
-       slot\n";
-    let rng = Trio_util.Rng.create seed in
-    let script = Script.generate rng ~len:ops in
-    Printf.printf "script: %s\n%!" (Script.to_string script);
-    let config = { Explore.sc_kill_points = kill_points; sc_torn = true } in
-    let r = Explore.explore_snapshot_commit ~config script in
-    Format.printf "%a@." Explore.pp_snap_report r;
-    match r.Explore.sn_failure with
-    | Some cx ->
-      Format.printf "torn-mode exploration broke elsewhere:@.%a" Explore.pp_counterexample cx;
-      1
-    | None ->
-      if r.Explore.sn_zero_roots > 0 then begin
-        Printf.printf "mutation caught: %d crash state(s) with zero valid roots observed\n"
-          r.Explore.sn_zero_roots;
-        0
-      end
+    let rec go i =
+      if i >= scripts then None
       else begin
-        Printf.printf "MUTATION NOT CAUGHT: no zero-valid-root window observed\n";
-        1
+        let script = Script.generate rng ~len:ops in
+        Printf.printf "script %d/%d: %s\n%!" (i + 1) scripts (Script.to_string script);
+        let r = Explore.explore_snapshot_commit ~config:(Explore.kills kill_points) script in
+        Format.printf "  %a@." Explore.pp_report r;
+        match r.Explore.k_failure with None -> go (i + 1) | failure -> failure
       end
+    in
+    go 0
   in
   let run seed files scripts ops kill_points mutate =
-    if mutate then self_test seed ops kill_points
-    else if scripts > 0 then explore seed scripts ops kill_points
+    if mutate then
+      kill_self_test Torn_commit ~expect:(Plane "zero-roots")
+        (explore seed (max 1 scripts) ops kill_points)
+    else if scripts > 0 then if explore seed scripts ops kill_points () = None then 0 else 1
     else demo files
   in
   let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Script/sampling seed") in
@@ -1038,39 +1018,16 @@ let micro_cmd =
 (* qos: the multi-tenant QoS plane (DESIGN.md §4.17) *)
 
 let qos_cmd =
-  let module Explore = Trio_check.Explore in
   let module Ycsb = Trio_workloads.Ycsb in
   let module Attacks = Trio_attacks.Attacks in
   let run kill_points ops ring timeout_us mutate =
-    let config =
-      {
-        Explore.default_qos_config with
-        Explore.qd_kill_points = kill_points;
-        qd_ops = ops;
-        qd_ring = ring;
-        qd_timeout_ns = timeout_us *. 1000.0;
-      }
-    in
-    if mutate then begin
-      Controller.set_qos_bypass true;
-      Printf.printf "bypass mutation armed: every tenant is charged zero tokens\n%!";
-      Fun.protect
-        ~finally:(fun () -> Controller.set_qos_bypass false)
-        (fun () ->
-          let r = Explore.explore_qos ~config () in
-          match r.Explore.qr_failure with
-          | Some cx
-            when String.length cx.Explore.cx_detail >= 30
-                 && String.sub cx.Explore.cx_detail 0 30 = "the victim was never throttled" ->
-            Printf.printf "mutation caught: %s\n" cx.Explore.cx_detail;
-            0
-          | Some cx ->
-            Format.printf "unexpected failure:@.%a@." Explore.pp_counterexample cx;
-            1
-          | None ->
-            Printf.printf "MUTATION NOT CAUGHT: campaign passed with QoS charging disabled\n";
-            1)
-    end
+    let config = { (Explore.kills kill_points) with timeout_ns = timeout_us *. 1000.0 } in
+    let explore () = Explore.explore_qos ~config ~ring ~ops () in
+    if mutate then
+      kill_self_test Qos_bypass ~expect:Vacuous (fun () ->
+          let r = explore () in
+          Format.printf "%a@." Explore.pp_report r;
+          r.Explore.k_failure)
     else begin
       (* A live multi-tenant mix first so the counters mean something:
          two honest YCSB tenants, a byzantine noisy neighbour on a
@@ -1111,9 +1068,9 @@ let qos_cmd =
           0)
       |> ignore;
       Printf.printf "\nkill exploration: SIGKILLs inside throttled/parked states\n%!";
-      let r = Explore.explore_qos ~config () in
-      Format.printf "%a@." Explore.pp_qos_report r;
-      match r.Explore.qr_failure with None -> 0 | Some _ -> 1
+      let r = explore () in
+      Format.printf "%a@." Explore.pp_report r;
+      if r.Explore.k_failure = None then 0 else 1
     end
   in
   let kill_arg =
@@ -1154,39 +1111,16 @@ let qos_cmd =
 (* dircheck: the ordered directory-index plane (DESIGN.md §4.18) *)
 
 let dircheck_cmd =
-  let module Explore = Trio_check.Explore in
   let run kill_points entries capacity timeout_us mutate =
-    if mutate then begin
-      Printf.printf
-        "skip-index-update mutation armed: dentries keep landing, the B-link tree is never \
-         maintained\n%!";
-      if Explore.dir_index_mutation_caught ~capacity () then begin
-        Printf.printf
-          "mutation caught: I5 flagged the index/dentry divergence at the sharing point\n";
-        0
-      end
-      else begin
-        Printf.printf "MUTATION NOT CAUGHT: I5 missed an unmaintained directory index\n";
-        1
-      end
-    end
-    else begin
-      let config =
-        {
-          Explore.dx_kill_points = kill_points;
-          dx_entries = entries;
-          dx_capacity = capacity;
-          dx_timeout_ns = timeout_us *. 1000.0;
-        }
-      in
-      let r = Explore.explore_dir_index ~config () in
-      Format.printf "%a@." Explore.pp_dir_report r;
-      match r.Explore.dx_failure with
-      | None -> 0
-      | Some cx ->
-        Format.printf "VIOLATION:@.%a" Explore.pp_counterexample cx;
-        1
-    end
+    let config = { (Explore.kills kill_points) with timeout_ns = timeout_us *. 1000.0 } in
+    let explore () =
+      let r = Explore.explore_dir_index ~config ~entries ~capacity () in
+      Format.printf "%a@." Explore.pp_report r;
+      r.Explore.k_failure
+    in
+    if mutate then kill_self_test Skip_index ~expect:Certification explore
+    else if explore () = None then 0
+    else 1
   in
   let kill_arg =
     Arg.(

@@ -17,6 +17,7 @@
 module Sched = Trio_sim.Sched
 module Pmem = Trio_nvm.Pmem
 module Layout = Trio_core.Layout
+module Mutation = Trio_core.Mutation
 
 type t = {
   pmem : Pmem.t;
@@ -28,16 +29,6 @@ type t = {
 
 let header_size = 8
 let entry_header = 10
-
-(* Test-only fault injection: when set, [commit] resets the journal
-   header WITHOUT its persist fence — the commit store is effectively
-   reordered after whatever the LibFS does next, so a crash can revert
-   it and recovery will roll back an already-committed transaction.
-   This is the seeded bug the crash-state exploration engine must catch
-   (see lib/check); it must never be set outside tests. *)
-let crash_test_reorder_commit = ref false
-
-let set_crash_test_reorder_commit b = crash_test_reorder_commit := b
 
 let create ~pmem ~actor ~pages =
   let n = Array.length pages in
@@ -81,11 +72,14 @@ let seal t slot =
   Pmem.write_u64 t.pmem ~actor:t.actor ~addr:page_addr t.counts.(slot);
   Pmem.persist t.pmem ~addr:page_addr ~len:8
 
-(* Commit: the in-place updates are durable, discard the undo records. *)
+(* Commit: the in-place updates are durable, discard the undo records.
+   Under [Mutation.Reorder_commit] the header reset skips its fence: the
+   commit is reordered after whatever the LibFS does next, so a crash
+   can revert it and recovery rolls back a committed transaction. *)
 let commit t slot =
   let page_addr = t.pages.(slot) * Pmem.page_size in
   Pmem.write_u64 t.pmem ~actor:t.actor ~addr:page_addr 0;
-  if not !crash_test_reorder_commit then Pmem.persist t.pmem ~addr:page_addr ~len:8;
+  if not (Mutation.active Reorder_commit) then Pmem.persist t.pmem ~addr:page_addr ~len:8;
   t.offsets.(slot) <- header_size;
   t.counts.(slot) <- 0
 

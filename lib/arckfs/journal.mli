@@ -29,10 +29,3 @@ val commit : t -> int -> unit
 val recover : t -> unit
 (** Roll back every uncommitted transaction (the LibFS' registered
     crash-recovery program runs this). *)
-
-val set_crash_test_reorder_commit : bool -> unit
-(** Test-only fault injection: when enabled, {!commit} skips its persist
-    fence, reordering the commit after subsequent stores.  A crash can
-    then revert the commit and recovery rolls back a completed
-    transaction — the seeded bug the crash-state exploration engine
-    (lib/check) must detect.  Never enable outside tests. *)

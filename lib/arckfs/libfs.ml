@@ -27,6 +27,7 @@ module Perf = Trio_nvm.Perf
 module Layout = Trio_core.Layout
 module Dirindex = Trio_core.Dirindex
 module Controller = Trio_core.Controller
+module Mutation = Trio_core.Mutation
 module Htbl = Trio_util.Htbl
 module Radix = Trio_util.Radix
 module Rng = Trio_util.Rng
@@ -63,11 +64,6 @@ type dir_state = {
      demand, never on the lookup path of an indexed directory. *)
   mutable d_aux_built : bool;
 }
-
-(* Test hook (dircheck --mutate): drop index maintenance on create /
-   unlink / rename so the verifier's I5 check can prove it notices. *)
-let skip_index_updates = ref false
-let set_skip_index_updates v = skip_index_updates := v
 
 type file_state = {
   r_ino : int;
@@ -845,9 +841,10 @@ let dindex_free t pg = Alloc_cache.recycle_page t.cache ~page:pg ~kind:Pmem.Meta
    second; a crash between the two is reconciled at recovery).  A first
    insert builds the root leaf and swings the dentry's root word.
    Failure is never fatal: out of space or damaged, the directory just
-   drops to unindexed. *)
+   drops to unindexed.  [Mutation.Skip_index] drops maintenance on
+   insert and delete alike. *)
 let index_insert t (d : dir_state) name addr =
-  if not !skip_index_updates then
+  if not (Mutation.active Skip_index) then
     Sync.Mutex.with_lock d.d_dindex_lock (fun () ->
         match
           Dirindex.insert ~stats:(kstats t) t.pmem ~actor:t.proc ~alloc:(dindex_alloc t)
@@ -867,7 +864,7 @@ let index_insert t (d : dir_state) name addr =
 
 (* Remove (name -> address) after the dentry tombstone is persisted. *)
 let index_delete t (d : dir_state) name addr =
-  if (not !skip_index_updates) && d.d_dindex_root <> 0 then
+  if (not (Mutation.active Skip_index)) && d.d_dindex_root <> 0 then
     Sync.Mutex.with_lock d.d_dindex_lock (fun () ->
         match
           Dirindex.delete t.pmem ~actor:t.proc ~root:d.d_dindex_root

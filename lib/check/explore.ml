@@ -635,482 +635,318 @@ let explore_faults ?(config = default_fault_config) ops =
   !report
 
 (* ------------------------------------------------------------------ *)
-(* Process-death exploration (DESIGN.md §4.12)
+(* Kill-point campaigns (DESIGN.md §4.19)
 
    Power failure (above) loses unflushed lines but kills *everyone*;
-   process death loses *nothing in NVM* but kills one LibFS, leaving its
-   torn intermediate state live and its allocation cache orphaned.  The
-   checked property is the paper's §4 containment claim: after the
-   watchdog escalates the dead/wedged process — lease expiry,
-   force-revoke, mark-unverified, abnormal teardown — a second process
-   must be able to access every file with clean errnos (the verifier
-   gate repairs from checkpoints or degrades, it never throws), the
-   orphan-page GC must reclaim everything the dead process held, and
-   the page-accounting invariant free + reachable + cached + badblocks
-   = device pages must hold.
+   process death loses *nothing in NVM* but kills one fiber, leaving
+   its torn intermediate state live.  Every plane that claims to contain
+   such a death — the LibFS process itself, snapshot publication, QoS
+   throttling, directory-index maintenance — is checked by the same
+   campaign:
 
-   Kill points are Sched delay boundaries inside the victim's killable
-   scope — every simulated NVM store and yield, but never inside a
-   controller syscall (those are shielded, like a kernel that finishes
-   or never starts a syscall for a dying task).  A recording pass counts
-   the points the script crosses; kill and hang states are sampled
-   evenly across that range. *)
+   1. COUNT — build the plane's world ([setup]), run its [victim] in a
+      killable fiber with the counting injector armed, and record how
+      many kill points (Sched delay boundaries inside the killable
+      scope, never inside a shielded controller syscall) it crosses.
 
-type proc_config = {
-  pd_seed : int; (* reserved for sampling; exploration is deterministic *)
-  pd_kill_points : int; (* kill-injection states sampled per script *)
-  pd_hang_points : int; (* wedged-mode states sampled per script *)
-  pd_timeout_ns : float; (* watchdog heartbeat timeout (also the lease) *)
-  pd_ring : int option;
-      (* mount the victim with a submission ring of this depth: kill
-         points then include the ring submit path, and escalation must
-         also tear the ring down and reap its in-flight entries *)
+   2. SAMPLE — spread [kill_points] kill states and [hang_points]
+      wedge states evenly over that range.
+
+   3. JUDGE — per state, rebuild the world, fire the injector at the
+      sampled point, let the horizon run out, and hand the dead world
+      to the plane's [judge].  The judge returns named tallies (summed
+      into the report) or a typed failure; the first failure ends the
+      campaign.  [require] names a tally that must be nonzero somewhere
+      — a campaign that never exercised its own interaction is vacuous
+      and fails. *)
+
+type kill_config = {
+  kill_points : int; (* kill-injection states sampled *)
+  hang_points : int; (* wedged-mode states sampled *)
+  timeout_ns : float; (* watchdog heartbeat timeout (also the lease) *)
 }
 
-let default_proc_config =
-  { pd_seed = 1; pd_kill_points = 12; pd_hang_points = 3; pd_timeout_ns = 1.0e6; pd_ring = None }
+let kills n = { kill_points = n; hang_points = 0; timeout_ns = 1.0e6 }
 
-type proc_report = {
-  pr_points : int; (* kill points the script crosses end to end *)
-  pr_states : int;
-  pr_killed : int;
-  pr_hung : int;
-  pr_escalated : int; (* watchdog teardowns across all states *)
-  pr_unverified : int; (* files pushed through the verifier gate *)
-  pr_reclaimed : int; (* orphan pages swept by the GC *)
-  pr_leaked : int; (* pages still dead-owned after GC (must be 0) *)
-  pr_invariant_failures : int;
-  pr_failure : counterexample option;
+type state = Kill of int | Hang of int
+
+type reason =
+  | Accounting (* the page-accounting invariant broke after a GC *)
+  | Escalation (* the watchdog did not tear the victim down *)
+  | Certification (* the surviving state fails verification *)
+  | Vacuous (* the [require]d tally stayed zero in every state *)
+  | Exception (* something threw instead of degrading cleanly *)
+  | Plane of string (* a plane's own property, by name *)
+
+type failure = {
+  f_reason : reason;
+  f_state : state option; (* [None]: a campaign-level failure *)
+  f_ops : Script.op list; (* the victim's script, when it runs one *)
+  f_detail : string;
 }
 
-let pp_proc_report ppf r =
-  Fmt.pf ppf
-    "kill points %d  states %d (killed %d, hung %d)  escalated %d  unverified %d@.gc: reclaimed \
-     %d  leaked %d  invariant failures %d@.%s"
-    r.pr_points r.pr_states r.pr_killed r.pr_hung r.pr_escalated r.pr_unverified r.pr_reclaimed
-    r.pr_leaked r.pr_invariant_failures
-    (match r.pr_failure with
-    | None -> "graceful degradation held in every state"
-    | Some cx -> Fmt.str "FAILED:@.%a" pp_counterexample cx)
+type report = {
+  k_points : int; (* kill points the victim crosses end to end *)
+  k_states : int;
+  k_killed : int;
+  k_hung : int;
+  k_tallies : (string * int) list; (* summed over passing states, first-reported order *)
+  k_failure : failure option;
+}
 
-(* Horizon for one state: long enough for the script to run (or die) and
+let tally r name = Option.value (List.assoc_opt name r.k_tallies) ~default:0
+
+let reason_to_string = function
+  | Accounting -> "accounting"
+  | Escalation -> "escalation"
+  | Certification -> "certification"
+  | Vacuous -> "vacuous"
+  | Exception -> "exception"
+  | Plane p -> p
+
+let pp_failure ppf f =
+  Fmt.pf ppf "%s at %s: %s" (reason_to_string f.f_reason)
+    (match f.f_state with
+    | Some (Kill i) -> Printf.sprintf "kill point %d" i
+    | Some (Hang i) -> Printf.sprintf "hang point %d" i
+    | None -> "campaign level")
+    f.f_detail;
+  if f.f_ops <> [] then Fmt.pf ppf "@.script: %s" (Script.to_string f.f_ops)
+
+let pp_report ppf r =
+  Fmt.pf ppf "kill points %d  states %d (killed %d, hung %d)" r.k_points r.k_states r.k_killed
+    r.k_hung;
+  List.iter (fun (name, n) -> Fmt.pf ppf "  %s %d" name n) r.k_tallies;
+  match r.k_failure with
+  | None -> Fmt.pf ppf "@.held in every sampled state"
+  | Some f -> Fmt.pf ppf "@.FAILED: %a" pp_failure f
+
+(* Horizon for one state: long enough for the victim to run (or die) and
    for every lease and the heartbeat timeout to expire afterwards. *)
 let death_horizon_ns = 10.0e6
 
-(* Recording pass: how many kill points does the script cross? *)
-let count_kill_points cfg ops =
-  in_world (fun ~sched ~pmem ~mmu ->
-      let ctl = Controller.create ~sched ~pmem ~mmu ~lease_ns:cfg.pd_timeout_ns () in
-      let libfs = Libfs.mount ~ctl ~proc:1 ~cred ?ring:cfg.pd_ring () in
-      let fs = Libfs.ops libfs in
-      let model = Script.model_create () in
-      Sched.spawn sched (fun () ->
-          Sched.killable (fun () ->
-              List.iteri
-                (fun i op -> ignore (Script.apply fs model i op : (unit, string) result))
-                ops));
-      Sched.arm_count sched;
-      Sched.delay death_horizon_ns;
-      Sched.disarm sched;
-      Sched.kill_points_crossed sched)
+(* [count] points spread evenly over [0, points). *)
+let sample points count =
+  if points <= 0 || count <= 0 then []
+  else if points <= count then List.init points Fun.id
+  else if count = 1 then [ points / 2 ]
+  else List.sort_uniq compare (List.init count (fun i -> i * (points - 1) / (count - 1)))
 
-(* One process-death state: run the victim in a killable fiber, fire the
-   injector at the sampled point, let the watchdog escalate, GC, then
-   probe everything from a second process. *)
-let check_death_state cfg ops ~mode =
-  in_world (fun ~sched ~pmem ~mmu ->
-      let ctl = Controller.create ~sched ~pmem ~mmu ~lease_ns:cfg.pd_timeout_ns () in
-      let libfs1 = Libfs.mount ~ctl ~proc:1 ~cred ?ring:cfg.pd_ring () in
-      let fs = Libfs.ops libfs1 in
-      let model = Script.model_create () in
-      let finished = ref false in
-      Sched.spawn sched (fun () ->
-          Sched.killable (fun () ->
-              List.iteri
-                (fun i op -> ignore (Script.apply fs model i op : (unit, string) result))
-                ops);
-          finished := true);
-      (match mode with
-      | `Kill i -> Sched.arm_kill sched ~after:i
-      | `Hang i -> Sched.arm_hang sched ~after:i);
-      Sched.delay death_horizon_ns;
-      Sched.disarm sched;
-      let wd = Controller.make_watchdog_report () in
-      let detail =
-        try
-          (* Escalation: the victim holds its mount resources (journal,
-             allocation cache) whether it died, wedged, or finished and
-             went silent — the watchdog must always reclaim it. *)
-          let escalated = Controller.watchdog_once ~report:wd ctl ~timeout_ns:cfg.pd_timeout_ns in
-          if not (List.mem 1 escalated) then
-            Error
-              (Printf.sprintf "watchdog did not escalate the victim (escalated: [%s])"
-                 (String.concat ";" (List.map string_of_int escalated)))
-          else begin
-            let gc1 = Controller.gc_once ctl in
-            if (not gc1.Controller.gc_invariant_ok) || gc1.Controller.gc_leaked > 0 then
-              Error
-                (Fmt.str "page accounting broken after teardown GC: %a" Controller.pp_gc_report
-                   gc1)
-            else begin
-              (* Second process: every model path and every visible name
-                 must answer with Ok or a clean errno — the verifier
-                 gate and degradation ladder, never an exception. *)
-              let libfs2 = Libfs.mount ~ctl ~proc:2 ~cred () in
-              let fs2 = Libfs.ops libfs2 in
-              (match fs2.Fs.readdir "/" with Ok _ | Error _ -> ());
-              Hashtbl.iter
-                (fun path _ ->
-                  (match Fs.read_file fs2 path with Ok _ | Error _ -> ());
-                  match fs2.Fs.open_ path [ Trio_core.Fs_types.O_RDWR ] with
-                  | Ok fd ->
-                    (match fs2.Fs.pwrite fd (Bytes.of_string "x") 0 with Ok _ | Error _ -> ());
-                    (match fs2.Fs.close fd with Ok () | Error _ -> ())
-                  | Error _ -> ())
-                model.Script.files;
-              (match Script.visible_names fs2 with
-              | Ok names ->
-                List.iter
-                  (fun path -> match Fs.read_file fs2 path with Ok _ | Error _ -> ())
-                  names
-              | Error _ -> ());
-              (* Drain whatever the probe did not happen to map (e.g. a
-                 directory whose path vanished in a rollback), then the
-                 books must balance with nothing left to collect. *)
-              ignore (Controller.drain_unverified ctl : int);
-              let gc2 = Controller.gc_once ctl in
-              if (not gc2.Controller.gc_invariant_ok) || gc2.Controller.gc_leaked > 0 then
-                Error
-                  (Fmt.str "page accounting broken after probe GC: %a" Controller.pp_gc_report
-                     gc2)
-              else begin
-                ignore (Controller.unmap_all ctl ~proc:2);
-                Ok (gc1, gc2)
-              end
-            end
-          end
-        with exn -> Error (Printf.sprintf "uncaught exception: %s" (Printexc.to_string exn))
+let add_tallies acc ts =
+  List.fold_left
+    (fun acc (name, n) ->
+      if List.mem_assoc name acc then
+        List.map (fun (k, v) -> if k = name then (k, v + n) else (k, v)) acc
+      else acc @ [ (name, n) ])
+    acc ts
+
+let campaign ?require ?(ops = []) ~config ~setup ~victim ~judge () =
+  let run ~arm k =
+    in_world (fun ~sched ~pmem ~mmu ->
+        let env = setup ~sched ~pmem ~mmu in
+        Sched.spawn sched (fun () -> Sched.killable (fun () -> victim env));
+        arm sched;
+        Sched.delay death_horizon_ns;
+        Sched.disarm sched;
+        k sched env)
+  in
+  let points = run ~arm:Sched.arm_count (fun sched _ -> Sched.kill_points_crossed sched) in
+  let fail ?state reason detail =
+    Some { f_reason = reason; f_state = state; f_ops = ops; f_detail = detail }
+  in
+  let judge_state r st =
+    if r.k_failure <> None then r
+    else begin
+      let arm s =
+        match st with Kill i -> Sched.arm_kill s ~after:i | Hang i -> Sched.arm_hang s ~after:i
       in
-      (detail, wd, !finished))
-
-let explore_proc_death ?(config = default_proc_config) ops =
-  let points = count_kill_points config ops in
-  let sample count =
-    if points <= 0 || count <= 0 then []
-    else if points <= count then List.init points Fun.id
-    else if count = 1 then [ points / 2 ]
-    else List.sort_uniq compare (List.init count (fun i -> i * (points - 1) / (count - 1)))
+      let outcome =
+        try run ~arm (fun _ env -> judge env)
+        with exn -> Error (Exception, "uncaught exception: " ^ Printexc.to_string exn)
+      in
+      let killed, hung = match st with Kill _ -> (1, 0) | Hang _ -> (0, 1) in
+      let r =
+        { r with k_states = r.k_states + 1; k_killed = r.k_killed + killed; k_hung = r.k_hung + hung }
+      in
+      match outcome with
+      | Ok ts -> { r with k_tallies = add_tallies r.k_tallies ts }
+      | Error (reason, d) -> { r with k_failure = fail ~state:st reason d }
+    end
   in
   let states =
-    List.map (fun i -> `Kill i) (sample config.pd_kill_points)
-    @ List.map (fun i -> `Hang i) (sample config.pd_hang_points)
+    List.map (fun i -> Kill i) (sample points config.kill_points)
+    @ List.map (fun i -> Hang i) (sample points config.hang_points)
   in
-  let report =
-    ref
-      {
-        pr_points = points;
-        pr_states = 0;
-        pr_killed = 0;
-        pr_hung = 0;
-        pr_escalated = 0;
-        pr_unverified = 0;
-        pr_reclaimed = 0;
-        pr_leaked = 0;
-        pr_invariant_failures = 0;
-        pr_failure = None;
-      }
+  let r =
+    List.fold_left judge_state
+      { k_points = points; k_states = 0; k_killed = 0; k_hung = 0; k_tallies = []; k_failure = None }
+      states
   in
-  List.iter
-    (fun mode ->
-      if (!report).pr_failure = None then begin
-        let idx = match mode with `Kill i | `Hang i -> i in
-        let detail, wd, _finished =
-          try check_death_state config ops ~mode
-          with exn ->
-            ( Error (Printf.sprintf "uncaught exception escaped the state: %s" (Printexc.to_string exn)),
-              Controller.make_watchdog_report (),
-              false )
-        in
-        let r = !report in
-        let killed, hung = match mode with `Kill _ -> (1, 0) | `Hang _ -> (0, 1) in
-        report :=
-          (match detail with
-          | Ok (gc1, gc2) ->
-            {
-              r with
-              pr_states = r.pr_states + 1;
-              pr_killed = r.pr_killed + killed;
-              pr_hung = r.pr_hung + hung;
-              pr_escalated = r.pr_escalated + List.length wd.Controller.wd_escalated;
-              pr_unverified = r.pr_unverified + wd.Controller.wd_unverified;
-              pr_reclaimed =
-                r.pr_reclaimed + gc1.Controller.gc_reclaimed_pages
-                + gc2.Controller.gc_reclaimed_pages;
-              pr_leaked = r.pr_leaked + gc1.Controller.gc_leaked + gc2.Controller.gc_leaked;
-              pr_invariant_failures = r.pr_invariant_failures;
-            }
-          | Error d ->
-            {
-              r with
-              pr_states = r.pr_states + 1;
-              pr_killed = r.pr_killed + killed;
-              pr_hung = r.pr_hung + hung;
-              pr_invariant_failures =
-                (r.pr_invariant_failures
-                +
-                if
-                  String.length d >= 15
-                  && String.sub d 0 15 = "page accounting"
-                then 1
-                else 0);
-              pr_failure =
-                Some { cx_ops = ops; cx_crash_index = idx; cx_survivors = []; cx_detail = d };
-            })
-      end)
-    states;
-  !report
+  match require with
+  | Some name when r.k_failure = None && r.k_states > 0 && tally r name = 0 ->
+    {
+      r with
+      k_failure =
+        fail Vacuous
+          (Printf.sprintf "no sampled state ever counted %s: the campaign is not exercising \
+                           what it claims to" name);
+    }
+  | _ -> r
+
+(* The shared post-kill judgement.  The watchdog must escalate the victim
+   (proc 1) whether it died, wedged, or finished and went silent — it
+   holds its mount resources either way; the teardown GC must balance
+   the books (free + reachable + cached + badblocks = device pages); a
+   second process [probe]s what survived, where the verifier gate and
+   degradation ladder answer with clean errnos, never an exception; and
+   after draining whatever the probe did not happen to map, the books
+   must balance again with nothing left to collect. *)
+let reclaim ~probe ~timeout_ns ctl =
+  let ( let* ) = Result.bind in
+  let gc_ok phase (gc : Controller.gc_report) =
+    if gc.gc_invariant_ok && gc.gc_leaked = 0 then Ok ()
+    else
+      Error
+        (Accounting, Fmt.str "page accounting broken after %s GC: %a" phase Controller.pp_gc_report gc)
+  in
+  let wd = Controller.make_watchdog_report () in
+  let escalated = Controller.watchdog_once ~report:wd ctl ~timeout_ns in
+  let* () =
+    if List.mem 1 escalated then Ok ()
+    else
+      Error
+        ( Escalation,
+          Printf.sprintf "watchdog did not escalate the victim (escalated: [%s])"
+            (String.concat ";" (List.map string_of_int escalated)) )
+  in
+  let gc1 = Controller.gc_once ctl in
+  let* () = gc_ok "teardown" gc1 in
+  let* () = probe (Libfs.ops (Libfs.mount ~ctl ~proc:2 ~cred ())) in
+  ignore (Controller.drain_unverified ctl : int);
+  let gc2 = Controller.gc_once ctl in
+  let* () = gc_ok "probe" gc2 in
+  Controller.unmap_all ctl ~proc:2;
+  Ok
+    [
+      ("escalated", List.length wd.wd_escalated);
+      ("unverified", wd.wd_unverified);
+      ("reclaimed", gc1.gc_reclaimed_pages + gc2.gc_reclaimed_pages);
+      ("leaked", gc1.gc_leaked + gc2.gc_leaked);
+    ]
+
+let read_all fs2 names =
+  List.iter (fun path -> match Fs.read_file fs2 path with Ok _ | Error _ -> ()) names
+
+(* ------------------------------------------------------------------ *)
+(* Process death (DESIGN.md §4.12)
+
+   The victim is a LibFS running an op script, killed or wedged at
+   sampled points; the judgement is the shared post-kill one, probing
+   every model path (read, open for write, pwrite, close) and every
+   visible name.  With [ring], the victim mounts a submission ring of
+   that depth: kill points then include the ring submit path, and
+   escalation must also tear the ring down and reap its in-flight
+   entries. *)
+
+let explore_proc_death ?(config = { (kills 12) with hang_points = 3 }) ?ring ops =
+  let probe model fs2 =
+    (match fs2.Fs.readdir "/" with Ok _ | Error _ -> ());
+    Hashtbl.iter
+      (fun path _ ->
+        (match Fs.read_file fs2 path with Ok _ | Error _ -> ());
+        match fs2.Fs.open_ path [ Trio_core.Fs_types.O_RDWR ] with
+        | Ok fd ->
+          (match fs2.Fs.pwrite fd (Bytes.of_string "x") 0 with Ok _ | Error _ -> ());
+          (match fs2.Fs.close fd with Ok () | Error _ -> ())
+        | Error _ -> ())
+      model.Script.files;
+    (match Script.visible_names fs2 with Ok names -> read_all fs2 names | Error _ -> ());
+    Ok ()
+  in
+  campaign ~ops ~config
+    ~setup:(fun ~sched ~pmem ~mmu ->
+      let ctl = Controller.create ~sched ~pmem ~mmu ~lease_ns:config.timeout_ns () in
+      (ctl, Libfs.ops (Libfs.mount ~ctl ~proc:1 ~cred ?ring ()), Script.model_create ()))
+    ~victim:(fun (_, fs, model) ->
+      List.iteri (fun i op -> ignore (Script.apply fs model i op : (unit, string) result)) ops)
+    ~judge:(fun (ctl, _, model) ->
+      reclaim ~probe:(probe model) ~timeout_ns:config.timeout_ns ctl)
+    ()
 
 (* ------------------------------------------------------------------ *)
 (* Crash during snapshot commit (DESIGN.md §4.16)
 
-   Property: root publication is transactional.  A kill injected at any
-   Delay boundary of [Controller.snapshot_take] must leave the device
-   with at least one fully valid root — the superseded root before the
-   commit store persists, the new one after — never zero.  And crash
-   recovery from every such state must come up in a configuration the
-   differential machinery certifies: recovery mounts a root (or walks
-   the tree when told to expect damage), every file record passes a
-   Full-mode verification sweep, and the page accounting balances with
-   the [snap_pinned] term included.
+   Property: root publication is transactional.  The script populates
+   the FS and one complete snapshot is taken (so the superseded root is
+   substantial, not the trivial epoch-1 root over an empty tree); the
+   victim is the next [Controller.snapshot_take].  A kill at any of its
+   Delay boundaries must leave the device with at least one fully valid
+   root — the superseded root before the commit store persists, the new
+   one after — never zero.  Then the crash proper: DRAM dies with the
+   controller and a new one recovers from NVM alone.  It must mount a
+   root (falling back to the fsck walk would mean validation rejected a
+   valid root), every file must pass a Full verification sweep, and the
+   page accounting must balance with the [snap_pinned] term included.
+   [Mutation.Torn_commit] must fail this campaign with zero roots. *)
 
-   The [sc_torn] variant publishes with the deliberately sabotaged
-   ordering ({!Controller.set_snap_torn_commit}: root record first,
-   payload second, into the live slot) and the exploration must CATCH
-   it — find at least one kill point with zero valid roots.  That is
-   the self-test that this campaign can see the bug class at all. *)
-
-type snap_config = {
-  sc_kill_points : int; (* kill-injection states sampled per script *)
-  sc_torn : bool; (* run against the sabotaged commit ordering *)
-}
-
-let default_snap_config = { sc_kill_points = 24; sc_torn = false }
-
-type snap_report = {
-  sn_points : int; (* kill points publication crosses end to end *)
-  sn_states : int;
-  sn_root_old : int; (* states that recovered on the superseded root *)
-  sn_root_new : int; (* states that recovered on the new root *)
-  sn_fsck : int; (* states that fell back to the fsck walk *)
-  sn_zero_roots : int; (* states with NO valid root (torn mode's catch) *)
-  sn_failure : counterexample option;
-}
-
-let pp_snap_report ppf r =
-  Fmt.pf ppf
-    "kill points %d  states %d  recovered: old root %d, new root %d, fsck %d  zero-root states \
-     %d@.%s"
-    r.sn_points r.sn_states r.sn_root_old r.sn_root_new r.sn_fsck r.sn_zero_roots
-    (match r.sn_failure with
-    | None -> "every crash state kept a valid, certifiable root"
-    | Some cx -> Fmt.str "FAILED:@.%a" pp_counterexample cx)
-
-(* One state: populate the FS with the script, then kill publication at
-   the sampled point ([`Count] instead records how many points there
-   are).  Returns what recovery found. *)
-let check_snap_state cfg ops ~mode =
-  in_world (fun ~sched ~pmem ~mmu ->
-      Controller.set_snap_torn_commit cfg.sc_torn;
-      Fun.protect ~finally:(fun () -> Controller.set_snap_torn_commit false) @@ fun () ->
+let explore_snapshot_commit ?(config = kills 24) ops =
+  campaign ~ops ~config
+    ~setup:(fun ~sched ~pmem ~mmu ->
       let ctl = Controller.create ~sched ~pmem ~mmu () in
-      let libfs = Libfs.mount ~ctl ~proc:1 ~cred () in
-      let fs = Libfs.ops libfs in
+      let fs = Libfs.ops (Libfs.mount ~ctl ~proc:1 ~cred ()) in
       let model = Script.model_create () in
       List.iteri (fun i op -> ignore (Script.apply fs model i op : (unit, string) result)) ops;
       Controller.unmap_all ctl ~proc:1;
-      (* One complete snapshot over the script's files, then the one
-         under attack: the superseded root is substantial, not the
-         trivial epoch-1 root over an empty tree. *)
       ignore (Controller.snapshot_take ctl : (int, Trio_core.Fs_types.errno) result);
-      let pre_epoch = Controller.snapshot_epoch ctl in
-      Sched.spawn sched (fun () ->
-          Sched.killable (fun () ->
-              ignore (Controller.snapshot_take ctl : (int, Trio_core.Fs_types.errno) result)));
-      (match mode with
-      | `Count -> Sched.arm_count sched
-      | `Kill i -> Sched.arm_kill sched ~after:i);
-      Sched.delay death_horizon_ns;
-      Sched.disarm sched;
-      match mode with
-      | `Count -> `Points (Sched.kill_points_crossed sched)
-      | `Kill _ -> (
-        let valid =
-          List.filter_map (fun slot -> Controller.snapshot_root_status pmem ~slot) [ 0; 1 ]
-        in
-        if valid = [] then `Zero_roots
-        else begin
-          (* The crash proper: DRAM dies with the old controller; a new
-             one recovers from NVM alone. *)
-          let mmu' = Mmu.create pmem in
-          match Controller.recover ~sched ~pmem ~mmu:mmu' () with
-          | Error e -> `Failure (Printf.sprintf "recovery refused both ladders: %s" e)
-          | Ok (ctl', how) -> (
-            let checked, bad = Controller.audit_all ctl' in
-            let gc = Controller.gc_once ctl' in
-            if bad > 0 then
-              `Failure
-                (Printf.sprintf "recovered state not certified: %d of %d file(s) fail Full \
-                                 verification" bad checked)
-            else if (not gc.Controller.gc_invariant_ok) || gc.Controller.gc_leaked > 0 then
-              `Failure (Fmt.str "page accounting broken after recovery: %a" Controller.pp_gc_report gc)
-            else
-              match how with
-              | Controller.Fsck_fallback -> `Fsck
-              | Controller.Mounted_root e ->
-                if e > pre_epoch then `New_root
-                else if e = pre_epoch then `Old_root
-                else `Failure (Printf.sprintf "recovery mounted epoch %d older than the last \
-                                               committed root %d" e pre_epoch))
-        end))
-
-let explore_snapshot_commit ?(config = default_snap_config) ops =
-  let points =
-    match check_snap_state config ops ~mode:`Count with `Points n -> n | _ -> 0
-  in
-  let sample count =
-    if points <= 0 || count <= 0 then []
-    else if points <= count then List.init points Fun.id
-    else if count = 1 then [ points / 2 ]
-    else List.sort_uniq compare (List.init count (fun i -> i * (points - 1) / (count - 1)))
-  in
-  let report =
-    ref
-      {
-        sn_points = points;
-        sn_states = 0;
-        sn_root_old = 0;
-        sn_root_new = 0;
-        sn_fsck = 0;
-        sn_zero_roots = 0;
-        sn_failure = None;
-      }
-  in
-  List.iter
-    (fun i ->
-      if (!report).sn_failure = None then begin
-        let outcome =
-          try check_snap_state config ops ~mode:(`Kill i)
-          with exn ->
-            `Failure (Printf.sprintf "uncaught exception: %s" (Printexc.to_string exn))
-        in
-        let r = { !report with sn_states = (!report).sn_states + 1 } in
-        report :=
-          (match outcome with
-          | `Old_root -> { r with sn_root_old = r.sn_root_old + 1 }
-          | `New_root -> { r with sn_root_new = r.sn_root_new + 1 }
-          | `Fsck ->
-            (* A torn commit legitimately lands here (the sabotage
-               destroyed the live root before the kill window); with the
-               correct ordering a root always exists, so falling back to
-               the walk means validation rejected roots it should not
-               have. *)
-            if config.sc_torn then { r with sn_fsck = r.sn_fsck + 1 }
-            else
-              {
-                r with
-                sn_failure =
-                  Some
-                    {
-                      cx_ops = ops;
-                      cx_crash_index = i;
-                      cx_survivors = [];
-                      cx_detail = "valid roots existed but recovery fell back to the fsck walk";
-                    };
-              }
-          | `Zero_roots ->
-            if config.sc_torn then { r with sn_zero_roots = r.sn_zero_roots + 1 }
-            else
-              {
-                r with
-                sn_failure =
-                  Some
-                    {
-                      cx_ops = ops;
-                      cx_crash_index = i;
-                      cx_survivors = [];
-                      cx_detail = "zero valid roots after kill during publication";
-                    };
-              }
-          | `Points _ -> r
-          | `Failure d ->
-            {
-              r with
-              sn_failure =
-                Some { cx_ops = ops; cx_crash_index = i; cx_survivors = []; cx_detail = d };
-            })
-      end)
-    (sample config.sc_kill_points);
-  !report
+      (sched, pmem, ctl, Controller.snapshot_epoch ctl))
+    ~victim:(fun (_, _, ctl, _) ->
+      ignore (Controller.snapshot_take ctl : (int, Trio_core.Fs_types.errno) result))
+    ~judge:(fun (sched, pmem, _, pre_epoch) ->
+      let valid =
+        List.filter_map (fun slot -> Controller.snapshot_root_status pmem ~slot) [ 0; 1 ]
+      in
+      if valid = [] then Error (Plane "zero-roots", "zero valid roots after kill during publication")
+      else
+        match Controller.recover ~sched ~pmem ~mmu:(Mmu.create pmem) () with
+        | Error e -> Error (Plane "recovery", "recovery refused both ladders: " ^ e)
+        | Ok (ctl', how) -> (
+          let checked, bad = Controller.audit_all ctl' in
+          let gc = Controller.gc_once ctl' in
+          if bad > 0 then
+            Error
+              ( Certification,
+                Printf.sprintf "recovered state not certified: %d of %d file(s) fail Full \
+                                verification" bad checked )
+          else if (not gc.gc_invariant_ok) || gc.gc_leaked > 0 then
+            Error
+              (Accounting, Fmt.str "page accounting broken after recovery: %a" Controller.pp_gc_report gc)
+          else
+            match how with
+            | Controller.Fsck_fallback ->
+              Error
+                (Plane "fsck-fallback", "valid roots existed but recovery fell back to the fsck walk")
+            | Controller.Mounted_root e when e < pre_epoch ->
+              Error
+                ( Plane "stale-root",
+                  Printf.sprintf "recovery mounted epoch %d older than the last committed root %d" e
+                    pre_epoch )
+            | Controller.Mounted_root e ->
+              Ok [ ("old root", Bool.to_int (e = pre_epoch)); ("new root", Bool.to_int (e > pre_epoch)) ]))
+    ()
 
 (* ------------------------------------------------------------------ *)
 (* SIGKILL inside QoS throttle states (DESIGN.md §4.17)
 
    Property: admission control composes with process death.  A tenant
-   with a tiny share is driven until the token bucket runs dry — so its
-   fibers park at the ring mouth and pay admission delays on charged
-   syscalls — then killed at sampled kill points, which include points
-   immediately around those throttled parks.  In every sampled state:
-
-   - the watchdog must escalate the dead tenant (a throttled park must
-     not read as liveness);
-   - the page-accounting invariant must balance after the teardown GC
-     *and* after an honest probe (tokens owed are forgotten with the
-     tenant, pages are not);
-   - a fresh honest tenant must stay serviceable.
-
-   The scenario self-checks: if no sampled state ever saw the victim
-   throttled, the campaign reports failure — it would not be testing
-   the interaction it claims to. *)
-
-type qos_config = {
-  qd_kill_points : int; (* kill-injection states sampled *)
-  qd_timeout_ns : float; (* watchdog heartbeat timeout (also the lease) *)
-  qd_ring : int; (* victim ring depth (ring-mouth parks are kill points) *)
-  qd_share : float; (* victim share, dwarfed by [qd_rest_share] *)
-  qd_rest_share : float; (* a competing enforced share (no process behind it) *)
-  qd_ops : int; (* write+share cycles the victim attempts *)
-}
-
-let default_qos_config =
-  {
-    qd_kill_points = 12;
-    qd_timeout_ns = 1.0e6;
-    qd_ring = 4;
-    qd_share = 0.02;
-    qd_rest_share = 10.0;
-    qd_ops = 10;
-  }
-
-type qos_report = {
-  qr_points : int; (* kill points the victim crosses end to end *)
-  qr_states : int;
-  qr_throttles : int; (* victim throttle events summed across states *)
-  qr_escalated : int;
-  qr_reclaimed : int;
-  qr_leaked : int; (* pages still dead-owned after GC (must be 0) *)
-  qr_invariant_failures : int;
-  qr_failure : counterexample option;
-}
-
-let pp_qos_report ppf r =
-  Fmt.pf ppf
-    "kill points %d  states %d  victim throttles %d  escalated %d@.gc: reclaimed %d  leaked %d  \
-     invariant failures %d@.%s"
-    r.qr_points r.qr_states r.qr_throttles r.qr_escalated r.qr_reclaimed r.qr_leaked
-    r.qr_invariant_failures
-    (match r.qr_failure with
-    | None -> "isolation + reclamation held in every throttled-kill state"
-    | Some cx -> Fmt.str "FAILED:@.%a" pp_counterexample cx)
+   with a tiny share (0.02 against a competing enforced share of 10, no
+   process behind it) is driven until its token bucket runs dry — so
+   its fibers park at the ring mouth and pay admission delays on
+   charged syscalls — then killed at sampled points, which include
+   points immediately around those parks.  A throttled park must not
+   read as liveness (the watchdog escalates), tokens owed are forgotten
+   with the tenant but pages are not (the books balance), and a fresh
+   honest tenant must stay serviceable.  The campaign requires a
+   nonzero throttle tally: [Mutation.Qos_bypass] makes it vacuous. *)
 
 let qos_victim fs libfs n =
   let payload = String.make 256 'q' in
@@ -1120,220 +956,61 @@ let qos_victim fs libfs n =
     Libfs.unmap_everything libfs
   done
 
-let check_qos_state cfg ~mode =
-  in_world (fun ~sched ~pmem ~mmu ->
-      let ctl = Controller.create ~sched ~pmem ~mmu ~lease_ns:cfg.qd_timeout_ns () in
-      (* a competing enforced share shrinks the victim's fraction;
-         no process needs to sit behind it *)
-      Controller.set_qos_share ctl ~group:99 cfg.qd_rest_share;
-      let libfs1 =
-        Libfs.mount ~ctl ~proc:1 ~cred ~qos_share:cfg.qd_share ~ring:cfg.qd_ring ()
-      in
-      let fs = Libfs.ops libfs1 in
-      Sched.spawn sched (fun () ->
-          Sched.killable (fun () -> qos_victim fs libfs1 cfg.qd_ops));
-      (match mode with
-      | `Count -> Sched.arm_count sched
-      | `Kill i -> Sched.arm_kill sched ~after:i);
-      Sched.delay death_horizon_ns;
-      Sched.disarm sched;
+let explore_qos ?(config = kills 12) ?(ring = 4) ?(ops = 10) () =
+  let honest fs2 =
+    match Fs.write_file fs2 "/honest" "alive" with
+    | Error e ->
+      Error
+        ( Plane "serviceable",
+          "honest tenant not serviceable after the kill: " ^ Trio_core.Fs_types.errno_to_string e )
+    | Ok () ->
+      (match fs2.Fs.readdir "/" with Ok _ | Error _ -> ());
+      Ok ()
+  in
+  campaign ~require:"throttles" ~config
+    ~setup:(fun ~sched ~pmem ~mmu ->
+      let ctl = Controller.create ~sched ~pmem ~mmu ~lease_ns:config.timeout_ns () in
+      Controller.set_qos_share ctl ~group:99 10.0;
+      (ctl, Libfs.mount ~ctl ~proc:1 ~cred ~qos_share:0.02 ~ring ()))
+    ~victim:(fun (_, libfs) -> qos_victim (Libfs.ops libfs) libfs ops)
+    ~judge:(fun (ctl, _) ->
       (* A throttled victim spends most of the horizon parked, so the
          sampled kill can land just before the horizon's edge — give the
          heartbeat timeout room to expire before judging the watchdog. *)
-      (match mode with `Kill _ -> Sched.delay (2.0 *. cfg.qd_timeout_ns) | `Count -> ());
-      match mode with
-      | `Count -> `Points (Sched.kill_points_crossed sched)
-      | `Kill _ -> (
-        let throttles =
-          List.fold_left
-            (fun acc s ->
-              if s.Controller.ts_group = 1 then acc + s.Controller.ts_throttles else acc)
-            0 (Controller.qos_stats ctl)
-        in
-        let wd = Controller.make_watchdog_report () in
-        try
-          let escalated =
-            Controller.watchdog_once ~report:wd ctl ~timeout_ns:cfg.qd_timeout_ns
-          in
-          if not (List.mem 1 escalated) then
-            `Failure
-              ( throttles,
-                Printf.sprintf "watchdog did not escalate the victim (escalated: [%s])"
-                  (String.concat ";" (List.map string_of_int escalated)) )
-          else begin
-            let gc1 = Controller.gc_once ctl in
-            if (not gc1.Controller.gc_invariant_ok) || gc1.Controller.gc_leaked > 0 then
-              `Failure
-                ( throttles,
-                  Fmt.str "page accounting broken after teardown GC: %a" Controller.pp_gc_report
-                    gc1 )
-            else begin
-              (* honest-tenant serviceability: a fresh unthrottled
-                 process must get real work through *)
-              let libfs2 = Libfs.mount ~ctl ~proc:2 ~cred () in
-              let fs2 = Libfs.ops libfs2 in
-              match Fs.write_file fs2 "/honest" "alive" with
-              | Error e ->
-                `Failure
-                  ( throttles,
-                    Printf.sprintf "honest tenant not serviceable after the kill: %s"
-                      (Trio_core.Fs_types.errno_to_string e) )
-              | Ok () -> (
-                (match fs2.Fs.readdir "/" with Ok _ | Error _ -> ());
-                ignore (Controller.drain_unverified ctl : int);
-                let gc2 = Controller.gc_once ctl in
-                if (not gc2.Controller.gc_invariant_ok) || gc2.Controller.gc_leaked > 0 then
-                  `Failure
-                    ( throttles,
-                      Fmt.str "page accounting broken after probe GC: %a"
-                        Controller.pp_gc_report gc2 )
-                else begin
-                  ignore (Controller.unmap_all ctl ~proc:2);
-                  `Ok (throttles, wd, gc1, gc2)
-                end)
-            end
-          end
-        with exn ->
-          `Failure (throttles, Printf.sprintf "uncaught exception: %s" (Printexc.to_string exn))))
-
-let explore_qos ?(config = default_qos_config) () =
-  let points =
-    match check_qos_state config ~mode:`Count with `Points n -> n | _ -> 0
-  in
-  let sample count =
-    if points <= 0 || count <= 0 then []
-    else if points <= count then List.init points Fun.id
-    else if count = 1 then [ points / 2 ]
-    else List.sort_uniq compare (List.init count (fun i -> i * (points - 1) / (count - 1)))
-  in
-  let report =
-    ref
-      {
-        qr_points = points;
-        qr_states = 0;
-        qr_throttles = 0;
-        qr_escalated = 0;
-        qr_reclaimed = 0;
-        qr_leaked = 0;
-        qr_invariant_failures = 0;
-        qr_failure = None;
-      }
-  in
-  List.iter
-    (fun i ->
-      if (!report).qr_failure = None then begin
-        let outcome =
-          try check_qos_state config ~mode:(`Kill i)
-          with exn ->
-            `Failure (0, Printf.sprintf "uncaught exception escaped the state: %s"
-                           (Printexc.to_string exn))
-        in
-        let r = !report in
-        report :=
-          (match outcome with
-          | `Ok (throttles, wd, gc1, gc2) ->
-            {
-              r with
-              qr_states = r.qr_states + 1;
-              qr_throttles = r.qr_throttles + throttles;
-              qr_escalated = r.qr_escalated + List.length wd.Controller.wd_escalated;
-              qr_reclaimed =
-                r.qr_reclaimed + gc1.Controller.gc_reclaimed_pages
-                + gc2.Controller.gc_reclaimed_pages;
-              qr_leaked = r.qr_leaked + gc1.Controller.gc_leaked + gc2.Controller.gc_leaked;
-            }
-          | `Points _ -> r
-          | `Failure (throttles, d) ->
-            {
-              r with
-              qr_states = r.qr_states + 1;
-              qr_throttles = r.qr_throttles + throttles;
-              qr_invariant_failures =
-                (r.qr_invariant_failures
-                +
-                if String.length d >= 15 && String.sub d 0 15 = "page accounting" then 1 else 0);
-              qr_failure =
-                Some { cx_ops = []; cx_crash_index = i; cx_survivors = []; cx_detail = d };
-            })
-      end)
-    (sample config.qd_kill_points);
-  let r = !report in
-  if r.qr_failure = None && r.qr_states > 0 && r.qr_throttles = 0 then
-    {
-      r with
-      qr_failure =
-        Some
-          {
-            cx_ops = [];
-            cx_crash_index = -1;
-            cx_survivors = [];
-            cx_detail =
-              "the victim was never throttled in any sampled state: the campaign is not \
-               exercising the QoS/kill interaction";
-          };
-    }
-  else r
+      Sched.delay (2.0 *. config.timeout_ns);
+      let throttles =
+        List.fold_left
+          (fun acc (s : Controller.qos_tenant_stats) ->
+            if s.ts_group = 1 then acc + s.ts_throttles else acc)
+          0 (Controller.qos_stats ctl)
+      in
+      Result.map
+        (fun ts -> ("throttles", throttles) :: ts)
+        (reclaim ~probe:honest ~timeout_ns:config.timeout_ns ctl))
+    ()
 
 (* ------------------------------------------------------------------ *)
 (* SIGKILL inside directory-index mutations (DESIGN.md §4.18)
 
    The B-link tree over a directory's name hashes is an accelerator with
    its own multi-store mutations — leaf inserts, node splits, root
-   swings — layered over the dentry truth.  The crash discipline says a
-   process may die between any two of those stores and the system must
-   come back *certifiable*: after watchdog escalation and GC, every file
-   passes a Full verification sweep (I5 included) — the tree either
-   survived intact, was rolled back with its directory's checkpoint, or
-   the directory legally dropped to unindexed (root = 0, which I5
-   skips).  Never a dangling root, never a tree that disagrees with the
-   dentries.
-
-   Node capacity is shrunk ({!Trio_core.Dirindex.set_test_capacity}) so
-   a handful of creates forces leaf and root splits: the sampled kill
-   points land inside the interesting multi-store windows, not just on
-   the op boundaries between them.
-
-   {!dir_index_mutation_caught} is the campaign's self-test: it arms the
-   LibFS skip-index-updates switch (maintenance silently dropped —
-   exactly what a buggy or malicious LibFS would do), keeps creating,
-   and the verifier's I5 must CATCH the divergence at the sharing
-   point.  That is the proof this machinery can see the bug class at
-   all. *)
+   swings — layered over the dentry truth.  The victim runs a
+   create/unlink/rename mix over the root directory with sharing points,
+   and node capacity is shrunk ({!Trio_core.Dirindex.set_test_capacity})
+   so a handful of creates forces splits: the sampled kill points land
+   inside the multi-store windows, not just between ops.  Every state
+   must come back *certifiable*: the victim's own sharing points never
+   drew an I5 verdict (an honest LibFS keeps its tree in step with its
+   dentries — [Mutation.Skip_index] does not), the namespace stays
+   enumerable, and after escalation and GC every file passes a Full
+   sweep (I5 included) — the tree survived intact, was rolled back with
+   its directory's checkpoint, or the directory legally dropped to
+   unindexed (root = 0).  The campaign requires a nonzero split tally. *)
 
 module Dirindex = Trio_core.Dirindex
 module Layout = Trio_core.Layout
 module Stats = Trio_sim.Stats
 
-type dir_config = {
-  dx_kill_points : int; (* kill-injection states sampled *)
-  dx_entries : int; (* creates the victim attempts *)
-  dx_capacity : int; (* forced B-link node capacity (clamped to >= 2) *)
-  dx_timeout_ns : float; (* watchdog heartbeat timeout (also the lease) *)
-}
-
-let default_dir_config =
-  { dx_kill_points = 18; dx_entries = 16; dx_capacity = 4; dx_timeout_ns = 1.0e6 }
-
-type dir_report = {
-  dx_points : int; (* kill points the victim crosses end to end *)
-  dx_states : int;
-  dx_indexed : int; (* states certified with a live tree on the root dir *)
-  dx_unindexed : int; (* states certified unindexed (legal: root = 0) *)
-  dx_splits : int; (* node splits summed across states (capacity-forcing proof) *)
-  dx_failure : counterexample option;
-}
-
-let pp_dir_report ppf r =
-  Fmt.pf ppf
-    "kill points %d  states %d  certified: indexed %d, unindexed %d  splits %d@.%s"
-    r.dx_points r.dx_states r.dx_indexed r.dx_unindexed r.dx_splits
-    (match r.dx_failure with
-    | None -> "every kill state recovered to a certified directory index"
-    | Some cx -> Fmt.str "FAILED:@.%a" pp_counterexample cx)
-
-(* The victim: a create/unlink/rename mix over the root directory with
-   sharing points, so kills land inside inserts, deletes, splits and
-   verification alike. *)
 let dir_victim fs libfs n =
   let payload = String.make 64 'd' in
   for i = 0 to n - 1 do
@@ -1347,179 +1024,49 @@ let dir_victim fs libfs n =
     if i mod 4 = 3 then Libfs.unmap_everything libfs
   done
 
-let check_dir_state cfg ~mode =
-  in_world (fun ~sched ~pmem ~mmu ->
-      Dirindex.set_test_capacity (Some cfg.dx_capacity);
-      Fun.protect ~finally:(fun () -> Dirindex.set_test_capacity None) @@ fun () ->
-      let ctl = Controller.create ~sched ~pmem ~mmu ~lease_ns:cfg.dx_timeout_ns () in
-      let libfs1 = Libfs.mount ~ctl ~proc:1 ~cred () in
-      let fs = Libfs.ops libfs1 in
-      Sched.spawn sched (fun () ->
-          Sched.killable (fun () -> dir_victim fs libfs1 cfg.dx_entries));
-      (match mode with
-      | `Count -> Sched.arm_count sched
-      | `Kill i -> Sched.arm_kill sched ~after:i);
-      Sched.delay death_horizon_ns;
-      Sched.disarm sched;
-      match mode with
-      | `Count -> `Points (Sched.kill_points_crossed sched)
-      | `Kill _ -> (
-        try
-          let wd = Controller.make_watchdog_report () in
-          let escalated =
-            Controller.watchdog_once ~report:wd ctl ~timeout_ns:cfg.dx_timeout_ns
-          in
-          if not (List.mem 1 escalated) then
-            `Failure
-              (Printf.sprintf "watchdog did not escalate the victim (escalated: [%s])"
-                 (String.concat ";" (List.map string_of_int escalated)))
-          else begin
-            let gc1 = Controller.gc_once ctl in
-            if (not gc1.Controller.gc_invariant_ok) || gc1.Controller.gc_leaked > 0 then
-              `Failure
-                (Fmt.str "page accounting broken after teardown GC: %a" Controller.pp_gc_report
-                   gc1)
-            else begin
-              (* a second process resolves through whatever tree (or
-                 fallback scan) survived; clean errnos only *)
-              let libfs2 = Libfs.mount ~ctl ~proc:2 ~cred () in
-              let fs2 = Libfs.ops libfs2 in
-              match Script.visible_names fs2 with
-              | Error d -> `Failure (Printf.sprintf "namespace not enumerable after the kill: %s" d)
-              | Ok names ->
-                List.iter
-                  (fun path -> match Fs.read_file fs2 path with Ok _ | Error _ -> ())
-                  names;
-                ignore (Controller.drain_unverified ctl : int);
-                let gc2 = Controller.gc_once ctl in
-                if (not gc2.Controller.gc_invariant_ok) || gc2.Controller.gc_leaked > 0 then
-                  `Failure
-                    (Fmt.str "page accounting broken after probe GC: %a"
-                       Controller.pp_gc_report gc2)
-                else begin
-                  (* certification: the surviving state passes a Full
-                     sweep — I5 holds for every directory *)
-                  let checked, bad = Controller.audit_all ctl in
-                  if bad > 0 then
-                    `Failure
-                      (Fmt.str "%d of %d file(s) fail Full verification after the kill:%a" bad
-                         checked
-                         (Fmt.list ~sep:Fmt.nop (fun ppf (ino, vs) ->
-                              Fmt.pf ppf "@.  ino %d: %a" ino
-                                (Fmt.list ~sep:Fmt.comma Trio_core.Verifier.pp_violation)
-                                vs))
-                         (Controller.audit_failures ctl))
-                  else begin
-                    ignore (Controller.unmap_all ctl ~proc:2);
-                    let root =
-                      Layout.read_dindex_root pmem ~actor:Pmem.kernel_actor
-                        ~dentry_addr:Layout.root_dentry_addr
-                    in
-                    let splits =
-                      int_of_float (Stats.get (Controller.stats ctl) "verify.dindex.splits")
-                    in
-                    `Certified (root <> 0, splits)
-                  end
-                end
-            end
-          end
-        with exn -> `Failure (Printf.sprintf "uncaught exception: %s" (Printexc.to_string exn))))
-
-let explore_dir_index ?(config = default_dir_config) () =
-  let points =
-    match check_dir_state config ~mode:`Count with `Points n -> n | _ -> 0
+let explore_dir_index ?(config = kills 18) ?(entries = 16) ?(capacity = 4) () =
+  let enumerable fs2 =
+    match Script.visible_names fs2 with
+    | Error d -> Error (Plane "enumerable", "namespace not enumerable after the kill: " ^ d)
+    | Ok names ->
+      read_all fs2 names;
+      Ok ()
   in
-  let sample count =
-    if points <= 0 || count <= 0 then []
-    else if points <= count then List.init points Fun.id
-    else if count = 1 then [ points / 2 ]
-    else List.sort_uniq compare (List.init count (fun i -> i * (points - 1) / (count - 1)))
-  in
-  let report =
-    ref
-      {
-        dx_points = points;
-        dx_states = 0;
-        dx_indexed = 0;
-        dx_unindexed = 0;
-        dx_splits = 0;
-        dx_failure = None;
-      }
-  in
-  List.iter
-    (fun i ->
-      if (!report).dx_failure = None then begin
-        let outcome =
-          try check_dir_state config ~mode:(`Kill i)
-          with exn ->
-            `Failure
-              (Printf.sprintf "uncaught exception escaped the state: %s" (Printexc.to_string exn))
+  let i5 (_, _, vs) = List.exists (fun v -> v.Trio_core.Verifier.check = `I5) vs in
+  let ( let* ) = Result.bind in
+  Dirindex.set_test_capacity (Some capacity);
+  Fun.protect ~finally:(fun () -> Dirindex.set_test_capacity None) @@ fun () ->
+  campaign ~require:"splits" ~config
+    ~setup:(fun ~sched ~pmem ~mmu ->
+      let ctl = Controller.create ~sched ~pmem ~mmu ~lease_ns:config.timeout_ns () in
+      (pmem, ctl, Libfs.mount ~ctl ~proc:1 ~cred ()))
+    ~victim:(fun (_, _, libfs) -> dir_victim (Libfs.ops libfs) libfs entries)
+    ~judge:(fun (pmem, ctl, _) ->
+      let* () =
+        if List.exists i5 ctl.Trio_core.Ctl_state.corruption_events then
+          Error (Certification, "I5 flagged the victim's index at a sharing point before the kill")
+        else Ok ()
+      in
+      let* ts = reclaim ~probe:enumerable ~timeout_ns:config.timeout_ns ctl in
+      let checked, bad = Controller.audit_all ctl in
+      if bad > 0 then
+        Error
+          ( Certification,
+            Fmt.str "%d of %d file(s) fail Full verification after the kill:%a" bad checked
+              (Fmt.list ~sep:Fmt.nop (fun ppf (ino, vs) ->
+                   Fmt.pf ppf "@.  ino %d: %a" ino
+                     (Fmt.list ~sep:Fmt.comma Trio_core.Verifier.pp_violation)
+                     vs))
+              (Controller.audit_failures ctl) )
+      else
+        let indexed =
+          Layout.read_dindex_root pmem ~actor:Pmem.kernel_actor ~dentry_addr:Layout.root_dentry_addr
+          <> 0
         in
-        let r = { !report with dx_states = (!report).dx_states + 1 } in
-        report :=
-          (match outcome with
-          | `Certified (indexed, splits) ->
-            {
-              r with
-              dx_indexed = (r.dx_indexed + if indexed then 1 else 0);
-              dx_unindexed = (r.dx_unindexed + if indexed then 0 else 1);
-              dx_splits = r.dx_splits + splits;
-            }
-          | `Points _ -> r
-          | `Failure d ->
-            {
-              r with
-              dx_failure =
-                Some { cx_ops = []; cx_crash_index = i; cx_survivors = []; cx_detail = d };
-            })
-      end)
-    (sample config.dx_kill_points);
-  let r = !report in
-  if r.dx_failure = None && r.dx_states > 0 && r.dx_splits = 0 then
-    {
-      r with
-      dx_failure =
-        Some
-          {
-            cx_ops = [];
-            cx_crash_index = -1;
-            cx_survivors = [];
-            cx_detail =
-              "no sampled state ever split an index node: the campaign is not exercising \
-               the multi-store tree mutations it claims to";
-          };
-    }
-  else r
-
-(* Mutation self-test: with index maintenance silently dropped, the
-   verifier's I5 must flag the divergence at the sharing point.  Returns
-   [true] when it was caught. *)
-let dir_index_mutation_caught ?(capacity = 4) () =
-  in_world (fun ~sched ~pmem ~mmu ->
-      ignore (pmem : Pmem.t);
-      Dirindex.set_test_capacity (Some capacity);
-      Fun.protect
-        ~finally:(fun () ->
-          Dirindex.set_test_capacity None;
-          Libfs.set_skip_index_updates false)
-      @@ fun () ->
-      let ctl = Controller.create ~sched ~pmem ~mmu () in
-      let libfs = Libfs.mount ~ctl ~proc:1 ~cred () in
-      let fs = Libfs.ops libfs in
-      (* honest prefix: the root directory gains a live, verified tree *)
-      for i = 0 to 5 do
-        ignore (Fs.write_file fs (Printf.sprintf "/m%d" i) "honest" : (unit, _) result)
-      done;
-      Libfs.unmap_everything libfs;
-      if Controller.corruption_events ctl <> [] then
-        failwith "dir_index_mutation_caught: honest prefix was flagged";
-      (* sabotage: dentries keep landing, the tree stops being maintained *)
-      Libfs.set_skip_index_updates true;
-      for i = 6 to 11 do
-        ignore (Fs.write_file fs (Printf.sprintf "/m%d" i) "stale" : (unit, _) result)
-      done;
-      Libfs.unmap_everything libfs;
-      List.exists
-        (fun (_, _, vs) ->
-          List.exists (fun v -> v.Trio_core.Verifier.check = `I5) vs)
-        (Controller.corruption_events ctl))
+        let splits = int_of_float (Stats.get (Controller.stats ctl) "verify.dindex.splits") in
+        Ok
+          (ts
+          @ [
+              ("indexed", Bool.to_int indexed); ("unindexed", Bool.to_int (not indexed)); ("splits", splits);
+            ]))
+    ()

@@ -5,22 +5,19 @@
    byte-identical to a full I1–I4 walk — only the simulated cost may
    differ.  This module makes that property executable:
 
-   - [differential]: run the §6.5 attack suite (handcrafted + scripted
-     campaign) and a pinned-seed crash-state exploration twice, once
-     under [Full] and once under [Incremental] verification, and
-     compare every rendered verdict byte for byte.
+   [differential] runs the §6.5 attack suite (handcrafted + scripted
+   campaign) and a pinned-seed crash-state exploration twice, once
+   under [Full] and once under [Incremental] verification, compares
+   every rendered verdict byte for byte, and restores the global
+   verification mode on every exit path.
 
-   - [mutation_self_test]: arm {!Mmu.set_crash_test_drop_writes} —
-     a seeded bug that silently drops pages from the MMU write-set, so
-     the incremental verifier wrongly trusts stale snapshots — and
-     demand that the differential gate *catches* it.  A gate that
-     cannot see a broken dirty-tracker proves nothing.
-
-   Both entry points restore the global verification mode and the
-   mutation flag on every exit path. *)
+   Its self-test is {!Trio_core.Mutation.Drop_writes}: with pages
+   silently dropped from the MMU write-set, the incremental verifier
+   wrongly trusts stale snapshots (the full walk never consults the
+   write-set), and the differential must diverge.  A gate that cannot
+   see a broken dirty-tracker proves nothing. *)
 
 module Controller = Trio_core.Controller
-module Mmu = Trio_core.Mmu
 module Attacks = Trio_attacks.Attacks
 module Rng = Trio_util.Rng
 
@@ -56,13 +53,18 @@ let explore_config =
     shrink = false;
   }
 
-let run_suite ~seeds ~script_seed ~script_len mode =
+let run_suite ~attacks ~seeds ~script_seed ~script_len mode =
   let prev = Controller.current_verify_mode () in
   Controller.set_verify_mode mode;
   Fun.protect
     ~finally:(fun () -> Controller.set_verify_mode prev)
     (fun () ->
-      let handcrafted = List.map render_outcome (Attacks.run_handcrafted ()) in
+      let handcrafted =
+        List.map
+          (fun (name, attack, i4_repair) ->
+            render_outcome (Attacks.run_attack ~name ~attack ?i4_repair ()))
+          attacks
+      in
       let campaign = render_campaign (Attacks.run_campaign ~seeds ()) in
       let script = Script.generate (Rng.create script_seed) ~len:script_len in
       let explore = render_explore (Explore.explore ~config:explore_config script) in
@@ -93,26 +95,15 @@ type verdict = {
 
 let scenario_count s = List.length s.vs_handcrafted + 2 (* campaign + exploration *)
 
-let differential ?(seeds = 2) ?(script_seed = 1) ?(script_len = 6) () =
-  let full = run_suite ~seeds ~script_seed ~script_len Controller.Full in
-  let incremental = run_suite ~seeds ~script_seed ~script_len Controller.Incremental in
+(* [attacks] defaults to the whole handcrafted suite. *)
+let differential ?(attacks = Attacks.handcrafted) ?(seeds = 2) ?(script_seed = 1)
+    ?(script_len = 6) () =
+  let full = run_suite ~attacks ~seeds ~script_seed ~script_len Controller.Full in
+  let incremental = run_suite ~attacks ~seeds ~script_seed ~script_len Controller.Incremental in
   {
     vd_scenarios = scenario_count full;
     vd_diffs = compare_snapshots ~full ~incremental;
   }
-
-(* Self-test: with the dirty-tracker sabotaged, the incremental run
-   must *diverge* from the full run — otherwise the gate is blind. *)
-let mutation_self_test ?(seeds = 2) ?(script_seed = 1) ?(script_len = 6) () =
-  let full = run_suite ~seeds ~script_seed ~script_len Controller.Full in
-  Mmu.set_crash_test_drop_writes true;
-  let incremental =
-    Fun.protect
-      ~finally:(fun () -> Mmu.set_crash_test_drop_writes false)
-      (fun () -> run_suite ~seeds ~script_seed ~script_len Controller.Incremental)
-  in
-  let diffs = compare_snapshots ~full ~incremental in
-  { vd_scenarios = scenario_count full; vd_diffs = diffs }
 
 let pp_verdict ppf v =
   match v.vd_diffs with

@@ -169,7 +169,6 @@ let snap_pinned_count = Ctl_state.snap_pinned_count
 let snap_pinned_mem = Ctl_state.snap_pinned_mem
 let was_snapshot_restored = Ctl_state.was_snapshot_restored
 let snapshot_root_status = Ctl_snapshot.root_status
-let set_snap_torn_commit = Ctl_snapshot.set_torn_commit
 
 (* Administrative rollback of one file to the durable root (trioctl
    snap rollback): restore, then force a fresh verification verdict. *)
@@ -309,7 +308,6 @@ let pp_watchdog_report = Ctl_registry.pp_watchdog_report
 let abnormal_teardown = Ctl_registry.abnormal_teardown
 let watchdog_once = Ctl_registry.watchdog_once
 let run_watchdog = Ctl_registry.run_watchdog
-let set_crash_test_skip_gc = Ctl_registry.set_crash_test_skip_gc
 
 type gc_report = Ctl_registry.gc_report = {
   gc_total : int;
@@ -493,9 +491,6 @@ let qos_stats (t : t) =
 
 let pp_qos_stats = Ctl_qos.pp_stats
 let qos_cost_of = Ctl_qos.cost_of
-
-(* Mutation hook (isolation-gate self-test): charges debit zero. *)
-let set_qos_bypass b = Ctl_qos.bypass := b
 
 (* ------------------------------------------------------------------ *)
 (* Scrubber support *)

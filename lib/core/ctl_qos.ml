@@ -41,11 +41,6 @@ let kind_to_string = function
   | Verify -> "verify"
   | Page_draw -> "page_draw"
 
-(* Mutation hook for the isolation gate's self-test: when set, charges
-   debit zero tokens (the "tenant charged zero" sabotage).  The bench
-   must detect the resulting loss of isolation. *)
-let bypass = ref false
-
 type bucket = {
   bk_group : int;
   mutable bk_share : float; (* weight; meaningful once bk_enforce *)
@@ -135,7 +130,8 @@ let charge t ~group ~now ?(n = 1) kind =
   | Ring_slot -> b.bk_ring_slots <- b.bk_ring_slots + n
   | Verify -> b.bk_verifies <- b.bk_verifies + n
   | Page_draw -> b.bk_page_draws <- b.bk_page_draws + n);
-  if not !bypass then
+  (* [Mutation.Qos_bypass]: the "tenant charged zero" sabotage *)
+  if not (Mutation.active Qos_bypass) then
     b.bk_tokens <- b.bk_tokens -. (cost_of kind *. float_of_int n)
 
 (* [admission] returns [None] when the tenant may proceed now, or
@@ -144,7 +140,7 @@ let charge t ~group ~now ?(n = 1) kind =
    submit parks; the sync syscall preamble delays inside its shield) or
    surface EAGAIN with the deadline when asked not to wait. *)
 let admission t ~group ~now =
-  if !bypass then None
+  if Mutation.active Qos_bypass then None
   else begin
     let b = bucket t ~group ~now in
     refill t b ~now;

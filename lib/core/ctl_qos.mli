@@ -23,10 +23,6 @@ val cost_of : kind -> float
 
 val kind_to_string : kind -> string
 
-(* Mutation hook (isolation-gate self-test): when set, charges debit
-   zero tokens, so no tenant is ever throttled. *)
-val bypass : bool ref
-
 (* True once any tenant has a configured share (enables the weighted
    drain paths in Ctl_gate). *)
 val enforced : t -> bool

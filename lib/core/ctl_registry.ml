@@ -217,12 +217,6 @@ let run_watchdog ?report t ~timeout_ns ~interval_ns ~rounds =
    drains — via the next map_file or drain_unverified — and only then
    treats the leftovers as orphans. *)
 
-(* Deliberate mutation hook for the self-test of the leak invariant: a
-   GC that never reclaims must be *provably* caught by the report. *)
-let crash_test_skip_gc = ref false
-
-let set_crash_test_skip_gc b = crash_test_skip_gc := b
-
 type gc_report = {
   gc_total : int; (* device pages *)
   gc_free : int; (* per the reserve extent allocators *)
@@ -297,7 +291,10 @@ let gc_once t =
       if live p || Hashtbl.mem pending p then incr cached else orphans := pg :: !orphans
   done;
   let reclaimed_pages = ref 0 and leaked = ref 0 in
-  if !crash_test_skip_gc then leaked := List.length !orphans
+  (* [Mutation.Skip_gc]: a GC that never reclaims must be provably caught
+     by the report. *)
+  let skip = Mutation.active Skip_gc in
+  if skip then leaked := List.length !orphans
   else begin
     List.iter
       (fun pg ->
@@ -317,7 +314,7 @@ let gc_once t =
   (* Orphan inode numbers: allocated to a process that no longer exists
      (or is dead) and never linked into a directory. *)
   let reclaimed_inos = ref 0 in
-  if not !crash_test_skip_gc then
+  if not skip then
     fold_ino_owner t
       (fun ino owner () ->
         match owner with

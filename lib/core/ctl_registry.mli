@@ -45,9 +45,6 @@ val run_watchdog :
   rounds:int ->
   unit
 
-val crash_test_skip_gc : bool ref
-val set_crash_test_skip_gc : bool -> unit
-
 type gc_report = {
   gc_total : int;
   gc_free : int;

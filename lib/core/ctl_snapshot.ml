@@ -33,13 +33,6 @@ let page_size = Layout.page_size
 let payload_per_page = page_size - 8
 let stream_magic = "TRSP"
 
-(* Sabotage hook for the torn-commit self-test: write the root slot
-   BEFORE the payload, into the LIVE slot — the ordering bug the
-   crash exploration must catch (a kill in the window leaves zero
-   valid roots). *)
-let snap_torn_commit = ref false
-let set_torn_commit b = snap_torn_commit := b
-
 type entry = {
   e_ino : int;
   e_dentry_addr : int;
@@ -298,12 +291,15 @@ let publish t =
           Pmem.persist t.pmem ~addr:(pg * page_size) ~len:page_size)
         pages
     in
+    (* [Mutation.Torn_commit] writes the root BEFORE the payload, into
+       the LIVE slot: a kill in the window leaves zero valid roots. *)
+    let torn = Mutation.active Torn_commit in
     let slot =
-      if !snap_torn_commit then t.snap_slot
+      if torn then t.snap_slot
       else if t.snap_epoch = 0 then 0
       else 1 - t.snap_slot
     in
-    if !snap_torn_commit then begin
+    if torn then begin
       (* BUG ON PURPOSE (gated): root first, payload second, live slot. *)
       Layout.write_snap_root t.pmem ~slot root;
       write_payload ()

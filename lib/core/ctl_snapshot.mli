@@ -60,7 +60,3 @@ val adopt_root : Ctl_state.t -> unit
 (** After an fsck-walk mount, re-pin the newest valid root's payload
     chain into [snap_pinned] so rollback sources survive reallocation. *)
 
-val set_torn_commit : bool -> unit
-(** Sabotage hook for the snapcheck self-test: publish the root record
-    before the payload, into the live slot.  Crash exploration must
-    catch the zero-valid-root window this opens. *)

@@ -460,7 +460,8 @@ let pages ?fetch pm ~actor ~root =
    Used by mount-time recovery, the scan fallback and the kernel
    scrubber's rebuild — the tree an index rebuild produces is always
    structurally perfect.  Returns (root, pages used); an empty entry
-   set builds no tree (root 0). *)
+   set builds no tree (root 0).  When [alloc] runs dry the build stops,
+   passes every page it took to [free] and returns [Error `Nospace]. *)
 let build ?stats pm ~actor ~alloc ~free ~entries =
   ignore stats;
   let cap = capacity () in
@@ -521,7 +522,7 @@ let build ?stats pm ~actor ~alloc ~free ~entries =
     let rec mk_level level nodes =
       (* nodes: (page, first_key, high) in order *)
       match nodes with
-      | None -> None
+      | None | Some [] -> None
       | Some [ (pg, _, _) ] -> Some pg
       | Some ns -> (
         let groups = chunk ns in
@@ -561,7 +562,7 @@ let build ?stats pm ~actor ~alloc ~free ~entries =
         in
         match mk_parents groups with None -> None | Some parents -> mk_level (level + 1) (Some parents))
     in
-    match mk_level 1 (Some (Option.value (mk_leaves leaf_groups) ~default:[])) with
+    match mk_level 1 (mk_leaves leaf_groups) with
     | Some root when not !failed -> Ok (root, List.rev !used)
     | _ ->
       List.iter free !used;

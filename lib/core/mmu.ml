@@ -47,18 +47,12 @@ type t = {
   mutable wmark : int;
 }
 
-(* Mutation hook for the differential self-test of the verification
-   plane: while set, content mutations stop being recorded, so
-   incremental verification silently trusts stale snapshots — the
-   vdiff gate must provably catch the resulting verdict divergence. *)
-let crash_test_drop_writes = ref false
-
-let set_crash_test_drop_writes b = crash_test_drop_writes := b
-
 let part_of t pg = t.parts.(pg / t.pages_per_node mod Array.length t.parts)
 
+(* Under [Mutation.Drop_writes] content stores stop being recorded, so
+   incremental verification trusts stale snapshots. *)
 let record_store t pg =
-  if not !crash_test_drop_writes then begin
+  if not (Mutation.active Drop_writes) then begin
     t.wmark <- t.wmark + 1;
     let p = part_of t pg in
     Hashtbl.replace p.wp_set pg t.wmark;

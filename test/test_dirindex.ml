@@ -247,6 +247,38 @@ let test_readdir_order () =
       Alcotest.(check bool) "ascending (hash, name)" true (keyed = sorted);
       Alcotest.(check int) "complete" 41 (List.length first))
 
+(* Allocator exhaustion mid-build (the scan fallback, mount-time
+   recovery and the scrubber all rebuild): dry at the first page and
+   after three, the build must return [Error `Nospace] — not loop — and
+   hand every page it took back to [free]. *)
+let test_build_dry_allocator () =
+  with_tree (fun pm alloc _free ->
+      Dirindex.set_test_capacity (Some 4);
+      Fun.protect ~finally:(fun () -> Dirindex.set_test_capacity None) @@ fun () ->
+      let entries = List.init 40 (fun i -> (i * 7919, i)) in
+      List.iter
+        (fun budget ->
+          let taken = ref [] and freed = ref [] in
+          let dry () =
+            if List.length !taken >= budget then None
+            else
+              Option.map
+                (fun pg ->
+                  taken := pg :: !taken;
+                  pg)
+                (alloc ())
+          in
+          let free pg = freed := pg :: !freed in
+          (match Dirindex.build pm ~actor:Pmem.kernel_actor ~alloc:dry ~free ~entries with
+          | Error `Nospace -> ()
+          | Ok _ -> Alcotest.failf "budget %d: build succeeded" budget);
+          Alcotest.(check int) (Printf.sprintf "budget %d: pages taken" budget) budget
+            (List.length !taken);
+          Alcotest.(check (list int))
+            (Printf.sprintf "budget %d: every taken page freed" budget)
+            (List.sort compare !taken) (List.sort compare !freed))
+        [ 0; 3 ])
+
 (* ------------------------------------------------------------------ *)
 (* Exploration campaigns *)
 
@@ -255,25 +287,18 @@ let test_readdir_order () =
    one sampled state must have split a node (else the campaign never
    entered the interesting windows). *)
 let test_explore_kills () =
-  let config =
-    if deep then Explore.default_dir_config
-    else { Explore.default_dir_config with Explore.dx_kill_points = 8; dx_entries = 12 }
+  let r =
+    if deep then Explore.explore_dir_index ()
+    else Explore.explore_dir_index ~config:(Explore.kills 8) ~entries:12 ()
   in
-  let r = Explore.explore_dir_index ~config () in
-  (match r.Explore.dx_failure with
+  (match r.Explore.k_failure with
   | None -> ()
-  | Some cx -> Alcotest.failf "%a" Explore.pp_counterexample cx);
-  Alcotest.(check bool) "sampled states" true (r.Explore.dx_states > 0);
+  | Some f -> Alcotest.failf "%a" Explore.pp_failure f);
+  Alcotest.(check bool) "sampled states" true (r.Explore.k_states > 0);
   Alcotest.(check int)
-    "every state certified" r.Explore.dx_states
-    (r.Explore.dx_indexed + r.Explore.dx_unindexed);
-  Alcotest.(check bool) "splits reached" true (r.Explore.dx_splits > 0)
-
-(* The detection self-test: a LibFS that silently skips index
-   maintenance must be caught by I5 at the sharing point (and the
-   honest prefix must not be flagged — that check lives inside). *)
-let test_mutation_caught () =
-  Alcotest.(check bool) "skip-index-update caught" true (Explore.dir_index_mutation_caught ())
+    "every state certified" r.Explore.k_states
+    (Explore.tally r "indexed" + Explore.tally r "unindexed");
+  Alcotest.(check bool) "splits reached" true (Explore.tally r "splits" > 0)
 
 let () =
   Alcotest.run "dirindex"
@@ -283,6 +308,7 @@ let () =
           Alcotest.test_case "insert/lookup/delete at scale" `Quick test_scale;
           Alcotest.test_case "duplicate hashes" `Quick test_duplicate_hashes;
           Alcotest.test_case "empty tree and first split" `Quick test_boundaries;
+          Alcotest.test_case "build with a dry allocator" `Quick test_build_dry_allocator;
         ] );
       ( "libfs",
         [
@@ -292,6 +318,5 @@ let () =
       ( "explore",
         [
           Alcotest.test_case "kill points certify" `Quick test_explore_kills;
-          Alcotest.test_case "mutation caught" `Quick test_mutation_caught;
         ] );
     ]

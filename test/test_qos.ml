@@ -72,8 +72,7 @@ let test_bucket_bypass_mutation_visible () =
   let q = Ctl_qos.create () in
   Ctl_qos.set_share q ~group:1 ~now:0.0 1.0;
   let b0 = Ctl_qos.balance q ~group:1 ~now:0.0 in
-  Ctl_qos.bypass := true;
-  Fun.protect ~finally:(fun () -> Ctl_qos.bypass := false) @@ fun () ->
+  Trio_core.Mutation.with_mutation Qos_bypass @@ fun () ->
   for _ = 1 to 50 do
     Ctl_qos.charge q ~group:1 ~now:0.0 Ctl_qos.Verify
   done;
@@ -239,32 +238,16 @@ let test_ycsb_isolation_under_chaos () =
 (* ------------------------------------------------------------------ *)
 (* Exploration: kills inside throttled/parked states *)
 
-let explore_config =
-  { Explore.default_qos_config with qd_kill_points = 6; qd_ops = 6 }
-
 let test_explore_qos () =
-  let r = Explore.explore_qos ~config:explore_config () in
-  (match r.Explore.qr_failure with
+  let r = Explore.explore_qos ~config:(Explore.kills 6) ~ops:6 () in
+  (match r.Explore.k_failure with
   | None -> ()
-  | Some cx -> Alcotest.failf "explore_qos failed:@.%a" Explore.pp_counterexample cx);
-  Alcotest.(check bool) "sampled states" true (r.Explore.qr_states > 0);
-  Alcotest.(check bool) "victim was throttled" true (r.Explore.qr_throttles > 0);
-  Alcotest.(check bool) "every state escalated" true (r.Explore.qr_escalated >= r.Explore.qr_states);
-  Alcotest.(check int) "no leaks at any kill point" 0 r.Explore.qr_leaked
-
-(* Mutation self-test: with the bypass hook on, the tenant is charged
-   zero — the campaign must notice that its victim never throttles. *)
-let test_explore_qos_catches_bypass_mutation () =
-  Controller.set_qos_bypass true;
-  Fun.protect ~finally:(fun () -> Controller.set_qos_bypass false) @@ fun () ->
-  let r = Explore.explore_qos ~config:explore_config () in
-  match r.Explore.qr_failure with
-  | Some cx
-    when String.length cx.Explore.cx_detail >= 30
-         && String.sub cx.Explore.cx_detail 0 30 = "the victim was never throttled" ->
-    ()
-  | Some cx -> Alcotest.failf "mutation caught by the wrong check: %s" cx.Explore.cx_detail
-  | None -> Alcotest.fail "throttle-bypass mutation was not caught"
+  | Some f -> Alcotest.failf "explore_qos failed:@.%a" Explore.pp_failure f);
+  Alcotest.(check bool) "sampled states" true (r.Explore.k_states > 0);
+  Alcotest.(check bool) "victim was throttled" true (Explore.tally r "throttles" > 0);
+  Alcotest.(check bool) "every state escalated" true
+    (Explore.tally r "escalated" >= r.Explore.k_states);
+  Alcotest.(check int) "no leaks at any kill point" 0 (Explore.tally r "leaked")
 
 let () =
   Alcotest.run "qos"
@@ -295,6 +278,5 @@ let () =
       ( "exploration",
         [
           Alcotest.test_case "kills in throttled states" `Slow test_explore_qos;
-          Alcotest.test_case "bypass mutation caught" `Slow test_explore_qos_catches_bypass_mutation;
         ] );
     ]

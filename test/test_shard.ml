@@ -80,16 +80,12 @@ let test_pool_exhaustion_batch_refill () =
 let test_proc_death_invariant_across_shards () =
   let rng = Rng.create 11 in
   let ops = Script.generate rng ~len:5 in
-  let config =
-    { Explore.default_proc_config with pd_seed = 11; pd_kill_points = 4; pd_hang_points = 1 }
-  in
-  let r = Explore.explore_proc_death ~config ops in
-  (match r.Explore.pr_failure with
+  let r = Explore.explore_proc_death ~config:{ (Explore.kills 4) with hang_points = 1 } ops in
+  (match r.Explore.k_failure with
   | None -> ()
-  | Some cx -> Alcotest.failf "proc-death state failed:@.%a" Explore.pp_counterexample cx);
-  Alcotest.(check bool) "states explored" true (r.Explore.pr_states > 0);
-  Alcotest.(check int) "no leaks" 0 r.Explore.pr_leaked;
-  Alcotest.(check int) "no invariant failures" 0 r.Explore.pr_invariant_failures
+  | Some f -> Alcotest.failf "proc-death state failed:@.%a" Explore.pp_failure f);
+  Alcotest.(check bool) "states explored" true (r.Explore.k_states > 0);
+  Alcotest.(check int) "no leaks" 0 (Explore.tally r "leaked")
 
 let test_faults_invariant_across_shards () =
   let rng = Rng.create 23 in
