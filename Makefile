@@ -19,6 +19,8 @@ test:
 # passes (dune runtest includes test_crash, the bounded crash-state
 # exploration and cross-FS differential fuzz, and test_mutation, which
 # runs every deliberate bug against the campaign that must catch it).
+# CI runs exactly this target.  Its `bench --fast` gates check their
+# thresholds but leave the tracked BENCH_*.json records untouched.
 check: fmt crashcheck-quick faultcheck proccheck verifycheck shardcheck ringcheck snapcheck qoscheck dircheck
 
 # Verification-plane gate: full vs incremental verification must give

@@ -42,6 +42,18 @@ module Attacks = Trio_attacks.Attacks
 
 let fast = ref false
 
+(* A full run rewrites the tracked BENCH_*.json record; a --fast run has
+   fewer points, so it keeps its gate and exit code but leaves the record
+   as it was. *)
+let write_record file ~pass emit =
+  if !fast then Printf.printf "--fast: %s left as recorded (pass: %b)\n" file pass
+  else begin
+    let oc = open_out file in
+    emit oc;
+    close_out oc;
+    Printf.printf "wrote %s (pass: %b)\n" file pass
+  end
+
 let section title =
   Printf.printf "\n==== %s %s\n%!" title (String.make (max 1 (66 - String.length title)) '=')
 
@@ -431,9 +443,7 @@ let fig8v () =
   section "Figure 8 companion: verifier slice per handoff, full vs incremental";
   let handoffs = 16 in
   let slice mode =
-    let prev = Controller.current_verify_mode () in
-    Controller.set_verify_mode mode;
-    Fun.protect ~finally:(fun () -> Controller.set_verify_mode prev) @@ fun () ->
+    Controller.with_verify_mode mode @@ fun () ->
     sharing_rig (fun rig ->
         let mk proc =
           Libfs.mount ~ctl:rig.Rig.ctl ~proc
@@ -827,9 +837,7 @@ let shardscale () =
        whole directory — so throughput is bounded by the verification
        plane's aggregate device bandwidth and fiber parallelism, the
        two resources the per-socket shards multiply. *)
-    let prev = Controller.current_verify_mode () in
-    Controller.set_verify_mode Controller.Full;
-    Fun.protect ~finally:(fun () -> Controller.set_verify_mode prev) @@ fun () ->
+    Controller.with_verify_mode Controller.Full @@ fun () ->
     Rig.run ~nodes ~cpus_per_node:(total_cpus / nodes) ~pages_per_node:(total_pages / nodes)
       ~store_data:false (fun rig ->
         let fs =
@@ -860,24 +868,22 @@ let shardscale () =
     ok points
   in
   let all_ok = List.for_all (fun (_, points) -> monotone points) results in
-  let oc = open_out "BENCH_shard_scaling.json" in
-  Printf.fprintf oc "{\n  \"bench\": \"shard_scaling\",\n  \"threads\": %d,\n" threads;
-  Printf.fprintf oc "  \"total_cpus\": %d,\n  \"total_pages\": %d,\n" total_cpus total_pages;
-  Printf.fprintf oc "  \"workloads\": [\n";
-  List.iteri
-    (fun i (name, points) ->
-      Printf.fprintf oc "    { \"name\": %S, \"points\": [ " name;
-      List.iteri
-        (fun j (n, v) ->
-          Printf.fprintf oc "%s{ \"sockets\": %d, \"ops_per_us\": %.4f }"
-            (if j > 0 then ", " else "")
-            n v)
-        points;
-      Printf.fprintf oc " ] }%s\n" (if i < List.length results - 1 then "," else ""))
-    results;
-  Printf.fprintf oc "  ],\n  \"monotonic\": %b\n}\n" all_ok;
-  close_out oc;
-  Printf.printf "wrote BENCH_shard_scaling.json (monotonic: %b)\n" all_ok;
+  write_record "BENCH_shard_scaling.json" ~pass:all_ok (fun oc ->
+    Printf.fprintf oc "{\n  \"bench\": \"shard_scaling\",\n  \"threads\": %d,\n" threads;
+    Printf.fprintf oc "  \"total_cpus\": %d,\n  \"total_pages\": %d,\n" total_cpus total_pages;
+    Printf.fprintf oc "  \"workloads\": [\n";
+    List.iteri
+      (fun i (name, points) ->
+        Printf.fprintf oc "    { \"name\": %S, \"points\": [ " name;
+        List.iteri
+          (fun j (n, v) ->
+            Printf.fprintf oc "%s{ \"sockets\": %d, \"ops_per_us\": %.4f }"
+              (if j > 0 then ", " else "")
+              n v)
+          points;
+        Printf.fprintf oc " ] }%s\n" (if i < List.length results - 1 then "," else ""))
+      results;
+    Printf.fprintf oc "  ],\n  \"monotonic\": %b\n}\n" all_ok);
   if not all_ok then begin
     Printf.eprintf "FAILED: throughput not monotonically increasing with socket count\n";
     exit 1
@@ -949,21 +955,19 @@ let ringbatch () =
   let pass =
     List.for_all (fun (n, _, _, sp) -> n < 32 || sp >= required) points
   in
-  let oc = open_out "BENCH_ring_batching.json" in
-  Printf.fprintf oc "{\n  \"bench\": \"ring_batching\",\n  \"ring_depth\": %d,\n" depth;
-  Printf.fprintf oc "  \"workload\": \"create-close-unlink, unmap_after_write\",\n";
-  Printf.fprintf oc "  \"points\": [\n";
-  List.iteri
-    (fun i (n, sync, batched, sp) ->
-      Printf.fprintf oc
-        "    { \"procs\": %d, \"sync_ops_per_us\": %.4f, \"ring_ops_per_us\": %.4f, \
-         \"speedup\": %.3f }%s\n"
-        n sync batched sp
-        (if i < List.length points - 1 then "," else ""))
-    points;
-  Printf.fprintf oc "  ],\n  \"required_speedup\": %.2f,\n  \"pass\": %b\n}\n" required pass;
-  close_out oc;
-  Printf.printf "wrote BENCH_ring_batching.json (pass: %b)\n" pass;
+  write_record "BENCH_ring_batching.json" ~pass (fun oc ->
+    Printf.fprintf oc "{\n  \"bench\": \"ring_batching\",\n  \"ring_depth\": %d,\n" depth;
+    Printf.fprintf oc "  \"workload\": \"create-close-unlink, unmap_after_write\",\n";
+    Printf.fprintf oc "  \"points\": [\n";
+    List.iteri
+      (fun i (n, sync, batched, sp) ->
+        Printf.fprintf oc
+          "    { \"procs\": %d, \"sync_ops_per_us\": %.4f, \"ring_ops_per_us\": %.4f, \
+           \"speedup\": %.3f }%s\n"
+          n sync batched sp
+          (if i < List.length points - 1 then "," else ""))
+      points;
+    Printf.fprintf oc "  ],\n  \"required_speedup\": %.2f,\n  \"pass\": %b\n}\n" required pass);
   if not pass then begin
     Printf.eprintf "FAILED: batched plane under %.1fx of synchronous at >= 32 processes\n"
       required;
@@ -1042,15 +1046,13 @@ let snaprecover () =
       Printf.printf "  recovery-to-root speedup: %.1fx\n" speedup;
       let required = 5.0 in
       let pass = speedup >= required in
-      let oc = open_out "BENCH_snapshot_recovery.json" in
-      Printf.fprintf oc "{\n  \"bench\": \"snapshot_recovery\",\n";
-      Printf.fprintf oc "  \"files\": %d,\n  \"snapshot_epoch\": %d,\n" files epoch;
-      Printf.fprintf oc "  \"mount_root_us\": %.3f,\n  \"fsck_audit_us\": %.3f,\n"
-        (root_ns /. 1e3) (fsck_ns /. 1e3);
-      Printf.fprintf oc "  \"speedup\": %.3f,\n  \"required_speedup\": %.2f,\n  \"pass\": %b\n}\n"
-        speedup required pass;
-      close_out oc;
-      Printf.printf "wrote BENCH_snapshot_recovery.json (pass: %b)\n" pass;
+      write_record "BENCH_snapshot_recovery.json" ~pass (fun oc ->
+        Printf.fprintf oc "{\n  \"bench\": \"snapshot_recovery\",\n";
+        Printf.fprintf oc "  \"files\": %d,\n  \"snapshot_epoch\": %d,\n" files epoch;
+        Printf.fprintf oc "  \"mount_root_us\": %.3f,\n  \"fsck_audit_us\": %.3f,\n"
+          (root_ns /. 1e3) (fsck_ns /. 1e3);
+        Printf.fprintf oc "  \"speedup\": %.3f,\n  \"required_speedup\": %.2f,\n  \"pass\": %b\n}\n"
+          speedup required pass);
       if not pass then begin
         Printf.eprintf "FAILED: root mount under %.1fx of the fsck walk\n" required;
         exit 1
@@ -1153,23 +1155,21 @@ let qos () =
     List.for_all (fun (_, _, _, ratio) -> ratio <= required) rows
     && honest_clean && killer.Ycsb.y_killed && gc_ok
   in
-  let oc = open_out "BENCH_tenant_isolation.json" in
-  Printf.fprintf oc "{\n  \"bench\": \"tenant_isolation\",\n";
-  Printf.fprintf oc "  \"records\": %d,\n  \"ops_per_tenant\": %d,\n" records ops;
-  Printf.fprintf oc "  \"tenants\": [\n";
-  List.iteri
-    (fun i (name, b, a, ratio) ->
-      Printf.fprintf oc
-        "    { \"tenant\": %S, \"baseline_p99_ns\": %.0f, \"attacked_p99_ns\": %.0f, \
-         \"ratio\": %.3f }%s\n"
-        name b.Ycsb.y_p99 a.Ycsb.y_p99 ratio
-        (if i < List.length rows - 1 then "," else ""))
-    rows;
-  Printf.fprintf oc "  ],\n  \"killer_killed\": %b,\n  \"gc_balanced\": %b,\n"
-    killer.Ycsb.y_killed gc_ok;
-  Printf.fprintf oc "  \"required_ratio\": %.2f,\n  \"pass\": %b\n}\n" required pass;
-  close_out oc;
-  Printf.printf "wrote BENCH_tenant_isolation.json (pass: %b)\n" pass;
+  write_record "BENCH_tenant_isolation.json" ~pass (fun oc ->
+    Printf.fprintf oc "{\n  \"bench\": \"tenant_isolation\",\n";
+    Printf.fprintf oc "  \"records\": %d,\n  \"ops_per_tenant\": %d,\n" records ops;
+    Printf.fprintf oc "  \"tenants\": [\n";
+    List.iteri
+      (fun i (name, b, a, ratio) ->
+        Printf.fprintf oc
+          "    { \"tenant\": %S, \"baseline_p99_ns\": %.0f, \"attacked_p99_ns\": %.0f, \
+           \"ratio\": %.3f }%s\n"
+          name b.Ycsb.y_p99 a.Ycsb.y_p99 ratio
+          (if i < List.length rows - 1 then "," else ""))
+      rows;
+    Printf.fprintf oc "  ],\n  \"killer_killed\": %b,\n  \"gc_balanced\": %b,\n"
+      killer.Ycsb.y_killed gc_ok;
+    Printf.fprintf oc "  \"required_ratio\": %.2f,\n  \"pass\": %b\n}\n" required pass);
   if not pass then begin
     Printf.eprintf
       "FAILED: honest p99 above %.1fx baseline (or reclamation failed) under attack\n"
@@ -1375,35 +1375,33 @@ let dirscale () =
   in
   let gate_tree = tree_sublinear tree_points in
   let pass = gate_speedup && gate_sublinear && gate_range && gate_tree in
-  let oc = open_out "BENCH_dirscale.json" in
-  Printf.fprintf oc "{\n  \"bench\": \"dirscale\",\n";
-  Printf.fprintf oc "  \"workload\": \"one directory, create/lookup/readdir/delete\",\n";
-  Printf.fprintf oc "  \"points\": [\n";
-  List.iteri
-    (fun i (n, c, l, b, sp, rd, rs, d) ->
-      Printf.fprintf oc
-        "    { \"entries\": %d, \"create_ns\": %.1f, \"lookup_ns\": %.1f, \
-         \"linear_scan_ns\": %s, \"speedup\": %s, \"readdir_ns\": %.1f, \
-         \"readdir_range_scan\": %b, \"delete_ns\": %.1f }%s\n"
-        n c l
-        (match b with Some b -> Printf.sprintf "%.1f" b | None -> "null")
-        (match sp with Some s -> Printf.sprintf "%.2f" s | None -> "null")
-        rd rs d
-        (if i < List.length points - 1 then "," else ""))
-    points;
-  Printf.fprintf oc "  ],\n  \"tree_points\": [\n";
-  List.iteri
-    (fun i (n, ins, lk) ->
-      Printf.fprintf oc
-        "    { \"keys\": %d, \"insert_ns\": %.1f, \"lookup_ns\": %.1f }%s\n" n ins lk
-        (if i < List.length tree_points - 1 then "," else ""))
-    tree_points;
-  Printf.fprintf oc
-    "  ],\n  \"required_speedup\": %.1f,\n  \"speedup_ok\": %b,\n  \"sublinear_ok\": %b,\n  \
-     \"range_scan_ok\": %b,\n  \"tree_sublinear_ok\": %b,\n  \"pass\": %b\n}\n"
-    required gate_speedup gate_sublinear gate_range gate_tree pass;
-  close_out oc;
-  Printf.printf "wrote BENCH_dirscale.json (pass: %b)\n" pass;
+  write_record "BENCH_dirscale.json" ~pass (fun oc ->
+    Printf.fprintf oc "{\n  \"bench\": \"dirscale\",\n";
+    Printf.fprintf oc "  \"workload\": \"one directory, create/lookup/readdir/delete\",\n";
+    Printf.fprintf oc "  \"points\": [\n";
+    List.iteri
+      (fun i (n, c, l, b, sp, rd, rs, d) ->
+        Printf.fprintf oc
+          "    { \"entries\": %d, \"create_ns\": %.1f, \"lookup_ns\": %.1f, \
+           \"linear_scan_ns\": %s, \"speedup\": %s, \"readdir_ns\": %.1f, \
+           \"readdir_range_scan\": %b, \"delete_ns\": %.1f }%s\n"
+          n c l
+          (match b with Some b -> Printf.sprintf "%.1f" b | None -> "null")
+          (match sp with Some s -> Printf.sprintf "%.2f" s | None -> "null")
+          rd rs d
+          (if i < List.length points - 1 then "," else ""))
+      points;
+    Printf.fprintf oc "  ],\n  \"tree_points\": [\n";
+    List.iteri
+      (fun i (n, ins, lk) ->
+        Printf.fprintf oc
+          "    { \"keys\": %d, \"insert_ns\": %.1f, \"lookup_ns\": %.1f }%s\n" n ins lk
+          (if i < List.length tree_points - 1 then "," else ""))
+      tree_points;
+    Printf.fprintf oc
+      "  ],\n  \"required_speedup\": %.1f,\n  \"speedup_ok\": %b,\n  \"sublinear_ok\": %b,\n  \
+       \"range_scan_ok\": %b,\n  \"tree_sublinear_ok\": %b,\n  \"pass\": %b\n}\n"
+      required gate_speedup gate_sublinear gate_range gate_tree pass);
   if not pass then begin
     Printf.eprintf
       "FAILED: dirscale gate (speedup %b, sublinear %b, range-scan %b, tree %b)\n"

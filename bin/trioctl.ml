@@ -21,6 +21,7 @@ module Fs = Trio_core.Fs_intf
 module Vfs = Trio_core.Vfs
 module Mutation = Trio_core.Mutation
 module Explore = Trio_check.Explore
+module Script = Trio_check.Script
 open Cmdliner
 
 let ok what = function
@@ -471,36 +472,90 @@ let trace_cmd =
     Term.(const run $ fs_arg $ last_arg)
 
 (* ------------------------------------------------------------------ *)
-(* Mutation self-tests: every [--mutate] runs its subcommand's campaign
-   under one deliberate bug and exits 0 BECAUSE the campaign caught it. *)
+(* Campaigns: shared arguments, the script loop and the self-test *)
 
-(* [campaign] prints its reports and returns the first failure of a
-   kill-point campaign. *)
-let kill_self_test m ~expect campaign =
-  let expected = Explore.reason_to_string expect in
-  Printf.printf "%s mutation armed: the campaign must fail (%s)\n%!" (Mutation.to_string m)
-    expected;
-  match Mutation.with_mutation m campaign with
-  | Some f when f.Explore.f_reason = expect ->
-    Printf.printf "mutation caught (%s)\n" expected;
-    0
-  | Some f ->
-    Printf.printf "MUTATION CAUGHT BY THE WRONG CHECK: %s, expected %s\n"
-      (Explore.reason_to_string f.Explore.f_reason) expected;
-    1
-  | None ->
-    Printf.printf "MUTATION NOT CAUGHT: the campaign passed\n";
-    1
+let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Script/sampling seed")
+
+let scripts_arg =
+  Arg.(value & opt int 3 & info [ "scripts" ] ~doc:"Number of generated scripts to explore")
+
+let ops_arg ?(doc = "Ops per generated script") n = Arg.(value & opt int n & info [ "ops" ] ~doc)
+
+let kill_points_arg ?(doc = "Sampled kill injection points per script") n =
+  Arg.(value & opt int n & info [ "kill-points" ] ~docv:"N" ~doc)
+
+(* --timeout-us, handed over in nanoseconds *)
+let timeout_ns_arg =
+  Term.(
+    const (fun us -> us *. 1000.0)
+    $ Arg.(
+        value & opt float 1000.0
+        & info [ "timeout-us" ] ~docv:"US" ~doc:"Watchdog heartbeat timeout in microseconds"))
+
+let mutate_arg doc = Arg.(value & flag & info [ "mutate" ] ~doc)
+
+(* Print a report and hand back its failure. *)
+let reported r =
+  Format.printf "%a@." Explore.pp_report r;
+  r.Explore.k_failure
+
+(* Explore the [given] script, or [scripts] scripts generated from
+   [seed], one after another up to the first failure.  A crash-state
+   failure also prints the command that replays it. *)
+let first_failure ?given ~seed ~scripts ~ops explore () =
+  let scripts =
+    match given with
+    | Some script -> [ script ]
+    | None ->
+      let rng = Trio_util.Rng.create seed in
+      List.init scripts (fun _ -> Script.generate rng ~len:ops)
+  in
+  let rec go i = function
+    | [] -> None
+    | script :: rest -> (
+      Printf.printf "script %d/%d: %s\n%!" (i + 1) (List.length scripts) (Script.to_string script);
+      let r = explore script in
+      Format.printf "  %a@." Explore.pp_report r;
+      match r.Explore.k_failure with
+      | None -> go (i + 1) rest
+      | Some { Explore.f_state = Some (Crash { at; survivors }); f_ops; _ } as failure ->
+        Format.printf "replay: trioctl crashcheck --script %S --at %d --survive %a@."
+          (Script.to_string f_ops) at Explore.pp_survivors survivors;
+        failure
+      | failure -> failure)
+  in
+  go 0 scripts
+
+(* Every check subcommand ends here: [check] prints its reports and
+   returns the first failure, which fails the command.  Under [--mutate]
+   the check runs with the deliberate bug [m] armed and the contract
+   inverts: exit 0 only BECAUSE it failed for the [expect]ed reason. *)
+let self_test ~mutate m ~expect check =
+  if not mutate then if check () = None then 0 else 1
+  else begin
+    let expected = Explore.reason_to_string expect in
+    Printf.printf "%s mutation armed: the campaign must fail (%s)\n%!" (Mutation.to_string m)
+      expected;
+    match Mutation.with_mutation m check with
+    | Some f when f.Explore.f_reason = expect ->
+      Printf.printf "mutation caught (%s)\n" expected;
+      0
+    | Some f ->
+      Printf.printf "MUTATION CAUGHT BY THE WRONG CHECK: %s, expected %s\n"
+        (Explore.reason_to_string f.Explore.f_reason) expected;
+      1
+    | None ->
+      Printf.printf "MUTATION NOT CAUGHT: the campaign passed\n";
+      1
+  end
 
 (* ------------------------------------------------------------------ *)
 (* crashcheck: systematic crash-state exploration / differential fuzzing *)
 
 let crashcheck_cmd =
-  let module Script = Trio_check.Script in
   let module Differ = Trio_check.Differ in
-  let run script at survive seed scripts ops budget exhaustive_lines samples diff mutate
-      no_shrink =
-    let parsed_script =
+  let run script at survive seed scripts ops budget samples diff mutate no_shrink =
+    let given =
       Option.map
         (fun s ->
           match Script.parse s with
@@ -515,18 +570,17 @@ let crashcheck_cmd =
         Explore.default_config with
         seed;
         max_states = budget;
-        exhaustive_lines;
         samples_per_point = samples;
         shrink = not no_shrink;
       }
     in
-    let check () =
-      match (at, parsed_script) with
-      | Some _, None ->
+    (* replay one specific crash state of one script *)
+    let replay at () =
+      match given with
+      | None ->
         Printf.eprintf "--at requires --script\n";
         exit 2
-      | Some crash_index, Some ops -> (
-        (* replay one specific crash state of one script *)
+      | Some ops -> (
         let survivors =
           match Explore.parse_survivors survive with
           | Ok s -> s
@@ -535,79 +589,49 @@ let crashcheck_cmd =
             exit 2
         in
         Printf.printf "replaying: %s\n" (Script.to_string ops);
-        Printf.printf "crash after %d LibFS stores, surviving lines: %s\n" crash_index
-          (if survivors = [] then "none" else survive);
-        match Explore.check_state ops ~crash_index ~survivors with
+        Format.printf "crash after %d LibFS stores, surviving lines: %a@." at Explore.pp_survivors
+          survivors;
+        match Explore.check_state ops ~at ~survivors with
         | Ok () ->
           Printf.printf "state is consistent: all completed ops durable, in-flight op atomic\n";
-          0
-        | Error d ->
+          None
+        | Error (reason, d) ->
           Printf.printf "VIOLATION: %s\n" d;
-          1)
-      | None, _ when diff -> (
-        (* differential cross-FS fuzzing *)
-        match parsed_script with
-        | Some ops -> (
-          Printf.printf "diffing %d ops across: %s\n" (List.length ops)
-            (String.concat " " Differ.default_fses);
-          match Differ.diff ~shrink:(not no_shrink) ops with
-          | [] ->
-            Printf.printf "all file systems agree with the model\n";
-            0
-          | ds ->
-            List.iter (fun d -> Format.printf "%a@." Differ.pp_divergence d) ds;
-            1)
-        | None -> (
-          Printf.printf "differential campaign: %d scripts x %d ops across %d file systems\n"
-            scripts ops
-            (List.length Differ.default_fses);
-          match Differ.campaign ~rounds:scripts ~len:ops ~seed () with
-          | None ->
-            Printf.printf "no divergence found\n";
-            0
-          | Some (script, ds) ->
-            Printf.printf "divergence on: %s\n" (Script.to_string script);
-            List.iter (fun d -> Format.printf "%a@." Differ.pp_divergence d) ds;
-            1))
-      | None, _ ->
-        (* crash-state exploration *)
-        let rng = Trio_util.Rng.create seed in
-        let scripts_to_run =
-          match parsed_script with
-          | Some ops -> [ ops ]
-          | None -> List.init scripts (fun _ -> Script.generate rng ~len:ops)
-        in
-        let failed = ref false in
-        List.iteri
-          (fun i ops ->
-            if not !failed then begin
-              Printf.printf "script %d/%d: %s\n%!" (i + 1) (List.length scripts_to_run)
-                (Script.to_string ops);
-              let o = Explore.explore ~config ops in
-              Printf.printf
-                "  %d crash points, %d states checked, enumeration %s\n%!" o.Explore.crash_points
-                o.Explore.states
-                (if o.Explore.exhaustive then "exhaustive" else "sampled");
-              match o.Explore.counterexample with
-              | None -> ()
-              | Some cx ->
-                failed := true;
-                Format.printf "VIOLATION (minimized):@.%a" Explore.pp_counterexample cx
-            end)
-          scripts_to_run;
-        if !failed then 1 else 0
+          Some
+            {
+              Explore.f_reason = reason;
+              f_state = Some (Crash { at; survivors });
+              f_ops = ops;
+              f_detail = d;
+            })
     in
-    if not mutate then check ()
-    else begin
-      Printf.printf "reorder-commit mutation armed: the exploration must find a violation\n%!";
-      match Mutation.with_mutation Reorder_commit check with
-      | 1 ->
-        Printf.printf "mutation caught: the reordered journal commit broke a crash state\n";
+    match (at, given) with
+    | None, Some ops when diff -> (
+      Printf.printf "diffing %d ops across: %s\n" (List.length ops)
+        (String.concat " " Differ.default_fses);
+      match Differ.diff ~shrink:(not no_shrink) ops with
+      | [] ->
+        Printf.printf "all file systems agree with the model\n";
         0
-      | _ ->
-        Printf.printf "MUTATION NOT CAUGHT: every crash state stayed consistent\n";
-        1
-    end
+      | ds ->
+        List.iter (fun d -> Format.printf "%a@." Differ.pp_divergence d) ds;
+        1)
+    | None, None when diff -> (
+      Printf.printf "differential campaign: %d scripts x %d ops across %d file systems\n" scripts
+        ops
+        (List.length Differ.default_fses);
+      match Differ.campaign ~rounds:scripts ~len:ops ~seed () with
+      | None ->
+        Printf.printf "no divergence found\n";
+        0
+      | Some (script, ds) ->
+        Printf.printf "divergence on: %s\n" (Script.to_string script);
+        List.iter (fun d -> Format.printf "%a@." Differ.pp_divergence d) ds;
+        1)
+    | Some at, _ -> self_test ~mutate Reorder_commit ~expect:(Plane "durability") (replay at)
+    | None, _ ->
+      self_test ~mutate Reorder_commit ~expect:(Plane "durability")
+        (first_failure ?given ~seed ~scripts ~ops (Explore.explore ~config))
   in
   let script_arg =
     Arg.(
@@ -628,40 +652,22 @@ let crashcheck_cmd =
       & info [ "survive" ] ~docv:"LINES"
           ~doc:"With --at: unflushed cachelines that survive, as page:line,... (default none)")
   in
-  let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Script/sampling seed") in
-  let scripts_arg =
-    Arg.(value & opt int 3 & info [ "scripts" ] ~doc:"Number of generated scripts to explore")
-  in
-  let ops_arg = Arg.(value & opt int 8 & info [ "ops" ] ~doc:"Ops per generated script") in
   let budget_arg =
     Arg.(value & opt int 4096 & info [ "budget" ] ~doc:"Max crash states per script")
-  in
-  let exh_arg =
-    Arg.(
-      value & opt int 6
-      & info [ "exhaustive-lines" ] ~docv:"K"
-          ~doc:"Enumerate all surviving subsets when <= $(docv) unflushed lines (2^$(docv) states)")
   in
   let samples_arg =
     Arg.(
       value & opt int 6
-      & info [ "samples" ] ~doc:"Sampled surviving subsets per crash point above the threshold")
+      & info [ "samples" ]
+          ~doc:"Sampled surviving subsets per crash point with more than 6 unflushed lines")
   in
   let diff_arg =
     Arg.(
       value & flag
       & info [ "diff" ] ~doc:"Differential mode: diff scripts across all nine file systems")
   in
-  let mutate_arg =
-    Arg.(
-      value & flag
-      & info [ "mutate" ]
-          ~doc:
-            "Enable the seeded journal-commit reordering bug (engine self-test): exit 0 only if \
-             the exploration provably finds a violation")
-  in
   let no_shrink_arg =
-    Arg.(value & flag & info [ "no-shrink" ] ~doc:"Report counterexamples without minimizing")
+    Arg.(value & flag & info [ "no-shrink" ] ~doc:"Report failing scripts without minimizing")
   in
   Cmd.v
     (Cmd.info "crashcheck"
@@ -669,55 +675,28 @@ let crashcheck_cmd =
          "Systematically explore crash states of op scripts (and differentially fuzz all file \
           systems)")
     Term.(
-      const run $ script_arg $ at_arg $ survive_arg $ seed_arg $ scripts_arg $ ops_arg
-      $ budget_arg $ exh_arg $ samples_arg $ diff_arg $ mutate_arg $ no_shrink_arg)
+      const run $ script_arg $ at_arg $ survive_arg $ seed_arg $ scripts_arg $ ops_arg 8
+      $ budget_arg $ samples_arg $ diff_arg
+      $ mutate_arg
+          "Enable the seeded journal-commit reordering bug (engine self-test): exit 0 only if \
+           the exploration, or the --at replay, provably finds a durability violation"
+      $ no_shrink_arg)
 
 (* ------------------------------------------------------------------ *)
 (* procfail: the process-failure plane (DESIGN.md §4.12) *)
 
 let procfail_cmd =
-  let module Script = Trio_check.Script in
-  let run seed scripts ops kill_points hang_points timeout_us ring mutate =
-    let config = { Explore.kill_points; hang_points; timeout_ns = timeout_us *. 1000.0 } in
+  let run seed scripts ops kill_points hang_points timeout_ns ring mutate =
+    let config = { Explore.kill_points; hang_points; timeout_ns } in
     let ring = if ring > 0 then Some ring else None in
     Option.iter (Printf.printf "ring mode: victims mount with a depth-%d submission ring\n") ring;
-    let rng = Trio_util.Rng.create seed in
-    let scripts_to_run = List.init scripts (fun _ -> Script.generate rng ~len:ops) in
-    (* explore script after script up to the first failure *)
-    let first_failure () =
-      let rec go i = function
-        | [] -> None
-        | script :: rest -> (
-          Printf.printf "script %d/%d: %s\n%!" (i + 1) scripts (Script.to_string script);
-          let r = Explore.explore_proc_death ~config ?ring script in
-          Format.printf "  %a@." Explore.pp_report r;
-          match r.Explore.k_failure with None -> go (i + 1) rest | failure -> failure)
-      in
-      go 0 scripts_to_run
-    in
-    if mutate then kill_self_test Skip_gc ~expect:Accounting first_failure
-    else if first_failure () = None then 0
-    else 1
-  in
-  let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Script/sampling seed") in
-  let scripts_arg =
-    Arg.(value & opt int 3 & info [ "scripts" ] ~doc:"Number of generated scripts to explore")
-  in
-  let ops_arg = Arg.(value & opt int 8 & info [ "ops" ] ~doc:"Ops per generated script") in
-  let kill_arg =
-    Arg.(
-      value & opt int 12
-      & info [ "kill-points" ] ~docv:"N" ~doc:"Sampled kill injection points per script")
+    self_test ~mutate Skip_gc ~expect:Accounting
+      (first_failure ~seed ~scripts ~ops (Explore.explore_proc_death ~config ?ring))
   in
   let hang_arg =
     Arg.(
       value & opt int 3
       & info [ "hang-points" ] ~docv:"N" ~doc:"Sampled hang (wedge) injection points per script")
-  in
-  let timeout_arg =
-    Arg.(
-      value & opt float 1000.0
-      & info [ "timeout-us" ] ~docv:"US" ~doc:"Watchdog heartbeat timeout in microseconds")
   in
   let ring_arg =
     Arg.(
@@ -727,22 +706,17 @@ let procfail_cmd =
             "Mount victims with a submission/completion ring of $(docv) entries (0 = \
              synchronous path): the watchdog must also tear the ring down")
   in
-  let mutate_arg =
-    Arg.(
-      value & flag
-      & info [ "mutate" ]
-          ~doc:
-            "Disable the orphan GC (engine self-test): exit 0 only if the leak invariant \
-             provably catches it")
-  in
   Cmd.v
     (Cmd.info "procfail"
        ~doc:
          "Kill or wedge a LibFS at sampled points mid-script, then assert watchdog escalation, \
           verifier-gated reclamation and zero leaked pages from a second process")
     Term.(
-      const run $ seed_arg $ scripts_arg $ ops_arg $ kill_arg $ hang_arg $ timeout_arg
-      $ ring_arg $ mutate_arg)
+      const run $ seed_arg $ scripts_arg $ ops_arg 8 $ kill_points_arg 12 $ hang_arg
+      $ timeout_ns_arg $ ring_arg
+      $ mutate_arg
+          "Disable the orphan GC (engine self-test): exit 0 only if the leak invariant provably \
+           catches it")
 
 (* ------------------------------------------------------------------ *)
 (* verifycheck: incremental-vs-full verification differential gate *)
@@ -750,27 +724,13 @@ let procfail_cmd =
 let verifycheck_cmd =
   let module Vdiff = Trio_check.Vdiff in
   let run seeds script_seed script_len mutate =
-    if mutate then begin
-      Printf.printf
-        "drop-writes mutation armed: incremental verification must diverge from the full walk\n";
-      let v =
-        Mutation.with_mutation Drop_writes (Vdiff.differential ~seeds ~script_seed ~script_len)
-      in
-      Format.printf "%a@." Vdiff.pp_verdict v;
-      if v.Vdiff.vd_diffs <> [] then begin
-        Printf.printf "mutation caught: sabotaged dirty tracking changed the verdicts\n";
-        0
-      end
-      else begin
-        Printf.printf "MUTATION NOT CAUGHT: the differential gate is blind to a broken tracker\n";
-        1
-      end
-    end
-    else begin
-      let v = Vdiff.differential ~seeds ~script_seed ~script_len () in
-      Format.printf "%a@." Vdiff.pp_verdict v;
-      if v.Vdiff.vd_diffs = [] then 0 else 1
-    end
+    self_test ~mutate Drop_writes ~expect:(Plane "divergence") (fun () ->
+        let v = Vdiff.differential ~seeds ~script_seed ~script_len () in
+        Format.printf "%a@." Vdiff.pp_verdict v;
+        match v.Vdiff.vd_diffs with
+        | [] -> None
+        | d :: _ ->
+          Some { Explore.f_reason = Plane "divergence"; f_state = None; f_ops = []; f_detail = d })
   in
   let seeds_arg =
     Arg.(value & opt int 2 & info [ "seeds" ] ~doc:"Seeds per corruption-campaign script")
@@ -781,27 +741,22 @@ let verifycheck_cmd =
   let script_len_arg =
     Arg.(value & opt int 6 & info [ "script-len" ] ~doc:"Ops in the exploration script")
   in
-  let mutate_arg =
-    Arg.(
-      value & flag
-      & info [ "mutate" ]
-          ~doc:
-            "Drop pages from the MMU write-set (gate self-test): exit 0 only if the \
-             differential provably catches the sabotaged dirty tracking")
-  in
   Cmd.v
     (Cmd.info "verifycheck"
        ~doc:
          "Run the attack suite and a pinned-seed crash exploration under full and incremental \
           verification and demand byte-identical verdicts")
-    Term.(const run $ seeds_arg $ script_seed_arg $ script_len_arg $ mutate_arg)
+    Term.(
+      const run $ seeds_arg $ script_seed_arg $ script_len_arg
+      $ mutate_arg
+          "Drop pages from the MMU write-set (gate self-test): exit 0 only if the differential \
+           provably catches the sabotaged dirty tracking")
 
 (* ------------------------------------------------------------------ *)
 (* snap: whole-FS CoW snapshots — take/list/rollback/clone demo, the
    crash-during-commit exploration, and the torn-commit self-test *)
 
 let snap_cmd =
-  let module Script = Trio_check.Script in
   let module Layout = Trio_core.Layout in
   (* Reconstruct "/d/f" paths from the root's (ino, parent) graph. *)
   let paths_of_entries entries =
@@ -922,33 +877,17 @@ let snap_cmd =
           gc.Controller.gc_snap_pinned;
         0)
   in
-  (* explore [scripts] generated scripts up to the first failure *)
-  let explore seed scripts ops kill_points () =
-    let rng = Trio_util.Rng.create seed in
-    let rec go i =
-      if i >= scripts then None
-      else begin
-        let script = Script.generate rng ~len:ops in
-        Printf.printf "script %d/%d: %s\n%!" (i + 1) scripts (Script.to_string script);
-        let r = Explore.explore_snapshot_commit ~config:(Explore.kills kill_points) script in
-        Format.printf "  %a@." Explore.pp_report r;
-        match r.Explore.k_failure with None -> go (i + 1) | failure -> failure
-      end
-    in
-    go 0
-  in
   let run seed files scripts ops kill_points mutate =
-    if mutate then
-      kill_self_test Torn_commit ~expect:(Plane "zero-roots")
-        (explore seed (max 1 scripts) ops kill_points)
-    else if scripts > 0 then if explore seed scripts ops kill_points () = None then 0 else 1
+    if mutate || scripts > 0 then
+      self_test ~mutate Torn_commit ~expect:(Plane "zero-roots")
+        (first_failure ~seed ~scripts:(max 1 scripts) ~ops
+           (Explore.explore_snapshot_commit ~config:(Explore.kills kill_points)))
     else demo files
   in
-  let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Script/sampling seed") in
   let files_arg =
     Arg.(value & opt int 12 & info [ "files" ] ~doc:"Files to build for the take/list/rollback/clone demo")
   in
-  let scripts_arg =
+  let explore_arg =
     Arg.(
       value & opt int 0
       & info [ "explore" ] ~docv:"N"
@@ -956,26 +895,16 @@ let snap_cmd =
             "Instead of the demo, explore $(docv) generated scripts, killing publication at \
              every sampled point and demanding a certifiable root in every crash state")
   in
-  let ops_arg = Arg.(value & opt int 5 & info [ "ops" ] ~doc:"Ops per generated script") in
-  let kill_arg =
-    Arg.(
-      value & opt int 12
-      & info [ "kill-points" ] ~docv:"N" ~doc:"Sampled kill injection points per script")
-  in
-  let mutate_arg =
-    Arg.(
-      value & flag
-      & info [ "mutate" ]
-          ~doc:
-            "Sabotage the commit ordering (engine self-test): exit 0 only if the exploration \
-             provably observes a zero-valid-root crash state")
-  in
   Cmd.v
     (Cmd.info "snap"
        ~doc:
          "Whole-FS CoW snapshots: take, list, verifier-gated rollback and clone, plus the \
           crash-during-commit exploration campaign")
-    Term.(const run $ seed_arg $ files_arg $ scripts_arg $ ops_arg $ kill_arg $ mutate_arg)
+    Term.(
+      const run $ seed_arg $ files_arg $ explore_arg $ ops_arg 5 $ kill_points_arg 12
+      $ mutate_arg
+          "Sabotage the commit ordering (engine self-test): exit 0 only if the exploration \
+           provably observes a zero-valid-root crash state")
 
 (* ------------------------------------------------------------------ *)
 (* micro: one microbenchmark on one fs *)
@@ -1020,15 +949,9 @@ let micro_cmd =
 let qos_cmd =
   let module Ycsb = Trio_workloads.Ycsb in
   let module Attacks = Trio_attacks.Attacks in
-  let run kill_points ops ring timeout_us mutate =
-    let config = { (Explore.kills kill_points) with timeout_ns = timeout_us *. 1000.0 } in
-    let explore () = Explore.explore_qos ~config ~ring ~ops () in
-    if mutate then
-      kill_self_test Qos_bypass ~expect:Vacuous (fun () ->
-          let r = explore () in
-          Format.printf "%a@." Explore.pp_report r;
-          r.Explore.k_failure)
-    else begin
+  let run kill_points ops ring timeout_ns mutate =
+    let config = { (Explore.kills kill_points) with timeout_ns } in
+    if not mutate then begin
       (* A live multi-tenant mix first so the counters mean something:
          two honest YCSB tenants, a byzantine noisy neighbour on a
          starvation share, and a bulk tenant SIGKILLed mid-run. *)
@@ -1067,19 +990,10 @@ let qos_cmd =
             (if gc.Controller.gc_invariant_ok then "balanced" else "IMBALANCED");
           0)
       |> ignore;
-      Printf.printf "\nkill exploration: SIGKILLs inside throttled/parked states\n%!";
-      let r = explore () in
-      Format.printf "%a@." Explore.pp_report r;
-      if r.Explore.k_failure = None then 0 else 1
-    end
-  in
-  let kill_arg =
-    Arg.(
-      value & opt int 12
-      & info [ "kill-points" ] ~docv:"N" ~doc:"Sampled kill injection points")
-  in
-  let ops_arg =
-    Arg.(value & opt int 10 & info [ "ops" ] ~doc:"Write+share cycles the throttled victim runs")
+      Printf.printf "\nkill exploration: SIGKILLs inside throttled/parked states\n%!"
+    end;
+    self_test ~mutate Qos_bypass ~expect:Vacuous (fun () ->
+        reported (Explore.explore_qos ~config ~ring ~ops ()))
   in
   let ring_arg =
     Arg.(
@@ -1087,45 +1001,28 @@ let qos_cmd =
       & info [ "ring" ] ~docv:"DEPTH"
           ~doc:"Victim ring depth; throttle parks at the ring mouth are kill points")
   in
-  let timeout_arg =
-    Arg.(
-      value & opt float 1000.0
-      & info [ "timeout-us" ] ~docv:"US" ~doc:"Watchdog heartbeat timeout in microseconds")
-  in
-  let mutate_arg =
-    Arg.(
-      value & flag
-      & info [ "mutate" ]
-          ~doc:
-            "Disable QoS charging (engine self-test): exit 0 only if the campaign provably \
-             notices that the victim is never throttled")
-  in
   Cmd.v
     (Cmd.info "qos"
        ~doc:
          "Run a multi-tenant byzantine/SIGKILL mix, dump per-tenant QoS charges and throttle \
           counters, then SIGKILL a throttled victim at sampled points and assert reclamation")
-    Term.(const run $ kill_arg $ ops_arg $ ring_arg $ timeout_arg $ mutate_arg)
+    Term.(
+      const run
+      $ kill_points_arg ~doc:"Sampled kill injection points" 12
+      $ ops_arg ~doc:"Write+share cycles the throttled victim runs" 10
+      $ ring_arg $ timeout_ns_arg
+      $ mutate_arg
+          "Disable QoS charging (engine self-test): exit 0 only if the campaign provably \
+           notices that the victim is never throttled")
 
 (* ------------------------------------------------------------------ *)
 (* dircheck: the ordered directory-index plane (DESIGN.md §4.18) *)
 
 let dircheck_cmd =
-  let run kill_points entries capacity timeout_us mutate =
-    let config = { (Explore.kills kill_points) with timeout_ns = timeout_us *. 1000.0 } in
-    let explore () =
-      let r = Explore.explore_dir_index ~config ~entries ~capacity () in
-      Format.printf "%a@." Explore.pp_report r;
-      r.Explore.k_failure
-    in
-    if mutate then kill_self_test Skip_index ~expect:Certification explore
-    else if explore () = None then 0
-    else 1
-  in
-  let kill_arg =
-    Arg.(
-      value & opt int 18
-      & info [ "kill-points" ] ~docv:"N" ~doc:"Sampled kill injection points inside index updates")
+  let run kill_points entries capacity timeout_ns mutate =
+    let config = { (Explore.kills kill_points) with timeout_ns } in
+    self_test ~mutate Skip_index ~expect:Certification (fun () ->
+        reported (Explore.explore_dir_index ~config ~entries ~capacity ()))
   in
   let entries_arg =
     Arg.(
@@ -1138,25 +1035,18 @@ let dircheck_cmd =
       & info [ "capacity" ] ~docv:"K"
           ~doc:"Forced B-link node capacity, so a handful of creates already splits (min 2)")
   in
-  let timeout_arg =
-    Arg.(
-      value & opt float 1000.0
-      & info [ "timeout-us" ] ~docv:"US" ~doc:"Watchdog heartbeat timeout in microseconds")
-  in
-  let mutate_arg =
-    Arg.(
-      value & flag
-      & info [ "mutate" ]
-          ~doc:
-            "Silently drop index maintenance in the LibFS (engine self-test): exit 0 only if \
-             verifier invariant I5 provably catches the divergence")
-  in
   Cmd.v
     (Cmd.info "dircheck"
        ~doc:
          "SIGKILL a LibFS inside B-link directory-index updates at sampled points and demand \
           every crash state certifies as consistent or cleanly unindexed")
-    Term.(const run $ kill_arg $ entries_arg $ capacity_arg $ timeout_arg $ mutate_arg)
+    Term.(
+      const run
+      $ kill_points_arg ~doc:"Sampled kill injection points inside index updates" 18
+      $ entries_arg $ capacity_arg $ timeout_ns_arg
+      $ mutate_arg
+          "Silently drop index maintenance in the LibFS (engine self-test): exit 0 only if \
+           verifier invariant I5 provably catches the divergence")
 
 let () =
   let doc = "Trio/ArckFS userspace NVM file system simulator" in

@@ -1,8 +1,10 @@
-(* Systematic crash-state exploration (the correctness backbone behind
-   the paper's §4.4/§5 claims).
+(* Systematic state exploration (the correctness backbone behind the
+   paper's §4.4/§5 claims).  Every explorer enumerates the crash or kill
+   states of a script, judges each state in a fresh world through one
+   fold, and returns one {!report} (DESIGN.md §4.19).
 
-   Instead of sampling one random crash per run, the engine enumerates
-   the crash-state space of an op script deterministically:
+   Power failure ({!explore}, DESIGN.md §4.10) enumerates the crash-state
+   space of an op script deterministically:
 
    1. RECORD — run the script once on a recording device
       ({!Trio_nvm.Pmem.set_recording}), yielding the ordered
@@ -15,21 +17,21 @@
       computes the unflushed-line set at every crash index.  At each
       index, the subsets of lines that may survive the power failure
       are enumerated exhaustively when the set is small
-      (2^k <= 2^exhaustive_lines) and sampled from a seeded RNG
+      (at most {!exhaustive_lines} lines) and sampled from a seeded RNG
       otherwise.
 
-   3. CHECK — every (crash index, surviving set) state gets a fresh
-      world: re-run the script (deterministic, so the pre-crash device
-      is reconstructed exactly), kill it with the store injector, apply
+   3. JUDGE — every [Crash {at; survivors}] state gets a fresh world:
+      re-run the script (deterministic, so the pre-crash device is
+      reconstructed exactly), kill it with the store injector, apply
       {!Pmem.crash_select} with the chosen survivors, run controller
       crash recovery + LibFS remount, and compare against the model:
       completed operations must be fully durable, the interrupted
       operation atomic (namespace is exactly the pre- or post-state).
 
-   A failing state is reported as a minimal counterexample: the script
-   is greedily shrunk (drop ops, shrink sizes) while the exploration
-   still finds a violation, and printed in a form [trioctl crashcheck]
-   replays. *)
+   A failing script is greedily shrunk (drop ops, shrink sizes) while
+   the exploration still fails; [trioctl crashcheck --at] replays the
+   failing state.  The crash x media-fault explorer and the kill-point
+   campaigns below judge their states through the same fold. *)
 
 module Sched = Trio_sim.Sched
 module Pmem = Trio_nvm.Pmem
@@ -38,61 +40,56 @@ module Perf = Trio_nvm.Perf
 module Mmu = Trio_core.Mmu
 module Controller = Trio_core.Controller
 module Libfs = Arckfs.Libfs
+module Fs = Trio_core.Fs_intf
 module Rng = Trio_util.Rng
 
-type config = {
-  exhaustive_lines : int;
-      (* enumerate all 2^k surviving subsets when the dirty set has <= k lines *)
-  samples_per_point : int; (* sampled subsets above the threshold *)
-  max_states : int; (* overall crash-state budget *)
-  seed : int; (* drives subset sampling only; exploration is otherwise deterministic *)
-  check_replay : bool; (* cross-check replayed images against the live device *)
-  shrink : bool; (* minimize failing scripts before reporting *)
-  shrink_budget : int; (* candidate explorations spent shrinking *)
+(* ------------------------------------------------------------------ *)
+(* One report *)
+
+type state =
+  | Kill of int (* SIGKILL at the i-th kill point *)
+  | Hang of int (* wedged at the i-th kill point *)
+  | Crash of { at : int; survivors : (int * int) list }
+      (* power failure after [at] LibFS stores, with those (page, line)
+         unflushed lines surviving *)
+
+type reason =
+  | Accounting (* the page-accounting invariant broke after a GC *)
+  | Escalation (* the watchdog did not tear the victim down *)
+  | Certification (* the surviving state fails verification *)
+  | Vacuous (* nothing was judged, or the [require]d tally stayed zero *)
+  | Exception (* something threw instead of degrading cleanly *)
+  | Plane of string (* a plane's own property, by name *)
+
+type failure = {
+  f_reason : reason;
+  f_state : state option; (* [None]: a campaign-level failure *)
+  f_ops : Script.op list; (* the victim's script, when it runs one *)
+  f_detail : string;
 }
 
-let default_config =
-  {
-    exhaustive_lines = 6;
-    samples_per_point = 6;
-    max_states = 4096;
-    seed = 1;
-    check_replay = true;
-    shrink = true;
-    shrink_budget = 64;
-  }
-
-type counterexample = {
-  cx_ops : Script.op list;
-  cx_crash_index : int; (* stores completed before the process died; -1 = no crash involved *)
-  cx_survivors : (int * int) list; (* (page, line) lines that survived the power failure *)
-  cx_detail : string;
+type report = {
+  k_points : int; (* kill or crash points the victim crosses end to end *)
+  k_states : int; (* states judged, the failing one included *)
+  k_tallies : (string * int) list; (* summed over passing states, first-reported order *)
+  k_failure : failure option;
 }
 
-type outcome = {
-  crash_points : int; (* crash indices explored (N + 1 when complete) *)
-  states : int; (* (index, surviving subset) states checked *)
-  exhaustive : bool; (* every crash point got its full subset enumeration *)
-  counterexample : counterexample option;
-}
+let tally r name = Option.value (List.assoc_opt name r.k_tallies) ~default:0
+
+let reason_to_string = function
+  | Accounting -> "accounting"
+  | Escalation -> "escalation"
+  | Certification -> "certification"
+  | Vacuous -> "vacuous"
+  | Exception -> "exception"
+  | Plane p -> p
 
 let pp_survivors ppf survivors =
   match survivors with
   | [] -> Fmt.pf ppf "none"
   | l ->
     Fmt.pf ppf "%s" (String.concat "," (List.map (fun (p, ln) -> Printf.sprintf "%d:%d" p ln) l))
-
-let pp_counterexample ppf cx =
-  Fmt.pf ppf "script:   %s@." (Script.to_string cx.cx_ops);
-  if cx.cx_crash_index >= 0 then begin
-    Fmt.pf ppf "crash:    after %d LibFS stores@." cx.cx_crash_index;
-    Fmt.pf ppf "survived: %a@." pp_survivors cx.cx_survivors
-  end
-  else Fmt.pf ppf "crash:    none (diverged without a crash)@.";
-  Fmt.pf ppf "violation: %s@." cx.cx_detail;
-  if cx.cx_crash_index >= 0 then
-    Fmt.pf ppf "replay:   trioctl crashcheck --script %S --at %d --survive %a@."
-      (Script.to_string cx.cx_ops) cx.cx_crash_index pp_survivors cx.cx_survivors
 
 let parse_survivors s =
   if String.trim s = "" || String.trim s = "none" then Ok []
@@ -108,6 +105,82 @@ let parse_survivors s =
         | _ -> Error (Printf.sprintf "bad surviving line %S (expected page:line)" chunk))
     in
     go [] (String.split_on_char ',' s)
+
+let pp_state ppf = function
+  | Kill i -> Fmt.pf ppf "kill point %d" i
+  | Hang i -> Fmt.pf ppf "hang point %d" i
+  | Crash { at; survivors = [] } -> Fmt.pf ppf "crash after %d stores" at
+  | Crash { at; survivors } ->
+    Fmt.pf ppf "crash after %d stores, surviving %a" at pp_survivors survivors
+
+let pp_failure ppf f =
+  Fmt.pf ppf "%s at %a: %s" (reason_to_string f.f_reason)
+    (Fmt.option ~none:(Fmt.any "campaign level") pp_state)
+    f.f_state f.f_detail;
+  if f.f_ops <> [] then Fmt.pf ppf "@.script: %s" (Script.to_string f.f_ops)
+
+let pp_report ppf r =
+  Fmt.pf ppf "points %d  states %d" r.k_points r.k_states;
+  List.iter (fun (name, n) -> Fmt.pf ppf "  %s %d" name n) r.k_tallies;
+  match r.k_failure with
+  | None -> Fmt.pf ppf "@.held in every state"
+  | Some f -> Fmt.pf ppf "@.FAILED: %a" pp_failure f
+
+(* ------------------------------------------------------------------ *)
+(* The fold every explorer judges its states through *)
+
+(* [count] points spread evenly over [0, points). *)
+let sample points count =
+  if points <= 0 || count <= 0 then []
+  else if points <= count then List.init points Fun.id
+  else if count = 1 then [ points / 2 ]
+  else List.sort_uniq compare (List.init count (fun i -> i * (points - 1) / (count - 1)))
+
+let add_tallies acc ts =
+  List.fold_left
+    (fun acc (name, n) ->
+      if List.mem_assoc name acc then
+        List.map (fun (k, v) -> if k = name then (k, v + n) else (k, v)) acc
+      else acc @ [ (name, n) ])
+    acc ts
+
+(* Every judged kill-point state counts toward its kind, the failing one
+   included. *)
+let kind_tallies = function
+  | Kill _ -> [ ("killed", 1); ("hung", 0) ]
+  | Hang _ -> [ ("killed", 0); ("hung", 1) ]
+  | Crash _ -> []
+
+(* Judge [states] — each paired with its judgement — in order, summing
+   the tallies of passing states, up to the first failure; an exception
+   is a failure too.  A run that judged nothing, or whose [require]d
+   tally stayed zero everywhere, exercised nothing and is vacuous. *)
+let judge_all ?require ~ops ~points states =
+  let fail ?state reason detail =
+    Some { f_reason = reason; f_state = state; f_ops = ops; f_detail = detail }
+  in
+  let rec go r = function
+    | [] -> r
+    | (st, judge) :: rest -> (
+      let r =
+        { r with k_states = r.k_states + 1; k_tallies = add_tallies r.k_tallies (kind_tallies st) }
+      in
+      match
+        try judge () with exn -> Error (Exception, "uncaught exception: " ^ Printexc.to_string exn)
+      with
+      | Ok ts -> go { r with k_tallies = add_tallies r.k_tallies ts } rest
+      | Error (reason, d) -> { r with k_failure = fail ~state:st reason d })
+  in
+  let r = go { k_points = points; k_states = 0; k_tallies = []; k_failure = None } states in
+  let vacuous detail = { r with k_failure = fail Vacuous detail } in
+  match require with
+  | _ when r.k_failure <> None -> r
+  | _ when r.k_states = 0 -> vacuous (Printf.sprintf "no state judged across %d points" points)
+  | Some name when tally r name = 0 ->
+    vacuous
+      (Printf.sprintf "no sampled state ever counted %s: the campaign is not exercising what it \
+                       claims to" name)
+  | _ -> r
 
 (* ------------------------------------------------------------------ *)
 (* Worlds *)
@@ -137,8 +210,29 @@ let in_world f =
   | Some v -> v
   | None -> failwith "Explore: simulation did not run to completion"
 
+let run_script fs model ops =
+  List.iteri (fun i op -> ignore (Script.apply fs model i op : (unit, string) result)) ops
+
+(* The post-crash probe: enumerate the root, then read and rewrite every
+   path the script created.  Each call must answer [Ok] or a clean errno
+   (writes degrade to EROFS/EIO); an exception fails the state. *)
+let probe model fs2 =
+  (match fs2.Fs.readdir "/" with Ok _ | Error _ -> ());
+  Hashtbl.iter
+    (fun path _ ->
+      (match Fs.read_file fs2 path with Ok _ | Error _ -> ());
+      match fs2.Fs.open_ path [ Trio_core.Fs_types.O_RDWR ] with
+      | Ok fd ->
+        (match fs2.Fs.pwrite fd (Bytes.of_string "x") 0 with Ok _ | Error _ -> ());
+        (match fs2.Fs.close fd with Ok () | Error _ -> ())
+      | Error _ -> ())
+    model.Script.files
+
+let read_all fs2 names =
+  List.iter (fun path -> match Fs.read_file fs2 path with Ok _ | Error _ -> ()) names
+
 (* ------------------------------------------------------------------ *)
-(* Phase 1: record *)
+(* Power failure: record *)
 
 type recording = {
   rec_events : Pmem.event list;
@@ -189,7 +283,7 @@ let dirty_sets_of recording =
   sets
 
 (* Image at one crash index (fresh replay of the prefix). *)
-let image_at recording ~crash_index =
+let image_at recording ~at =
   let img = Pmem.Replay.create () in
   let ucount = ref 0 in
   (try
@@ -197,7 +291,7 @@ let image_at recording ~crash_index =
        (fun ev ->
          (match ev with
          | Pmem.Ev_store { actor; _ } when actor <> Pmem.kernel_actor ->
-           if !ucount - recording.rec_mount_stores >= crash_index then raise Exit;
+           if !ucount - recording.rec_mount_stores >= at then raise Exit;
            incr ucount
          | _ -> ());
          Pmem.Replay.apply img ev)
@@ -206,25 +300,26 @@ let image_at recording ~crash_index =
   img
 
 (* ------------------------------------------------------------------ *)
-(* Phase 3: per-state check *)
+(* Power failure: one state *)
 
 exception Diverged of string
 
-(* Re-run the script in a fresh world, dying after [crash_index] LibFS
-   stores, then crash with exactly [survivors] surviving lines, recover,
-   remount, and check the model properties.  [on_precrash] sees the dead
-   world just before the power failure (replay fidelity checks hook in
+(* Re-run the script in a fresh world, dying after [at] LibFS stores,
+   then crash with exactly [survivors] surviving lines, recover, remount,
+   and check the model properties.  [on_precrash] sees the dead world
+   just before the power failure (replay fidelity checks hook in
    here). *)
-let check_state ?(on_precrash = fun ~pmem:_ -> Ok ()) ops ~crash_index ~survivors =
+let check_state ?(on_precrash = fun ~pmem:_ -> Ok ()) ops ~at ~survivors =
   in_world (fun ~sched ~pmem ~mmu ->
       let ( let* ) = Result.bind in
+      let durability r = Result.map_error (fun d -> (Plane "durability", d)) r in
       let ctl = Controller.create ~sched ~pmem ~mmu () in
       let libfs = Libfs.mount ~ctl ~proc:1 ~cred () in
       let fs = Libfs.ops libfs in
       let model = Script.model_create () in
       let pre = ref (Script.model_snapshot model) in
       let cur = ref (-1) in
-      Pmem.fail_after_writes pmem crash_index;
+      Pmem.fail_after_writes pmem at;
       let interrupted =
         try
           List.iteri
@@ -238,7 +333,7 @@ let check_state ?(on_precrash = fun ~pmem:_ -> Ok ()) ops ~crash_index ~survivor
           Ok None
         with
         | Pmem.Crash_point -> Ok (Some !cur)
-        | Diverged d -> Error d
+        | Diverged d -> Error (Plane "model", d)
       in
       Pmem.fail_after_writes pmem (-1);
       let* interrupted = interrupted in
@@ -253,20 +348,21 @@ let check_state ?(on_precrash = fun ~pmem:_ -> Ok ()) ops ~crash_index ~survivor
       match interrupted with
       | None ->
         (* every operation completed: full durability *)
-        Script.check_model fs2 model
+        durability (Script.check_model fs2 model)
       | Some j ->
         (* the op in flight must be atomic, everything else durable *)
         let op = List.nth ops j in
-        let* visible = Script.visible_names fs2 in
+        let* visible = durability (Script.visible_names fs2) in
         let pre_names = Script.names_of_model !pre in
         let post_names = Script.names_of_model model in
         let* () =
           if visible = pre_names || visible = post_names then Ok ()
           else
             Error
-              (Printf.sprintf "op %d (%s): namespace [%s] is neither pre [%s] nor post [%s]" j
-                 (Script.show_op op) (String.concat " " visible)
-                 (String.concat " " pre_names) (String.concat " " post_names))
+              ( Plane "atomicity",
+                Printf.sprintf "op %d (%s): namespace [%s] is neither pre [%s] nor post [%s]" j
+                  (Script.show_op op) (String.concat " " visible)
+                  (String.concat " " pre_names) (String.concat " " post_names) )
         in
         (* files the interrupted op did not touch keep their exact
            content; data inside its own target may legitimately be
@@ -274,176 +370,167 @@ let check_state ?(on_precrash = fun ~pmem:_ -> Ok ()) ops ~crash_index ~survivor
         let touched = Script.touched_paths op in
         let pre_model = !pre in
         let* () =
-          List.fold_left
-            (fun acc (path, expected) ->
-              let* () = acc in
-              if List.mem path touched then Ok ()
-              else
-                match Trio_core.Fs_intf.read_file fs2 path with
-                | Ok got when String.equal got expected -> Ok ()
-                | Ok got ->
-                  Error
-                    (Printf.sprintf "op %d (%s): untouched %s corrupted (%d vs %d bytes)" j
-                       (Script.show_op op) path (String.length got) (String.length expected))
-                | Error e ->
-                  Error
-                    (Printf.sprintf "op %d (%s): untouched %s lost (%s)" j (Script.show_op op)
-                       path
-                       (Trio_core.Fs_types.errno_to_string e)))
-            (Ok ()) (Script.model_files pre_model)
+          durability
+            (List.fold_left
+               (fun acc (path, expected) ->
+                 let* () = acc in
+                 if List.mem path touched then Ok ()
+                 else
+                   match Fs.read_file fs2 path with
+                   | Ok got when String.equal got expected -> Ok ()
+                   | Ok got ->
+                     Error
+                       (Printf.sprintf "op %d (%s): untouched %s corrupted (%d vs %d bytes)" j
+                          (Script.show_op op) path (String.length got) (String.length expected))
+                   | Error e ->
+                     Error
+                       (Printf.sprintf "op %d (%s): untouched %s lost (%s)" j (Script.show_op op)
+                          path
+                          (Trio_core.Fs_types.errno_to_string e)))
+               (Ok ()) (Script.model_files pre_model))
         in
         (* and whatever is visible must at least be readable *)
-        List.fold_left
-          (fun acc path ->
-            let* () = acc in
-            if Hashtbl.mem pre_model.Script.files path then
-              match Trio_core.Fs_intf.read_file fs2 path with
-              | Ok _ -> Ok ()
-              | Error e ->
-                Error
-                  (Printf.sprintf "%s unreadable after crash: %s" path
-                     (Trio_core.Fs_types.errno_to_string e))
-            else Ok ())
-          (Ok ()) visible)
+        durability
+          (List.fold_left
+             (fun acc path ->
+               let* () = acc in
+               if Hashtbl.mem pre_model.Script.files path then
+                 match Fs.read_file fs2 path with
+                 | Ok _ -> Ok ()
+                 | Error e ->
+                   Error
+                     (Printf.sprintf "%s unreadable after crash: %s" path
+                        (Trio_core.Fs_types.errno_to_string e))
+               else Ok ())
+             (Ok ()) visible))
 
 (* Replay fidelity: the device the re-run reconstructed must be
    bit-identical — content and unflushed-line set — to the image
    replayed from the recorded event log. *)
-let replay_fidelity recording ops ~crash_index =
-  let img = image_at recording ~crash_index in
-  let check ~pmem =
-    let img_dirty = Pmem.Replay.dirty img in
-    let dev_dirty = Pmem.dirty_line_list pmem in
-    if img_dirty <> dev_dirty then
-      Error
-        (Printf.sprintf "replay divergence at crash index %d: %d replayed dirty lines vs %d on device"
-           crash_index (List.length img_dirty) (List.length dev_dirty))
-    else
-      List.fold_left
-        (fun acc pg ->
-          Result.bind acc (fun () ->
-              if Bytes.equal (Pmem.Replay.page img pg) (Pmem.peek_page pmem pg) then Ok ()
-              else Error (Printf.sprintf "replay divergence at crash index %d: page %d bytes differ" crash_index pg)))
-        (Ok ()) (Pmem.Replay.pages img)
+let replay_fidelity recording ~at ~pmem =
+  let img = image_at recording ~at in
+  let diverged fmt =
+    Printf.ksprintf
+      (fun d ->
+        Error (Plane "replay", Printf.sprintf "replay divergence at crash index %d: %s" at d))
+      fmt
   in
-  (* survivors = all: the pre-crash comparison is the point; the
-     post-crash world is checked like any complete run *)
-  check_state ~on_precrash:check ops ~crash_index ~survivors:(Pmem.Replay.dirty img)
+  let img_dirty = Pmem.Replay.dirty img in
+  let dev_dirty = Pmem.dirty_line_list pmem in
+  if img_dirty <> dev_dirty then
+    diverged "%d replayed dirty lines vs %d on device" (List.length img_dirty)
+      (List.length dev_dirty)
+  else
+    List.fold_left
+      (fun acc pg ->
+        Result.bind acc (fun () ->
+            if Bytes.equal (Pmem.Replay.page img pg) (Pmem.peek_page pmem pg) then Ok ()
+            else diverged "page %d bytes differ" pg))
+      (Ok ()) (Pmem.Replay.pages img)
 
 (* ------------------------------------------------------------------ *)
-(* Subset enumeration *)
+(* Power failure: the explorer *)
 
-let subsets_of cfg ~crash_index dirty =
-  let k = List.length dirty in
-  let arr = Array.of_list dirty in
-  if k <= cfg.exhaustive_lines then
+type config = {
+  samples_per_point : int; (* sampled subsets where the dirty set is too big to enumerate *)
+  max_states : int; (* overall crash-state budget *)
+  seed : int; (* drives subset sampling only; exploration is otherwise deterministic *)
+  check_replay : bool; (* cross-check replayed images against the live device *)
+  shrink : bool; (* minimize failing scripts before reporting *)
+}
+
+let default_config =
+  { samples_per_point = 6; max_states = 4096; seed = 1; check_replay = true; shrink = true }
+
+(* Enumerate all 2^k surviving subsets when the dirty set has <= k lines. *)
+let exhaustive_lines = 6
+
+(* Candidate explorations spent shrinking one failing script. *)
+let shrink_budget = 64
+
+let subsets_of cfg ~at dirty =
+  if List.length dirty <= exhaustive_lines then
     (* all 2^k subsets, mask order: [] first, everything-survives last *)
-    (true, List.init (1 lsl k) (fun mask ->
-         List.filteri (fun i _ -> mask land (1 lsl i) <> 0) (Array.to_list arr)))
+    List.init
+      (1 lsl List.length dirty)
+      (fun mask -> List.filteri (fun i _ -> mask land (1 lsl i) <> 0) dirty)
   else begin
-    let rng = Rng.create (cfg.seed + (crash_index * 2654435761)) in
+    let rng = Rng.create (cfg.seed + (at * 2654435761)) in
     let sample () = List.filter (fun _ -> Rng.bool rng) dirty in
     let sampled = List.init (max 0 (cfg.samples_per_point - 2)) (fun _ -> sample ()) in
-    (false, ([] :: dirty :: sampled))
+    [] :: dirty :: sampled
   end
 
-(* ------------------------------------------------------------------ *)
-(* The engine *)
-
+(* Tallies: [sampled] counts the crash points whose surviving subsets
+   were drawn at random or cut short by [max_states] — zero means the
+   enumeration was exhaustive. *)
 let explore_once cfg ops =
   let recording = record ops in
   match recording.rec_divergence with
   | Some d ->
     {
-      crash_points = 0;
-      states = 0;
-      exhaustive = false;
-      counterexample =
-        Some { cx_ops = ops; cx_crash_index = -1; cx_survivors = []; cx_detail = d };
+      k_points = 0;
+      k_states = 0;
+      k_tallies = [];
+      k_failure = Some { f_reason = Plane "model"; f_state = None; f_ops = ops; f_detail = d };
     }
   | None ->
     let n = recording.rec_n_stores in
-    let dirty_sets = dirty_sets_of recording in
-    let states = ref 0 in
-    let exhaustive = ref true in
-    let failure = ref None in
-    (* replay-fidelity pass on a bounded, evenly spread index sample *)
-    if cfg.check_replay then begin
-      let sample =
-        if n <= 8 then List.init (n + 1) Fun.id
-        else List.sort_uniq compare (List.init 9 (fun i -> i * n / 8))
+    let dirty = dirty_sets_of recording in
+    (* replay fidelity rides on the everything-survives state of an
+       evenly spread sample of indices *)
+    let fidelity = if cfg.check_replay then sample (n + 1) 9 else [] in
+    let judge at survivors () =
+      let on_precrash =
+        if List.mem at fidelity && survivors = dirty.(at) then replay_fidelity recording ~at
+        else fun ~pmem:_ -> Ok ()
       in
-      List.iter
-        (fun i ->
-          if !failure = None then
-            match replay_fidelity recording ops ~crash_index:i with
-            | Ok () -> ()
-            | Error d ->
-              failure :=
-                Some
-                  {
-                    cx_ops = ops;
-                    cx_crash_index = i;
-                    cx_survivors = dirty_sets.(i);
-                    cx_detail = d;
-                  })
-        sample
-    end;
-    let i = ref 0 in
-    while !failure = None && !i <= n && !states < cfg.max_states do
-      let idx = !i in
-      let was_exhaustive, subsets = subsets_of cfg ~crash_index:idx dirty_sets.(idx) in
-      if not was_exhaustive then exhaustive := false;
-      List.iter
-        (fun survivors ->
-          if !failure = None && !states < cfg.max_states then begin
-            incr states;
-            match check_state ops ~crash_index:idx ~survivors with
-            | Ok () -> ()
-            | Error d ->
-              failure :=
-                Some
-                  { cx_ops = ops; cx_crash_index = idx; cx_survivors = survivors; cx_detail = d }
-          end)
-        subsets;
-      incr i
-    done;
-    if !i <= n && !failure = None then exhaustive := false;
-    {
-      crash_points = !i;
-      states = !states;
-      exhaustive = !exhaustive;
-      counterexample = !failure;
-    }
+      Result.map (fun () -> []) (check_state ~on_precrash ops ~at ~survivors)
+    in
+    let plan = List.init (n + 1) (fun at -> (at, subsets_of cfg ~at dirty.(at))) in
+    let states =
+      List.concat_map
+        (fun (at, subsets) ->
+          List.map (fun survivors -> (Crash { at; survivors }, judge at survivors)) subsets)
+        plan
+      |> List.filteri (fun i _ -> i < cfg.max_states)
+    in
+    let sampled, _ =
+      List.fold_left
+        (fun (sampled, left) (at, subsets) ->
+          let left = left - List.length subsets in
+          let whole = left >= 0 && List.length dirty.(at) <= exhaustive_lines in
+          ((if whole then sampled else sampled + 1), left))
+        (0, cfg.max_states) plan
+    in
+    let r = judge_all ~ops ~points:(n + 1) states in
+    { r with k_tallies = ("sampled", sampled) :: r.k_tallies }
 
 (* Greedy minimization: keep applying the first shrink candidate that
    still fails, until none does (or the budget runs out). *)
-let shrink_counterexample cfg cx =
-  let budget = ref cfg.shrink_budget in
-  let cfg' = { cfg with shrink = false; check_replay = false } in
-  let rec go cx =
-    if !budget <= 0 then cx
-    else
-      let next =
-        List.find_map
-          (fun candidate ->
-            if !budget <= 0 || candidate = [] then None
-            else begin
-              decr budget;
-              (explore_once cfg' candidate).counterexample
-            end)
-          (Script.shrink_candidates cx.cx_ops)
-      in
-      match next with Some cx' -> go cx' | None -> cx
+let shrink_failure cfg f =
+  let cfg = { cfg with shrink = false; check_replay = false } in
+  let budget = ref shrink_budget in
+  let rec go f =
+    let next =
+      List.find_map
+        (fun candidate ->
+          if !budget <= 0 || candidate = [] then None
+          else begin
+            decr budget;
+            (explore_once cfg candidate).k_failure
+          end)
+        (Script.shrink_candidates f.f_ops)
+    in
+    match next with Some f -> go f | None -> f
   in
-  go cx
+  go f
 
 let explore ?(config = default_config) ops =
-  let outcome = explore_once config ops in
-  match outcome.counterexample with
-  | Some cx when config.shrink ->
-    { outcome with counterexample = Some (shrink_counterexample config cx) }
-  | _ -> outcome
+  let r = explore_once config ops in
+  match r.k_failure with
+  | Some f when config.shrink -> { r with k_failure = Some (shrink_failure config f) }
+  | _ -> r
 
 (* ------------------------------------------------------------------ *)
 (* Crash x media-fault composition (DESIGN.md §4.11)
@@ -460,9 +547,9 @@ let explore ?(config = default_config) ops =
    Replay fidelity cannot compose with fault injection (poisoning
    scrambles content outside the event log), so this path never
    cross-checks replayed images; everything else is replayable from
-   [fault_seed] alone. *)
+   [fault_seed] alone.  Survivors are drawn from each state's seed, so
+   its [Crash] states name only the crash point. *)
 
-module Fs = Trio_core.Fs_intf
 module Scrub = Trio_core.Scrub
 
 type fault_config = {
@@ -470,169 +557,85 @@ type fault_config = {
   transient_read_p : float; (* per-access soft read-error probability *)
   stuck_store_p : float; (* per-store latch-failure probability *)
   fault_crash_points : int; (* crash indices sampled per script *)
-  poison_lines : int; (* latent poison torn into in-flight lines at the crash *)
-  scrub_rounds : int; (* patrol passes between the two degradation sweeps *)
 }
 
 let default_fault_config =
-  {
-    fault_seed = 1;
-    transient_read_p = 0.01;
-    stuck_store_p = 0.02;
-    fault_crash_points = 8;
-    poison_lines = 2;
-    scrub_rounds = 2;
-  }
+  { fault_seed = 1; transient_read_p = 0.01; stuck_store_p = 0.02; fault_crash_points = 8 }
 
-type fault_report = {
-  fr_crash_points : int;
-  fr_states : int;
-  fr_transient : int; (* soft read errors drawn across all states *)
-  fr_stuck : int; (* stores that latched wrong across all states *)
-  fr_poison_injected : int; (* latent poison lines injected at crashes *)
-  fr_repaired : int; (* scrubber: lines restored from checkpoints *)
-  fr_migrated : int; (* scrubber: pages migrated off damaged media *)
-  fr_quarantined : int; (* scrubber: pages retired to the badblock list *)
-  fr_failure : counterexample option;
-}
-
-let pp_fault_report ppf r =
-  Fmt.pf ppf
-    "crash points %d  states %d  transient %d  stuck %d  poison-injected %d@.scrub: repaired %d  migrated %d  quarantined %d@.%s"
-    r.fr_crash_points r.fr_states r.fr_transient r.fr_stuck r.fr_poison_injected r.fr_repaired
-    r.fr_migrated r.fr_quarantined
-    (match r.fr_failure with
-    | None -> "graceful degradation held in every state"
-    | Some cx -> Fmt.str "FAILED:@.%a" pp_counterexample cx)
+(* Latent poison torn into the medium at each crash, and patrol passes
+   between the two degradation probes. *)
+let poison_lines = 2
+let scrub_rounds = 2
 
 (* One crash+fault state: run the script with the injector armed, die
-   after [crash_index] stores, power-fail with a seeded random surviving
-   subset, tear latent poison into lines that were in flight, then
-   recover, remount, scrub, and sweep for graceful degradation.  Model
-   divergence is expected here (faults change outcomes); the model
-   only supplies the universe of paths to probe. *)
-let check_faulted_state cfg ?(poison_candidates = []) ops ~crash_index ~state_seed =
+   after [at] stores, power-fail with a seeded random surviving subset,
+   tear latent poison into the medium, then recover, remount, probe,
+   scrub and probe again.  Model divergence is expected here (faults
+   change outcomes); the model only supplies the universe of paths to
+   probe.  Tallies: transient read faults and stuck stores drawn, poison
+   lines injected, and the scrubber's repaired/migrated/quarantined
+   pages. *)
+let check_faulted_state cfg ~poison_candidates ops ~at ~state_seed =
   in_world (fun ~sched ~pmem ~mmu ->
       let rng = Rng.create state_seed in
       let ctl = Controller.create ~sched ~pmem ~mmu () in
-      let libfs = Libfs.mount ~ctl ~proc:1 ~cred () in
-      let fs = Libfs.ops libfs in
+      let fs = Libfs.ops (Libfs.mount ~ctl ~proc:1 ~cred ()) in
       let model = Script.model_create () in
       (* arm only after a clean mount: one seeded draw stream per state *)
       Pmem.set_fault_injection pmem ~seed:state_seed ~transient_read_p:cfg.transient_read_p
         ~stuck_store_p:cfg.stuck_store_p ();
-      Pmem.fail_after_writes pmem crash_index;
-      let scrub_stats = Scrub.make_stats () in
-      let injected = ref 0 in
-      let result =
-        try
-          (try
-             List.iteri (fun i op -> ignore (Script.apply fs model i op : (unit, string) result)) ops
-           with Pmem.Crash_point -> ());
-          Pmem.fail_after_writes pmem (-1);
-          (* power failure: seeded random survivors among the unflushed
-             lines, plus latent poison torn into some in-flight lines *)
-          let dirty = Pmem.dirty_line_list pmem in
-          let keep = Hashtbl.create 16 in
-          List.iter (fun k -> if Rng.bool rng then Hashtbl.replace keep k ()) dirty;
-          Pmem.crash_select pmem ~survives:(fun ~page ~line -> Hashtbl.mem keep (page, line));
-          (* latent poison: media degrades anywhere in live data, not just
-             in the lines that were mid-flight — targets are drawn from
-             every page the script had stored to by this crash point
-             (line -1 = pick one of the page's lines), plus the in-flight
-             lines themselves *)
-          let arr =
-            Array.of_list
-              (List.rev_append dirty (List.map (fun pg -> (pg, -1)) poison_candidates))
-          in
-          if Array.length arr > 0 then
-            for _ = 1 to cfg.poison_lines do
-              let page, line = arr.(Rng.int rng (Array.length arr)) in
-              let line = if line < 0 then Rng.int rng Pmem.lines_per_page else line in
-              Pmem.poison_line pmem ~page ~line;
-              incr injected
-            done;
-          Controller.crash_recover ctl;
-          let libfs2 = Libfs.mount ~ctl ~proc:2 ~cred () in
-          let fs2 = Libfs.ops libfs2 in
-          let probe () =
-            (match fs2.Fs.readdir "/" with Ok _ | Error _ -> ());
-            Hashtbl.iter
-              (fun path _ ->
-                (match Fs.read_file fs2 path with Ok _ | Error _ -> ());
-                (* writes must degrade to EROFS/EIO, never throw *)
-                match fs2.Fs.open_ path [ Trio_core.Fs_types.O_RDWR ] with
-                | Ok fd ->
-                  (match fs2.Fs.pwrite fd (Bytes.of_string "x") 0 with Ok _ | Error _ -> ());
-                  (match fs2.Fs.close fd with Ok () | Error _ -> ())
-                | Error _ -> ())
-              model.Script.files
-          in
-          probe ();
-          for _ = 1 to cfg.scrub_rounds do
-            ignore (Scrub.patrol_once ~stats:scrub_stats ctl : Scrub.stats)
-          done;
-          probe ();
-          Ok ()
-        with exn ->
-          Error
-            (Printf.sprintf "uncaught exception (crash index %d, seed %d): %s" crash_index
-               state_seed (Printexc.to_string exn))
+      Pmem.fail_after_writes pmem at;
+      (try run_script fs model ops with Pmem.Crash_point -> ());
+      Pmem.fail_after_writes pmem (-1);
+      (* power failure: seeded random survivors among the unflushed lines *)
+      let dirty = Pmem.dirty_line_list pmem in
+      let keep = Hashtbl.create 16 in
+      List.iter (fun k -> if Rng.bool rng then Hashtbl.replace keep k ()) dirty;
+      Pmem.crash_select pmem ~survives:(fun ~page ~line -> Hashtbl.mem keep (page, line));
+      (* latent poison: media degrades anywhere in live data, not just in
+         the lines that were mid-flight — targets are drawn from every
+         page the script had stored to by this crash point (line -1 =
+         pick one of the page's lines), plus the in-flight lines *)
+      let arr =
+        Array.of_list (List.rev_append dirty (List.map (fun pg -> (pg, -1)) poison_candidates))
       in
-      (result, Pmem.fault_stats pmem, !injected, scrub_stats))
+      let poisoned = if Array.length arr = 0 then 0 else poison_lines in
+      for _ = 1 to poisoned do
+        let page, line = arr.(Rng.int rng (Array.length arr)) in
+        let line = if line < 0 then Rng.int rng Pmem.lines_per_page else line in
+        Pmem.poison_line pmem ~page ~line
+      done;
+      Controller.crash_recover ctl;
+      let fs2 = Libfs.ops (Libfs.mount ~ctl ~proc:2 ~cred ()) in
+      probe model fs2;
+      let scrub = Scrub.make_stats () in
+      for _ = 1 to scrub_rounds do
+        ignore (Scrub.patrol_once ~stats:scrub ctl : Scrub.stats)
+      done;
+      probe model fs2;
+      let f = Pmem.fault_stats pmem in
+      Ok
+        [
+          ("transient", f.Pmem.transient_faults);
+          ("stuck", f.Pmem.stuck_stores);
+          ("poison", poisoned);
+          ("repaired", scrub.Scrub.repaired);
+          ("migrated", scrub.Scrub.migrated);
+          ("quarantined", scrub.Scrub.quarantined);
+        ])
 
 let explore_faults ?(config = default_fault_config) ops =
   let recording = record ops in
   let n = recording.rec_n_stores in
-  let indices =
-    if n + 1 <= config.fault_crash_points then List.init (n + 1) Fun.id
-    else
-      List.sort_uniq compare
-        (List.init config.fault_crash_points (fun i ->
-             i * n / max 1 (config.fault_crash_points - 1)))
-  in
-  let report =
-    ref
-      {
-        fr_crash_points = List.length indices;
-        fr_states = 0;
-        fr_transient = 0;
-        fr_stuck = 0;
-        fr_poison_injected = 0;
-        fr_repaired = 0;
-        fr_migrated = 0;
-        fr_quarantined = 0;
-        fr_failure = None;
-      }
-  in
-  List.iter
-    (fun idx ->
-      if (!report).fr_failure = None then begin
-        let state_seed = config.fault_seed + (idx * 2654435761) + 1 in
-        let poison_candidates = Pmem.Replay.pages (image_at recording ~crash_index:idx) in
-        let result, fstats, injected, scrub =
-          check_faulted_state config ~poison_candidates ops ~crash_index:idx ~state_seed
-        in
-        let r = !report in
-        report :=
-          {
-            r with
-            fr_states = r.fr_states + 1;
-            fr_transient = r.fr_transient + fstats.Pmem.transient_faults;
-            fr_stuck = r.fr_stuck + fstats.Pmem.stuck_stores;
-            fr_poison_injected = r.fr_poison_injected + injected;
-            fr_repaired = r.fr_repaired + scrub.Scrub.repaired;
-            fr_migrated = r.fr_migrated + scrub.Scrub.migrated;
-            fr_quarantined = r.fr_quarantined + scrub.Scrub.quarantined;
-            fr_failure =
-              (match result with
-              | Ok () -> None
-              | Error d ->
-                Some { cx_ops = ops; cx_crash_index = idx; cx_survivors = []; cx_detail = d });
-          }
-      end)
-    indices;
-  !report
+  judge_all ~ops ~points:(n + 1)
+    (List.map
+       (fun at ->
+         ( Crash { at; survivors = [] },
+           fun () ->
+             let poison_candidates = Pmem.Replay.pages (image_at recording ~at) in
+             check_faulted_state config ~poison_candidates ops ~at
+               ~state_seed:(config.fault_seed + (at * 2654435761) + 1) ))
+       (sample (n + 1) config.fault_crash_points))
 
 (* ------------------------------------------------------------------ *)
 (* Kill-point campaigns (DESIGN.md §4.19)
@@ -668,77 +671,9 @@ type kill_config = {
 
 let kills n = { kill_points = n; hang_points = 0; timeout_ns = 1.0e6 }
 
-type state = Kill of int | Hang of int
-
-type reason =
-  | Accounting (* the page-accounting invariant broke after a GC *)
-  | Escalation (* the watchdog did not tear the victim down *)
-  | Certification (* the surviving state fails verification *)
-  | Vacuous (* the [require]d tally stayed zero in every state *)
-  | Exception (* something threw instead of degrading cleanly *)
-  | Plane of string (* a plane's own property, by name *)
-
-type failure = {
-  f_reason : reason;
-  f_state : state option; (* [None]: a campaign-level failure *)
-  f_ops : Script.op list; (* the victim's script, when it runs one *)
-  f_detail : string;
-}
-
-type report = {
-  k_points : int; (* kill points the victim crosses end to end *)
-  k_states : int;
-  k_killed : int;
-  k_hung : int;
-  k_tallies : (string * int) list; (* summed over passing states, first-reported order *)
-  k_failure : failure option;
-}
-
-let tally r name = Option.value (List.assoc_opt name r.k_tallies) ~default:0
-
-let reason_to_string = function
-  | Accounting -> "accounting"
-  | Escalation -> "escalation"
-  | Certification -> "certification"
-  | Vacuous -> "vacuous"
-  | Exception -> "exception"
-  | Plane p -> p
-
-let pp_failure ppf f =
-  Fmt.pf ppf "%s at %s: %s" (reason_to_string f.f_reason)
-    (match f.f_state with
-    | Some (Kill i) -> Printf.sprintf "kill point %d" i
-    | Some (Hang i) -> Printf.sprintf "hang point %d" i
-    | None -> "campaign level")
-    f.f_detail;
-  if f.f_ops <> [] then Fmt.pf ppf "@.script: %s" (Script.to_string f.f_ops)
-
-let pp_report ppf r =
-  Fmt.pf ppf "kill points %d  states %d (killed %d, hung %d)" r.k_points r.k_states r.k_killed
-    r.k_hung;
-  List.iter (fun (name, n) -> Fmt.pf ppf "  %s %d" name n) r.k_tallies;
-  match r.k_failure with
-  | None -> Fmt.pf ppf "@.held in every sampled state"
-  | Some f -> Fmt.pf ppf "@.FAILED: %a" pp_failure f
-
 (* Horizon for one state: long enough for the victim to run (or die) and
    for every lease and the heartbeat timeout to expire afterwards. *)
 let death_horizon_ns = 10.0e6
-
-(* [count] points spread evenly over [0, points). *)
-let sample points count =
-  if points <= 0 || count <= 0 then []
-  else if points <= count then List.init points Fun.id
-  else if count = 1 then [ points / 2 ]
-  else List.sort_uniq compare (List.init count (fun i -> i * (points - 1) / (count - 1)))
-
-let add_tallies acc ts =
-  List.fold_left
-    (fun acc (name, n) ->
-      if List.mem_assoc name acc then
-        List.map (fun (k, v) -> if k = name then (k, v + n) else (k, v)) acc
-      else acc @ [ (name, n) ])
-    acc ts
 
 let campaign ?require ?(ops = []) ~config ~setup ~victim ~judge () =
   let run ~arm k =
@@ -751,47 +686,14 @@ let campaign ?require ?(ops = []) ~config ~setup ~victim ~judge () =
         k sched env)
   in
   let points = run ~arm:Sched.arm_count (fun sched _ -> Sched.kill_points_crossed sched) in
-  let fail ?state reason detail =
-    Some { f_reason = reason; f_state = state; f_ops = ops; f_detail = detail }
+  let states kind arm count =
+    List.map
+      (fun i -> (kind i, fun () -> run ~arm:(fun s -> arm s ~after:i) (fun _ env -> judge env)))
+      (sample points count)
   in
-  let judge_state r st =
-    if r.k_failure <> None then r
-    else begin
-      let arm s =
-        match st with Kill i -> Sched.arm_kill s ~after:i | Hang i -> Sched.arm_hang s ~after:i
-      in
-      let outcome =
-        try run ~arm (fun _ env -> judge env)
-        with exn -> Error (Exception, "uncaught exception: " ^ Printexc.to_string exn)
-      in
-      let killed, hung = match st with Kill _ -> (1, 0) | Hang _ -> (0, 1) in
-      let r =
-        { r with k_states = r.k_states + 1; k_killed = r.k_killed + killed; k_hung = r.k_hung + hung }
-      in
-      match outcome with
-      | Ok ts -> { r with k_tallies = add_tallies r.k_tallies ts }
-      | Error (reason, d) -> { r with k_failure = fail ~state:st reason d }
-    end
-  in
-  let states =
-    List.map (fun i -> Kill i) (sample points config.kill_points)
-    @ List.map (fun i -> Hang i) (sample points config.hang_points)
-  in
-  let r =
-    List.fold_left judge_state
-      { k_points = points; k_states = 0; k_killed = 0; k_hung = 0; k_tallies = []; k_failure = None }
-      states
-  in
-  match require with
-  | Some name when r.k_failure = None && r.k_states > 0 && tally r name = 0 ->
-    {
-      r with
-      k_failure =
-        fail Vacuous
-          (Printf.sprintf "no sampled state ever counted %s: the campaign is not exercising \
-                           what it claims to" name);
-    }
-  | _ -> r
+  judge_all ?require ~ops ~points
+    (states (fun i -> Kill i) Sched.arm_kill config.kill_points
+    @ states (fun i -> Hang i) Sched.arm_hang config.hang_points)
 
 (* The shared post-kill judgement.  The watchdog must escalate the victim
    (proc 1) whether it died, wedged, or finished and went silent — it
@@ -834,9 +736,6 @@ let reclaim ~probe ~timeout_ns ctl =
       ("leaked", gc1.gc_leaked + gc2.gc_leaked);
     ]
 
-let read_all fs2 names =
-  List.iter (fun path -> match Fs.read_file fs2 path with Ok _ | Error _ -> ()) names
-
 (* ------------------------------------------------------------------ *)
 (* Process death (DESIGN.md §4.12)
 
@@ -849,28 +748,16 @@ let read_all fs2 names =
    entries. *)
 
 let explore_proc_death ?(config = { (kills 12) with hang_points = 3 }) ?ring ops =
-  let probe model fs2 =
-    (match fs2.Fs.readdir "/" with Ok _ | Error _ -> ());
-    Hashtbl.iter
-      (fun path _ ->
-        (match Fs.read_file fs2 path with Ok _ | Error _ -> ());
-        match fs2.Fs.open_ path [ Trio_core.Fs_types.O_RDWR ] with
-        | Ok fd ->
-          (match fs2.Fs.pwrite fd (Bytes.of_string "x") 0 with Ok _ | Error _ -> ());
-          (match fs2.Fs.close fd with Ok () | Error _ -> ())
-        | Error _ -> ())
-      model.Script.files;
-    (match Script.visible_names fs2 with Ok names -> read_all fs2 names | Error _ -> ());
-    Ok ()
-  in
   campaign ~ops ~config
     ~setup:(fun ~sched ~pmem ~mmu ->
       let ctl = Controller.create ~sched ~pmem ~mmu ~lease_ns:config.timeout_ns () in
       (ctl, Libfs.ops (Libfs.mount ~ctl ~proc:1 ~cred ?ring ()), Script.model_create ()))
-    ~victim:(fun (_, fs, model) ->
-      List.iteri (fun i op -> ignore (Script.apply fs model i op : (unit, string) result)) ops)
+    ~victim:(fun (_, fs, model) -> run_script fs model ops)
     ~judge:(fun (ctl, _, model) ->
-      reclaim ~probe:(probe model) ~timeout_ns:config.timeout_ns ctl)
+      reclaim ~timeout_ns:config.timeout_ns ctl ~probe:(fun fs2 ->
+          probe model fs2;
+          (match Script.visible_names fs2 with Ok names -> read_all fs2 names | Error _ -> ());
+          Ok ()))
     ()
 
 (* ------------------------------------------------------------------ *)
@@ -893,9 +780,7 @@ let explore_snapshot_commit ?(config = kills 24) ops =
   campaign ~ops ~config
     ~setup:(fun ~sched ~pmem ~mmu ->
       let ctl = Controller.create ~sched ~pmem ~mmu () in
-      let fs = Libfs.ops (Libfs.mount ~ctl ~proc:1 ~cred ()) in
-      let model = Script.model_create () in
-      List.iteri (fun i op -> ignore (Script.apply fs model i op : (unit, string) result)) ops;
+      run_script (Libfs.ops (Libfs.mount ~ctl ~proc:1 ~cred ())) (Script.model_create ()) ops;
       Controller.unmap_all ctl ~proc:1;
       ignore (Controller.snapshot_take ctl : (int, Trio_core.Fs_types.errno) result);
       (sched, pmem, ctl, Controller.snapshot_epoch ctl))
@@ -996,7 +881,7 @@ let explore_qos ?(config = kills 12) ?(ring = 4) ?(ops = 10) () =
    its own multi-store mutations — leaf inserts, node splits, root
    swings — layered over the dentry truth.  The victim runs a
    create/unlink/rename mix over the root directory with sharing points,
-   and node capacity is shrunk ({!Trio_core.Dirindex.set_test_capacity})
+   and node capacity is shrunk ({!Trio_core.Dirindex.with_test_capacity})
    so a handful of creates forces splits: the sampled kill points land
    inside the multi-store windows, not just between ops.  Every state
    must come back *certifiable*: the victim's own sharing points never
@@ -1034,8 +919,7 @@ let explore_dir_index ?(config = kills 18) ?(entries = 16) ?(capacity = 4) () =
   in
   let i5 (_, _, vs) = List.exists (fun v -> v.Trio_core.Verifier.check = `I5) vs in
   let ( let* ) = Result.bind in
-  Dirindex.set_test_capacity (Some capacity);
-  Fun.protect ~finally:(fun () -> Dirindex.set_test_capacity None) @@ fun () ->
+  Dirindex.with_test_capacity capacity @@ fun () ->
   campaign ~require:"splits" ~config
     ~setup:(fun ~sched ~pmem ~mmu ->
       let ctl = Controller.create ~sched ~pmem ~mmu ~lease_ns:config.timeout_ns () in

@@ -7,9 +7,9 @@
 
    [differential] runs the §6.5 attack suite (handcrafted + scripted
    campaign) and a pinned-seed crash-state exploration twice, once
-   under [Full] and once under [Incremental] verification, compares
-   every rendered verdict byte for byte, and restores the global
-   verification mode on every exit path.
+   under [Full] and once under [Incremental] verification (each inside
+   {!Trio_core.Controller.with_verify_mode}), and compares every
+   rendered verdict byte for byte.
 
    Its self-test is {!Trio_core.Mutation.Drop_writes}: with pages
    silently dropped from the MMU write-set, the incremental verifier
@@ -26,7 +26,7 @@ module Rng = Trio_util.Rng
 type snapshot = {
   vs_handcrafted : string list; (* one line per handcrafted attack *)
   vs_campaign : string; (* campaign counters *)
-  vs_explore : string; (* crash-exploration outcome *)
+  vs_explore : string; (* crash-exploration report *)
 }
 
 let render_outcome (o : Attacks.outcome) =
@@ -35,13 +35,6 @@ let render_outcome (o : Attacks.outcome) =
 let render_campaign (c : Attacks.campaign_result) =
   Printf.sprintf "total=%d detected=%d consistent=%d" c.Attacks.c_total c.Attacks.c_detected
     c.Attacks.c_consistent
-
-let render_explore (o : Explore.outcome) =
-  Fmt.str "points=%d states=%d exhaustive=%b %s" o.Explore.crash_points o.Explore.states
-    o.Explore.exhaustive
-    (match o.Explore.counterexample with
-    | None -> "no-counterexample"
-    | Some cx -> Fmt.str "counterexample: %a" Explore.pp_counterexample cx)
 
 (* The exploration slice is deliberately small: the gate's job is to
    compare verdicts across modes, not to re-run the deep campaign. *)
@@ -54,21 +47,17 @@ let explore_config =
   }
 
 let run_suite ~attacks ~seeds ~script_seed ~script_len mode =
-  let prev = Controller.current_verify_mode () in
-  Controller.set_verify_mode mode;
-  Fun.protect
-    ~finally:(fun () -> Controller.set_verify_mode prev)
-    (fun () ->
-      let handcrafted =
-        List.map
-          (fun (name, attack, i4_repair) ->
-            render_outcome (Attacks.run_attack ~name ~attack ?i4_repair ()))
-          attacks
-      in
-      let campaign = render_campaign (Attacks.run_campaign ~seeds ()) in
-      let script = Script.generate (Rng.create script_seed) ~len:script_len in
-      let explore = render_explore (Explore.explore ~config:explore_config script) in
-      { vs_handcrafted = handcrafted; vs_campaign = campaign; vs_explore = explore })
+  Controller.with_verify_mode mode @@ fun () ->
+  let handcrafted =
+    List.map
+      (fun (name, attack, i4_repair) ->
+        render_outcome (Attacks.run_attack ~name ~attack ?i4_repair ()))
+      attacks
+  in
+  let campaign = render_campaign (Attacks.run_campaign ~seeds ()) in
+  let script = Script.generate (Rng.create script_seed) ~len:script_len in
+  let explore = Fmt.str "%a" Explore.pp_report (Explore.explore ~config:explore_config script) in
+  { vs_handcrafted = handcrafted; vs_campaign = campaign; vs_explore = explore }
 
 (* Line-by-line comparison; [] = byte-identical. *)
 let compare_snapshots ~(full : snapshot) ~(incremental : snapshot) =

@@ -115,8 +115,7 @@ let node_of_cpu (t : t) cpu = Numa.node_of_cpu t.Ctl_state.topo cpu
 
 type vmode = Ctl_state.vmode = Full | Incremental
 
-let set_verify_mode = Ctl_state.set_verify_mode
-let current_verify_mode = Ctl_state.current_verify_mode
+let with_verify_mode = Ctl_state.with_verify_mode
 let set_verify_hook (t : t) hook = t.Ctl_state.verify_hook <- Some hook
 let clear_verify_hook (t : t) = t.Ctl_state.verify_hook <- None
 let verify_queue_depth (t : t) =
@@ -202,8 +201,7 @@ let recover ~sched ~pmem ~mmu ?lease_ns () =
    the snaprecover bench compares root mounts against.  Returns
    (files checked, files failing). *)
 let audit_all (t : t) =
-  let saved = Ctl_state.current_verify_mode () in
-  Ctl_state.set_verify_mode Ctl_state.Full;
+  Ctl_state.with_verify_mode Full @@ fun () ->
   let n = ref 0 and bad = ref 0 in
   Ctl_state.iter_files_snapshot t (fun ino (f : Ctl_state.file_info) ->
       incr n;
@@ -212,15 +210,13 @@ let audit_all (t : t) =
           ~dentry_addr:f.Ctl_state.f_dentry_addr
       in
       if not report.Verifier.ok then incr bad);
-  Ctl_state.set_verify_mode saved;
   (!n, !bad)
 
 (* Like {!audit_all}, but names the failures: each failing file's ino
    with its violation list, so counterexamples can say which invariant
    broke instead of just counting. *)
 let audit_failures (t : t) =
-  let saved = Ctl_state.current_verify_mode () in
-  Ctl_state.set_verify_mode Ctl_state.Full;
+  Ctl_state.with_verify_mode Full @@ fun () ->
   let bad = ref [] in
   Ctl_state.iter_files_snapshot t (fun ino (f : Ctl_state.file_info) ->
       let report =
@@ -228,7 +224,6 @@ let audit_failures (t : t) =
           ~dentry_addr:f.Ctl_state.f_dentry_addr
       in
       if not report.Verifier.ok then bad := (ino, report.Verifier.violations) :: !bad);
-  Ctl_state.set_verify_mode saved;
   List.rev !bad
 
 (* ------------------------------------------------------------------ *)

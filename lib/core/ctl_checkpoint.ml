@@ -157,7 +157,9 @@ let page_snapshot t pg =
   | Free | Allocated_to _ -> None
 
 let delta_of t =
-  match !verify_mode with Full -> None | Incremental -> Some (fun pg -> page_snapshot t pg)
+  match current_verify_mode () with
+  | Full -> None
+  | Incremental -> Some (fun pg -> page_snapshot t pg)
 
 (* ------------------------------------------------------------------ *)
 (* Durable encoding.  Checkpoints are DRAM soft state; serializing them

@@ -178,14 +178,18 @@ type t = {
          (DESIGN.md §4.17) *)
 }
 
-(* Global verification-mode switch (differential testing flips it):
-   [Incremental] serves provably clean pages from delta checkpoints,
-   [Full] always walks the device. *)
+(* Global verification-mode switch (differential testing flips it, only
+   through [with_verify_mode]): [Incremental] serves provably clean pages
+   from delta checkpoints, [Full] always walks the device. *)
 type vmode = Full | Incremental
 
 let verify_mode = ref Incremental
-let set_verify_mode m = verify_mode := m
 let current_verify_mode () = !verify_mode
+
+let with_verify_mode m f =
+  let saved = !verify_mode in
+  verify_mode := m;
+  Fun.protect ~finally:(fun () -> verify_mode := saved) f
 
 let page_size = Layout.page_size
 

@@ -130,9 +130,12 @@ type t = {
 
 type vmode = Full | Incremental
 
-val verify_mode : vmode ref
-val set_verify_mode : vmode -> unit
 val current_verify_mode : unit -> vmode
+
+val with_verify_mode : vmode -> (unit -> 'a) -> 'a
+(** [with_verify_mode m f] runs [f] under verification mode [m] and
+    restores the previous mode, even when [f] raises. *)
+
 val page_size : int
 
 (** {2 Shard routing} *)

@@ -41,9 +41,15 @@ let collision_bits = ref None
 let set_collision_bits b = collision_bits := b
 
 (* Shrink the node fanout so unit tests and crash exploration reach
-   splits (and root splits) with a handful of entries instead of 170. *)
+   splits (and root splits) with a handful of entries instead of 170:
+   [with_test_capacity n f] runs [f] with nodes of [n] entries and
+   restores the previous capacity, even when [f] raises. *)
 let test_capacity = ref None
-let set_test_capacity c = test_capacity := c
+
+let with_test_capacity n f =
+  let saved = !test_capacity in
+  test_capacity := Some n;
+  Fun.protect ~finally:(fun () -> test_capacity := saved) f
 
 let capacity () =
   match !test_capacity with

@@ -119,74 +119,68 @@ let test_scale () =
 let test_duplicate_hashes () =
   with_tree (fun pm alloc free ->
       let actor = Pmem.kernel_actor in
-      Dirindex.set_test_capacity (Some 4);
-      Fun.protect
-        ~finally:(fun () -> Dirindex.set_test_capacity None)
-        (fun () ->
-          let root = ref 0 in
-          (* 50 entries, all hash 42: the bucket spans many leaves *)
-          for a = 0 to 49 do
-            let r, _ =
-              iok "insert dup"
-                (Dirindex.insert pm ~actor ~alloc ~free ~root:!root ~hash:42 ~addr:a)
-            in
-            root := r
-          done;
-          ignore
-            (iok "insert other"
-               (Dirindex.insert pm ~actor ~alloc ~free ~root:!root ~hash:7 ~addr:1000)
-             : int * int list);
-          let bucket = tok "lookup bucket" (Dirindex.lookup pm ~actor ~root:!root ~hash:42) in
-          Alcotest.(check int) "whole bucket" 50 (List.length bucket);
-          tok "delete one" (Dirindex.delete pm ~actor ~root:!root ~hash:42 ~addr:17);
-          let bucket = tok "re-lookup" (Dirindex.lookup pm ~actor ~root:!root ~hash:42) in
-          Alcotest.(check int) "one fewer" 49 (List.length bucket);
-          Alcotest.(check bool) "victim gone" false (List.mem 17 bucket);
-          Alcotest.(check bool) "neighbors live" true (List.mem 16 bucket && List.mem 18 bucket);
-          ignore (audit_clean "collisions" pm !root : Dirindex.audit)))
+      Dirindex.with_test_capacity 4 @@ fun () ->
+      let root = ref 0 in
+      (* 50 entries, all hash 42: the bucket spans many leaves *)
+      for a = 0 to 49 do
+        let r, _ =
+          iok "insert dup"
+            (Dirindex.insert pm ~actor ~alloc ~free ~root:!root ~hash:42 ~addr:a)
+        in
+        root := r
+      done;
+      ignore
+        (iok "insert other"
+           (Dirindex.insert pm ~actor ~alloc ~free ~root:!root ~hash:7 ~addr:1000)
+         : int * int list);
+      let bucket = tok "lookup bucket" (Dirindex.lookup pm ~actor ~root:!root ~hash:42) in
+      Alcotest.(check int) "whole bucket" 50 (List.length bucket);
+      tok "delete one" (Dirindex.delete pm ~actor ~root:!root ~hash:42 ~addr:17);
+      let bucket = tok "re-lookup" (Dirindex.lookup pm ~actor ~root:!root ~hash:42) in
+      Alcotest.(check int) "one fewer" 49 (List.length bucket);
+      Alcotest.(check bool) "victim gone" false (List.mem 17 bucket);
+      Alcotest.(check bool) "neighbors live" true (List.mem 16 bucket && List.mem 18 bucket);
+      ignore (audit_clean "collisions" pm !root : Dirindex.audit))
 
 (* Boundaries: the empty tree (root = 0) and the first split. *)
 let test_boundaries () =
   with_tree (fun pm alloc free ->
       let actor = Pmem.kernel_actor in
-      Dirindex.set_test_capacity (Some 4);
-      Fun.protect
-        ~finally:(fun () -> Dirindex.set_test_capacity None)
-        (fun () ->
-          (* root = 0 is the legal unindexed state: lookups miss,
-             deletes and folds no-op *)
-          Alcotest.(check (list int))
-            "empty lookup" []
-            (tok "lookup root=0" (Dirindex.lookup pm ~actor ~root:0 ~hash:5));
-          tok "delete root=0" (Dirindex.delete pm ~actor ~root:0 ~hash:5 ~addr:5);
-          let r0, pages = iok "build empty" (Dirindex.build pm ~actor ~alloc ~free ~entries:[]) in
-          Alcotest.(check int) "empty build is unindexed" 0 r0;
-          Alcotest.(check (list int)) "no pages" [] pages;
-          (* fill exactly one node, then push it over: the first insert
-             past capacity must split and grow a root *)
-          let root = ref 0 in
-          for a = 0 to 3 do
-            let r, _ =
-              iok "fill" (Dirindex.insert pm ~actor ~alloc ~free ~root:!root ~hash:a ~addr:a)
-            in
-            root := r
-          done;
-          let one = Dirindex.pages pm ~actor ~root:!root in
-          Alcotest.(check int) "single node before split" 1 (List.length one);
-          let r, fresh =
-            iok "overflow" (Dirindex.insert pm ~actor ~alloc ~free ~root:!root ~hash:4 ~addr:4)
-          in
-          Alcotest.(check bool) "root swung" true (r <> !root);
-          Alcotest.(check bool) "split minted pages" true (List.length fresh >= 2);
-          root := r;
-          let after = Dirindex.pages pm ~actor ~root:!root in
-          Alcotest.(check bool) "tree grew" true (List.length after >= 3);
-          let au = audit_clean "post split" pm !root in
-          Alcotest.(check int) "all five" 5 (List.length au.Dirindex.au_entries);
-          for a = 0 to 4 do
-            let addrs = tok "find" (Dirindex.lookup pm ~actor ~root:!root ~hash:a) in
-            if not (List.mem a addrs) then Alcotest.failf "key %d lost across split" a
-          done))
+      Dirindex.with_test_capacity 4 @@ fun () ->
+      (* root = 0 is the legal unindexed state: lookups miss,
+         deletes and folds no-op *)
+      Alcotest.(check (list int))
+        "empty lookup" []
+        (tok "lookup root=0" (Dirindex.lookup pm ~actor ~root:0 ~hash:5));
+      tok "delete root=0" (Dirindex.delete pm ~actor ~root:0 ~hash:5 ~addr:5);
+      let r0, pages = iok "build empty" (Dirindex.build pm ~actor ~alloc ~free ~entries:[]) in
+      Alcotest.(check int) "empty build is unindexed" 0 r0;
+      Alcotest.(check (list int)) "no pages" [] pages;
+      (* fill exactly one node, then push it over: the first insert
+         past capacity must split and grow a root *)
+      let root = ref 0 in
+      for a = 0 to 3 do
+        let r, _ =
+          iok "fill" (Dirindex.insert pm ~actor ~alloc ~free ~root:!root ~hash:a ~addr:a)
+        in
+        root := r
+      done;
+      let one = Dirindex.pages pm ~actor ~root:!root in
+      Alcotest.(check int) "single node before split" 1 (List.length one);
+      let r, fresh =
+        iok "overflow" (Dirindex.insert pm ~actor ~alloc ~free ~root:!root ~hash:4 ~addr:4)
+      in
+      Alcotest.(check bool) "root swung" true (r <> !root);
+      Alcotest.(check bool) "split minted pages" true (List.length fresh >= 2);
+      root := r;
+      let after = Dirindex.pages pm ~actor ~root:!root in
+      Alcotest.(check bool) "tree grew" true (List.length after >= 3);
+      let au = audit_clean "post split" pm !root in
+      Alcotest.(check int) "all five" 5 (List.length au.Dirindex.au_entries);
+      for a = 0 to 4 do
+        let addrs = tok "find" (Dirindex.lookup pm ~actor ~root:!root ~hash:a) in
+        if not (List.mem a addrs) then Alcotest.failf "key %d lost across split" a
+      done)
 
 (* ------------------------------------------------------------------ *)
 (* LibFS integration *)
@@ -200,35 +194,32 @@ let with_fs f =
    source tree and land in the destination tree, and the handoff must
    certify (no I5 divergence). *)
 let test_rename_across_indexed_dirs () =
-  Dirindex.set_test_capacity (Some 4);
-  Fun.protect
-    ~finally:(fun () -> Dirindex.set_test_capacity None)
-    (fun () ->
-      with_fs (fun env fs ops ->
-          ok "mkdir a" (ops.Fs.mkdir "/a" 0o755);
-          ok "mkdir b" (ops.Fs.mkdir "/b" 0o755);
-          (* enough entries that both directories hold split trees *)
-          for i = 0 to 9 do
-            ignore (ok "create a" (ops.Fs.create (Printf.sprintf "/a/f%d" i) 0o644) : int)
-          done;
-          for i = 0 to 5 do
-            ignore (ok "create b" (ops.Fs.create (Printf.sprintf "/b/g%d" i) 0o644) : int)
-          done;
-          ok "rename" (ops.Fs.rename "/a/f3" "/b/moved");
-          err "gone from a" ENOENT (ops.Fs.stat "/a/f3");
-          ignore (ok "landed in b" (ops.Fs.stat "/b/moved") : stat);
-          Alcotest.(check int) "a count" 9 (List.length (ok "readdir a" (ops.Fs.readdir "/a")));
-          Alcotest.(check int) "b count" 7 (List.length (ok "readdir b" (ops.Fs.readdir "/b")));
-          (* rename onto an existing indexed entry replaces it *)
-          ok "rename replace" (ops.Fs.rename "/a/f4" "/b/g0");
-          Alcotest.(check int) "a count" 8 (List.length (ok "readdir a" (ops.Fs.readdir "/a")));
-          Alcotest.(check int) "b count" 7 (List.length (ok "readdir b" (ops.Fs.readdir "/b")));
-          Libfs.unmap_everything fs;
-          (match Controller.corruption_events env.Helpers.ctl with
-          | [] -> ()
-          | evs -> Alcotest.failf "verifier flagged %d event(s)" (List.length evs));
-          let _checked, bad = Controller.audit_all env.Helpers.ctl in
-          Alcotest.(check int) "full sweep clean" 0 bad))
+  Dirindex.with_test_capacity 4 @@ fun () ->
+  with_fs (fun env fs ops ->
+      ok "mkdir a" (ops.Fs.mkdir "/a" 0o755);
+      ok "mkdir b" (ops.Fs.mkdir "/b" 0o755);
+      (* enough entries that both directories hold split trees *)
+      for i = 0 to 9 do
+        ignore (ok "create a" (ops.Fs.create (Printf.sprintf "/a/f%d" i) 0o644) : int)
+      done;
+      for i = 0 to 5 do
+        ignore (ok "create b" (ops.Fs.create (Printf.sprintf "/b/g%d" i) 0o644) : int)
+      done;
+      ok "rename" (ops.Fs.rename "/a/f3" "/b/moved");
+      err "gone from a" ENOENT (ops.Fs.stat "/a/f3");
+      ignore (ok "landed in b" (ops.Fs.stat "/b/moved") : stat);
+      Alcotest.(check int) "a count" 9 (List.length (ok "readdir a" (ops.Fs.readdir "/a")));
+      Alcotest.(check int) "b count" 7 (List.length (ok "readdir b" (ops.Fs.readdir "/b")));
+      (* rename onto an existing indexed entry replaces it *)
+      ok "rename replace" (ops.Fs.rename "/a/f4" "/b/g0");
+      Alcotest.(check int) "a count" 8 (List.length (ok "readdir a" (ops.Fs.readdir "/a")));
+      Alcotest.(check int) "b count" 7 (List.length (ok "readdir b" (ops.Fs.readdir "/b")));
+      Libfs.unmap_everything fs;
+      (match Controller.corruption_events env.Helpers.ctl with
+      | [] -> ()
+      | evs -> Alcotest.failf "verifier flagged %d event(s)" (List.length evs));
+      let _checked, bad = Controller.audit_all env.Helpers.ctl in
+      Alcotest.(check int) "full sweep clean" 0 bad)
 
 (* The readdir contract: entries stream in ascending (name-hash, name)
    order — the index's native order — and repeated scans agree. *)
@@ -253,8 +244,7 @@ let test_readdir_order () =
    hand every page it took back to [free]. *)
 let test_build_dry_allocator () =
   with_tree (fun pm alloc _free ->
-      Dirindex.set_test_capacity (Some 4);
-      Fun.protect ~finally:(fun () -> Dirindex.set_test_capacity None) @@ fun () ->
+      Dirindex.with_test_capacity 4 @@ fun () ->
       let entries = List.init 40 (fun i -> (i * 7919, i)) in
       List.iter
         (fun budget ->

@@ -34,14 +34,11 @@ let parse s = match Script.parse s with Ok ops -> ops | Error e -> failwith e
 (* The campaign that must catch each mutation.  An exhaustive match on
    purpose: a new constructor does not compile until it has one. *)
 let campaign : Mutation.t -> unit -> verdict = function
-  | Reorder_commit -> (
+  | Reorder_commit ->
     fun () ->
       (* a completed rename rolls back when the unfenced commit header
          fails to survive the power failure *)
-      match (Explore.explore (parse "create /n00; rename /n00 /n01")).counterexample with
-      | None -> Passed
-      | Some cx when cx.cx_crash_index >= 0 -> Caught
-      | Some cx -> Missed ("not attributed to a crash state: " ^ cx.cx_detail))
+      of_report (Plane "durability") (Explore.explore (parse "create /n00; rename /n00 /n01"))
   | Drop_writes -> (
     fun () ->
       (* one handcrafted attack is enough to diverge; the whole suite

@@ -407,6 +407,34 @@ let test_explore_ring_seed () =
   Alcotest.(check int) "no leaks" 0 (Explore.tally report "leaked");
   Alcotest.(check bool) "states explored" true (report.Explore.k_states > 0)
 
+(* A victim that crosses no kill point leaves nothing to sample: the
+   campaign judged no state, so it proved nothing and must fail as
+   vacuous rather than report that its property held.  The same goes
+   for crash explorers left without a state to judge. *)
+let test_empty_campaign_is_vacuous () =
+  let vacuous what (r : Explore.report) =
+    Alcotest.(check int) (what ^ ": no states") 0 r.k_states;
+    match r.k_failure with
+    | Some { f_reason = Vacuous; f_state = None; _ } -> ()
+    | _ -> Alcotest.failf "%s did not fail as vacuous:@.%a" what Explore.pp_report r
+  in
+  let idle =
+    Explore.campaign ~config:(Explore.kills 4)
+      ~setup:(fun ~sched:_ ~pmem:_ ~mmu:_ -> ())
+      ~victim:(fun () -> ())
+      ~judge:(fun () -> Ok [ ("judged", 1) ])
+      ()
+  in
+  Alcotest.(check int) "no kill points" 0 idle.k_points;
+  vacuous "no-op victim" idle;
+  let ops = [ Script.Create 0 ] in
+  vacuous "zero crash-state budget"
+    (Explore.explore ~config:{ Explore.default_config with max_states = 0; shrink = false } ops);
+  vacuous "zero fault crash points"
+    (Explore.explore_faults
+       ~config:{ Explore.default_fault_config with fault_crash_points = 0 }
+       ops)
+
 let () =
   Alcotest.run "procfail"
     [
@@ -453,5 +481,6 @@ let () =
           Alcotest.test_case "seed 1" `Quick test_explore_seed_1;
           Alcotest.test_case "seed 7" `Quick test_explore_seed_7;
           Alcotest.test_case "ring-mounted victims" `Quick test_explore_ring_seed;
+          Alcotest.test_case "empty campaign is vacuous" `Quick test_empty_campaign_is_vacuous;
         ] );
     ]

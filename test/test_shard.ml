@@ -92,18 +92,17 @@ let test_faults_invariant_across_shards () =
   let ops = Script.generate rng ~len:5 in
   let config =
     {
-      Explore.default_fault_config with
-      fault_seed = 23;
+      Explore.fault_seed = 23;
       transient_read_p = 0.02;
       stuck_store_p = 0.03;
       fault_crash_points = 4;
     }
   in
   let r = Explore.explore_faults ~config ops in
-  (match r.Explore.fr_failure with
+  (match r.Explore.k_failure with
   | None -> ()
-  | Some cx -> Alcotest.failf "faulted state failed:@.%a" Explore.pp_counterexample cx);
-  Alcotest.(check bool) "states explored" true (r.Explore.fr_states > 0)
+  | Some f -> Alcotest.failf "faulted state failed:@.%a" Explore.pp_failure f);
+  Alcotest.(check bool) "states explored" true (r.Explore.k_states > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Cross-shard rename: the two-shard ordered-lock path *)
