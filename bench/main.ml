@@ -19,6 +19,10 @@
      meta  descriptive tables (Table 2, Table 4)
      micro Bechamel wall-clock microbenchmarks of core data structures
 
+   The plane gates (shardscale ringbatch snaprecover qos dirscale) each
+   write one BENCH_<name>.json record; the run exits 1 after the last
+   selected experiment if any of their gates failed.
+
    All performance numbers are virtual-time (deterministic); see
    EXPERIMENTS.md for the shape-by-shape comparison with the paper. *)
 
@@ -42,14 +46,43 @@ module Attacks = Trio_attacks.Attacks
 
 let fast = ref false
 
-(* A full run rewrites the tracked BENCH_*.json record; a --fast run has
-   fewer points, so it keeps its gate and exit code but leaves the record
-   as it was. *)
-let write_record file ~pass emit =
+(* ------------------------------------------------------------------ *)
+(* Plane-gate records *)
+
+(* Record values are rendered JSON; a non-finite number is null. *)
+let num digits x = if Float.is_finite x then Printf.sprintf "%.*f" digits x else "null"
+let int = string_of_int
+let str = Printf.sprintf "%S"
+let obj fields =
+  "{ " ^ String.concat ", " (List.map (fun (k, v) -> Printf.sprintf "%S: %s" k v) fields) ^ " }"
+
+(* No gate passes vacuously: [all] is false over no items, and a [ratio]
+   over a zero baseline is nan, which fails every comparison. *)
+let all p = function [] -> false | xs -> List.for_all p xs
+let ratio a b = if b > 0.0 then a /. b else Float.nan
+let rec pairs = function a :: (b :: _ as rest) -> (a, b) :: pairs rest | _ -> []
+
+(* (bench, gate) of every failed gate; [main] exits 1 once, at the end. *)
+let failed_gates = ref []
+
+(* Every plane gate writes BENCH_<name>.json as {bench, config, points,
+   gates, pass}: [points] is a flat list of objects and [gates] maps
+   each gate to its verdict.  A --fast run has fewer points, so it
+   keeps its gates but leaves the tracked record as it was. *)
+let record name ~config ~points gates =
+  let pass = List.for_all snd gates in
+  List.iter (fun (g, ok) -> if not ok then failed_gates := (name, g) :: !failed_gates) gates;
+  let file = Printf.sprintf "BENCH_%s.json" name in
   if !fast then Printf.printf "--fast: %s left as recorded (pass: %b)\n" file pass
   else begin
     let oc = open_out file in
-    emit oc;
+    Printf.fprintf oc
+      "{\n  \"bench\": %S,\n  \"config\": %s,\n  \"points\": [\n    %s\n  ],\n  \
+       \"gates\": %s,\n  \"pass\": %b\n}\n"
+      name (obj config)
+      (String.concat ",\n    " (List.map obj points))
+      (obj (List.map (fun (g, ok) -> (g, string_of_bool ok)) gates))
+      pass;
     close_out oc;
     Printf.printf "wrote %s (pass: %b)\n" file pass
   end
@@ -78,14 +111,15 @@ let threads_8node () = if !fast then [ 1; 28; 224 ] else [ 1; 2; 4; 8; 16; 28; 5
 (* ------------------------------------------------------------------ *)
 (* Printing helpers *)
 
+(* Cells are 10 wide with at least one space between them. *)
 let print_header name cols =
   Printf.printf "%-14s" name;
-  List.iter (fun c -> Printf.printf "%10s" c) cols;
+  List.iter (fun c -> Printf.printf " %9s" c) cols;
   print_newline ()
 
 let print_row name cells =
   Printf.printf "%-14s" name;
-  List.iter (fun v -> Printf.printf "%10.2f" v) cells;
+  List.iter (fun v -> Printf.printf " %9.2f" v) cells;
   print_newline ()
 
 (* Per-op latency breakdown of an instrumented VFS handle, rendered
@@ -231,13 +265,63 @@ let share_file_small = 2 * 1024 * 1024
 let share_file_large = 128 * 1024 * 1024
 let share_lease_ns = 100.0e6 /. 8.0
 
-let sharing_rig f =
-  Rig.run ~nodes:2 ~cpus_per_node:4 ~pages_per_node:(1 lsl 16) ~store_data:false
-    ~lease_ns:share_lease_ns f
+let sharing_rig ?(lease_ns = share_lease_ns) f =
+  Rig.run ~nodes:2 ~cpus_per_node:4 ~pages_per_node:(1 lsl 16) ~store_data:false ~lease_ns f
 
 let get_ok what = function
   | Ok v -> v
   | Error e -> failwith (what ^ ": " ^ Trio_core.Fs_types.errno_to_string e)
+
+(* Two ArckFS processes [pa] then [pb] on one rig, each as (LibFS,
+   ops); with [group] each joins trust group 77 once it is mounted. *)
+let two_procs ?(group = false) ?unmap_after_write rig (pa, pb) =
+  let cred = { Trio_core.Fs_types.uid = 1000; gid = 1000 } in
+  let mk proc =
+    let t = Libfs.mount ~ctl:rig.Rig.ctl ~proc ~cred ?unmap_after_write () in
+    if group then Controller.register_process rig.Rig.ctl ~proc ~cred ~group:77 ();
+    (t, Libfs.ops t)
+  in
+  let a = mk pa in
+  (a, mk pb)
+
+(* Process a creates /shared at [file_size] bytes and hands it back. *)
+let create_shared (a, aops) ~file_size =
+  ignore (get_ok "create" (aops.Fs.create "/shared" 0o666));
+  get_ok "truncate" (aops.Fs.truncate "/shared" file_size);
+  Libfs.unmap_everything a
+
+(* [create_shared], then both processes open /shared: the [ops_of] of
+   [write_sharing_body], thread 0 writing through a, thread 1 through b. *)
+let open_shared ((_, aops) as a) (_, bops) ~file_size =
+  create_shared a ~file_size;
+  let fda = get_ok "open" (aops.Fs.open_ "/shared" [ Trio_core.Fs_types.O_RDWR ]) in
+  let fdb = get_ok "open" (bops.Fs.open_ "/shared" [ Trio_core.Fs_types.O_RDWR ]) in
+  fun tid -> if tid = 0 then (aops, fda) else (bops, fdb)
+
+(* /shared_dir holding [n] files named [prefix]0, [prefix]1, ... *)
+let shared_dir ops prefix n =
+  get_ok "mkdir" (ops.Fs.mkdir "/shared_dir" 0o777);
+  for i = 0 to n - 1 do
+    ignore (get_ok "pre" (ops.Fs.create (Printf.sprintf "/shared_dir/%s%d" prefix i) 0o644))
+  done
+
+let shared_name = Printf.sprintf "/shared_dir/t%d_%d"
+
+(* A Runner body: each call creates, closes and unlinks a fresh file,
+   thread [tid]'s nth being [path tid n] through [ops_of tid]. *)
+let churn ~threads ~path ops_of =
+  let counters = Array.make threads 0 in
+  fun ~tid ->
+    let ops = ops_of tid in
+    let n = counters.(tid) in
+    counters.(tid) <- n + 1;
+    let path = path tid n in
+    (match ops.Fs.create path 0o644 with
+    | Ok fd ->
+      ignore (ops.Fs.close fd);
+      ignore (ops.Fs.unlink path)
+    | Error _ -> ());
+    0
 
 (* two writers ping-ponging 4 KiB stores over one file *)
 let write_sharing_body rig ~file_size ~ops_of =
@@ -254,170 +338,73 @@ let write_sharing_body rig ~file_size ~ops_of =
   in
   r.Runner.gib_per_s
 
-let run_write_sharing ~mode ~file_size =
-  sharing_rig (fun rig ->
+let run_write_sharing ?lease_ns ?(procs = (301, 302)) ~file_size mode =
+  sharing_rig ?lease_ns (fun rig ->
       match mode with
       | `Nova ->
         let fs = Vfs.ops (Rig.mount_fs ~store_data:false rig "nova") in
         let fd = get_ok "create" (fs.Fs.create "/shared" 0o666) in
         get_ok "truncate" (fs.Fs.truncate "/shared" file_size);
         write_sharing_body rig ~file_size ~ops_of:(fun _ -> (fs, fd))
-      | `Arckfs trust_group ->
-        let mk proc =
-          let t =
-            Libfs.mount ~ctl:rig.Rig.ctl ~proc
-              ~cred:{ Trio_core.Fs_types.uid = 1000; gid = 1000 } ()
-          in
-          if trust_group then
-            Controller.register_process rig.Rig.ctl ~proc ~cred:{ uid = 1000; gid = 1000 }
-              ~group:77 ();
-          t
-        in
-        let a = mk 301 and b = mk 302 in
-        let aops = Libfs.ops a and bops = Libfs.ops b in
-        ignore (get_ok "create" (aops.Fs.create "/shared" 0o666));
-        get_ok "truncate" (aops.Fs.truncate "/shared" file_size);
-        Libfs.unmap_everything a;
-        let fda = get_ok "open a" (aops.Fs.open_ "/shared" [ Trio_core.Fs_types.O_RDWR ]) in
-        let fdb = get_ok "open b" (bops.Fs.open_ "/shared" [ Trio_core.Fs_types.O_RDWR ]) in
-        write_sharing_body rig ~file_size ~ops_of:(fun tid ->
-            if tid = 0 then (aops, fda) else (bops, fdb)))
+      | `Arckfs group ->
+        let a, b = two_procs ~group rig procs in
+        write_sharing_body rig ~file_size ~ops_of:(open_shared a b ~file_size))
 
 (* Concurrent create+unlink in a shared directory, unmapping after every
    operation (the paper's stress mode); reports us per metadata op. *)
-let run_create_sharing ~mode ~prepopulate =
+let run_create_sharing ~prepopulate mode =
   sharing_rig (fun rig ->
-      let measure body =
-        let r =
-          Runner.run ~sched:rig.Rig.sched ~topo:rig.Rig.topo ~threads:2 ~max_ops:600
-            ~max_ns:400.0e6 ~body ()
-        in
-        r.Runner.elapsed_ns /. float_of_int r.Runner.ops /. 1e3 /. 2.0
-      in
-      match mode with
-      | `Nova ->
-        let fs = Vfs.ops (Rig.mount_fs ~store_data:false rig "nova") in
-        get_ok "mkdir" (fs.Fs.mkdir "/shared_dir" 0o777);
-        for i = 0 to prepopulate - 1 do
-          ignore (get_ok "pre" (fs.Fs.create (Printf.sprintf "/shared_dir/base%d" i) 0o644))
-        done;
-        let counters = Array.make 2 0 in
-        measure (fun ~tid ->
-            let n = counters.(tid) in
-            counters.(tid) <- n + 1;
-            let path = Printf.sprintf "/shared_dir/t%d_%d" tid n in
-            (match fs.Fs.create path 0o644 with
-            | Ok fd ->
-              ignore (fs.Fs.close fd);
-              ignore (fs.Fs.unlink path)
-            | Error _ -> ());
-            0)
-      | `Arckfs trust_group ->
-        let mk proc =
-          let t =
-            Libfs.mount ~ctl:rig.Rig.ctl ~proc
-              ~cred:{ Trio_core.Fs_types.uid = 1000; gid = 1000 }
-              ~unmap_after_write:(not trust_group) ()
+      let ops_of =
+        match mode with
+        | `Nova ->
+          let fs = Vfs.ops (Rig.mount_fs ~store_data:false rig "nova") in
+          shared_dir fs "base" prepopulate;
+          fun _ -> fs
+        | `Arckfs group ->
+          let (a, aops), (_, bops) =
+            two_procs ~group ~unmap_after_write:(not group) rig (311, 312)
           in
-          if trust_group then
-            Controller.register_process rig.Rig.ctl ~proc ~cred:{ uid = 1000; gid = 1000 }
-              ~group:77 ();
-          t
-        in
-        let a = mk 311 and b = mk 312 in
-        let aops = Libfs.ops a and bops = Libfs.ops b in
-        get_ok "mkdir" (aops.Fs.mkdir "/shared_dir" 0o777);
-        for i = 0 to prepopulate - 1 do
-          ignore (get_ok "pre" (aops.Fs.create (Printf.sprintf "/shared_dir/base%d" i) 0o644))
-        done;
-        Libfs.unmap_everything a;
-        let counters = Array.make 2 0 in
-        measure (fun ~tid ->
-            let ops = if tid = 0 then aops else bops in
-            let n = counters.(tid) in
-            counters.(tid) <- n + 1;
-            let path = Printf.sprintf "/shared_dir/t%d_%d" tid n in
-            (match ops.Fs.create path 0o644 with
-            | Ok fd ->
-              ignore (ops.Fs.close fd);
-              ignore (ops.Fs.unlink path)
-            | Error _ -> ());
-            0))
+          shared_dir aops "base" prepopulate;
+          Libfs.unmap_everything a;
+          fun tid -> if tid = 0 then aops else bops
+      in
+      let r =
+        Runner.run ~sched:rig.Rig.sched ~topo:rig.Rig.topo ~threads:2 ~max_ops:600
+          ~max_ns:400.0e6
+          ~body:(churn ~threads:2 ~path:shared_name ops_of)
+          ()
+      in
+      r.Runner.elapsed_ns /. float_of_int r.Runner.ops /. 1e3 /. 2.0)
 
 let tab3 () =
   section "Table 3: sharing cost (two processes on one file/directory)";
   Printf.printf "(scaled: paper's 1GiB file + 100ms lease -> 128MiB + 12.5ms; see DESIGN.md)\n";
   print_header "workload" [ "NOVA"; "ArckFS"; "Arck-TG" ];
-  print_row "4KBw-2MB GiB/s"
-    [
-      run_write_sharing ~mode:`Nova ~file_size:share_file_small;
-      run_write_sharing ~mode:(`Arckfs false) ~file_size:share_file_small;
-      run_write_sharing ~mode:(`Arckfs true) ~file_size:share_file_small;
-    ];
-  print_row "4KBw-128MB GiB/s"
-    [
-      run_write_sharing ~mode:`Nova ~file_size:share_file_large;
-      run_write_sharing ~mode:(`Arckfs false) ~file_size:share_file_large;
-      run_write_sharing ~mode:(`Arckfs true) ~file_size:share_file_large;
-    ];
-  print_row "create-10 us"
-    [
-      run_create_sharing ~mode:`Nova ~prepopulate:10;
-      run_create_sharing ~mode:(`Arckfs false) ~prepopulate:10;
-      run_create_sharing ~mode:(`Arckfs true) ~prepopulate:10;
-    ];
-  print_row "create-100 us"
-    [
-      run_create_sharing ~mode:`Nova ~prepopulate:100;
-      run_create_sharing ~mode:(`Arckfs false) ~prepopulate:100;
-      run_create_sharing ~mode:(`Arckfs true) ~prepopulate:100;
-    ]
+  let row name run = print_row name [ run `Nova; run (`Arckfs false); run (`Arckfs true) ] in
+  row "4KBw-2MB GiB/s" (run_write_sharing ~file_size:share_file_small);
+  row "4KBw-128MB GiB/s" (run_write_sharing ~file_size:share_file_large);
+  row "create-10 us" (run_create_sharing ~prepopulate:10);
+  row "create-100 us" (run_create_sharing ~prepopulate:100)
 
 (* Figure 8: where the sharing time goes. *)
 let fig8 () =
   section "Figure 8: breakdown of ArckFS' sharing cost";
   let instrumented ~creates ~file_size =
     sharing_rig (fun rig ->
-        let mk proc =
-          Libfs.mount ~ctl:rig.Rig.ctl ~proc
-            ~cred:{ Trio_core.Fs_types.uid = 1000; gid = 1000 }
-            ~unmap_after_write:creates ()
+        let ((a, aops) as pa), ((b, bops) as pb) =
+          two_procs ~unmap_after_write:creates rig (321, 322)
         in
-        let a = mk 321 and b = mk 322 in
-        let aops = Libfs.ops a and bops = Libfs.ops b in
         if creates then begin
-          get_ok "mkdir" (aops.Fs.mkdir "/shared_dir" 0o777);
-          for i = 0 to 99 do
-            ignore (get_ok "pre" (aops.Fs.create (Printf.sprintf "/shared_dir/b%d" i) 0o644))
-          done;
+          shared_dir aops "b" 100;
           Libfs.unmap_everything a;
-          let counters = Array.make 2 0 in
           ignore
             (Runner.run ~sched:rig.Rig.sched ~topo:rig.Rig.topo ~threads:2 ~max_ops:400
                ~max_ns:400.0e6
-               ~body:(fun ~tid ->
-                 let ops = if tid = 0 then aops else bops in
-                 let n = counters.(tid) in
-                 counters.(tid) <- n + 1;
-                 let path = Printf.sprintf "/shared_dir/t%d_%d" tid n in
-                 (match ops.Fs.create path 0o644 with
-                 | Ok fd ->
-                   ignore (ops.Fs.close fd);
-                   ignore (ops.Fs.unlink path)
-                 | Error _ -> ());
-                 0)
+               ~body:
+                 (churn ~threads:2 ~path:shared_name (fun tid -> if tid = 0 then aops else bops))
                ())
         end
-        else begin
-          ignore (get_ok "create" (aops.Fs.create "/shared" 0o666));
-          get_ok "truncate" (aops.Fs.truncate "/shared" file_size);
-          Libfs.unmap_everything a;
-          let fda = get_ok "open" (aops.Fs.open_ "/shared" [ Trio_core.Fs_types.O_RDWR ]) in
-          let fdb = get_ok "open" (bops.Fs.open_ "/shared" [ Trio_core.Fs_types.O_RDWR ]) in
-          ignore
-            (write_sharing_body rig ~file_size ~ops_of:(fun tid ->
-                 if tid = 0 then (aops, fda) else (bops, fdb)))
-        end;
+        else ignore (write_sharing_body rig ~file_size ~ops_of:(open_shared pa pb ~file_size));
         let cstats = Controller.stats rig.Rig.ctl in
         let rebuild =
           Stats.get (Libfs.stats_of a) "rebuild" +. Stats.get (Libfs.stats_of b) "rebuild"
@@ -445,15 +432,8 @@ let fig8v () =
   let slice mode =
     Controller.with_verify_mode mode @@ fun () ->
     sharing_rig (fun rig ->
-        let mk proc =
-          Libfs.mount ~ctl:rig.Rig.ctl ~proc
-            ~cred:{ Trio_core.Fs_types.uid = 1000; gid = 1000 } ()
-        in
-        let a = mk 351 and b = mk 352 in
-        let aops = Libfs.ops a and bops = Libfs.ops b in
-        ignore (get_ok "create" (aops.Fs.create "/shared" 0o666));
-        get_ok "truncate" (aops.Fs.truncate "/shared" share_file_large);
-        Libfs.unmap_everything a;
+        let a, b = two_procs rig (351, 352) in
+        create_shared a ~file_size:share_file_large;
         (* Warm both processes: first contact ingests the file and builds
            its checkpoint.  That cost is identical in both modes and is
            not part of the steady-state handoff being measured. *)
@@ -462,12 +442,12 @@ let fig8v () =
             let fd = get_ok "open" (ops.Fs.open_ "/shared" [ Trio_core.Fs_types.O_RDWR ]) in
             ignore (ops.Fs.close fd);
             Libfs.unmap_everything libfs)
-          [ (a, aops); (b, bops) ];
+          [ a; b ];
         let cstats = Controller.stats rig.Rig.ctl in
         let v0 = Stats.get cstats "verify" in
         let buf = Bytes.make 4096 'v' in
         for i = 0 to handoffs - 1 do
-          let libfs, ops = if i land 1 = 0 then (a, aops) else (b, bops) in
+          let libfs, ops = if i land 1 = 0 then a else b in
           let fd = get_ok "open" (ops.Fs.open_ "/shared" [ Trio_core.Fs_types.O_RDWR ]) in
           ignore (get_ok "pwrite" (ops.Fs.pwrite fd buf (i * 4096)));
           ignore (ops.Fs.close fd);
@@ -560,7 +540,7 @@ let fig10 () =
             let r = Filebench.run rig fs p ~threads ~max_ops:8000 ~max_ns:30.0e6 () in
             r.Runner.ops_per_us *. 1000.0)
       in
-      Printf.printf "%-14s%10.2f\n" name v)
+      print_row name [ v ])
     posix_fses;
   let kv_result =
     eight_node_rig (fun rig ->
@@ -571,7 +551,7 @@ let fig10 () =
           let r = Filebench.run_kv_webproxy rig kv ~threads ~max_ops:8000 ~max_ns:30.0e6 () in
           r.Runner.ops_per_us *. 1000.0)
   in
-  Printf.printf "%-14s%10.2f\n" "kvfs" kv_result;
+  print_row "kvfs" [ kv_result ];
   sub "Varmail with 20-deep directories (FPFS's target workload)";
   List.iter
     (fun name ->
@@ -582,7 +562,7 @@ let fig10 () =
             let r = Filebench.run rig fs p ~threads ~max_ops:8000 ~max_ns:30.0e6 () in
             r.Runner.ops_per_us *. 1000.0)
       in
-      Printf.printf "%-14s%10.2f\n" name v)
+      print_row name [ v ])
     (posix_fses @ [ "fpfs" ])
 
 (* ------------------------------------------------------------------ *)
@@ -712,8 +692,7 @@ let ablation () =
             in
             (Fio.run rig fs config ~max_ops:3000 ~max_ns:10.0e6 ()).Runner.gib_per_s)
       in
-      Printf.printf "  stripe %4d KiB: %8.2f
-%!" (stripe_pages * 4) v)
+      Printf.printf "  stripe %4d KiB: %8.2f\n%!" (stripe_pages * 4) v)
     [ 4; 16; 64; 512 ];
   (* 2. delegation threads per node *)
   sub "delegation threads per node: 4KB writes, 224 threads (GiB/s)";
@@ -729,32 +708,17 @@ let ablation () =
             in
             (Fio.run rig fs config ~max_ops:12000 ~max_ns:10.0e6 ()).Runner.gib_per_s)
       in
-      Printf.printf "  %2d threads/node: %8.2f
-%!" tpn v)
+      Printf.printf "  %2d threads/node: %8.2f\n%!" tpn v)
     [ 2; 6; 12; 24 ];
   (* 3. lease length vs sharing overhead *)
   sub "lease length: contended 4KB writes to a shared 128MiB file (GiB/s)";
   List.iter
     (fun lease_ms ->
       let v =
-        Rig.run ~nodes:2 ~cpus_per_node:4 ~pages_per_node:(1 lsl 16) ~store_data:false
-          ~lease_ns:(lease_ms *. 1e6) (fun rig ->
-            let mk proc =
-              Libfs.mount ~ctl:rig.Rig.ctl ~proc
-                ~cred:{ Trio_core.Fs_types.uid = 1000; gid = 1000 } ()
-            in
-            let a = mk 341 and b = mk 342 in
-            let aops = Libfs.ops a and bops = Libfs.ops b in
-            ignore (get_ok "create" (aops.Fs.create "/shared" 0o666));
-            get_ok "truncate" (aops.Fs.truncate "/shared" share_file_large);
-            Libfs.unmap_everything a;
-            let fda = get_ok "open" (aops.Fs.open_ "/shared" [ Trio_core.Fs_types.O_RDWR ]) in
-            let fdb = get_ok "open" (bops.Fs.open_ "/shared" [ Trio_core.Fs_types.O_RDWR ]) in
-            write_sharing_body rig ~file_size:share_file_large ~ops_of:(fun tid ->
-                if tid = 0 then (aops, fda) else (bops, fdb)))
+        run_write_sharing ~lease_ns:(lease_ms *. 1e6) ~procs:(341, 342)
+          ~file_size:share_file_large (`Arckfs false)
       in
-      Printf.printf "  lease %5.1f ms: %8.3f
-%!" lease_ms v)
+      Printf.printf "  lease %5.1f ms: %8.3f\n%!" lease_ms v)
     [ 2.0; 6.0; 12.5; 25.0; 50.0 ];
   (* 4. verifier cost vs directory size *)
   sub "verifier cost vs directory size (virtual us per verification)";
@@ -773,8 +737,7 @@ let ablation () =
             Libfs.unmap_everything libfs;
             (Stats.get (Controller.stats rig.Rig.ctl) "verify" -. before) /. 1e3)
       in
-      Printf.printf "  %5d entries: %8.1f us
-%!" entries v)
+      Printf.printf "  %5d entries: %8.1f us\n%!" entries v)
     [ 10; 100; 1000 ];
   (* 5. device profile: Trio is not Optane-specific *)
   sub "CXL-class NVM profile (no write collapse): create scalability, ops/us";
@@ -811,8 +774,7 @@ let ablation () =
         ignore (Sched.run sched);
         !result
       in
-      Printf.printf "  %3d threads: %8.2f
-%!" threads v)
+      Printf.printf "  %3d threads: %8.2f\n%!" threads v)
     [ 1; 28; 224 ]
 
 (* ------------------------------------------------------------------ *)
@@ -822,9 +784,9 @@ let ablation () =
    sockets: more sockets means more per-socket page pools, registry
    shards, verifier fibers and NVM bandwidth domains, so the
    create/delete-heavy FxMark runs should get faster as the
-   controller's planes spread out.  Emits BENCH_shard_scaling.json and
-   exits non-zero if throughput is not monotonically increasing from
-   1 to 4 sockets. *)
+   controller's planes spread out.  Records BENCH_shard_scaling.json;
+   the gate requires throughput to rise monotonically from 1 to 4
+   sockets. *)
 let shardscale () =
   section "Shard scaling: FxMark throughput vs simulated socket count";
   let total_cpus = 16 and total_pages = 1 lsl 16 in
@@ -863,31 +825,20 @@ let shardscale () =
   in
   print_header "bench" (List.map (fun n -> Printf.sprintf "%d-socket" n) sockets);
   List.iter (fun (name, points) -> print_row name (List.map snd points)) results;
-  let monotone points =
-    let rec ok = function (_, a) :: ((_, b) :: _ as rest) -> a < b && ok rest | _ -> true in
-    ok points
-  in
-  let all_ok = List.for_all (fun (_, points) -> monotone points) results in
-  write_record "BENCH_shard_scaling.json" ~pass:all_ok (fun oc ->
-    Printf.fprintf oc "{\n  \"bench\": \"shard_scaling\",\n  \"threads\": %d,\n" threads;
-    Printf.fprintf oc "  \"total_cpus\": %d,\n  \"total_pages\": %d,\n" total_cpus total_pages;
-    Printf.fprintf oc "  \"workloads\": [\n";
-    List.iteri
-      (fun i (name, points) ->
-        Printf.fprintf oc "    { \"name\": %S, \"points\": [ " name;
-        List.iteri
-          (fun j (n, v) ->
-            Printf.fprintf oc "%s{ \"sockets\": %d, \"ops_per_us\": %.4f }"
-              (if j > 0 then ", " else "")
-              n v)
-          points;
-        Printf.fprintf oc " ] }%s\n" (if i < List.length results - 1 then "," else ""))
-      results;
-    Printf.fprintf oc "  ],\n  \"monotonic\": %b\n}\n" all_ok);
-  if not all_ok then begin
-    Printf.eprintf "FAILED: throughput not monotonically increasing with socket count\n";
-    exit 1
-  end
+  record "shard_scaling"
+    ~config:
+      [ ("threads", int threads); ("total_cpus", int total_cpus); ("total_pages", int total_pages) ]
+    ~points:
+      (List.concat_map
+         (fun (name, points) ->
+           List.map
+             (fun (n, v) -> [ ("workload", str name); ("sockets", int n); ("ops_per_us", num 4 v) ])
+             points)
+         results)
+    [
+      ( "monotonic",
+        all (fun (_, points) -> all (fun ((_, a), (_, b)) -> a < b) (pairs points)) results );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Ring batching: the submission/completion ring vs per-op syscalls *)
@@ -916,22 +867,11 @@ let ringbatch () =
         Array.iteri
           (fun i fs -> ignore (get_ok "mkdir" (fs.Fs.mkdir (Printf.sprintf "/rb%d" i) 0o755)))
           fss;
-        let counters = Array.make nprocs 0 in
         let max_ops = if !fast then 4000 else 12_000 in
         let r =
           Runner.run ~sched:rig.Rig.sched ~topo:rig.Rig.topo ~threads:nprocs ~max_ops
             ~max_ns:20.0e6
-            ~body:(fun ~tid ->
-              let fs = fss.(tid) in
-              let n = counters.(tid) in
-              counters.(tid) <- n + 1;
-              let path = Printf.sprintf "/rb%d/f%d" tid n in
-              (match fs.Fs.create path 0o644 with
-              | Ok fd ->
-                ignore (fs.Fs.close fd);
-                ignore (fs.Fs.unlink path)
-              | Error _ -> ());
-              0)
+            ~body:(churn ~threads:nprocs ~path:(Printf.sprintf "/rb%d/f%d") (Array.get fss))
             ()
         in
         Printf.printf "  [%3d procs, %s] ops=%d %.4f ops/us\n%!" nprocs
@@ -944,7 +884,7 @@ let ringbatch () =
       (fun n ->
         let sync = run_point ~ring:false n in
         let batched = run_point ~ring:true n in
-        (n, sync, batched, batched /. sync))
+        (n, sync, batched, ratio batched sync))
       proc_counts
   in
   print_header "procs" [ "sync"; "ring"; "speedup" ];
@@ -952,27 +892,28 @@ let ringbatch () =
     (fun (n, sync, batched, sp) -> print_row (string_of_int n) [ sync; batched; sp ])
     points;
   let required = 1.5 in
-  let pass =
-    List.for_all (fun (n, _, _, sp) -> n < 32 || sp >= required) points
-  in
-  write_record "BENCH_ring_batching.json" ~pass (fun oc ->
-    Printf.fprintf oc "{\n  \"bench\": \"ring_batching\",\n  \"ring_depth\": %d,\n" depth;
-    Printf.fprintf oc "  \"workload\": \"create-close-unlink, unmap_after_write\",\n";
-    Printf.fprintf oc "  \"points\": [\n";
-    List.iteri
-      (fun i (n, sync, batched, sp) ->
-        Printf.fprintf oc
-          "    { \"procs\": %d, \"sync_ops_per_us\": %.4f, \"ring_ops_per_us\": %.4f, \
-           \"speedup\": %.3f }%s\n"
-          n sync batched sp
-          (if i < List.length points - 1 then "," else ""))
-      points;
-    Printf.fprintf oc "  ],\n  \"required_speedup\": %.2f,\n  \"pass\": %b\n}\n" required pass);
-  if not pass then begin
-    Printf.eprintf "FAILED: batched plane under %.1fx of synchronous at >= 32 processes\n"
-      required;
-    exit 1
-  end
+  record "ring_batching"
+    ~config:
+      [
+        ("ring_depth", int depth);
+        ("workload", str "create-close-unlink, unmap_after_write");
+        ("required_speedup", num 2 required);
+      ]
+    ~points:
+      (List.map
+         (fun (n, sync, batched, sp) ->
+           [
+             ("procs", int n);
+             ("sync_ops_per_us", num 4 sync);
+             ("ring_ops_per_us", num 4 batched);
+             ("speedup", num 3 sp);
+           ])
+         points)
+    [
+      ( "speedup",
+        all (fun (_, _, _, sp) -> sp >= required) (List.filter (fun (n, _, _, _) -> n >= 32) points)
+      );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot recovery: mount-the-newest-intact-root vs the fsck walk *)
@@ -991,17 +932,12 @@ let snaprecover () =
       let libfs = Rig.mount_arckfs ~delegated:false rig in
       let fs = Libfs.ops libfs in
       for d = 0 to dirs - 1 do
-        (match (fs.Fs.mkdir (Printf.sprintf "/d%d" d) 0o755 : (unit, _) result) with
-        | Ok () -> ()
-        | Error _ -> failwith "mkdir");
+        get_ok "mkdir" (fs.Fs.mkdir (Printf.sprintf "/d%d" d) 0o755);
         for i = 0 to (files / dirs) - 1 do
-          match
-            Fs.write_file fs
-              (Printf.sprintf "/d%d/f%03d" d i)
-              (String.make ((i * 613 mod 7000) + 64) 'r')
-          with
-          | Ok () -> ()
-          | Error _ -> failwith "write"
+          get_ok "write"
+            (Fs.write_file fs
+               (Printf.sprintf "/d%d/f%03d" d i)
+               (String.make ((i * 613 mod 7000) + 64) 'r'))
         done
       done;
       Libfs.unmap_everything libfs;
@@ -1039,26 +975,24 @@ let snaprecover () =
       in
       if n_root <> n_fsck then
         Printf.printf "  note: root mount sees %d files, fsck walk %d\n" n_root n_fsck;
-      let speedup = fsck_ns /. root_ns in
+      let speedup = ratio fsck_ns root_ns in
       print_header "path" [ "virtual us"; "files" ];
       print_row "mount-root" [ root_ns /. 1e3; float_of_int n_root ];
       print_row "fsck+audit" [ fsck_ns /. 1e3; float_of_int n_fsck ];
       Printf.printf "  recovery-to-root speedup: %.1fx\n" speedup;
       let required = 5.0 in
-      let pass = speedup >= required in
-      write_record "BENCH_snapshot_recovery.json" ~pass (fun oc ->
-        Printf.fprintf oc "{\n  \"bench\": \"snapshot_recovery\",\n";
-        Printf.fprintf oc "  \"files\": %d,\n  \"snapshot_epoch\": %d,\n" files epoch;
-        Printf.fprintf oc "  \"mount_root_us\": %.3f,\n  \"fsck_audit_us\": %.3f,\n"
-          (root_ns /. 1e3) (fsck_ns /. 1e3);
-        Printf.fprintf oc "  \"speedup\": %.3f,\n  \"required_speedup\": %.2f,\n  \"pass\": %b\n}\n"
-          speedup required pass);
-      if not pass then begin
-        Printf.eprintf "FAILED: root mount under %.1fx of the fsck walk\n" required;
-        exit 1
-      end;
-      0)
-  |> ignore
+      record "snapshot_recovery"
+        ~config:[ ("files", int files); ("required_speedup", num 2 required) ]
+        ~points:
+          [
+            [
+              ("snapshot_epoch", int epoch);
+              ("mount_root_us", num 3 (root_ns /. 1e3));
+              ("fsck_audit_us", num 3 (fsck_ns /. 1e3));
+              ("speedup", num 3 speedup);
+            ];
+          ]
+        [ ("speedup", speedup >= required) ])
 
 (* ------------------------------------------------------------------ *)
 (* Multi-tenant QoS: noisy-neighbour isolation *)
@@ -1134,7 +1068,7 @@ let qos () =
       (fun s ->
         let b = honest_of baseline s.Ycsb.s_name
         and a = honest_of attacked s.Ycsb.s_name in
-        (s.Ycsb.s_name, b, a, a.Ycsb.y_p99 /. Float.max 1.0 b.Ycsb.y_p99))
+        (s.Ycsb.s_name, b, a, ratio a.Ycsb.y_p99 b.Ycsb.y_p99))
       honest_specs
   in
   print_header "tenant" [ "base p50"; "base p99"; "atk p50"; "atk p99"; "ratio" ];
@@ -1143,39 +1077,29 @@ let qos () =
       print_row name [ b.Ycsb.y_p50; b.Ycsb.y_p99; a.Ycsb.y_p50; a.Ycsb.y_p99; ratio ])
     rows;
   let required = 2.0 in
-  let honest_clean =
-    List.for_all
-      (fun (_, b, a, _) ->
-        b.Ycsb.y_errors = 0 && a.Ycsb.y_errors = 0 && (not a.Ycsb.y_killed)
-        && a.Ycsb.y_ops_done = b.Ycsb.y_ops_done)
-      rows
+  let honest_clean (_, b, a, _) =
+    b.Ycsb.y_errors = 0 && a.Ycsb.y_errors = 0 && (not a.Ycsb.y_killed)
+    && a.Ycsb.y_ops_done = b.Ycsb.y_ops_done
   in
-  let killer = honest_of attacked "killer" in
-  let pass =
-    List.for_all (fun (_, _, _, ratio) -> ratio <= required) rows
-    && honest_clean && killer.Ycsb.y_killed && gc_ok
-  in
-  write_record "BENCH_tenant_isolation.json" ~pass (fun oc ->
-    Printf.fprintf oc "{\n  \"bench\": \"tenant_isolation\",\n";
-    Printf.fprintf oc "  \"records\": %d,\n  \"ops_per_tenant\": %d,\n" records ops;
-    Printf.fprintf oc "  \"tenants\": [\n";
-    List.iteri
-      (fun i (name, b, a, ratio) ->
-        Printf.fprintf oc
-          "    { \"tenant\": %S, \"baseline_p99_ns\": %.0f, \"attacked_p99_ns\": %.0f, \
-           \"ratio\": %.3f }%s\n"
-          name b.Ycsb.y_p99 a.Ycsb.y_p99 ratio
-          (if i < List.length rows - 1 then "," else ""))
-      rows;
-    Printf.fprintf oc "  ],\n  \"killer_killed\": %b,\n  \"gc_balanced\": %b,\n"
-      killer.Ycsb.y_killed gc_ok;
-    Printf.fprintf oc "  \"required_ratio\": %.2f,\n  \"pass\": %b\n}\n" required pass);
-  if not pass then begin
-    Printf.eprintf
-      "FAILED: honest p99 above %.1fx baseline (or reclamation failed) under attack\n"
-      required;
-    exit 1
-  end
+  record "tenant_isolation"
+    ~config:
+      [ ("records", int records); ("ops_per_tenant", int ops); ("required_ratio", num 2 required) ]
+    ~points:
+      (List.map
+         (fun (name, b, a, ratio) ->
+           [
+             ("tenant", str name);
+             ("baseline_p99_ns", num 0 b.Ycsb.y_p99);
+             ("attacked_p99_ns", num 0 a.Ycsb.y_p99);
+             ("ratio", num 3 ratio);
+           ])
+         rows)
+    [
+      ("ratio", all (fun (_, _, _, ratio) -> ratio <= required) rows);
+      ("honest_clean", all honest_clean rows);
+      ("killer_killed", (honest_of attacked "killer").Ycsb.y_killed);
+      ("gc_balanced", gc_ok);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Directory scaling: B-link index vs linear dentry-page scan *)
@@ -1197,7 +1121,6 @@ let qos () =
 let dirscale () =
   section "Directory scaling: B-link index vs linear dentry scan";
   let sizes = if !fast then [ 1_000; 10_000 ] else [ 1_000; 10_000; 100_000 ] in
-  let baseline_max = 100_000 in
   let name_of i = Printf.sprintf "/big/f%07d" i in
   let run_point ~indexed n =
     let ppn = 1 lsl 14 in
@@ -1262,48 +1185,22 @@ let dirscale () =
         let create_ns, lookup_ns, readdir_ns, range_scan, delete_ns =
           run_point ~indexed:true n
         in
-        let baseline_ns =
-          if n <= baseline_max then
-            let _, b, _, _, _ = run_point ~indexed:false n in
-            Some b
-          else None
-        in
-        let speedup = Option.map (fun b -> b /. lookup_ns) baseline_ns in
+        let _, scan_ns, _, _, _ = run_point ~indexed:false n in
         Printf.printf
-          "  [%7d entries] create %.0fns  lookup %.0fns  scan %s  readdir %.0fus (range scan \
-           %b)  delete %.0fns\n%!"
-          n create_ns lookup_ns
-          (match baseline_ns with Some b -> Printf.sprintf "%.0fns" b | None -> "-")
-          (readdir_ns /. 1e3) range_scan delete_ns;
-        (n, create_ns, lookup_ns, baseline_ns, speedup, readdir_ns, range_scan, delete_ns))
+          "  [%7d entries] create %.0fns  lookup %.0fns  scan %.0fns  readdir %.0fus (range \
+           scan %b)  delete %.0fns\n%!"
+          n create_ns lookup_ns scan_ns (readdir_ns /. 1e3) range_scan delete_ns;
+        (n, create_ns, lookup_ns, scan_ns, ratio scan_ns lookup_ns, readdir_ns, range_scan,
+         delete_ns))
       sizes
   in
   print_header "entries" [ "create"; "lookup"; "scan"; "speedup" ];
   List.iter
-    (fun (n, c, l, b, sp, _, _, _) ->
-      print_row (string_of_int n)
-        [ c; l; Option.value ~default:0.0 b; Option.value ~default:0.0 sp ])
+    (fun (n, c, l, b, sp, _, _, _) -> print_row (string_of_int n) [ c; l; b; sp ])
     points;
   let required = 10.0 in
-  (* gate 1: at the largest baselined size, descent beats the scan 10x *)
-  let gate_speedup =
-    match
-      List.filter_map (fun (n, _, _, _, sp, _, _, _) -> Option.map (fun s -> (n, s)) sp) points
-      |> List.rev
-    with
-    | (_, s) :: _ -> s >= required
-    | [] -> false
-  in
-  (* gate 2: indexed lookup grows sub-linearly — each 10x in entries
-     costs well under 10x in latency *)
-  let rec sublinear = function
-    | (_, _, a, _, _, _, _, _) :: ((_, _, b, _, _, _, _, _) :: _ as rest) ->
-      b < a *. 5.0 && sublinear rest
-    | _ -> true
-  in
-  let gate_sublinear = sublinear points in
-  (* gate 3: every readdir was served by an index range scan *)
-  let gate_range = List.for_all (fun (_, _, _, _, _, _, rs, _) -> rs) points in
+  (* lookup grows sub-linearly: each 10x in entries costs well under 10x *)
+  let sublinear lookups = all (fun (a, b) -> b < a *. 5.0) (pairs lookups) in
   (* raw-tree sweep: insert/lookup latency on the bare B-link structure
      up to 10^6 keys, pool carved from the top half of the device (the
      controller's extent allocators never reach up there) *)
@@ -1367,47 +1264,39 @@ let dirscale () =
   in
   print_header "tree keys" [ "insert"; "lookup" ];
   List.iter (fun (n, ins, lk) -> print_row (string_of_int n) [ ins; lk ]) tree_points;
-  (* gate 4: the bare tree's lookup also grows sub-linearly per decade,
-     all the way to 10^6 *)
-  let rec tree_sublinear = function
-    | (_, _, a) :: ((_, _, b) :: _ as rest) -> b < a *. 5.0 && tree_sublinear rest
-    | _ -> true
-  in
-  let gate_tree = tree_sublinear tree_points in
-  let pass = gate_speedup && gate_sublinear && gate_range && gate_tree in
-  write_record "BENCH_dirscale.json" ~pass (fun oc ->
-    Printf.fprintf oc "{\n  \"bench\": \"dirscale\",\n";
-    Printf.fprintf oc "  \"workload\": \"one directory, create/lookup/readdir/delete\",\n";
-    Printf.fprintf oc "  \"points\": [\n";
-    List.iteri
-      (fun i (n, c, l, b, sp, rd, rs, d) ->
-        Printf.fprintf oc
-          "    { \"entries\": %d, \"create_ns\": %.1f, \"lookup_ns\": %.1f, \
-           \"linear_scan_ns\": %s, \"speedup\": %s, \"readdir_ns\": %.1f, \
-           \"readdir_range_scan\": %b, \"delete_ns\": %.1f }%s\n"
-          n c l
-          (match b with Some b -> Printf.sprintf "%.1f" b | None -> "null")
-          (match sp with Some s -> Printf.sprintf "%.2f" s | None -> "null")
-          rd rs d
-          (if i < List.length points - 1 then "," else ""))
-      points;
-    Printf.fprintf oc "  ],\n  \"tree_points\": [\n";
-    List.iteri
-      (fun i (n, ins, lk) ->
-        Printf.fprintf oc
-          "    { \"keys\": %d, \"insert_ns\": %.1f, \"lookup_ns\": %.1f }%s\n" n ins lk
-          (if i < List.length tree_points - 1 then "," else ""))
-      tree_points;
-    Printf.fprintf oc
-      "  ],\n  \"required_speedup\": %.1f,\n  \"speedup_ok\": %b,\n  \"sublinear_ok\": %b,\n  \
-       \"range_scan_ok\": %b,\n  \"tree_sublinear_ok\": %b,\n  \"pass\": %b\n}\n"
-      required gate_speedup gate_sublinear gate_range gate_tree pass);
-  if not pass then begin
-    Printf.eprintf
-      "FAILED: dirscale gate (speedup %b, sublinear %b, range-scan %b, tree %b)\n"
-      gate_speedup gate_sublinear gate_range gate_tree;
-    exit 1
-  end
+  record "dirscale"
+    ~config:
+      [
+        ("workload", str "one directory, create/lookup/readdir/delete");
+        ("required_speedup", num 1 required);
+      ]
+    ~points:
+      (List.map
+         (fun (n, c, l, b, sp, rd, rs, d) ->
+           [
+             ("entries", int n);
+             ("create_ns", num 1 c);
+             ("lookup_ns", num 1 l);
+             ("linear_scan_ns", num 1 b);
+             ("speedup", num 2 sp);
+             ("readdir_ns", num 1 rd);
+             ("readdir_range_scan", string_of_bool rs);
+             ("delete_ns", num 1 d);
+           ])
+         points
+      @ List.map
+          (fun (n, ins, lk) -> [ ("keys", int n); ("insert_ns", num 1 ins); ("lookup_ns", num 1 lk) ])
+          tree_points)
+    [
+      (* at the largest size, descent beats the scan 10x *)
+      ( "speedup",
+        match List.rev points with (_, _, _, _, sp, _, _, _) :: _ -> sp >= required | [] -> false );
+      ("sublinear", sublinear (List.map (fun (_, _, l, _, _, _, _, _) -> l) points));
+      (* every readdir was served by an index range scan *)
+      ("range_scan", all (fun (_, _, _, _, _, _, rs, _) -> rs) points);
+      (* the bare tree's lookup also grows sub-linearly, all the way to 10^6 *)
+      ("tree_sublinear", sublinear (List.map (fun (_, _, lk) -> lk) tree_points));
+    ]
 
 let experiments =
   [
@@ -1456,4 +1345,7 @@ let () =
         Printf.eprintf "unknown experiment %S; available: %s\n" name
           (String.concat " " (List.map fst experiments)))
     selected;
-  Printf.printf "\nTotal wall time: %.1fs\n" (Unix.gettimeofday () -. t0)
+  Printf.printf "\nTotal wall time: %.1fs\n" (Unix.gettimeofday () -. t0);
+  let failed = List.rev !failed_gates in
+  List.iter (fun (bench, gate) -> Printf.eprintf "FAILED: %s: %s\n" bench gate) failed;
+  if failed <> [] then exit 1

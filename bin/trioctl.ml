@@ -54,6 +54,12 @@ let info_cmd =
   Cmd.v (Cmd.info "info" ~doc:"Describe the simulated machine and NVM cost model")
     Term.(const run $ const ())
 
+(* --fs for every subcommand that mounts a file system by name: an
+   unknown name is a usage error that lists the valid ones. *)
+let fs_arg =
+  let names = List.map (fun n -> (n, n)) Rig.fs_names in
+  Arg.(value & opt (enum names) "arckfs" & info [ "fs" ] ~docv:"FS" ~doc:"File system to exercise")
+
 (* ------------------------------------------------------------------ *)
 (* smoke *)
 
@@ -71,9 +77,6 @@ let smoke_cmd =
           fs_name (String.length back);
         Format.printf "per-op latency breakdown:@.%a" Vfs.pp_breakdown vfs;
         0)
-  in
-  let fs_arg =
-    Arg.(value & opt string "arckfs" & info [ "fs" ] ~docv:"FS" ~doc:"File system to exercise")
   in
   Cmd.v (Cmd.info "smoke" ~doc:"Run a quick end-to-end smoke test on a file system")
     Term.(const run $ fs_arg)
@@ -257,9 +260,6 @@ let faults_cmd =
         end;
         match outcome with Ok () -> 0 | Error _ -> 1)
   in
-  let fs_arg =
-    Arg.(value & opt string "arckfs" & info [ "fs" ] ~docv:"FS" ~doc:"File system to exercise")
-  in
   let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Fault-injection seed") in
   let transient_arg =
     Arg.(
@@ -436,9 +436,6 @@ let stats_cmd =
           (Controller.ring_stats rig.Rig.ctl);
         0)
   in
-  let fs_arg =
-    Arg.(value & opt string "arckfs" & info [ "fs" ] ~docv:"FS" ~doc:"File system to exercise")
-  in
   Cmd.v
     (Cmd.info "stats"
        ~doc:"Run a mixed workload and dump the VFS per-op counters and latency histograms")
@@ -459,9 +456,6 @@ let trace_cmd =
           (Vfs.total_ops vfs) last;
         Format.printf "%a" Vfs.pp_trace vfs;
         0)
-  in
-  let fs_arg =
-    Arg.(value & opt string "arckfs" & info [ "fs" ] ~docv:"FS" ~doc:"File system to exercise")
   in
   let last_arg =
     Arg.(value & opt int 32 & info [ "last" ] ~docv:"N" ~doc:"Trace ring capacity (entries kept)")
@@ -935,7 +929,6 @@ let micro_cmd =
         Format.printf "per-op latency breakdown:@.%a" Vfs.pp_breakdown vfs;
         0)
   in
-  let fs_arg = Arg.(value & opt string "arckfs" & info [ "fs" ] ~doc:"File system") in
   let op_arg =
     Arg.(value & opt string "create" & info [ "op" ] ~doc:"create|open|unlink|rename|readdir|truncate or an FxMark name")
   in

@@ -26,7 +26,6 @@ type t = {
 }
 
 let kind_index = function Pmem.Meta -> 0 | Pmem.Data -> 1
-let kind_of_index = function 0 -> Pmem.Meta | _ -> Pmem.Data
 
 let create ~ctl ~proc ?(page_batch = 512) ?(ino_batch = 256) () =
   let nodes = Trio_nvm.Numa.nodes (Pmem.topo (Controller.pmem ctl)) in

@@ -1787,9 +1787,7 @@ let proc_of t = t.proc
 let root_dir t = t.root
 let topo_of t = t.topo
 let cache_of t = t.cache
-let sched_of t = t.sched
 let stats_of t = t.stats
-let controller_of t = t.ctl
 
 (* The Fs_intf record for this LibFS. *)
 let ops t =

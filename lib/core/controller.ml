@@ -32,8 +32,6 @@
 
    Everything outside [lib/core] links against this module only. *)
 
-module Numa = Trio_nvm.Numa
-
 (* ------------------------------------------------------------------ *)
 (* Types (re-exported so existing pattern matches keep compiling) *)
 
@@ -96,19 +94,11 @@ let quarantined_files (t : t) =
   Ctl_gate.drain_verification t;
   t.Ctl_state.quarantine
 
-let proc_info = Ctl_state.proc_info
 let touch = Ctl_state.touch
-let group_of = Ctl_state.group_of
 let file_info = Ctl_state.file_info
-let shadow_of = Ctl_state.shadow_of
 let view = Ctl_state.view
-let file_pages = Ctl_state.file_pages
 let walk_file = Ctl_state.walk_file
-let dir_page_is_empty = Ctl_state.dir_page_is_empty
-let owner_of = Ctl_state.owner_of
-let ino_owner_of = Ctl_state.ino_owner_of
 let page_owner_of = Ctl_state.owner_of
-let node_of_cpu (t : t) cpu = Numa.node_of_cpu t.Ctl_state.topo cpu
 
 (* ------------------------------------------------------------------ *)
 (* Verification mode and observability *)
@@ -117,11 +107,6 @@ type vmode = Ctl_state.vmode = Full | Incremental
 
 let with_verify_mode = Ctl_state.with_verify_mode
 let set_verify_hook (t : t) hook = t.Ctl_state.verify_hook <- Some hook
-let clear_verify_hook (t : t) = t.Ctl_state.verify_hook <- None
-let verify_queue_depth (t : t) =
-  Array.fold_left
-    (fun acc (sh : Ctl_state.shard) -> acc + Queue.length sh.Ctl_state.sh_verify_q)
-    0 t.Ctl_state.shards
 
 (* ------------------------------------------------------------------ *)
 (* Resource allocation *)
@@ -130,14 +115,11 @@ let alloc_pages = Ctl_alloc.alloc_pages
 let free_pages = Ctl_alloc.free_pages
 let recycle_pages = Ctl_alloc.recycle_pages
 let alloc_inos = Ctl_alloc.alloc_inos
-let alloc_page_any_node = Ctl_alloc.alloc_page_any_node
 let free_file_tree = Ctl_alloc.free_file_tree
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoints *)
 
-let take_checkpoint = Ctl_checkpoint.take_checkpoint
-let rollback_to_checkpoint = Ctl_checkpoint.rollback_to_checkpoint
 let checkpoint_page_bytes = Ctl_checkpoint.checkpoint_page_bytes
 let page_snapshot = Ctl_checkpoint.page_snapshot
 let encode_checkpoint = Ctl_checkpoint.encode_checkpoint
@@ -162,7 +144,6 @@ let snapshot_take t =
 let snapshot_entries = Ctl_snapshot.entries
 let snapshot_entry_checkpoint = Ctl_snapshot.entry_checkpoint
 let snapshot_page_bytes = Ctl_snapshot.snapshot_page_bytes
-let snapshot_restore_file = Ctl_snapshot.restore_file
 let snapshot_epoch = Ctl_state.snapshot_epoch
 let snap_pinned_count = Ctl_state.snap_pinned_count
 let snap_pinned_mem = Ctl_state.snap_pinned_mem
@@ -229,8 +210,6 @@ let audit_failures (t : t) =
 (* ------------------------------------------------------------------ *)
 (* Verification gate and mapping *)
 
-let verify_file = Ctl_gate.verify_file
-let ensure_verified = Ctl_gate.ensure_verified
 let drain_unverified = Ctl_gate.drain_unverified
 let drain_verification = Ctl_gate.drain_verification
 let map_file = Ctl_gate.map_file
@@ -252,20 +231,15 @@ module Ring = Ctl_ring
 
 type ring = Ctl_ring.t
 
-let ring_batch_limit = Ctl_gate.ring_batch_limit
 let ring_setup = Ctl_gate.ring_setup
 let ring_of = Ctl_gate.ring_of
 let set_ring_paused = Ctl_gate.set_ring_paused
-let map_file_body = Ctl_gate.map_file_body
-let unmap_file_body = Ctl_gate.unmap_file_body
 let set_ring_hook (t : t) hook = t.Ctl_state.ring_hook <- Some hook
-let clear_ring_hook (t : t) = t.Ctl_state.ring_hook <- None
 
 (* Producer-side ops over an established ring.  [ring_map] is the
    batched map_file: submit, then park on the CQ.  [ring_unmap] is
    fire-and-forget — the entry feeds the verification pipeline when the
-   drain fiber executes it, and the producer never looks back.
-   [ring_lease] submits a no-op whose batch heartbeat is the point. *)
+   drain fiber executes it, and the producer never looks back. *)
 
 let ring_map r ~ino ~write =
   match Ctl_ring.submit r (Ctl_ring.Op_map { ino; write }) with
@@ -274,23 +248,14 @@ let ring_map r ~ino ~write =
 
 let ring_unmap r ~ino = ignore (Ctl_ring.submit ~forget:true r (Ctl_ring.Op_unmap { ino }))
 
-let ring_lease r =
-  match Ctl_ring.submit r Ctl_ring.Op_lease with
-  | Error e -> Error e
-  | Ok seq -> Ctl_ring.await r ~seq
-
 let ring_drain = Ctl_ring.drain
 
 (* ------------------------------------------------------------------ *)
 (* Process registry, watchdog, GC *)
 
 let register_process = Ctl_registry.register_process
-let heartbeat = Ctl_registry.heartbeat
-let last_heartbeat = Ctl_registry.last_heartbeat
 let process_dead = Ctl_registry.process_dead
-let processes = Ctl_registry.processes
 let group_solo = Ctl_registry.group_solo
-let reap_dead = Ctl_registry.reap_dead
 
 type watchdog_report = Ctl_registry.watchdog_report = {
   mutable wd_scanned : int;
@@ -300,10 +265,8 @@ type watchdog_report = Ctl_registry.watchdog_report = {
 }
 
 let make_watchdog_report = Ctl_registry.make_watchdog_report
-let pp_watchdog_report = Ctl_registry.pp_watchdog_report
 let abnormal_teardown = Ctl_registry.abnormal_teardown
 let watchdog_once = Ctl_registry.watchdog_once
-let run_watchdog = Ctl_registry.run_watchdog
 
 type gc_report = Ctl_registry.gc_report = {
   gc_total : int;
@@ -320,7 +283,6 @@ type gc_report = Ctl_registry.gc_report = {
 }
 
 let pp_gc_report = Ctl_registry.pp_gc_report
-let reachable_files = Ctl_registry.reachable_files
 let gc_once = Ctl_registry.gc_once
 
 (* ------------------------------------------------------------------ *)
@@ -329,7 +291,6 @@ let gc_once = Ctl_registry.gc_once
 let shard_count = Ctl_state.shard_count
 let shard_of_ino = Ctl_state.shard_of_ino
 let node_of_page = Ctl_state.node_of_page
-let pooled_pages = Ctl_state.pooled_pages
 let set_pool_limits = Ctl_state.set_pool_limits
 
 type shard_stat = {
@@ -476,8 +437,6 @@ type qos_tenant_stats = Ctl_qos.tenant_stats = {
 let set_qos_share (t : t) ~group share =
   Ctl_qos.set_share (Ctl_state.qos t) ~group ~now:(Trio_sim.Sched.now t.Ctl_state.sched) share
 
-let qos_share_of (t : t) ~group = Ctl_qos.share_of (Ctl_state.qos t) ~group
-let qos_enforced (t : t) = Ctl_qos.enforced (Ctl_state.qos t)
 
 let qos_balance (t : t) ~group =
   Ctl_qos.balance (Ctl_state.qos t) ~group ~now:(Trio_sim.Sched.now t.Ctl_state.sched)
@@ -486,7 +445,6 @@ let qos_stats (t : t) =
   Ctl_qos.stats (Ctl_state.qos t) ~now:(Trio_sim.Sched.now t.Ctl_state.sched)
 
 let pp_qos_stats = Ctl_qos.pp_stats
-let qos_cost_of = Ctl_qos.cost_of
 
 (* ------------------------------------------------------------------ *)
 (* Scrubber support *)
@@ -494,9 +452,7 @@ let qos_cost_of = Ctl_qos.cost_of
 let badblocks = Ctl_media.badblocks
 let degradation_of = Ctl_media.degradation_of
 let writer_of = Ctl_media.writer_of
-let record_media_event = Ctl_media.record_media_event
 let degrade_file = Ctl_media.degrade_file
-let retire_page_raw = Ctl_media.retire_page_raw
 let quarantine_page = Ctl_media.quarantine_page
 let replace_page = Ctl_media.replace_page
 let rebuild_root_dentry = Ctl_media.rebuild_root_dentry

@@ -7,7 +7,6 @@ val check_file_now : Ctl_state.t -> proc:int -> ino:int -> dentry_addr:int -> Ve
     mode, feeding the per-invariant stats and the observability hook. *)
 
 val verify_file : Ctl_state.t -> proc:int -> f:Ctl_state.file_info -> bool
-val ensure_verified : Ctl_state.t -> f:Ctl_state.file_info -> (unit, Fs_types.errno) result
 val drain_unverified : Ctl_state.t -> int
 
 val settle : Ctl_state.t -> Ctl_state.file_info -> unit
@@ -35,8 +34,6 @@ val crash_recover : Ctl_state.t -> unit
 
 (** {2 The ring drain plane (DESIGN.md §4.15)} *)
 
-val ring_batch_limit : int
-
 val ring_setup : Ctl_state.t -> proc:int -> depth:int -> Ctl_ring.t
 (** Create [proc]'s submission/completion ring and spawn its drain
     fiber on the servicing shard ([proc mod shards]). *)
@@ -46,11 +43,3 @@ val ring_of : Ctl_state.t -> int -> Ctl_ring.t option
 val set_ring_paused : Ctl_state.t -> bool -> unit
 (** Test hook: paused drain fibers park instead of consuming;
     unpausing wakes them all. *)
-
-val map_file_body :
-  Ctl_state.t -> proc:int -> ino:int -> write:bool -> (unit, Fs_types.errno) result
-(** The op body without the shield/syscall/heartbeat preamble — what
-    the drain plane amortizes over a batch.  Exposed for the
-    batch-drain equivalence tests. *)
-
-val unmap_file_body : Ctl_state.t -> proc:int -> ino:int -> (unit, Fs_types.errno) result

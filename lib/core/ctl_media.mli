@@ -6,7 +6,6 @@ val degradation_of : Ctl_state.t -> int -> Ctl_state.degradation option
 val writer_of : Ctl_state.t -> int -> int option
 val record_media_event : Ctl_state.t -> ino:int -> detail:string -> unit
 val degrade_file : Ctl_state.t -> ino:int -> Ctl_state.degradation -> detail:string -> unit
-val retire_page_raw : Ctl_state.t -> int -> unit
 val quarantine_page : Ctl_state.t -> ino:int -> int -> unit
 
 val replace_page :

@@ -117,11 +117,6 @@ let set_share t ~group ~now share =
   (* Clamp banked tokens to the (possibly smaller) new burst. *)
   b.bk_tokens <- Float.min b.bk_tokens (burst_of b)
 
-let share_of t ~group =
-  match Hashtbl.find_opt t.q_buckets group with
-  | Some b when b.bk_enforce -> Some b.bk_share
-  | _ -> None
-
 let charge t ~group ~now ?(n = 1) kind =
   let b = bucket t ~group ~now in
   refill t b ~now;

@@ -32,9 +32,6 @@ val enforced : t -> bool
    of peak device write bandwidth. *)
 val set_share : t -> group:int -> now:float -> float -> unit
 
-(* [Some share] once configured, [None] for unenforced tenants. *)
-val share_of : t -> group:int -> float option
-
 (* Debit [n] units of [kind] from the group's bucket (and bump its
    charge counters).  Never blocks. *)
 val charge : t -> group:int -> now:float -> ?n:int -> kind -> unit

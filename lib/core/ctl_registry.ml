@@ -43,20 +43,8 @@ let register_process t ~proc ~cred ?group ?qos_share ?fix ?recovery () =
   (* Every process can read the superblock and the root dentry page. *)
   Mmu.grant_free t.mmu ~actor:proc ~pages:[ 0; Layout.root_dentry_page ] ~perm:Mmu.P_read
 
-let heartbeat t ~proc =
-  Sched.shield @@ fun () ->
-  Sched.cpu_work Perf.Cpu.syscall;
-  charge_syscall t proc;
-  touch t proc
-
-let last_heartbeat t ~proc = (proc_info t proc).p_last_heartbeat
-
 let process_dead t ~proc =
   match Hashtbl.find_opt t.procs proc with Some p -> p.p_dead | None -> false
-
-let processes t =
-  Hashtbl.fold (fun id (p : proc_info) -> List.cons (id, p.p_dead, p.p_last_heartbeat)) t.procs []
-  |> List.sort compare
 
 let group_solo t ~proc =
   let group = group_of t proc in
@@ -95,12 +83,6 @@ type watchdog_report = {
 
 let make_watchdog_report () =
   { wd_scanned = 0; wd_escalated = []; wd_unverified = 0; wd_revoked = 0 }
-
-let pp_watchdog_report ppf r =
-  Format.fprintf ppf "scanned %d, escalated [%s], %d file(s) unverified, %d mapping(s) revoked"
-    r.wd_scanned
-    (String.concat "; " (List.map string_of_int (List.rev r.wd_escalated)))
-    r.wd_unverified r.wd_revoked
 
 (* The ladder's last rung.  Unlike unmap_file this never verifies
    inline: the process is gone, so the kernel neither trusts nor runs
@@ -191,15 +173,6 @@ let watchdog_once ?report t ~timeout_ns =
       end)
     (Hashtbl.copy t.procs);
   List.rev !escalated
-
-(* Periodic watchdog fiber, bounded like {!Scrub.run_patrol} so the
-   event heap always drains. *)
-let run_watchdog ?report t ~timeout_ns ~interval_ns ~rounds =
-  Sched.spawn t.sched (fun () ->
-      for _ = 1 to rounds do
-        Sched.delay interval_ns;
-        ignore (watchdog_once ?report t ~timeout_ns)
-      done)
 
 (* ------------------------------------------------------------------ *)
 (* Orphan-page GC and the page-accounting invariant.

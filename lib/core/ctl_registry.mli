@@ -17,10 +17,7 @@ val register_process :
     omitted, the group is charged for observability but never
     throttled. *)
 
-val heartbeat : Ctl_state.t -> proc:int -> unit
-val last_heartbeat : Ctl_state.t -> proc:int -> float
 val process_dead : Ctl_state.t -> proc:int -> bool
-val processes : Ctl_state.t -> (int * bool * float) list
 
 val group_solo : Ctl_state.t -> proc:int -> bool
 (** No other live process shares [proc]'s trust group.  Read-only: a
@@ -38,17 +35,8 @@ type watchdog_report = {
 }
 
 val make_watchdog_report : unit -> watchdog_report
-val pp_watchdog_report : Format.formatter -> watchdog_report -> unit
 val abnormal_teardown : ?report:watchdog_report -> Ctl_state.t -> proc:int -> unit
 val watchdog_once : ?report:watchdog_report -> Ctl_state.t -> timeout_ns:float -> int list
-
-val run_watchdog :
-  ?report:watchdog_report ->
-  Ctl_state.t ->
-  timeout_ns:float ->
-  interval_ns:float ->
-  rounds:int ->
-  unit
 
 type gc_report = {
   gc_total : int;

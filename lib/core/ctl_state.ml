@@ -470,7 +470,6 @@ let touch t proc =
 let group_of t proc = (proc_info t proc).p_group
 let cred_of_proc t proc = (proc_info t proc).p_cred
 let file_info = file_find
-let shadow_of = shadow_find
 
 (* ------------------------------------------------------------------ *)
 (* QoS plane (DESIGN.md §4.17).  Charges attribute to the process'

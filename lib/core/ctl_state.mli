@@ -236,7 +236,6 @@ val charge_syscall : t -> int -> unit
     preamble. *)
 
 val file_info : t -> int -> file_info option
-val shadow_of : t -> int -> Verifier.shadow option
 
 (** Pipeline temperature: true while any verification verdict is still
     outstanding (queued, running, or parked at the unverified gate).

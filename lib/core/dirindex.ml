@@ -36,10 +36,6 @@ let page_size = Layout.page_size
 (* ------------------------------------------------------------------ *)
 (* Test hooks *)
 
-(* Mask the name hash down to [bits] bits to force collisions. *)
-let collision_bits = ref None
-let set_collision_bits b = collision_bits := b
-
 (* Shrink the node fanout so unit tests and crash exploration reach
    splits (and root splits) with a handful of entries instead of 170:
    [with_test_capacity n f] runs [f] with nodes of [n] entries and
@@ -56,9 +52,7 @@ let capacity () =
   | Some c -> max 2 (min c Layout.dnode_capacity)
   | None -> Layout.dnode_capacity
 
-let hash_name name =
-  let h = Trio_util.Htbl.string_hash name in
-  match !collision_bits with None -> h | Some bits -> h land ((1 lsl bits) - 1)
+let hash_name = Trio_util.Htbl.string_hash
 
 let max_key = (max_int, max_int)
 

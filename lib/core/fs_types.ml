@@ -39,8 +39,6 @@ let errno_to_string = function
   | EROFS -> "EROFS"
   | ETIMEDOUT -> "ETIMEDOUT"
 
-let pp_errno ppf e = Fmt.string ppf (errno_to_string e)
-
 (* Dense index for per-errno counter arrays (see {!Vfs}). *)
 let errno_index = function
   | ENOENT -> 0
@@ -81,8 +79,6 @@ type dirent = { d_ino : int; d_name : string; d_ftype : ftype }
 
 (* Credentials of a process as seen by permission checks. *)
 type cred = { uid : int; gid : int }
-
-let root_cred = { uid = 0; gid = 0 }
 
 (* Classic UNIX permission check against a mode. *)
 let permits ~cred ~uid ~gid ~mode ~want_read ~want_write =

@@ -188,10 +188,6 @@ let write_index_head pm ~actor ~dentry_addr page =
   Pmem.write_u64 pm ~actor ~addr:(dentry_addr + off_index_head) page;
   Pmem.persist pm ~addr:(dentry_addr + off_index_head) ~len:8
 
-let write_mtime pm ~actor ~dentry_addr time =
-  Pmem.write_u64 pm ~actor ~addr:(dentry_addr + off_mtime) time;
-  Pmem.persist pm ~addr:(dentry_addr + off_mtime) ~len:8
-
 let read_dindex_root pm ~actor ~dentry_addr =
   Pmem.read_u64 pm ~actor ~addr:(dentry_addr + off_dindex_root)
 
@@ -219,8 +215,6 @@ let read_index_entry pm ~actor ~page i = Pmem.read_u64 pm ~actor ~addr:(index_en
 let write_index_entry pm ~actor ~page i v =
   Pmem.write_u64 pm ~actor ~addr:(index_entry_addr page i) v;
   Pmem.persist pm ~addr:(index_entry_addr page i) ~len:8
-
-let read_index_next pm ~actor ~page = Pmem.read_u64 pm ~actor ~addr:((page * page_size) + index_next_off)
 
 let write_index_next pm ~actor ~page v =
   Pmem.write_u64 pm ~actor ~addr:((page * page_size) + index_next_off) v;

@@ -87,8 +87,6 @@ let set_write_set_capacity t n =
       end)
     t.parts
 
-let write_set_size t = Array.fold_left (fun acc p -> acc + Hashtbl.length p.wp_set) 0 t.parts
-
 let create pmem =
   let nodes = Trio_nvm.Numa.nodes (Pmem.topo pmem) in
   let t =
@@ -182,12 +180,6 @@ let revoke_free t ~actor ~pages ~perm =
   | None -> ()
   | Some table -> List.iter (fun page -> revoke_one table page perm) pages
 
-(* Drop every grant a process holds on a page (quarantine/teardown). *)
-let revoke_all_on_page t ~actor ~page =
-  match Hashtbl.find_opt t.tables actor with
-  | None -> ()
-  | Some table -> Hashtbl.remove table page
-
 (* Tear down a process' whole address space (abnormal process death):
    every grant it holds disappears at once, refcounts and all.  Free —
    the kernel reclaims a dead process' page tables wholesale. *)
@@ -198,13 +190,5 @@ let revoke_everyone_on_pages t ~pages =
   Hashtbl.iter
     (fun _actor table -> List.iter (fun page -> Hashtbl.remove table page) pages)
     t.tables
-
-let has_perm t ~actor ~page ~write =
-  match Hashtbl.find_opt t.tables actor with
-  | None -> false
-  | Some table -> (
-    match Hashtbl.find_opt table page with
-    | Some e -> if write then e.writers > 0 else e.writers > 0 || e.readers > 0
-    | None -> false)
 
 let pte_ops t = t.pte_ops

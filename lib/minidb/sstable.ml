@@ -183,4 +183,3 @@ let iter_all t f =
 
 let entry_count t = t.count
 let path t = t.path
-let key_range t = (t.smallest, t.largest)

@@ -12,8 +12,6 @@ let create ~nodes ~cpus_per_node =
 (* The evaluation machine of the paper (§6.1). *)
 let paper_machine = create ~nodes:8 ~cpus_per_node:28
 
-let single_node = create ~nodes:1 ~cpus_per_node:28
-
 let nodes t = t.nodes
 let cpus_per_node t = t.cpus_per_node
 let total_cpus t = t.nodes * t.cpus_per_node

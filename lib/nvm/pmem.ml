@@ -382,7 +382,6 @@ let clear_fault_injection t =
   t.transient_read_p <- 0.0;
   t.stuck_store_p <- 0.0
 
-let fault_injection_on t = t.fault_rng <> None
 let clear_poison t = Hashtbl.reset t.poison
 
 (* Poisoning a line loses its data: the content is overwritten with a
@@ -417,12 +416,6 @@ let fault_stats t =
     poison_repaired = t.poison_repaired;
     poisoned_now = Hashtbl.length t.poison;
   }
-
-let reset_fault_stats t =
-  t.transient_faults <- 0;
-  t.stuck_stores <- 0;
-  t.poison_read_hits <- 0;
-  t.poison_repaired <- 0
 
 (* Line-start byte addresses of poisoned lines overlapping [addr,len). *)
 let poisoned_in_range t ~addr ~len =
@@ -609,15 +602,6 @@ let read_u64 t ~actor ~addr =
 let write_u64 t ~actor ~addr v =
   let b = Bytes.create 8 in
   Bytes.set_int64_le b 0 (Int64.of_int v);
-  write t ~actor ~addr ~src:b
-
-let read_u32 t ~actor ~addr =
-  let b = read t ~actor ~addr ~len:4 in
-  Int32.to_int (Bytes.get_int32_le b 0) land 0xFFFFFFFF
-
-let write_u32 t ~actor ~addr v =
-  let b = Bytes.create 4 in
-  Bytes.set_int32_le b 0 (Int32.of_int v);
   write t ~actor ~addr ~src:b
 
 (* ------------------------------------------------------------------ *)

@@ -5,8 +5,11 @@
    controller, the shared delegation engine, and any of the evaluated
    file systems:
 
-     arckfs | arckfs-nd | kvfs | fpfs          (this paper)
+     arckfs | arckfs-nd | fpfs                 (this paper)
      ext4 | ext4-raid0 | pmfs | nova | winefs | odinfs | splitfs | strata
+
+   KVFS has no POSIX interface, so it is mounted over [mount_arckfs]
+   directly instead of by name.
 
    Must be constructed inside a simulation fiber. *)
 
@@ -19,6 +22,7 @@ module Controller = Trio_core.Controller
 module Libfs = Arckfs.Libfs
 module Delegation = Arckfs.Delegation
 module Vfs = Trio_core.Vfs
+module Models = Trio_baselines.Models
 
 type t = {
   sched : Sched.t;
@@ -76,24 +80,31 @@ let unmount_all t =
   List.iter Libfs.unmap_everything t.mounts;
   t.mounts <- []
 
-(* Mount a file system by its evaluation name, without the VFS layer. *)
+(* Every evaluated file system by name, each with its mount function
+   (without the VFS layer).  [mount_raw] dispatches on this list, and
+   [trioctl --fs] accepts exactly its names. *)
+let file_systems =
+  let model m ~store_data t = Models.mount ~sched:t.sched ~pmem:t.pmem ~store_data (m t) in
+  [
+    ("arckfs", fun ~store_data:_ t -> Libfs.ops (mount_arckfs ~delegated:true t));
+    ("arckfs-nd", fun ~store_data:_ t -> Libfs.ops (mount_arckfs ~delegated:false t));
+    ("fpfs", fun ~store_data:_ t -> Fpfs.ops (Fpfs.mount (mount_arckfs ~delegated:true t)));
+    ("ext4", model (fun _ -> Models.ext4));
+    ("ext4-raid0", model (fun _ -> Models.ext4_raid0));
+    ("pmfs", model (fun _ -> Models.pmfs));
+    ("nova", model (fun _ -> Models.nova));
+    ("winefs", model (fun _ -> Models.winefs));
+    ("odinfs", model (fun t -> Models.odinfs ~delegation:(Lazy.force t.delegation)));
+    ("splitfs", model (fun _ -> Models.splitfs));
+    ("strata", model (fun _ -> Models.strata));
+  ]
+
+let fs_names = List.map fst file_systems
+
 let mount_raw ?(store_data = true) t name =
-  match name with
-  | "arckfs" -> Libfs.ops (mount_arckfs ~delegated:true t)
-  | "arckfs-nd" -> Libfs.ops (mount_arckfs ~delegated:false t)
-  | "fpfs" -> Fpfs.ops (Fpfs.mount (mount_arckfs ~delegated:true t))
-  | "ext4" -> Trio_baselines.Models.(mount ~sched:t.sched ~pmem:t.pmem ~store_data ext4)
-  | "ext4-raid0" ->
-    Trio_baselines.Models.(mount ~sched:t.sched ~pmem:t.pmem ~store_data ext4_raid0)
-  | "pmfs" -> Trio_baselines.Models.(mount ~sched:t.sched ~pmem:t.pmem ~store_data pmfs)
-  | "nova" -> Trio_baselines.Models.(mount ~sched:t.sched ~pmem:t.pmem ~store_data nova)
-  | "winefs" -> Trio_baselines.Models.(mount ~sched:t.sched ~pmem:t.pmem ~store_data winefs)
-  | "odinfs" ->
-    Trio_baselines.Models.(
-      mount ~sched:t.sched ~pmem:t.pmem ~store_data (odinfs ~delegation:(Lazy.force t.delegation)))
-  | "splitfs" -> Trio_baselines.Models.(mount ~sched:t.sched ~pmem:t.pmem ~store_data splitfs)
-  | "strata" -> Trio_baselines.Models.(mount ~sched:t.sched ~pmem:t.pmem ~store_data strata)
-  | other -> invalid_arg ("Rig.mount_fs: unknown file system " ^ other)
+  match List.assoc_opt name file_systems with
+  | Some mount -> mount ~store_data t
+  | None -> invalid_arg ("Rig.mount_fs: unknown file system " ^ name)
 
 (* Mount a file system by its evaluation name.  The returned handle is
    the instrumented VFS dispatch layer: every operation of every file

@@ -213,6 +213,9 @@ let test_ycsb_isolation_under_chaos () =
       Alcotest.(check int) "honest-a completed" 60 honest_a.Ycsb.y_ops_done;
       Alcotest.(check int) "honest-c completed" 60 honest_c.Ycsb.y_ops_done;
       Alcotest.(check bool) "honest-a alive" false honest_a.Ycsb.y_killed;
+      (* the read-only tenant's reads reach the file system: a p99 of 0
+         would mean every read hit the memtable and measured nothing *)
+      Alcotest.(check bool) "honest-c p99 above 0" true (honest_c.Ycsb.y_p99 > 0.0);
       (* the kill-prone tenant actually died mid-run *)
       Alcotest.(check bool) "killer was killed" true killer.Ycsb.y_killed;
       Alcotest.(check bool) "byzantine cycles ran" true (neighbor.Attacks.nb_cycles > 0);
