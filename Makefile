@@ -34,10 +34,9 @@ verifycheck:
 	dune exec bin/trioctl.exe -- verifycheck
 	dune exec bin/trioctl.exe -- verifycheck --mutate
 
-# NUMA-sharding gate: shard routing, per-socket pool refill/drain, the
-# balanced accounting invariant across the failure-plane explorers, and
-# the cross-shard rename paths (two-shard ordered locking, writer
-# death mid-rename).
+# Per-socket shard gate: pool refill/drain, the balanced accounting
+# invariant across the failure-plane explorers, and cross-directory
+# rename under writer death.
 shardcheck:
 	dune build
 	dune exec test/test_shard.exe

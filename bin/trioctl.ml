@@ -427,9 +427,8 @@ let stats_cmd =
         Format.printf "per-op counters, errno breakdown and latency percentiles:@.%a"
           Vfs.pp_breakdown vfs;
         print_verify_counters rig.Rig.ctl;
-        let acq, cross = Controller.lock_stats rig.Rig.ctl in
-        Format.printf "per-socket shards (%d lock acquisitions, %d cross-shard ops):@.%a@."
-          acq cross Controller.pp_shard_stats
+        Format.printf "per-socket shards (page pools, verify queues):@.%a@."
+          Controller.pp_shard_stats
           (Controller.shard_stats rig.Rig.ctl);
         Format.printf "ring plane (depth, batch histogram, park/wake counts per shard):@.%a@."
           Controller.pp_ring_stats

@@ -17,8 +17,6 @@ type pool = { mutable pages : int list; lock : Sync.Mutex.t }
 type t = {
   ctl : Controller.t;
   proc : int;
-  page_batch : int;
-  ino_batch : int;
   (* pools.(node).(kind): kind 0 = Meta, 1 = Data *)
   pools : pool array array;
   mutable ino_pool : int list;
@@ -27,13 +25,15 @@ type t = {
 
 let kind_index = function Pmem.Meta -> 0 | Pmem.Data -> 1
 
-let create ~ctl ~proc ?(page_batch = 512) ?(ino_batch = 256) () =
+(* Pages and inode numbers fetched per controller round trip. *)
+let page_batch = 512
+let ino_batch = 256
+
+let create ~ctl ~proc () =
   let nodes = Trio_nvm.Numa.nodes (Pmem.topo (Controller.pmem ctl)) in
   {
     ctl;
     proc;
-    page_batch;
-    ino_batch;
     pools =
       Array.init nodes (fun _ ->
           Array.init 2 (fun _ -> { pages = []; lock = Sync.Mutex.create () }));
@@ -60,7 +60,7 @@ let rec alloc_pages t ~node ~kind ~count =
   let missing = count - List.length got in
   if missing = 0 then Ok got
   else begin
-    let batch = max t.page_batch missing in
+    let batch = max page_batch missing in
     match Controller.alloc_pages t.ctl ~proc:t.proc ~node ~count:batch ~kind with
     | Error e ->
       (* Return what we took; the caller sees the failure. *)
@@ -98,7 +98,7 @@ let alloc_ino t =
       t.ino_pool <- rest;
       ino
     | [] -> (
-      match Controller.alloc_inos t.ctl ~proc:t.proc ~count:t.ino_batch with
+      match Controller.alloc_inos t.ctl ~proc:t.proc ~count:ino_batch with
       | ino :: rest ->
         t.ino_pool <- rest;
         ino

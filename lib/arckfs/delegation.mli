@@ -4,7 +4,9 @@
     LibFS — performs bulk NVM accesses on behalf of application fibers,
     so the device never sees more concurrency than the pool size and
     every delegated access is node-local.  Small accesses (reads under
-    32 KiB, writes under 256 B) skip the round trip. *)
+    32 KiB, writes under 256 B) skip the round trip.  A fault raised by
+    a delegated access ([Pmem.Mmu_fault], [Media_fault], [Bounds]) is
+    re-raised in the fiber that submitted it. *)
 
 type op =
   | Op_write of Bytes.t * int  (** source buffer, offset within it *)
@@ -13,24 +15,17 @@ type op =
 
 type t
 
-val default_threads_per_node : int
-val default_read_threshold : int
-val default_write_threshold : int
-
-val default_stripe_pages : int
-(** Data-striping granularity (pages); 16 = 64 KiB, so a 2 MiB access
-    spans every node of the paper machine. *)
-
 val create :
   sched:Trio_sim.Sched.t ->
   pmem:Trio_nvm.Pmem.t ->
   ?threads_per_node:int ->
-  ?read_threshold:int ->
-  ?write_threshold:int ->
   ?stripe_pages:int ->
   unit ->
   t
-(** Spawn the delegation fibers (pinned to their nodes). *)
+(** Spawn the delegation fibers (pinned to their nodes); 12 per node by
+    default.  [stripe_pages] is the data-striping granularity; the
+    default 16 (64 KiB) makes a 2 MiB access span every node of the
+    paper machine. *)
 
 val shutdown : t -> unit
 (** Close the rings; workers exit. *)
@@ -43,7 +38,8 @@ val run_all : t -> actor:int -> write:bool -> buf:Bytes.t -> (int * int * int) l
 (** [run_all t ~actor ~write ~buf runs] executes contiguous runs
     [(nvm_addr, buffer_offset, length)] in parallel across the
     delegation fibers and waits for all completions.  MMU checks apply
-    with [actor]'s permissions. *)
+    with [actor]'s permissions; the first run that faulted re-raises
+    its fault here once every run has completed. *)
 
 val touch_all : t -> actor:int -> write:bool -> (int * int) list -> unit
 (** Cost-only variant over [(addr, len)] runs (used by the OdinFS

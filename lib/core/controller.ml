@@ -286,12 +286,10 @@ let pp_gc_report = Ctl_registry.pp_gc_report
 let gc_once = Ctl_registry.gc_once
 
 (* ------------------------------------------------------------------ *)
-(* NUMA sharding: topology routing and per-socket observability *)
+(* Per-socket shards: topology routing and observability *)
 
 let shard_count = Ctl_state.shard_count
-let shard_of_ino = Ctl_state.shard_of_ino
 let node_of_page = Ctl_state.node_of_page
-let set_pool_limits = Ctl_state.set_pool_limits
 
 type shard_stat = {
   ss_id : int;
@@ -299,8 +297,6 @@ type shard_stat = {
   ss_pool_refills : int;
   ss_pool_drains : int;
   ss_reserve_free : int;  (** pages left in the node's global reserve *)
-  ss_files : int;  (** file records homed on this shard *)
-  ss_inos : int;  (** ino-owner records homed on this shard *)
   ss_queue_depth : int;  (** verifications waiting on this shard *)
   ss_enqueued : int;  (** lifetime handoffs routed to this shard *)
 }
@@ -316,24 +312,22 @@ let shard_stats (t : t) =
            ss_pool_refills = t.pools.(i).pp_refills;
            ss_pool_drains = t.pools.(i).pp_drains;
            ss_reserve_free = Trio_util.Extent_alloc.free_units t.node_allocs.(i);
-           ss_files = Hashtbl.length sh.sh_files;
-           ss_inos = Hashtbl.length sh.sh_ino_owner;
            ss_queue_depth = Queue.length sh.sh_verify_q;
            ss_enqueued = sh.sh_enqueued;
          })
        t.shards)
 
-(* Lock-plane counters: total shard-lock acquisitions and how many were
-   two-shard (cross-socket) critical sections. *)
-let lock_stats (t : t) =
-  (Ctl_shard.acquisitions t.Ctl_state.locks, Ctl_shard.cross_shard_ops t.Ctl_state.locks)
+(** Shard-lock acquisitions and cross-shard sections: always [(0, 0)],
+    since the registry is one table per controller and takes no lock.
+    Kept only because [benchmark/harness.ml] reads it; it goes when
+    that harness moves onto one metrics registry (ROADMAP.md item 2). *)
+let lock_stats (_ : t) = (0, 0)
 
 let pp_shard_stat ppf s =
   Format.fprintf ppf
-    "shard %d: pool %d free (%d refills, %d drains), reserve %d, %d files, %d inos, verify \
-     queue %d (%d enqueued)"
-    s.ss_id s.ss_pool_free s.ss_pool_refills s.ss_pool_drains s.ss_reserve_free s.ss_files
-    s.ss_inos s.ss_queue_depth s.ss_enqueued
+    "shard %d: pool %d free (%d refills, %d drains), reserve %d, verify queue %d (%d enqueued)"
+    s.ss_id s.ss_pool_free s.ss_pool_refills s.ss_pool_drains s.ss_reserve_free
+    s.ss_queue_depth s.ss_enqueued
 
 let pp_shard_stats ppf stats =
   Format.pp_print_list ~pp_sep:Format.pp_print_newline pp_shard_stat ppf stats

@@ -232,7 +232,7 @@ let alloc_inos t ~proc ~count =
   t.next_ino <- t.next_ino + count;
   List.iter
     (fun ino ->
-      with_ino_shard t ino (fun () -> set_ino_owner t ino (Ino_allocated_to proc));
+      set_ino_owner t ino (Ino_allocated_to proc);
       Hashtbl.replace p.p_inos ino ())
     inos;
   inos
@@ -264,10 +264,9 @@ let free_file_tree t ~proc ~ino =
         List.iter (fun pg -> release_page t pg) pages;
         Mmu.revoke_everyone_on_pages t.mmu ~pages;
         drop_unverified t f;
-        with_ino_shard t ino (fun () ->
-            remove_file t ino;
-            remove_shadow t ino;
-            clear_ino_owner t ino);
+        remove_file t ino;
+        remove_shadow t ino;
+        clear_ino_owner t ino;
         Ok ()
       end
     | _ -> Error EACCES)

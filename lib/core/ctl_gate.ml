@@ -93,14 +93,12 @@ let reclaim_deleted t ~proc ~parent ~dino =
       List.iter (fun pg -> Ctl_alloc.release_page t pg)
         (df.f_index_pages @ df.f_data_pages @ df.f_dindex_pages);
       drop_unverified t df;
-      with_ino_shard t dino (fun () ->
-          remove_file t dino;
-          remove_shadow t dino;
-          clear_ino_owner t dino)
+      remove_file t dino;
+      remove_shadow t dino;
+      clear_ino_owner t dino
     | None ->
-      with_ino_shard t dino (fun () ->
-          remove_shadow t dino;
-          clear_ino_owner t dino))
+      remove_shadow t dino;
+      clear_ino_owner t dino)
   | _ -> () (* moved elsewhere: nothing to reclaim *)
 
 let reclaim_deferred t =
@@ -160,19 +158,16 @@ let rec ingest_verified t ~proc ~(f : file_info) (report : Verifier.report) =
           new_file ~ino:c.Verifier.c_ino ~dentry_addr:c.Verifier.c_dentry_addr ~parent:f.f_ino
             ~ftype:c.Verifier.c_ftype ()
         in
-        (* Registering the child touches only its own shard's tables;
-           the recursive verification below runs outside the lock. *)
-        with_ino_shard t c.Verifier.c_ino (fun () ->
-            set_shadow t c.Verifier.c_ino
-              {
-                Verifier.s_ftype = c.Verifier.c_ftype;
-                s_mode = mode;
-                s_uid = cred.uid;
-                s_gid = cred.gid;
-              };
-            set_ino_owner t c.Verifier.c_ino (Ino_in_dir f.f_ino);
-            Hashtbl.remove pinfo.p_inos c.Verifier.c_ino;
-            set_file t c.Verifier.c_ino child_file);
+        set_shadow t c.Verifier.c_ino
+          {
+            Verifier.s_ftype = c.Verifier.c_ftype;
+            s_mode = mode;
+            s_uid = cred.uid;
+            s_gid = cred.gid;
+          };
+        set_ino_owner t c.Verifier.c_ino (Ino_in_dir f.f_ino);
+        Hashtbl.remove pinfo.p_inos c.Verifier.c_ino;
+        set_file t c.Verifier.c_ino child_file;
         (* Recursively verify and ingest the fresh subtree. *)
         let child_report =
           check_file_now t ~proc ~ino:c.Verifier.c_ino ~dentry_addr:c.Verifier.c_dentry_addr
@@ -208,29 +203,25 @@ let rec ingest_verified t ~proc ~(f : file_info) (report : Verifier.report) =
              with
              | Ok () -> ()
              | Error _ -> ignore (Ctl_media.rebuild_dindex t ~ino:f.f_ino : (int, _) result));
-          with_ino_shard t c.Verifier.c_ino (fun () ->
-              remove_file t c.Verifier.c_ino;
-              remove_shadow t c.Verifier.c_ino;
-              set_ino_owner t c.Verifier.c_ino (Ino_allocated_to proc))
+          remove_file t c.Verifier.c_ino;
+          remove_shadow t c.Verifier.c_ino;
+          set_ino_owner t c.Verifier.c_ino (Ino_allocated_to proc)
         end
       | Ino_in_dir parent when parent = f.f_ino -> (
         (* Existing child: its dentry may have moved within the dir. *)
         match file_find t c.Verifier.c_ino with
         | Some cf -> cf.f_dentry_addr <- c.Verifier.c_dentry_addr
         | None -> ())
-      | Ino_in_dir _other ->
+      | Ino_in_dir _other -> (
         (* Cross-directory move (rename): accept, since the verifier
            only lets this through when the source is write-mapped by
-           the same process.  The child may live on a different shard
-           than the destination directory — take both shard locks in
-           canonical order for the ownership flip. *)
-        with_ino_pair t f.f_ino c.Verifier.c_ino (fun () ->
-            set_ino_owner t c.Verifier.c_ino (Ino_in_dir f.f_ino);
-            match file_find t c.Verifier.c_ino with
-            | Some cf ->
-              cf.f_dentry_addr <- c.Verifier.c_dentry_addr;
-              cf.f_parent <- f.f_ino
-            | None -> ())
+           the same process. *)
+        set_ino_owner t c.Verifier.c_ino (Ino_in_dir f.f_ino);
+        match file_find t c.Verifier.c_ino with
+        | Some cf ->
+          cf.f_dentry_addr <- c.Verifier.c_dentry_addr;
+          cf.f_parent <- f.f_ino
+        | None -> ())
       | Ino_allocated_to _ | Ino_free -> ())
     report.Verifier.children;
   (* Deleted children: record for pipeline-idle reclaim (see
@@ -361,16 +352,14 @@ let drain_verification t =
 (* Handoff enqueues onto the queue of the socket that *holds the file's
    pages*: verification is read-dominated, so running it on the home
    socket keeps its device reads local and inside that socket's
-   bandwidth domain.  (Registry tables stay ino-hashed — the two
-   assignments are independent; the table updates below still go
-   through the ino shard's lock.) *)
+   bandwidth domain. *)
 let home_shard t (f : file_info) =
   let pg =
     match (f.f_data_pages, f.f_index_pages) with
     | pg :: _, _ | [], pg :: _ -> pg
     | [], [] -> f.f_dentry_addr / Trio_nvm.Pmem.page_size
   in
-  t.shards.(node_of_page t pg mod Array.length t.shards)
+  t.shards.(node_of_page t pg)
 
 let enqueue_verify t ~proc ~(f : file_info) =
   (* Verification is the most precious shared resource: whoever loads
@@ -378,11 +367,10 @@ let enqueue_verify t ~proc ~(f : file_info) =
      its ring batch, or a revocation it forced. *)
   qos_charge t proc Ctl_qos.Verify;
   let sh = home_shard t f in
-  with_ino_shard t f.f_ino (fun () ->
-      f.f_pending <- Some proc;
-      t.pending_verifications <- t.pending_verifications + 1;
-      Queue.push f.f_ino sh.sh_verify_q;
-      sh.sh_enqueued <- sh.sh_enqueued + 1);
+  f.f_pending <- Some proc;
+  t.pending_verifications <- t.pending_verifications + 1;
+  Queue.push f.f_ino sh.sh_verify_q;
+  sh.sh_enqueued <- sh.sh_enqueued + 1;
   Stats.incr t.stats "verify.queue.enqueued";
   let d =
     float_of_int (Array.fold_left (fun acc s -> acc + Queue.length s.sh_verify_q) 0 t.shards)
@@ -656,7 +644,8 @@ let still_current t (f : file_info) =
    genuine ENOENT, and a stream of probes on bad inos must not turn the
    lookup path into a global pipeline quiesce point.  Every shard's
    queue must be consulted: a fresh file is ingested by its *parent
-   directory's* verification, and the parent may hash anywhere. *)
+   directory's* verification, queued on the socket of the parent's
+   pages. *)
 let may_be_in_pipeline t ino =
   Array.exists (fun (sh : shard) -> not (Queue.is_empty sh.sh_verify_q)) t.shards
   && match ino_owner_of t ino with Ino_allocated_to _ -> true | Ino_free | Ino_in_dir _ -> false

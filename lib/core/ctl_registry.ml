@@ -56,21 +56,16 @@ let group_solo t ~proc =
    *pages* are deliberately left attributed (Allocated_to) for the
    orphan GC: routing all page reclamation through {!gc_once} keeps it
    observable in the accounting invariant, which is how the skip-GC
-   mutation stays provably catchable.  Effect-free.
-
-   The inos spread over every registry shard, so this is the
-   generalized form of the two-shard protocol: all touched shards are
-   held at once, taken in ascending id order (see {!Ctl_shard}). *)
+   mutation stays provably catchable.  Effect-free. *)
 let reap_dead t proc =
   match Hashtbl.find_opt t.procs proc with
   | Some p when p.p_dead ->
     let inos = Hashtbl.fold (fun ino () acc -> ino :: acc) p.p_inos [] in
-    with_shards_of_inos t inos (fun () ->
-        List.iter
-          (fun ino ->
-            clear_ino_owner t ino;
-            Hashtbl.remove p.p_inos ino)
-          inos);
+    List.iter
+      (fun ino ->
+        clear_ino_owner t ino;
+        Hashtbl.remove p.p_inos ino)
+      inos;
     List.length inos
   | _ -> 0
 
@@ -184,7 +179,7 @@ let watchdog_once ?report t ~timeout_ns =
    journals), or a retired badblock — anything else is an orphan left by
    a dead process and is reclaimed.  With the per-node pools in front
    of the reserve, "free" splits into two terms — reserve-free and
-   pooled — and the invariant, summed over every shard, becomes
+   pooled — and the invariant, summed over every node, becomes
        free + pooled + reachable + cached + badblocks = device pages
    computed from scratch each run and exposed in the report.
 
@@ -209,7 +204,7 @@ type gc_report = {
   gc_leaked : int; (* orphans still present after the sweep *)
   gc_invariant_ok : bool;
       (* free + pooled + snap_pinned + reachable + cached + badblocks
-         = total, summed over every shard *)
+         = total, summed over every node *)
 }
 
 let pp_gc_report ppf r =
@@ -298,7 +293,7 @@ let gc_once t =
       (fun ino owner () ->
         match owner with
         | Ino_allocated_to p when (not (live p)) && not (Hashtbl.mem pending p) ->
-          with_ino_shard t ino (fun () -> clear_ino_owner t ino);
+          clear_ino_owner t ino;
           (match Hashtbl.find_opt t.procs p with
           | Some pi -> Hashtbl.remove pi.p_inos ino
           | None -> ());

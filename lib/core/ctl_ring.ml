@@ -30,8 +30,8 @@
    treat the ring as empty.  Producers parked on a full SQ or on a
    pending completion are woken and observe [Error EIO].
 
-   This module only moves entries; it performs no controller work and
-   takes no shard locks.  The drain plane lives in {!Ctl_gate}. *)
+   This module only moves entries; it performs no controller work.  The
+   drain plane lives in {!Ctl_gate}. *)
 
 module Sched = Trio_sim.Sched
 module Perf = Trio_nvm.Perf

@@ -402,7 +402,7 @@ let build_state ~sched ~pmem ~mmu ~lease_ns (slot, root, stream, chain) =
       let claim pg owner =
         if pg <= Layout.root_dentry_page || pg >= total_pages then
           failwith (Printf.sprintf "page %d out of range" pg)
-        else if Hashtbl.mem (page_shard t pg).sh_page_owner pg || snap_pinned_mem t pg then
+        else if Hashtbl.mem t.page_owner pg || snap_pinned_mem t pg then
           failwith (Printf.sprintf "page %d doubly referenced" pg)
         else begin
           set_page_owner t pg owner;

@@ -72,17 +72,13 @@ type proc_info = {
   mutable p_dead : bool; (* abnormally torn down by the watchdog *)
 }
 
-(* One controller shard: one NUMA socket's slice of every hot table
-   (DESIGN.md §4.14).  Pages live on the shard of their backing node;
-   inos on the shard [Ctl_shard.shard_of_ino] maps them to.  Each shard
-   also runs its own verifier fibers against its own queue, so a busy
-   socket's verification backlog never stalls another socket's. *)
+(* One controller shard: one NUMA socket's service state (DESIGN.md
+   §4.14).  Each shard runs its own verifier fibers against its own
+   queue, so a busy socket's verification backlog never stalls another
+   socket's; it also runs the ring-drain fibers of the processes it
+   services.  The registry tables are one per controller, on [t]. *)
 type shard = {
   sh_id : int;
-  sh_page_owner : (int, page_owner) Hashtbl.t; (* absent = Free *)
-  sh_ino_owner : (int, ino_owner) Hashtbl.t;
-  sh_shadow : (int, Verifier.shadow) Hashtbl.t;
-  sh_files : (int, file_info) Hashtbl.t;
   sh_verify_q : int Queue.t; (* inos awaiting background verification *)
   sh_vq_idle : Sched.waker Queue.t; (* parked verifier fibers of this shard *)
   mutable sh_enqueued : int; (* verifications ever queued here *)
@@ -126,10 +122,11 @@ type t = {
          and draining the per-node pools in batches *)
   pools : page_pool array; (* one per node, same indexing as node_allocs *)
   shards : shard array; (* one per NUMA socket *)
-  locks : Ctl_shard.plane;
+  page_owner : (int, page_owner) Hashtbl.t; (* absent = Free *)
+  ino_owner : (int, ino_owner) Hashtbl.t; (* absent = Ino_free *)
+  shadow : (int, Verifier.shadow) Hashtbl.t; (* ground-truth permissions, I4 *)
+  files : (int, file_info) Hashtbl.t;
   pages_per_node : int;
-  mutable pool_refill_batch : int; (* pages pulled per reserve refill *)
-  mutable pool_high_water : int; (* pool length that triggers a drain *)
   mutable next_ino : int;
   mutable pending_verifications : int;
       (* handoffs enqueued or in flight in the verification pipeline *)
@@ -194,17 +191,12 @@ let with_verify_mode m f =
 let page_size = Layout.page_size
 
 (* ------------------------------------------------------------------ *)
-(* Shard routing.  Every access to the sharded tables goes through the
-   accessors below; no submodule touches a shard's hashtable directly,
-   which is what keeps the routing (and the lock discipline around it)
-   in one place. *)
+(* Routing and the registry.  Pages belong to the node of their backing
+   media; the registry tables are one per controller, and no submodule
+   touches them except through the accessors below. *)
 
 let shard_count t = Array.length t.shards
-let shard_of_ino t ino = Ctl_shard.shard_of_ino ~shards:(shard_count t) ino
-let ino_shard t ino = t.shards.(shard_of_ino t ino)
-let node_of_page t pg = pg / t.pages_per_node mod shard_count t
-let page_shard t pg = t.shards.(node_of_page t pg)
-let with_ino_shard t ino f = Ctl_shard.with_lock t.locks ~shard:(shard_of_ino t ino) f
+let node_of_page t pg = pg / t.pages_per_node
 
 (* Ring drain routing: a process' ring is serviced by one socket's drain
    plane for its whole lifetime, so batch/park/wake counters attribute
@@ -212,50 +204,28 @@ let with_ino_shard t ino f = Ctl_shard.with_lock t.locks ~shard:(shard_of_ino t 
    them. *)
 let ring_shard t proc = t.shards.(proc mod shard_count t)
 let ring_find t proc = Hashtbl.find_opt t.rings proc
+let owner_of t page = Option.value (Hashtbl.find_opt t.page_owner page) ~default:Free
+let set_page_owner t page owner = Hashtbl.replace t.page_owner page owner
+let clear_page_owner t page = Hashtbl.remove t.page_owner page
+let ino_owner_of t ino = Option.value (Hashtbl.find_opt t.ino_owner ino) ~default:Ino_free
+let set_ino_owner t ino owner = Hashtbl.replace t.ino_owner ino owner
+let clear_ino_owner t ino = Hashtbl.remove t.ino_owner ino
 
-let with_ino_pair t ino1 ino2 f =
-  Ctl_shard.with_pair t.locks ~a:(shard_of_ino t ino1) ~b:(shard_of_ino t ino2) f
-
-let with_shards_of_inos t inos f =
-  Ctl_shard.with_all t.locks ~shards:(List.map (shard_of_ino t) inos) f
-
-let owner_of t page =
-  Option.value (Hashtbl.find_opt (page_shard t page).sh_page_owner page) ~default:Free
-
-let set_page_owner t page owner = Hashtbl.replace (page_shard t page).sh_page_owner page owner
-let clear_page_owner t page = Hashtbl.remove (page_shard t page).sh_page_owner page
-
-let ino_owner_of t ino =
-  Option.value (Hashtbl.find_opt (ino_shard t ino).sh_ino_owner ino) ~default:Ino_free
-
-let set_ino_owner t ino owner = Hashtbl.replace (ino_shard t ino).sh_ino_owner ino owner
-let clear_ino_owner t ino = Hashtbl.remove (ino_shard t ino).sh_ino_owner ino
-
-(* Snapshot fold over every shard's ino-owner table (GC sweep). *)
-let fold_ino_owner t f acc =
-  Array.fold_left
-    (fun acc sh -> Hashtbl.fold f (Hashtbl.copy sh.sh_ino_owner) acc)
-    acc t.shards
-
-let file_find t ino = Hashtbl.find_opt (ino_shard t ino).sh_files ino
-let set_file t ino f = Hashtbl.replace (ino_shard t ino).sh_files ino f
-let remove_file t ino = Hashtbl.remove (ino_shard t ino).sh_files ino
-let iter_files t f = Array.iter (fun sh -> Hashtbl.iter f sh.sh_files) t.shards
-
-let fold_files t f acc =
-  Array.fold_left (fun acc sh -> Hashtbl.fold f sh.sh_files acc) acc t.shards
+(* Snapshot fold over the ino-owner table (GC sweep). *)
+let fold_ino_owner t f acc = Hashtbl.fold f (Hashtbl.copy t.ino_owner) acc
+let file_find t ino = Hashtbl.find_opt t.files ino
+let set_file t ino f = Hashtbl.replace t.files ino f
+let remove_file t ino = Hashtbl.remove t.files ino
+let iter_files t f = Hashtbl.iter f t.files
+let fold_files t f acc = Hashtbl.fold f t.files acc
 
 (* Snapshot iteration: safe against concurrent removals by the body. *)
-let iter_files_snapshot t f =
-  Array.iter (fun sh -> Hashtbl.iter f (Hashtbl.copy sh.sh_files)) t.shards
-
-let file_table_size t =
-  Array.fold_left (fun acc sh -> acc + Hashtbl.length sh.sh_files) 0 t.shards
-
-let shadow_find t ino = Hashtbl.find_opt (ino_shard t ino).sh_shadow ino
-let shadow_mem t ino = Hashtbl.mem (ino_shard t ino).sh_shadow ino
-let set_shadow t ino s = Hashtbl.replace (ino_shard t ino).sh_shadow ino s
-let remove_shadow t ino = Hashtbl.remove (ino_shard t ino).sh_shadow ino
+let iter_files_snapshot t f = Hashtbl.iter f (Hashtbl.copy t.files)
+let file_table_size t = Hashtbl.length t.files
+let shadow_find t ino = Hashtbl.find_opt t.shadow ino
+let shadow_mem t ino = Hashtbl.mem t.shadow ino
+let set_shadow t ino s = Hashtbl.replace t.shadow ino s
+let remove_shadow t ino = Hashtbl.remove t.shadow ino
 
 (* ------------------------------------------------------------------ *)
 (* Per-node page pools *)
@@ -287,13 +257,18 @@ let pool_refill t ~node ~want =
   if !got > 0 then pool.pp_refills <- pool.pp_refills + 1;
   !got
 
+(* Pages pulled per reserve refill, and the pool length that triggers a
+   drain. *)
+let pool_refill_batch = 64
+let pool_high_water = 256
+
 (* Take [count] pages from [node]'s pool, batch-refilling from the
    reserve when short.  [None] means pool and reserve are both dry —
    the caller decides about cross-node fallback. *)
 let pool_take t ~node ~count =
   let pool = t.pools.(node) in
   if pool.pp_len < count then
-    ignore (pool_refill t ~node ~want:(max (count - pool.pp_len) t.pool_refill_batch));
+    ignore (pool_refill t ~node ~want:(max (count - pool.pp_len) pool_refill_batch));
   if pool.pp_len < count then None
   else begin
     let rec take n acc =
@@ -314,8 +289,8 @@ let pool_take t ~node ~count =
    reserve, so a free-heavy phase on one socket does not strand the
    whole device's free space in that socket's pool. *)
 let pool_drain_excess t pool =
-  if pool.pp_len > t.pool_high_water then begin
-    let target = t.pool_high_water / 2 in
+  if pool.pp_len > pool_high_water then begin
+    let target = pool_high_water / 2 in
     while pool.pp_len > target do
       match pool.pp_pages with
       | pg :: rest ->
@@ -377,10 +352,6 @@ let make_node_allocs topo ~pages_per_node =
 let make_shard id =
   {
     sh_id = id;
-    sh_page_owner = Hashtbl.create 4096;
-    sh_ino_owner = Hashtbl.create 1024;
-    sh_shadow = Hashtbl.create 1024;
-    sh_files = Hashtbl.create 1024;
     sh_verify_q = Queue.create ();
     sh_vq_idle = Queue.create ();
     sh_enqueued = 0;
@@ -409,10 +380,11 @@ let make ~sched ~pmem ~mmu ~lease_ns =
           { pp_node = n; pp_pages = []; pp_len = 0; pp_refills = 0; pp_drains = 0;
             pp_jitter = ((n + 1) * 0x9E3779B9) land 0x3FFFFFFF });
     shards = Array.init nodes make_shard;
-    locks = Ctl_shard.create_plane ();
+    page_owner = Hashtbl.create 4096;
+    ino_owner = Hashtbl.create 1024;
+    shadow = Hashtbl.create 1024;
+    files = Hashtbl.create 1024;
     pages_per_node = Pmem.pages_per_node pmem;
-    pool_refill_batch = 64;
-    pool_high_water = 256;
     next_ino = Layout.root_ino + 1;
     pending_verifications = 0;
     unverified_files = 0;
@@ -433,14 +405,6 @@ let make ~sched ~pmem ~mmu ~lease_ns =
     snap_restored = Hashtbl.create 16;
     qos = Ctl_qos.create ();
   }
-
-(* Test hook: shrink the batch/high-water so pool-pressure scenarios
-   exercise refill and drain without filling a whole device. *)
-let set_pool_limits t ~refill_batch ~high_water =
-  if refill_batch < 1 || high_water < 0 then invalid_arg "set_pool_limits";
-  t.pool_refill_batch <- refill_batch;
-  t.pool_high_water <- high_water;
-  Array.iter (fun p -> pool_drain_excess t p) t.pools
 
 let create ~sched ~pmem ~mmu ?(lease_ns = 100.0e6) () =
   let t = make ~sched ~pmem ~mmu ~lease_ns in
@@ -660,7 +624,7 @@ let cold_start ~sched ~pmem ~mmu ?(lease_ns = 100.0e6) () =
       let claim_page pg owner =
         if pg <= Layout.root_dentry_page || pg >= total_pages then
           failwith (Printf.sprintf "cold_start: page %d out of range" pg)
-        else if Hashtbl.mem (page_shard t pg).sh_page_owner pg then
+        else if Hashtbl.mem t.page_owner pg then
           failwith (Printf.sprintf "cold_start: page %d doubly referenced" pg)
         else begin
           set_page_owner t pg owner;

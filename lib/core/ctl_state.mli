@@ -1,9 +1,10 @@
 (** Shared state of the kernel access controller: record types,
-    construction, the verifier view, cold start.  The hot tables are
-    sharded per NUMA socket (see {!Ctl_shard} and DESIGN.md §4.14);
-    submodules access them only through the routing accessors below.
-    Internal to [lib/core] — external code goes through the
-    {!Controller} facade. *)
+    construction, the verifier view, cold start.  The registry tables
+    (page owner, ino owner, shadow inodes, files) are one per
+    controller; submodules access them only through the accessors
+    below.  Per-socket state is limited to page pools, verifier fibers
+    and ring drains (DESIGN.md §4.14).  Internal to [lib/core] —
+    external code goes through the {!Controller} facade. *)
 
 module Sched = Trio_sim.Sched
 module Stats = Trio_sim.Stats
@@ -61,10 +62,6 @@ type proc_info = {
 
 type shard = {
   sh_id : int;
-  sh_page_owner : (int, page_owner) Hashtbl.t;
-  sh_ino_owner : (int, ino_owner) Hashtbl.t;
-  sh_shadow : (int, Verifier.shadow) Hashtbl.t;
-  sh_files : (int, file_info) Hashtbl.t;
   sh_verify_q : int Queue.t;
   sh_vq_idle : Sched.waker Queue.t;
   mutable sh_enqueued : int;
@@ -97,10 +94,11 @@ type t = {
   node_allocs : Extent_alloc.t array;
   pools : page_pool array;
   shards : shard array;
-  locks : Ctl_shard.plane;
+  page_owner : (int, page_owner) Hashtbl.t;  (** absent = [Free] *)
+  ino_owner : (int, ino_owner) Hashtbl.t;  (** absent = [Ino_free] *)
+  shadow : (int, Verifier.shadow) Hashtbl.t;
+  files : (int, file_info) Hashtbl.t;
   pages_per_node : int;
-  mutable pool_refill_batch : int;
-  mutable pool_high_water : int;
   mutable next_ino : int;
   mutable pending_verifications : int;
   mutable unverified_files : int;
@@ -138,21 +136,15 @@ val with_verify_mode : vmode -> (unit -> 'a) -> 'a
 
 val page_size : int
 
-(** {2 Shard routing} *)
+(** {2 Routing and the registry} *)
 
 val shard_count : t -> int
-val shard_of_ino : t -> int -> int
-val ino_shard : t -> int -> shard
 val node_of_page : t -> int -> int
-val page_shard : t -> int -> shard
-val with_ino_shard : t -> int -> (unit -> 'a) -> 'a
 
 val ring_shard : t -> int -> shard
 (** The shard whose drain plane services this process' ring. *)
 
 val ring_find : t -> int -> Ctl_ring.t option
-val with_ino_pair : t -> int -> int -> (unit -> 'a) -> 'a
-val with_shards_of_inos : t -> int list -> (unit -> 'a) -> 'a
 
 val owner_of : t -> int -> page_owner
 val set_page_owner : t -> int -> page_owner -> unit
@@ -179,7 +171,6 @@ val pool_refill : t -> node:int -> want:int -> int
 val pool_take : t -> node:int -> count:int -> int list option
 val pool_put : t -> int -> unit
 val pooled_pages : t -> int
-val set_pool_limits : t -> refill_batch:int -> high_water:int -> unit
 
 (** {2 Snapshot-plane bookkeeping (see {!Ctl_snapshot})} *)
 

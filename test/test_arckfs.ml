@@ -329,6 +329,79 @@ let test_delegation_equivalent_results () =
   | Some n when n > 0 -> ()
   | _ -> Alcotest.fail "delegation engine was not used"
 
+(* Drive the engine directly, as process 7, over two pages at the top of
+   node 0 that nothing else touches: [mapped] is mapped read-write for
+   process 7 and holds 'w' bytes, [unmapped] is not mapped at all.  One
+   delegation fiber per node serves both pages in submission order. *)
+let with_delegated_pages f =
+  Helpers.run_sim (fun env ->
+      let pmem = env.Helpers.pmem in
+      let dlg =
+        Arckfs.Delegation.create ~sched:env.Helpers.sched ~pmem ~threads_per_node:1 ()
+      in
+      let actor = 7 and page_size = Pmem.page_size in
+      let unmapped = Pmem.pages_per_node pmem - 1 in
+      let mapped = unmapped - 1 in
+      Trio_core.Mmu.grant_free env.Helpers.mmu ~actor ~pages:[ mapped ]
+        ~perm:Trio_core.Mmu.P_readwrite;
+      Arckfs.Delegation.run_all dlg ~actor ~write:true ~buf:(Bytes.make page_size 'w')
+        [ (mapped * page_size, 0, page_size) ];
+      f env dlg ~actor ~mapped:(mapped * page_size) ~unmapped:(unmapped * page_size);
+      Arckfs.Delegation.shutdown dlg)
+
+let all_bytes c b = Bytes.for_all (Char.equal c) b
+
+let test_delegation_mmu_fault_reaches_submitter () =
+  (* A delegated access that faults must not end the simulation: the
+     fault is re-raised in the submitting fiber, only after every run of
+     the batch has completed, and the engine keeps serving. *)
+  with_delegated_pages (fun _ dlg ~actor ~mapped ~unmapped ->
+      let page_size = Pmem.page_size in
+      let buf = Bytes.make (2 * page_size) '.' in
+      (match
+         Arckfs.Delegation.run_all dlg ~actor ~write:false ~buf
+           [ (unmapped, 0, page_size); (mapped, page_size, page_size) ]
+       with
+      | () -> Alcotest.fail "delegated read of an unmapped page completed"
+      | exception Pmem.Mmu_fault { actor = a; page; write } ->
+        Alcotest.(check (triple int int bool))
+          "read fault of the unmapped page"
+          (actor, unmapped / page_size, false)
+          (a, page, write);
+        Alcotest.(check bool)
+          "the run after the fault completed first" true
+          (all_bytes 'w' (Bytes.sub buf page_size page_size)));
+      (match
+         Arckfs.Delegation.run_all dlg ~actor ~write:true ~buf [ (unmapped, 0, page_size) ]
+       with
+      | () -> Alcotest.fail "delegated write to an unmapped page completed"
+      | exception Pmem.Mmu_fault { write; _ } -> Alcotest.(check bool) "write fault" true write);
+      let back = Bytes.create page_size in
+      Arckfs.Delegation.run_all dlg ~actor ~write:false ~buf:back [ (mapped, 0, page_size) ];
+      Alcotest.(check bool) "engine still serves" true (all_bytes 'w' back))
+
+let test_delegation_media_fault_reaches_submitter () =
+  (* A poisoned line fails a delegated load, and a cost-only transfer
+     over it, in the submitting fiber; a delegated store heals it. *)
+  with_delegated_pages (fun env dlg ~actor ~mapped ~unmapped:_ ->
+      let pmem = env.Helpers.pmem and page_size = Pmem.page_size in
+      Pmem.inject_poison pmem ~addr:mapped ~len:1;
+      let expect_media_fault what f =
+        match f () with
+        | () -> Alcotest.failf "%s of a poisoned line completed" what
+        | exception Pmem.Media_fault { transient; _ } ->
+          Alcotest.(check bool) (what ^ ": latent poison") false transient
+      in
+      let buf = Bytes.create page_size in
+      expect_media_fault "delegated read" (fun () ->
+          Arckfs.Delegation.run_all dlg ~actor ~write:false ~buf [ (mapped, 0, page_size) ]);
+      expect_media_fault "cost-only read" (fun () ->
+          Arckfs.Delegation.touch_all dlg ~actor ~write:false [ (mapped, page_size) ]);
+      Arckfs.Delegation.run_all dlg ~actor ~write:true ~buf:(Bytes.make page_size 'h')
+        [ (mapped, 0, page_size) ];
+      Arckfs.Delegation.run_all dlg ~actor ~write:false ~buf [ (mapped, 0, page_size) ];
+      Alcotest.(check bool) "store healed the line" true (all_bytes 'h' buf))
+
 (* ------------------------------------------------------------------ *)
 (* Crash consistency *)
 
@@ -642,7 +715,13 @@ let () =
           Alcotest.test_case "trust-group co-writers" `Quick test_trust_group_co_writers;
         ] );
       ( "delegation",
-        [ Alcotest.test_case "results equivalent" `Quick test_delegation_equivalent_results ] );
+        [
+          Alcotest.test_case "results equivalent" `Quick test_delegation_equivalent_results;
+          Alcotest.test_case "mmu fault reaches the submitter" `Quick
+            test_delegation_mmu_fault_reaches_submitter;
+          Alcotest.test_case "media fault reaches the submitter" `Quick
+            test_delegation_media_fault_reaches_submitter;
+        ] );
       ( "crash",
         [
           Alcotest.test_case "create durable" `Quick test_crash_after_create_consistent;

@@ -264,6 +264,33 @@ let test_lease_expiry_force_revoke () =
       Alcotest.(check int) "no corruption recorded" 0
         (List.length (Controller.corruption_events env.Helpers.ctl)))
 
+let test_delegated_write_after_revoke () =
+  (* A delegated write faults in a delegation worker when a conflicting
+     reader revoked the writer's expired mapping.  The fault must come
+     back to the writer's retry loop, which re-maps and completes the
+     write, as it does for a direct access. *)
+  Helpers.run_sim ~lease_ns:1.0e6 (fun env ->
+      let delegation =
+        Arckfs.Delegation.create ~sched:env.Helpers.sched ~pmem:env.Helpers.pmem ()
+      in
+      let fs1 = Helpers.mount ~proc:1 ~delegation env in
+      let fs2 = Helpers.mount ~proc:2 env in
+      let ops1 = Libfs.ops fs1 and ops2 = Libfs.ops fs2 in
+      let block = Bytes.make 4096 'd' in
+      Helpers.check_ok "write" (Fs.write_file ops1 "/dlg" "held-v1");
+      Libfs.unmap_everything fs1;
+      let fd = Helpers.check_ok "open" (ops1.Fs.open_ "/dlg" [ O_RDWR ]) in
+      Alcotest.(check int) "delegated write" 4096
+        (Helpers.check_ok "pwrite" (ops1.Fs.pwrite fd block 0));
+      Sched.delay 2.0e6 (* lease expired *);
+      ignore (Helpers.check_ok "read forces revoke" (Fs.read_file ops2 "/dlg"));
+      let block = Bytes.make 4096 'e' in
+      Alcotest.(check int) "delegated write after revoke" 4096
+        (Helpers.check_ok "pwrite after revoke" (ops1.Fs.pwrite fd block 0));
+      let back = Bytes.create 4096 in
+      ignore (Helpers.check_ok "pread" (ops1.Fs.pread fd back 0));
+      Alcotest.(check bytes) "the write landed" block back)
+
 (* ------------------------------------------------------------------ *)
 (* Satellite: concurrent handoff — writer killed mid-write, reader holds
    a read mapping *)
@@ -465,6 +492,8 @@ let () =
       ( "leases",
         [
           Alcotest.test_case "expiry force-revoke" `Quick test_lease_expiry_force_revoke;
+          Alcotest.test_case "delegated write after revoke" `Quick
+            test_delegated_write_after_revoke;
         ] );
       ( "handoff",
         [
