@@ -34,12 +34,15 @@ verifycheck:
 	dune exec bin/trioctl.exe -- verifycheck
 	dune exec bin/trioctl.exe -- verifycheck --mutate
 
-# Per-socket shard gate: pool refill/drain, the balanced accounting
-# invariant across the failure-plane explorers, and cross-directory
-# rename under writer death.
+# Per-socket shard gate: the per-node allocation contract, the balanced
+# accounting invariant across the failure-plane explorers, cross-directory
+# rename under writer death, and Figure 9's Fileserver runs — the one
+# gated run in which many threads of one process free and allocate
+# pages at once.
 shardcheck:
 	dune build
 	dune exec test/test_shard.exe
+	dune exec bench/main.exe -- --fast fig9
 
 fmt:
 	dune build @fmt

@@ -781,12 +781,11 @@ let ablation () =
 (* Shard scaling: controller-syscall throughput vs socket count *)
 
 (* The same machine budget (8 CPUs, 64Ki pages) sliced into 1, 2 or 4
-   sockets: more sockets means more per-socket page pools, registry
-   shards, verifier fibers and NVM bandwidth domains, so the
-   create/delete-heavy FxMark runs should get faster as the
-   controller's planes spread out.  Records BENCH_shard_scaling.json;
-   the gate requires throughput to rise monotonically from 1 to 4
-   sockets. *)
+   sockets: more sockets means more per-socket verifier fibers, ring
+   drains and NVM bandwidth domains, so the create/delete-heavy FxMark
+   runs should get faster as the controller's planes spread out.
+   Records BENCH_shard_scaling.json; the gate requires throughput to
+   rise monotonically from 1 to 4 sockets. *)
 let shardscale () =
   section "Shard scaling: FxMark throughput vs simulated socket count";
   let total_cpus = 16 and total_pages = 1 lsl 16 in

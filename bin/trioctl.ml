@@ -427,7 +427,7 @@ let stats_cmd =
         Format.printf "per-op counters, errno breakdown and latency percentiles:@.%a"
           Vfs.pp_breakdown vfs;
         print_verify_counters rig.Rig.ctl;
-        Format.printf "per-socket shards (page pools, verify queues):@.%a@."
+        Format.printf "per-socket shards (free pages, verify queues):@.%a@."
           Controller.pp_shard_stats
           (Controller.shard_stats rig.Rig.ctl);
         Format.printf "ring plane (depth, batch histogram, park/wake counts per shard):@.%a@."

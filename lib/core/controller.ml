@@ -271,7 +271,6 @@ let watchdog_once = Ctl_registry.watchdog_once
 type gc_report = Ctl_registry.gc_report = {
   gc_total : int;
   gc_free : int;
-  gc_pooled : int;
   gc_snap_pinned : int;
   gc_reachable : int;
   gc_cached : int;
@@ -293,10 +292,12 @@ let node_of_page = Ctl_state.node_of_page
 
 type shard_stat = {
   ss_id : int;
-  ss_pool_free : int;  (** pages staged in the node's pool *)
   ss_pool_refills : int;
-  ss_pool_drains : int;
-  ss_reserve_free : int;  (** pages left in the node's global reserve *)
+      (** Always 0: pages come straight from the node's extent
+          allocator, with no pool to refill.  Kept only because
+          [benchmark/harness.ml] reads it; it goes when that harness
+          moves onto one metrics registry (ROADMAP.md item 2). *)
+  ss_reserve_free : int;  (** free pages left on the node *)
   ss_queue_depth : int;  (** verifications waiting on this shard *)
   ss_enqueued : int;  (** lifetime handoffs routed to this shard *)
 }
@@ -308,9 +309,7 @@ let shard_stats (t : t) =
        (fun i (sh : shard) ->
          {
            ss_id = i;
-           ss_pool_free = t.pools.(i).pp_len;
-           ss_pool_refills = t.pools.(i).pp_refills;
-           ss_pool_drains = t.pools.(i).pp_drains;
+           ss_pool_refills = 0;
            ss_reserve_free = Trio_util.Extent_alloc.free_units t.node_allocs.(i);
            ss_queue_depth = Queue.length sh.sh_verify_q;
            ss_enqueued = sh.sh_enqueued;
@@ -325,8 +324,7 @@ let lock_stats (_ : t) = (0, 0)
 
 let pp_shard_stat ppf s =
   Format.fprintf ppf
-    "shard %d: pool %d free (%d refills, %d drains), reserve %d, verify queue %d (%d enqueued)"
-    s.ss_id s.ss_pool_free s.ss_pool_refills s.ss_pool_drains s.ss_reserve_free
+    "shard %d: %d free pages, verify queue %d (%d enqueued)" s.ss_id s.ss_reserve_free
     s.ss_queue_depth s.ss_enqueued
 
 let pp_shard_stats ppf stats =

@@ -1,14 +1,14 @@
 (* Resource allocation: batched page/inode allocation, free, recycle.
 
    These are the controller's "give the LibFS raw material" syscalls —
-   everything here manipulates the per-node page pools, the ownership
+   everything here manipulates the per-node free pages, the ownership
    maps and the MMU, but never the verification plane.
 
-   Allocation is layered (DESIGN.md §4.14): each NUMA node has a page
-   pool that hands out pages without touching the global reserve; the
-   pool batch-refills from its node's extent allocator when dry and
-   batch-drains back above a high-water mark.  Only when a node's pool
-   *and* reserve are both empty does allocation spill to other nodes. *)
+   Free pages live in one extent allocator per NUMA node (DESIGN.md
+   §4.14): a draw takes its pages from the requested node, and only
+   when that node cannot cover the whole draw does it spill to the
+   other nodes.  A freed page goes straight back to its node's
+   allocator.  Batching is the LibFS's job, in its allocation cache. *)
 
 module Pmem = Trio_nvm.Pmem
 module Perf = Trio_nvm.Perf
@@ -17,30 +17,24 @@ module Extent_alloc = Trio_util.Extent_alloc
 open Fs_types
 open Ctl_state
 
-(* Take [count] pages near [node]: its pool first (refilling from the
-   reserve in batches), then the other nodes' pools round-robin. *)
+(* Take [count] pages near [node]: all from [node] if it has them,
+   else all from the first other node that does, round-robin. *)
 let take_pages t ~node ~count =
-  match pool_take t ~node ~count with
-  | Some pages -> Some pages
-  | None ->
-    let n_nodes = Array.length t.pools in
-    let rec spill i =
-      if i >= n_nodes then None
-      else
-        match pool_take t ~node:((node + i) mod n_nodes) ~count with
-        | Some pages -> Some pages
-        | None -> spill (i + 1)
-    in
-    spill 1
+  let n_nodes = Array.length t.node_allocs in
+  let rec spill i =
+    if i >= n_nodes then None
+    else
+      match take_free t ~node:((node + i) mod n_nodes) ~count with
+      | Some pages -> Some pages
+      | None -> spill (i + 1)
+  in
+  spill 0
 
 let alloc_pages t ~proc ~node ~count ~kind =
   Sched.shield @@ fun () ->
   Sched.cpu_work Perf.Cpu.syscall;
   touch t proc;
-  (* Pool draw is charged to the drawing tenant — including the batched
-     reserve refill its allocation may force below (the refill batch is
-     work this tenant triggered, not ambient kernel cost). *)
-  let pooled_before = pooled_pages t in
+  (* The drawing tenant pays one [Page_draw] per page drawn. *)
   qos_charge t proc Ctl_qos.Syscall;
   qos_charge t proc ~n:count Ctl_qos.Page_draw;
   qos_admit t proc;
@@ -48,10 +42,6 @@ let alloc_pages t ~proc ~node ~count ~kind =
   match take_pages t ~node ~count with
   | None -> Error ENOSPC
   | Some pages ->
-    (* The reserve pages the batched refill staged beyond this draw:
-       pooled went from [pooled_before] to [now + taken - refilled]. *)
-    let refilled = pooled_pages t - pooled_before + List.length pages in
-    if refilled > 0 then qos_charge t proc ~n:refilled Ctl_qos.Page_draw;
     List.iter
       (fun pg ->
         set_page_owner t pg (Allocated_to proc);
@@ -61,58 +51,44 @@ let alloc_pages t ~proc ~node ~count ~kind =
     Mmu.grant_extent t.mmu ~actor:proc ~pages ~perm:Mmu.P_readwrite;
     Ok pages
 
-(* Free a page back to its node's pool, dropping ownership.  A page
-   pinned by the snapshot plane never reaches here through a sound
-   path (pinned pages are owned by no file and no process), but the
-   guard makes reuse structurally impossible: the current durable root
-   must stay readable until the next root supersedes it. *)
+(* Free a page back to its node, dropping ownership.  A page pinned by
+   the snapshot plane never reaches here through a sound path (pinned
+   pages are owned by no file and no process), but the guard makes
+   reuse structurally impossible: the current durable root must stay
+   readable until the next root supersedes it. *)
 let release_page t pg =
   if not (snap_pinned_mem t pg) then begin
     clear_page_owner t pg;
     Pmem.discard_page t.pmem pg;
-    pool_put t pg
+    put_free t pg
   end
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot payload pages (DESIGN.md §4.16).
 
-   Taken from the pools like any allocation, but owned by the snapshot
-   plane: the page-owner entry stays [Free] (the GC sweep skips them by
-   construction) and the page is tracked in [t.snap_pinned], which is
-   its own term of the accounting invariant:
+   Taken from the free pages like any allocation, but owned by the
+   snapshot plane: the page-owner entry stays [Free] (the GC sweep skips
+   them by construction) and the page is tracked in [t.snap_pinned],
+   which is its own term of the accounting invariant:
 
-       free + pooled + snap_pinned + reachable + cached + badblocks
-         = device pages *)
+       free + snap_pinned + reachable + cached + badblocks = device pages *)
 
 let alloc_snapshot_pages t ~count =
-  match
-    (match pool_take t ~node:0 ~count with
-    | Some pages -> Some pages
-    | None ->
-      let n_nodes = Array.length t.pools in
-      let rec spill i =
-        if i >= n_nodes then None
-        else
-          match pool_take t ~node:i ~count with
-          | Some pages -> Some pages
-          | None -> spill (i + 1)
-      in
-      spill 1)
-  with
+  match take_pages t ~node:0 ~count with
   | None -> None
   | Some pages ->
     List.iter (fun pg -> Hashtbl.replace t.snap_pinned pg ()) pages;
     Some pages
 
 (* Unpin the payload chain of a superseded root and return its pages to
-   the pools. *)
+   their nodes. *)
 let release_snapshot_pages t pages =
   List.iter
     (fun pg ->
       if snap_pinned_mem t pg then begin
         Hashtbl.remove t.snap_pinned pg;
         Pmem.discard_page t.pmem pg;
-        pool_put t pg
+        put_free t pg
       end)
     pages
 
@@ -174,8 +150,11 @@ let free_pages t ~proc ~pages =
         Hashtbl.remove p.p_pages pg;
         release_page t pg)
       pages;
-    Sched.delay (Perf.Cpu.page_table_op *. float_of_int (List.length pages));
+    (* Revoke before the unmap cost is charged: once released, a page
+       can be handed to another fiber during the delay, and a later
+       revoke would strip the new owner's grant. *)
     Mmu.revoke_everyone_on_pages t.mmu ~pages;
+    Sched.delay (Perf.Cpu.page_table_op *. float_of_int (List.length pages));
     Ok ()
 
 (* Return pages of a write-mapped file to the calling process'

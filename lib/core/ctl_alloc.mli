@@ -10,20 +10,22 @@ val alloc_pages :
   (int list, Fs_types.errno) result
 
 val release_page : Ctl_state.t -> int -> unit
-(** Drop ownership, discard content, return the page to its node's pool.
+(** Drop ownership, discard content, return the page to its node's
+    extent allocator: the one path by which an owned page becomes free.
     No-op on pages pinned by the snapshot plane. *)
 
 val alloc_snapshot_pages : Ctl_state.t -> count:int -> int list option
-(** Take [count] pages from the pools for a snapshot payload chain and
-    pin them ([snap_pinned]); their page-owner entries stay [Free]. *)
+(** Take [count] free pages (node 0 first) for a snapshot payload chain
+    and pin them ([snap_pinned]); their page-owner entries stay [Free]. *)
 
 val release_snapshot_pages : Ctl_state.t -> int list -> unit
-(** Unpin and return a superseded root's payload pages to the pools. *)
+(** Unpin and return a superseded root's payload pages to their nodes. *)
 
 val pin_snapshot_page : Ctl_state.t -> int -> bool
 (** Mount-time dual of [alloc_snapshot_pages]: claim one specific free
     page for the snapshot plane.  False if the page is already owned,
-    pooled out, or out of range — the root candidate is then rejected. *)
+    already pinned, or out of range — the root candidate is then
+    rejected. *)
 
 val free_pages : Ctl_state.t -> proc:int -> pages:int list -> (unit, Fs_types.errno) result
 val recycle_pages : Ctl_state.t -> proc:int -> pages:int list -> (unit, Fs_types.errno) result

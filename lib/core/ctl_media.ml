@@ -102,7 +102,7 @@ let replace_page t ~ino ~bad ~zero_lines =
         | _ -> false
       in
       if not patched then begin
-        pool_put t fresh;
+        put_free t fresh;
         Error Fs_types.EIO
       end
       else begin
@@ -224,7 +224,7 @@ let rebuild_dindex t ~ino =
       Ctl_alloc.alloc_page_any_node t
         ~preferred:(f.f_dentry_addr / page_size / Pmem.pages_per_node t.pmem)
     in
-    let free pg = pool_put t pg in
+    let free pg = put_free t pg in
     (match Dirindex.build ~stats:t.stats t.pmem ~actor ~alloc ~free ~entries:!entries with
     | Error `Nospace ->
       (* No room for an index: the directory stays unindexed (legal

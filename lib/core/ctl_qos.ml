@@ -5,12 +5,11 @@
    plane keeps one token bucket per group and charges it for the four
    ways a tenant can load the shared substrate: synchronous syscalls,
    ring-batch slots drained on its behalf, verification work it
-   enqueues, and page-pool draw (including the global-pool refill its
-   allocation forced).  Buckets refill continuously at a rate derived
-   from the tenant's weighted fair share of device write bandwidth
-   (Perf.fair_share), so shares configured at [register_process] time
-   translate into slices of the same bandwidth curves the rest of the
-   simulator charges against.
+   enqueues, and the pages it draws.  Buckets refill continuously at a
+   rate derived from the tenant's weighted fair share of device write
+   bandwidth (Perf.fair_share), so shares configured at
+   [register_process] time translate into slices of the same bandwidth
+   curves the rest of the simulator charges against.
 
    Enforcement is opt-in: a bucket only gates admission once a share
    has been configured explicitly (register_process ?qos_share or

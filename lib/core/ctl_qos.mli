@@ -2,7 +2,7 @@
    controller planes (DESIGN.md §4.17).
 
    One bucket per trust group, charged for syscalls, ring-batch slots,
-   verification enqueues and page-pool draw.  Refill rate is the
+   verification enqueues and page draws.  Refill rate is the
    tenant's weighted fair share of device write bandwidth
    (Perf.fair_share) converted into tokens/ns.  Enforcement is opt-in:
    buckets gate admission only once a share has been configured;

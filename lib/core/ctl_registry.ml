@@ -177,10 +177,10 @@ let watchdog_once ?report t ~timeout_ns =
    device page is either free (per the extent allocators), attributed to
    a reachable file, cached by a live process (allocation caches,
    journals), or a retired badblock — anything else is an orphan left by
-   a dead process and is reclaimed.  With the per-node pools in front
-   of the reserve, "free" splits into two terms — reserve-free and
-   pooled — and the invariant, summed over every node, becomes
-       free + pooled + reachable + cached + badblocks = device pages
+   a dead process and is reclaimed.  With the snapshot plane's pinned
+   payload pages as their own term, the invariant, summed over every
+   node, is
+       free + snap_pinned + reachable + cached + badblocks = device pages
    computed from scratch each run and exposed in the report.
 
    Ordering against the verifier gate: while a dead process still has
@@ -193,8 +193,7 @@ let watchdog_once ?report t ~timeout_ns =
 
 type gc_report = {
   gc_total : int; (* device pages *)
-  gc_free : int; (* per the reserve extent allocators *)
-  gc_pooled : int; (* staged in the per-node page pools *)
+  gc_free : int; (* per the node extent allocators *)
   gc_snap_pinned : int; (* payload chain of the durable snapshot root *)
   gc_reachable : int; (* In_file pages of root-reachable files *)
   gc_cached : int; (* Allocated_to a live process *)
@@ -203,15 +202,15 @@ type gc_report = {
   gc_reclaimed_inos : int;
   gc_leaked : int; (* orphans still present after the sweep *)
   gc_invariant_ok : bool;
-      (* free + pooled + snap_pinned + reachable + cached + badblocks
-         = total, summed over every node *)
+      (* free + snap_pinned + reachable + cached + badblocks = total,
+         summed over every node *)
 }
 
 let pp_gc_report ppf r =
   Format.fprintf ppf
-    "total %d = free %d + pooled %d + snap_pinned %d + reachable %d + cached %d + badblocks \
-     %d%s; reclaimed %d page(s) %d ino(s), leaked %d [%s]"
-    r.gc_total r.gc_free r.gc_pooled r.gc_snap_pinned r.gc_reachable r.gc_cached r.gc_badblocks
+    "total %d = free %d + snap_pinned %d + reachable %d + cached %d + badblocks %d%s; reclaimed \
+     %d page(s) %d ino(s), leaked %d [%s]"
+    r.gc_total r.gc_free r.gc_snap_pinned r.gc_reachable r.gc_cached r.gc_badblocks
     (if r.gc_invariant_ok then "" else " (MISMATCH)")
     r.gc_reclaimed_pages r.gc_reclaimed_inos r.gc_leaked
     (if r.gc_invariant_ok && r.gc_leaked = 0 then "ok" else "LEAK")
@@ -278,9 +277,7 @@ let gc_once t =
           | Some pi -> Hashtbl.remove pi.p_pages pg
           | None -> ())
         | _ -> ());
-        clear_page_owner t pg;
-        Pmem.discard_page t.pmem pg;
-        pool_put t pg;
+        Ctl_alloc.release_page t pg;
         incr reclaimed_pages)
       !orphans;
     Mmu.revoke_everyone_on_pages t.mmu ~pages:!orphans
@@ -301,13 +298,11 @@ let gc_once t =
         | _ -> ())
       ();
   let free = Array.fold_left (fun acc a -> acc + Extent_alloc.free_units a) 0 t.node_allocs in
-  let pooled = pooled_pages t in
   let snap_pinned = snap_pinned_count t in
   let badblocks = List.length t.badblocks in
   {
     gc_total = total;
     gc_free = free;
-    gc_pooled = pooled;
     gc_snap_pinned = snap_pinned;
     gc_reachable = !reachable;
     gc_cached = !cached;
@@ -315,5 +310,5 @@ let gc_once t =
     gc_reclaimed_pages = !reclaimed_pages;
     gc_reclaimed_inos = !reclaimed_inos;
     gc_leaked = !leaked;
-    gc_invariant_ok = free + pooled + snap_pinned + !reachable + !cached + badblocks = total;
+    gc_invariant_ok = free + snap_pinned + !reachable + !cached + badblocks = total;
   }

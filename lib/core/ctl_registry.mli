@@ -41,7 +41,6 @@ val watchdog_once : ?report:watchdog_report -> Ctl_state.t -> timeout_ns:float -
 type gc_report = {
   gc_total : int;
   gc_free : int;
-  gc_pooled : int;
   gc_snap_pinned : int;
   gc_reachable : int;
   gc_cached : int;

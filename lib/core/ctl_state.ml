@@ -94,23 +94,6 @@ type shard = {
   mutable sh_ring_wakes : int; (* doorbell wakes into this shard *)
 }
 
-(* Per-node page pool layered over the global reserve ({!Extent_alloc}):
-   allocation takes from the pool and batch-refills from the reserve;
-   frees return to the pool and batch-drain above the high-water mark.
-   The pool holds *unowned* pages — they are free space, just staged
-   close to the socket that will hand them out next. *)
-type page_pool = {
-  pp_node : int;
-  mutable pp_pages : int list;
-  mutable pp_len : int;
-  mutable pp_refills : int; (* batched refills from the reserve *)
-  mutable pp_drains : int; (* batched drains back to the reserve *)
-  mutable pp_jitter : int;
-      (* LCG state desynchronizing the refill backoff across sockets:
-         without it, shards probing a fragmented reserve halve their
-         asks in lockstep and stampede the same extent sizes *)
-}
-
 type t = {
   sched : Sched.t;
   pmem : Pmem.t;
@@ -118,9 +101,8 @@ type t = {
   topo : Numa.t;
   lease_ns : float;
   node_allocs : Extent_alloc.t array;
-      (* the global reserve: one extent allocator per node, refilling
-         and draining the per-node pools in batches *)
-  pools : page_pool array; (* one per node, same indexing as node_allocs *)
+      (* free pages: one extent allocator per node, which every
+         allocation draws from and every free returns to directly *)
   shards : shard array; (* one per NUMA socket *)
   page_owner : (int, page_owner) Hashtbl.t; (* absent = Free *)
   ino_owner : (int, ino_owner) Hashtbl.t; (* absent = Ino_free *)
@@ -158,7 +140,7 @@ type t = {
       (* observability tap (Vfs counters): fired per drained batch *)
   snap_pinned : (int, unit) Hashtbl.t;
       (* payload-chain pages of the current durable snapshot root:
-         taken from the pools but owned by the snapshot plane (owner
+         taken from the free pages but owned by the snapshot plane (owner
          stays Free, invisible to the GC sweep), pinned against reuse
          until the next root supersedes them.  The accounting invariant
          carries them as the snap_pinned term (DESIGN.md §4.16). *)
@@ -228,88 +210,22 @@ let set_shadow t ino s = Hashtbl.replace t.shadow ino s
 let remove_shadow t ino = Hashtbl.remove t.shadow ino
 
 (* ------------------------------------------------------------------ *)
-(* Per-node page pools *)
+(* Free pages *)
 
-(* Pull up to [want] pages from the node's reserve into its pool,
-   preferring one large extent and degrading geometrically under
-   fragmentation.  Returns how many pages actually arrived. *)
-let pool_refill t ~node ~want =
-  let reserve = t.node_allocs.(node) in
-  let pool = t.pools.(node) in
-  let got = ref 0 in
-  let ask = ref want in
-  while !got < want && !ask > 0 do
-    (match Extent_alloc.alloc reserve !ask with
-    | start ->
-      pool.pp_pages <- List.rev_append (List.init !ask (fun i -> start + i)) pool.pp_pages;
-      pool.pp_len <- pool.pp_len + !ask;
-      got := !got + !ask
-    | exception Extent_alloc.Out_of_space ->
-      (* Jittered geometric backoff: nudge the halved ask by -1/0/+1
-         from the pool's LCG so shards probing the same fragmented
-         reserve don't converge on identical extent sizes in lockstep.
-         Strictly decreasing (<= ask - 1), so termination holds. *)
-      pool.pp_jitter <- ((pool.pp_jitter * 1103515245) + 12345) land 0x3FFFFFFF;
-      let j = ((pool.pp_jitter lsr 16) mod 3) - 1 in
-      ask := max 0 (min (!ask - 1) ((!ask / 2) + j)));
-    ask := min !ask (want - !got)
-  done;
-  if !got > 0 then pool.pp_refills <- pool.pp_refills + 1;
-  !got
-
-(* Pages pulled per reserve refill, and the pool length that triggers a
-   drain. *)
-let pool_refill_batch = 64
-let pool_high_water = 256
-
-(* Take [count] pages from [node]'s pool, batch-refilling from the
-   reserve when short.  [None] means pool and reserve are both dry —
-   the caller decides about cross-node fallback. *)
-let pool_take t ~node ~count =
-  let pool = t.pools.(node) in
-  if pool.pp_len < count then
-    ignore (pool_refill t ~node ~want:(max (count - pool.pp_len) pool_refill_batch));
-  if pool.pp_len < count then None
-  else begin
+(* Take [count] pages from [node]'s extent allocator, lowest first, or
+   none when it holds fewer: the caller decides about other nodes. *)
+let take_free t ~node ~count =
+  let a = t.node_allocs.(node) in
+  if Extent_alloc.free_units a < count then None
+  else
     let rec take n acc =
-      if n = 0 then acc
-      else
-        match pool.pp_pages with
-        | pg :: rest ->
-          pool.pp_pages <- rest;
-          take (n - 1) (pg :: acc)
-        | [] -> assert false
+      if n = 0 then List.rev acc else take (n - 1) (Extent_alloc.alloc_one a :: acc)
     in
-    let pages = take count [] in
-    pool.pp_len <- pool.pp_len - count;
-    Some pages
-  end
+    Some (take count [])
 
-(* Batched drain: a pool past its high-water mark returns half to the
-   reserve, so a free-heavy phase on one socket does not strand the
-   whole device's free space in that socket's pool. *)
-let pool_drain_excess t pool =
-  if pool.pp_len > pool_high_water then begin
-    let target = pool_high_water / 2 in
-    while pool.pp_len > target do
-      match pool.pp_pages with
-      | pg :: rest ->
-        pool.pp_pages <- rest;
-        pool.pp_len <- pool.pp_len - 1;
-        Extent_alloc.free t.node_allocs.(pool.pp_node) pg 1
-      | [] -> assert false
-    done;
-    pool.pp_drains <- pool.pp_drains + 1
-  end
-
-(* Return a freed page to its node's pool. *)
-let pool_put t pg =
-  let pool = t.pools.(node_of_page t pg) in
-  pool.pp_pages <- pg :: pool.pp_pages;
-  pool.pp_len <- pool.pp_len + 1;
-  pool_drain_excess t pool
-
-let pooled_pages t = Array.fold_left (fun acc p -> acc + p.pp_len) 0 t.pools
+(* Return a page to its node's extent allocator, which raises on a
+   double free. *)
+let put_free t pg = Extent_alloc.free t.node_allocs.(node_of_page t pg) pg 1
 
 (* Snapshot-plane bookkeeping (see {!Ctl_snapshot}). *)
 let snap_pinned_mem t pg = Hashtbl.mem t.snap_pinned pg
@@ -375,10 +291,6 @@ let make ~sched ~pmem ~mmu ~lease_ns =
     topo;
     lease_ns;
     node_allocs = make_node_allocs topo ~pages_per_node:(Pmem.pages_per_node pmem);
-    pools =
-      Array.init nodes (fun n ->
-          { pp_node = n; pp_pages = []; pp_len = 0; pp_refills = 0; pp_drains = 0;
-            pp_jitter = ((n + 1) * 0x9E3779B9) land 0x3FFFFFFF });
     shards = Array.init nodes make_shard;
     page_owner = Hashtbl.create 4096;
     ino_owner = Hashtbl.create 1024;

@@ -2,9 +2,10 @@
     construction, the verifier view, cold start.  The registry tables
     (page owner, ino owner, shadow inodes, files) are one per
     controller; submodules access them only through the accessors
-    below.  Per-socket state is limited to page pools, verifier fibers
-    and ring drains (DESIGN.md §4.14).  Internal to [lib/core] —
-    external code goes through the {!Controller} facade. *)
+    below.  Per-socket state is limited to verifier fibers and ring
+    drains; pages come straight from the per-node extent allocators
+    (DESIGN.md §4.14).  Internal to [lib/core] — external code goes
+    through the {!Controller} facade. *)
 
 module Sched = Trio_sim.Sched
 module Stats = Trio_sim.Stats
@@ -75,16 +76,6 @@ type shard = {
   mutable sh_ring_wakes : int;
 }
 
-type page_pool = {
-  pp_node : int;
-  mutable pp_pages : int list;
-  mutable pp_len : int;
-  mutable pp_refills : int;
-  mutable pp_drains : int;
-  mutable pp_jitter : int;
-      (** LCG state desynchronizing refill backoff across sockets *)
-}
-
 type t = {
   sched : Sched.t;
   pmem : Pmem.t;
@@ -92,7 +83,6 @@ type t = {
   topo : Numa.t;
   lease_ns : float;
   node_allocs : Extent_alloc.t array;
-  pools : page_pool array;
   shards : shard array;
   page_owner : (int, page_owner) Hashtbl.t;  (** absent = [Free] *)
   ino_owner : (int, ino_owner) Hashtbl.t;  (** absent = [Ino_free] *)
@@ -165,12 +155,15 @@ val shadow_mem : t -> int -> bool
 val set_shadow : t -> int -> Verifier.shadow -> unit
 val remove_shadow : t -> int -> unit
 
-(** {2 Per-node page pools} *)
+(** {2 Free pages} *)
 
-val pool_refill : t -> node:int -> want:int -> int
-val pool_take : t -> node:int -> count:int -> int list option
-val pool_put : t -> int -> unit
-val pooled_pages : t -> int
+val take_free : t -> node:int -> count:int -> int list option
+(** All [count] pages from [node]'s extent allocator, lowest first, or
+    [None] (taking nothing) when the node holds fewer. *)
+
+val put_free : t -> int -> unit
+(** Return a page to its node's extent allocator; raises
+    [Invalid_argument] on a double free. *)
 
 (** {2 Snapshot-plane bookkeeping (see {!Ctl_snapshot})} *)
 

@@ -137,7 +137,7 @@ let scrub_file_page ctl st ~ino ~page ~lines =
            (DESIGN.md §4.18), the dentry pages are the source of truth.
            Rebuild the whole tree from the live dentries, then zero-fill
            the damaged lines of the now-free page so the media heals
-           before the pool hands it out again.  No migration, no
+           before the allocator hands it out again.  No migration, no
            degradation, nothing lost. *)
         (match Controller.rebuild_dindex ctl ~ino with
         | Ok _ ->

@@ -163,6 +163,40 @@ let test_free_pages_revokes () =
       | _ -> Alcotest.fail "freed page still writable"
       | exception Pmem.Mmu_fault _ -> ())
 
+(* A freed page must be revoked before anyone can be handed it: proc 2
+   allocates while proc 1's free is still charging its unmap cost, gets
+   the very page proc 1 freed, and must keep its grant. *)
+let test_free_revokes_before_reuse () =
+  Helpers.run_sim (fun env ->
+      let ctl = env.Helpers.ctl and pmem = env.Helpers.pmem in
+      Controller.register_process ctl ~proc:1 ~cred:{ uid = 1; gid = 1 } ();
+      Controller.register_process ctl ~proc:2 ~cred:{ uid = 2; gid = 2 } ();
+      let freed =
+        Helpers.check_ok "alloc"
+          (Controller.alloc_pages ctl ~proc:1 ~node:0 ~count:1 ~kind:Pmem.Data)
+      in
+      let reused = ref [] and finished = ref 0 in
+      Sched.spawn env.Helpers.sched ~cpu:0 (fun () ->
+          Helpers.check_ok "free" (Controller.free_pages ctl ~proc:1 ~pages:freed);
+          incr finished);
+      Sched.spawn env.Helpers.sched ~cpu:1 (fun () ->
+          (* land inside the free's page-table delay, after its release *)
+          Sched.delay 100.0;
+          reused :=
+            Helpers.check_ok "realloc"
+              (Controller.alloc_pages ctl ~proc:2 ~node:0 ~count:1 ~kind:Pmem.Data);
+          incr finished);
+      Sched.delay 1.0e6;
+      Alcotest.(check int) "both finished" 2 !finished;
+      Alcotest.(check (list int)) "proc 2 got the freed page" freed !reused;
+      let addr = List.hd freed * 4096 in
+      (match Pmem.write_u64 pmem ~actor:2 ~addr 2 with
+      | () -> ()
+      | exception Pmem.Mmu_fault _ -> Alcotest.fail "new owner lost its grant");
+      match Pmem.write_u64 pmem ~actor:1 ~addr 1 with
+      | () -> Alcotest.fail "old owner can still write the reused page"
+      | exception Pmem.Mmu_fault _ -> ())
+
 let test_free_foreign_pages_refused () =
   Helpers.run_sim (fun env ->
       let ctl = env.Helpers.ctl in
@@ -489,6 +523,7 @@ let () =
           Alcotest.test_case "alloc grants access" `Quick test_alloc_pages_grants_access;
           Alcotest.test_case "unallocated faults" `Quick test_unallocated_page_faults;
           Alcotest.test_case "free revokes" `Quick test_free_pages_revokes;
+          Alcotest.test_case "free revokes before reuse" `Quick test_free_revokes_before_reuse;
           Alcotest.test_case "free foreign refused" `Quick test_free_foreign_pages_refused;
           Alcotest.test_case "inos distinct" `Quick test_alloc_inos_distinct;
         ] );

@@ -1,60 +1,73 @@
-(* Per-socket shards of the controller: page pools (batched
-   refill/drain against the global reserve), the balanced accounting
-   invariant across the failure-plane explorers, and cross-directory
-   rename under writer death (DESIGN.md §4.14). *)
+(* Per-socket shards of the controller: per-node free pages (the
+   allocator's node contract), the balanced accounting invariant across
+   the failure-plane explorers, and cross-directory rename under writer
+   death (DESIGN.md §4.14). *)
 
 module Sched = Trio_sim.Sched
+module Pmem = Trio_nvm.Pmem
 module Controller = Trio_core.Controller
 module Fs = Trio_core.Fs_intf
 module Libfs = Arckfs.Libfs
 module Script = Trio_check.Script
 module Explore = Trio_check.Explore
 module Rng = Trio_util.Rng
+open Trio_core.Fs_types
 
 let timeout_ns = 1.0e6
 
 (* ------------------------------------------------------------------ *)
-(* Per-socket page pools *)
+(* Per-node free pages *)
 
-let test_pool_exhaustion_batch_refill () =
+let free_counts ctl = List.map (fun s -> s.Controller.ss_reserve_free) (Controller.shard_stats ctl)
+
+(* A draw comes whole from one node: the requested one if it can cover
+   it, else the next that can; a draw no node covers takes nothing. *)
+let test_draw_spills_whole_or_not_at_all () =
+  Helpers.run_sim ~pages_per_node:64 (fun env ->
+      let ctl = env.Helpers.ctl in
+      Controller.register_process ctl ~proc:1 ~cred:{ uid = 1; gid = 1 } ();
+      let n0, n1 =
+        match free_counts ctl with [ a; b ] -> (a, b) | _ -> Alcotest.fail "two nodes"
+      in
+      let pages =
+        Helpers.check_ok "spilling draw"
+          (Controller.alloc_pages ctl ~proc:1 ~node:0 ~count:(n0 + 1) ~kind:Pmem.Data)
+      in
+      Alcotest.(check bool)
+        "every page from node 1" true
+        (List.for_all (fun pg -> Controller.node_of_page ctl pg = 1) pages);
+      Alcotest.(check (list int)) "node 0 untouched" [ n0; n1 - n0 - 1 ] (free_counts ctl);
+      Helpers.check_err "no node covers the draw" ENOSPC
+        (Controller.alloc_pages ctl ~proc:1 ~node:1 ~count:(max n0 (n1 - n0 - 1) + 1)
+           ~kind:Pmem.Data);
+      Alcotest.(check (list int)) "failed draw took nothing" [ n0; n1 - n0 - 1 ] (free_counts ctl);
+      Helpers.check_ok "free" (Controller.free_pages ctl ~proc:1 ~pages);
+      Alcotest.(check (list int)) "both nodes restored" [ n0; n1 ] (free_counts ctl))
+
+(* 200 two-page files, then their unlinks: every page returns and the
+   balanced accounting still holds. *)
+let test_create_unlink_churn_balances () =
   Helpers.run_sim ~pages_per_node:2048 (fun env ->
       let ctl = env.Helpers.ctl in
-      (* 200 two-page files, then their unlinks, cross both fixed pool
-         limits: the 64-page refill batch and the 256-page high water *)
       let fs1 = Helpers.mount ~proc:1 env in
       let ops1 = Libfs.ops fs1 in
-      Helpers.check_ok "mkdir" (ops1.Fs.mkdir "/pool" 0o755);
+      Helpers.check_ok "mkdir" (ops1.Fs.mkdir "/churn" 0o755);
       for i = 0 to 199 do
         Helpers.check_ok "write"
-          (Fs.write_file ops1 (Printf.sprintf "/pool/f%03d" i) (String.make 8192 'p'))
+          (Fs.write_file ops1 (Printf.sprintf "/churn/f%03d" i) (String.make 8192 'p'))
       done;
-      let refills =
-        List.fold_left
-          (fun acc s -> acc + s.Controller.ss_pool_refills)
-          0 (Controller.shard_stats ctl)
-      in
-      Alcotest.(check bool) "pools refilled in batches from the reserve" true (refills >= 2);
       for i = 0 to 199 do
-        Helpers.check_ok "unlink" (ops1.Fs.unlink (Printf.sprintf "/pool/f%03d" i))
+        Helpers.check_ok "unlink" (ops1.Fs.unlink (Printf.sprintf "/churn/f%03d" i))
       done;
       Libfs.unmap_everything fs1;
-      let stats = Controller.shard_stats ctl in
-      let drains = List.fold_left (fun acc s -> acc + s.Controller.ss_pool_drains) 0 stats in
-      Alcotest.(check bool) "mass frees drained pools back to the reserve" true (drains >= 1);
-      List.iter
-        (fun s ->
-          Alcotest.(check bool) "pool bounded by its high water" true
-            (s.Controller.ss_pool_free <= 256))
-        stats;
       let gc = Controller.gc_once ctl in
       Alcotest.(check bool) "accounting invariant" true gc.Controller.gc_invariant_ok;
       Alcotest.(check int) "no leaks" 0 gc.Controller.gc_leaked)
 
 (* ------------------------------------------------------------------ *)
 (* Failure-plane exploration: the balanced invariant must hold (summed
-   over all pools) after every explored crash/fault state — the
-   explorer's worlds are two-socket, so every state exercises the
-   per-socket pools. *)
+   over both nodes) after every explored crash/fault state — the
+   explorer's worlds are two-socket. *)
 
 let test_proc_death_invariant_across_shards () =
   let rng = Rng.create 11 in
@@ -124,7 +137,7 @@ let test_rename_survives_writer_death () =
         Helpers.check_ok "survivor rename" (ops2.Fs.rename (da ^ "/post_a") (db ^ "/post_c"));
         Libfs.unmap_everything fs2;
         (* no double-free: a page freed twice would break the balanced
-           accounting; run the GC twice so a stale pool entry would show *)
+           accounting; run the GC twice so a stale free entry would show *)
         ignore (Controller.gc_once ctl);
         let gc = Controller.gc_once ctl in
         Alcotest.(check bool)
@@ -138,9 +151,13 @@ let test_rename_survives_writer_death () =
 let () =
   Alcotest.run "shard"
     [
-      ( "pools",
-        [ Alcotest.test_case "exhaustion refills in batches" `Quick
-            test_pool_exhaustion_batch_refill ] );
+      ( "free pages",
+        [
+          Alcotest.test_case "draw spills whole or not at all" `Quick
+            test_draw_spills_whole_or_not_at_all;
+          Alcotest.test_case "create/unlink churn balances" `Quick
+            test_create_unlink_churn_balances;
+        ] );
       ( "invariant",
         [
           Alcotest.test_case "holds across proc-death exploration" `Quick

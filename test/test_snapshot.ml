@@ -120,7 +120,7 @@ let test_publish_alternates_slots () =
         gc.Controller.gc_snap_pinned)
 
 (* Satellite: the accounting identity
-     free + pooled + snap_pinned + reachable + cached + badblocks = total
+     free + snap_pinned + reachable + cached + badblocks = total
    must survive snapshots composed with process death and media
    faults. *)
 let test_snap_pinned_accounting_under_faults () =
