@@ -430,7 +430,7 @@ let stats_cmd =
         Format.printf "per-socket shards (free pages, verify queues):@.%a@."
           Controller.pp_shard_stats
           (Controller.shard_stats rig.Rig.ctl);
-        Format.printf "ring plane (depth, batch histogram, park/wake counts per shard):@.%a@."
+        Format.printf "ring plane (depth, batch histogram, park/wake counts per ring):@.%a@."
           Controller.pp_ring_stats
           (Controller.ring_stats rig.Rig.ctl);
         0)
@@ -968,7 +968,7 @@ let qos_cmd =
             Controller.pp_qos_stats
             (Controller.qos_stats rig.Rig.ctl);
           Format.printf
-            "@.ring plane (SQ-full, park/wake and producer park time per shard):@.%a@."
+            "@.ring plane (SQ-full, park/wake and producer park time per ring):@.%a@."
             Controller.pp_ring_stats
             (Controller.ring_stats rig.Rig.ctl);
           (* Reclaim the SIGKILLed tenant before the rig unmounts. *)

@@ -232,7 +232,7 @@ module Ring = Ctl_ring
 type ring = Ctl_ring.t
 
 let ring_setup = Ctl_gate.ring_setup
-let ring_of = Ctl_gate.ring_of
+let ring_of = Ctl_state.ring_find
 let set_ring_paused = Ctl_gate.set_ring_paused
 let set_ring_hook (t : t) hook = t.Ctl_state.ring_hook <- Some hook
 
@@ -330,78 +330,58 @@ let pp_shard_stat ppf s =
 let pp_shard_stats ppf stats =
   Format.pp_print_list ~pp_sep:Format.pp_print_newline pp_shard_stat ppf stats
 
-(* Per-shard view of the ring plane: drain-side counters live on the
-   shard, producer-side park/wake counters are summed over the rings the
-   shard services.  This is the `trioctl stats` gate-queue-pressure
-   view: before the ring plane there was no way to see queueing into the
-   gate from outside ctl_gate. *)
+(* Per-ring view of the ring plane: the drain fiber's counters and the
+   producer's park/wake counters, both kept on the ring.  This is the
+   `trioctl stats` gate-queue-pressure view: before the ring plane there
+   was no way to see queueing into the gate from outside ctl_gate. *)
 type ring_stat = {
-  rg_shard : int;
-  rg_rings : int;  (** rings serviced by this shard (closed ones included) *)
-  rg_depth : int;  (** submissions not yet taken by a drain fiber *)
-  rg_outstanding : int;  (** submissions not yet reaped by producers *)
-  rg_batches : int;  (** batches drained here, lifetime *)
-  rg_ops : int;  (** ring ops executed here, lifetime *)
+  rg_proc : int;
+  rg_depth : int;  (** submissions not yet taken by the drain fiber *)
+  rg_outstanding : int;  (** submissions not yet reaped by the producer *)
+  rg_batches : int;  (** batches drained, lifetime *)
+  rg_ops : int;  (** ring ops executed, lifetime *)
   rg_fused : int;  (** unmap+remap pairs annihilated in-batch *)
   rg_hist : int array;  (** drained-batch sizes: 1,2,<=4,...,<=64,>64 *)
   rg_sq_parks : int;  (** producer parks on a full SQ *)
   rg_sq_park_ns : float;  (** producer time parked on a full SQ, virtual ns *)
   rg_cq_parks : int;  (** producer parks awaiting a completion *)
-  rg_wakes : int;  (** doorbell wakes into this shard's drain fibers *)
+  rg_wakes : int;  (** wakes of the parked drain fiber *)
   rg_throttle_parks : int;  (** producer parks at the QoS admission gate *)
   rg_throttle_ns : float;  (** producer time parked there, virtual ns *)
 }
 
+(* One record per ring (closed ones included), sorted by process. *)
 let ring_stats (t : t) =
-  let open Ctl_state in
-  let shards = shard_count t in
-  Array.to_list
-    (Array.mapi
-       (fun i (sh : shard) ->
-         let rings = ref 0 and depth = ref 0 and out = ref 0 in
-         let sqp = ref 0 and cqp = ref 0 in
-         let sqp_ns = ref 0.0 and thp = ref 0 and th_ns = ref 0.0 in
-         Hashtbl.iter
-           (fun proc r ->
-             if proc mod shards = i then begin
-               incr rings;
-               depth := !depth + Ctl_ring.depth r;
-               out := !out + Ctl_ring.outstanding r;
-               sqp := !sqp + Ctl_ring.sq_parks r;
-               cqp := !cqp + Ctl_ring.cq_parks r;
-               sqp_ns := !sqp_ns +. Ctl_ring.sq_park_ns r;
-               thp := !thp + Ctl_ring.throttle_parks r;
-               th_ns := !th_ns +. Ctl_ring.throttle_ns r
-             end)
-           t.rings;
+  Hashtbl.to_seq_values t.Ctl_state.rings
+  |> List.of_seq
+  |> List.map (fun r ->
          {
-           rg_shard = i;
-           rg_rings = !rings;
-           rg_depth = !depth;
-           rg_outstanding = !out;
-           rg_batches = sh.sh_ring_batches;
-           rg_ops = sh.sh_ring_ops;
-           rg_fused = sh.sh_ring_fused;
-           rg_hist = Array.copy sh.sh_ring_hist;
-           rg_sq_parks = !sqp;
-           rg_sq_park_ns = !sqp_ns;
-           rg_cq_parks = !cqp;
-           rg_wakes = sh.sh_ring_wakes;
-           rg_throttle_parks = !thp;
-           rg_throttle_ns = !th_ns;
+           rg_proc = Ctl_ring.proc r;
+           rg_depth = Ctl_ring.depth r;
+           rg_outstanding = Ctl_ring.outstanding r;
+           rg_batches = Ctl_ring.batches r;
+           rg_ops = Ctl_ring.ops r;
+           rg_fused = Ctl_ring.fused r;
+           rg_hist = Ctl_ring.hist r;
+           rg_sq_parks = Ctl_ring.sq_parks r;
+           rg_sq_park_ns = Ctl_ring.sq_park_ns r;
+           rg_cq_parks = Ctl_ring.cq_parks r;
+           rg_wakes = Ctl_ring.drain_wakes r;
+           rg_throttle_parks = Ctl_ring.throttle_parks r;
+           rg_throttle_ns = Ctl_ring.throttle_ns r;
          })
-       t.Ctl_state.shards)
+  |> List.sort (fun a b -> compare a.rg_proc b.rg_proc)
 
 let pp_ring_stat ppf s =
   let hist =
     String.concat "/" (List.map string_of_int (Array.to_list s.rg_hist))
   in
   Format.fprintf ppf
-    "shard %d: %d ring(s), depth %d, outstanding %d, %d batch(es) / %d op(s) drained (%d \
-     fused), sizes [%s], %d sq-park(s) %.1fus parked, %d cq-park(s), %d wake(s), %d \
-     throttle-park(s) %.1fus throttled"
-    s.rg_shard s.rg_rings s.rg_depth s.rg_outstanding s.rg_batches s.rg_ops s.rg_fused hist
-    s.rg_sq_parks (s.rg_sq_park_ns /. 1e3) s.rg_cq_parks s.rg_wakes s.rg_throttle_parks
+    "ring %d: depth %d, outstanding %d, %d batch(es) / %d op(s) drained (%d fused), sizes \
+     [%s], %d sq-park(s) %.1fus parked, %d cq-park(s), %d wake(s), %d throttle-park(s) \
+     %.1fus throttled"
+    s.rg_proc s.rg_depth s.rg_outstanding s.rg_batches s.rg_ops s.rg_fused hist s.rg_sq_parks
+    (s.rg_sq_park_ns /. 1e3) s.rg_cq_parks s.rg_wakes s.rg_throttle_parks
     (s.rg_throttle_ns /. 1e3)
 
 let pp_ring_stats ppf stats =

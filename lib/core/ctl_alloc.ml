@@ -30,14 +30,10 @@ let take_pages t ~node ~count =
   in
   spill 0
 
-let alloc_pages t ~proc ~node ~count ~kind =
-  Sched.shield @@ fun () ->
-  Sched.cpu_work Perf.Cpu.syscall;
-  touch t proc;
-  (* The drawing tenant pays one [Page_draw] per page drawn. *)
-  qos_charge t proc Ctl_qos.Syscall;
-  qos_charge t proc ~n:count Ctl_qos.Page_draw;
-  qos_admit t proc;
+(* Hand [count] pages near [node] to [proc]: take them, record the
+   owner, grant the mapping.  The body of [alloc_pages], which the
+   quarantine copy also calls without entering as the offender. *)
+let grant_pages t ~proc ~node ~count ~kind =
   let p = proc_info t proc in
   match take_pages t ~node ~count with
   | None -> Error ENOSPC
@@ -50,6 +46,14 @@ let alloc_pages t ~proc ~node ~count ~kind =
       pages;
     Mmu.grant_extent t.mmu ~actor:proc ~pages ~perm:Mmu.P_readwrite;
     Ok pages
+
+(* The drawing tenant pays one [Page_draw] per page drawn, before
+   admission. *)
+let alloc_pages t ~proc ~node ~count ~kind =
+  syscall t proc ~admit:false @@ fun () ->
+  qos_charge t proc ~n:count Ctl_qos.Page_draw;
+  qos_admit t proc;
+  grant_pages t ~proc ~node ~count ~kind
 
 (* Free a page back to its node, dropping ownership.  A page pinned by
    the snapshot plane never reaches here through a sound path (pinned
@@ -106,12 +110,9 @@ let pin_snapshot_page t pg =
       true
     | exception Extent_alloc.Out_of_space -> false
 
+(* Release path: charged, never delayed (see Ctl_state.qos_admit). *)
 let free_pages t ~proc ~pages =
-  Sched.shield @@ fun () ->
-  Sched.cpu_work Perf.Cpu.syscall;
-  touch t proc;
-  (* Release path: charged, never delayed (see Ctl_state.qos_admit). *)
-  qos_charge t proc Ctl_qos.Syscall;
+  syscall t proc ~admit:false @@ fun () ->
   let p = proc_info t proc in
   let check pg =
     match owner_of t pg with
@@ -162,10 +163,7 @@ let free_pages t ~proc ~pages =
    existing access and reuses the pages directly (the fast truncate /
    rewrite path; the ownership change is what keeps check I2 sound). *)
 let recycle_pages t ~proc ~pages =
-  Sched.shield @@ fun () ->
-  Sched.cpu_work Perf.Cpu.syscall;
-  touch t proc;
-  qos_charge t proc Ctl_qos.Syscall;
+  syscall t proc ~admit:false @@ fun () ->
   let p = proc_info t proc in
   let my_group = group_of t proc in
   let check pg =
@@ -201,11 +199,8 @@ let recycle_pages t ~proc ~pages =
     Ok ()
   end
 
-let alloc_inos t ~proc ~count =
-  Sched.shield @@ fun () ->
-  Sched.cpu_work Perf.Cpu.syscall;
-  touch t proc;
-  charge_syscall t proc;
+(* Hand [count] fresh inos to [proc]: the body of [alloc_inos]. *)
+let grant_inos t ~proc ~count =
   let p = proc_info t proc in
   let inos = List.init count (fun i -> t.next_ino + i) in
   t.next_ino <- t.next_ino + count;
@@ -216,6 +211,9 @@ let alloc_inos t ~proc ~count =
     inos;
   inos
 
+let alloc_inos t ~proc ~count =
+  syscall t proc ~admit:true (fun () -> grant_inos t ~proc ~count)
+
 (* Single-page allocation that may land on any node (scrub migration). *)
 let alloc_page_any_node t ~preferred =
   match take_pages t ~node:preferred ~count:1 with Some [ pg ] -> Some pg | _ -> None
@@ -224,10 +222,7 @@ let alloc_page_any_node t ~preferred =
    caller must hold a write mapping on the file's parent directory —
    that is the permission unlink itself required. *)
 let free_file_tree t ~proc ~ino =
-  Sched.shield @@ fun () ->
-  Sched.cpu_work Perf.Cpu.syscall;
-  touch t proc;
-  qos_charge t proc Ctl_qos.Syscall;
+  syscall t proc ~admit:false @@ fun () ->
   match file_find t ino with
   | None -> Error ENOENT
   | Some f -> (

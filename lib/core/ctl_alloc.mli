@@ -9,6 +9,16 @@ val alloc_pages :
   kind:Trio_nvm.Pmem.kind ->
   (int list, Fs_types.errno) result
 
+val grant_pages :
+  Ctl_state.t ->
+  proc:int ->
+  node:int ->
+  count:int ->
+  kind:Trio_nvm.Pmem.kind ->
+  (int list, Fs_types.errno) result
+(** {!alloc_pages} without its syscall entry: take the pages, record
+    [proc] as their owner, grant the mapping. *)
+
 val release_page : Ctl_state.t -> int -> unit
 (** Drop ownership, discard content, return the page to its node's
     extent allocator: the one path by which an owned page becomes free.
@@ -30,5 +40,9 @@ val pin_snapshot_page : Ctl_state.t -> int -> bool
 val free_pages : Ctl_state.t -> proc:int -> pages:int list -> (unit, Fs_types.errno) result
 val recycle_pages : Ctl_state.t -> proc:int -> pages:int list -> (unit, Fs_types.errno) result
 val alloc_inos : Ctl_state.t -> proc:int -> count:int -> int list
+
+val grant_inos : Ctl_state.t -> proc:int -> count:int -> int list
+(** {!alloc_inos} without its syscall entry. *)
+
 val alloc_page_any_node : Ctl_state.t -> preferred:int -> int option
 val free_file_tree : Ctl_state.t -> proc:int -> ino:int -> (unit, Fs_types.errno) result

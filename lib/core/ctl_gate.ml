@@ -27,17 +27,20 @@ open Fs_types
 open Ctl_state
 
 (* Preserve the offender's corrupted bytes as a private quarantine file so
-   no data is silently lost (§4.3). *)
+   no data is silently lost (§4.3).  It runs inside a verification, often
+   in a verifier fiber the socket's tenants share, so it allocates through
+   the bodies, not the offender's syscall entry: no trap, heartbeat,
+   charge or admission wait on the offender's behalf. *)
 let quarantine_copy t f ~offender =
   let actor = Pmem.kernel_actor in
   let pages = f.f_index_pages @ f.f_data_pages @ f.f_dindex_pages in
-  let qino = List.hd (Ctl_alloc.alloc_inos t ~proc:offender ~count:1) in
+  let qino = List.hd (Ctl_alloc.grant_inos t ~proc:offender ~count:1) in
   (* Copy every current page into fresh pages owned by the offender. *)
   List.iter
     (fun pg ->
       let node = node_of_page t pg in
       match
-        Ctl_alloc.alloc_pages t ~proc:offender ~node ~count:1 ~kind:(Pmem.kind_of t.pmem pg)
+        Ctl_alloc.grant_pages t ~proc:offender ~node ~count:1 ~kind:(Pmem.kind_of t.pmem pg)
       with
       | Ok [ dst ] ->
         let b = Pmem.read t.pmem ~actor ~addr:(pg * page_size) ~len:page_size in
@@ -522,14 +525,9 @@ let unmap_file_body t ~proc ~ino =
     end
     else Error EBADF
 
-let unmap_file t ~proc ~ino =
-  Sched.shield @@ fun () ->
-  Sched.cpu_work Perf.Cpu.syscall;
-  touch t proc;
-  (* Release path: charged but never delayed — stalling a throttled
-     tenant's unmap would block honest waiters on the lease it holds. *)
-  qos_charge t proc Ctl_qos.Syscall;
-  unmap_file_body t ~proc ~ino
+(* Release path: charged but never delayed — stalling a throttled
+   tenant's unmap would block honest waiters on the lease it holds. *)
+let unmap_file t ~proc ~ino = syscall t proc ~admit:false (fun () -> unmap_file_body t ~proc ~ino)
 
 (* Force-unmap the current holder(s) after lease expiry; charged to the
    fiber that requests the conflicting access — including the
@@ -736,20 +734,13 @@ let map_file_body t ~proc ~ino ~write =
           end)))
 
 let map_file t ~proc ~ino ~write =
-  Sched.shield @@ fun () ->
-  Sched.cpu_work Perf.Cpu.syscall;
-  touch t proc;
-  charge_syscall t proc;
-  map_file_body t ~proc ~ino ~write
+  syscall t proc ~admit:true (fun () -> map_file_body t ~proc ~ino ~write)
 
 (* Commit: re-verify now and, on success, replace the checkpoint so a
    later rollback cannot lose the committed changes (§4.3).  Stays
    synchronous — the caller asked for the verdict. *)
 let commit t ~proc ~ino =
-  Sched.shield @@ fun () ->
-  Sched.cpu_work Perf.Cpu.syscall;
-  touch t proc;
-  charge_syscall t proc;
+  syscall t proc ~admit:true @@ fun () ->
   match file_find t ino with
   | None -> Error ENOENT
   | Some f ->
@@ -780,10 +771,7 @@ let unmap_all t ~proc =
 (* Permission changes go through the kernel: the shadow inode is the
    ground truth (I4). *)
 let chmod t ~proc ~ino ~mode =
-  Sched.shield @@ fun () ->
-  Sched.cpu_work Perf.Cpu.syscall;
-  touch t proc;
-  charge_syscall t proc;
+  syscall t proc ~admit:true @@ fun () ->
   match (shadow_find t ino, file_find t ino) with
   | Some s, Some f ->
     let cred = cred_of_proc t proc in
@@ -798,10 +786,7 @@ let chmod t ~proc ~ino ~mode =
   | _ -> Error ENOENT
 
 let chown t ~proc ~ino ~uid ~gid =
-  Sched.shield @@ fun () ->
-  Sched.cpu_work Perf.Cpu.syscall;
-  touch t proc;
-  charge_syscall t proc;
+  syscall t proc ~admit:true @@ fun () ->
   match (shadow_find t ino, file_find t ino) with
   | Some s, Some f ->
     let cred = cred_of_proc t proc in
@@ -859,32 +844,19 @@ let crash_recover t =
 (* ------------------------------------------------------------------ *)
 (* The ring drain plane (DESIGN.md §4.15).
 
-   Each registered ring gets one drain fiber, pinned to a CPU of the
-   shard ([proc mod shards]) that services it — but the fibers of a
-   shard pull from a *shared* work queue of rings-with-pending-entries,
-   so any fiber can drain any of its shard's rings and a ring whose
-   fiber is stuck behind a lease wait does not stall its neighbors.
-   FIFO per ring is preserved by the [busy] guard: only one fiber runs
-   a given ring's batch at a time, so a producer's unmap-then-remap of
-   the same directory executes in program order.
+   Each registered ring gets one drain fiber, pinned to a CPU of socket
+   [proc mod sockets], and that fiber drains that ring alone: it takes
+   batches while the SQ holds entries and parks on the ring when it is
+   empty, until the producer's doorbell wakes it.  One consumer keeps
+   the ring FIFO, so a producer's unmap-then-remap of the same
+   directory executes in program order, and a fiber stuck behind a
+   lease wait stalls only its own ring.
 
    The batch is the unit of cost: one kernel crossing and one heartbeat
    cover up to [ring_batch_limit] operations, which is the protocol's
    entire point. *)
 
 let ring_batch_limit = 64
-
-(* Log-bucket index for the drained-batch histogram:
-   1, 2, <=4, <=8, <=16, <=32, <=64, >64. *)
-let hist_bucket n =
-  if n <= 1 then 0
-  else if n = 2 then 1
-  else if n <= 4 then 2
-  else if n <= 8 then 3
-  else if n <= 16 then 4
-  else if n <= 32 then 5
-  else if n <= 64 then 6
-  else 7
 
 let run_ring_op t ~proc = function
   | Ctl_ring.Op_map { ino; write } -> map_file_body t ~proc ~ino ~write
@@ -952,138 +924,69 @@ let plan_fusion batch =
   done;
   (arr, partner, deferred)
 
-let drain_one_ring t (sh : shard) ring =
+(* Called only while the ring has entries, so the batch is never empty. *)
+let drain_one_ring t ring =
   let proc = Ctl_ring.proc ring in
-  match Ctl_ring.take_batch ring ~max:ring_batch_limit with
-  | [] -> ()
-  | batch ->
-    let n = List.length batch in
-    sh.sh_ring_batches <- sh.sh_ring_batches + 1;
-    sh.sh_ring_ops <- sh.sh_ring_ops + n;
-    sh.sh_ring_hist.(hist_bucket n) <- sh.sh_ring_hist.(hist_bucket n) + 1;
-    (match t.ring_hook with
-    | Some hook -> hook ~shard:sh.sh_id ~batch:n ~depth:(Ctl_ring.depth ring)
-    | None -> ());
-    let arr, partner, deferred = plan_fusion batch in
-    Sched.shield (fun () ->
-        Sched.cpu_work Perf.Cpu.syscall;
-        touch t proc;
-        (* Ring slots are charged at batch granularity when drained —
-           never delayed here: a drain fiber serves every tenant on this
-           shard, so it must not stall on one tenant's debt.  The debt
-           instead gates the debtor's next submit at the ring mouth. *)
-        qos_charge t proc ~n Ctl_qos.Ring_slot;
-        Array.iteri
-          (fun idx (seq, op) ->
-            (* Re-check liveness per op: the watchdog may tear the
-               producer down while an earlier op of this very batch is
-               settling a verification. *)
-            let dead () = Ctl_ring.is_closed ring || (proc_info t proc).p_dead in
-            if deferred.(idx) then () (* settled at its partner map *)
-            else if partner.(idx) >= 0 then begin
-              let useq, uop = arr.(partner.(idx)) in
-              if dead () then begin
-                Ctl_ring.post ring ~seq:useq (Error EIO);
-                Ctl_ring.post ring ~seq (Error EIO)
-              end
-              else if
-                match op with
-                | Ctl_ring.Op_map { ino; write } -> try_fuse_remap t ~proc ~ino ~write
-                | _ -> false
-              then begin
-                sh.sh_ring_fused <- sh.sh_ring_fused + 1;
-                Ctl_ring.post ring ~seq:useq (Ok ());
-                Ctl_ring.post ring ~seq (Ok ())
-              end
-              else begin
-                (* Real handoff: run the deferred unmap, then the map. *)
-                Ctl_ring.post ring ~seq:useq (run_ring_op t ~proc uop);
-                let result = if dead () then Error EIO else run_ring_op t ~proc op in
-                Ctl_ring.post ring ~seq result
-              end
+  let batch = Ctl_ring.take_batch ring ~max:ring_batch_limit in
+  let n = List.length batch in
+  (match t.ring_hook with
+  | Some hook -> hook ~shard:(proc mod shard_count t) ~batch:n ~depth:(Ctl_ring.depth ring)
+  | None -> ());
+  let arr, partner, deferred = plan_fusion batch in
+  Sched.shield (fun () ->
+      Sched.cpu_work Perf.Cpu.syscall;
+      touch t proc;
+      (* Ring slots are charged at batch granularity when drained —
+         never delayed here: every entry was already admitted at the
+         ring mouth, and the debt this charge leaves gates the
+         debtor's next submit there.  Delaying the drain as well
+         would make the tenant wait out one debt twice. *)
+      qos_charge t proc ~n Ctl_qos.Ring_slot;
+      Array.iteri
+        (fun idx (seq, op) ->
+          (* Re-check liveness per op: the watchdog may tear the
+             producer down while an earlier op of this very batch is
+             settling a verification. *)
+          let dead () = Ctl_ring.is_closed ring || (proc_info t proc).p_dead in
+          if deferred.(idx) then () (* settled at its partner map *)
+          else if partner.(idx) >= 0 then begin
+            let useq, uop = arr.(partner.(idx)) in
+            if dead () then begin
+              Ctl_ring.post ring ~seq:useq (Error EIO);
+              Ctl_ring.post ring ~seq (Error EIO)
+            end
+            else if
+              match op with
+              | Ctl_ring.Op_map { ino; write } -> try_fuse_remap t ~proc ~ino ~write
+              | _ -> false
+            then begin
+              Ctl_ring.note_fused ring;
+              Ctl_ring.post ring ~seq:useq (Ok ());
+              Ctl_ring.post ring ~seq (Ok ())
             end
             else begin
+              (* Real handoff: run the deferred unmap, then the map. *)
+              Ctl_ring.post ring ~seq:useq (run_ring_op t ~proc uop);
               let result = if dead () then Error EIO else run_ring_op t ~proc op in
               Ctl_ring.post ring ~seq result
-            end)
-          arr)
+            end
+          end
+          else begin
+            let result = if dead () then Error EIO else run_ring_op t ~proc op in
+            Ctl_ring.post ring ~seq result
+          end)
+        arr)
 
-(* Weighted round-robin across tenants: with QoS active, serve the
-   queued proc whose trust group has the highest token balance (the most
-   under-served tenant) instead of strict FIFO, so one tenant's 64-op
-   batches cannot starve others out of the drain plane.  Safe to
-   reorder: each proc appears at most once in the queue (is_queued
-   dedup) and its own ring still drains in submission order.  Without
-   any enforced tenant this is exact FIFO, preserving the ring plane's
-   existing behavior. *)
-let pick_ring_proc t (sh : shard) =
-  if (not (Ctl_qos.enforced (qos t))) || Queue.length sh.sh_ring_q < 2 then
-    Queue.take_opt sh.sh_ring_q
-  else begin
-    let now = Sched.now t.sched in
-    let procs = List.of_seq (Queue.to_seq sh.sh_ring_q) in
-    let balance p =
-      match Hashtbl.find_opt t.procs p with
-      | Some pi -> Ctl_qos.balance (qos t) ~group:pi.p_group ~now
-      | None -> neg_infinity
-    in
-    let best =
-      List.fold_left
-        (fun acc p ->
-          match acc with
-          | Some (_, b) when b >= balance p -> acc
-          | _ -> Some (p, balance p))
-        None procs
-    in
-    match best with
-    | None -> None
-    | Some (p, _) ->
-      Queue.clear sh.sh_ring_q;
-      List.iter (fun q -> if q <> p then Queue.push q sh.sh_ring_q) procs;
-      Some p
-  end
-
-let rec ring_service t (sh : shard) =
-  if t.ring_paused then begin
-    Sched.park (fun waker -> Queue.push waker sh.sh_rq_idle);
-    ring_service t sh
-  end
-  else
-    match pick_ring_proc t sh with
-    | Some proc ->
-      (match ring_find t proc with
-      | Some ring when not (Ctl_ring.is_busy ring) ->
-        Ctl_ring.set_queued ring false;
-        Ctl_ring.set_busy ring true;
-        drain_one_ring t sh ring;
-        Ctl_ring.set_busy ring false;
-        (* Entries that arrived mid-batch saw [queued = false] only if
-           their doorbell fired before we cleared it — re-check. *)
-        if Ctl_ring.depth ring > 0 && not (Ctl_ring.is_queued ring) then begin
-          Ctl_ring.set_queued ring true;
-          Queue.push proc sh.sh_ring_q
-        end
-      | Some ring ->
-        (* Another fiber is mid-batch on this ring; it re-checks depth
-           when it finishes, so dropping the queue entry loses nothing. *)
-        Ctl_ring.set_queued ring false
-      | None -> ());
-      ring_service t sh
-    | None ->
-      Sched.park (fun waker -> Queue.push waker sh.sh_rq_idle);
-      ring_service t sh
+(* Body of a ring's drain fiber: drain while the ring has entries, park
+   on it when it is empty (or while the plane is paused). *)
+let rec ring_service t ring =
+  if (not t.ring_paused) && Ctl_ring.depth ring > 0 then drain_one_ring t ring
+  else Ctl_ring.park_drainer ring;
+  ring_service t ring
 
 let ring_setup t ~proc ~depth =
   if Hashtbl.mem t.rings proc then invalid_arg "Controller.ring_setup: ring exists";
-  let sh = ring_shard t proc in
   let ring = Ctl_ring.create ~proc ~capacity:depth in
-  Ctl_ring.set_notify ring (fun () ->
-      if not (Ctl_ring.is_queued ring) then begin
-        Ctl_ring.set_queued ring true;
-        Queue.push proc sh.sh_ring_q;
-        sh.sh_ring_wakes <- sh.sh_ring_wakes + 1;
-        match Queue.take_opt sh.sh_rq_idle with Some wake -> wake () | None -> ()
-      end);
   Ctl_ring.set_clock ring (fun () -> Sched.now t.sched);
   Ctl_ring.set_qos ring
     ~gate:(fun () -> qos_admission t proc)
@@ -1094,23 +997,17 @@ let ring_setup t ~proc ~depth =
       | Some pi ->
         Ctl_qos.note_throttled (qos t) ~group:pi.p_group ~now:(Sched.now t.sched) ~ns
       | None -> ());
+  (* Rings are never removed: counting the socket's rings gives this
+     fiber the socket's next CPU. *)
+  let node = proc mod shard_count t in
+  let on_node p _ n = if p mod shard_count t = node then n + 1 else n in
+  let cpu = Numa.cpu_of_node_local t.topo ~node ~local:(Hashtbl.fold on_node t.rings 0) in
   Hashtbl.replace t.rings proc ring;
-  let local = sh.sh_ring_fibers in
-  sh.sh_ring_fibers <- local + 1;
-  let cpu = Trio_nvm.Numa.cpu_of_node_local t.topo ~node:sh.sh_id ~local in
-  Sched.spawn ~cpu t.sched (fun () -> ring_service t sh);
+  Sched.spawn ~cpu t.sched (fun () -> ring_service t ring);
   ring
 
-let ring_of t proc = ring_find t proc
-
-(* Test hook: a paused drain plane parks instead of consuming — the
+(* Test hook: paused drain fibers park instead of consuming — the
    staging ground for the dead-consumer/full-ring failure scenario. *)
 let set_ring_paused t b =
   t.ring_paused <- b;
-  if not b then
-    Array.iter
-      (fun (sh : shard) ->
-        while not (Queue.is_empty sh.sh_rq_idle) do
-          (Queue.pop sh.sh_rq_idle) ()
-        done)
-      t.shards
+  if not b then Hashtbl.iter (fun _ ring -> Ctl_ring.wake_drainer ring) t.rings

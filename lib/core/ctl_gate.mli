@@ -36,10 +36,9 @@ val crash_recover : Ctl_state.t -> unit
 
 val ring_setup : Ctl_state.t -> proc:int -> depth:int -> Ctl_ring.t
 (** Create [proc]'s submission/completion ring and spawn its drain
-    fiber on the servicing shard ([proc mod shards]). *)
-
-val ring_of : Ctl_state.t -> int -> Ctl_ring.t option
+    fiber, which drains that ring alone, on a CPU of socket
+    [proc mod sockets]. *)
 
 val set_ring_paused : Ctl_state.t -> bool -> unit
 (** Test hook: paused drain fibers park instead of consuming;
-    unpausing wakes them all. *)
+    unpausing wakes every ring's fiber. *)

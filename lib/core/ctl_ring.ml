@@ -30,8 +30,10 @@
    treat the ring as empty.  Producers parked on a full SQ or on a
    pending completion are woken and observe [Error EIO].
 
-   This module only moves entries; it performs no controller work.  The
-   drain plane lives in {!Ctl_gate}. *)
+   Each ring has one consumer, its drain fiber, which parks on the ring
+   while the SQ is empty; the producer's doorbell wakes it.  This module
+   moves entries and keeps both sides' counters; the drain fiber's
+   controller work lives in {!Ctl_gate}. *)
 
 module Sched = Trio_sim.Sched
 module Perf = Trio_nvm.Perf
@@ -51,14 +53,10 @@ type t = {
   mutable r_cq_tail : int; (* completions ever posted (or dropped) *)
   mutable r_reaped : int; (* completions ever consumed (or dropped) *)
   mutable r_closed : bool;
-  mutable r_queued : bool; (* on its shard's drain queue right now *)
-  mutable r_busy : bool;
-      (* a drain fiber is executing a batch right now: a second fiber
-         must not start another, or the ring's FIFO order would break *)
+  mutable r_drainer : Sched.waker option; (* the drain fiber, parked on an empty SQ *)
   r_full_waiters : Sched.waker Queue.t; (* producers parked on a full SQ *)
   r_cq_waiters : (int, Sched.waker) Hashtbl.t; (* seq -> parked producer *)
   r_drain_waiters : Sched.waker Queue.t; (* producers in [drain] *)
-  mutable r_notify : unit -> unit; (* doorbell into the drain plane *)
   r_forget : (int, unit) Hashtbl.t; (* fire-and-forget seqs: auto-reap *)
   mutable r_sq_parks : int;
   mutable r_cq_parks : int;
@@ -75,8 +73,11 @@ type t = {
   mutable r_note_throttle : float -> unit; (* report parked ns to the QoS plane *)
   mutable r_throttle_parks : int;
   mutable r_throttle_ns : float;
-  mutable r_last_throttle_deadline : float;
-      (* deadline carried by the last EAGAIN a nowait submit returned *)
+  mutable r_batches : int; (* drain side: batches taken *)
+  mutable r_ops : int; (* entries taken *)
+  mutable r_fused : int; (* unmap+remap pairs annihilated in-batch *)
+  r_hist : int array; (* taken-batch sizes, see [hist_bucket] *)
+  mutable r_drain_wakes : int; (* wakes of the parked drain fiber *)
 }
 
 let create ~proc ~capacity =
@@ -91,12 +92,10 @@ let create ~proc ~capacity =
     r_cq_tail = 0;
     r_reaped = 0;
     r_closed = false;
-    r_queued = false;
-    r_busy = false;
+    r_drainer = None;
     r_full_waiters = Queue.create ();
     r_cq_waiters = Hashtbl.create 16;
     r_drain_waiters = Queue.create ();
-    r_notify = (fun () -> ());
     r_forget = Hashtbl.create 16;
     r_sq_parks = 0;
     r_cq_parks = 0;
@@ -109,10 +108,13 @@ let create ~proc ~capacity =
     r_note_throttle = (fun _ -> ());
     r_throttle_parks = 0;
     r_throttle_ns = 0.0;
-    r_last_throttle_deadline = 0.0;
+    r_batches = 0;
+    r_ops = 0;
+    r_fused = 0;
+    r_hist = Array.make 8 0;
+    r_drain_wakes = 0;
   }
 
-let set_notify t f = t.r_notify <- f
 let set_clock t f = t.r_now <- f
 
 let set_qos t ~gate ~sleep_until ~note =
@@ -127,17 +129,24 @@ let submitted t = t.r_sq_tail
 let completed t = t.r_cq_tail
 let dropped t = t.r_dropped
 let is_closed t = t.r_closed
-let is_queued t = t.r_queued
-let set_queued t b = t.r_queued <- b
-let is_busy t = t.r_busy
-let set_busy t b = t.r_busy <- b
 let sq_parks t = t.r_sq_parks
 let cq_parks t = t.r_cq_parks
 let wakes t = t.r_wakes
 let sq_park_ns t = t.r_sq_park_ns
 let throttle_parks t = t.r_throttle_parks
 let throttle_ns t = t.r_throttle_ns
-let last_throttle_deadline t = t.r_last_throttle_deadline
+let batches t = t.r_batches
+let ops t = t.r_ops
+let fused t = t.r_fused
+let hist t = Array.copy t.r_hist
+let drain_wakes t = t.r_drain_wakes
+let note_fused t = t.r_fused <- t.r_fused + 1
+
+(* Log-bucket index for the taken-batch histogram:
+   1, 2, <=4, <=8, <=16, <=32, <=64, >64. *)
+let hist_bucket n =
+  let rec go b cap = if n <= cap || b = 7 then b else go (b + 1) (2 * cap) in
+  go 0 1
 
 let wake_queue q t =
   while not (Queue.is_empty q) do
@@ -151,6 +160,18 @@ let wake_one q t =
     t.r_wakes <- t.r_wakes + 1;
     w ()
   | None -> ()
+
+(* The doorbell wakes the drain fiber if it is parked on the ring.  A
+   fiber mid-batch needs no wake: it re-reads [depth] before it parks. *)
+let park_drainer t = Sched.park (fun wake -> t.r_drainer <- Some wake)
+
+let wake_drainer t =
+  Option.iter
+    (fun wake ->
+      t.r_drainer <- None;
+      t.r_drain_wakes <- t.r_drain_wakes + 1;
+      wake ())
+    t.r_drainer
 
 (* A slot freed: one parked producer may enqueue, and if the ring just
    emptied, quiescing producers may proceed. *)
@@ -166,65 +187,57 @@ let slot_released t =
 
    The doorbell is lazy for fire-and-forget entries: nobody waits on
    their completion, so they may linger in the SQ until an awaited
-   submit (or a half-full SQ, or [drain], or the backpressure park
+   submit (or a half-full SQ, or [drain], or the backpressure parks
    below) rings it.  The lingering is what lets an unmap and the
-   re-map that chases it land in one batch, where the drain plane can
+   re-map that chases it land in one batch, where the drain fiber can
    fuse the pair away (see {!Ctl_gate}). *)
 (* QoS backpressure at the ring mouth: while the tenant is overdrawn,
-   either park until the admission deadline (the producer is outside any
+   park until the admission deadline.  The producer is outside any
    shield here, so kills can land inside the throttled state — the
-   scenario [Explore.explore_qos] sweeps) or, under [~nowait], surface
-   EAGAIN immediately with the deadline recorded for the caller. *)
-let rec throttle_wait t ~nowait =
-  if t.r_closed then Ok ()
-  else
+   scenario [Explore.explore_qos] sweeps. *)
+let rec throttle_wait t =
+  if not t.r_closed then
     match t.r_gate () with
-    | None -> Ok ()
+    | None -> ()
     | Some deadline ->
-      if nowait then begin
-        t.r_last_throttle_deadline <- deadline;
-        Error EAGAIN
-      end
-      else begin
-        t.r_throttle_parks <- t.r_throttle_parks + 1;
-        (* Announce lazy entries before sleeping, like the full-SQ park:
-           the drain plane should not idle while we wait out a debt. *)
-        if depth t > 0 then t.r_notify ();
-        let t0 = t.r_now () in
-        t.r_sleep_until deadline;
-        let d = t.r_now () -. t0 in
-        t.r_throttle_ns <- t.r_throttle_ns +. d;
-        t.r_note_throttle d;
-        throttle_wait t ~nowait
-      end
+      t.r_throttle_parks <- t.r_throttle_parks + 1;
+      (* Announce lazy entries before sleeping, like the full-SQ park:
+         the drain fiber should not idle while we wait out a debt. *)
+      if depth t > 0 then wake_drainer t;
+      let t0 = t.r_now () in
+      t.r_sleep_until deadline;
+      let d = t.r_now () -. t0 in
+      t.r_throttle_ns <- t.r_throttle_ns +. d;
+      t.r_note_throttle d;
+      throttle_wait t
 
-let submit ?(forget = false) ?(nowait = false) t op =
+let submit ?(forget = false) t op =
   Sched.cpu_work Perf.Cpu.ring_submit;
   if t.r_closed then Error EIO
-  else
-    match throttle_wait t ~nowait with
-    | Error e -> Error e
-    | Ok () ->
-      while outstanding t >= t.r_cap && not t.r_closed do
-        t.r_sq_parks <- t.r_sq_parks + 1;
-        (* The SQ may be full of un-announced lazy entries: ring before
-           parking or nobody will ever free a slot. *)
-        t.r_notify ();
-        let t0 = t.r_now () in
-        Sched.park (fun waker -> Queue.push waker t.r_full_waiters);
-        t.r_sq_park_ns <- t.r_sq_park_ns +. (t.r_now () -. t0)
-      done;
-      if t.r_closed then Error EIO
-      else begin
-        let seq = t.r_sq_tail in
-        t.r_sq.(seq mod t.r_cap) <- Some (seq, op);
-        t.r_sq_tail <- seq + 1;
-        if forget then Hashtbl.replace t.r_forget seq ();
-        if (not forget) || 2 * depth t >= t.r_cap then t.r_notify ();
-        Ok seq
-      end
+  else begin
+    throttle_wait t;
+    while outstanding t >= t.r_cap && not t.r_closed do
+      t.r_sq_parks <- t.r_sq_parks + 1;
+      (* The SQ may be full of un-announced lazy entries: ring before
+         parking or nobody will ever free a slot. *)
+      wake_drainer t;
+      let t0 = t.r_now () in
+      Sched.park (fun waker -> Queue.push waker t.r_full_waiters);
+      t.r_sq_park_ns <- t.r_sq_park_ns +. (t.r_now () -. t0)
+    done;
+    if t.r_closed then Error EIO
+    else begin
+      let seq = t.r_sq_tail in
+      t.r_sq.(seq mod t.r_cap) <- Some (seq, op);
+      t.r_sq_tail <- seq + 1;
+      if forget then Hashtbl.replace t.r_forget seq ();
+      if (not forget) || 2 * depth t >= t.r_cap then wake_drainer t;
+      Ok seq
+    end
+  end
 
-(* Consumer side: take up to [max] entries off the SQ head. *)
+(* Consumer side: take up to [max] entries off the SQ head, counting
+   the batch. *)
 let take_batch t ~max =
   let batch = ref [] in
   let n = ref 0 in
@@ -238,6 +251,12 @@ let take_batch t ~max =
     t.r_sq_head <- t.r_sq_head + 1;
     incr n
   done;
+  if !n > 0 then begin
+    t.r_batches <- t.r_batches + 1;
+    t.r_ops <- t.r_ops + !n;
+    let b = hist_bucket !n in
+    t.r_hist.(b) <- t.r_hist.(b) + 1
+  end;
   List.rev !batch
 
 (* Post one completion.  Fire-and-forget entries auto-reap: nobody will
@@ -294,7 +313,7 @@ let rec await t ~seq =
    doorbell before parking on them. *)
 let rec drain t =
   if outstanding t > 0 && not t.r_closed then begin
-    if depth t > 0 then t.r_notify ();
+    if depth t > 0 then wake_drainer t;
     Sched.park (fun waker -> Queue.push waker t.r_drain_waiters);
     drain t
   end

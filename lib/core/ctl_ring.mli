@@ -1,10 +1,12 @@
 (** Per-process submission/completion ring between a LibFS and the
     controller (DESIGN.md §4.15): io_uring-shaped slot arrays indexed by
     sequence number modulo capacity, one bound ([outstanding <=
-    capacity]) covering both queues.  This module only moves entries —
-    the drain plane that executes them lives in {!Ctl_gate}.  Internal
-    to [lib/core]; external code goes through the {!Controller}
-    facade. *)
+    capacity]) covering both queues.  Each ring has one consumer, its
+    drain fiber, which parks on the ring while the SQ is empty; the
+    producer's doorbell wakes it.  This module moves entries and keeps
+    the counters — the drain fiber that executes them lives in
+    {!Ctl_gate}.  Internal to [lib/core]; external code goes through the
+    {!Controller} facade. *)
 
 module Sched = Trio_sim.Sched
 
@@ -15,9 +17,6 @@ type completion = (unit, Fs_types.errno) result
 type t
 
 val create : proc:int -> capacity:int -> t
-
-val set_notify : t -> (unit -> unit) -> unit
-(** Install the doorbell fired after each successful submit. *)
 
 val set_clock : t -> (unit -> float) -> unit
 (** Install the virtual clock used to time producer parks (ring_setup
@@ -37,21 +36,19 @@ val set_qos :
 
 (** {2 Producer side (LibFS)} *)
 
-val submit : ?forget:bool -> ?nowait:bool -> t -> op -> (int, Fs_types.errno) result
+val submit : ?forget:bool -> t -> op -> (int, Fs_types.errno) result
 (** Enqueue one request; parks while the ring is full.  Returns the
     sequence number to {!await} on, or [Error EIO] once closed.
     [~forget:true] marks the entry fire-and-forget: its completion
     auto-reaps and must not be awaited, and its doorbell is lazy — the
     entry lingers in the SQ until an awaited submit, a half-full SQ,
     {!drain} or backpressure announces it, which is what lets the drain
-    plane see an unmap and its chasing re-map in one batch.  The
+    fiber see an unmap and its chasing re-map in one batch.  The
     [cpu_work] at the head of this function is the submit path's only
     kill point — a producer killed there has enqueued nothing.
 
     QoS backpressure: while the tenant is overdrawn the producer parks
-    at the ring mouth until the admission deadline; with [~nowait:true]
-    it gets [Error EAGAIN] immediately instead, with the deadline
-    readable from {!last_throttle_deadline}. *)
+    at the ring mouth until the admission deadline. *)
 
 val await : t -> seq:int -> completion
 (** Park until [seq]'s completion is posted, then reap it.  [Error EIO]
@@ -61,10 +58,21 @@ val drain : t -> unit
 (** Park until every submitted entry has been reaped (or the ring is
     closed): the producer's quiesce barrier before unmount. *)
 
-(** {2 Consumer side (controller drain plane)} *)
+(** {2 Consumer side (the ring's drain fiber)} *)
+
+val park_drainer : t -> unit
+
+val wake_drainer : t -> unit
+(** Wake the fiber parked in {!park_drainer}, if any: the producer's
+    doorbell, and the drain plane's unpause. *)
 
 val take_batch : t -> max:int -> (int * op) list
+(** Take up to [max] entries off the SQ head, counting the batch. *)
+
 val post : t -> seq:int -> completion -> unit
+
+val note_fused : t -> unit
+(** Count one unmap+remap pair annihilated in-batch. *)
 
 val close : t -> unit
 (** Tear down: drop unconsumed submissions and unreaped completions,
@@ -87,16 +95,6 @@ val completed : t -> int
 val dropped : t -> int
 val is_closed : t -> bool
 
-val is_queued : t -> bool
-(** On its shard's drain queue right now (dedup flag, owned by
-    {!Ctl_gate}). *)
-
-val set_queued : t -> bool -> unit
-
-val is_busy : t -> bool
-(** A drain fiber is mid-batch (FIFO guard, owned by {!Ctl_gate}). *)
-
-val set_busy : t -> bool -> unit
 val sq_parks : t -> int
 val cq_parks : t -> int
 val wakes : t -> int
@@ -106,7 +104,12 @@ val sq_park_ns : t -> float
 
 val throttle_parks : t -> int
 val throttle_ns : t -> float
+val batches : t -> int
+val ops : t -> int
+val fused : t -> int
 
-val last_throttle_deadline : t -> float
-(** Admission deadline carried by the last EAGAIN a [~nowait] submit
-    returned: the earliest virtual time a retry can be admitted. *)
+val hist : t -> int array
+(** Taken-batch sizes (a copy): 1, 2, <=4, <=8, <=16, <=32, <=64, >64. *)
+
+val drain_wakes : t -> int
+(** Wakes of the parked drain fiber. *)

@@ -72,26 +72,16 @@ type proc_info = {
   mutable p_dead : bool; (* abnormally torn down by the watchdog *)
 }
 
-(* One controller shard: one NUMA socket's service state (DESIGN.md
+(* One controller shard: one NUMA socket's verifier lane (DESIGN.md
    §4.14).  Each shard runs its own verifier fibers against its own
    queue, so a busy socket's verification backlog never stalls another
-   socket's; it also runs the ring-drain fibers of the processes it
-   services.  The registry tables are one per controller, on [t]. *)
+   socket's.  Ring drains are per ring, and the registry tables are one
+   per controller, on [t]. *)
 type shard = {
   sh_id : int;
   sh_verify_q : int Queue.t; (* inos awaiting background verification *)
   sh_vq_idle : Sched.waker Queue.t; (* parked verifier fibers of this shard *)
   mutable sh_enqueued : int; (* verifications ever queued here *)
-  sh_ring_q : int Queue.t; (* procs whose ring has pending entries *)
-  sh_rq_idle : Sched.waker Queue.t; (* parked ring-drain fibers *)
-  mutable sh_ring_fibers : int; (* drain fibers spawned on this shard *)
-  mutable sh_ring_batches : int; (* batches drained here *)
-  mutable sh_ring_ops : int; (* ring ops executed here *)
-  mutable sh_ring_fused : int; (* unmap+remap pairs annihilated in-batch *)
-  sh_ring_hist : int array;
-      (* drained-batch size histogram, log buckets:
-         1, 2, <=4, <=8, <=16, <=32, <=64, >64 *)
-  mutable sh_ring_wakes : int; (* doorbell wakes into this shard *)
 }
 
 type t = {
@@ -134,7 +124,7 @@ type t = {
       (* proc -> its submission/completion ring; closed rings stay in
          the table so late posts and stats still resolve *)
   mutable ring_paused : bool;
-      (* test hook: a paused drain plane parks instead of consuming,
+      (* test hook: paused drain fibers park instead of consuming,
          which is how the dead-consumer/full-ring scenario is staged *)
   mutable ring_hook : (shard:int -> batch:int -> depth:int -> unit) option;
       (* observability tap (Vfs counters): fired per drained batch *)
@@ -179,12 +169,6 @@ let page_size = Layout.page_size
 
 let shard_count t = Array.length t.shards
 let node_of_page t pg = pg / t.pages_per_node
-
-(* Ring drain routing: a process' ring is serviced by one socket's drain
-   plane for its whole lifetime, so batch/park/wake counters attribute
-   stably.  Process ids have no page locality, so a plain mod spreads
-   them. *)
-let ring_shard t proc = t.shards.(proc mod shard_count t)
 let ring_find t proc = Hashtbl.find_opt t.rings proc
 let owner_of t page = Option.value (Hashtbl.find_opt t.page_owner page) ~default:Free
 let set_page_owner t page owner = Hashtbl.replace t.page_owner page owner
@@ -271,14 +255,6 @@ let make_shard id =
     sh_verify_q = Queue.create ();
     sh_vq_idle = Queue.create ();
     sh_enqueued = 0;
-    sh_ring_q = Queue.create ();
-    sh_rq_idle = Queue.create ();
-    sh_ring_fibers = 0;
-    sh_ring_batches = 0;
-    sh_ring_ops = 0;
-    sh_ring_fused = 0;
-    sh_ring_hist = Array.make 8 0;
-    sh_ring_wakes = 0;
   }
 
 let make ~sched ~pmem ~mmu ~lease_ns =
@@ -394,11 +370,16 @@ let qos_admit t proc =
       Sched.delay d
     end
 
-(* The standard acquisition-syscall preamble charge: one syscall unit,
-   then admission. *)
-let charge_syscall t proc =
+(* The one syscall entry, inside a shield: the trap, the heartbeat, one
+   [Syscall] unit, then admission on acquisition paths ([~admit]), then
+   the body. *)
+let syscall t proc ~admit f =
+  Sched.shield @@ fun () ->
+  Sched.cpu_work Trio_nvm.Perf.Cpu.syscall;
+  touch t proc;
   qos_charge t proc Ctl_qos.Syscall;
-  qos_admit t proc
+  if admit then qos_admit t proc;
+  f ()
 
 (* ------------------------------------------------------------------ *)
 (* Pipeline temperature.  "Hot" means some verification verdict is still

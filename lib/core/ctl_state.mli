@@ -2,10 +2,10 @@
     construction, the verifier view, cold start.  The registry tables
     (page owner, ino owner, shadow inodes, files) are one per
     controller; submodules access them only through the accessors
-    below.  Per-socket state is limited to verifier fibers and ring
-    drains; pages come straight from the per-node extent allocators
-    (DESIGN.md §4.14).  Internal to [lib/core] — external code goes
-    through the {!Controller} facade. *)
+    below.  Per-socket state is the verifier lane only, ring drains are
+    per ring, and pages come straight from the per-node extent
+    allocators (DESIGN.md §4.14).  Internal to [lib/core] — external
+    code goes through the {!Controller} facade. *)
 
 module Sched = Trio_sim.Sched
 module Stats = Trio_sim.Stats
@@ -61,19 +61,12 @@ type proc_info = {
   mutable p_dead : bool;
 }
 
+(** One NUMA socket's verifier lane (DESIGN.md §4.14). *)
 type shard = {
   sh_id : int;
   sh_verify_q : int Queue.t;
   sh_vq_idle : Sched.waker Queue.t;
   mutable sh_enqueued : int;
-  sh_ring_q : int Queue.t;  (** procs whose ring has pending entries *)
-  sh_rq_idle : Sched.waker Queue.t;  (** parked ring-drain fibers *)
-  mutable sh_ring_fibers : int;
-  mutable sh_ring_batches : int;
-  mutable sh_ring_ops : int;
-  mutable sh_ring_fused : int;  (** unmap+remap pairs annihilated in-batch *)
-  sh_ring_hist : int array;  (** drained-batch sizes, 8 log buckets *)
-  mutable sh_ring_wakes : int;
 }
 
 type t = {
@@ -102,7 +95,7 @@ type t = {
   mutable verify_hook : (ino:int -> incremental:bool -> dur:float -> ok:bool -> unit) option;
   rings : (int, Ctl_ring.t) Hashtbl.t;
   mutable ring_paused : bool;
-      (** test hook: a paused drain plane parks instead of consuming *)
+      (** test hook: paused drain fibers park instead of consuming *)
   mutable ring_hook : (shard:int -> batch:int -> depth:int -> unit) option;
   snap_pinned : (int, unit) Hashtbl.t;
       (** payload pages of the current durable snapshot root, pinned
@@ -130,9 +123,6 @@ val page_size : int
 
 val shard_count : t -> int
 val node_of_page : t -> int -> int
-
-val ring_shard : t -> int -> shard
-(** The shard whose drain plane services this process' ring. *)
 
 val ring_find : t -> int -> Ctl_ring.t option
 
@@ -215,9 +205,10 @@ val qos_admit : t -> int -> unit
 (** Synchronous-plane enforcement: delay until the balance recovers.
     Acquisition paths only — never called on release paths. *)
 
-val charge_syscall : t -> int -> unit
-(** [qos_charge Syscall] + [qos_admit]: the acquisition-syscall
-    preamble. *)
+val syscall : t -> int -> admit:bool -> (unit -> 'a) -> 'a
+(** The one syscall entry: inside a shield, the trap cost, the
+    heartbeat and one [Syscall] unit, then {!qos_admit} when [~admit],
+    then the body.  Release paths enter with [~admit:false]. *)
 
 val file_info : t -> int -> file_info option
 

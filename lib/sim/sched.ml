@@ -79,7 +79,6 @@ type t = {
   mutable now : float;
   heap : Heap.t;
   mutable seq : int;
-  mutable live_fibers : int;
   mutable spawned : int;
   mutable events : int;
   mutable failure : (exn * Printexc.raw_backtrace) option;
@@ -104,7 +103,6 @@ let create () =
     now = 0.0;
     heap = Heap.create ();
     seq = 0;
-    live_fibers = 0;
     spawned = 0;
     events = 0;
     failure = None;
@@ -119,7 +117,6 @@ let create () =
   }
 
 let now t = t.now
-let live_fibers t = t.live_fibers
 let events_processed t = t.events
 
 let schedule t time action =
@@ -137,7 +134,6 @@ let bump tbl tid d =
   if v <= 0 then Hashtbl.remove tbl tid else Hashtbl.replace tbl tid v
 
 let spawn ?(cpu = 0) t f =
-  t.live_fibers <- t.live_fibers + 1;
   t.spawned <- t.spawned + 1;
   let tid = t.spawned in
   let ctx = { cpu; tid } in
@@ -149,14 +145,10 @@ let spawn ?(cpu = 0) t f =
     in
     match_with f ()
       {
-        retc =
-          (fun () ->
-            forget ();
-            t.live_fibers <- t.live_fibers - 1);
+        retc = forget;
         exnc =
           (fun e ->
             forget ();
-            t.live_fibers <- t.live_fibers - 1;
             match e with
             | Stopped | Killed -> ()
             | e ->

@@ -17,7 +17,6 @@ val create : unit -> t
 val now : t -> float
 (** Current virtual time in nanoseconds. *)
 
-val live_fibers : t -> int
 val events_processed : t -> int
 
 val spawn : ?cpu:int -> t -> (unit -> unit) -> unit

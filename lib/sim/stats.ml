@@ -36,9 +36,6 @@ let timed t sched name f =
   add t name (Sched.now sched -. start);
   v
 
-let pp ppf t =
-  List.iter (fun (k, v) -> Fmt.pf ppf "%-32s %.1f@." k v) (to_list t)
-
 (* ------------------------------------------------------------------ *)
 (* Latency histograms.
 

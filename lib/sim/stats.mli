@@ -21,8 +21,6 @@ val to_list : t -> (string * float) list
 val timed : t -> Sched.t -> string -> (unit -> 'a) -> 'a
 (** Run a thunk and accumulate its virtual duration under [name]. *)
 
-val pp : Format.formatter -> t -> unit
-
 (** Log-bucket latency histograms over virtual nanoseconds: O(1)
     deterministic recording, approximate percentiles (quarter-octave
     buckets, clamped to the exact observed min/max), exact max. *)

@@ -87,6 +87,3 @@ let free t start n =
   in
   t.free <- IntMap.add start' n' t.free;
   t.free_count <- t.free_count + n
-
-(* Fold over free extents in address order (tests and fsck-style audits). *)
-let fold_free t init f = IntMap.fold (fun start len acc -> f acc ~start ~len) t.free init

@@ -32,5 +32,3 @@ val is_free : t -> int -> int -> bool
 val free : t -> int -> int -> unit
 (** [free t start n] returns a range; raises [Invalid_argument] on double
     free. *)
-
-val fold_free : t -> 'a -> ('a -> start:int -> len:int -> 'a) -> 'a

@@ -22,7 +22,6 @@ let create ?(initial_size = default_size) ~hash ~equal () =
   { hash; equal; buckets = Array.make size []; count = 0; resizes = 0 }
 
 let length t = t.count
-let bucket_count t = Array.length t.buckets
 let resize_count t = t.resizes
 
 let bucket_index t k = t.hash k land max_int mod Array.length t.buckets
@@ -110,12 +109,3 @@ let string_hash s =
   !h land max_int
 
 let create_string ?initial_size () = create ?initial_size ~hash:string_hash ~equal:String.equal ()
-
-let int_hash i =
-  (* splitmix64-style finalizer over the int *)
-  let z = i + 0x9e3779b9 in
-  let z = (z lxor (z lsr 16)) * 0x85ebca6b in
-  let z = (z lxor (z lsr 13)) * 0xc2b2ae35 in
-  (z lxor (z lsr 16)) land max_int
-
-let create_int ?initial_size () = create ?initial_size ~hash:int_hash ~equal:Int.equal ()

@@ -11,10 +11,7 @@ val create :
 val create_string : ?initial_size:int -> unit -> (string, 'v) t
 (** Table keyed by strings (FNV-1a hash). *)
 
-val create_int : ?initial_size:int -> unit -> (int, 'v) t
-
 val length : ('k, 'v) t -> int
-val bucket_count : ('k, 'v) t -> int
 
 val resize_count : ('k, 'v) t -> int
 (** How many times the table rehashed (benchmark instrumentation). *)
@@ -42,4 +39,3 @@ val fold : ('k, 'v) t -> 'b -> ('b -> 'k -> 'v -> 'b) -> 'b
 val clear : ('k, 'v) t -> unit
 
 val string_hash : string -> int
-val int_hash : int -> int

@@ -6,6 +6,7 @@
 module Sched = Trio_sim.Sched
 module Pmem = Trio_nvm.Pmem
 module Controller = Trio_core.Controller
+module Layout = Trio_core.Layout
 module Ctl_qos = Trio_core.Ctl_qos
 module Fs = Trio_core.Fs_intf
 module Libfs = Arckfs.Libfs
@@ -93,22 +94,6 @@ let drain_tenant_bucket ctl ~proc =
     "bucket is overdrawn" true
     (Controller.qos_balance ctl ~group:proc < 0.0)
 
-let test_ring_nowait_eagain () =
-  Helpers.run_sim (fun env ->
-      Controller.set_qos_share env.Helpers.ctl ~group:99 50.0;
-      Controller.register_process env.Helpers.ctl ~proc:7 ~cred ~qos_share:0.02 ();
-      let ring = Controller.ring_setup env.Helpers.ctl ~proc:7 ~depth:4 in
-      drain_tenant_bucket env.Helpers.ctl ~proc:7;
-      (match Controller.Ring.submit ~nowait:true ring Controller.Ring.Op_lease with
-      | Error EAGAIN ->
-        let d = Controller.Ring.last_throttle_deadline ring in
-        Alcotest.(check bool)
-          "EAGAIN carries a future admission deadline" true
-          (d > Sched.now env.Helpers.sched)
-      | Ok _ -> Alcotest.fail "overdrawn nowait submit was admitted"
-      | Error e -> Alcotest.failf "expected EAGAIN, got %s" (errno_to_string e));
-      Alcotest.(check int) "nothing was enqueued" 0 (Controller.Ring.depth ring))
-
 let test_ring_submit_parks_until_admitted () =
   Helpers.run_sim (fun env ->
       Controller.set_qos_share env.Helpers.ctl ~group:99 50.0;
@@ -145,6 +130,101 @@ let test_throttle_counters_in_stats () =
       Alcotest.(check bool) "throttled ns accumulated" true (s.Controller.ts_throttle_ns > 0.0);
       Alcotest.(check bool) "page draw accounted" true (s.Controller.ts_page_draws >= 1))
 
+(* Every synchronous syscall enters through one prologue: exactly one
+   [Syscall] unit per call, whatever the verdict, and [Page_draw] only
+   for the pages a draw hands out. *)
+let test_syscall_entry_charges_one_unit () =
+  Helpers.run_sim (fun env ->
+      let ctl = env.Helpers.ctl in
+      Controller.register_process ctl ~proc:7 ~cred ();
+      let root = Layout.root_ino in
+      (* A group shows in the stats from its first charge on. *)
+      let units () =
+        match List.find_opt (fun s -> s.Controller.ts_group = 7) (Controller.qos_stats ctl) with
+        | Some s -> (s.Controller.ts_syscalls, s.Controller.ts_page_draws, s.Controller.ts_ring_slots)
+        | None -> (0, 0, 0)
+      in
+      let entry name ?(draws = 0) call =
+        let sys0, draws0, _ = units () in
+        call ();
+        let sys1, draws1, _ = units () in
+        Alcotest.(check int) (name ^ ": one syscall unit") (sys0 + 1) sys1;
+        Alcotest.(check int) (name ^ ": page draws") (draws0 + draws) draws1
+      in
+      let ignore_result r = ignore (r : (unit, errno) result) in
+      entry "map_file" (fun () ->
+          Helpers.check_ok "map root" (Controller.map_file ctl ~proc:7 ~ino:root ~write:false));
+      entry "unmap_file" (fun () ->
+          Helpers.check_ok "unmap root" (Controller.unmap_file ctl ~proc:7 ~ino:root));
+      let inos = ref [] in
+      entry "alloc_inos" (fun () -> inos := Controller.alloc_inos ctl ~proc:7 ~count:2);
+      let pages = ref [] in
+      entry "alloc_pages" ~draws:3 (fun () ->
+          pages :=
+            Helpers.check_ok "alloc 3 pages"
+              (Controller.alloc_pages ctl ~proc:7 ~node:0 ~count:3 ~kind:Pmem.Meta));
+      entry "recycle_pages" (fun () ->
+          Helpers.check_ok "recycle own pages" (Controller.recycle_pages ctl ~proc:7 ~pages:!pages));
+      entry "free_pages" (fun () ->
+          Helpers.check_ok "free own pages" (Controller.free_pages ctl ~proc:7 ~pages:!pages));
+      (* Refusals pay the same single unit: the entry charges before the
+         body decides. *)
+      entry "commit" (fun () ->
+          Helpers.check_err "commit unmapped root" EBADF (Controller.commit ctl ~proc:7 ~ino:root));
+      entry "chmod" (fun () -> ignore_result (Controller.chmod ctl ~proc:7 ~ino:root ~mode:0o700));
+      entry "chown" (fun () ->
+          Helpers.check_err "chown as non-root" EACCES
+            (Controller.chown ctl ~proc:7 ~ino:root ~uid:1000 ~gid:1000));
+      entry "free_file_tree" (fun () ->
+          Helpers.check_err "free a tree never created" ENOENT
+            (Controller.free_file_tree ctl ~proc:7 ~ino:(List.hd !inos)));
+      let sys, _, slots = units () in
+      Alcotest.(check int) "ten entries, ten units" 10 sys;
+      Alcotest.(check int) "no ring slots" 0 slots)
+
+(* An overdrawn tenant's releases are charged but pass no admission, so
+   each returns after its own few microseconds of work; its next
+   acquisition waits out the debt. *)
+let test_releases_never_wait () =
+  Helpers.run_sim (fun env ->
+      let ctl = env.Helpers.ctl and sched = env.Helpers.sched in
+      Controller.set_qos_share ctl ~group:99 50.0;
+      Controller.register_process ctl ~proc:7 ~cred ~qos_share:0.02 ();
+      let root = Layout.root_ino in
+      Helpers.check_ok "map root" (Controller.map_file ctl ~proc:7 ~ino:root ~write:false);
+      let inos = Controller.alloc_inos ctl ~proc:7 ~count:1 in
+      drain_tenant_bucket ctl ~proc:7;
+      let throttled () =
+        let s = List.find (fun s -> s.Controller.ts_group = 7) (Controller.qos_stats ctl) in
+        (s.Controller.ts_throttles, s.Controller.ts_throttle_ns)
+      in
+      let timed name call =
+        let t0 = Sched.now sched in
+        call ();
+        let ns = Sched.now sched -. t0 in
+        if ns > 5.0e3 then Alcotest.failf "%s took %.0f ns" name ns
+      in
+      let before = throttled () in
+      timed "unmap_file" (fun () ->
+          Helpers.check_ok "unmap root" (Controller.unmap_file ctl ~proc:7 ~ino:root));
+      timed "free_pages" (fun () ->
+          Helpers.check_ok "free nothing" (Controller.free_pages ctl ~proc:7 ~pages:[]));
+      timed "recycle_pages" (fun () ->
+          Helpers.check_ok "recycle nothing" (Controller.recycle_pages ctl ~proc:7 ~pages:[]));
+      timed "free_file_tree" (fun () ->
+          Helpers.check_err "free a tree never created" ENOENT
+            (Controller.free_file_tree ctl ~proc:7 ~ino:(List.hd inos)));
+      Alcotest.(check (pair int (float 0.0))) "no release was throttled" before (throttled ());
+      Alcotest.(check bool) "still overdrawn" true (Controller.qos_balance ctl ~group:7 < 0.0);
+      let t0 = Sched.now sched in
+      ignore (Controller.alloc_inos ctl ~proc:7 ~count:1 : int list);
+      let waited = Sched.now sched -. t0 in
+      let throttles, throttle_ns = throttled () in
+      Alcotest.(check int) "the acquisition was throttled" (fst before + 1) throttles;
+      Alcotest.(check bool)
+        "and waited out its admission delay" true
+        (throttle_ns > snd before && waited >= throttle_ns -. snd before))
+
 (* Unenforced rigs must behave exactly as before: no parks, no delays. *)
 let test_no_enforcement_no_throttle () =
   Helpers.run_sim (fun env ->
@@ -153,7 +233,7 @@ let test_no_enforcement_no_throttle () =
       for _ = 1 to 100 do
         ignore (Controller.free_pages env.Helpers.ctl ~proc:7 ~pages:[] : (unit, errno) result)
       done;
-      (match Controller.Ring.submit ~nowait:true ring Controller.Ring.Op_lease with
+      (match Controller.Ring.submit ring Controller.Ring.Op_lease with
       | Ok seq -> (
         match Controller.Ring.await ring ~seq with
         | Ok () -> ()
@@ -264,10 +344,12 @@ let () =
         ] );
       ( "backpressure",
         [
-          Alcotest.test_case "ring nowait EAGAIN" `Quick test_ring_nowait_eagain;
           Alcotest.test_case "ring park until admitted" `Quick test_ring_submit_parks_until_admitted;
           Alcotest.test_case "throttle counters" `Quick test_throttle_counters_in_stats;
           Alcotest.test_case "unenforced is untouched" `Quick test_no_enforcement_no_throttle;
+          Alcotest.test_case "one syscall unit per entry" `Quick
+            test_syscall_entry_charges_one_unit;
+          Alcotest.test_case "releases never wait" `Quick test_releases_never_wait;
         ] );
       ( "retry deadline",
         [

@@ -1,7 +1,8 @@
 (* Ring-protocol test suite (DESIGN.md §4.15): SQ/CQ mechanics in
    isolation (wrap-around, backpressure, completion correspondence),
    equivalence of the batched and synchronous syscall paths over the
-   same op script, a kill-point sweep across every Delay boundary the
+   same op script, ring isolation (each ring's own drain fiber and
+   counters), a kill-point sweep across every Delay boundary the
    ring path crosses, and the full conformance suite with the ring
    enabled. *)
 
@@ -220,6 +221,123 @@ let test_kill_every_ring_point () =
   done
 
 (* ------------------------------------------------------------------ *)
+(* Ring isolation: every ring has its own drain fiber, so a ring whose
+   map waits out another tenant's lease holds back no other ring, not
+   even one whose fiber runs on the same socket. *)
+
+let test_lease_wait_stalls_no_other_ring () =
+  let lease_ns = 1.0e6 in
+  Helpers.run_sim ~lease_ns (fun env ->
+      let sched = env.Helpers.sched in
+      let setup = Helpers.mount ~proc:3 env in
+      Helpers.check_ok "mkdir /a" ((Libfs.ops setup).Fs.mkdir "/a" 0o755);
+      Helpers.check_ok "mkdir /b" ((Libfs.ops setup).Fs.mkdir "/b" 0o755);
+      Libfs.unmap_everything setup;
+      (* A synchronous tenant keeps /a and /a/f write-mapped under its
+         lease. *)
+      let held_from = Sched.now sched in
+      let holder = Libfs.ops (Helpers.mount ~proc:1 env) in
+      Helpers.check_ok "holder write" (Fs.write_file holder "/a/f" (String.make 64 'h'));
+      (* Two ring tenants whose drain fibers both run on socket 0. *)
+      let blocked = Libfs.ops (Helpers.mount ~proc:2 ~ring:4 env) in
+      let other = Libfs.ops (Helpers.mount ~proc:4 ~ring:4 env) in
+      let write_done = ref None and create_ns = ref None in
+      Sched.spawn sched (fun () ->
+          let fd = Helpers.check_ok "open /a/f" (blocked.Fs.open_ "/a/f" [ O_RDWR ]) in
+          ignore (Helpers.check_ok "write /a/f" (blocked.Fs.pwrite fd (Bytes.make 64 'w') 0));
+          write_done := Some (Sched.now sched));
+      Sched.spawn sched (fun () ->
+          Sched.delay 1.0e3;
+          let t0 = Sched.now sched in
+          ignore (Helpers.check_ok "create /b/g" (other.Fs.create "/b/g" 0o644));
+          create_ns := Some (Sched.now sched -. t0));
+      Sched.delay (3.0 *. lease_ns);
+      (match !create_ns with
+      | Some ns when ns < lease_ns /. 10.0 -> ()
+      | Some ns -> Alcotest.failf "the other ring waited: create took %.0f ns" ns
+      | None -> Alcotest.fail "the other ring's create never finished");
+      match !write_done with
+      | Some at when at >= held_from +. lease_ns -> ()
+      | Some at -> Alcotest.failf "the write ended at %.0f ns, inside the holder's lease" at
+      | None -> Alcotest.fail "the blocked write never finished")
+
+(* The drain counters live on each ring: [ring_stats] has one record
+   per ring, sorted by process, and only the ring that was drained
+   moves — not even the idle ring whose fiber shares its socket. *)
+let test_ring_stats_per_ring () =
+  Helpers.run_sim (fun env ->
+      let ctl = env.Helpers.ctl in
+      let busy = Libfs.ops (Helpers.mount ~proc:5 ~ring:4 env) in
+      ignore (Helpers.mount ~proc:2 ~ring:4 env);
+      ignore (Helpers.mount ~proc:3 ~ring:4 env);
+      let before = Controller.ring_stats ctl in
+      Alcotest.(check (list int))
+        "one record per ring, by process" [ 2; 3; 5 ]
+        (List.map (fun s -> s.Controller.rg_proc) before);
+      Helpers.check_ok "mkdir /d" (busy.Fs.mkdir "/d" 0o755);
+      for i = 0 to 4 do
+        Helpers.check_ok "write" (Fs.write_file busy (Printf.sprintf "/d/f%d" i) "x")
+      done;
+      let after = Controller.ring_stats ctl in
+      List.iter2
+        (fun (b : Controller.ring_stat) (a : Controller.ring_stat) ->
+          let name what = Printf.sprintf "ring %d %s" a.rg_proc what in
+          if a.rg_proc = 5 then begin
+            Alcotest.(check bool) (name "drained ops") true (a.rg_ops > b.rg_ops);
+            Alcotest.(check bool) (name "took batches") true (a.rg_batches > b.rg_batches);
+            Alcotest.(check bool) (name "fiber was woken") true (a.rg_wakes > b.rg_wakes)
+          end
+          else begin
+            Alcotest.(check int) (name "ops") b.rg_ops a.rg_ops;
+            Alcotest.(check int) (name "batches") b.rg_batches a.rg_batches;
+            Alcotest.(check int) (name "wakes") b.rg_wakes a.rg_wakes
+          end;
+          let ring = Option.get (Controller.ring_of ctl a.rg_proc) in
+          Alcotest.(check int) (name "ops match the ring") (Ring.ops ring) a.rg_ops;
+          Alcotest.(check int)
+            (name "histogram counts every batch")
+            a.rg_batches
+            (Array.fold_left ( + ) 0 a.rg_hist))
+        before after)
+
+(* Pausing the drain plane holds every ring's entries in its SQ;
+   unpausing wakes each ring's own fiber, on both sockets. *)
+let test_unpause_wakes_every_ring () =
+  Helpers.run_sim (fun env ->
+      let sched = env.Helpers.sched in
+      let ctl = env.Helpers.ctl in
+      let procs = [ 1; 2; 3; 4 ] in
+      Controller.set_ring_paused ctl true;
+      List.iter (fun proc -> ignore (Helpers.mount ~proc ~ring:4 env)) procs;
+      let ring proc = Option.get (Controller.ring_of ctl proc) in
+      let completed = Hashtbl.create 4 in
+      List.iter
+        (fun proc ->
+          Sched.spawn sched (fun () ->
+              match Ring.submit (ring proc) Ring.Op_lease with
+              | Error e -> Alcotest.failf "ring %d submit: %s" proc (errno_to_string e)
+              | Ok seq -> (
+                match Ring.await (ring proc) ~seq with
+                | Ok () -> Hashtbl.replace completed proc ()
+                | Error e -> Alcotest.failf "ring %d lease: %s" proc (errno_to_string e))))
+        procs;
+      Sched.delay 1.0e6;
+      List.iter
+        (fun proc ->
+          let name what = Printf.sprintf "ring %d %s" proc what in
+          Alcotest.(check bool) (name "held while paused") false (Hashtbl.mem completed proc);
+          Alcotest.(check int) (name "entry waits in the SQ") 1 (Ring.depth (ring proc)))
+        procs;
+      Controller.set_ring_paused ctl false;
+      Sched.delay 100.0e3;
+      List.iter
+        (fun proc ->
+          let name what = Printf.sprintf "ring %d %s" proc what in
+          Alcotest.(check bool) (name "completed after unpause") true (Hashtbl.mem completed proc);
+          Alcotest.(check int) (name "SQ drained") 0 (Ring.depth (ring proc)))
+        procs)
+
+(* ------------------------------------------------------------------ *)
 (* The shared conformance suite (including the errno-parity script every
    evaluated file system must match, and the VFS counter checks) over an
    ArckFS whose map/unmap traffic rides the ring. *)
@@ -246,6 +364,13 @@ let () =
       ( "equivalence",
         [
           Alcotest.test_case "ring and sync paths agree" `Quick test_batch_drain_equivalence;
+        ] );
+      ( "isolation",
+        [
+          Alcotest.test_case "a lease wait on one ring stalls no other ring" `Quick
+            test_lease_wait_stalls_no_other_ring;
+          Alcotest.test_case "stats are per ring" `Quick test_ring_stats_per_ring;
+          Alcotest.test_case "unpause wakes every ring" `Quick test_unpause_wakes_every_ring;
         ] );
       ( "kill points",
         [

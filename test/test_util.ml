@@ -1,7 +1,6 @@
 (* Unit + property tests for the generic data structures in Trio_util. *)
 
 module Rng = Trio_util.Rng
-module Bitmap = Trio_util.Bitmap
 module Radix = Trio_util.Radix
 module Htbl = Trio_util.Htbl
 module Extent_alloc = Trio_util.Extent_alloc
@@ -50,36 +49,6 @@ let test_rng_split_independent () =
   let r2 = Rng.split r in
   let v1 = Rng.next r and v2 = Rng.next r2 in
   if v1 = v2 then Alcotest.fail "split streams should diverge"
-
-(* ------------------------------------------------------------------ *)
-(* Bitmap *)
-
-let test_bitmap_basic () =
-  let b = Bitmap.create 100 in
-  Alcotest.(check bool) "initially clear" false (Bitmap.get b 50);
-  Bitmap.set b 50;
-  Alcotest.(check bool) "set" true (Bitmap.get b 50);
-  Alcotest.(check bool) "neighbours untouched" false (Bitmap.get b 49);
-  Alcotest.(check bool) "neighbours untouched" false (Bitmap.get b 51);
-  Bitmap.clear b 50;
-  Alcotest.(check bool) "cleared" false (Bitmap.get b 50)
-
-let test_bitmap_test_and_set () =
-  let b = Bitmap.create 8 in
-  Alcotest.(check bool) "first" false (Bitmap.test_and_set b 3);
-  Alcotest.(check bool) "second" true (Bitmap.test_and_set b 3)
-
-let test_bitmap_popcount () =
-  let b = Bitmap.create 64 in
-  List.iter (Bitmap.set b) [ 0; 7; 8; 63 ];
-  Alcotest.(check int) "popcount" 4 (Bitmap.popcount b);
-  Bitmap.reset b;
-  Alcotest.(check int) "after reset" 0 (Bitmap.popcount b)
-
-let test_bitmap_bounds () =
-  let b = Bitmap.create 10 in
-  Alcotest.check_raises "oob" (Invalid_argument "Bitmap: index out of bounds") (fun () ->
-      ignore (Bitmap.get b 10))
 
 (* ------------------------------------------------------------------ *)
 (* Radix *)
@@ -314,13 +283,6 @@ let () =
           Alcotest.test_case "zipf bounds" `Quick test_rng_zipf_bounds;
           Alcotest.test_case "zipf skew" `Quick test_rng_zipf_skew;
           Alcotest.test_case "split" `Quick test_rng_split_independent;
-        ] );
-      ( "bitmap",
-        [
-          Alcotest.test_case "basic" `Quick test_bitmap_basic;
-          Alcotest.test_case "test_and_set" `Quick test_bitmap_test_and_set;
-          Alcotest.test_case "popcount" `Quick test_bitmap_popcount;
-          Alcotest.test_case "bounds" `Quick test_bitmap_bounds;
         ] );
       ( "radix",
         [

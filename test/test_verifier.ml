@@ -256,6 +256,38 @@ let test_quarantine_on_unfixable () =
       let content = ok "read" (Fs.read_file (Libfs.ops fs2) "/v") in
       Alcotest.(check int) "rolled back" 6000 (String.length content))
 
+(* The quarantine copy runs inside the verification, in a fiber every
+   tenant of the socket may share: it must not enter the offender's
+   syscall path, so an overdrawn offender is never throttled by it. *)
+let test_quarantine_skips_offender_admission () =
+  Helpers.run_sim (fun env ->
+      let ctl = env.Helpers.ctl in
+      Controller.set_qos_share ctl ~group:99 50.0;
+      let fs = Libfs.mount ~ctl ~proc:1 ~cred:{ uid = 1000; gid = 1000 } ~qos_share:0.02 () in
+      let ops = Libfs.ops fs in
+      ok "victim" (Fs.write_file ops "/v" (String.make 6000 'p'));
+      Libfs.unmap_everything fs;
+      ignore (ok "hold root" (ops.Fs.create "/held" 0o644));
+      (* Releases are charged but never delayed: 40 of them overdraw
+         the tenant. *)
+      for _ = 1 to 40 do
+        ignore (Controller.free_pages ctl ~proc:1 ~pages:[] : (unit, errno) result)
+      done;
+      let v_ino = (ok "stat" (ops.Fs.stat "/v")).st_ino in
+      let v_addr = Option.get (Controller.dentry_addr_of ctl v_ino) in
+      let throttles () =
+        (List.find (fun s -> s.Controller.ts_group = 1) (Controller.qos_stats ctl))
+          .Controller.ts_throttles
+      in
+      let before = throttles () in
+      Pmem.write_u64 env.Helpers.pmem ~actor:kactor ~addr:(v_addr + Layout.off_index_head)
+        (Pmem.total_pages env.Helpers.pmem - 3);
+      Libfs.unmap_everything fs;
+      if Controller.quarantined_files ctl = [] then
+        Alcotest.fail "corrupted file bytes were not quarantined";
+      Alcotest.(check int) "the quarantine copy did not throttle the offender" before
+        (throttles ()))
+
 let test_commit_moves_checkpoint () =
   Helpers.run_sim (fun env ->
       let fs = Helpers.mount ~proc:1 env in
@@ -416,6 +448,8 @@ let () =
           Alcotest.test_case "I4 repairs without rollback" `Quick test_i4_repairs_without_rollback;
           Alcotest.test_case "fix callback avoids rollback" `Quick test_fix_callback_avoids_rollback;
           Alcotest.test_case "quarantine on unfixable" `Quick test_quarantine_on_unfixable;
+          Alcotest.test_case "quarantine skips the offender's admission" `Quick
+            test_quarantine_skips_offender_admission;
           Alcotest.test_case "commit moves the checkpoint" `Quick test_commit_moves_checkpoint;
           Alcotest.test_case "writer lease expires" `Quick test_writer_lease_expires_for_writer;
         ] );
