@@ -626,6 +626,20 @@ let micro () =
              done));
       (let buf = Bytes.make 4096 'x' in
        Test.make ~name:"crc32-4k" (Staged.stage (fun () -> ignore (Trio_util.Crc32.of_bytes buf))));
+      (* one full index node encoded and decoded: two 4,088-byte CRCs,
+         the pair every index update pays *)
+      (let node =
+         {
+           Trio_core.Layout.dn_level = 0;
+           dn_right = 0;
+           dn_high_hash = max_int;
+           dn_high_addr = max_int;
+           dn_entries = Array.init Trio_core.Layout.dnode_capacity (fun i -> (i * 7919, i * 64, 0));
+         }
+       in
+       Test.make ~name:"dnode-encode-decode"
+         (Staged.stage (fun () ->
+              ignore (Trio_core.Layout.decode_dnode (Trio_core.Layout.encode_dnode node)))));
       (let inode =
          {
            Trio_core.Layout.ino = 7;

@@ -6,6 +6,7 @@
 
 module Pmem = Trio_nvm.Pmem
 module Dirindex = Trio_core.Dirindex
+module Layout = Trio_core.Layout
 module Libfs = Arckfs.Libfs
 module Fs = Trio_core.Fs_intf
 module Controller = Trio_core.Controller
@@ -182,6 +183,46 @@ let test_boundaries () =
         if not (List.mem a addrs) then Alcotest.failf "key %d lost across split" a
       done)
 
+(* The node CRC covers every byte before [dnode_crc_off]: flipping any
+   one byte of an encoded node (header, entries, the zero fill of a
+   10-entry node, byte 4,087 of a full one, or the CRC itself) must make
+   it decode as an error. *)
+let test_node_byte_flips () =
+  Alcotest.(check int)
+    "a full node's entries end at the CRC" Layout.dnode_crc_off
+    (Layout.dnode_hdr_size + (Layout.dnode_capacity * Layout.dnode_entry_size));
+  let region n off =
+    if off < Layout.dnode_hdr_size then "header"
+    else if off < Layout.dnode_hdr_size + (n * Layout.dnode_entry_size) then "entries"
+    else if off < Layout.dnode_crc_off then "zero fill"
+    else "crc"
+  in
+  List.iter
+    (fun n ->
+      let node =
+        {
+          Layout.dn_level = 0;
+          dn_right = 77;
+          dn_high_hash = max_int;
+          dn_high_addr = max_int;
+          dn_entries = Array.init n (fun i -> (i * 7919, 4096 + (i * 64), 0));
+        }
+      in
+      let b = Layout.encode_dnode node in
+      (match Layout.decode_dnode b with
+      | Ok d -> Alcotest.(check bool) "clean node round-trips" true (d = node)
+      | Error e -> Alcotest.failf "%d-entry node: clean copy: %s" n e);
+      let flip off = Bytes.set_uint8 b off (Bytes.get_uint8 b off lxor 0x01) in
+      for off = 0 to Layout.page_size - 1 do
+        flip off;
+        (match Layout.decode_dnode b with
+        | Error _ -> ()
+        | Ok _ ->
+          Alcotest.failf "%d-entry node: %s byte %d flipped, still decodes" n (region n off) off);
+        flip off
+      done)
+    [ 10; Layout.dnode_capacity ]
+
 (* ------------------------------------------------------------------ *)
 (* LibFS integration *)
 
@@ -299,6 +340,7 @@ let () =
           Alcotest.test_case "duplicate hashes" `Quick test_duplicate_hashes;
           Alcotest.test_case "empty tree and first split" `Quick test_boundaries;
           Alcotest.test_case "build with a dry allocator" `Quick test_build_dry_allocator;
+          Alcotest.test_case "node CRC catches any flipped byte" `Quick test_node_byte_flips;
         ] );
       ( "libfs",
         [

@@ -270,6 +270,53 @@ let test_crc32_sub_range () =
   let b = Bytes.of_string "xxhelloxx" in
   Alcotest.(check int) "sub range" (Crc32.of_string "hello") (Crc32.of_bytes ~pos:2 ~len:5 b)
 
+let test_crc32_bad_range () =
+  let b = Bytes.of_string "xxhelloxx" in
+  let n = Bytes.length b in
+  let raises what f =
+    Alcotest.check_raises what (Invalid_argument "Crc32.of_bytes") (fun () -> ignore (f ()))
+  in
+  raises "negative len" (fun () -> Crc32.of_bytes ~pos:0 ~len:(-1) b);
+  raises "negative pos" (fun () -> Crc32.of_bytes ~pos:(-1) ~len:2 b);
+  raises "pos past the end" (fun () -> Crc32.of_bytes ~pos:(n + 1) b);
+  raises "range past the end" (fun () -> Crc32.of_bytes ~pos:2 ~len:(n - 1) b);
+  Alcotest.(check int) "empty range at the end" 0 (Crc32.of_bytes ~pos:n ~len:0 b)
+
+(* The definition, with no table: 8 shift/xor steps per byte. *)
+let crc32_reference b ~pos ~len =
+  let crc = ref 0xFFFFFFFF in
+  for i = pos to pos + len - 1 do
+    crc := !crc lxor Char.code (Bytes.get b i);
+    for _ = 1 to 8 do
+      crc := if !crc land 1 = 1 then 0xEDB88320 lxor (!crc lsr 1) else !crc lsr 1
+    done
+  done;
+  !crc lxor 0xFFFFFFFF
+
+let random_bytes r n = Bytes.init n (fun _ -> Char.chr (Rng.int r 256))
+
+let test_crc32_alignment () =
+  let b = random_bytes (Rng.create 19) 316 in
+  for pos = 0 to 15 do
+    for len = 0 to 300 do
+      let want = crc32_reference b ~pos ~len in
+      let got = Crc32.of_bytes ~pos ~len b in
+      if got <> want then Alcotest.failf "pos %d len %d: %08x, want %08x" pos len got want
+    done
+  done
+
+let test_crc32_pages () =
+  let r = Rng.create 4096 in
+  for page = 1 to 32 do
+    let b = random_bytes r 4096 in
+    List.iter
+      (fun len ->
+        Alcotest.(check int)
+          (Printf.sprintf "page %d len %d" page len)
+          (crc32_reference b ~pos:0 ~len) (Crc32.of_bytes ~len b))
+      [ 4096; Trio_core.Layout.dnode_crc_off ]
+  done
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -316,5 +363,8 @@ let () =
           Alcotest.test_case "known vector" `Quick test_crc32_known;
           Alcotest.test_case "detects change" `Quick test_crc32_detects_change;
           Alcotest.test_case "sub range" `Quick test_crc32_sub_range;
+          Alcotest.test_case "bad range raises" `Quick test_crc32_bad_range;
+          Alcotest.test_case "every alignment and tail" `Quick test_crc32_alignment;
+          Alcotest.test_case "random pages" `Quick test_crc32_pages;
         ] );
     ]
