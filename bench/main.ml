@@ -657,6 +657,22 @@ let micro () =
          (Staged.stage (fun () ->
               let b = Trio_core.Layout.encode_dentry ~inode ~name:"some-file.txt" () in
               ignore (Trio_core.Layout.decode_dentry b))));
+      (* the store path every workload pays: dirty one cacheline, then
+         flush it, on a fresh device *)
+      Test.make ~name:"pmem-hot-line-1k"
+        (Staged.stage (fun () ->
+             let sched = Sched.create () in
+             let topo = Numa.create ~nodes:1 ~cpus_per_node:1 in
+             let pm =
+               Pmem.create ~sched ~topo ~profile:Trio_nvm.Perf.optane ~pages_per_node:16
+                 ~store_data:true ()
+             in
+             Sched.spawn sched (fun () ->
+                 for i = 1 to 1000 do
+                   Pmem.write_u64 pm ~actor:Pmem.kernel_actor ~addr:4096 i;
+                   Pmem.persist pm ~addr:4096 ~len:8
+                 done);
+             ignore (Sched.run sched)));
       Test.make ~name:"sim-10k-events"
         (Staged.stage (fun () ->
              let s = Sched.create () in

@@ -285,9 +285,8 @@ let pp_gc_report = Ctl_registry.pp_gc_report
 let gc_once = Ctl_registry.gc_once
 
 (* ------------------------------------------------------------------ *)
-(* Per-socket shards: topology routing and observability *)
+(* Per-socket shards: topology and observability *)
 
-let shard_count = Ctl_state.shard_count
 let node_of_page = Ctl_state.node_of_page
 
 type shard_stat = {

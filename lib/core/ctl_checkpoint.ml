@@ -7,21 +7,15 @@
    the snapshot bytes equal the device bytes bit for bit — so they can
    be (a) reused when the next checkpoint is taken and (b) served to
    the verifier in incremental mode (see {!Verifier}).  Any doubt —
-   write-set overflow, no checkpoint, dirty page — falls back to the
-   device read, never the other way around. *)
+   write-set overflow, no checkpoint, dirty page, a checkpoint decoded
+   from a durable root — falls back to the device read, never the other
+   way around. *)
 
 module Pmem = Trio_nvm.Pmem
 module Crc32 = Trio_util.Crc32
 open Ctl_state
 
 let page_size = Layout.page_size
-
-(* Can snapshot bytes for [pg] taken at [ck.ck_mark] still stand in for
-   the device?  Requires the write-set to have tracked every store since
-   the mark (no overflow) and the page to be clean since then. *)
-let snapshot_valid t ck pg =
-  Mmu.writes_tracked_since t.mmu ~mark:ck.ck_mark ~page:pg
-  && not (Mmu.dirty_since t.mmu ~mark:ck.ck_mark ~page:pg)
 
 let take_checkpoint t (f : file_info) =
   let actor = Pmem.kernel_actor in
@@ -31,7 +25,8 @@ let take_checkpoint t (f : file_info) =
   let old_ck = f.f_checkpoint in
   let reuse pg =
     match old_ck with
-    | Some ck when snapshot_valid t ck pg -> List.assoc_opt pg ck.ck_pages
+    | Some ck when Mmu.clean_since t.mmu ~mark:ck.ck_mark ~page:pg ->
+      List.assoc_opt pg ck.ck_pages
     | _ -> None
   in
   let dentry = Pmem.read t.pmem ~actor ~addr:f.f_dentry_addr ~len:Layout.dentry_size in
@@ -151,7 +146,7 @@ let page_snapshot t pg =
   match owner_of t pg with
   | In_file ino -> (
     match file_find t ino with
-    | Some { f_checkpoint = Some ck; _ } when snapshot_valid t ck pg ->
+    | Some { f_checkpoint = Some ck; _ } when Mmu.clean_since t.mmu ~mark:ck.ck_mark ~page:pg ->
       List.assoc_opt pg ck.ck_pages
     | _ -> None)
   | Free | Allocated_to _ -> None
@@ -163,16 +158,21 @@ let delta_of t =
 
 (* ------------------------------------------------------------------ *)
 (* Durable encoding.  Checkpoints are DRAM soft state; serializing them
-   (e.g. into a controller log so a warm restart can resume incremental
-   verification) must round-trip exactly and detect torn records, hence
-   the trailing CRC.  Layout, all integers u64-in-8-bytes little endian:
+   into a snapshot root must round-trip exactly and detect torn
+   records, hence the trailing CRC.  Layout, all integers
+   u64-in-8-bytes little endian:
 
-     magic "TRCK" | version | ck_mark | ck_size | ck_index_head
+     magic "TRCK" | version | ck_size | ck_index_head
      | dentry len + bytes | npages | (page no + page bytes)*
-     | nchildren | child ino* | crc32 of everything above *)
+     | nchildren | child ino* | crc32 of everything above
+
+   The write mark is not encoded: it means something only to the MMU
+   that issued it, and a recovered controller runs on a fresh one.  A
+   decoded checkpoint carries {!Mmu.no_mark}, so its bytes can restore
+   a file but never stand in for the device. *)
 
 let magic = "TRCK"
-let version = 1
+let version = 2
 
 let encode_checkpoint (ck : checkpoint) =
   let buf = Buffer.create (256 + (List.length ck.ck_pages * (page_size + 8))) in
@@ -183,7 +183,6 @@ let encode_checkpoint (ck : checkpoint) =
   in
   Buffer.add_string buf magic;
   u64 version;
-  u64 ck.ck_mark;
   u64 ck.ck_size;
   u64 ck.ck_index_head;
   u64 (Bytes.length ck.ck_dentry);
@@ -227,7 +226,6 @@ let decode_checkpoint b =
       match
         let v = u64 () in
         if v <> version then failwith "bad version";
-        let ck_mark = u64 () in
         let ck_size = u64 () in
         let ck_index_head = u64 () in
         let ck_dentry = bytes (u64 ()) in
@@ -241,7 +239,7 @@ let decode_checkpoint b =
         let nchildren = u64 () in
         let ck_children = List.init nchildren (fun _ -> u64 ()) in
         if !pos <> crc_off then failwith "trailing garbage";
-        { ck_dentry; ck_pages; ck_children; ck_size; ck_index_head; ck_mark }
+        { ck_dentry; ck_pages; ck_children; ck_size; ck_index_head; ck_mark = Mmu.no_mark }
       with
       | ck -> Ok ck
       | exception Failure msg -> fail msg

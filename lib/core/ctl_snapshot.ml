@@ -361,8 +361,8 @@ let restore_file t f ~offender =
     if e.e_dentry_addr <> f.f_dentry_addr then Error "file moved since snapshot"
     else begin
       Ctl_checkpoint.restore_checkpoint t f ck ~offender;
-      (* The restored checkpoint becomes the file's live one; its mark
-         predates the restore writes, so [snapshot_valid] stays false
+      (* The restored checkpoint becomes the file's live one; a decoded
+         checkpoint carries no mark, so [Mmu.clean_since] stays false
          and every later read honestly hits the device. *)
       f.f_checkpoint <- Some ck;
       mark_snapshot_restored t f.f_ino;

@@ -27,7 +27,8 @@ type checkpoint = {
   ck_mark : int;
       (* MMU write-set mark at snapshot time: a page unchanged since
          this mark still matches its snapshot bytes bit for bit, which
-         is what lets incremental verification serve it from DRAM *)
+         is what lets incremental verification serve it from DRAM.  A
+         checkpoint decoded from a snapshot root carries [Mmu.no_mark]. *)
 }
 
 (* Health of a file after media damage (see {!Scrub}): [Degraded_ro]

@@ -23,7 +23,9 @@ type checkpoint = {
   ck_children : int list;
   ck_size : int;
   ck_index_head : int;
-  ck_mark : int;  (** MMU write-set mark at snapshot time *)
+  ck_mark : int;
+      (** MMU write-set mark at snapshot time; [Mmu.no_mark] when decoded
+          from a snapshot root *)
 }
 
 type degradation = Healthy | Degraded_ro | Failed

@@ -9,7 +9,11 @@
 
    Grants are reference-counted per (process, page, kind): mappings
    overlap (a dentry page belongs to both the file's mapping and the
-   parent directory's), so a revoke must only undo its own grant. *)
+   parent directory's), so a revoke must only undo its own grant.
+
+   The MMU also keeps the device's one dirty-page write-set: a single
+   page -> mark table that incremental verification asks, through
+   [clean_since], whether a page changed since a checkpoint's mark. *)
 
 module Pmem = Trio_nvm.Pmem
 module Sched = Trio_sim.Sched
@@ -19,85 +23,64 @@ type perm = P_read | P_readwrite
 
 type entry = { mutable readers : int; mutable writers : int }
 
-(* One NUMA node's slice of the dirty-page write-set.  An overflow
-   resets only this slice, so checkpoints of files living on other
-   sockets keep their incremental-verification fast path. *)
-type wpart = {
-  wp_set : (int, int) Hashtbl.t; (* page -> mark of its last mutation *)
-  mutable wp_capacity : int;
-  mutable wp_overflow_mark : int;
-}
-
 type t = {
   pmem : Pmem.t;
   (* actor -> page -> grant counts *)
   tables : (int, (int, entry) Hashtbl.t) Hashtbl.t;
   mutable pte_ops : int;
   (* --- dirty-page write-set (incremental verification, §4.3/§6) ---
-     [wmark] is a monotonic device-wide store counter; the page->mark
-     table is partitioned per NUMA node ([wp_set] of the node owning
-     the page, fed by {!Pmem.set_store_hook}, so poison, crash reverts
-     and page discards count as writes too).  When a partition outgrows
-     [wp_capacity] it is reset and [wp_overflow_mark] records the loss:
-     any checkpoint taken before that mark can no longer prove a page
-     *of that node* clean and must fall back to a full verification
-     walk — pages of other nodes are untouched. *)
-  parts : wpart array;
-  pages_per_node : int;
+     [wmark] is a monotonic device-wide store counter and [wset] maps
+     each page to the mark of its last content mutation, fed by
+     {!Pmem.set_store_hook} (so poison, crash reverts and page discards
+     count as writes too).  When the table outgrows [wcapacity] it is
+     reset and [overflow_mark] records the loss: no mark taken before
+     it can prove any page clean. *)
+  wset : (int, int) Hashtbl.t;
+  mutable wcapacity : int;
+  mutable overflow_mark : int;
   mutable wmark : int;
 }
 
-let part_of t pg = t.parts.(pg / t.pages_per_node mod Array.length t.parts)
+let overflow t =
+  Hashtbl.reset t.wset;
+  t.overflow_mark <- t.wmark
 
 (* Under [Mutation.Drop_writes] content stores stop being recorded, so
    incremental verification trusts stale snapshots. *)
 let record_store t pg =
   if not (Mutation.active Drop_writes) then begin
     t.wmark <- t.wmark + 1;
-    let p = part_of t pg in
-    Hashtbl.replace p.wp_set pg t.wmark;
-    if Hashtbl.length p.wp_set > p.wp_capacity then begin
-      Hashtbl.reset p.wp_set;
-      p.wp_overflow_mark <- t.wmark
-    end
+    Hashtbl.replace t.wset pg t.wmark;
+    if Hashtbl.length t.wset > t.wcapacity then overflow t
   end
 
 let write_mark t = t.wmark
 
-(* Has every store to [page]'s node since [mark] been kept? *)
-let writes_tracked_since t ~mark ~page = mark >= (part_of t page).wp_overflow_mark
+(* A mark no write-set vouches for: it predates every overflow mark,
+   so [clean_since] rejects it for every page. *)
+let no_mark = -1
 
-(* Sound only when [writes_tracked_since ~mark ~page] holds: an absent
-   entry then means the page was not touched since the overflow, and
-   the overflow itself predates [mark]. *)
-let dirty_since t ~mark ~page =
-  let p = part_of t page in
-  match Hashtbl.find_opt p.wp_set page with
-  | Some m -> m > mark
-  | None -> mark < p.wp_overflow_mark
+(* Is [page] provably unchanged since [mark]?  Only if the write-set
+   has tracked every store since the mark (no overflow after it) and
+   the page's last recorded store is no newer than the mark. *)
+let clean_since t ~mark ~page =
+  mark >= t.overflow_mark
+  && (match Hashtbl.find_opt t.wset page with Some m -> m <= mark | None -> true)
 
 let set_write_set_capacity t n =
   if n < 1 then invalid_arg "Mmu.set_write_set_capacity";
-  Array.iter
-    (fun p ->
-      p.wp_capacity <- n;
-      if Hashtbl.length p.wp_set > n then begin
-        Hashtbl.reset p.wp_set;
-        p.wp_overflow_mark <- t.wmark
-      end)
-    t.parts
+  t.wcapacity <- n;
+  if Hashtbl.length t.wset > n then overflow t
 
 let create pmem =
-  let nodes = Trio_nvm.Numa.nodes (Pmem.topo pmem) in
   let t =
     {
       pmem;
       tables = Hashtbl.create 16;
       pte_ops = 0;
-      parts =
-        Array.init nodes (fun _ ->
-            { wp_set = Hashtbl.create 4096; wp_capacity = 1 lsl 16; wp_overflow_mark = 0 });
-      pages_per_node = Pmem.pages_per_node pmem;
+      wset = Hashtbl.create 4096;
+      wcapacity = 1 lsl 16;
+      overflow_mark = 0;
       wmark = 0;
     }
   in

@@ -175,19 +175,7 @@ let patrol_once ?(stats = make_stats ()) ctl =
   Controller.drain_verification ctl;
   let pmem = Controller.pmem ctl in
   let bad = Controller.badblocks ctl in
-  (* Round-robin across sockets: round r starts its sweep on node
-     (r mod nodes), so no socket's poison backlog systematically waits
-     behind another's when a round is cut short. *)
-  let nodes = max 1 (Controller.shard_count ctl) in
-  let start = stats.rounds mod nodes in
   stats.rounds <- stats.rounds + 1;
-  let rotated =
-    List.stable_sort
-      (fun (pa, _) (pb, _) ->
-        let key pg = (Controller.node_of_page ctl pg - start + nodes) mod nodes in
-        compare (key pa) (key pb))
-      (poisoned_by_page pmem)
-  in
   List.iter
     (fun (page, lines) ->
       (* Snapshot payload pages look [Free] but hold the only copy of
@@ -205,7 +193,7 @@ let patrol_once ?(stats = make_stats ()) ctl =
           zero_fill pmem ~page ~lines;
           stats.scrubbed <- stats.scrubbed + List.length lines
       end)
-    rotated;
+    (poisoned_by_page pmem);
   stats
 
 (* Bounded background patrol: [rounds] passes, [interval_ns] of virtual

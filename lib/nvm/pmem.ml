@@ -11,10 +11,12 @@
 
    Persistence model: stores update the volatile image; the previous
    content of each touched 64-byte line is saved until the line is
-   flushed ([persist]).  [crash] reverts (or, with an RNG, randomly
-   persists) all unflushed lines — exactly the states a real PM device
-   could expose after power failure, which is what the crash-consistency
-   tests explore.
+   flushed ([persist]).  Those saved pre-images are the one record of
+   unflushed lines: a flush drops them, so nothing outlives the fence.
+   [crash_select] keeps or reverts each unflushed line as its predicate
+   says, and [crash] is the all-revert (or, with an RNG, coin-flip)
+   case — exactly the states a real PM device could expose after power
+   failure, which is what the crash-consistency tests explore.
 
    Pages are tagged [Meta] or [Data]; when the device is created with
    [store_data:false], data-page contents are not materialized (reads
@@ -32,22 +34,14 @@ let lines_per_page = page_size / line_size
 type kind = Meta | Data
 
 (* Pre-images are tracked in a fixed array indexed by line number, so
-   dirtying, clearing and crash-reverting a line are all O(1) — the old
-   assoc-list representation rescanned the list per touched line.  The
-   array is allocated lazily on first dirtying (clean pages stay small);
-   [no_preimages] is the shared empty placeholder.
-
-   [dirty_order] records line indices most-recently-dirtied first, so a
-   seeded [crash] draws its RNG in the same order the assoc list used to
-   iterate — keeping crash-state exploration reproducible across the
-   representation change.  Entries whose [pre] slot was cleared by a
-   later [persist] are skipped (and may reappear closer to the head if
-   the line is re-dirtied). *)
+   dirtying, clearing and crash-reverting a line are all O(1).  The
+   array is the only record of a page's unflushed lines; it is
+   allocated lazily on first dirtying (clean pages stay small), and
+   [no_preimages] is the shared empty placeholder. *)
 type page = {
   mutable content : Bytes.t option; (* None = all zeros / unmaterialized *)
   mutable pre : Bytes.t option array; (* line index -> pre-image, 64 slots *)
   mutable ndirty : int; (* count of Some slots in [pre] *)
-  mutable dirty_order : int list; (* newest-first line indices, may hold stale entries *)
   mutable kind : kind;
 }
 
@@ -223,7 +217,7 @@ let get_page t pg =
   match Hashtbl.find_opt t.pages pg with
   | Some p -> p
   | None ->
-    let p = { content = None; pre = no_preimages; ndirty = 0; dirty_order = []; kind = Meta } in
+    let p = { content = None; pre = no_preimages; ndirty = 0; kind = Meta } in
     Hashtbl.add t.pages pg p;
     p
 
@@ -310,7 +304,6 @@ let save_preimages t p ~off ~len =
       in
       p.pre.(line) <- Some pre;
       p.ndirty <- p.ndirty + 1;
-      p.dirty_order <- line :: p.dirty_order;
       t.dirty_total <- t.dirty_total + 1
   done
 
@@ -607,64 +600,38 @@ let write_u64 t ~actor ~addr v =
 (* ------------------------------------------------------------------ *)
 (* Crash injection *)
 
-(* Revert every unflushed line to its pre-image; with [rng], each line
-   instead survives with probability 1/2 (cachelines evict in arbitrary
-   order on real hardware, so any subset of unflushed lines may be
-   durable). *)
-let crash ?rng t =
-  t.crash_count <- t.crash_count + 1;
-  Hashtbl.iter
-    (fun pg p ->
-      if p.ndirty > 0 then begin
-        t.store_hook pg;
-        (match p.content with
-        | None ->
-          (* never materialized: nothing to revert, just drop pre-images
-             (no RNG draws, matching the assoc-list implementation) *)
-          List.iter (fun line -> p.pre.(line) <- None) p.dirty_order
-        | Some b ->
-          List.iter
-            (fun line ->
-              match p.pre.(line) with
-              | None -> () (* persisted since dirtying, or stale duplicate *)
-              | Some pre ->
-                let survives = match rng with Some r -> Rng.bool r | None -> false in
-                if not survives then Bytes.blit pre 0 b (line * line_size) line_size;
-                p.pre.(line) <- None)
-            p.dirty_order);
-        t.dirty_total <- t.dirty_total - p.ndirty;
-        p.ndirty <- 0
-      end;
-      p.dirty_order <- [])
-    t.pages
-
-(* Deterministic crash: the caller names exactly which unflushed lines
-   survive.  This is the primitive the crash-state explorer enumerates
-   over — [crash ?rng] above is one random point of the space this
-   spans. *)
+(* Power failure: each unflushed line either survives (its new content
+   reached media) or reverts to its pre-image, as [survives] decides.
+   This is the primitive the crash-state explorer enumerates over.  A
+   never-materialized page has nothing to revert, so its lines are
+   dropped without asking. *)
 let crash_select t ~survives =
   t.crash_count <- t.crash_count + 1;
   Hashtbl.iter
     (fun pg p ->
       if p.ndirty > 0 then begin
         t.store_hook pg;
-        (match p.content with
-        | None -> List.iter (fun line -> p.pre.(line) <- None) p.dirty_order
-        | Some b ->
-          List.iter
-            (fun line ->
-              match p.pre.(line) with
-              | None -> ()
-              | Some pre ->
-                if not (survives ~page:pg ~line) then
-                  Bytes.blit pre 0 b (line * line_size) line_size;
-                p.pre.(line) <- None)
-            p.dirty_order);
+        for line = 0 to lines_per_page - 1 do
+          match p.pre.(line) with
+          | None -> ()
+          | Some pre ->
+            (match p.content with
+            | Some b when not (survives ~page:pg ~line) ->
+              Bytes.blit pre 0 b (line * line_size) line_size
+            | _ -> ());
+            p.pre.(line) <- None
+        done;
         t.dirty_total <- t.dirty_total - p.ndirty;
         p.ndirty <- 0
-      end;
-      p.dirty_order <- [])
+      end)
     t.pages
+
+(* Revert every unflushed line; with [rng], each line instead survives
+   with probability 1/2 (cachelines evict in arbitrary order on real
+   hardware, so any subset of unflushed lines may be durable). *)
+let crash ?rng t =
+  crash_select t ~survives:(fun ~page:_ ~line:_ ->
+      match rng with Some r -> Rng.bool r | None -> false)
 
 let dirty_lines t = t.dirty_total
 

@@ -372,8 +372,8 @@ let test_injector_counts_and_rearms () =
 
 (* >64 dirty lines spread over pages, with a partial persist and
    re-dirtying in between: accounting, the dirty-line list and crash
-   reverts must all stay exact (the per-page dirty_order list keeps
-   stale entries after a persist — they must not resurrect). *)
+   reverts must all stay exact (a re-dirtied line reverts to its
+   persisted value, not to a pre-image from before the persist). *)
 let test_many_dirty_lines_across_pages () =
   in_fiber (fun _ pm ->
       let n = 130 in
@@ -396,6 +396,27 @@ let test_many_dirty_lines_across_pages () =
       Alcotest.(check int) "page 2 reverted to persisted" 65 (Pmem.read_u64 pm ~actor ~addr:8192);
       Alcotest.(check int) "page 2 line 1 reverted to persisted" 66
         (Pmem.read_u64 pm ~actor ~addr:(8192 + 64)))
+
+(* A flushed line leaves no record behind: after a warm-up, store +
+   persist cycles on one cacheline must not grow the live heap. *)
+let test_persist_leaves_no_heap () =
+  in_fiber (fun _ pm ->
+      let cycles n =
+        for i = 1 to n do
+          Pmem.write_u64 pm ~actor ~addr:4096 i;
+          Pmem.persist pm ~addr:4096 ~len:8
+        done
+      in
+      let live_words () =
+        Gc.full_major ();
+        (Gc.stat ()).Gc.live_words
+      in
+      cycles 1_000;
+      let before = live_words () in
+      cycles 20_000;
+      let grown = live_words () - before in
+      if grown >= 1_000 then
+        Alcotest.failf "20,000 store+persist cycles grew the live heap by %d words" grown)
 
 (* ------------------------------------------------------------------ *)
 (* Event log and replay *)
@@ -619,6 +640,7 @@ let () =
             test_injector_counts_and_rearms;
           Alcotest.test_case "many dirty lines across pages" `Quick
             test_many_dirty_lines_across_pages;
+          Alcotest.test_case "persist leaves no heap" `Quick test_persist_leaves_no_heap;
         ] );
       ( "replay",
         [

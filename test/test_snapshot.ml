@@ -336,6 +336,48 @@ let test_recover_mounts_newest_root () =
   ignore (Sched.run sched);
   Alcotest.(check bool) "simulation completed" true !done_
 
+(* A write mark means something only to the MMU that issued it.  The
+   recovered controller runs on a fresh MMU whose counter restarts at
+   0, so a checkpoint decoded from the root must never vouch for a
+   page: after a chmod rewrites a dentry on /d's page, any snapshot
+   served for that page must still equal the device. *)
+let test_recovered_checkpoints_vouch_for_nothing () =
+  let sched, pmem, mmu = make_world () in
+  let done_ = ref false in
+  Sched.spawn sched (fun () ->
+      let ctl = Controller.create ~sched ~pmem ~mmu () in
+      let fs = Libfs.mount ~ctl ~proc:1 ~cred:{ uid = 1000; gid = 1000 } () in
+      let ops = Libfs.ops fs in
+      (match ops.Fs.mkdir "/d" 0o755 with Ok () -> () | Error _ -> Alcotest.fail "mkdir");
+      (match Fs.write_file ops "/d/b" "b" with Ok () -> () | Error _ -> Alcotest.fail "write b");
+      let ino path =
+        match ops.Fs.stat path with
+        | Ok st -> st.st_ino
+        | Error e -> Alcotest.failf "stat %s: %s" path (errno_to_string e)
+      in
+      let d_ino = ino "/d" and b_ino = ino "/d/b" in
+      Libfs.unmap_everything fs;
+      ignore (take "publish" ctl);
+      let mmu2 = Mmu.create pmem in
+      (match Controller.recover ~sched ~pmem ~mmu:mmu2 () with
+      | Ok (ctl2, Controller.Mounted_root _) ->
+        ignore (Libfs.mount ~ctl:ctl2 ~proc:2 ~cred:{ uid = 1000; gid = 1000 } ());
+        (match Controller.chmod ctl2 ~proc:2 ~ino:b_ino ~mode:0o600 with
+        | Ok () -> ()
+        | Error e -> Alcotest.failf "chmod: %s" (errno_to_string e));
+        List.iter
+          (fun pg ->
+            match Controller.page_snapshot ctl2 pg with
+            | Some b when not (Bytes.equal b (Pmem.peek_page pmem pg)) ->
+              Alcotest.failf "page %d of /d: snapshot differs from the device" pg
+            | _ -> ())
+          (file_record ctl2 d_ino).Ctl_state.f_data_pages
+      | Ok (_, Controller.Fsck_fallback) -> Alcotest.fail "recovery fell back to the fsck walk"
+      | Error m -> Alcotest.failf "recovery failed: %s" m);
+      done_ := true);
+  ignore (Sched.run sched);
+  Alcotest.(check bool) "simulation completed" true !done_
+
 (* ------------------------------------------------------------------ *)
 (* Satellite: kill publication at every Delay boundary — at least one
    valid root must exist in every crash state, and recovery must land
@@ -398,8 +440,12 @@ let () =
             test_scrub_repairs_from_snapshot;
         ] );
       ( "recovery",
-        [ Alcotest.test_case "mount newest root, fsck fallback" `Quick
-            test_recover_mounts_newest_root ] );
+        [
+          Alcotest.test_case "mount newest root, fsck fallback" `Quick
+            test_recover_mounts_newest_root;
+          Alcotest.test_case "recovered checkpoints vouch for nothing" `Quick
+            test_recovered_checkpoints_vouch_for_nothing;
+        ] );
       ( "exploration",
         [
           Alcotest.test_case "crash during commit keeps a root" `Slow
