@@ -673,6 +673,37 @@ let micro () =
                    Pmem.persist pm ~addr:4096 ~len:8
                  done);
              ignore (Sched.run sched)));
+      (* index-node updates as the index issues them: a 100-entry leaf
+         written, then rewritten with one entry inserted in the middle,
+         through [Dirindex.write_node] on a fresh device; both writes
+         pay the line store's compares *)
+      (let leaf entries =
+         {
+           Trio_core.Layout.dn_level = 0;
+           dn_right = 0;
+           dn_high_hash = max_int;
+           dn_high_addr = max_int;
+           dn_entries = entries;
+         }
+       in
+       let old_entries = Array.init 100 (fun i -> (i * 7919, i * 64, 0)) in
+       let fresh = [| ((49 * 7919) + 1, 1, 0) |] in
+       let before = leaf old_entries
+       and after =
+         leaf (Array.concat [ Array.sub old_entries 0 50; fresh; Array.sub old_entries 50 50 ])
+       in
+       Test.make ~name:"dnode-rewrite"
+         (Staged.stage (fun () ->
+              let sched = Sched.create () in
+              let topo = Numa.create ~nodes:1 ~cpus_per_node:1 in
+              let pm =
+                Pmem.create ~sched ~topo ~profile:Trio_nvm.Perf.optane ~pages_per_node:16
+                  ~store_data:true ()
+              in
+              Sched.spawn sched (fun () ->
+                  Trio_core.Dirindex.write_node pm ~actor:Pmem.kernel_actor 3 before;
+                  Trio_core.Dirindex.write_node pm ~actor:Pmem.kernel_actor 3 after);
+              ignore (Sched.run sched))));
       Test.make ~name:"sim-10k-events"
         (Staged.stage (fun () ->
              let s = Sched.create () in

@@ -61,7 +61,8 @@ type dir_state = {
      accelerator, so [d_dindex_root = 0] (unindexed) is always a legal
      state to fall back to. *)
   mutable d_dindex_root : int;
-  d_dindex_lock : Sync.Mutex.t; (* serializes tree mutations; readers are lock-free *)
+      (* updated under the controller's per-(group, directory) index
+         lock ([with_index_lock]); readers are lock-free *)
   (* Aux construction is lazy: a fresh [dir_state] knows only the page
      chain and the inode size.  [d_aux_built] marks the one full
      per-slot scan that fills [d_names] and [d_free_slots] — done on
@@ -358,7 +359,6 @@ let new_dir_state ~ino ~addr =
     d_size_lock = Sync.Mutex.create ();
     d_write_mapped = false;
     d_dindex_root = 0;
-    d_dindex_lock = Sync.Mutex.create ();
     d_aux_built = false;
   }
 
@@ -848,6 +848,21 @@ let dindex_alloc t () =
 
 let dindex_free t pg = Alloc_cache.recycle_page t.cache ~page:pg ~kind:Pmem.Meta
 
+(* Every index update runs under the directory's index lock, one per
+   (trust group, directory) on the controller: this process' fibers and
+   its same-group co-writers update the tree one at a time. *)
+let with_index_lock t (d : dir_state) f =
+  Sync.Mutex.with_lock (Controller.index_lock t.ctl ~proc:t.proc ~ino:d.d_ino) f
+
+(* The index root to update from; the caller holds the index lock.  A
+   same-group co-writer may have split the root, built a tree or dropped
+   it since this process last looked, so unless the process is alone in
+   its trust group the dentry's root word is re-read. *)
+let current_root t (d : dir_state) =
+  if not (Controller.group_solo t.ctl ~proc:t.proc) then
+    d.d_dindex_root <- Layout.read_dindex_root t.pmem ~actor:t.proc ~dentry_addr:d.d_addr;
+  d.d_dindex_root
+
 (* Insert (name -> dentry address) into the directory's index — called
    *after* the dentry itself is persisted (truth first, accelerator
    second; a crash between the two is reconciled at recovery).  A first
@@ -857,10 +872,10 @@ let dindex_free t pg = Alloc_cache.recycle_page t.cache ~page:pg ~kind:Pmem.Meta
    insert and delete alike. *)
 let index_insert t (d : dir_state) name addr =
   if not (Mutation.active Skip_index) then
-    Sync.Mutex.with_lock d.d_dindex_lock (fun () ->
+    with_index_lock t d (fun () ->
         match
           Dirindex.insert ~stats:(kstats t) t.pmem ~actor:t.proc ~alloc:(dindex_alloc t)
-            ~free:(dindex_free t) ~root:d.d_dindex_root
+            ~free:(dindex_free t) ~root:(current_root t d)
             ~hash:(Dirindex.hash_name name) ~addr
         with
         | Ok (root, _fresh) ->
@@ -876,11 +891,12 @@ let index_insert t (d : dir_state) name addr =
 
 (* Remove (name -> address) after the dentry tombstone is persisted. *)
 let index_delete t (d : dir_state) name addr =
-  if (not (Mutation.active Skip_index)) && d.d_dindex_root <> 0 then
-    Sync.Mutex.with_lock d.d_dindex_lock (fun () ->
+  if not (Mutation.active Skip_index) then
+    with_index_lock t d (fun () ->
         match
-          Dirindex.delete t.pmem ~actor:t.proc ~root:d.d_dindex_root
-            ~hash:(Dirindex.hash_name name) ~addr
+          let root = current_root t d in
+          if root = 0 then Ok ()
+          else Dirindex.delete t.pmem ~actor:t.proc ~root ~hash:(Dirindex.hash_name name) ~addr
         with
         | Ok () -> ()
         | Error _ | exception Pmem.Media_fault _ -> drop_index t d)
@@ -890,8 +906,9 @@ let index_delete t (d : dir_state) name addr =
    tree, or a crash left it detached). *)
 let rebuild_index t (d : dir_state) =
   if d.d_dindex_root = 0 && d.d_aux_built && d.d_size > 0 then
-    Sync.Mutex.with_lock d.d_dindex_lock (fun () ->
-        if d.d_dindex_root = 0 then
+    with_index_lock t d (fun () ->
+        match current_root t d with
+        | 0 -> (
           let entries =
             Htbl.fold d.d_names [] (fun acc name r -> (Dirindex.hash_name name, r.e_addr) :: acc)
           in
@@ -903,6 +920,7 @@ let rebuild_index t (d : dir_state) =
             Layout.write_dindex_root t.pmem ~actor:t.proc ~dentry_addr:d.d_addr root;
             d.d_dindex_root <- root
           | Ok _ | Error `Nospace | exception Pmem.Media_fault _ -> ())
+        | _ | (exception Pmem.Media_fault _) -> ())
 
 (* Mutating name ops need certainty about existence; an
    unindexed-nonempty directory only offers it through the full scan.

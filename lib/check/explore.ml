@@ -271,12 +271,11 @@ let dirty_sets_of recording =
   let ucount = ref 0 in
   List.iter
     (fun ev ->
-      (match ev with
-      | Pmem.Ev_store { actor; _ } when actor <> Pmem.kernel_actor ->
+      if Pmem.is_user_store ev then begin
         let post = !ucount - recording.rec_mount_stores in
         if post >= 0 && post <= n then sets.(post) <- Pmem.Replay.dirty img;
         incr ucount
-      | _ -> ());
+      end;
       Pmem.Replay.apply img ev)
     recording.rec_events;
   sets.(n) <- Pmem.Replay.dirty img;
@@ -289,11 +288,10 @@ let image_at recording ~at =
   (try
      List.iter
        (fun ev ->
-         (match ev with
-         | Pmem.Ev_store { actor; _ } when actor <> Pmem.kernel_actor ->
+         if Pmem.is_user_store ev then begin
            if !ucount - recording.rec_mount_stores >= at then raise Exit;
            incr ucount
-         | _ -> ());
+         end;
          Pmem.Replay.apply img ev)
        recording.rec_events
    with Exit -> ());

@@ -52,6 +52,19 @@ let group_solo t ~proc =
     (fun id (p : proc_info) solo -> solo && (id = proc || p.p_dead || p.p_group <> group))
     t.procs true
 
+(* One lock per (trust group, directory), taken by the group's LibFSes
+   around every update of the directory's index, so same-group
+   co-writers never interleave tree updates.  It lives on the
+   controller, so it goes with the machine it guards. *)
+let index_lock t ~proc ~ino =
+  let key = (group_of t proc, ino) in
+  match Hashtbl.find_opt t.index_locks key with
+  | Some m -> m
+  | None ->
+    let m = Trio_sim.Sync.Mutex.create () in
+    Hashtbl.add t.index_locks key m;
+    m
+
 (* Release the inode numbers a dead process still holds.  Its cached
    *pages* are deliberately left attributed (Allocated_to) for the
    orphan GC: routing all page reclamation through {!gc_once} keeps it

@@ -24,6 +24,11 @@ val group_solo : Ctl_state.t -> proc:int -> bool
     LibFS asks before it trusts its own view of a directory's free
     dentry slots, which a same-group co-writer could be filling. *)
 
+val index_lock : Ctl_state.t -> proc:int -> ino:int -> Trio_sim.Sync.Mutex.t
+(** The lock [proc]'s LibFS holds around every update of directory
+    [ino]'s B-link index: one per (trust group, directory), shared by
+    every process of the group (DESIGN.md §4.18). *)
+
 val reap_dead : Ctl_state.t -> int -> int
 (** Release a dead process' inode numbers; returns how many. *)
 

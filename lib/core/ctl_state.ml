@@ -146,6 +146,10 @@ type t = {
       (* per-trust-group token buckets: admission control over
          syscalls, ring slots, verification and page draw
          (DESIGN.md §4.17) *)
+  index_locks : (int * int, Trio_sim.Sync.Mutex.t) Hashtbl.t;
+      (* (trust group, directory ino) -> the lock that group's LibFSes
+         hold around every update of that directory's B-link index
+         (DESIGN.md §4.18) *)
 }
 
 (* Global verification-mode switch (differential testing flips it, only
@@ -293,6 +297,7 @@ let make ~sched ~pmem ~mmu ~lease_ns =
     snap_pages = [];
     snap_restored = Hashtbl.create 16;
     qos = Ctl_qos.create ();
+    index_locks = Hashtbl.create 16;
   }
 
 let create ~sched ~pmem ~mmu ?(lease_ns = 100.0e6) () =

@@ -109,6 +109,9 @@ type t = {
       (** inos rolled back to the durable root since mount *)
   qos : Ctl_qos.t;
       (** per-trust-group token buckets (DESIGN.md §4.17) *)
+  index_locks : (int * int, Trio_sim.Sync.Mutex.t) Hashtbl.t;
+      (** (trust group, directory ino) -> its index-update lock
+          (DESIGN.md §4.18) *)
 }
 
 type vmode = Full | Incremental

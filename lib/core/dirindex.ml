@@ -7,10 +7,19 @@
    damaged node degrades to the linear dentry-page scan plus a rebuild
    from the leaves.
 
+   Every node update is one store of the lines the re-encoded node
+   changes ({!Pmem.write_lines}) and one fence over its page: an insert
+   at position i of an n-entry leaf stores the header line, the lines
+   spanning entries i..n and the CRC line.  Comparing with the device
+   stands in for tracking the changed lines because the writer is
+   exclusive: callers hold the directory's index lock, one per (trust
+   group, directory) on the controller, so the page holds exactly the
+   node the writer decoded.
+
    Crash discipline (single writer per directory; readers are lock-free
    thanks to the B-link right-sibling pointers):
 
-   - leaf/internal insert without overflow: one full-node rewrite whose
+   - leaf/internal insert without overflow: one node rewrite whose
      trailing CRC makes a torn write detectable (reader falls back);
    - split: the new right sibling is written first (unreachable until
      linked), then the left node is rewritten with halved keys, the
@@ -90,8 +99,10 @@ let read_node ?fetch pm ~actor page =
       | Error e -> Error (Printf.sprintf "index node %d: %s" page e))
   end
 
+(* One store of the node's changed lines and one fence (see the header
+   comment). *)
 let write_node pm ~actor page (n : Layout.dnode) =
-  Pmem.write pm ~actor ~addr:(page * page_size) ~src:(Layout.encode_dnode n);
+  Pmem.write_lines pm ~actor ~addr:(page * page_size) ~src:(Layout.encode_dnode n);
   Pmem.persist pm ~addr:(page * page_size) ~len:page_size
 
 let high_of (n : Layout.dnode) = (n.Layout.dn_high_hash, n.Layout.dn_high_addr)
@@ -121,20 +132,20 @@ let lookup ?fetch ?stats pm ~actor ~root ~hash =
   if root = 0 then Ok []
   else begin
     let bound = Pmem.total_pages pm in
-    let rec collect page acc steps =
-      if steps > bound then Error "index chain too long (cycle?)"
-      else
-        match read_node ?fetch pm ~actor page with
-        | Error _ as e -> e
-        | Ok n ->
-          let acc =
-            Array.fold_left
-              (fun acc (h, a, _) -> if h = hash then a :: acc else acc)
-              acc n.Layout.dn_entries
-          in
-          if n.Layout.dn_right <> 0 && n.Layout.dn_high_hash <= hash then
-            collect n.Layout.dn_right acc (steps + 1)
-          else Ok (List.rev acc)
+    (* [n] is the leaf [descend] decoded; right siblings are read here *)
+    let rec collect (n : Layout.dnode) acc steps =
+      let acc =
+        Array.fold_left
+          (fun acc (h, a, _) -> if h = hash then a :: acc else acc)
+          acc n.Layout.dn_entries
+      in
+      if n.Layout.dn_right <> 0 && n.Layout.dn_high_hash <= hash then
+        if steps >= bound then Error "index chain too long (cycle?)"
+        else
+          match read_node ?fetch pm ~actor n.Layout.dn_right with
+          | Error _ as e -> e
+          | Ok right -> collect right acc (steps + 1)
+      else Ok (List.rev acc)
     in
     let rec descend page steps =
       if steps > bound then Error "index descent too deep (cycle?)"
@@ -144,7 +155,7 @@ let lookup ?fetch ?stats pm ~actor ~root ~hash =
         | Ok n ->
           if (hash, 0) >= high_of n && n.Layout.dn_right <> 0 then
             descend n.Layout.dn_right (steps + 1)
-          else if n.Layout.dn_level = 0 then collect page [] steps
+          else if n.Layout.dn_level = 0 then collect n [] steps
           else (
             match route n (hash, 0) with
             | Some child -> descend child (steps + 1)
@@ -397,7 +408,7 @@ let fold ?fetch ?stats pm ~actor ~root ~init ~f =
         match read_node ?fetch pm ~actor page with
         | Error _ as e -> e
         | Ok n ->
-          if n.Layout.dn_level = 0 then Ok page
+          if n.Layout.dn_level = 0 then Ok n
           else (
             match n.Layout.dn_entries with
             | [||] -> Error "index node has no covering child"
@@ -405,17 +416,17 @@ let fold ?fetch ?stats pm ~actor ~root ~init ~f =
               let _, _, child = es.(0) in
               leftmost child (steps + 1))
     in
-    let rec scan page acc steps =
-      if page = 0 then Ok acc
-      else if steps > bound then Error "index chain too long (cycle?)"
+    (* [n] is a decoded leaf; its right siblings are read here *)
+    let rec scan (n : Layout.dnode) acc steps =
+      let acc =
+        Array.fold_left (fun acc (h, a, _) -> f acc ~hash:h ~addr:a) acc n.Layout.dn_entries
+      in
+      if n.Layout.dn_right = 0 then Ok acc
+      else if steps >= bound then Error "index chain too long (cycle?)"
       else
-        match read_node ?fetch pm ~actor page with
+        match read_node ?fetch pm ~actor n.Layout.dn_right with
         | Error _ as e -> e
-        | Ok n ->
-          let acc =
-            Array.fold_left (fun acc (h, a, _) -> f acc ~hash:h ~addr:a) acc n.Layout.dn_entries
-          in
-          scan n.Layout.dn_right acc (steps + 1)
+        | Ok right -> scan right acc (steps + 1)
     in
     match leftmost root 0 with Error _ as e -> e | Ok leaf -> scan leaf init 0
   end

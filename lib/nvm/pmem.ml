@@ -81,6 +81,9 @@ type fault_stats = {
    at any store boundary. *)
 type event =
   | Ev_store of { actor : int; addr : int; data : Bytes.t } (* post-image *)
+  | Ev_lines of { actor : int; runs : (int * Bytes.t) list }
+      (* one [write_lines] store: (addr, post-image) of each run of
+         changed lines, ascending; [] when nothing differed *)
   | Ev_persist of (int * int) list (* ranges drained by one fence *)
   | Ev_discard of int (* page freed back to the device *)
 
@@ -200,13 +203,17 @@ let recorded_events t = List.rev t.events_rev
 let recorded_event_count t = t.event_count
 let recorded_user_stores t = t.user_store_count
 
+(* A store by a non-kernel actor: each is exactly one crash point
+   ({!fail_after_writes}), which is how the explorer maps a crash index
+   to a log prefix. *)
+let is_user_store = function
+  | Ev_store { actor; _ } | Ev_lines { actor; _ } -> actor <> kernel_actor
+  | Ev_persist _ | Ev_discard _ -> false
+
 let record_event t ev =
   t.events_rev <- ev :: t.events_rev;
   t.event_count <- t.event_count + 1;
-  match ev with
-  | Ev_store { actor; _ } when actor <> kernel_actor ->
-    t.user_store_count <- t.user_store_count + 1
-  | _ -> ()
+  if is_user_store ev then t.user_store_count <- t.user_store_count + 1
 
 let check_perm t ~actor ~page ~write =
   t.mmu_checks <- t.mmu_checks + 1;
@@ -437,8 +444,9 @@ let fault_on_read t ~actor ~addr ~len =
 (* A store that touches a poisoned line rewrites its cells and heals it
    — unless this very store's cells latch wrong, in which case every
    touched line ends up poisoned.  Kernel stores never stick, so scrub
-   repair writes are reliable. *)
-let fault_on_write t ~actor ~addr ~len =
+   repair writes are reliable.  [stuck_store] draws once per store;
+   [line_stored] applies the outcome to each line the store wrote. *)
+let stuck_store t ~actor =
   let stuck =
     actor <> kernel_actor
     &&
@@ -446,16 +454,20 @@ let fault_on_write t ~actor ~addr ~len =
     | Some r -> t.stuck_store_p > 0.0 && Rng.float r 1.0 < t.stuck_store_p
     | None -> false
   in
-  if stuck then begin
-    t.stuck_stores <- t.stuck_stores + 1;
-    iter_lines addr len (fun ~page ~line -> poison_line t ~page ~line)
+  if stuck then t.stuck_stores <- t.stuck_stores + 1;
+  stuck
+
+let line_stored t ~stuck ~page ~line =
+  if stuck then poison_line t ~page ~line
+  else if Hashtbl.mem t.poison (page, line) then begin
+    Hashtbl.remove t.poison (page, line);
+    t.poison_repaired <- t.poison_repaired + 1
   end
-  else if Hashtbl.length t.poison > 0 then
-    iter_lines addr len (fun ~page ~line ->
-        if Hashtbl.mem t.poison (page, line) then begin
-          Hashtbl.remove t.poison (page, line);
-          t.poison_repaired <- t.poison_repaired + 1
-        end)
+
+let fault_on_write t ~actor ~addr ~len =
+  let stuck = stuck_store t ~actor in
+  if stuck || Hashtbl.length t.poison > 0 then
+    iter_lines addr len (fun ~page ~line -> line_stored t ~stuck ~page ~line)
 
 (* ------------------------------------------------------------------ *)
 (* Public accessors: MMU check + cost + data movement *)
@@ -550,6 +562,100 @@ let touch t ~actor ~addr ~len ~write =
   if write then iter_pages addr len (fun ~pg ~off:_ ~chunk:_ ~done_:_ -> t.store_hook pg);
   if write then fault_on_write t ~actor ~addr ~len else fault_on_read t ~actor ~addr ~len;
   iter_node_runs t addr len (fun ~node ~addr:_ ~len -> node_access t ~node ~write ~bytes:len)
+
+(* ------------------------------------------------------------------ *)
+(* Line-diffing store
+
+   [write_lines] is one store of whole 64-byte lines within one page
+   that writes only the lines of [src] differing from the device — what
+   a writer that tracks its own changed lines would issue.  It is one
+   store in every respect: one crash point, one permission check, one
+   bandwidth charge for the changed bytes, one recorded {!Ev_lines}
+   event.  The compare runs again after the charge's delay, and the
+   lines that differ then are the ones stored, so the page ends equal
+   to [src] even if another store landed during the delay.  Lines left
+   alone keep their state: an unchanged clean line stays clean, an
+   unchanged unflushed line keeps its pre-image (and would revert to
+   its own content anyway), so power-failure states are those of a
+   full overwrite.  A poisoned line always counts as differing, so the
+   store heals it.  Unchanged lines draw no media fault and a stuck
+   store poisons only the lines it wrote. *)
+
+(* Allocation-free line compares, eight bytes at a time and unchecked:
+   callers pass line offsets inside both buffers. *)
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
+let line_equal a apos b bpos =
+  Int64.equal (get64u a apos) (get64u b bpos)
+  && Int64.equal (get64u a (apos + 8)) (get64u b (bpos + 8))
+  && Int64.equal (get64u a (apos + 16)) (get64u b (bpos + 16))
+  && Int64.equal (get64u a (apos + 24)) (get64u b (bpos + 24))
+  && Int64.equal (get64u a (apos + 32)) (get64u b (bpos + 32))
+  && Int64.equal (get64u a (apos + 40)) (get64u b (bpos + 40))
+  && Int64.equal (get64u a (apos + 48)) (get64u b (bpos + 48))
+  && Int64.equal (get64u a (apos + 56)) (get64u b (bpos + 56))
+
+(* What a page never stored to reads as. *)
+let zero_page = Bytes.make page_size '\000'
+
+(* Runs of consecutive lines of page [pg] that differ from [src], as
+   ascending (first line, last line) pairs; [src] starts at line
+   [first]. *)
+let differing_spans t pg ~first ~src =
+  let content =
+    match Hashtbl.find_opt t.pages pg with Some { content = Some b; _ } -> b | _ -> zero_page
+  in
+  let spans = ref [] in
+  for i = (Bytes.length src / line_size) - 1 downto 0 do
+    let line = first + i and pos = i * line_size in
+    let same =
+      line_equal content (line * line_size) src pos
+      && not (Hashtbl.length t.poison > 0 && Hashtbl.mem t.poison (pg, line))
+    in
+    if not same then
+      spans :=
+        match !spans with
+        | (lo, hi) :: rest when lo = line + 1 -> (line, hi) :: rest
+        | rest -> (line, line) :: rest
+  done;
+  !spans
+
+let write_lines t ~actor ~addr ~src =
+  let len = Bytes.length src in
+  if addr mod line_size <> 0 || len mod line_size <> 0 || (addr mod page_size) + len > page_size
+  then invalid_arg "Pmem.write_lines: not whole lines of one page";
+  check_bounds t ~what:"Pmem.write_lines" ~addr ~len;
+  maybe_crash_point t ~actor;
+  let pg = addr / page_size and first = addr mod page_size / line_size in
+  check_perm t ~actor ~page:pg ~write:true;
+  let spans =
+    match differing_spans t pg ~first ~src with
+    | [] -> []
+    | changed ->
+      let lines = List.fold_left (fun n (lo, hi) -> n + hi - lo + 1) 0 changed in
+      node_access t ~node:(node_of_page t pg) ~write:true ~bytes:(lines * line_size);
+      differing_spans t pg ~first ~src
+  in
+  (* a span's offset in [src] and its length in bytes *)
+  let src_pos lo = (lo - first) * line_size and span_len lo hi = (hi - lo + 1) * line_size in
+  List.iter
+    (fun (lo, hi) ->
+      blit_to_page t pg ~off:(lo * line_size) ~src ~src_pos:(src_pos lo) ~len:(span_len lo hi))
+    spans;
+  if spans <> [] then begin
+    t.store_hook pg;
+    let stuck = stuck_store t ~actor in
+    if stuck || Hashtbl.length t.poison > 0 then
+      List.iter
+        (fun (lo, hi) ->
+          for line = lo to hi do
+            line_stored t ~stuck ~page:pg ~line
+          done)
+        spans
+  end;
+  if t.recording then
+    let run (lo, hi) = (addr + src_pos lo, Bytes.sub src (src_pos lo) (span_len lo hi)) in
+    record_event t (Ev_lines { actor; runs = List.map run spans })
 
 (* clwb + sfence over a range: pre-images in the range are discarded (the
    lines are now on media).  The data movement itself was already charged
@@ -715,6 +821,7 @@ module Replay = struct
 
   let apply img = function
     | Ev_store { addr; data; _ } -> store img ~addr ~data
+    | Ev_lines { runs; _ } -> List.iter (fun (addr, data) -> store img ~addr ~data) runs
     | Ev_persist ranges -> List.iter (fun (addr, len) -> persist img ~addr ~len) ranges
     | Ev_discard pg -> discard img pg
 

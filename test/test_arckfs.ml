@@ -603,18 +603,22 @@ let test_materialize_lists_slot_once () =
       Alcotest.(check int) "distinct dentry addresses" (List.length model)
         (List.length (List.sort_uniq compare addrs)))
 
-(* Two processes of one trust group create and unlink in one directory
-   at once, as in Table 3's trust-group run: each keeps its own slot
-   list, so neither may take holes from pages the other is filling.  A
-   shared slot shows as a stat that reads the other writer's dentry
-   (each writer uses its own mode); afterwards the directory must hold
-   exactly its prepopulated entries and certify. *)
-let test_trust_group_co_writers () =
+(* [writers] processes of one trust group create and unlink in one
+   directory at once, as in Table 3's trust-group run, for [rounds]
+   rounds of [files] files each: each keeps its own slot list, so none
+   may take holes from pages another is filling, and their index
+   updates must not interleave.  A shared slot shows as a stat that
+   reads another writer's dentry (each writer uses its own mode); a
+   lost index update shows as a corruption event when the directory is
+   handed back.  Afterwards the directory must hold exactly its
+   prepopulated entries and certify. *)
+let trust_group_co_writers ~writers ~rounds ~files =
+  let label what = Printf.sprintf "(%d, %d, %d) %s" writers rounds files what in
   Helpers.run_sim (fun env ->
-      let a = Helpers.mount ~proc:1 ~group:77 env and b = Helpers.mount ~proc:2 ~group:77 env in
-      let aops = Libfs.ops a and bops = Libfs.ops b in
+      let fss = List.init writers (fun i -> Helpers.mount ~proc:(i + 1) ~group:77 env) in
+      let aops = Libfs.ops (List.hd fss) in
       ok "mkdir" (aops.Fs.mkdir "/g" 0o777);
-      (* leave holes in the pages both writers will see *)
+      (* leave holes in the pages every writer will see *)
       let base i = Printf.sprintf "base%02d" i in
       for i = 0 to 47 do
         ok "close" (aops.Fs.close (ok "create" (aops.Fs.create ("/g/" ^ base i) 0o644)))
@@ -623,33 +627,39 @@ let test_trust_group_co_writers () =
         ok "unlink" (aops.Fs.unlink ("/g/" ^ base (2 * i)))
       done;
       let expected = List.init 24 (fun i -> base ((2 * i) + 1)) in
-      Libfs.unmap_everything a;
+      Libfs.unmap_everything (List.hd fss);
       List.iteri
-        (fun tid (ops, mode) ->
+        (fun tid fs ->
+          let ops = Libfs.ops fs and mode = List.nth [ 0o640; 0o604; 0o644; 0o600 ] tid in
           Sched.spawn ~cpu:tid env.Helpers.sched (fun () ->
-              for round = 0 to 5 do
-                let paths = List.init 4 (fun n -> Printf.sprintf "/g/t%d_%d_%d" tid round n) in
+              for round = 0 to rounds - 1 do
+                let paths = List.init files (fun n -> Printf.sprintf "/g/t%d_%d_%d" tid round n) in
                 List.iter
                   (fun path -> ok "close" (ops.Fs.close (ok "create" (ops.Fs.create path mode))))
                   paths;
                 List.iter
                   (fun path ->
                     let st = ok "stat" (ops.Fs.stat path) in
-                    if st.st_mode <> mode then Alcotest.failf "%s: another writer's dentry" path)
+                    if st.st_mode <> mode then
+                      Alcotest.failf "%s" (label (path ^ ": another writer's dentry")))
                   paths;
                 List.iter (fun path -> ok "unlink" (ops.Fs.unlink path)) paths
               done))
-        [ (aops, 0o640); (bops, 0o604) ];
+        fss;
       Sched.park (fun waker -> Sched.schedule env.Helpers.sched 1.0e12 waker);
-      Alcotest.(check (list string)) "entries" expected (names_of aops "/g");
-      Libfs.unmap_everything a;
-      Libfs.unmap_everything b;
+      Alcotest.(check (list string)) (label "entries") expected (names_of aops "/g");
+      List.iter Libfs.unmap_everything fss;
       let _, bad = Trio_core.Controller.audit_all env.Helpers.ctl in
-      Alcotest.(check int) "certified" 0 bad;
-      Alcotest.(check int) "corruption events" 0
+      Alcotest.(check int) (label "certified") 0 bad;
+      Alcotest.(check int) (label "corruption events") 0
         (List.length (Trio_core.Controller.corruption_events env.Helpers.ctl));
-      let ops3 = Libfs.ops (Helpers.mount ~proc:3 env) in
-      Alcotest.(check (list string)) "entries, fresh process" expected (names_of ops3 "/g"))
+      let ops3 = Libfs.ops (Helpers.mount ~proc:(writers + 1) env) in
+      Alcotest.(check (list string)) (label "entries, fresh process") expected (names_of ops3 "/g"))
+
+let test_trust_group_co_writers () =
+  List.iter
+    (fun (writers, rounds, files) -> trust_group_co_writers ~writers ~rounds ~files)
+    [ (2, 6, 4); (2, 12, 4); (2, 6, 8); (2, 20, 3); (3, 6, 4); (3, 10, 6); (4, 6, 4) ]
 
 (* ------------------------------------------------------------------ *)
 

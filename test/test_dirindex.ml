@@ -223,6 +223,44 @@ let test_node_byte_flips () =
       done)
     [ 10; Layout.dnode_capacity ]
 
+(* A node update stores only the lines it changes: inserting into an
+   n-entry leaf at position i rewrites the header line (the key count),
+   the lines spanning entries i..n (shifted up by one) and the CRC line,
+   and is charged for exactly those — not for the whole 4 KiB page. *)
+let test_insert_writes_changed_lines () =
+  let n = 40 in
+  List.iter
+    (fun i ->
+      with_tree (fun pm alloc free ->
+          let actor = Pmem.kernel_actor in
+          (* hashes 1000, 2000, ...; the new key sorts at position i *)
+          let entries = List.init n (fun k -> ((k + 1) * 1000, k)) in
+          let root, _ = iok "build" (Dirindex.build pm ~actor ~alloc ~free ~entries) in
+          let node = Pmem.node_of_page pm root in
+          let written () =
+            let _, _, w = Pmem.node_stats pm node in
+            int_of_float w
+          in
+          let before = written () in
+          let r, fresh =
+            iok "insert"
+              (Dirindex.insert pm ~actor ~alloc ~free ~root ~hash:((i * 1000) + 500) ~addr:n)
+          in
+          Alcotest.(check bool) "no split" true (r = root && fresh = []);
+          let line off = off / Pmem.line_size in
+          let first = line (Layout.dnode_hdr_size + (i * Layout.dnode_entry_size))
+          and last = line (Layout.dnode_hdr_size + ((n + 1) * Layout.dnode_entry_size) - 1) in
+          let lines =
+            (0 :: List.init (last - first + 1) (fun k -> first + k)) @ [ line Layout.dnode_crc_off ]
+            |> List.sort_uniq compare
+          in
+          Alcotest.(check int)
+            (Printf.sprintf "bytes stored for an insert at %d of %d" i n)
+            (List.length lines * Pmem.line_size)
+            (written () - before);
+          ignore (audit_clean "after insert" pm root)))
+    [ 0; 17; n ]
+
 (* ------------------------------------------------------------------ *)
 (* LibFS integration *)
 
@@ -341,6 +379,8 @@ let () =
           Alcotest.test_case "empty tree and first split" `Quick test_boundaries;
           Alcotest.test_case "build with a dry allocator" `Quick test_build_dry_allocator;
           Alcotest.test_case "node CRC catches any flipped byte" `Quick test_node_byte_flips;
+          Alcotest.test_case "insert stores only changed lines" `Quick
+            test_insert_writes_changed_lines;
         ] );
       ( "libfs",
         [

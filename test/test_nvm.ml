@@ -522,6 +522,151 @@ let test_replay_discard_parity () =
         (Bytes.equal (Pmem.Replay.page img 2) (Pmem.peek_page pm 2)))
 
 (* ------------------------------------------------------------------ *)
+(* Line-diffing store *)
+
+let page2 = 2 * Pmem.page_size
+
+(* A page whose every line differs from a constant fill. *)
+let base_page () = Bytes.init Pmem.page_size (fun i -> Char.chr ((i * 7) land 0xff))
+
+(* [b] with each of [lines] overwritten by a fill of its own. *)
+let with_lines b lines =
+  let b = Bytes.copy b in
+  List.iter (fun l -> Bytes.fill b (l * Pmem.line_size) Pmem.line_size (Char.chr (0x80 + l))) lines;
+  b
+
+(* Page 2 holds [base_page], flushed. *)
+let flushed_base pm =
+  Pmem.write pm ~actor ~addr:page2 ~src:(base_page ());
+  Pmem.persist pm ~addr:page2 ~len:Pmem.page_size
+
+let bytes_written pm =
+  let _, _, w = Pmem.node_stats pm 0 in
+  w
+
+let test_line_store_only_differing () =
+  in_fiber (fun _ pm ->
+      flushed_base pm;
+      let src = with_lines (base_page ()) [ 3; 4; 10; 63 ] in
+      let before = bytes_written pm in
+      Pmem.write_lines pm ~actor ~addr:page2 ~src;
+      Alcotest.(check (float 0.0)) "charged for four lines" 256.0 (bytes_written pm -. before);
+      Alcotest.(check (list (pair int int)))
+        "only the stored lines are unflushed"
+        [ (2, 3); (2, 4); (2, 10); (2, 63) ]
+        (Pmem.dirty_line_list pm);
+      Alcotest.(check bool) "page equals the source" true (Bytes.equal src (Pmem.peek_page pm 2));
+      (* a sub-page source: lines 8..10, of which only line 10 differs *)
+      Pmem.persist pm ~addr:page2 ~len:Pmem.page_size;
+      let part = Bytes.sub (with_lines src [ 10 ]) (8 * Pmem.line_size) (3 * Pmem.line_size) in
+      Bytes.fill part (2 * Pmem.line_size) Pmem.line_size 'z';
+      Pmem.write_lines pm ~actor ~addr:(page2 + (8 * Pmem.line_size)) ~src:part;
+      Alcotest.(check (list (pair int int)))
+        "one line of three" [ (2, 10) ] (Pmem.dirty_line_list pm);
+      match Pmem.write_lines pm ~actor ~addr:(page2 + 32) ~src:(Bytes.make 64 'x') with
+      | () -> Alcotest.fail "a source off the line grid was stored"
+      | exception Invalid_argument _ -> ())
+
+let test_line_store_identical_source () =
+  in_fiber (fun sched pm ->
+      let mmu = Trio_core.Mmu.create pm in
+      flushed_base pm;
+      let mark = Trio_core.Mmu.write_mark mmu in
+      let before = bytes_written pm and now = Sched.now sched in
+      let pages = Pmem.materialized_pages pm in
+      Pmem.write_lines pm ~actor ~addr:page2 ~src:(base_page ());
+      (* a page never written reads as zeros: a zero source is identical *)
+      Pmem.write_lines pm ~actor ~addr:(5 * Pmem.page_size) ~src:(Bytes.make Pmem.page_size '\000');
+      Alcotest.(check (float 0.0)) "nothing charged" 0.0 (bytes_written pm -. before);
+      Alcotest.(check (float 0.0)) "no time passed" now (Sched.now sched);
+      Alcotest.(check (list (pair int int))) "nothing unflushed" [] (Pmem.dirty_line_list pm);
+      Alcotest.(check int) "no page record made" pages (Pmem.materialized_pages pm);
+      List.iter
+        (fun page ->
+          Alcotest.(check bool) "write-set clean" true (Trio_core.Mmu.clean_since mmu ~mark ~page))
+        [ 2; 5 ])
+
+let test_line_store_replays () =
+  in_fiber (fun _ pm ->
+      Pmem.set_recording pm true;
+      flushed_base pm;
+      (* an unflushed line the store leaves alone keeps its pre-image *)
+      Pmem.write_u64 pm ~actor:1 ~addr:(page2 + (5 * Pmem.line_size)) 99;
+      let src = with_lines (Pmem.peek_page pm 2) [ 1; 2; 3; 9; 40 ] in
+      Pmem.write_lines pm ~actor:1 ~addr:page2 ~src;
+      (match List.rev (Pmem.recorded_events pm) with
+      | Pmem.Ev_lines { actor = 1; runs } :: _ ->
+        Alcotest.(check (list (pair int int)))
+          "one event, one (addr, length) per run"
+          [ (page2 + 64, 192); (page2 + (9 * 64), 64); (page2 + (40 * 64), 64) ]
+          (List.map (fun (a, d) -> (a, Bytes.length d)) runs)
+      | _ -> Alcotest.fail "the line store did not log one Ev_lines event");
+      Alcotest.(check int) "one crash point per user store" 2 (Pmem.recorded_user_stores pm);
+      let img = Pmem.Replay.create () in
+      Pmem.Replay.apply_all img (Pmem.recorded_events pm);
+      Alcotest.(check (list (pair int int)))
+        "replayed unflushed lines match the device"
+        [ (2, 1); (2, 2); (2, 3); (2, 5); (2, 9); (2, 40) ]
+        (Pmem.Replay.dirty img);
+      Alcotest.(check bool)
+        "and the live set" true
+        (Pmem.Replay.dirty img = Pmem.dirty_line_list pm);
+      Alcotest.(check bool) "replayed page matches the device" true
+        (Bytes.equal (Pmem.Replay.page img 2) (Pmem.peek_page pm 2)))
+
+(* The compare runs again after the charge's delay: a store that lands
+   meanwhile, here on a line the first compare found equal, is
+   overwritten, so the page ends equal to the source. *)
+let test_line_store_recompares_after_delay () =
+  in_fiber (fun sched pm ->
+      flushed_base pm;
+      let src = with_lines (base_page ()) [ 3 ] in
+      let landed = ref false in
+      Sched.spawn sched (fun () ->
+          Pmem.write_u64 pm ~actor:2 ~addr:(page2 + (8 * Pmem.line_size)) 99;
+          landed := true);
+      Sched.spawn sched (fun () ->
+          Pmem.write_lines pm ~actor:1 ~addr:page2 ~src;
+          if not !landed then Alcotest.fail "the other store did not land during the charge");
+      Sched.delay 1.0e6;
+      Alcotest.(check bool) "page equals the source" true (Bytes.equal src (Pmem.peek_page pm 2)))
+
+let test_line_store_faults_leave_page () =
+  in_fiber (fun _ pm ->
+      flushed_base pm;
+      let src = with_lines (base_page ()) [ 7 ] in
+      Pmem.fail_after_writes pm 0;
+      (match Pmem.write_lines pm ~actor:1 ~addr:page2 ~src with
+      | () -> Alcotest.fail "armed crash point did not fire"
+      | exception Pmem.Crash_point -> ());
+      Pmem.set_perm_check pm (fun ~actor:_ ~page:_ ~write -> not write);
+      (match Pmem.write_lines pm ~actor:1 ~addr:page2 ~src with
+      | () -> Alcotest.fail "reader-only actor stored"
+      | exception Pmem.Mmu_fault { write = true; page = 2; _ } -> ());
+      Alcotest.(check bool)
+        "page untouched" true
+        (Bytes.equal (base_page ()) (Pmem.peek_page pm 2));
+      Alcotest.(check (list (pair int int))) "nothing unflushed" [] (Pmem.dirty_line_list pm))
+
+let test_line_store_poison () =
+  in_fiber (fun _ pm ->
+      flushed_base pm;
+      Pmem.inject_poison pm ~addr:(page2 + (6 * Pmem.line_size)) ~len:Pmem.line_size;
+      let src = with_lines (base_page ()) [ 6; 12 ] in
+      Pmem.write_lines pm ~actor:1 ~addr:page2 ~src;
+      let st = Pmem.fault_stats pm in
+      Alcotest.(check int) "poisoned line healed" 0 st.Pmem.poisoned_now;
+      Alcotest.(check int) "one repair" 1 st.Pmem.poison_repaired;
+      Alcotest.(check bool) "rewritten" true (Bytes.equal src (Pmem.peek_page pm 2));
+      Pmem.set_fault_injection pm ~seed:3 ~stuck_store_p:1.0 ();
+      Pmem.write_lines pm ~actor:1 ~addr:page2 ~src:(with_lines src [ 30; 31 ]);
+      Alcotest.(check int) "one stuck store" 1 (Pmem.fault_stats pm).Pmem.stuck_stores;
+      Alcotest.(check (list (pair int int)))
+        "only the stored lines poisoned"
+        [ (2, 30); (2, 31) ]
+        (Pmem.poisoned_lines pm))
+
+(* ------------------------------------------------------------------ *)
 (* Media-fault plane *)
 
 let user = 1
@@ -650,6 +795,18 @@ let () =
           Alcotest.test_case "replay determinism" `Quick test_replay_determinism;
           Alcotest.test_case "crash_select parity" `Quick test_crash_select_matches_replay_crash;
           Alcotest.test_case "discard parity" `Quick test_replay_discard_parity;
+        ] );
+      ( "line store",
+        [
+          Alcotest.test_case "stores only differing lines" `Quick test_line_store_only_differing;
+          Alcotest.test_case "identical source stores nothing" `Quick
+            test_line_store_identical_source;
+          Alcotest.test_case "one event replays to the device" `Quick test_line_store_replays;
+          Alcotest.test_case "compares again after the charge" `Quick
+            test_line_store_recompares_after_delay;
+          Alcotest.test_case "crash point and MMU fault store nothing" `Quick
+            test_line_store_faults_leave_page;
+          Alcotest.test_case "heals and poisons only stored lines" `Quick test_line_store_poison;
         ] );
       ( "materialization",
         [
