@@ -100,6 +100,9 @@ type t = {
   delegation : Delegation.t option;
   dirs : (int, dir_state) Hashtbl.t;
   files : (int, file_state) Hashtbl.t;
+  held : (int, unit) Hashtbl.t;
+      (* inos this process mapped through the controller and has not
+         unmapped since: the only ones an unmap call can hand back *)
   fds : (int, fd_state) Hashtbl.t;
   fd_counters : int array; (* per-CPU fd allocation, no lock *)
   build_lock : Sync.Mutex.t;
@@ -323,6 +326,7 @@ let mount ~ctl ~proc ~cred ?group ?qos_share ?(retry_deadline_ns = 5.0e6) ?deleg
       delegation;
       dirs = Hashtbl.create 64;
       files = Hashtbl.create 64;
+      held = Hashtbl.create 64;
       fds = Hashtbl.create 64;
       fd_counters = Array.make (Numa.total_cpus topo) 0;
       build_lock = Sync.Mutex.create ();
@@ -503,11 +507,19 @@ let known_to_kernel t ino = Option.is_some (Controller.dentry_addr_of t.ctl ino)
    for the same op, which is what the batch-drain equivalence tests pin
    down. *)
 let map_ctl t ~ino ~write =
-  match t.ring with
-  | Some r -> Controller.ring_map r ~ino ~write
-  | None -> Controller.map_file t.ctl ~proc:t.proc ~ino ~write
+  let result =
+    match t.ring with
+    | Some r -> Controller.ring_map r ~ino ~write
+    | None -> Controller.map_file t.ctl ~proc:t.proc ~ino ~write
+  in
+  if result = Ok () then Hashtbl.replace t.held ino ();
+  result
 
-let get_root t =
+(* [get_root] and [get_dir] map a directory they do not hold yet with
+   the access the caller's op needs: an op that will change it asks for
+   the write mapping in its one map call.  A directory already held
+   read-only is upgraded by [ensure_dir_writable]. *)
+let get_root t ~write =
   match t.root with
   | Some d -> Ok d
   | None ->
@@ -516,10 +528,11 @@ let get_root t =
       match t.root with
       | Some d -> Ok d
       | None -> (
-        match map_ctl t ~ino:Controller.root_ino ~write:false with
+        match map_ctl t ~ino:Controller.root_ino ~write with
         | Error e -> Error e
         | Ok () ->
           let d = build_dir_aux t ~ino:Controller.root_ino ~addr:Controller.root_dentry_addr in
+          d.d_write_mapped <- write;
           t.root <- Some d;
           Hashtbl.replace t.dirs Controller.root_ino d;
           Ok d)
@@ -527,7 +540,7 @@ let get_root t =
     Sync.Mutex.unlock t.build_lock;
     result
 
-let get_dir t ~ino ~addr =
+let get_dir t ~write ~ino ~addr =
   match Hashtbl.find_opt t.dirs ino with
   | Some d -> Ok d
   | None -> (
@@ -535,13 +548,13 @@ let get_dir t ~ino ~addr =
        last-wins under the lock.  A racing duplicate build is harmless:
        both observe the same core state. *)
     let map_result =
-      if known_to_kernel t ino then map_ctl t ~ino ~write:false else Ok ()
+      if known_to_kernel t ino then map_ctl t ~ino ~write else Ok ()
     in
     match map_result with
     | Error e -> Error e
     | Ok () ->
       let d = build_dir_aux t ~ino ~addr in
-      if not (known_to_kernel t ino) then d.d_write_mapped <- true;
+      if write || not (known_to_kernel t ino) then d.d_write_mapped <- true;
       Sync.Mutex.lock t.build_lock;
       let d =
         match Hashtbl.find_opt t.dirs ino with
@@ -611,15 +624,22 @@ let drop_aux t ino =
   Hashtbl.remove t.files ino;
   if ino = Controller.root_ino then t.root <- None
 
+(* An ino this process never mapped through the controller (a file or
+   directory it created since its parent's last handoff) has nothing to
+   hand back: the controller would answer ENOENT before ingesting it
+   and EBADF after, so no call is made. *)
 let unmap t ino =
   drop_aux t ino;
-  match t.ring with
-  | Some r ->
-    (* Fire-and-forget: the entry feeds the verification pipeline when
-       the drain fiber executes it; this fiber never waits.  Per-ring
-       FIFO keeps a later re-map of the same file ordered behind it. *)
-    Controller.ring_unmap r ~ino
-  | None -> ignore (Controller.unmap_file t.ctl ~proc:t.proc ~ino)
+  if Hashtbl.mem t.held ino then begin
+    Hashtbl.remove t.held ino;
+    match t.ring with
+    | Some r ->
+      (* Fire-and-forget: the entry feeds the verification pipeline when
+         the drain fiber executes it; this fiber never waits.  Per-ring
+         FIFO keeps a later re-map of the same file ordered behind it. *)
+      Controller.ring_unmap r ~ino
+    | None -> ignore (Controller.unmap_file t.ctl ~proc:t.proc ~ino)
+  end
 
 (* Page frees are batched: a truncate-heavy workload (DWTL) would
    otherwise pay one kernel call per page. *)
@@ -690,7 +710,14 @@ let with_retry t f =
     | Pmem.Mmu_fault _ when expired () -> timed_out ()
     | Pmem.Mmu_fault { page; _ } when n > 0 ->
       (match Controller.page_owner_of t.ctl page with
-      | Controller.In_file ino -> drop_aux t ino
+      | Controller.In_file ino ->
+        drop_aux t ino;
+        (* a file's inode lives in its parent's dentry page: a file
+           state built on the revoked page is stale too (a file created
+           since the parent's last handoff has no mapping of its own) *)
+        Hashtbl.filter_map_inplace
+          (fun _ (f : file_state) -> if f.r_addr / page_size = page then None else Some f)
+          t.files
       | _ ->
         (* conservative: forget everything *)
         Hashtbl.reset t.dirs;
@@ -802,8 +829,11 @@ let lookup t (d : dir_state) name =
             Htbl.replace d.d_names name r;
             Some r))
 
-let resolve_dir t components =
-  let* root = get_root t in
+(* [write]: the caller will change the directory the path names, so
+   that directory (and only it: the components on the way stay
+   read-mapped) is mapped writable if this walk maps it. *)
+let resolve_dir t ~write components =
+  let* root = get_root t ~write:(write && components = []) in
   let rec walk (d : dir_state) = function
     | [] -> Ok d
     | name :: rest -> (
@@ -813,19 +843,19 @@ let resolve_dir t components =
       | None -> Error ENOENT
       | Some { e_ftype = Reg; _ } -> Error ENOTDIR
       | Some ({ e_ftype = Dir; _ } as r) ->
-        let* child = get_dir t ~ino:r.e_ino ~addr:r.e_addr in
+        let* child = get_dir t ~write:(write && rest = []) ~ino:r.e_ino ~addr:r.e_addr in
         walk child rest)
   in
   walk root components
 
 (* Split a path into (parent directory state, basename). *)
-let resolve_parent t path =
+let resolve_parent t ~write path =
   match dirname_basename path with
   | None -> Error EINVAL
   | Some (dir_components, name) ->
     if not (valid_name name) then Error (if String.length name > Layout.name_max then ENAMETOOLONG else EINVAL)
     else
-      let* d = resolve_dir t dir_components in
+      let* d = resolve_dir t ~write dir_components in
       Ok (d, name)
 
 (* ------------------------------------------------------------------ *)
@@ -1368,7 +1398,7 @@ let stat_of_inode (inode : Layout.inode) =
 
 let op_create t path mode =
   with_retry t (fun () ->
-      let* d, name = resolve_parent t path in
+      let* d, name = resolve_parent t ~write:true path in
       let* r = create_entry t d name ~ftype:Reg ~mode in
       (* the file is known empty: construct its auxiliary state directly
          rather than re-reading the dentry we just wrote *)
@@ -1395,7 +1425,7 @@ let op_create t path mode =
 
 let op_open t path flags =
   with_retry t (fun () ->
-      let* d, name = resolve_parent t path in
+      let* d, name = resolve_parent t ~write:false path in
       match lookup t d name with
       | None ->
         if List.mem O_CREAT flags then
@@ -1403,12 +1433,15 @@ let op_open t path flags =
           let* _f = get_file t ~ino:r.e_ino ~addr:r.e_addr in
           let fd = alloc_fd t in
           Hashtbl.replace t.fds fd { fd_ino = r.e_ino; fd_addr = r.e_addr; fd_flags = flags };
+          if t.unmap_after_write then unmap t d.d_ino;
           Ok fd
         else Error ENOENT
       | Some { e_ftype = Dir; _ } -> Error EISDIR
       | Some r ->
         let* f = get_file t ~ino:r.e_ino ~addr:r.e_addr in
-        let* () = if List.mem O_TRUNC flags then truncate_file t f ~size:0 else Ok () in
+        let trunc = List.mem O_TRUNC flags in
+        let* () = if trunc then truncate_file t f ~size:0 else Ok () in
+        if trunc && t.unmap_after_write then unmap t f.r_ino;
         let fd = alloc_fd t in
         Hashtbl.replace t.fds fd { fd_ino = r.e_ino; fd_addr = r.e_addr; fd_flags = flags };
         Ok fd)
@@ -1446,18 +1479,19 @@ let op_append t fd buf =
 
 let op_truncate t path size =
   with_retry t (fun () ->
-      let* d, name = resolve_parent t path in
+      let* d, name = resolve_parent t ~write:false path in
       match lookup t d name with
       | None -> Error ENOENT
       | Some { e_ftype = Dir; _ } -> Error EISDIR
       | Some r ->
         let* f = get_file t ~ino:r.e_ino ~addr:r.e_addr in
         let* () = truncate_file t f ~size in
+        if t.unmap_after_write then unmap t f.r_ino;
         Ok ())
 
 let op_unlink t path =
   with_retry t (fun () ->
-      let* d, name = resolve_parent t path in
+      let* d, name = resolve_parent t ~write:true path in
       let* () = ensure_dir_writable t d in
       ensure_resolvable t d;
       let stripe = Htbl.stripe_of_key d.d_names name in
@@ -1496,14 +1530,14 @@ let op_unlink t path =
 
 let op_mkdir t path mode =
   with_retry t (fun () ->
-      let* d, name = resolve_parent t path in
+      let* d, name = resolve_parent t ~write:true path in
       let* _r = create_entry t d name ~ftype:Dir ~mode in
       if t.unmap_after_write then unmap t d.d_ino;
       Ok ())
 
 let op_rmdir t path =
   with_retry t (fun () ->
-      let* d, name = resolve_parent t path in
+      let* d, name = resolve_parent t ~write:true path in
       let* () = ensure_dir_writable t d in
       ensure_resolvable t d;
       let stripe = Htbl.stripe_of_key d.d_names name in
@@ -1516,7 +1550,7 @@ let op_rmdir t path =
               (* the child must be empty: the live-entry count comes from
                  the child's inode, so no per-slot scan is needed even when
                  its aux state was built lazily *)
-              match get_dir t ~ino:r.e_ino ~addr:r.e_addr with
+              match get_dir t ~write:false ~ino:r.e_ino ~addr:r.e_addr with
               | Error e -> Error e
               | Ok child ->
                 if child.d_size > 0 then Error ENOTEMPTY
@@ -1533,7 +1567,10 @@ let op_rmdir t path =
         release ();
         bump_dir_size t d (-1);
         (if known_to_kernel t r.e_ino then begin
-           ignore (Controller.unmap_file t.ctl ~proc:t.proc ~ino:r.e_ino);
+           if Hashtbl.mem t.held r.e_ino then begin
+             Hashtbl.remove t.held r.e_ino;
+             ignore (Controller.unmap_file t.ctl ~proc:t.proc ~ino:r.e_ino)
+           end;
            ignore (Controller.free_file_tree t.ctl ~proc:t.proc ~ino:r.e_ino)
          end
          else begin
@@ -1566,7 +1603,7 @@ let op_readdir t path =
       match split_path path with
       | None -> Error EINVAL
       | Some components -> (
-        let* d = resolve_dir t components in
+        let* d = resolve_dir t ~write:false components in
         let from_table () =
           materialize t d;
           let entries =
@@ -1597,12 +1634,12 @@ let op_stat t path =
       | None -> Error EINVAL
       | Some [] ->
         (* stat of the root *)
-        let* _ = get_root t in
+        let* _ = get_root t ~write:false in
         (match Layout.read_dentry t.pmem ~actor:t.proc ~addr:Controller.root_dentry_addr with
         | Some (Ok (inode, _)) -> Ok (stat_of_inode inode)
         | _ -> Error EIO)
       | Some _ ->
-        let* d, name = resolve_parent t path in
+        let* d, name = resolve_parent t ~write:false path in
         (match lookup t d name with
         | None -> Error ENOENT
         | Some r -> (
@@ -1612,7 +1649,7 @@ let op_stat t path =
 
 let op_chmod t path mode =
   with_retry t (fun () ->
-      let* d, name = resolve_parent t path in
+      let* d, name = resolve_parent t ~write:false path in
       match lookup t d name with
       | None -> Error ENOENT
       | Some r ->
@@ -1632,8 +1669,8 @@ let op_chmod t path mode =
    (paper §4.4). *)
 let op_rename t src dst =
   with_retry t (fun () ->
-      let* sd, sname = resolve_parent t src in
-      let* dd, dname = resolve_parent t dst in
+      let* sd, sname = resolve_parent t ~write:true src in
+      let* dd, dname = resolve_parent t ~write:true dst in
       let* () = ensure_dir_writable t sd in
       let* () = ensure_dir_writable t dd in
       ensure_resolvable t sd;
@@ -1778,6 +1815,7 @@ let unmap_everything t =
   (match t.ring with Some r -> Controller.ring_drain r | None -> ());
   Hashtbl.reset t.dirs;
   Hashtbl.reset t.files;
+  Hashtbl.reset t.held;
   Hashtbl.reset t.fds;
   t.root <- None;
   Controller.unmap_all t.ctl ~proc:t.proc;
@@ -1785,7 +1823,7 @@ let unmap_everything t =
 
 let commit_file t path =
   with_retry t (fun () ->
-      let* d, name = resolve_parent t path in
+      let* d, name = resolve_parent t ~write:false path in
       match lookup t d name with
       | None -> Error ENOENT
       | Some r -> Controller.commit t.ctl ~proc:t.proc ~ino:r.e_ino)

@@ -66,7 +66,7 @@ let resolve_parent t path =
       match cached with
       | Some d -> Ok (d, name)
       | None ->
-        let* d = Libfs.resolve_dir t.fs dir_components in
+        let* d = Libfs.resolve_dir t.fs ~write:false dir_components in
         Sync.Rwlock.with_write t.stripes.(stripe) (fun () -> Htbl.replace t.parents dir_path d);
         Ok (d, name)
     end

@@ -59,11 +59,11 @@ let mount fs ~dir:path =
   | None -> Error EINVAL
   | Some components ->
     let* d =
-      match Libfs.resolve_dir fs components with
+      match Libfs.resolve_dir fs ~write:true components with
       | Ok d -> Ok d
       | Error ENOENT ->
         let* () = (Libfs.ops fs).Trio_core.Fs_intf.mkdir path 0o755 in
-        Libfs.resolve_dir fs components
+        Libfs.resolve_dir fs ~write:true components
       | Error e -> Error e
     in
     let* () = Libfs.ensure_dir_writable fs d in

@@ -662,6 +662,131 @@ let test_trust_group_co_writers () =
     [ (2, 6, 4); (2, 12, 4); (2, 6, 8); (2, 20, 3); (3, 6, 4); (3, 10, 6); (4, 6, 4) ]
 
 (* ------------------------------------------------------------------ *)
+(* Mappings: write intent, stress-mode handbacks, crossings *)
+
+module Controller = Trio_core.Controller
+
+let ino_of ops path = (ok "stat" (ops.Fs.stat path)).st_ino
+
+(* Under [unmap_after_write], every op that writes hands back what it
+   wrote.  After an O_CREAT open, an O_TRUNC open and a truncate, the
+   controller must not list the directory or file as write-mapped by
+   the process (the three used to keep the write lease until it
+   expired). *)
+let test_stress_mode_hands_back () =
+  Helpers.run_sim (fun env ->
+      let ctl = env.Helpers.ctl in
+      let fs = Helpers.mount ~proc:1 ~unmap_after_write:true env in
+      let ops = Libfs.ops fs in
+      ok "mkdir" (ops.Fs.mkdir "/d" 0o755);
+      let fd = ok "create" (ops.Fs.create "/d/f" 0o644) in
+      ignore (ok "pwrite" (ops.Fs.pwrite fd (Bytes.make 8192 'x') 0));
+      ok "close" (ops.Fs.close fd);
+      (* let the handoffs land: /d and /d/f are now known to the kernel *)
+      Controller.drain_verification ctl;
+      let d = ino_of ops "/d" and f = ino_of ops "/d/f" in
+      let handed_back what ino =
+        Alcotest.(check bool)
+          (what ^ " handed back") false
+          (List.exists (fun (i, _, _) -> i = ino) (Controller.write_mapped_inos ctl ~proc:1))
+      in
+      ok "close" (ops.Fs.close (ok "O_CREAT" (ops.Fs.open_ "/d/g" [ O_RDWR; O_CREAT ])));
+      handed_back "O_CREAT: parent" d;
+      let fd = ok "O_TRUNC" (ops.Fs.open_ "/d/f" [ O_RDWR; O_TRUNC ]) in
+      handed_back "O_TRUNC: file" f;
+      ignore (ok "pwrite" (ops.Fs.pwrite fd (Bytes.make 8192 'y') 0));
+      ok "close" (ops.Fs.close fd);
+      Controller.drain_verification ctl;
+      ok "truncate" (ops.Fs.truncate "/d/f" 100);
+      handed_back "truncate: file" f;
+      Alcotest.(check int) "size" 100 (ok "stat" (ops.Fs.stat "/d/f")).st_size)
+
+(* Controller crossings of [proc]'s trust group so far, as the QoS
+   plane charges them: (synchronous syscalls, ring slots).  The ring is
+   drained first, so fire-and-forget unmaps are counted. *)
+let crossings ctl ~proc =
+  Option.iter Controller.ring_drain (Controller.ring_of ctl proc);
+  match List.find_opt (fun s -> s.Controller.ts_group = proc) (Controller.qos_stats ctl) with
+  | Some s -> (s.Controller.ts_syscalls, s.Controller.ts_ring_slots)
+  | None -> (0, 0)
+
+(* A process that hands back after every write, and does not hold the
+   directory, pays one map (writable from the start) and one unmap for
+   create+close, and one map, one free_file_tree and one unmap to
+   unlink an ingested file.  A synchronous mount pays each as a
+   syscall; a ring mount pays the maps and unmaps as ring slots. *)
+let handoff_crossings ?ring () =
+  Helpers.run_sim (fun env ->
+      let ctl = env.Helpers.ctl in
+      let owner = Helpers.mount ~proc:1 env in
+      let oops = Libfs.ops owner in
+      ok "mkdir" (oops.Fs.mkdir "/d" 0o777);
+      List.iter
+        (fun n -> ok "close" (oops.Fs.close (ok "create" (oops.Fs.create ("/d/" ^ n) 0o666))))
+        [ "a"; "b"; "victim" ];
+      Libfs.unmap_everything owner;
+      let ops = Libfs.ops (Helpers.mount ~proc:2 ~unmap_after_write:true ?ring env) in
+      (* the first create fills the allocation caches (inos, pages) *)
+      ok "close" (ops.Fs.close (ok "warm-up" (ops.Fs.create "/d/warm" 0o644)));
+      let count what (sys, slots) op =
+        let sys0, slots0 = crossings ctl ~proc:2 in
+        op ();
+        let sys1, slots1 = crossings ctl ~proc:2 in
+        let expected = if ring = None then (sys + slots, 0) else (sys, slots) in
+        Alcotest.(check (pair int int)) (what ^ ": (syscalls, ring slots)") expected
+          (sys1 - sys0, slots1 - slots0)
+      in
+      count "create+close" (0, 2) (fun () ->
+          ok "close" (ops.Fs.close (ok "create" (ops.Fs.create "/d/x" 0o644))));
+      count "unlink" (1, 2) (fun () -> ok "unlink" (ops.Fs.unlink "/d/victim"));
+      Alcotest.(check (list string)) "entries" [ "a"; "b"; "warm"; "x" ] (names_of ops "/d"))
+
+let test_handoff_crossings_sync () = handoff_crossings ()
+let test_handoff_crossings_ring () = handoff_crossings ~ring:4 ()
+
+(* A process with r-x but not w on a directory is refused every
+   namespace op that would change it, with the directory as the parent
+   or as either end of a rename.  The refused write map leaves no
+   cached directory state and no mapping behind, and the process can
+   still stat and list the directory. *)
+let test_dir_write_permission () =
+  Helpers.run_sim (fun env ->
+      let owner = Helpers.mount ~proc:1 ~uid:1000 ~gid:1000 env in
+      let oops = Libfs.ops owner in
+      ok "mkdir ro" (oops.Fs.mkdir "/ro" 0o755);
+      ok "mkdir w" (oops.Fs.mkdir "/w" 0o777);
+      ok "mkdir sub" (oops.Fs.mkdir "/ro/sub" 0o755);
+      ok "close" (oops.Fs.close (ok "create" (oops.Fs.create "/ro/f" 0o666)));
+      ok "close" (oops.Fs.close (ok "create" (oops.Fs.create "/w/g" 0o666)));
+      Libfs.unmap_everything owner;
+      let fs = Helpers.mount ~proc:2 ~uid:2000 ~gid:2000 env in
+      let ops = Libfs.ops fs in
+      let ro = ino_of ops "/ro" in
+      err "create" EACCES (ops.Fs.create "/ro/x" 0o644);
+      err "unlink" EACCES (ops.Fs.unlink "/ro/f");
+      err "mkdir" EACCES (ops.Fs.mkdir "/ro/y" 0o755);
+      err "rmdir" EACCES (ops.Fs.rmdir "/ro/sub");
+      err "rename from" EACCES (ops.Fs.rename "/ro/f" "/w/f2");
+      err "rename into" EACCES (ops.Fs.rename "/w/g" "/ro/g2");
+      Alcotest.(check bool) "no cached state" false (Hashtbl.mem fs.Libfs.dirs ro);
+      let page =
+        match Controller.dentry_addr_of env.Helpers.ctl ro with
+        | None -> Alcotest.fail "/ro unknown to the controller"
+        | Some dentry_addr -> (
+          match Controller.walk_file env.Helpers.ctl ~ino:ro ~dentry_addr with
+          | Some (_, _, pg :: _, _) -> pg
+          | _ -> Alcotest.fail "/ro has no dentry page")
+      in
+      Alcotest.(check bool)
+        "no mapping" true
+        (match Pmem.read env.Helpers.pmem ~actor:2 ~addr:(page * Layout.page_size) ~len:8 with
+        | exception Pmem.Mmu_fault _ -> true
+        | _ -> false);
+      Alcotest.(check int) "stat" 0o666 (ok "stat" (ops.Fs.stat "/ro/f")).st_mode;
+      Alcotest.(check (list string)) "readdir" [ "f"; "sub" ] (names_of ops "/ro");
+      Alcotest.(check (list string)) "untouched" [ "g" ] (names_of ops "/w"))
+
+(* ------------------------------------------------------------------ *)
 
 (* The shared conformance suite (including errno parity and VFS counter
    checks) over a fresh ArckFS per check. *)
@@ -723,6 +848,13 @@ let () =
           Alcotest.test_case "concurrent churn on a skeleton" `Quick test_slot_reuse_concurrent;
           Alcotest.test_case "materialize lists a slot once" `Quick test_materialize_lists_slot_once;
           Alcotest.test_case "trust-group co-writers" `Quick test_trust_group_co_writers;
+        ] );
+      ( "mappings",
+        [
+          Alcotest.test_case "stress mode hands back" `Quick test_stress_mode_hands_back;
+          Alcotest.test_case "handoff crossings, sync" `Quick test_handoff_crossings_sync;
+          Alcotest.test_case "handoff crossings, ring" `Quick test_handoff_crossings_ring;
+          Alcotest.test_case "directory write permission" `Quick test_dir_write_permission;
         ] );
       ( "delegation",
         [
