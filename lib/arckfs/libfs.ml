@@ -74,7 +74,7 @@ type file_state = {
   r_ino : int;
   mutable r_addr : int;
   mutable r_size : int;
-  r_index : int Radix.t; (* file page index -> NVM page *)
+  mutable r_index : int Radix.t; (* file page index -> NVM page *)
   mutable r_index_pages : int list; (* newest first *)
   mutable r_index_tail : int;
   mutable r_index_used : int;
@@ -566,6 +566,36 @@ let get_dir t ~write ~ino ~addr =
       Sync.Mutex.unlock t.build_lock;
       Ok d)
 
+(* A read grant can go at any moment without the LibFS noticing: another
+   trust group's write map revokes readers at once, and nothing faults
+   until the pages are touched.  So the aux state cached under a read
+   grant is not trusted across an upgrade: [rebuild_upgraded_dir]
+   rebuilds it in place under the write mapping, as a first write map
+   builds it, under every stripe write lock (as [materialize] fills
+   it).  A racing upgrader of the same process that got there first has
+   rebuilt it already and may be writing. *)
+let rebuild_upgraded_dir t (d : dir_state) =
+  Array.iter Sync.Rwlock.write_lock d.d_stripes;
+  try
+    if not d.d_write_mapped then begin
+      let fresh = build_dir_aux t ~ino:d.d_ino ~addr:d.d_addr in
+      Htbl.clear d.d_names;
+      d.d_free_slots <- fresh.d_free_slots;
+      d.d_unscanned <- fresh.d_unscanned;
+      d.d_data_pages <- fresh.d_data_pages;
+      d.d_index_pages <- fresh.d_index_pages;
+      d.d_index_tail <- fresh.d_index_tail;
+      d.d_index_used <- fresh.d_index_used;
+      d.d_size <- fresh.d_size;
+      d.d_dindex_root <- fresh.d_dindex_root;
+      d.d_aux_built <- fresh.d_aux_built;
+      d.d_write_mapped <- true
+    end;
+    Array.iter Sync.Rwlock.write_unlock d.d_stripes
+  with e ->
+    Array.iter Sync.Rwlock.write_unlock d.d_stripes;
+    raise e
+
 let ensure_dir_writable t (d : dir_state) =
   if d.d_write_mapped then Ok ()
   else if not (known_to_kernel t d.d_ino) then begin
@@ -575,7 +605,7 @@ let ensure_dir_writable t (d : dir_state) =
   else
     match map_ctl t ~ino:d.d_ino ~write:true with
     | Ok () ->
-      d.d_write_mapped <- true;
+      rebuild_upgraded_dir t d;
       Ok ()
     | Error e -> Error e
 
@@ -604,6 +634,24 @@ let get_file t ~ino ~addr =
         Sync.Mutex.unlock t.build_lock;
         Ok f))
 
+(* The file counterpart of [rebuild_upgraded_dir], under the inode
+   write lock. *)
+let rebuild_upgraded_file t (f : file_state) =
+  Sync.Rwlock.with_write f.r_ilock (fun () ->
+      if f.r_write_mapped then Ok ()
+      else
+        match build_file_aux t ~ino:f.r_ino ~addr:f.r_addr with
+        | Error e -> Error e
+        | Ok fresh ->
+          f.r_size <- fresh.r_size;
+          f.r_index <- fresh.r_index;
+          f.r_index_pages <- fresh.r_index_pages;
+          f.r_index_tail <- fresh.r_index_tail;
+          f.r_index_used <- fresh.r_index_used;
+          f.r_npages <- fresh.r_npages;
+          f.r_write_mapped <- true;
+          Ok ())
+
 let ensure_file_writable t (f : file_state) =
   if f.r_write_mapped then Ok ()
   else if not (known_to_kernel t f.r_ino) then begin
@@ -612,9 +660,7 @@ let ensure_file_writable t (f : file_state) =
   end
   else
     match map_ctl t ~ino:f.r_ino ~write:true with
-    | Ok () ->
-      f.r_write_mapped <- true;
-      Ok ()
+    | Ok () -> rebuild_upgraded_file t f
     | Error e -> Error e
 
 (* Drop cached state for a file/dir (after a lease revocation fault or an
@@ -1471,6 +1517,8 @@ let op_pwrite t fd buf off =
 let op_append t fd buf =
   with_retry t (fun () ->
       let* f = fd_file t fd in
+      (* the size is read after the upgrade, which rebuilds it *)
+      let* () = ensure_file_writable t f in
       (* serialize appends through the inode write lock via write_at's
          extending path, using the current size as offset *)
       let* n = write_at t f ~buf ~off:f.r_size in

@@ -44,6 +44,15 @@ let write_file fs path data =
   let* _ = fs.append fd (Bytes.of_string data) in
   fs.close fd
 
+(* Create [path] opened read-write, or truncate it and open it so if it
+   already exists. *)
+let create_or_truncate fs path mode =
+  match fs.create path mode with
+  | Error EEXIST ->
+    let* () = fs.truncate path 0 in
+    fs.open_ path [ O_RDWR ]
+  | r -> r
+
 let read_file fs path =
   let* st = fs.stat path in
   let* fd = fs.open_ path [ O_RDONLY ] in

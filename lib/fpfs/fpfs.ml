@@ -50,8 +50,10 @@ let dirname path =
   | Some i -> String.sub path 0 i
 
 (* The customized resolution: one global-hash probe; on a miss, fall
-   back to the component walk and cache the result. *)
-let resolve_parent t path =
+   back to the component walk and cache the result.  [write]: the
+   caller will change the parent, so a walk that maps it maps it
+   writable (see [Libfs.resolve_dir]). *)
+let resolve_parent t ~write path =
   match dirname_basename path with
   | None -> Error EINVAL
   | Some (dir_components, name) ->
@@ -66,7 +68,7 @@ let resolve_parent t path =
       match cached with
       | Some d -> Ok (d, name)
       | None ->
-        let* d = Libfs.resolve_dir t.fs ~write:false dir_components in
+        let* d = Libfs.resolve_dir t.fs ~write dir_components in
         Sync.Rwlock.with_write t.stripes.(stripe) (fun () -> Htbl.replace t.parents dir_path d);
         Ok (d, name)
     end
@@ -92,7 +94,7 @@ let ops t =
     create =
       (fun path mode ->
         Libfs.with_retry t.fs (fun () ->
-            let* d, name = resolve_parent t path in
+            let* d, name = resolve_parent t ~write:true path in
             let* r = Libfs.create_entry t.fs d name ~ftype:Reg ~mode in
             let* f = Libfs.get_file t.fs ~ino:r.Libfs.e_ino ~addr:r.Libfs.e_addr in
             let fd = Libfs.alloc_fd t.fs in
@@ -101,7 +103,7 @@ let ops t =
     open_ =
       (fun path flags ->
         Libfs.with_retry t.fs (fun () ->
-            let* d, name = resolve_parent t path in
+            let* d, name = resolve_parent t ~write:false path in
             match Libfs.lookup t.fs d name with
             | None ->
               if List.mem O_CREAT flags then
@@ -123,7 +125,7 @@ let ops t =
     stat =
       (fun path ->
         Libfs.with_retry t.fs (fun () ->
-            let* d, name = resolve_parent t path in
+            let* d, name = resolve_parent t ~write:false path in
             match Libfs.lookup t.fs d name with
             | None -> Error ENOENT
             | Some r -> Libfs.stat_dentry t.fs r));

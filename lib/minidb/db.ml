@@ -52,14 +52,7 @@ let write_manifest t =
       @ [ Printf.sprintf "NEXT %d" t.next_file ])
   in
   let tmp = t.dir ^ "/MANIFEST.tmp" in
-  let* fd =
-    match t.fs.Fs.create tmp 0o644 with
-    | Ok fd -> Ok fd
-    | Error Trio_core.Fs_types.EEXIST ->
-      let* () = t.fs.Fs.truncate tmp 0 in
-      t.fs.Fs.open_ tmp [ Trio_core.Fs_types.O_RDWR ]
-    | Error e -> Error e
-  in
+  let* fd = Fs.create_or_truncate t.fs tmp 0o644 in
   let* _ = t.fs.Fs.append fd (Bytes.of_string body) in
   let* () = t.fs.Fs.fsync fd in
   let* () = t.fs.Fs.close fd in
@@ -84,41 +77,11 @@ let read_manifest fs dir =
              | Error _ -> ok := false)
            | [ "NEXT"; n ] -> next := int_of_string n
            | _ -> ());
-    if !ok then Ok (List.rev !l0, List.rev !l1, !next) else Error Trio_core.Fs_types.EIO
-
-(* ------------------------------------------------------------------ *)
-(* Open / close *)
-
-let open_db ?(options = default_options) fs ~dir =
-  let* () =
-    match fs.Fs.mkdir dir 0o755 with
-    | Ok () | Error Trio_core.Fs_types.EEXIST -> Ok ()
-    | Error e -> Error e
-  in
-  let* l0, l1, next_file = read_manifest fs dir in
-  let memtable = Memtable.create () in
-  (* replay the WAL into the fresh memtable *)
-  let* _ =
-    Wal.replay fs ~path:(wal_path dir) ~apply:(fun ~kind ~key ~value ->
-        if kind = Record_format.t_put then Memtable.put memtable key value
-        else Memtable.delete memtable key)
-  in
-  let* wal = Wal.create fs ~path:(wal_path dir) in
-  (* recreate the WAL contents (replayed entries stay in the memtable
-     and will reach an SSTable at the next flush) *)
-  Ok
-    {
-      fs;
-      dir;
-      options;
-      memtable;
-      wal;
-      l0;
-      l1;
-      next_file;
-      compactions = 0;
-      flushes = 0;
-    }
+    if !ok then Ok (List.rev !l0, List.rev !l1, !next)
+    else begin
+      List.iter (fun s -> ignore (Sstable.close s)) (!l0 @ !l1);
+      Error Trio_core.Fs_types.EIO
+    end
 
 (* ------------------------------------------------------------------ *)
 (* Flush & compaction *)
@@ -198,8 +161,12 @@ let compact_l0 t =
   let old = t.l0 @ t.l1 in
   t.l0 <- [];
   t.l1 <- new_l1;
-  let* () = write_manifest t in
-  (* delete superseded files *)
+  let written = write_manifest t in
+  (* [t] lists the superseded tables no more, so their descriptors close
+     even when the manifest still names them; their files go only once
+     it does not *)
+  List.iter (fun s -> ignore (Sstable.close s)) old;
+  let* () = written in
   List.iter (fun s -> ignore (t.fs.Fs.unlink (Sstable.path s))) old;
   Ok ()
 
@@ -211,11 +178,66 @@ let flush_memtable t =
     let path = table_path t (fresh_file t) in
     let* s = Sstable.build t.fs ~path entries in
     t.l0 <- s :: t.l0;
+    (* The manifest lists the table before the log drops its records:
+       until then the log is their only durable copy. *)
+    let* () = write_manifest t in
     Memtable.clear t.memtable;
     let* () = Wal.reset t.wal in
-    let* () = write_manifest t in
     if List.length t.l0 >= t.options.l0_compaction_trigger then compact_l0 t else Ok ()
   end
+
+(* ------------------------------------------------------------------ *)
+(* Open / close *)
+
+(* Close every table and the WAL; the first error wins. *)
+let close_all t =
+  let closed = List.map Sstable.close (t.l0 @ t.l1) @ [ Wal.close t.wal ] in
+  Option.value (List.find_opt Result.is_error closed) ~default:(Ok ())
+
+let open_db ?(options = default_options) fs ~dir =
+  let* () =
+    match fs.Fs.mkdir dir 0o755 with
+    | Ok () | Error Trio_core.Fs_types.EEXIST -> Ok ()
+    | Error e -> Error e
+  in
+  let* l0, l1, next_file = read_manifest fs dir in
+  let memtable = Memtable.create () in
+  let wal =
+    (* replay the WAL into the fresh memtable *)
+    let* replayed =
+      Wal.replay fs ~path:(wal_path dir) ~apply:(fun ~kind ~key ~value ->
+          if kind = Record_format.t_put then Memtable.put memtable key value
+          else Memtable.delete memtable key)
+    in
+    (* Replayed records reach an L0 table before the log is truncated,
+       as LevelDB's recovery writes a level-0 table: a crash before the
+       next flush must still find them. *)
+    if replayed = 0 then Wal.create fs ~path:(wal_path dir) else Wal.open_ fs ~path:(wal_path dir)
+  in
+  match wal with
+  | Error e ->
+    List.iter (fun s -> ignore (Sstable.close s)) (l0 @ l1);
+    Error e
+  | Ok wal -> (
+    let t =
+      {
+        fs;
+        dir;
+        options;
+        memtable;
+        wal;
+        l0;
+        l1;
+        next_file;
+        compactions = 0;
+        flushes = 0;
+      }
+    in
+    match flush_memtable t with
+    | Ok () -> Ok t
+    | Error e ->
+      ignore (close_all t);
+      Error e)
 
 let maybe_flush t =
   if Memtable.approximate_bytes t.memtable >= t.options.write_buffer_bytes then flush_memtable t
@@ -257,7 +279,9 @@ let get t ~key =
       (match r1 with `Found v -> Ok (Some v) | `Deleted | `Missing -> Ok None))
 
 let close t =
-  let* () = flush_memtable t in
-  Wal.close t.wal
+  (* the descriptors close even when the flush fails, whose error wins *)
+  let flushed = flush_memtable t in
+  let closed = close_all t in
+  if Result.is_error flushed then flushed else closed
 
 let stats t = (t.flushes, t.compactions, List.length t.l0, List.length t.l1)

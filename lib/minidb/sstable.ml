@@ -5,9 +5,15 @@
      index: for each block, [ klen u32 | first_key | off u32 | len u32 ]
      footer: [ index_off u32 | index_len u32 | count u32 | magic u32 ]
 
-   Records are grouped into ~4 KiB blocks; a point lookup reads the
-   footer + index once (cached in DRAM after open) and then a single
-   block. *)
+   Records are grouped into ~4 KiB blocks.  A table keeps one read-only
+   descriptor for its life, as LevelDB's table cache does: [open_] keeps
+   the one it reads the footer and index with, a table this process
+   built opens on its first read, and [close] releases it (the DB closes
+   a retired table before unlinking its file).  The index and the largest
+   key stay in DRAM, so a point lookup for a key outside the table's
+   range (below the first block's first key or above [largest]) does no
+   I/O at all and any other one reads a single block.  [open_] learns
+   [largest] from the last block: the format stores no key range. *)
 
 module Fs = Trio_core.Fs_intf
 module R = Record_format
@@ -23,8 +29,8 @@ type t = {
   path : string;
   index : index_entry array;
   count : int;
-  mutable smallest : string;
-  mutable largest : string;
+  largest : string;
+  mutable fd : Fs.fd option; (* opened on the first read, kept until [close] *)
 }
 
 let ( let* ) = Result.bind
@@ -37,7 +43,7 @@ let build fs ~path ?(drop_tombstones = false) entries =
   let block_start = ref 0 in
   let block_first = ref None in
   let count = ref 0 in
-  let smallest = ref None and largest = ref None in
+  let largest = ref None in
   let flush_block () =
     match !block_first with
     | None -> ()
@@ -54,7 +60,6 @@ let build fs ~path ?(drop_tombstones = false) entries =
           match mutation with Memtable.Put v -> (R.t_put, v) | Memtable.Delete -> (R.t_delete, "")
         in
         if !block_first = None then block_first := Some key;
-        if !smallest = None then smallest := Some key;
         largest := Some key;
         Buffer.add_bytes buf (R.encode ~kind ~key ~value);
         incr count;
@@ -81,8 +86,9 @@ let build fs ~path ?(drop_tombstones = false) entries =
   R.set_u32 footer 8 !count;
   R.set_u32 footer 12 magic;
   Buffer.add_bytes buf footer;
-  (* write the table through the FS *)
-  let* fd = fs.Fs.create path 0o644 in
+  (* write the table through the FS, over any orphan a crash left at
+     this path before the manifest listed it *)
+  let* fd = Fs.create_or_truncate fs path 0o644 in
   let* _ = fs.Fs.append fd (Buffer.to_bytes buf) in
   let* () = fs.Fs.fsync fd in
   let* () = fs.Fs.close fd in
@@ -92,42 +98,78 @@ let build fs ~path ?(drop_tombstones = false) entries =
       path;
       index = Array.of_list index;
       count = !count;
-      smallest = Option.value !smallest ~default:"";
       largest = Option.value !largest ~default:"";
+      fd = None;
     }
 
-(* Open an existing table: read footer + index. *)
+(* Decode a block's records in order, stopping at the first invalid one. *)
+let iter_block buf f =
+  let rec go pos =
+    match R.decode buf pos with
+    | None -> ()
+    | Some (kind, k, v, next) ->
+      f k (if kind = R.t_put then Memtable.Put v else Memtable.Delete);
+      go next
+  in
+  go 0
+
+(* Open an existing table: read footer, index and last block through the
+   descriptor it keeps. *)
 let open_ fs ~path =
   let* st = fs.Fs.stat path in
   let size = st.Trio_core.Fs_types.st_size in
   if size < footer_size then Error Trio_core.Fs_types.EIO
   else begin
     let* fd = fs.Fs.open_ path [ Trio_core.Fs_types.O_RDONLY ] in
-    let footer = Bytes.create footer_size in
-    let* _ = fs.Fs.pread fd footer (size - footer_size) in
-    if R.get_u32 footer 12 <> magic then Error Trio_core.Fs_types.EIO
-    else begin
-      let index_off = R.get_u32 footer 0 in
-      let index_len = R.get_u32 footer 4 in
-      let count = R.get_u32 footer 8 in
-      let ibuf = Bytes.create index_len in
-      let* _ = fs.Fs.pread fd ibuf index_off in
-      let* () = fs.Fs.close fd in
-      let entries = ref [] in
-      let pos = ref 0 in
-      while !pos < index_len do
-        let klen = R.get_u32 ibuf !pos in
-        let first_key = Bytes.sub_string ibuf (!pos + 4) klen in
-        let off = R.get_u32 ibuf (!pos + 4 + klen) in
-        let len = R.get_u32 ibuf (!pos + 8 + klen) in
-        entries := { first_key; off; len } :: !entries;
-        pos := !pos + 12 + klen
-      done;
-      let index = Array.of_list (List.rev !entries) in
-      let smallest = if Array.length index > 0 then index.(0).first_key else "" in
-      Ok { fs; path; index; count; smallest; largest = "" }
-    end
+    let load () =
+      let footer = Bytes.create footer_size in
+      let* _ = fs.Fs.pread fd footer (size - footer_size) in
+      if R.get_u32 footer 12 <> magic then Error Trio_core.Fs_types.EIO
+      else begin
+        let index_off = R.get_u32 footer 0 in
+        let index_len = R.get_u32 footer 4 in
+        let count = R.get_u32 footer 8 in
+        let ibuf = Bytes.create index_len in
+        let* _ = fs.Fs.pread fd ibuf index_off in
+        let entries = ref [] in
+        let pos = ref 0 in
+        while !pos < index_len do
+          let klen = R.get_u32 ibuf !pos in
+          let first_key = Bytes.sub_string ibuf (!pos + 4) klen in
+          let off = R.get_u32 ibuf (!pos + 4 + klen) in
+          let len = R.get_u32 ibuf (!pos + 8 + klen) in
+          entries := { first_key; off; len } :: !entries;
+          pos := !pos + 12 + klen
+        done;
+        let index = Array.of_list (List.rev !entries) in
+        let* largest =
+          match index with
+          | [||] -> Ok ""
+          | ix ->
+            let last = ix.(Array.length ix - 1) in
+            let buf = Bytes.create last.len in
+            let* _ = fs.Fs.pread fd buf last.off in
+            let largest = ref last.first_key in
+            iter_block buf (fun k _ -> largest := k);
+            Ok !largest
+        in
+        Ok { fs; path; index; count; largest; fd = Some fd }
+      end
+    in
+    match load () with
+    | Ok t -> Ok t
+    | Error e ->
+      ignore (fs.Fs.close fd);
+      Error e
   end
+
+let descriptor t =
+  match t.fd with
+  | Some fd -> Ok fd
+  | None ->
+    let* fd = t.fs.Fs.open_ t.path [ Trio_core.Fs_types.O_RDONLY ] in
+    t.fd <- Some fd;
+    Ok fd
 
 (* Largest index block whose first key <= key (binary search). *)
 let find_block t key =
@@ -143,43 +185,43 @@ let find_block t key =
   end
 
 (* Point lookup: [None] = key not in this table; [Some mutation]
-   otherwise (tombstones included). *)
+   otherwise (tombstones included).  A key outside the table's range
+   costs no I/O. *)
 let get t key =
-  match find_block t key with
-  | None -> Ok None
-  | Some block ->
-    let* fd = t.fs.Fs.open_ t.path [ Trio_core.Fs_types.O_RDONLY ] in
-    let buf = Bytes.create block.len in
-    let* _ = t.fs.Fs.pread fd buf block.off in
-    let* () = t.fs.Fs.close fd in
-    let rec scan pos =
-      match R.decode buf pos with
-      | None -> None
-      | Some (kind, k, v, next) ->
-        if k = key then Some (if kind = R.t_put then Memtable.Put v else Memtable.Delete)
-        else if k > key then None
-        else scan next
-    in
-    Ok (scan 0)
+  if key > t.largest then Ok None
+  else
+    match find_block t key with
+    | None -> Ok None
+    | Some block ->
+      let* fd = descriptor t in
+      let buf = Bytes.create block.len in
+      let* _ = t.fs.Fs.pread fd buf block.off in
+      let rec scan pos =
+        match R.decode buf pos with
+        | None -> None
+        | Some (kind, k, v, next) ->
+          if k = key then Some (if kind = R.t_put then Memtable.Put v else Memtable.Delete)
+          else if k > key then None
+          else scan next
+      in
+      Ok (scan 0)
 
 (* Full scan in key order (compaction input). *)
 let iter_all t f =
-  let* st = t.fs.Fs.stat t.path in
-  let* fd = t.fs.Fs.open_ t.path [ Trio_core.Fs_types.O_RDONLY ] in
+  let* fd = descriptor t in
   let data_len = match t.index with [||] -> 0 | ix -> ix.(Array.length ix - 1).off + ix.(Array.length ix - 1).len in
-  ignore st;
   let buf = Bytes.create data_len in
   let* _ = t.fs.Fs.pread fd buf 0 in
-  let* () = t.fs.Fs.close fd in
-  let rec go pos =
-    match R.decode buf pos with
-    | None -> ()
-    | Some (kind, k, v, next) ->
-      f k (if kind = R.t_put then Memtable.Put v else Memtable.Delete);
-      go next
-  in
-  go 0;
+  iter_block buf f;
   Ok ()
+
+(* Release the descriptor; a later read reopens the file. *)
+let close t =
+  match t.fd with
+  | None -> Ok ()
+  | Some fd ->
+    t.fd <- None;
+    t.fs.Fs.close fd
 
 let entry_count t = t.count
 let path t = t.path

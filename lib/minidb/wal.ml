@@ -12,14 +12,12 @@ type t = { fs : Fs.t; path : string; mutable fd : Fs.fd }
 let ( let* ) = Result.bind
 
 let create fs ~path =
-  let* fd =
-    match fs.Fs.create path 0o644 with
-    | Ok fd -> Ok fd
-    | Error Trio_core.Fs_types.EEXIST ->
-      let* () = fs.Fs.truncate path 0 in
-      fs.Fs.open_ path [ Trio_core.Fs_types.O_RDWR ]
-    | Error e -> Error e
-  in
+  let* fd = Fs.create_or_truncate fs path 0o644 in
+  Ok { fs; path; fd }
+
+(* Open an existing log for appending, keeping its records. *)
+let open_ fs ~path =
+  let* fd = fs.Fs.open_ path [ Trio_core.Fs_types.O_RDWR ] in
   Ok { fs; path; fd }
 
 let append t ~kind ~key ~value ~sync =

@@ -9,6 +9,9 @@ type t
 val create : Trio_core.Fs_intf.t -> path:string -> (t, Trio_core.Fs_types.errno) result
 (** Create (or truncate) the log file. *)
 
+val open_ : Trio_core.Fs_intf.t -> path:string -> (t, Trio_core.Fs_types.errno) result
+(** Open an existing log for appending, keeping its records. *)
+
 val put :
   t -> key:string -> value:string -> sync:bool -> (unit, Trio_core.Fs_types.errno) result
 

@@ -744,6 +744,72 @@ let handoff_crossings ?ring () =
 let test_handoff_crossings_sync () = handoff_crossings ()
 let test_handoff_crossings_ring () = handoff_crossings ~ring:4 ()
 
+(* FPFS resolves a create's parent with write intent on a cache miss:
+   a create in a directory the process does not hold maps it writable
+   in one crossing, not a read map and an upgrade. *)
+let test_fpfs_create_crossings () =
+  Helpers.run_sim (fun env ->
+      let ctl = env.Helpers.ctl in
+      let owner = Helpers.mount ~proc:1 env in
+      let oops = Libfs.ops owner in
+      ok "mkdir" (oops.Fs.mkdir "/d" 0o777);
+      ok "mkdir" (oops.Fs.mkdir "/w" 0o777);
+      Libfs.unmap_everything owner;
+      let ops = Fpfs.ops (Fpfs.mount (Helpers.mount ~proc:2 env)) in
+      (* the first create fills the allocation caches (inos, pages) *)
+      ok "close" (ops.Fs.close (ok "warm-up" (ops.Fs.create "/w/warm" 0o644)));
+      let sys0, _ = crossings ctl ~proc:2 in
+      ok "close" (ops.Fs.close (ok "create" (ops.Fs.create "/d/x" 0o644)));
+      let sys1, _ = crossings ctl ~proc:2 in
+      Alcotest.(check int) "create: syscalls" 1 (sys1 - sys0);
+      Alcotest.(check (list string)) "entries" [ "x" ] (names_of ops "/d"))
+
+(* Trust groups A and B share one directory.  A reads it, B's write map
+   revokes A's read grant without A noticing, and A then upgrades: the
+   upgrade must not write from the size and slots A cached under the
+   revoked grant. *)
+let test_upgrade_after_revoked_read () =
+  Helpers.run_sim (fun env ->
+      let ctl = env.Helpers.ctl in
+      let owner = Helpers.mount ~proc:1 env in
+      let oops = Libfs.ops owner in
+      ok "mkdir" (oops.Fs.mkdir "/d" 0o777);
+      ok "close" (oops.Fs.close (ok "create" (oops.Fs.create "/d/e" 0o666)));
+      Libfs.unmap_everything owner;
+      let a_fs = Helpers.mount ~proc:2 env in
+      let a = Libfs.ops a_fs in
+      let b = Libfs.ops (Helpers.mount ~proc:3 ~unmap_after_write:true env) in
+      ignore (ok "A stat" (a.Fs.stat "/d/e"));
+      ok "B close" (b.Fs.close (ok "B create" (b.Fs.create "/d/b" 0o644)));
+      ok "A close" (a.Fs.close (ok "A create" (a.Fs.create "/d/a" 0o644)));
+      Libfs.unmap_everything a_fs;
+      Alcotest.(check int) "corruption events" 0 (List.length (Controller.corruption_events ctl));
+      let fresh = Libfs.ops (Helpers.mount ~proc:4 env) in
+      Alcotest.(check (list string)) "entries" [ "a"; "b"; "e" ] (names_of fresh "/d");
+      Alcotest.(check int) "size field" 3 (ok "stat" (fresh.Fs.stat "/d")).st_size)
+
+(* The file counterpart: A caches the file's size under a read grant,
+   B's append revokes it, and A's append after the upgrade must land
+   after B's, not over it. *)
+let test_file_upgrade_after_revoked_read () =
+  Helpers.run_sim (fun env ->
+      let owner = Helpers.mount ~proc:1 env in
+      let oops = Libfs.ops owner in
+      ok "write" (Fs.write_file oops "/f" "0123");
+      ok "chmod" (oops.Fs.chmod "/f" 0o666);
+      Libfs.unmap_everything owner;
+      let a = Libfs.ops (Helpers.mount ~proc:2 env) in
+      let b = Libfs.ops (Helpers.mount ~proc:3 ~unmap_after_write:true env) in
+      let fd = ok "A open" (a.Fs.open_ "/f" [ O_RDWR ]) in
+      ignore (ok "A pread" (a.Fs.pread fd (Bytes.create 4) 0));
+      let bfd = ok "B open" (b.Fs.open_ "/f" [ O_RDWR ]) in
+      ignore (ok "B append" (b.Fs.append bfd (Bytes.of_string "BBBB")));
+      ok "B close" (b.Fs.close bfd);
+      ignore (ok "A append" (a.Fs.append fd (Bytes.of_string "AAAA")));
+      ok "A close" (a.Fs.close fd);
+      let fresh = Libfs.ops (Helpers.mount ~proc:4 env) in
+      Alcotest.(check string) "contents" "0123BBBBAAAA" (ok "read" (Fs.read_file fresh "/f")))
+
 (* A process with r-x but not w on a directory is refused every
    namespace op that would change it, with the directory as the parent
    or as either end of a rename.  The refused write map leaves no
@@ -854,6 +920,10 @@ let () =
           Alcotest.test_case "stress mode hands back" `Quick test_stress_mode_hands_back;
           Alcotest.test_case "handoff crossings, sync" `Quick test_handoff_crossings_sync;
           Alcotest.test_case "handoff crossings, ring" `Quick test_handoff_crossings_ring;
+          Alcotest.test_case "fpfs create crossings" `Quick test_fpfs_create_crossings;
+          Alcotest.test_case "upgrade after a revoked read" `Quick test_upgrade_after_revoked_read;
+          Alcotest.test_case "file upgrade after a revoked read" `Quick
+            test_file_upgrade_after_revoked_read;
           Alcotest.test_case "directory write permission" `Quick test_dir_write_permission;
         ] );
       ( "delegation",
