@@ -657,7 +657,7 @@ let crashcheck_cmd =
   let diff_arg =
     Arg.(
       value & flag
-      & info [ "diff" ] ~doc:"Differential mode: diff scripts across all nine file systems")
+      & info [ "diff" ] ~doc:"Differential mode: diff scripts across all ten file systems")
   in
   let no_shrink_arg =
     Arg.(value & flag & info [ "no-shrink" ] ~doc:"Report failing scripts without minimizing")

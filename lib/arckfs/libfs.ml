@@ -86,7 +86,7 @@ type file_state = {
 
 (* A descriptor names the file by inode: after a lease revocation drops
    the cached [file_state], the next operation re-resolves it. *)
-type fd_state = { fd_ino : int; mutable fd_addr : int; fd_flags : open_flag list }
+type fd_state = { fd_ino : int; mutable fd_addr : int }
 
 type t = {
   ctl : Controller.t;
@@ -105,7 +105,7 @@ type t = {
          unmapped since: the only ones an unmap call can hand back *)
   fds : (int, fd_state) Hashtbl.t;
   fd_counters : int array; (* per-CPU fd allocation, no lock *)
-  build_lock : Sync.Mutex.t;
+  building : (int, Sync.Mutex.t) Hashtbl.t; (* ino -> lock of its map and build in flight *)
   stats : Stats.t;
   unmap_after_write : bool; (* stress mode for the sharing benchmarks *)
   ring : Controller.ring option;
@@ -115,7 +115,6 @@ type t = {
   mutable free_backlog_len : int;
   retry_deadline_ns : float; (* total [with_retry] budget before ETIMEDOUT *)
   retry_rng : Rng.t; (* jitter for the media-retry backoff *)
-  mutable root : dir_state option;
 }
 
 let ( let* ) = Result.bind
@@ -329,7 +328,7 @@ let mount ~ctl ~proc ~cred ?group ?qos_share ?(retry_deadline_ns = 5.0e6) ?deleg
       held = Hashtbl.create 64;
       fds = Hashtbl.create 64;
       fd_counters = Array.make (Numa.total_cpus topo) 0;
-      build_lock = Sync.Mutex.create ();
+      building = Hashtbl.create 16;
       stats = Stats.create ();
       unmap_after_write;
       ring;
@@ -337,7 +336,6 @@ let mount ~ctl ~proc ~cred ?group ?qos_share ?(retry_deadline_ns = 5.0e6) ?deleg
       free_backlog_len = 0;
       retry_deadline_ns;
       retry_rng = Rng.create (0x51ab5 + proc);
-      root = None;
     }
   in
   t_ref := Some t;
@@ -515,65 +513,77 @@ let map_ctl t ~ino ~write =
   if result = Ok () then Hashtbl.replace t.held ino ();
   result
 
-(* [get_root] and [get_dir] map a directory they do not hold yet with
-   the access the caller's op needs: an op that will change it asks for
-   the write mapping in its one map call.  A directory already held
-   read-only is upgraded by [ensure_dir_writable]. *)
-let get_root t ~write =
-  match t.root with
-  | Some d -> Ok d
+(* The map of a first build: none for an ino the kernel does not know. *)
+let map_known t ~ino ~write = if known_to_kernel t ino then map_ctl t ~ino ~write else Ok ()
+
+(* The one way this LibFS comes to hold an ino, for directories (the
+   root included) and files alike: map it with the access the caller's
+   op needs, [build] its aux state and cache it in [table].  An op that
+   will change a directory asks for the write mapping in its one map
+   call; [mark] flags the state write-mapped when the map was writable
+   or the ino is this LibFS's own creation.  Fibers that first touch
+   the same ino at once share one map and one build behind that ino's
+   lock in [building], dropped when the build ends; a fiber that waited
+   probes [table] again (a failed build left nothing there).  Callers
+   probe [table] first, so a hit builds no closure. *)
+let rec hold t table ~ino ~write ~build ~mark =
+  match Hashtbl.find_opt t.building ino with
+  | Some lock -> (
+    Sync.Mutex.with_lock lock ignore;
+    match Hashtbl.find_opt table ino with
+    | Some s -> Ok s
+    | None -> hold t table ~ino ~write ~build ~mark)
   | None ->
-    Sync.Mutex.lock t.build_lock;
-    let result =
-      match t.root with
-      | Some d -> Ok d
-      | None -> (
-        match map_ctl t ~ino:Controller.root_ino ~write with
-        | Error e -> Error e
-        | Ok () ->
-          let d = build_dir_aux t ~ino:Controller.root_ino ~addr:Controller.root_dentry_addr in
-          d.d_write_mapped <- write;
-          t.root <- Some d;
-          Hashtbl.replace t.dirs Controller.root_ino d;
-          Ok d)
-    in
-    Sync.Mutex.unlock t.build_lock;
-    result
+    let lock = Sync.Mutex.create () in
+    Sync.Mutex.lock lock;
+    Hashtbl.replace t.building ino lock;
+    Fun.protect
+      ~finally:(fun () ->
+        Hashtbl.remove t.building ino;
+        Sync.Mutex.unlock lock)
+      (fun () ->
+        let* () = map_known t ~ino ~write in
+        let* s = build () in
+        if write || not (known_to_kernel t ino) then mark s;
+        Hashtbl.replace table ino s;
+        Ok s)
+
+let mark_dir (d : dir_state) = d.d_write_mapped <- true
+let mark_file (f : file_state) = f.r_write_mapped <- true
 
 let get_dir t ~write ~ino ~addr =
   match Hashtbl.find_opt t.dirs ino with
   | Some d -> Ok d
-  | None -> (
-    (* Build outside the lock (it involves NVM reads); the insert is
-       last-wins under the lock.  A racing duplicate build is harmless:
-       both observe the same core state. *)
-    let map_result =
-      if known_to_kernel t ino then map_ctl t ~ino ~write else Ok ()
-    in
-    match map_result with
-    | Error e -> Error e
-    | Ok () ->
-      let d = build_dir_aux t ~ino ~addr in
-      if write || not (known_to_kernel t ino) then d.d_write_mapped <- true;
-      Sync.Mutex.lock t.build_lock;
-      let d =
-        match Hashtbl.find_opt t.dirs ino with
-        | Some existing -> existing
-        | None ->
-          Hashtbl.replace t.dirs ino d;
-          d
-      in
-      Sync.Mutex.unlock t.build_lock;
-      Ok d)
+  | None ->
+    hold t t.dirs ~ino ~write ~build:(fun () -> Ok (build_dir_aux t ~ino ~addr)) ~mark:mark_dir
+
+let get_file t ~ino ~addr =
+  match Hashtbl.find_opt t.files ino with
+  | Some f -> Ok f
+  | None ->
+    hold t t.files ~ino ~write:false ~build:(fun () -> build_file_aux t ~ino ~addr) ~mark:mark_file
 
 (* A read grant can go at any moment without the LibFS noticing: another
    trust group's write map revokes readers at once, and nothing faults
-   until the pages are touched.  So the aux state cached under a read
-   grant is not trusted across an upgrade: [rebuild_upgraded_dir]
-   rebuilds it in place under the write mapping, as a first write map
-   builds it, under every stripe write lock (as [materialize] fills
-   it).  A racing upgrader of the same process that got there first has
-   rebuilt it already and may be writing. *)
+   until the pages are touched.  So aux state cached under a read grant
+   is not trusted across an upgrade.  The one upgrade, for every kind of
+   cached state: a write map, then the kind's in-place [rebuild], which
+   takes the kind's locks and re-checks its write-mapped flag under them
+   (a racing upgrader of this process may have rebuilt already and be
+   writing).  An ino the kernel does not know yet is this LibFS's own
+   creation: nothing to map, nobody else can have changed it, so it is
+   only marked. *)
+let upgrade t s ~ino ~mark ~rebuild =
+  if not (known_to_kernel t ino) then begin
+    mark s;
+    Ok ()
+  end
+  else
+    let* () = map_ctl t ~ino ~write:true in
+    rebuild s
+
+(* A directory rebuilds as a first write map builds it, under every
+   stripe write lock (as [materialize] fills it). *)
 let rebuild_upgraded_dir t (d : dir_state) =
   Array.iter Sync.Rwlock.write_lock d.d_stripes;
   try
@@ -591,84 +601,40 @@ let rebuild_upgraded_dir t (d : dir_state) =
       d.d_aux_built <- fresh.d_aux_built;
       d.d_write_mapped <- true
     end;
-    Array.iter Sync.Rwlock.write_unlock d.d_stripes
+    Array.iter Sync.Rwlock.write_unlock d.d_stripes;
+    Ok ()
   with e ->
     Array.iter Sync.Rwlock.write_unlock d.d_stripes;
     raise e
 
 let ensure_dir_writable t (d : dir_state) =
   if d.d_write_mapped then Ok ()
-  else if not (known_to_kernel t d.d_ino) then begin
-    d.d_write_mapped <- true;
-    Ok ()
-  end
-  else
-    match map_ctl t ~ino:d.d_ino ~write:true with
-    | Ok () ->
-      rebuild_upgraded_dir t d;
-      Ok ()
-    | Error e -> Error e
+  else upgrade t d ~ino:d.d_ino ~mark:mark_dir ~rebuild:(rebuild_upgraded_dir t)
 
-let get_file t ~ino ~addr =
-  match Hashtbl.find_opt t.files ino with
-  | Some f -> Ok f
-  | None -> (
-    let map_result =
-      if known_to_kernel t ino then map_ctl t ~ino ~write:false else Ok ()
-    in
-    match map_result with
-    | Error e -> Error e
-    | Ok () -> (
-      match build_file_aux t ~ino ~addr with
-      | Error e -> Error e
-      | Ok f ->
-        if not (known_to_kernel t ino) then f.r_write_mapped <- true;
-        Sync.Mutex.lock t.build_lock;
-        let f =
-          match Hashtbl.find_opt t.files ino with
-          | Some existing -> existing
-          | None ->
-            Hashtbl.replace t.files ino f;
-            f
-        in
-        Sync.Mutex.unlock t.build_lock;
-        Ok f))
-
-(* The file counterpart of [rebuild_upgraded_dir], under the inode
-   write lock. *)
+(* A file rebuilds under the inode write lock. *)
 let rebuild_upgraded_file t (f : file_state) =
   Sync.Rwlock.with_write f.r_ilock (fun () ->
       if f.r_write_mapped then Ok ()
       else
-        match build_file_aux t ~ino:f.r_ino ~addr:f.r_addr with
-        | Error e -> Error e
-        | Ok fresh ->
-          f.r_size <- fresh.r_size;
-          f.r_index <- fresh.r_index;
-          f.r_index_pages <- fresh.r_index_pages;
-          f.r_index_tail <- fresh.r_index_tail;
-          f.r_index_used <- fresh.r_index_used;
-          f.r_npages <- fresh.r_npages;
-          f.r_write_mapped <- true;
-          Ok ())
+        let* fresh = build_file_aux t ~ino:f.r_ino ~addr:f.r_addr in
+        f.r_size <- fresh.r_size;
+        f.r_index <- fresh.r_index;
+        f.r_index_pages <- fresh.r_index_pages;
+        f.r_index_tail <- fresh.r_index_tail;
+        f.r_index_used <- fresh.r_index_used;
+        f.r_npages <- fresh.r_npages;
+        f.r_write_mapped <- true;
+        Ok ())
 
 let ensure_file_writable t (f : file_state) =
   if f.r_write_mapped then Ok ()
-  else if not (known_to_kernel t f.r_ino) then begin
-    f.r_write_mapped <- true;
-    Ok ()
-  end
-  else
-    match map_ctl t ~ino:f.r_ino ~write:true with
-    | Ok () -> rebuild_upgraded_file t f
-    | Error e -> Error e
+  else upgrade t f ~ino:f.r_ino ~mark:mark_file ~rebuild:(rebuild_upgraded_file t)
 
 (* Drop cached state for a file/dir (after a lease revocation fault or an
    explicit unmap). *)
 let drop_aux t ino =
   Hashtbl.remove t.dirs ino;
-  Hashtbl.remove t.files ino;
-  if ino = Controller.root_ino then t.root <- None
+  Hashtbl.remove t.files ino
 
 (* An ino this process never mapped through the controller (a file or
    directory it created since its parent's last handoff) has nothing to
@@ -767,8 +733,7 @@ let with_retry t f =
       | _ ->
         (* conservative: forget everything *)
         Hashtbl.reset t.dirs;
-        Hashtbl.reset t.files;
-        t.root <- None);
+        Hashtbl.reset t.files);
       go (n - 1) m
     | Pmem.Mmu_fault _ -> Error EAGAIN
     | Pmem.Media_fault { transient = true; _ } when m > 0 && not (expired ()) ->
@@ -879,7 +844,10 @@ let lookup t (d : dir_state) name =
    that directory (and only it: the components on the way stay
    read-mapped) is mapped writable if this walk maps it. *)
 let resolve_dir t ~write components =
-  let* root = get_root t ~write:(write && components = []) in
+  let* root =
+    get_dir t ~write:(write && components = []) ~ino:Controller.root_ino
+      ~addr:Controller.root_dentry_addr
+  in
   let rec walk (d : dir_state) = function
     | [] -> Ok d
     | name :: rest -> (
@@ -894,15 +862,20 @@ let resolve_dir t ~write components =
   in
   walk root components
 
-(* Split a path into (parent directory state, basename). *)
-let resolve_parent t ~write path =
+(* Split a path into (parent directory components, basename). *)
+let split_parent path =
   match dirname_basename path with
   | None -> Error EINVAL
   | Some (dir_components, name) ->
-    if not (valid_name name) then Error (if String.length name > Layout.name_max then ENAMETOOLONG else EINVAL)
-    else
-      let* d = resolve_dir t ~write dir_components in
-      Ok (d, name)
+    if valid_name name then Ok (dir_components, name)
+    else Error (if String.length name > Layout.name_max then ENAMETOOLONG else EINVAL)
+
+(* Split a path into (parent directory state, basename): the parent
+   resolver every op of [ops] uses unless given another. *)
+let resolve_parent t ~write path =
+  let* dir_components, name = split_parent path in
+  let* d = resolve_dir t ~write dir_components in
+  Ok (d, name)
 
 (* ------------------------------------------------------------------ *)
 (* Directory-index maintenance *)
@@ -1442,9 +1415,9 @@ let stat_of_inode (inode : Layout.inode) =
     st_ctime = float_of_int inode.Layout.ctime;
   }
 
-let op_create t path mode =
+let op_create t ~resolve path mode =
   with_retry t (fun () ->
-      let* d, name = resolve_parent t ~write:true path in
+      let* d, name = resolve ~write:true path in
       let* r = create_entry t d name ~ftype:Reg ~mode in
       (* the file is known empty: construct its auxiliary state directly
          rather than re-reading the dentry we just wrote *)
@@ -1465,20 +1438,20 @@ let op_create t path mode =
       in
       Hashtbl.replace t.files r.e_ino f;
       let fd = alloc_fd t in
-      Hashtbl.replace t.fds fd { fd_ino = r.e_ino; fd_addr = r.e_addr; fd_flags = [ O_RDWR ] };
+      Hashtbl.replace t.fds fd { fd_ino = r.e_ino; fd_addr = r.e_addr };
       if t.unmap_after_write then unmap t d.d_ino;
       Ok fd)
 
-let op_open t path flags =
+let op_open t ~resolve path flags =
   with_retry t (fun () ->
-      let* d, name = resolve_parent t ~write:false path in
+      let* d, name = resolve ~write:false path in
       match lookup t d name with
       | None ->
         if List.mem O_CREAT flags then
           let* r = create_entry t d name ~ftype:Reg ~mode:0o644 in
           let* _f = get_file t ~ino:r.e_ino ~addr:r.e_addr in
           let fd = alloc_fd t in
-          Hashtbl.replace t.fds fd { fd_ino = r.e_ino; fd_addr = r.e_addr; fd_flags = flags };
+          Hashtbl.replace t.fds fd { fd_ino = r.e_ino; fd_addr = r.e_addr };
           if t.unmap_after_write then unmap t d.d_ino;
           Ok fd
         else Error ENOENT
@@ -1489,7 +1462,7 @@ let op_open t path flags =
         let* () = if trunc then truncate_file t f ~size:0 else Ok () in
         if trunc && t.unmap_after_write then unmap t f.r_ino;
         let fd = alloc_fd t in
-        Hashtbl.replace t.fds fd { fd_ino = r.e_ino; fd_addr = r.e_addr; fd_flags = flags };
+        Hashtbl.replace t.fds fd { fd_ino = r.e_ino; fd_addr = r.e_addr };
         Ok fd)
 
 let op_close t fd =
@@ -1525,9 +1498,9 @@ let op_append t fd buf =
       if t.unmap_after_write then unmap t f.r_ino;
       Ok n)
 
-let op_truncate t path size =
+let op_truncate t ~resolve path size =
   with_retry t (fun () ->
-      let* d, name = resolve_parent t ~write:false path in
+      let* d, name = resolve ~write:false path in
       match lookup t d name with
       | None -> Error ENOENT
       | Some { e_ftype = Dir; _ } -> Error EISDIR
@@ -1537,9 +1510,9 @@ let op_truncate t path size =
         if t.unmap_after_write then unmap t f.r_ino;
         Ok ())
 
-let op_unlink t path =
+let op_unlink t ~resolve path =
   with_retry t (fun () ->
-      let* d, name = resolve_parent t ~write:true path in
+      let* d, name = resolve ~write:true path in
       let* () = ensure_dir_writable t d in
       ensure_resolvable t d;
       let stripe = Htbl.stripe_of_key d.d_names name in
@@ -1576,16 +1549,16 @@ let op_unlink t path =
         if t.unmap_after_write then unmap t d.d_ino;
         Ok ())
 
-let op_mkdir t path mode =
+let op_mkdir t ~resolve path mode =
   with_retry t (fun () ->
-      let* d, name = resolve_parent t ~write:true path in
+      let* d, name = resolve ~write:true path in
       let* _r = create_entry t d name ~ftype:Dir ~mode in
       if t.unmap_after_write then unmap t d.d_ino;
       Ok ())
 
-let op_rmdir t path =
+let op_rmdir t ~resolve path =
   with_retry t (fun () ->
-      let* d, name = resolve_parent t ~write:true path in
+      let* d, name = resolve ~write:true path in
       let* () = ensure_dir_writable t d in
       ensure_resolvable t d;
       let stripe = Htbl.stripe_of_key d.d_names name in
@@ -1676,18 +1649,18 @@ let op_readdir t path =
           | Ok entries -> Ok (List.rev entries)
           | Error _ -> from_table () (* damaged tree: the pages are the truth *)))
 
-let op_stat t path =
+let op_stat t ~resolve path =
   with_retry t (fun () ->
       match split_path path with
       | None -> Error EINVAL
       | Some [] ->
         (* stat of the root *)
-        let* _ = get_root t ~write:false in
+        let* _ = resolve_dir t ~write:false [] in
         (match Layout.read_dentry t.pmem ~actor:t.proc ~addr:Controller.root_dentry_addr with
         | Some (Ok (inode, _)) -> Ok (stat_of_inode inode)
         | _ -> Error EIO)
       | Some _ ->
-        let* d, name = resolve_parent t ~write:false path in
+        let* d, name = resolve ~write:false path in
         (match lookup t d name with
         | None -> Error ENOENT
         | Some r -> (
@@ -1695,9 +1668,9 @@ let op_stat t path =
           | Some (Ok (inode, _)) -> Ok (stat_of_inode inode)
           | _ -> Error EIO)))
 
-let op_chmod t path mode =
+let op_chmod t ~resolve path mode =
   with_retry t (fun () ->
-      let* d, name = resolve_parent t ~write:false path in
+      let* d, name = resolve ~write:false path in
       match lookup t d name with
       | None -> Error ENOENT
       | Some r ->
@@ -1715,10 +1688,10 @@ let op_chmod t path mode =
 
 (* Rename: the one multi-location metadata update; uses the undo journal
    (paper §4.4). *)
-let op_rename t src dst =
+let op_rename t ~resolve src dst =
   with_retry t (fun () ->
-      let* sd, sname = resolve_parent t ~write:true src in
-      let* dd, dname = resolve_parent t ~write:true dst in
+      let* sd, sname = resolve ~write:true src in
+      let* dd, dname = resolve ~write:true dst in
       let* () = ensure_dir_writable t sd in
       let* () = ensure_dir_writable t dd in
       ensure_resolvable t sd;
@@ -1865,7 +1838,6 @@ let unmap_everything t =
   Hashtbl.reset t.files;
   Hashtbl.reset t.held;
   Hashtbl.reset t.fds;
-  t.root <- None;
   Controller.unmap_all t.ctl ~proc:t.proc;
   Controller.drain_verification t.ctl
 
@@ -1878,38 +1850,38 @@ let commit_file t path =
 
 (* Accessors for customized LibFSes (KVFS, FPFS) built on these
    internals. *)
-let register_fd t fd (f : file_state) =
-  Hashtbl.replace t.fds fd { fd_ino = f.r_ino; fd_addr = f.r_addr; fd_flags = [ O_RDWR ] }
 
-let stat_dentry t (r : dentry_ref) =
-  match Layout.read_dentry t.pmem ~actor:t.proc ~addr:r.e_addr with
-  | Some (Ok (inode, _)) -> Ok (stat_of_inode inode)
-  | _ -> Error EIO
+(* The directory state this LibFS caches for [ino], if any: a state
+   [with_retry] or a handoff dropped is gone from here too. *)
+let cached_dir t ino = Hashtbl.find_opt t.dirs ino
 
 let pmem_of t = t.pmem
 let proc_of t = t.proc
-let root_dir t = t.root
+let root_dir t = cached_dir t Controller.root_ino
 let topo_of t = t.topo
 let cache_of t = t.cache
 let stats_of t = t.stats
 
-(* The Fs_intf record for this LibFS. *)
-let ops t =
+(* The Fs_intf record for this LibFS.  [resolve] finds an op's parent
+   directory (default [resolve_parent]); a customized LibFS passes its
+   own resolver and reuses every op. *)
+let ops ?resolve t =
+  let resolve = Option.value resolve ~default:(resolve_parent t) in
   {
     Trio_core.Fs_intf.fs_name = "arckfs";
-    create = (fun path mode -> op_create t path mode);
-    open_ = (fun path flags -> op_open t path flags);
+    create = (fun path mode -> op_create t ~resolve path mode);
+    open_ = (fun path flags -> op_open t ~resolve path flags);
     close = (fun fd -> op_close t fd);
     pread = (fun fd buf off -> op_pread t fd buf off);
     pwrite = (fun fd buf off -> op_pwrite t fd buf off);
     append = (fun fd buf -> op_append t fd buf);
-    truncate = (fun path size -> op_truncate t path size);
-    unlink = (fun path -> op_unlink t path);
-    mkdir = (fun path mode -> op_mkdir t path mode);
-    rmdir = (fun path -> op_rmdir t path);
+    truncate = (fun path size -> op_truncate t ~resolve path size);
+    unlink = (fun path -> op_unlink t ~resolve path);
+    mkdir = (fun path mode -> op_mkdir t ~resolve path mode);
+    rmdir = (fun path -> op_rmdir t ~resolve path);
     readdir = (fun path -> op_readdir t path);
-    stat = (fun path -> op_stat t path);
-    rename = (fun src dst -> op_rename t src dst);
-    chmod = (fun path mode -> op_chmod t path mode);
+    stat = (fun path -> op_stat t ~resolve path);
+    rename = (fun src dst -> op_rename t ~resolve src dst);
+    chmod = (fun path mode -> op_chmod t ~resolve path mode);
     fsync = (fun fd -> op_fsync t fd);
   }

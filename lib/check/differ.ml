@@ -3,7 +3,7 @@
    The same op script runs through every evaluated file system via the
    instrumented VFS layer, and the observable outcome — per-op success /
    errno, then the final namespace, sizes and data — is diffed against
-   the in-memory model (which all nine implementations are supposed to
+   the in-memory model (which all ten implementations are supposed to
    agree with, per the conformance suite).  Any disagreement is a
    semantics divergence: either this reproduction's baseline model or
    ArckFS itself mishandles the sequence.
@@ -14,9 +14,12 @@
 module Rig = Trio_workloads.Rig
 module Vfs = Trio_core.Vfs
 
-(* The nine evaluated file systems: ArckFS plus the eight baselines. *)
+(* The ten evaluated file systems: ArckFS, FPFS (ArckFS behind its
+   full-path parent resolver) and the eight baselines. *)
 let default_fses =
-  [ "arckfs"; "ext4"; "ext4-raid0"; "pmfs"; "nova"; "winefs"; "odinfs"; "splitfs"; "strata" ]
+  [
+    "arckfs"; "fpfs"; "ext4"; "ext4-raid0"; "pmfs"; "nova"; "winefs"; "odinfs"; "splitfs"; "strata";
+  ]
 
 type divergence = {
   d_fs : string;

@@ -28,7 +28,6 @@
    would. *)
 
 module Pmem = Trio_nvm.Pmem
-module Sched = Trio_sim.Sched
 
 type stats = {
   mutable rounds : int;
@@ -195,16 +194,3 @@ let patrol_once ?(stats = make_stats ()) ctl =
       end)
     (poisoned_by_page pmem);
   stats
-
-(* Bounded background patrol: [rounds] passes, [interval_ns] of virtual
-   time apart, as a scheduler fiber.  (The simulation runs until every
-   fiber finishes, so an unbounded patrol would never let it end —
-   callers pick the horizon.) *)
-let run_patrol ?stats ctl ~interval_ns ~rounds =
-  let st = match stats with Some s -> s | None -> make_stats () in
-  Sched.spawn (Controller.sched ctl) (fun () ->
-      for _ = 1 to rounds do
-        Sched.delay interval_ns;
-        ignore (patrol_once ~stats:st ctl)
-      done);
-  st

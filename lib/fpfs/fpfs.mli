@@ -1,11 +1,11 @@
 (** FPFS: a LibFS customized for deep directory hierarchies through
     full-path indexing (paper §5).
 
-    Replaces ArckFS' per-directory hash tables (auxiliary state) with a
-    single global table mapping full paths to their core-state
-    location, so path resolution is one probe instead of one per
-    component.  The documented trade-off: renaming a directory
-    invalidates the cache (O(cached paths)).
+    Replaces ArckFS' per-component walk (auxiliary state) with a single
+    global table mapping full directory paths to inos, so path
+    resolution is one probe instead of one per component.  The
+    documented trade-off: renaming a directory invalidates the cache
+    (O(cached paths)).
 
     Only auxiliary state is customized — files remain plain ArckFS
     files, shareable with any other LibFS. *)
@@ -16,9 +16,9 @@ val mount : Arckfs.Libfs.t -> t
 (** Layer full-path indexing over an existing ArckFS LibFS. *)
 
 val ops : t -> Trio_core.Fs_intf.t
-(** The POSIX-like interface with fast-path resolution for
-    create/open/stat/unlink; other operations defer to the underlying
-    LibFS (with cache maintenance on rename/rmdir). *)
+(** The underlying LibFS's operations, each resolving its parent
+    directory through the path table (with table maintenance on
+    unlink/rmdir/rename). *)
 
 val cached_paths : t -> int
 (** Current size of the global path table. *)

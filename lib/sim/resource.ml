@@ -20,7 +20,6 @@ module Server = struct
     mutable active : int;
     mutable peak_active : int;
     mutable total_bytes : float;
-    mutable total_accesses : int;
   }
 
   let create ~name ~base_latency ~curve =
@@ -31,7 +30,6 @@ module Server = struct
       active = 0;
       peak_active = 0;
       total_bytes = 0.0;
-      total_accesses = 0;
     }
 
   (* Cost model: latency + bytes / per-accessor share of the aggregate
@@ -41,7 +39,6 @@ module Server = struct
   let access ?(latency_scale = 1.0) t ~bytes =
     t.active <- t.active + 1;
     if t.active > t.peak_active then t.peak_active <- t.active;
-    t.total_accesses <- t.total_accesses + 1;
     t.total_bytes <- t.total_bytes +. float_of_int bytes;
     let k = t.active in
     let share = t.curve k /. float_of_int k in
@@ -52,7 +49,6 @@ module Server = struct
   let active t = t.active
   let peak_active t = t.peak_active
   let total_bytes t = t.total_bytes
-  let total_accesses t = t.total_accesses
 end
 
 module Hotspot = struct

@@ -17,7 +17,6 @@ module Server : sig
   val active : t -> int
   val peak_active : t -> int
   val total_bytes : t -> float
-  val total_accesses : t -> int
 end
 
 (** A contended cacheline: access cost grows linearly with the number

@@ -2,36 +2,23 @@
 
    All of these operate on virtual time: acquiring a held lock parks the
    fiber until the holder releases it.  Ownership is handed off directly
-   to the next waiter (no barging), which keeps runs deterministic.
-
-   Contention statistics are kept per lock so the benchmarks can report
-   where time went. *)
+   to the next waiter (no barging), which keeps runs deterministic. *)
 
 (* ------------------------------------------------------------------ *)
 
 module Mutex = struct
-  type t = {
-    mutable locked : bool;
-    waiters : Sched.waker Queue.t;
-    mutable acquisitions : int;
-    mutable contended : int;
-  }
+  type t = { mutable locked : bool; waiters : Sched.waker Queue.t }
 
-  let create () = { locked = false; waiters = Queue.create (); acquisitions = 0; contended = 0 }
+  let create () = { locked = false; waiters = Queue.create () }
 
   let lock m =
-    m.acquisitions <- m.acquisitions + 1;
     if not m.locked then m.locked <- true
-    else begin
-      m.contended <- m.contended + 1;
-      Sched.park (fun waker -> Queue.push waker m.waiters)
-    end
+    else Sched.park (fun waker -> Queue.push waker m.waiters)
 
   let try_lock m =
     if m.locked then false
     else begin
       m.locked <- true;
-      m.acquisitions <- m.acquisitions + 1;
       true
     end
 
@@ -50,9 +37,6 @@ module Mutex = struct
     | exception e ->
       unlock m;
       raise e
-
-  let contended m = m.contended
-  let acquisitions m = m.acquisitions
 end
 
 (* A spinlock behaves like a mutex under the discrete-event model; the
@@ -69,8 +53,6 @@ module Rwlock = struct
     mutable writer : bool;
     read_waiters : Sched.waker Queue.t;
     write_waiters : Sched.waker Queue.t;
-    mutable acquisitions : int;
-    mutable contended : int;
   }
 
   let create () =
@@ -79,16 +61,12 @@ module Rwlock = struct
       writer = false;
       read_waiters = Queue.create ();
       write_waiters = Queue.create ();
-      acquisitions = 0;
-      contended = 0;
     }
 
   (* Writer preference: readers queue behind a waiting writer so writers
      cannot starve (matches the BRAVO-style locks ArckFS builds on). *)
   let read_lock l =
-    l.acquisitions <- l.acquisitions + 1;
     if l.writer || not (Queue.is_empty l.write_waiters) then begin
-      l.contended <- l.contended + 1;
       Sched.park (fun waker ->
           Queue.push
             (fun () ->
@@ -116,11 +94,7 @@ module Rwlock = struct
     wake_next l
 
   let write_lock l =
-    l.acquisitions <- l.acquisitions + 1;
-    if l.writer || l.readers > 0 then begin
-      l.contended <- l.contended + 1;
-      Sched.park (fun waker -> Queue.push waker l.write_waiters)
-    end
+    if l.writer || l.readers > 0 then Sched.park (fun waker -> Queue.push waker l.write_waiters)
     else l.writer <- true
 
   let write_unlock l =
@@ -147,8 +121,6 @@ module Rwlock = struct
     | exception e ->
       write_unlock l;
       raise e
-
-  let contended l = l.contended
 end
 
 (* ------------------------------------------------------------------ *)

@@ -4,7 +4,7 @@
     the calling fiber until the holder releases it.  Ownership is handed
     off to the next waiter in FIFO order, keeping runs deterministic. *)
 
-(** Mutual exclusion with FIFO handoff and contention statistics. *)
+(** Mutual exclusion with FIFO handoff. *)
 module Mutex : sig
   type t
 
@@ -22,11 +22,6 @@ module Mutex : sig
 
   val with_lock : t -> (unit -> 'a) -> 'a
   (** Run under the lock, releasing on exception. *)
-
-  val contended : t -> int
-  (** Number of acquisitions that had to wait. *)
-
-  val acquisitions : t -> int
 end
 
 (** A spinlock behaves identically under the discrete-event model; KVFS
@@ -48,8 +43,6 @@ module Rwlock : sig
   (** Run under a read lock, releasing on exception. *)
 
   val with_write : t -> (unit -> 'a) -> 'a
-
-  val contended : t -> int
 end
 
 (** Byte-range reader–writer lock: lets one thread extend a file while

@@ -125,6 +125,20 @@ let test_raid0_stripes () =
    only asserts both paths execute. Concurrent behaviour is asserted in
    the bench shape tests. *)
 
+(* Every personality [trioctl --fs] accepts answers [stat "/"] with a
+   directory. *)
+let test_stat_root_everywhere () =
+  List.iter
+    (fun name ->
+      with_fs name (fun vfs ->
+          match (Vfs.ops vfs).Fs.stat "/" with
+          | Ok st ->
+            Alcotest.(check bool) (name ^ ": a directory") true
+              (st.Trio_core.Fs_types.st_ftype = Trio_core.Fs_types.Dir)
+          | Error e ->
+            Alcotest.failf "%s: stat /: %s" name (Trio_core.Fs_types.errno_to_string e)))
+    Rig.fs_names
+
 let () =
   let conformance_suites =
     List.map (fun name -> (name ^ " conformance", Conformance.suite ~make_fs:(with_fs name)))
@@ -142,4 +156,6 @@ let () =
             Alcotest.test_case "odinfs delegates" `Quick test_odinfs_uses_delegation;
             Alcotest.test_case "raid0 paths execute" `Quick test_raid0_stripes;
           ] );
+        ( "every file system",
+          [ Alcotest.test_case "stat / is a directory" `Quick test_stat_root_everywhere ] );
       ])

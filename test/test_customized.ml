@@ -17,6 +17,11 @@ let ok what = function
 
 let with_rig f = Rig.run ~nodes:2 ~cpus_per_node:4 ~pages_per_node:32768 ~store_data:true f
 
+let names_of fs path =
+  ok "readdir" (fs.Fs.readdir path)
+  |> List.map (fun e -> e.Trio_core.Fs_types.d_name)
+  |> List.sort compare
+
 (* ------------------------------------------------------------------ *)
 (* KVFS *)
 
@@ -111,6 +116,43 @@ let test_kvfs_faster_than_posix () =
         Alcotest.failf "KVFS get (%.0fns) should beat POSIX open+read+close (%.0fns)" kv_cost
           posix_cost)
 
+(* KVFS hands its mappings back like any LibFS (the sharing point the
+   noisy neighbour uses).  Its next get, overwrite and create must map
+   the directory and the files again instead of letting the MMU fault
+   escape. *)
+let test_kvfs_after_own_handoff () =
+  Helpers.run_sim (fun env ->
+      let libfs = Helpers.mount ~proc:2 env in
+      let kv = ok "mount" (Kvfs.mount libfs ~dir:"/kv") in
+      ok "set k1" (Kvfs.set kv "k1" (Bytes.of_string "v1"));
+      Libfs.unmap_everything libfs;
+      Alcotest.(check string) "get k1" "v1" (Bytes.to_string (ok "get k1" (Kvfs.get kv "k1")));
+      ok "set k2" (Kvfs.set kv "k2" (Bytes.of_string "v2"));
+      ok "overwrite k1" (Kvfs.set kv "k1" (Bytes.of_string "v1-new"));
+      let buf = Bytes.create Kvfs.max_file_size in
+      Alcotest.(check int) "get_into k2" 2 (ok "get_into k2" (Kvfs.get_into kv "k2" buf));
+      Libfs.unmap_everything libfs;
+      Alcotest.(check int) "corruption events" 0
+        (List.length (Trio_core.Controller.corruption_events env.Helpers.ctl));
+      let other = Libfs.ops (Helpers.mount ~proc:3 env) in
+      Alcotest.(check string) "k1 elsewhere" "v1-new" (ok "read" (Fs.read_file other "/kv/k1"));
+      Alcotest.(check string) "k2 elsewhere" "v2" (ok "read" (Fs.read_file other "/kv/k2")))
+
+(* Another trust group takes the KVFS directory's write grant at lease
+   expiry and creates a file in it; KVFS's next get and create map
+   again. *)
+let test_kvfs_after_another_group_writes () =
+  Helpers.run_sim ~lease_ns:1.0e6 (fun env ->
+      let kv = ok "mount" (Kvfs.mount (Helpers.mount ~proc:2 env) ~dir:"/kv") in
+      ok "set k1" (Kvfs.set kv "k1" (Bytes.of_string "v1"));
+      Sched.delay 5.0e6;
+      let other = Libfs.ops (Helpers.mount ~proc:3 env) in
+      ok "close" (other.Fs.close (ok "create x" (other.Fs.create "/kv/x" 0o644)));
+      Sched.delay 5.0e6;
+      Alcotest.(check string) "get k1" "v1" (Bytes.to_string (ok "get k1" (Kvfs.get kv "k1")));
+      ok "set k2" (Kvfs.set kv "k2" (Bytes.of_string "v2"));
+      Alcotest.(check (list string)) "entries" [ "k1"; "k2"; "x" ] (names_of other "/kv"))
+
 (* ------------------------------------------------------------------ *)
 (* FPFS *)
 
@@ -172,6 +214,41 @@ let test_fpfs_rename_dir_invalidates () =
       | Error e -> Alcotest.failf "unexpected %s" (Trio_core.Fs_types.errno_to_string e));
       Alcotest.(check string) "new path works" "inside" (ok "read" (Fs.read_file fs "/newdir/f")))
 
+(* FPFS's path table names a directory by ino, and a hit counts only
+   while the LibFS still caches that directory: after another trust
+   group took the directory's write grant at lease expiry, the next
+   FPFS create walks and maps it again instead of faulting on the
+   dropped state until the retries run out (EAGAIN). *)
+let test_fpfs_after_another_group_writes () =
+  Helpers.run_sim ~lease_ns:1.0e6 (fun env ->
+      let fp = Fpfs.ops (Fpfs.mount (Helpers.mount ~proc:2 env)) in
+      ok "mkdir" (fp.Fs.mkdir "/d" 0o755);
+      ok "close" (fp.Fs.close (ok "create a1" (fp.Fs.create "/d/a1" 0o644)));
+      Sched.delay 5.0e6;
+      let other = Libfs.ops (Helpers.mount ~proc:3 env) in
+      ok "close" (other.Fs.close (ok "create b1" (other.Fs.create "/d/b1" 0o644)));
+      Sched.delay 5.0e6;
+      ok "close" (fp.Fs.close (ok "create a2" (fp.Fs.create "/d/a2" 0o644)));
+      Alcotest.(check (list string)) "entries" [ "a1"; "a2"; "b1" ] (names_of fp "/d"))
+
+(* The path table is keyed by the parent's components, so a path with a
+   trailing slash cannot file a directory's path under its parent; and
+   FPFS splits paths as ArckFS does, so a name over the limit is
+   ENAMETOOLONG. *)
+let test_fpfs_path_edges () =
+  with_rig (fun rig ->
+      let fs = Fpfs.ops (Fpfs.mount (Rig.mount_arckfs ~delegated:false rig)) in
+      ok "mkdir a" (fs.Fs.mkdir "/a" 0o755);
+      ok "mkdir d" (fs.Fs.mkdir "/a/d" 0o755);
+      ignore (ok "stat" (fs.Fs.stat "/a/d/"));
+      ok "close" (fs.Fs.close (ok "create" (fs.Fs.create "/a/d/x" 0o644)));
+      Alcotest.(check (list string)) "/a/d" [ "x" ] (names_of fs "/a/d");
+      Alcotest.(check (list string)) "/a" [ "d" ] (names_of fs "/a");
+      match fs.Fs.create ("/a/" ^ String.make 190 'x') 0o644 with
+      | Error Trio_core.Fs_types.ENAMETOOLONG -> ()
+      | Ok _ -> Alcotest.fail "name too long: created"
+      | Error e -> Alcotest.failf "name too long: %s" (Trio_core.Fs_types.errno_to_string e))
+
 let () =
   Alcotest.run "customized"
     [
@@ -183,6 +260,9 @@ let () =
           Alcotest.test_case "interops with POSIX view" `Quick test_kvfs_interops_with_posix;
           Alcotest.test_case "delete" `Quick test_kvfs_delete;
           Alcotest.test_case "faster than POSIX on small files" `Quick test_kvfs_faster_than_posix;
+          Alcotest.test_case "after its own handoff" `Quick test_kvfs_after_own_handoff;
+          Alcotest.test_case "after another group writes" `Quick
+            test_kvfs_after_another_group_writes;
         ] );
       test_fpfs_conformance;
       ( "fpfs",
@@ -190,5 +270,8 @@ let () =
           Alcotest.test_case "deep paths" `Quick test_fpfs_deep_paths;
           Alcotest.test_case "faster on deep dirs" `Quick test_fpfs_faster_on_deep_dirs;
           Alcotest.test_case "dir rename invalidates cache" `Quick test_fpfs_rename_dir_invalidates;
+          Alcotest.test_case "create after another group writes" `Quick
+            test_fpfs_after_another_group_writes;
+          Alcotest.test_case "path edge cases" `Quick test_fpfs_path_edges;
         ] );
     ]
