@@ -18,10 +18,12 @@ test:
 # The pre-commit gate: everything compiles, is formatted, and every test
 # passes (dune runtest includes test_crash, the bounded crash-state
 # exploration and cross-FS differential fuzz, and test_mutation, which
-# runs every deliberate bug against the campaign that must catch it).
+# runs every deliberate bug against the campaign that must catch it),
+# and the deep crash tier explores longer scripts, since every crash
+# state goes through the controller's and the LibFS's recovery.
 # CI runs exactly this target.  Its `bench --fast` gates check their
 # thresholds but leave the tracked BENCH_*.json records untouched.
-check: fmt crashcheck-quick faultcheck proccheck verifycheck shardcheck ringcheck snapcheck qoscheck dircheck
+check: fmt crashcheck-quick crashcheck-deep faultcheck proccheck verifycheck shardcheck ringcheck snapcheck qoscheck dircheck
 
 # Verification-plane gate: full vs incremental verification must give
 # byte-identical verdicts over the attack suite, the corruption

@@ -120,228 +120,6 @@ type t = {
 let ( let* ) = Result.bind
 
 (* ------------------------------------------------------------------ *)
-(* Mount *)
-
-
-let mount ~ctl ~proc ~cred ?group ?qos_share ?(retry_deadline_ns = 5.0e6) ?delegation
-    ?(unmap_after_write = false) ?ring ?fix () =
-  let pmem = Controller.pmem ctl in
-  let sched = Controller.sched ctl in
-  let topo = Pmem.topo pmem in
-  let t_ref = ref None in
-  let recovery () =
-    match !t_ref with
-    | None -> ()
-    | Some t ->
-      Option.iter Journal.recover t.journal;
-      let actor = t.proc in
-      (* Reconcile a directory's B-link index with its dentries: a kill
-         between the dentry persist and the index update leaves the
-         tree missing (or carrying) one key, which verification would
-         flag as an I5 violation and roll the whole directory back.
-         The dentries are the truth: audit the tree, compare entry
-         sets, and rebuild from the leaves on any disagreement (root 0
-         when space is short — unindexed is legal; the abandoned nodes
-         are re-attributed by the kernel at the next verification). *)
-      let reconcile_dindex ~dentry_addr =
-        let live = ref [] in
-        (match Layout.read_dentry pmem ~actor ~addr:dentry_addr with
-        | Some (Ok (inode, _)) ->
-          ignore
-            (Layout.walk_index_chain pmem ~actor ~head:inode.Layout.index_head
-               ~max_pages:(Pmem.total_pages pmem) (fun ~index_page:_ ~entries ~next:_ ->
-                 Array.iter
-                   (fun pg ->
-                     if pg <> 0 then
-                       for slot = 0 to Layout.dentries_per_page - 1 do
-                         let addr = Layout.dentry_slot_addr pg slot in
-                         match Layout.read_dentry pmem ~actor ~addr with
-                         | Some (Ok (_, name)) ->
-                           live := (Trio_core.Dirindex.hash_name name, addr) :: !live
-                         | _ -> ()
-                       done)
-                   entries))
-        | _ -> ());
-        let root = Layout.read_dindex_root pmem ~actor ~dentry_addr in
-        let consistent =
-          root = 0
-          ||
-          let a = Trio_core.Dirindex.audit pmem ~actor ~root in
-          a.Trio_core.Dirindex.au_violations = []
-          && List.sort_uniq compare a.Trio_core.Dirindex.au_entries
-             = List.sort_uniq compare !live
-        in
-        if not consistent then begin
-          Layout.write_dindex_root pmem ~actor ~dentry_addr 0;
-          let alloc () =
-            let node = Numa.node_of_cpu t.topo (Sched.current_cpu ()) in
-            match Alloc_cache.alloc_page t.cache ~node ~kind:Pmem.Meta with
-            | Ok pg -> Some pg
-            | Error _ -> None
-          in
-          let free pg = Alloc_cache.recycle_page t.cache ~page:pg ~kind:Pmem.Meta in
-          match Trio_core.Dirindex.build pmem ~actor ~alloc ~free ~entries:!live with
-          | Ok (nr, _) when nr <> 0 -> Layout.write_dindex_root pmem ~actor ~dentry_addr nr
-          | Ok _ | Error `Nospace -> ()
-        end
-      in
-      (* Reconcile a regular file whose size and index chain were torn
-         by the crash: append links the new index entry before bumping
-         the size (truncate the reverse), so an interruption between the
-         two persisted stores leaves a state that fails I1.  For a
-         *fresh* file — created since the last access transfer, so the
-         kernel holds no checkpoint for it — failing verification at
-         ingestion drops the dentry outright, erasing a create that
-         committed long before the crash.  Repair to the nearest
-         consistent state instead: unlink index entries past the
-         recorded size, or clamp the size down to the pages actually
-         linked.  Orphaned data pages stay allocated to this process
-         and are reclaimed with it. *)
-      let repair_reg ~dentry_addr (inode : Layout.inode) =
-        let entries = ref [] in
-        ignore
-          (Layout.walk_index_chain pmem ~actor ~head:inode.Layout.index_head
-             ~max_pages:(Pmem.total_pages pmem) (fun ~index_page ~entries:slots ~next:_ ->
-               Array.iteri
-                 (fun slot pg -> if pg <> 0 then entries := (index_page, slot) :: !entries)
-                 slots));
-        let entries = List.rev !entries in
-        let npages = List.length entries in
-        let needed = (inode.Layout.size + page_size - 1) / page_size in
-        if npages > needed then
-          List.iteri
-            (fun i (index_page, slot) ->
-              if i >= needed then begin
-                let addr = (index_page * page_size) + (slot * 8) in
-                Pmem.write_u64 pmem ~actor ~addr 0;
-                Pmem.persist pmem ~addr ~len:8
-              end)
-            entries
-        else if inode.Layout.size > npages * page_size then
-          Layout.write_size pmem ~actor ~dentry_addr (npages * page_size)
-      in
-      (* Recount and repair the size field of every write-mapped
-         directory: create/unlink persist the dentry before the size, so
-         a crash can leave the count stale by one.  While walking the
-         dentries, recurse into fresh children (unknown to the kernel)
-         and reconcile their torn state too — the kernel cannot roll
-         them back, only drop them. *)
-      let seen = Hashtbl.create 16 in
-      let rec repair_dir ~dentry_addr (inode : Layout.inode) =
-        if not (Hashtbl.mem seen inode.Layout.ino) then begin
-          Hashtbl.add seen inode.Layout.ino ();
-          let count = ref 0 in
-          ignore
-            (Layout.walk_index_chain pmem ~actor ~head:inode.Layout.index_head
-               ~max_pages:(Pmem.total_pages pmem) (fun ~index_page:_ ~entries ~next:_ ->
-                 Array.iter
-                   (fun pg ->
-                     (* poisoned dentry pages are skipped wholesale: their
-                        slots can't be trusted, and the scrubber repairs
-                        the page from the controller checkpoint later *)
-                     match
-                       if pg = 0 then None
-                       else
-                         match
-                           Pmem.read_ecc pmem ~actor ~addr:(pg * page_size) ~len:page_size
-                         with
-                         | Pmem.Ecc.Ok b -> Some b
-                         | Pmem.Ecc.Poisoned _ -> None
-                     with
-                     | None -> ()
-                     | Some b ->
-                       for slot = 0 to Layout.dentries_per_page - 1 do
-                         if Layout.get_u64 b (slot * Layout.dentry_size) <> 0 then begin
-                           incr count;
-                           let addr = (pg * page_size) + (slot * Layout.dentry_size) in
-                           match Layout.read_dentry pmem ~actor ~addr with
-                           | Some (Ok (child, _))
-                             when Controller.dentry_addr_of ctl child.Layout.ino = None -> (
-                             match child.Layout.ftype with
-                             | Reg -> repair_reg ~dentry_addr:addr child
-                             | Dir -> repair_dir ~dentry_addr:addr child)
-                           | _ -> ()
-                         end
-                       done)
-                   entries));
-          if !count <> inode.Layout.size then Layout.write_size pmem ~actor ~dentry_addr !count;
-          reconcile_dindex ~dentry_addr
-        end
-      in
-      List.iter
-        (fun (ino, dentry_addr, ftype) ->
-          (* Files the controller already rolled back to the durable
-             snapshot root hold a *certified* state; replaying journal
-             repairs over them would resurrect exactly the bytes the
-             verifier rejected. *)
-          if ftype = Dir && not (Controller.was_snapshot_restored ctl ino) then begin
-            match Layout.read_dentry pmem ~actor ~addr:dentry_addr with
-            | Some (Ok (inode, _)) -> repair_dir ~dentry_addr inode
-            | _ -> ()
-          end)
-        (Controller.write_mapped_inos ctl ~proc)
-  in
-  Controller.register_process ctl ~proc ~cred ?group ?qos_share ?fix ~recovery ();
-  (* The ring must exist before the first map: its drain fiber is what
-     will execute every batched call this mount makes. *)
-  let ring =
-    match ring with
-    | Some depth when depth > 0 -> Some (Controller.ring_setup ctl ~proc ~depth)
-    | _ -> None
-  in
-  let cache = Alloc_cache.create ~ctl ~proc () in
-  (* One journal page per CPU, each on that CPU's local node. *)
-  let cpus = Numa.total_cpus topo in
-  let cpus_per_node = Numa.cpus_per_node topo in
-  let jpages = Array.make cpus 0 in
-  let jalloc_ok = ref true in
-  let jallocated = ref [] in
-  for node = 0 to Numa.nodes topo - 1 do
-    match Controller.alloc_pages ctl ~proc ~node ~count:cpus_per_node ~kind:Pmem.Meta with
-    | Ok pages ->
-      jallocated := pages @ !jallocated;
-      List.iteri (fun i pg -> jpages.(Numa.cpu_of_node_local topo ~node ~local:i) <- pg) pages
-    | Error _ -> jalloc_ok := false
-  done;
-  (* A full device is not a mount failure: mount without a journal and
-     let the one operation that needs it (rename) fail with ENOSPC. *)
-  let journal =
-    if !jalloc_ok then Some (Journal.create ~pmem ~actor:proc ~pages:jpages)
-    else begin
-      if !jallocated <> [] then ignore (Controller.free_pages ctl ~proc ~pages:!jallocated);
-      None
-    end
-  in
-  let t =
-    {
-      ctl;
-      pmem;
-      sched;
-      topo;
-      proc;
-      cred;
-      cache;
-      journal;
-      delegation;
-      dirs = Hashtbl.create 64;
-      files = Hashtbl.create 64;
-      held = Hashtbl.create 64;
-      fds = Hashtbl.create 64;
-      fd_counters = Array.make (Numa.total_cpus topo) 0;
-      building = Hashtbl.create 16;
-      stats = Stats.create ();
-      unmap_after_write;
-      ring;
-      free_backlog = [];
-      free_backlog_len = 0;
-      retry_deadline_ns;
-      retry_rng = Rng.create (0x51ab5 + proc);
-    }
-  in
-  t_ref := Some t;
-  t
-
-(* ------------------------------------------------------------------ *)
 (* Auxiliary-state construction (paper §4.2 "building auxiliary state") *)
 
 let new_dir_state ~ino ~addr =
@@ -950,6 +728,11 @@ let index_delete t (d : dir_state) name addr =
         | Ok () -> ()
         | Error _ | exception Pmem.Media_fault _ -> drop_index t d)
 
+(* The (hash, dentry address) keys a materialized directory's index
+   must hold. *)
+let index_keys (d : dir_state) =
+  Htbl.fold d.d_names [] (fun acc name r -> (Dirindex.hash_name name, r.e_addr) :: acc)
+
 (* Re-index an unindexed-nonempty directory from its materialized aux
    table (scrub gave up under pressure, a snapshot restore dropped the
    tree, or a crash left it detached). *)
@@ -958,12 +741,9 @@ let rebuild_index t (d : dir_state) =
     with_index_lock t d (fun () ->
         match current_root t d with
         | 0 -> (
-          let entries =
-            Htbl.fold d.d_names [] (fun acc name r -> (Dirindex.hash_name name, r.e_addr) :: acc)
-          in
           match
             Dirindex.build ~stats:(kstats t) t.pmem ~actor:t.proc ~alloc:(dindex_alloc t)
-              ~free:(dindex_free t) ~entries
+              ~free:(dindex_free t) ~entries:(index_keys d)
           with
           | Ok (root, _) when root <> 0 ->
             Layout.write_dindex_root t.pmem ~actor:t.proc ~dentry_addr:d.d_addr root;
@@ -1326,6 +1106,40 @@ let read_at t (f : file_state) ~buf ~off =
             do_data_io t ~write:false ~buf runs ~len;
             Ok len))
 
+(* Unlink every page past the file's first [keep]: drop them from the
+   page index and zero their index entries, tail first.  Returns the
+   unlinked pages; the caller decides whether to free them.  Caller holds
+   the inode write lock (or the only reference to [f]). *)
+let unlink_pages t (f : file_state) ~keep =
+  let unlinked = ref [] in
+  for fpi = keep to f.r_npages - 1 do
+    match Radix.find f.r_index fpi with
+    | Some pg ->
+      unlinked := pg :: !unlinked;
+      Radix.remove f.r_index fpi
+    | None -> ()
+  done;
+  let index_pages = Array.of_list (List.rev f.r_index_pages) in
+  let index_page i = if i < Array.length index_pages then Some index_pages.(i) else None in
+  let rec zero_entries fpi =
+    if fpi >= keep then begin
+      let ip_idx = fpi / Layout.index_entries in
+      let slot = fpi mod Layout.index_entries in
+      (match index_page ip_idx with
+      | Some ip -> Layout.write_index_entry t.pmem ~actor:t.proc ~page:ip slot 0
+      | None -> ());
+      zero_entries (fpi - 1)
+    end
+  in
+  zero_entries (f.r_npages - 1);
+  f.r_npages <- keep;
+  f.r_index_tail <-
+    (match index_page (max 0 ((keep - 1) / Layout.index_entries)) with
+    | Some ip when keep > 0 -> ip
+    | _ -> Option.value (index_page 0) ~default:0);
+  f.r_index_used <- (if keep = 0 then 0 else ((keep - 1) mod Layout.index_entries) + 1);
+  !unlinked
+
 let truncate_file t (f : file_state) ~size =
   let* () = ensure_file_writable t f in
   Sync.Rwlock.with_write f.r_ilock (fun () ->
@@ -1341,42 +1155,159 @@ let truncate_file t (f : file_state) ~size =
         Ok ()
     end
     else begin
-      let keep_pages = if size = 0 then 0 else ((size - 1) / page_size) + 1 in
-      (* free the tail pages through the kernel *)
-      let to_free = ref [] in
-      for fpi = keep_pages to f.r_npages - 1 do
-        match Radix.find f.r_index fpi with
-        | Some pg ->
-          to_free := pg :: !to_free;
-          Radix.remove f.r_index fpi
-        | None -> ()
-      done;
-      (* zero the index entries (tail-first within each index page) *)
-      let index_pages = Array.of_list (List.rev f.r_index_pages) in
-      let index_page i = if i < Array.length index_pages then Some index_pages.(i) else None in
-      let rec zero_entries fpi =
-        if fpi >= keep_pages then begin
-          let ip_idx = fpi / Layout.index_entries in
-          let slot = fpi mod Layout.index_entries in
-          (match index_page ip_idx with
-          | Some ip -> Layout.write_index_entry t.pmem ~actor:t.proc ~page:ip slot 0
-          | None -> ());
-          zero_entries (fpi - 1)
-        end
-      in
-      zero_entries (f.r_npages - 1);
-      f.r_npages <- keep_pages;
-      f.r_index_tail <-
-        (match index_page (max 0 ((keep_pages - 1) / Layout.index_entries)) with
-        | Some ip when keep_pages > 0 -> ip
-        | _ -> Option.value (index_page 0) ~default:0);
-      f.r_index_used <- (if keep_pages = 0 then 0 else ((keep_pages - 1) mod Layout.index_entries) + 1);
+      let keep = if size = 0 then 0 else ((size - 1) / page_size) + 1 in
+      let unlinked = unlink_pages t f ~keep in
       f.r_size <- size;
       Layout.write_size t.pmem ~actor:t.proc ~dentry_addr:f.r_addr size;
-      if !to_free <> [] then free_pages_lazily t !to_free;
+      (* free the tail pages through the kernel *)
+      if unlinked <> [] then free_pages_lazily t unlinked;
       Ok ()
     end
 )
+
+(* ------------------------------------------------------------------ *)
+(* Crash recovery (paper §4.4): the program the controller runs for this
+   LibFS after a crash.  It rebuilds with the op builders and repairs
+   only what a crash can tear. *)
+
+(* A fresh file's size and index chain can be torn by a crash: append
+   links the new index entry before it bumps the size (truncate the
+   reverse), so an interruption between the two persisted stores leaves
+   a state that fails I1.  The kernel holds no checkpoint for a file
+   created since the last access transfer, so failing verification at
+   ingestion would drop its dentry outright, erasing a create that
+   committed long before the crash.  Repair to the nearest consistent
+   state instead: unlink the pages past the recorded size, or clamp the
+   size down to the pages linked.  Unlinked pages stay allocated to this
+   process and are reclaimed with it. *)
+let recover_file t ~ino ~addr =
+  match build_file_aux t ~ino ~addr with
+  | Error _ -> ()
+  | Ok f ->
+    let needed = (f.r_size + page_size - 1) / page_size in
+    if f.r_npages > needed then ignore (unlink_pages t f ~keep:needed : int list)
+    else if f.r_size > f.r_npages * page_size then
+      Layout.write_size t.pmem ~actor:t.proc ~dentry_addr:addr (f.r_npages * page_size)
+
+(* Does the directory's B-link index hold exactly its dentries' keys? *)
+let index_agrees t (d : dir_state) =
+  d.d_dindex_root = 0
+  ||
+  let a = Dirindex.audit t.pmem ~actor:t.proc ~root:d.d_dindex_root in
+  a.Dirindex.au_violations = []
+  && List.sort_uniq compare a.Dirindex.au_entries = List.sort_uniq compare (index_keys d)
+
+(* Create and unlink persist the dentry before the size, so a crash can
+   leave the live-entry count stale by one; a kill between the dentry
+   persist and the index update leaves the tree missing or carrying one
+   key, which verification would flag as an I5 violation and roll the
+   whole directory back.  The dentries are the truth: write their count,
+   and drop and rebuild a tree that fails its audit or disagrees with
+   them (unindexed when space is short).  Fresh children (unknown to the
+   kernel, which cannot roll them back, only drop them) are repaired in
+   turn. *)
+let rec recover_dir t seen ~ino ~addr =
+  if not (Hashtbl.mem seen ino) then begin
+    Hashtbl.add seen ino ();
+    let d = build_dir_aux t ~ino ~addr in
+    let size_field = d.d_size in
+    materialize t d;
+    if d.d_size <> size_field then
+      Layout.write_size t.pmem ~actor:t.proc ~dentry_addr:addr d.d_size;
+    Htbl.iter d.d_names (fun _ r ->
+        if not (known_to_kernel t r.e_ino) then
+          match r.e_ftype with
+          | Reg -> recover_file t ~ino:r.e_ino ~addr:r.e_addr
+          | Dir -> recover_dir t seen ~ino:r.e_ino ~addr:r.e_addr);
+    if not (index_agrees t d) then begin
+      drop_index t d;
+      rebuild_index t d
+    end
+  end
+
+(* The journal first, then every directory this process held
+   write-mapped.  A directory the controller already rolled back to the
+   durable snapshot root holds a certified state: repairing it would
+   resurrect exactly the bytes the verifier rejected. *)
+let recover t =
+  Option.iter Journal.recover t.journal;
+  let seen = Hashtbl.create 16 in
+  List.iter
+    (fun (ino, addr, ftype) ->
+      if ftype = Dir && not (Controller.was_snapshot_restored t.ctl ino) then
+        recover_dir t seen ~ino ~addr)
+    (Controller.write_mapped_inos t.ctl ~proc:t.proc)
+
+(* ------------------------------------------------------------------ *)
+(* Mount *)
+
+let mount ~ctl ~proc ~cred ?group ?qos_share ?(retry_deadline_ns = 5.0e6) ?delegation
+    ?(unmap_after_write = false) ?ring ?fix () =
+  let pmem = Controller.pmem ctl in
+  let sched = Controller.sched ctl in
+  let topo = Pmem.topo pmem in
+  let t_ref = ref None in
+  Controller.register_process ctl ~proc ~cred ?group ?qos_share ?fix
+    ~recovery:(fun () -> Option.iter recover !t_ref)
+    ();
+  (* The ring must exist before the first map: its drain fiber is what
+     will execute every batched call this mount makes. *)
+  let ring =
+    match ring with
+    | Some depth when depth > 0 -> Some (Controller.ring_setup ctl ~proc ~depth)
+    | _ -> None
+  in
+  let cache = Alloc_cache.create ~ctl ~proc () in
+  (* One journal page per CPU, each on that CPU's local node. *)
+  let cpus = Numa.total_cpus topo in
+  let cpus_per_node = Numa.cpus_per_node topo in
+  let jpages = Array.make cpus 0 in
+  let jalloc_ok = ref true in
+  let jallocated = ref [] in
+  for node = 0 to Numa.nodes topo - 1 do
+    match Controller.alloc_pages ctl ~proc ~node ~count:cpus_per_node ~kind:Pmem.Meta with
+    | Ok pages ->
+      jallocated := pages @ !jallocated;
+      List.iteri (fun i pg -> jpages.(Numa.cpu_of_node_local topo ~node ~local:i) <- pg) pages
+    | Error _ -> jalloc_ok := false
+  done;
+  (* A full device is not a mount failure: mount without a journal and
+     let the one operation that needs it (rename) fail with ENOSPC. *)
+  let journal =
+    if !jalloc_ok then Some (Journal.create ~pmem ~actor:proc ~pages:jpages)
+    else begin
+      if !jallocated <> [] then ignore (Controller.free_pages ctl ~proc ~pages:!jallocated);
+      None
+    end
+  in
+  let t =
+    {
+      ctl;
+      pmem;
+      sched;
+      topo;
+      proc;
+      cred;
+      cache;
+      journal;
+      delegation;
+      dirs = Hashtbl.create 64;
+      files = Hashtbl.create 64;
+      held = Hashtbl.create 64;
+      fds = Hashtbl.create 64;
+      fd_counters = Array.make (Numa.total_cpus topo) 0;
+      building = Hashtbl.create 16;
+      stats = Stats.create ();
+      unmap_after_write;
+      ring;
+      free_backlog = [];
+      free_backlog_len = 0;
+      retry_deadline_ns;
+      retry_rng = Rng.create (0x51ab5 + proc);
+    }
+  in
+  t_ref := Some t;
+  t
 
 (* ------------------------------------------------------------------ *)
 (* fd table *)

@@ -19,13 +19,14 @@
    This module is a facade: the implementation lives in focused
    submodules, one per concern, each behind its own interface —
 
-   - {!Ctl_state}       shared record types, construction, cold start
+   - {!Ctl_state}       shared record types, construction
    - {!Ctl_alloc}       page/inode allocation, free, recycle
    - {!Ctl_checkpoint}  verified-metadata snapshots, rollback, the
                         incremental-verification delta lookup
    - {!Ctl_registry}    process registry, watchdog, orphan GC
    - {!Ctl_snapshot}    whole-FS CoW snapshots: root publication,
-                        rollback, mount-newest-root crash recovery
+                        rollback; crash recovery by mounting the
+                        newest root or by the fsck walk
    - {!Ctl_media}       scrubber repair primitives
    - {!Ctl_gate}        map/unmap, the background verification
                         pipeline, commit, namespace operations
@@ -67,10 +68,9 @@ let create ~sched ~pmem ~mmu ?lease_ns () =
   t
 
 let cold_start ~sched ~pmem ~mmu ?lease_ns () =
-  match Ctl_state.cold_start ~sched ~pmem ~mmu ?lease_ns () with
+  match Ctl_snapshot.cold_start ~sched ~pmem ~mmu ?lease_ns () with
   | Error _ as e -> e
   | Ok t ->
-    Ctl_snapshot.adopt_root t;
     Ctl_gate.start t;
     Ok t
 

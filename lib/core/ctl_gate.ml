@@ -332,6 +332,11 @@ let settle_chain t (f : file_info) =
   in
   List.iter (fun f -> settle t f) (up f 0 [])
 
+(* Run a queued verification of [ino], unless the entry is stale: the
+   file was already claimed, re-mapped or deleted. *)
+let run_queued t ino =
+  match file_find t ino with Some f when f.f_pending <> None -> run_pending t f | _ -> ()
+
 (* Drain the whole pipeline: run every queued verification inline and
    wait out every in-flight one.  Used by the read-side accessors that
    must observe final verdicts, and by crash recovery. *)
@@ -340,9 +345,7 @@ let drain_verification t =
     match Queue.take_opt sh.sh_verify_q with
     | None -> ()
     | Some ino ->
-      (match file_find t ino with
-      | Some f when f.f_pending <> None -> run_pending t f
-      | _ -> () (* stale entry: already claimed, re-mapped or deleted *));
+      run_queued t ino;
       drain_queue sh
   in
   Array.iter drain_queue t.shards;
@@ -391,9 +394,7 @@ let enqueue_verify t ~proc ~(f : file_info) =
 let rec service t (sh : shard) =
   match Queue.take_opt sh.sh_verify_q with
   | Some ino ->
-    (match file_find t ino with
-    | Some f when f.f_pending <> None -> run_pending t f
-    | _ -> ());
+    run_queued t ino;
     service t sh
   | None ->
     Sched.park (fun waker -> Queue.push waker sh.sh_vq_idle);
@@ -544,17 +545,17 @@ let force_unmap_holders t ~(f : file_info) ~for_writer =
       (fun r () -> revoke_mapping t ~proc:r ~f ~was_writer:false)
       (Hashtbl.copy f.f_readers)
 
+(* A write mapping held by a process of another trust group. *)
+let writer_conflict t ~proc ~(f : file_info) =
+  match f.f_writer with None -> false | Some w -> w <> proc && group_of t w <> group_of t proc
+
+(* A writer additionally conflicts with readers of other trust groups. *)
 let conflicts t ~proc ~(f : file_info) ~write =
-  let my_group = group_of t proc in
-  let writer_conflict =
-    match f.f_writer with None -> false | Some w -> w <> proc && group_of t w <> my_group
-  in
-  if write then
-    writer_conflict
-    || Hashtbl.fold
-         (fun r () acc -> acc || (r <> proc && group_of t r <> my_group))
-         f.f_readers false
-  else writer_conflict
+  writer_conflict t ~proc ~f
+  || write
+     &&
+     let my_group = group_of t proc in
+     Hashtbl.fold (fun r () acc -> acc || (r <> proc && group_of t r <> my_group)) f.f_readers false
 
 let rec wait_for_access t ~proc ~(f : file_info) ~write =
   if conflicts t ~proc ~f ~write then begin
@@ -562,11 +563,7 @@ let rec wait_for_access t ~proc ~(f : file_info) ~write =
        needs no verification on teardown, and the reader transparently
        re-maps on its next access.  Leases only protect writers, whose
        handoff requires verification. *)
-    let my_group = group_of t proc in
-    let writer_conflict =
-      match f.f_writer with None -> false | Some w -> w <> proc && group_of t w <> my_group
-    in
-    if write && not writer_conflict then force_unmap_holders t ~f ~for_writer:true
+    if write && not (writer_conflict t ~proc ~f) then force_unmap_holders t ~f ~for_writer:true
     else begin
       let expire = f.f_lease_expire in
       let now = Sched.now t.sched in
@@ -808,17 +805,9 @@ let write_mapped_inos t ~proc =
       if f.f_writer = Some proc then (ino, f.f_dentry_addr, f.f_ftype) :: acc else acc)
     []
 
-let dentry_addr_of t ino =
-  match file_find t ino with
-  | Some f -> Some f.f_dentry_addr
-  | None ->
-    (* A file created moments ago may still be riding the pipeline
-       inside its parent's queued verification. *)
-    if not (may_be_in_pipeline t ino) then None
-    else begin
-      drain_verification t;
-      Option.map (fun (f : file_info) -> f.f_dentry_addr) (file_find t ino)
-    end
+(* A file created moments ago may still be riding the pipeline inside
+   its parent's queued verification: [find_file] lets it land. *)
+let dentry_addr_of t ino = Option.map (fun (f : file_info) -> f.f_dentry_addr) (find_file t ino)
 
 (* After a crash: any verification still in the pipeline runs against
    the post-crash state first, then every LibFS-registered recovery

@@ -160,19 +160,11 @@ let valid_roots pm =
    device page is never touched).  This keeps every root
    self-consistent: mounting it can never surface a dentry whose inode
    the snapshot does not describe. *)
+let ck_fetch ck pg = List.assoc_opt pg ck.ck_pages
+
 let ck_data_pages t ck =
-  let data = ref [] in
-  (match
-     Layout.walk_index_chain
-       ~fetch:(fun pg -> List.assoc_opt pg ck.ck_pages)
-       t.pmem ~actor:Pmem.kernel_actor ~head:ck.ck_index_head
-       ~max_pages:(Pmem.total_pages t.pmem)
-       (fun ~index_page:_ ~entries ~next:_ ->
-         Array.iter (fun e -> if e <> 0 then data := e :: !data) entries)
-   with
-  | Ok () -> ()
-  | Error _ -> ());
-  List.rev !data
+  let _, data_pages, _ = chain_pages ~fetch:(ck_fetch ck) t ~head:ck.ck_index_head in
+  data_pages
 
 let sanitize_dir_ck t ~emitted (f : file_info) ck =
   let dentry_pages = ck_data_pages t ck in
@@ -370,7 +362,133 @@ let restore_file t f ~offender =
     end
 
 (* ------------------------------------------------------------------ *)
-(* Crash recovery: mount the newest intact root *)
+(* Mounting from NVM.  Both mounts rebuild the whole controller state:
+   the fsck walk from the core state alone, the root mount from the
+   newest intact snapshot root.  They share the superblock check, the
+   empty starting state and the adoption of each file. *)
+
+let check_superblock pmem =
+  match Layout.read_superblock pmem ~actor:Pmem.kernel_actor with
+  | Error e -> Error e
+  | Ok (total_pages, page_size', root_ino', root_addr) ->
+    if total_pages <> Pmem.total_pages pmem || page_size' <> page_size then
+      Error "superblock geometry mismatch"
+    else if root_ino' <> Layout.root_ino || root_addr <> Layout.root_dentry_addr then
+      Error "unexpected root location"
+    else Ok ()
+
+(* A state holding only the superblock and root dentry pages. *)
+let empty_state ~sched ~pmem ~mmu ~lease_ns =
+  let t = make ~sched ~pmem ~mmu ~lease_ns in
+  set_page_owner t 0 (In_file Layout.root_ino);
+  set_page_owner t Layout.root_dentry_page (In_file Layout.root_ino);
+  t
+
+(* Register one file read from NVM: its ino owner, shadow inode and
+   [next_ino], every page its index chain and B-link tree reach (each
+   claimed once, inside the volume), and its record.  [fetch] serves
+   pages from the snapshot's checkpoint instead of the device.  The
+   index root is read ([dindex_root]) for a directory only, after its
+   chain.  Raises [Failure] on anything an intact tree cannot hold. *)
+let adopt ?fetch t ~parent ~dentry_addr ~dindex_root (inode : Layout.inode) =
+  let ino = inode.Layout.ino in
+  if ino_owner_of t ino <> Ino_free then failwith (Printf.sprintf "inode %d appears twice" ino);
+  set_ino_owner t ino (Ino_in_dir parent);
+  set_shadow t ino
+    {
+      Verifier.s_ftype = inode.Layout.ftype;
+      s_mode = inode.Layout.mode land 0o7777;
+      s_uid = inode.Layout.uid;
+      s_gid = inode.Layout.gid;
+    };
+  if ino >= t.next_ino then t.next_ino <- ino + 1;
+  let claim pg =
+    if pg <= Layout.root_dentry_page || pg >= Pmem.total_pages t.pmem then
+      failwith (Printf.sprintf "page %d out of range" pg)
+    else if Hashtbl.mem t.page_owner pg || snap_pinned_mem t pg then
+      failwith (Printf.sprintf "page %d doubly referenced" pg)
+    else begin
+      set_page_owner t pg (In_file ino);
+      Extent_alloc.alloc_at t.node_allocs.(node_of_page t pg) pg 1
+    end
+  in
+  let index_pages, data_pages, verdict =
+    chain_pages ?fetch ~claim t ~head:inode.Layout.index_head
+  in
+  (match verdict with Ok () -> () | Error e -> failwith e);
+  let dindex_pages =
+    if inode.Layout.ftype = Fs_types.Dir then
+      Dirindex.pages ?fetch t.pmem ~actor:Pmem.kernel_actor ~root:(dindex_root ())
+    else []
+  in
+  List.iter claim dindex_pages;
+  let f =
+    new_file ~ino ~dentry_addr ~parent ~ftype:inode.Layout.ftype ~index_pages ~data_pages
+      ~dindex_pages ()
+  in
+  set_file t ino f;
+  f
+
+(* After the fsck walk, re-pin the newest valid root's payload chain so
+   its pages cannot be handed out — otherwise the first allocation storm
+   would destroy the very state a later rollback needs.  A chain page
+   the walk claimed for a file means the root is stale beyond use: it
+   stays unpinned and the next publish supersedes the slots. *)
+let pin_newest_root t =
+  match valid_roots t.pmem with
+  | [] -> ()
+  | (slot, root, _, pages) :: _ -> (
+    let rec pin acc = function
+      | [] -> Some (List.rev acc)
+      | pg :: rest ->
+        if Ctl_alloc.pin_snapshot_page t pg then pin (pg :: acc) rest
+        else begin
+          Ctl_alloc.release_snapshot_pages t acc;
+          None
+        end
+    in
+    match pin [] pages with
+    | None -> ()
+    | Some pages ->
+      t.snap_epoch <- root.Layout.sr_epoch;
+      t.snap_slot <- slot;
+      t.snap_pages <- pages)
+
+(* The fsck walk: rebuild page/inode ownership, shadow inodes, file
+   records and free space purely from the core state on NVM, walking the
+   whole tree from the root — the deepest consequence of the paper's
+   state separation: everything the trusted entities keep in DRAM is
+   soft state (§3.2).  [Error] on structural corruption. *)
+let cold_start ~sched ~pmem ~mmu ?(lease_ns = 100.0e6) () =
+  match check_superblock pmem with
+  | Error e -> Error ("cold_start: " ^ e)
+  | Ok () -> (
+    let t = empty_state ~sched ~pmem ~mmu ~lease_ns in
+    let actor = Pmem.kernel_actor in
+    let rec walk ~parent ~dentry_addr =
+      match Layout.read_dentry pmem ~actor ~addr:dentry_addr with
+      | None -> ()
+      | Some (Error e) -> failwith ("undecodable dentry: " ^ e)
+      | Some (Ok (inode, _name)) ->
+        let f =
+          adopt t ~parent ~dentry_addr inode ~dindex_root:(fun () ->
+              Layout.read_dindex_root pmem ~actor ~dentry_addr)
+        in
+        if f.f_ftype = Fs_types.Dir then
+          List.iter
+            (fun pg ->
+              let b = Pmem.read pmem ~actor ~addr:(pg * page_size) ~len:page_size in
+              for slot = 0 to Layout.dentries_per_page - 1 do
+                if Layout.get_u64 b (slot * Layout.dentry_size) <> 0 then
+                  walk ~parent:f.f_ino ~dentry_addr:(Layout.dentry_slot_addr pg slot)
+              done)
+            f.f_data_pages
+    in
+    match walk ~parent:Layout.root_ino ~dentry_addr:Layout.root_dentry_addr with
+    | exception Failure msg -> Error ("cold_start: " ^ msg)
+    | () ->
+      pin_newest_root t;
+      Ok t)
 
 (* Rebuild a full controller state from a validated root, with NO
    device reads besides the payload chain itself: page attribution
@@ -381,7 +499,6 @@ let build_state ~sched ~pmem ~mmu ~lease_ns (slot, root, stream, chain) =
   match parse_stream stream with
   | Error e -> Error e
   | Ok (_, raw_entries) -> (
-    let total_pages = Pmem.total_pages pmem in
     try
       let decoded =
         List.map
@@ -391,82 +508,29 @@ let build_state ~sched ~pmem ~mmu ~lease_ns (slot, root, stream, chain) =
             | Error msg -> failwith msg)
           raw_entries
       in
-      let t = make ~sched ~pmem ~mmu ~lease_ns in
-      set_page_owner t 0 (In_file Layout.root_ino);
-      set_page_owner t Layout.root_dentry_page (In_file Layout.root_ino);
+      let t = empty_state ~sched ~pmem ~mmu ~lease_ns in
       List.iter
         (fun pg ->
           if not (Ctl_alloc.pin_snapshot_page t pg) then
             failwith (Printf.sprintf "payload page %d conflicts" pg))
         chain;
-      let claim pg owner =
-        if pg <= Layout.root_dentry_page || pg >= total_pages then
-          failwith (Printf.sprintf "page %d out of range" pg)
-        else if Hashtbl.mem t.page_owner pg || snap_pinned_mem t pg then
-          failwith (Printf.sprintf "page %d doubly referenced" pg)
-        else begin
-          set_page_owner t pg owner;
-          Extent_alloc.alloc_at t.node_allocs.(node_of_page t pg) pg 1
-        end
-      in
-      (* Phase 1: claim pages and register records (device untouched). *)
+      (* Phase 1: claim pages and register records (device untouched).
+         A directory's B-link index pages ride the checkpoint too: they
+         are claimed so the restored tree stays attributed (and the
+         verifier's I5 audit can hold it to the dentries). *)
       List.iter
         (fun (e, ck) ->
-          let ino = e.e_ino in
           let inode =
             match Layout.decode_dentry ck.ck_dentry with
             | Some (Ok (inode, _)) -> inode
-            | _ -> failwith (Printf.sprintf "undecodable snapshot dentry for inode %d" ino)
+            | _ -> failwith (Printf.sprintf "undecodable snapshot dentry for inode %d" e.e_ino)
           in
-          if inode.Layout.ino <> ino then failwith "dentry/entry inode mismatch";
-          if ino_owner_of t ino <> Ino_free then
-            failwith (Printf.sprintf "inode %d appears twice" ino);
-          set_ino_owner t ino (Ino_in_dir e.e_parent);
-          set_shadow t ino
-            {
-              Verifier.s_ftype = inode.Layout.ftype;
-              s_mode = inode.Layout.mode land 0o7777;
-              s_uid = inode.Layout.uid;
-              s_gid = inode.Layout.gid;
-            };
-          if ino >= t.next_ino then t.next_ino <- ino + 1;
-          let index_pages = ref [] and data_pages = ref [] in
-          (match
-             Layout.walk_index_chain
-               ~fetch:(fun pg -> List.assoc_opt pg ck.ck_pages)
-               pmem ~actor:Pmem.kernel_actor ~head:ck.ck_index_head ~max_pages:total_pages
-               (fun ~index_page ~entries ~next:_ ->
-                 claim index_page (In_file ino);
-                 index_pages := index_page :: !index_pages;
-                 Array.iter
-                   (fun p ->
-                     if p <> 0 then begin
-                       claim p (In_file ino);
-                       data_pages := p :: !data_pages
-                     end)
-                   entries)
-           with
-          | Ok () -> ()
-          | Error msg -> failwith msg);
-          (* a directory's B-link index pages ride the checkpoint too:
-             claim them so the restored tree stays attributed (and the
-             verifier's I5 audit can hold it to the dentries) *)
-          let dindex_root = Layout.get_u64 ck.ck_dentry Layout.off_dindex_root in
-          let dindex_pages =
-            if inode.Layout.ftype = Fs_types.Dir && dindex_root <> 0 then
-              Dirindex.pages
-                ~fetch:(fun pg -> List.assoc_opt pg ck.ck_pages)
-                pmem ~actor:Pmem.kernel_actor ~root:dindex_root
-            else []
-          in
-          List.iter (fun pg -> claim pg (In_file ino)) dindex_pages;
+          if inode.Layout.ino <> e.e_ino then failwith "dentry/entry inode mismatch";
           let f =
-            new_file ~ino ~dentry_addr:e.e_dentry_addr ~parent:e.e_parent
-              ~ftype:inode.Layout.ftype ~index_pages:(List.rev !index_pages)
-              ~data_pages:(List.rev !data_pages) ~dindex_pages ()
+            adopt ~fetch:(ck_fetch ck) t ~parent:e.e_parent ~dentry_addr:e.e_dentry_addr inode
+              ~dindex_root:(fun () -> Layout.get_u64 ck.ck_dentry Layout.off_dindex_root)
           in
-          f.f_checkpoint <- Some ck;
-          set_file t ino f)
+          f.f_checkpoint <- Some ck)
         decoded;
       if file_find t Layout.root_ino = None then failwith "snapshot carries no root directory";
       (* Phase 2: roll the device back to the snapshot — metadata pages
@@ -500,49 +564,17 @@ let build_state ~sched ~pmem ~mmu ~lease_ns (slot, root, stream, chain) =
 
 (* O(1)-ish crash mount: validate the two root slots, mount the newest
    one whose payload checks out end to end.  [Error] sends the caller
-   down the ladder to the fsck walk ({!Ctl_state.cold_start}). *)
+   down the ladder to the fsck walk ({!cold_start}). *)
 let mount_root ~sched ~pmem ~mmu ?(lease_ns = 100.0e6) () =
-  match Layout.read_superblock pmem ~actor:Pmem.kernel_actor with
+  match check_superblock pmem with
   | Error e -> Error ("mount_root: " ^ e)
-  | Ok (total_pages, page_size', root_ino', root_addr) ->
-    if total_pages <> Pmem.total_pages pmem || page_size' <> page_size then
-      Error "mount_root: superblock geometry mismatch"
-    else if root_ino' <> Layout.root_ino || root_addr <> Layout.root_dentry_addr then
-      Error "mount_root: unexpected root location"
-    else begin
-      let rec try_all = function
-        | [] -> Error "mount_root: no intact snapshot root"
-        | ((_, root, _, _) as cand) :: rest -> (
-          match build_state ~sched ~pmem ~mmu ~lease_ns cand with
-          | Ok t -> Ok (t, root.Layout.sr_epoch)
-          | Error _ when rest <> [] -> try_all rest
-          | Error e -> Error e)
-      in
-      try_all (valid_roots pmem)
-    end
-
-(* After an fsck-walk mount ({!Ctl_state.cold_start}), re-pin the
-   newest valid root's payload chain so its pages cannot be handed
-   out — otherwise the first allocation storm would destroy the very
-   state a later rollback needs.  A chain page the walk claimed for a
-   file means the root is stale beyond use: adoption is skipped and
-   the slots will be superseded by the next publish. *)
-let adopt_root t =
-  match valid_roots t.pmem with
-  | [] -> ()
-  | (slot, root, _, pages) :: _ ->
-    let rec pin acc = function
-      | [] -> Some (List.rev acc)
-      | pg :: rest ->
-        if Ctl_alloc.pin_snapshot_page t pg then pin (pg :: acc) rest
-        else begin
-          Ctl_alloc.release_snapshot_pages t acc;
-          None
-        end
+  | Ok () ->
+    let rec try_all = function
+      | [] -> Error "mount_root: no intact snapshot root"
+      | ((_, root, _, _) as cand) :: rest -> (
+        match build_state ~sched ~pmem ~mmu ~lease_ns cand with
+        | Ok t -> Ok (t, root.Layout.sr_epoch)
+        | Error _ when rest <> [] -> try_all rest
+        | Error e -> Error e)
     in
-    (match pin [] pages with
-    | None -> ()
-    | Some pages ->
-      t.snap_epoch <- root.Layout.sr_epoch;
-      t.snap_slot <- slot;
-      t.snap_pages <- pages)
+    try_all (valid_roots pmem)

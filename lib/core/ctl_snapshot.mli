@@ -1,6 +1,7 @@
 (** Whole-FS copy-on-write snapshots: transactional root publication
-    over the per-file checkpoints, verifier-gated rollback, and
-    mount-the-newest-intact-root crash recovery (DESIGN.md §4.16).
+    over the per-file checkpoints, verifier-gated rollback, and both
+    crash-recovery mounts: the newest intact root, or the fsck walk
+    (DESIGN.md §4.16).
     Internal to [lib/core] — external code goes through {!Controller}. *)
 
 type entry = {
@@ -44,6 +45,18 @@ val valid_roots :
 (** All fully valid roots as [(slot, root, stream, chain pages)],
     newest epoch first. *)
 
+val cold_start :
+  sched:Trio_sim.Sched.t ->
+  pmem:Trio_nvm.Pmem.t ->
+  mmu:Mmu.t ->
+  ?lease_ns:float ->
+  unit ->
+  (Ctl_state.t, string) result
+(** Crash recovery, fsck walk: rebuild full controller state from the
+    core state alone, walking the tree from the root, then re-pin the
+    newest valid root's payload chain so rollback sources survive
+    reallocation.  [Error] on structural corruption. *)
+
 val mount_root :
   sched:Trio_sim.Sched.t ->
   pmem:Trio_nvm.Pmem.t ->
@@ -53,10 +66,5 @@ val mount_root :
   (Ctl_state.t * int, string) result
 (** Crash recovery, fast path: validate both slots and rebuild full
     controller state from the newest intact root (rolling the device
-    back to that snapshot).  [Error] demotes the caller to the fsck
-    walk ({!Ctl_state.cold_start}). *)
-
-val adopt_root : Ctl_state.t -> unit
-(** After an fsck-walk mount, re-pin the newest valid root's payload
-    chain into [snap_pinned] so rollback sources survive reallocation. *)
-
+    back to that snapshot).  [Error] demotes the caller to
+    {!cold_start}.  Both mounts adopt each file through one function. *)

@@ -3,9 +3,10 @@
    The controller was decomposed into focused submodules (allocation,
    checkpointing, process registry, media repair, verification gate);
    this module owns what every one of them needs: the record types, the
-   constructor, the verifier view, and the cold-start rebuild.  The
-   public API is re-exported by the {!Controller} facade — nothing
-   outside [lib/core] links against [Ctl_*] directly. *)
+   constructor, the verifier view and the index-chain walk.  Both
+   rebuilds from NVM, the fsck walk and the snapshot mount, live in
+   {!Ctl_snapshot}.  The public API is re-exported by the {!Controller}
+   facade — nothing outside [lib/core] links against [Ctl_*] directly. *)
 
 module Pmem = Trio_nvm.Pmem
 module Numa = Trio_nvm.Numa
@@ -456,6 +457,27 @@ let view t =
 let file_pages f =
   (f.f_dentry_addr / page_size) :: (f.f_index_pages @ f.f_data_pages @ f.f_dindex_pages)
 
+(* Walk an index chain with kernel reads, [fetch] serving pages from a
+   checkpoint instead of the device: its index and data pages in chain
+   order, each passed to [claim] as it is found, and the walk's verdict
+   (a chain that leaves the volume or cycles yields what came before). *)
+let chain_pages ?fetch ?(claim = ignore) t ~head =
+  let index_pages = ref [] and data_pages = ref [] in
+  let verdict =
+    Layout.walk_index_chain ?fetch t.pmem ~actor:Pmem.kernel_actor ~head
+      ~max_pages:(Pmem.total_pages t.pmem) (fun ~index_page ~entries ~next:_ ->
+        claim index_page;
+        index_pages := index_page :: !index_pages;
+        Array.iter
+          (fun e ->
+            if e <> 0 then begin
+              claim e;
+              data_pages := e :: !data_pages
+            end)
+          entries)
+  in
+  (List.rev !index_pages, List.rev !data_pages, verdict)
+
 (* Walk a file's on-NVM page tree with kernel reads.  Used at map time to
    find what to grant and at ingestion to attribute pages. *)
 let walk_file t ~ino:_ ~dentry_addr =
@@ -463,14 +485,7 @@ let walk_file t ~ino:_ ~dentry_addr =
   match Layout.read_dentry t.pmem ~actor ~addr:dentry_addr with
   | None | Some (Error _) -> None
   | Some (Ok (inode, _name)) ->
-    let index_pages = ref [] and data_pages = ref [] in
-    let result =
-      Layout.walk_index_chain t.pmem ~actor ~head:inode.Layout.index_head
-        ~max_pages:(Pmem.total_pages t.pmem) (fun ~index_page ~entries ~next:_ ->
-          index_pages := index_page :: !index_pages;
-          Array.iter (fun e -> if e <> 0 then data_pages := e :: !data_pages) entries)
-    in
-    (match result with Ok () -> () | Error _ -> ());
+    let index_pages, data_pages, _ = chain_pages t ~head:inode.Layout.index_head in
     (* Directory B-link index: reachable from the root page stored in
        the dentry tail word.  [Dirindex.pages] is total, so a damaged
        tree still yields its reachable nodes for attribution. *)
@@ -480,7 +495,7 @@ let walk_file t ~ino:_ ~dentry_addr =
         Dirindex.pages t.pmem ~actor ~root
       else []
     in
-    Some (inode, List.rev !index_pages, List.rev !data_pages, dindex_pages)
+    Some (inode, index_pages, data_pages, dindex_pages)
 
 (* Scan a directory data page for live entries; the controller refuses to
    free non-empty directory pages, which is what lets the verifier's I3
@@ -497,99 +512,3 @@ let wake_all f =
   while not (Queue.is_empty f.f_waiters) do
     (Queue.pop f.f_waiters) ()
   done
-
-(* ------------------------------------------------------------------ *)
-(* Cold start: rebuild the controller's global file system information
-   — page/inode ownership, shadow inodes, file records, free-space
-   allocators — purely from the core state on NVM.  This is the deepest
-   consequence of the paper's state-separation insight: everything the
-   trusted entities keep in DRAM is soft state (§3.2).
-
-   Walks the whole tree from the root (an offline fsck-style pass) and
-   returns [Error] on structural corruption. *)
-
-let cold_start ~sched ~pmem ~mmu ?(lease_ns = 100.0e6) () =
-  match Layout.read_superblock pmem ~actor:Pmem.kernel_actor with
-  | Error e -> Error ("cold_start: " ^ e)
-  | Ok (total_pages, page_size', root_ino', root_addr) ->
-    if total_pages <> Pmem.total_pages pmem || page_size' <> page_size then
-      Error "cold_start: superblock geometry mismatch"
-    else if root_ino' <> Layout.root_ino || root_addr <> Layout.root_dentry_addr then
-      Error "cold_start: unexpected root location"
-    else begin
-      let t = make ~sched ~pmem ~mmu ~lease_ns in
-      set_page_owner t 0 (In_file Layout.root_ino);
-      set_page_owner t Layout.root_dentry_page (In_file Layout.root_ino);
-      let claim_page pg owner =
-        if pg <= Layout.root_dentry_page || pg >= total_pages then
-          failwith (Printf.sprintf "cold_start: page %d out of range" pg)
-        else if Hashtbl.mem t.page_owner pg then
-          failwith (Printf.sprintf "cold_start: page %d doubly referenced" pg)
-        else begin
-          set_page_owner t pg owner;
-          Extent_alloc.alloc_at t.node_allocs.(node_of_page t pg) pg 1
-        end
-      in
-      let actor = Pmem.kernel_actor in
-      (* Walk one file: claim its pages, register records, recurse into
-         child directories. *)
-      let rec ingest ~parent ~dentry_addr =
-        match Layout.read_dentry pmem ~actor ~addr:dentry_addr with
-        | None -> ()
-        | Some (Error e) -> failwith ("cold_start: undecodable dentry: " ^ e)
-        | Some (Ok (inode, _name)) ->
-          let ino = inode.Layout.ino in
-          if ino_owner_of t ino <> Ino_free then
-            failwith (Printf.sprintf "cold_start: inode %d appears twice" ino);
-          set_ino_owner t ino (Ino_in_dir parent);
-          set_shadow t ino
-            {
-              Verifier.s_ftype = inode.Layout.ftype;
-              s_mode = inode.Layout.mode land 0o7777;
-              s_uid = inode.Layout.uid;
-              s_gid = inode.Layout.gid;
-            };
-          if ino >= t.next_ino then t.next_ino <- ino + 1;
-          let index_pages = ref [] and data_pages = ref [] in
-          (match
-             Layout.walk_index_chain pmem ~actor ~head:inode.Layout.index_head
-               ~max_pages:total_pages (fun ~index_page ~entries ~next:_ ->
-                 claim_page index_page (In_file ino);
-                 index_pages := index_page :: !index_pages;
-                 Array.iter
-                   (fun e ->
-                     if e <> 0 then begin
-                       claim_page e (In_file ino);
-                       data_pages := e :: !data_pages
-                     end)
-                   entries)
-           with
-          | Ok () -> ()
-          | Error e -> failwith ("cold_start: " ^ e));
-          let dindex_pages =
-            if inode.Layout.ftype = Dir then begin
-              let root = Layout.read_dindex_root pmem ~actor ~dentry_addr in
-              let pgs = Dirindex.pages pmem ~actor ~root in
-              List.iter (fun pg -> claim_page pg (In_file ino)) pgs;
-              pgs
-            end
-            else []
-          in
-          set_file t ino
-            (new_file ~ino ~dentry_addr ~parent ~ftype:inode.Layout.ftype
-               ~index_pages:(List.rev !index_pages) ~data_pages:(List.rev !data_pages)
-               ~dindex_pages ());
-          if inode.Layout.ftype = Dir then
-            List.iter
-              (fun pg ->
-                let b = Pmem.read pmem ~actor ~addr:(pg * page_size) ~len:page_size in
-                for slot = 0 to Layout.dentries_per_page - 1 do
-                  if Layout.get_u64 b (slot * Layout.dentry_size) <> 0 then
-                    ingest ~parent:ino ~dentry_addr:(Layout.dentry_slot_addr pg slot)
-                done)
-              (List.rev !data_pages)
-      in
-      match ingest ~parent:Layout.root_ino ~dentry_addr:Layout.root_dentry_addr with
-      | () -> Ok t
-      | exception Failure msg -> Error msg
-    end

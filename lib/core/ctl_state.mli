@@ -1,5 +1,5 @@
 (** Shared state of the kernel access controller: record types,
-    construction, the verifier view, cold start.  The registry tables
+    construction, the verifier view.  The registry tables
     (page owner, ino owner, shadow inodes, files) are one per
     controller; submodules access them only through the accessors
     below.  Per-socket state is the verifier lane only, ring drains are
@@ -183,7 +183,7 @@ val new_file :
 
 val make : sched:Sched.t -> pmem:Pmem.t -> mmu:Mmu.t -> lease_ns:float -> t
 (** Bare state with no on-NVM side effects — the shared base of
-    [create], [cold_start] and {!Ctl_snapshot.mount_root}. *)
+    [create] and of {!Ctl_snapshot}'s two mounts from NVM. *)
 
 val create : sched:Sched.t -> pmem:Pmem.t -> mmu:Mmu.t -> ?lease_ns:float -> unit -> t
 val proc_info : t -> int -> proc_info
@@ -227,11 +227,19 @@ val mark_unverified : t -> file_info -> int -> unit
 val drop_unverified : t -> file_info -> unit
 val view : t -> Verifier.view
 val file_pages : file_info -> int list
+
+val chain_pages :
+  ?fetch:(int -> Bytes.t option) ->
+  ?claim:(int -> unit) ->
+  t ->
+  head:int ->
+  int list * int list * (unit, string) result
+(** Walk an index chain with kernel reads ([fetch] may serve a page
+    from a checkpoint instead): its index and data pages in chain order,
+    each passed to [claim] as it is found, and the walk's verdict. *)
+
 (* (inode, index pages, data pages, directory-index pages) *)
 val walk_file :
   t -> ino:int -> dentry_addr:int -> (Layout.inode * int list * int list * int list) option
 val dir_page_is_empty : t -> int -> bool
 val wake_all : file_info -> unit
-
-val cold_start :
-  sched:Sched.t -> pmem:Pmem.t -> mmu:Mmu.t -> ?lease_ns:float -> unit -> (t, string) result

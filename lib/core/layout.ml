@@ -220,34 +220,29 @@ let write_index_next pm ~actor ~page v =
   Pmem.write_u64 pm ~actor ~addr:((page * page_size) + index_next_off) v;
   Pmem.persist pm ~addr:((page * page_size) + index_next_off) ~len:8
 
+let decode_index_page b =
+  let entries = Array.init index_entries (fun i -> get_u64 b (i * 8)) in
+  let next = get_u64 b index_next_off in
+  (entries, next)
+
 (* Read a whole index page at once (one NVM access) and decode it.
    Userspace actors use the ECC path: a poisoned index page reads as
    empty with no successor — the file appears truncated (reads hit
    holes, clean EIO) until the scrubber restores the page from the
    controller checkpoint. *)
 let read_index_page pm ~actor ~page =
-  let decode b =
-    let entries = Array.init index_entries (fun i -> get_u64 b (i * 8)) in
-    let next = get_u64 b index_next_off in
-    (entries, next)
-  in
   if actor = Pmem.kernel_actor then
-    decode (Pmem.read pm ~actor ~addr:(page * page_size) ~len:page_size)
+    decode_index_page (Pmem.read pm ~actor ~addr:(page * page_size) ~len:page_size)
   else
     match Pmem.read_ecc pm ~actor ~addr:(page * page_size) ~len:page_size with
-    | Pmem.Ecc.Ok b -> decode b
+    | Pmem.Ecc.Ok b -> decode_index_page b
     | Pmem.Ecc.Poisoned _ -> (Array.make index_entries 0, 0)
 
 (* Walk the index-page chain of a file, calling [f ~index_page ~entries
    ~next] per page.  Cycle-safe: stops (returning [Error]) if a chain
    longer than the device could possibly hold is observed — this is how
-   the verifier survives the "loop within index pages" attack. *)
-let decode_index_page b =
-  let entries = Array.init index_entries (fun i -> get_u64 b (i * 8)) in
-  let next = get_u64 b index_next_off in
-  (entries, next)
-
-(* [fetch page] may supply the page's bytes from a DRAM snapshot (the
+   the verifier survives the "loop within index pages" attack.  [fetch
+   page] may supply the page's bytes from a DRAM snapshot (the
    incremental verifier's delta checkpoint); [None] reads the device. *)
 let walk_index_chain ?fetch pm ~actor ~head ~max_pages f =
   (* Each page is read once per walk and memoized: the walk observes a

@@ -7,7 +7,7 @@
 
 module Fs = Trio_core.Fs_intf
 
-type t = { fs : Fs.t; path : string; mutable fd : Fs.fd }
+type t = { fs : Fs.t; path : string; fd : Fs.fd }
 
 let ( let* ) = Result.bind
 
@@ -46,12 +46,9 @@ let replay fs ~path ~apply =
     in
     Ok (go 0 0)
 
-(* Truncate after a successful memtable flush. *)
-let reset t =
-  let* () = t.fs.Fs.truncate t.path 0 in
-  let* () = t.fs.Fs.close t.fd in
-  let* fd = t.fs.Fs.open_ t.path [ Trio_core.Fs_types.O_RDWR ] in
-  t.fd <- fd;
-  Ok ()
+(* Truncate after a successful memtable flush.  The descriptor stays
+   open: it names the file by inode on every file system here, so
+   appends continue at the new end. *)
+let reset t = t.fs.Fs.truncate t.path 0
 
 let close t = t.fs.Fs.close t.fd

@@ -378,6 +378,51 @@ let test_recovered_checkpoints_vouch_for_nothing () =
   ignore (Sched.run sched);
   Alcotest.(check bool) "simulation completed" true !done_
 
+(* Both recovery mounts register each file through one adoption, so
+   over an image whose newest root is current they rebuild the same
+   registry: file records, shadow inodes, ino and page owners, pinned
+   payload pages.  Only the root mount carries checkpoints. *)
+let registry (ctl : Controller.t) =
+  let sorted tbl f = Hashtbl.fold (fun k v acc -> f k v :: acc) tbl [] |> List.sort compare in
+  ( sorted ctl.Ctl_state.files (fun ino (f : Ctl_state.file_info) ->
+        ( ino,
+          f.Ctl_state.f_dentry_addr,
+          f.Ctl_state.f_parent,
+          f.Ctl_state.f_index_pages,
+          f.Ctl_state.f_data_pages,
+          f.Ctl_state.f_dindex_pages )),
+    sorted ctl.Ctl_state.shadow (fun ino s -> (ino, s)),
+    sorted ctl.Ctl_state.ino_owner (fun ino o -> (ino, o)),
+    sorted ctl.Ctl_state.page_owner (fun pg o -> (pg, o)),
+    Ctl_state.snap_pinned_count ctl )
+
+let script_of_seed seed = Script.generate (Rng.create seed) ~len:20
+
+let prop_mounts_adopt_alike =
+  QCheck.Test.make ~name:"fsck walk and root mount adopt the same state" ~count:40
+    QCheck.(
+      make ~print:(fun seed -> Script.to_string (script_of_seed seed)) Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let sched, pmem, mmu = make_world () in
+      let same = ref false in
+      Sched.spawn sched (fun () ->
+          let ctl = Controller.create ~sched ~pmem ~mmu () in
+          let fs = Libfs.mount ~ctl ~proc:1 ~cred:{ uid = 1000; gid = 1000 } () in
+          ignore (Script.apply_all (Libfs.ops fs) (Script.model_create ()) (script_of_seed seed));
+          Libfs.unmap_everything fs;
+          ignore (take "publish" ctl);
+          let walked =
+            match Controller.cold_start ~sched ~pmem ~mmu:(Mmu.create pmem) () with
+            | Ok ctl -> ctl
+            | Error m -> Alcotest.failf "cold start failed: %s" m
+          in
+          match Controller.recover ~sched ~pmem ~mmu:(Mmu.create pmem) () with
+          | Ok (mounted, Controller.Mounted_root _) -> same := registry walked = registry mounted
+          | Ok (_, Controller.Fsck_fallback) -> Alcotest.fail "recovery fell back to the fsck walk"
+          | Error m -> Alcotest.failf "recovery failed: %s" m);
+      ignore (Sched.run sched);
+      !same)
+
 (* ------------------------------------------------------------------ *)
 (* Satellite: kill publication at every Delay boundary — at least one
    valid root must exist in every crash state, and recovery must land
@@ -445,6 +490,7 @@ let () =
             test_recover_mounts_newest_root;
           Alcotest.test_case "recovered checkpoints vouch for nothing" `Quick
             test_recovered_checkpoints_vouch_for_nothing;
+          QCheck_alcotest.to_alcotest prop_mounts_adopt_alike;
         ] );
       ( "exploration",
         [
