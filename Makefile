@@ -131,7 +131,8 @@ qoscheck:
 # under the skip-index mutation (exit 0 BECAUSE it failed on
 # certification: verifier invariant I5 flagged the unmaintained tree at
 # a sharing point), and the dirscale bench gate (index >= 10x the
-# linear scan, sub-linear growth, readdir via range scan).
+# linear scan, sub-linear growth, readdir via range scan, no index node
+# read from the device by a create the node mirror serves).
 dircheck:
 	dune build
 	dune exec test/test_dirindex.exe

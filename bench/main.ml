@@ -1176,8 +1176,9 @@ let qos () =
    kernel shadowing a million checkpoints, so the top decade isolates
    the index itself.  Emits BENCH_dirscale.json; the gate requires the
    index >= 10x the scan at the largest end-to-end size, sub-linear
-   lookup growth per decade in both sweeps, and readdir served by an
-   index range scan. *)
+   lookup growth per decade in both sweeps, readdir served by an index
+   range scan, and no index node read from the device by the writer's
+   creates (its node mirror serves them, DESIGN.md §4.18). *)
 let dirscale () =
   section "Directory scaling: B-link index vs linear dentry scan";
   let sizes = if !fast then [ 1_000; 10_000 ] else [ 1_000; 10_000; 100_000 ] in
@@ -1191,13 +1192,18 @@ let dirscale () =
         let writer = Rig.mount_arckfs ~delegated:false rig in
         let fs = Libfs.ops writer in
         ignore (get_ok "mkdir" (fs.Fs.mkdir "/big" 0o755));
-        let t0 = Sched.now sched in
+        let cstats = Controller.stats rig.Rig.ctl in
+        let device_nodes () = Stats.get cstats "verify.dindex.device_nodes" in
+        let t0 = Sched.now sched and nodes0 = device_nodes () in
         for i = 0 to n - 1 do
           match fs.Fs.create (name_of i) 0o644 with
           | Ok fd -> ignore (fs.Fs.close fd)
           | Error e -> failwith ("create: " ^ Trio_core.Fs_types.errno_to_string e)
         done;
         let create_ns = (Sched.now sched -. t0) /. float_of_int n in
+        (* the writer holds /big write-mapped and alone from its mkdir
+           on, so every node its creates descend is mirrored *)
+        let create_nodes = (device_nodes () -. nodes0) /. float_of_int n in
         (* the sharing point: hand the directory to the kernel, then
            measure from a second process whose caches start cold *)
         Libfs.unmap_everything writer;
@@ -1218,9 +1224,8 @@ let dirscale () =
               incr i;
               ignore (get_ok "stat" (fs2.Fs.stat name)))
         in
-        if not indexed then (create_ns, lookup_ns, 0.0, false, 0.0)
+        if not indexed then (create_ns, create_nodes, lookup_ns, 0.0, false, 0.0)
         else begin
-          let cstats = Controller.stats rig.Rig.ctl in
           let scans0 = Stats.get cstats "verify.dindex.range_scans" in
           let t0 = Sched.now sched in
           let listed = List.length (get_ok "readdir" (fs2.Fs.readdir "/big")) in
@@ -1236,27 +1241,27 @@ let dirscale () =
                 incr i;
                 ignore (get_ok "unlink" (fs2.Fs.unlink name)))
           in
-          (create_ns, lookup_ns, readdir_ns, range_scan, delete_ns)
+          (create_ns, create_nodes, lookup_ns, readdir_ns, range_scan, delete_ns)
         end)
   in
   let points =
     List.map
       (fun n ->
-        let create_ns, lookup_ns, readdir_ns, range_scan, delete_ns =
+        let create_ns, create_nodes, lookup_ns, readdir_ns, range_scan, delete_ns =
           run_point ~indexed:true n
         in
-        let _, scan_ns, _, _, _ = run_point ~indexed:false n in
+        let _, _, scan_ns, _, _, _ = run_point ~indexed:false n in
         Printf.printf
-          "  [%7d entries] create %.0fns  lookup %.0fns  scan %.0fns  readdir %.0fus (range \
-           scan %b)  delete %.0fns\n%!"
-          n create_ns lookup_ns scan_ns (readdir_ns /. 1e3) range_scan delete_ns;
-        (n, create_ns, lookup_ns, scan_ns, ratio scan_ns lookup_ns, readdir_ns, range_scan,
-         delete_ns))
+          "  [%7d entries] create %.0fns (%.2f device nodes)  lookup %.0fns  scan %.0fns  \
+           readdir %.0fus (range scan %b)  delete %.0fns\n%!"
+          n create_ns create_nodes lookup_ns scan_ns (readdir_ns /. 1e3) range_scan delete_ns;
+        (n, create_ns, create_nodes, lookup_ns, scan_ns, ratio scan_ns lookup_ns, readdir_ns,
+         range_scan, delete_ns))
       sizes
   in
   print_header "entries" [ "create"; "lookup"; "scan"; "speedup" ];
   List.iter
-    (fun (n, c, l, b, sp, _, _, _) -> print_row (string_of_int n) [ c; l; b; sp ])
+    (fun (n, c, _, l, b, sp, _, _, _) -> print_row (string_of_int n) [ c; l; b; sp ])
     points;
   let required = 10.0 in
   (* lookup grows sub-linearly: each 10x in entries costs well under 10x *)
@@ -1332,10 +1337,11 @@ let dirscale () =
       ]
     ~points:
       (List.map
-         (fun (n, c, l, b, sp, rd, rs, d) ->
+         (fun (n, c, cn, l, b, sp, rd, rs, d) ->
            [
              ("entries", int n);
              ("create_ns", num 1 c);
+             ("create_device_nodes", num 2 cn);
              ("lookup_ns", num 1 l);
              ("linear_scan_ns", num 1 b);
              ("speedup", num 2 sp);
@@ -1350,10 +1356,14 @@ let dirscale () =
     [
       (* at the largest size, descent beats the scan 10x *)
       ( "speedup",
-        match List.rev points with (_, _, _, _, sp, _, _, _) :: _ -> sp >= required | [] -> false );
-      ("sublinear", sublinear (List.map (fun (_, _, l, _, _, _, _, _) -> l) points));
+        match List.rev points with
+        | (_, _, _, _, _, sp, _, _, _) :: _ -> sp >= required
+        | [] -> false );
+      ("sublinear", sublinear (List.map (fun (_, _, _, l, _, _, _, _, _) -> l) points));
       (* every readdir was served by an index range scan *)
-      ("range_scan", all (fun (_, _, _, _, _, _, rs, _) -> rs) points);
+      ("range_scan", all (fun (_, _, _, _, _, _, _, rs, _) -> rs) points);
+      (* a warm create descends its mirror, never the device *)
+      ("create_mirrored", all (fun (_, _, cn, _, _, _, _, _, _) -> cn = 0.0) points);
       (* the bare tree's lookup also grows sub-linearly, all the way to 10^6 *)
       ("tree_sublinear", sublinear (List.map (fun (_, _, lk) -> lk) tree_points));
     ]

@@ -63,6 +63,9 @@ type dir_state = {
   mutable d_dindex_root : int;
       (* updated under the controller's per-(group, directory) index
          lock ([with_index_lock]); readers are lock-free *)
+  d_nodes : Dirindex.mirror;
+      (* the index nodes this state read or wrote, decoded: descents
+         use them instead of the device while [mirror] trusts them *)
   (* Aux construction is lazy: a fresh [dir_state] knows only the page
      chain and the inode size.  [d_aux_built] marks the one full
      per-slot scan that fills [d_names] and [d_free_slots] — done on
@@ -139,6 +142,7 @@ let new_dir_state ~ino ~addr =
     d_size_lock = Sync.Mutex.create ();
     d_write_mapped = false;
     d_dindex_root = 0;
+    d_nodes = Hashtbl.create 8;
     d_aux_built = false;
   }
 
@@ -376,6 +380,7 @@ let rebuild_upgraded_dir t (d : dir_state) =
       d.d_index_used <- fresh.d_index_used;
       d.d_size <- fresh.d_size;
       d.d_dindex_root <- fresh.d_dindex_root;
+      Hashtbl.reset d.d_nodes;
       d.d_aux_built <- fresh.d_aux_built;
       d.d_write_mapped <- true
     end;
@@ -547,13 +552,28 @@ let load_ref t name addr =
     Some { e_ino = inode.Layout.ino; e_addr = addr; e_ftype = inode.Layout.ftype }
   | _ -> None
 
+(* The directory's node mirror, while this LibFS can trust it: the
+   directory is write-mapped and the process is alone in its trust
+   group, so nobody else writes its pages (the rule [current_root]
+   applies to the root word).  The controller writes the nodes only of
+   a directory no LibFS holds writable.  A co-writer may change any
+   node, so once one shows up the mirror is forgotten, not bypassed. *)
+let mirror t (d : dir_state) =
+  if d.d_write_mapped && Controller.group_solo t.ctl ~proc:t.proc then Some d.d_nodes
+  else begin
+    Hashtbl.reset d.d_nodes;
+    None
+  end
+
 (* Descend the B-link tree for [name].  Lock-free: right-links keep
    concurrent readers safe against in-flight splits.  [Error] means the
    tree is damaged (torn or poisoned node) — callers fall back to
-   scanning the dentry pages, which stay the source of truth. *)
+   scanning the dentry pages, which stay the source of truth.  A hit
+   still reads the dentry it names: from a mirrored descent, that read
+   is what faults on a grant revoked at lease expiry. *)
 let index_find t (d : dir_state) name =
-  Dirindex.lookup ~stats:(kstats t) t.pmem ~actor:t.proc ~root:d.d_dindex_root
-    ~hash:(Dirindex.hash_name name)
+  Dirindex.lookup ?mirror:(mirror t d) ~stats:(kstats t) t.pmem ~actor:t.proc
+    ~root:d.d_dindex_root ~hash:(Dirindex.hash_name name)
   |> Result.map (fun addrs -> List.find_map (load_ref t name) addrs)
 
 (* Read-only linear fallback when the directory is unindexed or the
@@ -660,8 +680,10 @@ let resolve_parent t ~write path =
 
 (* Drop a damaged / unmaintainable index: persist root = 0 (unindexed
    is legal; verifier check I5 skips it) and leave the old nodes for
-   the kernel to re-attribute at the next verification. *)
+   the kernel to re-attribute at the next verification.  Their mirror
+   goes with them. *)
 let drop_index t (d : dir_state) =
+  Hashtbl.reset d.d_nodes;
   if d.d_dindex_root <> 0 then begin
     Layout.write_dindex_root t.pmem ~actor:t.proc ~dentry_addr:d.d_addr 0;
     d.d_dindex_root <- 0
@@ -701,8 +723,8 @@ let index_insert t (d : dir_state) name addr =
   if not (Mutation.active Skip_index) then
     with_index_lock t d (fun () ->
         match
-          Dirindex.insert ~stats:(kstats t) t.pmem ~actor:t.proc ~alloc:(dindex_alloc t)
-            ~free:(dindex_free t) ~root:(current_root t d)
+          Dirindex.insert ?mirror:(mirror t d) ~stats:(kstats t) t.pmem ~actor:t.proc
+            ~alloc:(dindex_alloc t) ~free:(dindex_free t) ~root:(current_root t d)
             ~hash:(Dirindex.hash_name name) ~addr
         with
         | Ok (root, _fresh) ->
@@ -723,7 +745,9 @@ let index_delete t (d : dir_state) name addr =
         match
           let root = current_root t d in
           if root = 0 then Ok ()
-          else Dirindex.delete t.pmem ~actor:t.proc ~root ~hash:(Dirindex.hash_name name) ~addr
+          else
+            Dirindex.delete ?mirror:(mirror t d) ~stats:(kstats t) t.pmem ~actor:t.proc ~root
+              ~hash:(Dirindex.hash_name name) ~addr
         with
         | Ok () -> ()
         | Error _ | exception Pmem.Media_fault _ -> drop_index t d)
@@ -742,8 +766,8 @@ let rebuild_index t (d : dir_state) =
         match current_root t d with
         | 0 -> (
           match
-            Dirindex.build ~stats:(kstats t) t.pmem ~actor:t.proc ~alloc:(dindex_alloc t)
-              ~free:(dindex_free t) ~entries:(index_keys d)
+            Dirindex.build ?mirror:(mirror t d) ~stats:(kstats t) t.pmem ~actor:t.proc
+              ~alloc:(dindex_alloc t) ~free:(dindex_free t) ~entries:(index_keys d)
           with
           | Ok (root, _) when root <> 0 ->
             Layout.write_dindex_root t.pmem ~actor:t.proc ~dentry_addr:d.d_addr root;
@@ -864,6 +888,29 @@ let bump_dir_size t (d : dir_state) delta =
   d.d_size <- d.d_size + delta;
   Layout.write_size t.pmem ~actor:t.proc ~dentry_addr:d.d_addr d.d_size;
   Sync.Mutex.unlock d.d_size_lock
+
+(* Unlink and rename drop a file's last name.  [free_file t r] takes
+   what frees the file's pages while its dentry still names them, and
+   returns that free, to run once the drop is durable: the kernel frees
+   a file it knows; this LibFS hands back the pages of one it created
+   and never shared, listed from its cached state or, with none cached,
+   from the dentry's index chain. *)
+let free_file t (r : dentry_ref) =
+  if known_to_kernel t r.e_ino then fun () ->
+    ignore (Controller.free_file_tree t.ctl ~proc:t.proc ~ino:r.e_ino)
+  else
+    let cached =
+      match Hashtbl.find_opt t.files r.e_ino with
+      | Some f -> Ok f
+      | None -> build_file_aux t ~ino:r.e_ino ~addr:r.e_addr
+    in
+    let pages =
+      match cached with
+      | Ok f ->
+        List.rev_append f.r_index_pages (Radix.fold f.r_index [] (fun acc _ pg -> pg :: acc))
+      | Error _ -> []
+    in
+    fun () -> if pages <> [] then ignore (Controller.free_pages t.ctl ~proc:t.proc ~pages)
 
 (* ------------------------------------------------------------------ *)
 (* Create / mkdir *)
@@ -1454,28 +1501,18 @@ let op_unlink t ~resolve path =
             | None -> Error ENOENT
             | Some { e_ftype = Dir; _ } -> Error EISDIR
             | Some r ->
+              let free = free_file t r in
               let release = clear_entry t d r.e_addr in
               ignore (Htbl.remove d.d_names name);
-              Ok (r, release))
+              Ok (r, release, free))
       in
       match result with
       | Error e -> Error e
-      | Ok (r, release) ->
+      | Ok (r, release, free) ->
         index_delete t d name r.e_addr;
         release ();
         bump_dir_size t d (-1);
-        (* free the file's pages *)
-        (if known_to_kernel t r.e_ino then
-           ignore (Controller.free_file_tree t.ctl ~proc:t.proc ~ino:r.e_ino)
-         else begin
-           (* a file this LibFS created and never shared: free the pages
-              we hold directly *)
-           match Hashtbl.find_opt t.files r.e_ino with
-           | Some f ->
-             let pages = List.rev_append f.r_index_pages @@ Radix.fold f.r_index [] (fun acc _ pg -> pg :: acc) in
-             if pages <> [] then ignore (Controller.free_pages t.ctl ~proc:t.proc ~pages)
-           | None -> ()
-         end);
+        free ();
         Hashtbl.remove t.files r.e_ino;
         if t.unmap_after_write then unmap t d.d_ino;
         Ok ())
@@ -1569,7 +1606,8 @@ let op_readdir t path =
         else
           (* served by an index range scan, already in key order *)
           match
-            Dirindex.fold ~stats:(kstats t) t.pmem ~actor:t.proc ~root:d.d_dindex_root
+            Dirindex.fold ?mirror:(mirror t d) ~stats:(kstats t) t.pmem ~actor:t.proc
+              ~root:d.d_dindex_root
               ~init:[] ~f:(fun acc ~hash:_ ~addr ->
                 match Layout.read_dentry t.pmem ~actor:t.proc ~addr with
                 | Some (Ok (inode, name)) ->
@@ -1694,17 +1732,21 @@ let op_rename t ~resolve src dst =
               in
               Layout.write_dentry_atomic t.pmem ~actor:t.proc ~dindex_root:droot ~addr:dst_addr
                 ~inode ~name:dname;
-              (* replace an existing destination *)
-              (match existing with
-              | Some er ->
-                clear_entry t dd er.e_addr ();
-                ignore (Htbl.remove dd.d_names dname);
-                (if known_to_kernel t er.e_ino then
-                   ignore (Controller.free_file_tree t.ctl ~proc:t.proc ~ino:er.e_ino));
-                Hashtbl.remove t.files er.e_ino
-              | None -> ());
+              (* replace an existing destination; its pages are freed
+                 once the commit makes the replacement durable *)
+              let free_replaced =
+                match existing with
+                | Some er ->
+                  let free = free_file t er in
+                  clear_entry t dd er.e_addr ();
+                  ignore (Htbl.remove dd.d_names dname);
+                  Hashtbl.remove t.files er.e_ino;
+                  free
+                | None -> ignore
+              in
               let release_src = clear_entry t sd src_ref.e_addr in
               Journal.commit journal tx;
+              free_replaced ();
               (* auxiliary state *)
               ignore (Htbl.remove sd.d_names sname);
               release_src ();

@@ -68,42 +68,62 @@ let max_key = (max_int, max_int)
 (* ------------------------------------------------------------------ *)
 (* Node I/O *)
 
+(* A LibFS's DRAM mirror of the decoded nodes of one directory's tree
+   (DESIGN.md §4.18): the nodes it read or wrote, by page.  A node in
+   the mirror is the node on the device for as long as nobody else
+   writes the tree, which the caller vouches for by passing [?mirror]
+   at all.  Nodes are immutable values: an update stores and mirrors a
+   fresh node, never the old one's arrays changed in place. *)
+type mirror = (int, Layout.dnode) Hashtbl.t
+
+let count stats name = match stats with Some s -> Stats.incr s name | None -> ()
+
 (* Reading a node costs one in-node probe's worth of CPU on top of the
-   media access the Pmem layer charges.  Userspace actors read through
-   ECC: a poisoned node is indistinguishable from a torn one — both
-   degrade to the scan fallback.  [fetch] may serve the page from a DRAM
-   snapshot (the incremental verifier's delta checkpoint). *)
-let read_node ?fetch pm ~actor page =
+   media access the Pmem layer charges; a mirrored node costs the probe
+   alone.  Userspace actors read through ECC: a poisoned node is
+   indistinguishable from a torn one — both degrade to the scan
+   fallback.  [fetch] may serve the page from a DRAM snapshot (the
+   incremental verifier's delta checkpoint).  A node decoded from the
+   device joins [mirror]; [stats] counts the nodes each source served. *)
+let read_node ?mirror ?fetch ?stats pm ~actor page =
   Sched.cpu_work Perf.Cpu.hash_lookup;
   if page <= Layout.root_dentry_page || page >= Pmem.total_pages pm then
     Error (Printf.sprintf "index node %d outside the volume" page)
-  else begin
-    let from_device () =
-      if actor = Pmem.kernel_actor then
-        Ok (Pmem.read pm ~actor ~addr:(page * page_size) ~len:page_size)
-      else
-        match Pmem.read_ecc pm ~actor ~addr:(page * page_size) ~len:page_size with
-        | Pmem.Ecc.Ok b -> Ok b
-        | Pmem.Ecc.Poisoned _ -> Error (Printf.sprintf "index node %d poisoned" page)
-    in
-    let bytes =
-      match fetch with
-      | Some f -> ( match f page with Some b -> Ok b | None -> from_device ())
-      | None -> from_device ()
-    in
-    match bytes with
-    | Error _ as e -> e
-    | Ok b -> (
-      match Layout.decode_dnode b with
-      | Ok n -> Ok n
-      | Error e -> Error (Printf.sprintf "index node %d: %s" page e))
-  end
+  else
+    match Option.bind mirror (fun m -> Hashtbl.find_opt m page) with
+    | Some n ->
+      count stats "verify.dindex.mirror_nodes";
+      Ok n
+    | None -> (
+      let from_device () =
+        if actor = Pmem.kernel_actor then
+          Ok (Pmem.read pm ~actor ~addr:(page * page_size) ~len:page_size)
+        else
+          match Pmem.read_ecc pm ~actor ~addr:(page * page_size) ~len:page_size with
+          | Pmem.Ecc.Ok b -> Ok b
+          | Pmem.Ecc.Poisoned _ -> Error (Printf.sprintf "index node %d poisoned" page)
+      in
+      let bytes =
+        match fetch with
+        | Some f -> ( match f page with Some b -> Ok b | None -> from_device ())
+        | None -> from_device ()
+      in
+      match bytes with
+      | Error _ as e -> e
+      | Ok b -> (
+        match Layout.decode_dnode b with
+        | Ok n ->
+          count stats "verify.dindex.device_nodes";
+          Option.iter (fun m -> Hashtbl.replace m page n) mirror;
+          Ok n
+        | Error e -> Error (Printf.sprintf "index node %d: %s" page e)))
 
 (* One store of the node's changed lines and one fence (see the header
-   comment). *)
-let write_node pm ~actor page (n : Layout.dnode) =
+   comment); the node joins [mirror] once the store has landed. *)
+let write_node ?mirror pm ~actor page (n : Layout.dnode) =
   Pmem.write_lines pm ~actor ~addr:(page * page_size) ~src:(Layout.encode_dnode n);
-  Pmem.persist pm ~addr:(page * page_size) ~len:page_size
+  Pmem.persist pm ~addr:(page * page_size) ~len:page_size;
+  Option.iter (fun m -> Hashtbl.replace m page n) mirror
 
 let high_of (n : Layout.dnode) = (n.Layout.dn_high_hash, n.Layout.dn_high_addr)
 
@@ -127,8 +147,8 @@ let route (n : Layout.dnode) key =
 (* All dentry addresses indexed under [hash], in key order.  Equal-hash
    entries are adjacent; they may continue into right siblings when the
    hash sits at a node boundary. *)
-let lookup ?fetch ?stats pm ~actor ~root ~hash =
-  (match stats with Some s -> Stats.incr s "verify.dindex.descents" | None -> ());
+let lookup ?mirror ?fetch ?stats pm ~actor ~root ~hash =
+  count stats "verify.dindex.descents";
   if root = 0 then Ok []
   else begin
     let bound = Pmem.total_pages pm in
@@ -142,7 +162,7 @@ let lookup ?fetch ?stats pm ~actor ~root ~hash =
       if n.Layout.dn_right <> 0 && n.Layout.dn_high_hash <= hash then
         if steps >= bound then Error "index chain too long (cycle?)"
         else
-          match read_node ?fetch pm ~actor n.Layout.dn_right with
+          match read_node ?mirror ?fetch ?stats pm ~actor n.Layout.dn_right with
           | Error _ as e -> e
           | Ok right -> collect right acc (steps + 1)
       else Ok (List.rev acc)
@@ -150,7 +170,7 @@ let lookup ?fetch ?stats pm ~actor ~root ~hash =
     let rec descend page steps =
       if steps > bound then Error "index descent too deep (cycle?)"
       else
-        match read_node ?fetch pm ~actor page with
+        match read_node ?mirror ?fetch ?stats pm ~actor page with
         | Error _ as e -> e
         | Ok n ->
           if (hash, 0) >= high_of n && n.Layout.dn_right <> 0 then
@@ -183,12 +203,12 @@ let sorted_insert entries entry =
 
 (* Find the node at [start] (following right links) holding a child
    entry for [child_page]; defensive against a reader racing a split. *)
-let find_parent pm ~actor ~start ~child_page =
+let find_parent ?mirror ?stats pm ~actor ~start ~child_page =
   let bound = Pmem.total_pages pm in
   let rec go page steps =
     if page = 0 || steps > bound then Error "index parent not found"
     else
-      match read_node pm ~actor page with
+      match read_node ?mirror ?stats pm ~actor page with
       | Error _ as e -> e
       | Ok n ->
         if Array.exists (fun (_, _, c) -> c = child_page) n.Layout.dn_entries then Ok (page, n)
@@ -196,14 +216,14 @@ let find_parent pm ~actor ~start ~child_page =
   in
   go start 0
 
-let insert ?stats pm ~actor ~alloc ~free ~root ~hash ~addr =
-  (match stats with Some s -> Stats.incr s "verify.dindex.descents" | None -> ());
+let insert ?mirror ?stats pm ~actor ~alloc ~free ~root ~hash ~addr =
+  count stats "verify.dindex.descents";
   let cap = capacity () in
   if root = 0 then
     match alloc () with
     | None -> Error `Nospace
     | Some pg ->
-      write_node pm ~actor pg
+      write_node ?mirror pm ~actor pg
         {
           Layout.dn_level = 0;
           dn_right = 0;
@@ -219,7 +239,7 @@ let insert ?stats pm ~actor ~alloc ~free ~root ~hash ~addr =
     let rec descend page path steps =
       if steps > bound then Error (`Damaged "index descent too deep (cycle?)")
       else
-        match read_node pm ~actor page with
+        match read_node ?mirror ?stats pm ~actor page with
         | Error e -> Error (`Damaged e)
         | Ok n ->
           if key >= high_of n && n.Layout.dn_right <> 0 then
@@ -236,7 +256,7 @@ let insert ?stats pm ~actor ~alloc ~free ~root ~hash ~addr =
       match sorted_insert leaf.Layout.dn_entries (hash, addr, 0) with
       | None -> Ok (root, []) (* exact (hash, addr) already indexed *)
       | Some entries when Array.length entries <= cap ->
-        write_node pm ~actor leaf_page { leaf with Layout.dn_entries = entries };
+        write_node ?mirror pm ~actor leaf_page { leaf with Layout.dn_entries = entries };
         Ok (root, [])
       | Some entries ->
         (* Overflow: pre-allocate every page the worst case needs (one
@@ -256,7 +276,7 @@ let insert ?stats pm ~actor ~alloc ~free ~root ~hash ~addr =
           Error `Nospace
         end
         else begin
-          (match stats with Some s -> Stats.incr s "verify.dindex.splits" | None -> ());
+          count stats "verify.dindex.splits";
           let pool = ref !fresh in
           let take () =
             match !pool with
@@ -282,7 +302,7 @@ let insert ?stats pm ~actor ~alloc ~free ~root ~hash ~addr =
                 (h, a)
             in
             let right_page = take () in
-            write_node pm ~actor right_page
+            write_node ?mirror pm ~actor right_page
               {
                 node with
                 Layout.dn_right = node.Layout.dn_right;
@@ -290,7 +310,7 @@ let insert ?stats pm ~actor ~alloc ~free ~root ~hash ~addr =
                 dn_high_addr = node.Layout.dn_high_addr;
                 dn_entries = right_entries;
               };
-            write_node pm ~actor node_page
+            write_node ?mirror pm ~actor node_page
               {
                 node with
                 Layout.dn_right = right_page;
@@ -306,7 +326,7 @@ let insert ?stats pm ~actor ~alloc ~free ~root ~hash ~addr =
             | [] ->
               (* root split: fresh root referencing both halves *)
               let new_root = take () in
-              write_node pm ~actor new_root
+              write_node ?mirror pm ~actor new_root
                 {
                   Layout.dn_level = level + 1;
                   dn_right = 0;
@@ -317,7 +337,7 @@ let insert ?stats pm ~actor ~alloc ~free ~root ~hash ~addr =
                 };
               Ok new_root
             | parent_start :: rest -> (
-              match find_parent pm ~actor ~start:parent_start ~child_page with
+              match find_parent ?mirror ?stats pm ~actor ~start:parent_start ~child_page with
               | Error e -> Error (`Damaged e)
               | Ok (parent_page, parent) ->
                 (* the child's old entry now names the right half; a new
@@ -333,7 +353,8 @@ let insert ?stats pm ~actor ~alloc ~free ~root ~hash ~addr =
                   | None -> updated (* separator collides: tree is damaged *)
                 in
                 if Array.length entries <= cap then begin
-                  write_node pm ~actor parent_page { parent with Layout.dn_entries = entries };
+                  write_node ?mirror pm ~actor parent_page
+                    { parent with Layout.dn_entries = entries };
                   Ok root
                 end
                 else
@@ -357,7 +378,7 @@ let insert ?stats pm ~actor ~alloc ~free ~root ~hash ~addr =
 (* Remove the exact (hash, addr) entry.  No node merging: an underfull
    (even empty) leaf is tolerated — rebuilds re-pack the tree.  Absent
    entries are fine (idempotent, used by crash reconciliation). *)
-let delete pm ~actor ~root ~hash ~addr =
+let delete ?mirror ?stats pm ~actor ~root ~hash ~addr =
   if root = 0 then Ok ()
   else begin
     let bound = Pmem.total_pages pm in
@@ -365,14 +386,14 @@ let delete pm ~actor ~root ~hash ~addr =
     let rec descend page steps =
       if steps > bound then Error "index descent too deep (cycle?)"
       else
-        match read_node pm ~actor page with
+        match read_node ?mirror ?stats pm ~actor page with
         | Error _ as e -> e
         | Ok n ->
           if key >= high_of n && n.Layout.dn_right <> 0 then descend n.Layout.dn_right (steps + 1)
           else if n.Layout.dn_level = 0 then begin
             let keep = Array.exists (fun (h, a, _) -> (h, a) = key) n.Layout.dn_entries in
             if keep then
-              write_node pm ~actor page
+              write_node ?mirror pm ~actor page
                 {
                   n with
                   Layout.dn_entries =
@@ -397,15 +418,15 @@ let delete pm ~actor ~root ~hash ~addr =
 (* Fold [f] over every leaf entry in (hash, addr) key order — the
    documented stable readdir order.  Cost is one node read per leaf,
    not one dentry probe per entry. *)
-let fold ?fetch ?stats pm ~actor ~root ~init ~f =
-  (match stats with Some s -> Stats.incr s "verify.dindex.range_scans" | None -> ());
+let fold ?mirror ?fetch ?stats pm ~actor ~root ~init ~f =
+  count stats "verify.dindex.range_scans";
   if root = 0 then Ok init
   else begin
     let bound = Pmem.total_pages pm in
     let rec leftmost page steps =
       if steps > bound then Error "index descent too deep (cycle?)"
       else
-        match read_node ?fetch pm ~actor page with
+        match read_node ?mirror ?fetch ?stats pm ~actor page with
         | Error _ as e -> e
         | Ok n ->
           if n.Layout.dn_level = 0 then Ok n
@@ -424,7 +445,7 @@ let fold ?fetch ?stats pm ~actor ~root ~init ~f =
       if n.Layout.dn_right = 0 then Ok acc
       else if steps >= bound then Error "index chain too long (cycle?)"
       else
-        match read_node ?fetch pm ~actor n.Layout.dn_right with
+        match read_node ?mirror ?fetch ?stats pm ~actor n.Layout.dn_right with
         | Error _ as e -> e
         | Ok right -> scan right acc (steps + 1)
     in
@@ -472,8 +493,9 @@ let pages ?fetch pm ~actor ~root =
    scrubber's rebuild — the tree an index rebuild produces is always
    structurally perfect.  Returns (root, pages used); an empty entry
    set builds no tree (root 0).  When [alloc] runs dry the build stops,
-   passes every page it took to [free] and returns [Error `Nospace]. *)
-let build ?stats pm ~actor ~alloc ~free ~entries =
+   passes every page it took to [free] (dropping their nodes from
+   [mirror]) and returns [Error `Nospace]. *)
+let build ?mirror ?stats pm ~actor ~alloc ~free ~entries =
   ignore stats;
   let cap = capacity () in
   let entries =
@@ -519,7 +541,7 @@ let build ?stats pm ~actor ~alloc ~free ~entries =
             let high = match tail with (_, first_key, _) :: _ -> first_key | [] -> max_key in
             let right = match tail with (rpg, _, _) :: _ -> rpg | [] -> 0 in
             let first_key = match g with k :: _ -> k | [] -> max_key in
-            write_node pm ~actor pg
+            write_node ?mirror pm ~actor pg
               {
                 Layout.dn_level = 0;
                 dn_right = right;
@@ -561,7 +583,7 @@ let build ?stats pm ~actor ~alloc ~free ~entries =
                 let first_key =
                   match g with (_, fk, _) :: _ -> fk | [] -> max_key
                 in
-                write_node pm ~actor pg
+                write_node ?mirror pm ~actor pg
                   {
                     Layout.dn_level = level;
                     dn_right = right;
@@ -576,6 +598,7 @@ let build ?stats pm ~actor ~alloc ~free ~entries =
     match mk_level 1 (mk_leaves leaf_groups) with
     | Some root when not !failed -> Ok (root, List.rev !used)
     | _ ->
+      Option.iter (fun m -> List.iter (Hashtbl.remove m) !used) mirror;
       List.iter free !used;
       Error `Nospace
   end

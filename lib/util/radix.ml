@@ -3,7 +3,11 @@
    This is the index structure ArckFS' LibFS keeps per regular file, mapping
    a file-page index to the NVM location of the index-page entry that holds
    that page (paper §4.2).  The baselines (NOVA model) reuse it for their
-   DRAM indexes. *)
+   DRAM indexes.
+
+   An empty tree allocates no node: a LibFS keeps one tree per cached
+   file, most of them for files that never get a page, so the root is
+   [[||]] until the first insert and again after [clear]. *)
 
 let bits = 6
 let fanout = 1 lsl bits (* 64 *)
@@ -15,12 +19,12 @@ type 'a slot =
   | Node of 'a slot array
 
 type 'a t = {
-  mutable root : 'a slot array;
+  mutable root : 'a slot array; (* [||] while the tree has never held a key *)
   mutable height : int; (* number of levels; capacity = 64^height *)
   mutable count : int;
 }
 
-let create () = { root = Array.make fanout Empty; height = 1; count = 0 }
+let create () = { root = [||]; height = 1; count = 0 }
 
 let capacity t =
   (* 64^height, computed without overflow for sane heights *)
@@ -42,6 +46,7 @@ let shift_of t level = bits * (t.height - 1 - level)
 
 let insert t key v =
   if key < 0 then invalid_arg "Radix.insert: negative key";
+  if Array.length t.root = 0 then t.root <- Array.make fanout Empty;
   ensure_capacity t key;
   let rec go slots level =
     let idx = (key lsr shift_of t level) land mask in
@@ -60,8 +65,11 @@ let insert t key v =
   in
   go t.root 0
 
+(* A key the tree can hold: in range, and the root allocated. *)
+let in_range t key = key >= 0 && key < capacity t && Array.length t.root > 0
+
 let find t key =
-  if key < 0 || key >= capacity t then None
+  if not (in_range t key) then None
   else begin
     let rec go slots level =
       let idx = (key lsr shift_of t level) land mask in
@@ -76,7 +84,7 @@ let find t key =
 let mem t key = Option.is_some (find t key)
 
 let remove t key =
-  if key >= 0 && key < capacity t then begin
+  if in_range t key then begin
     let rec go slots level =
       let idx = (key lsr shift_of t level) land mask in
       match slots.(idx) with
@@ -94,7 +102,7 @@ let remove t key =
 (* In-order iteration: keys visited in increasing order. *)
 let iter t f =
   let rec go slots level prefix =
-    for idx = 0 to fanout - 1 do
+    for idx = 0 to Array.length slots - 1 do
       match slots.(idx) with
       | Empty -> ()
       | Leaf v -> f ((prefix lsl bits) lor idx) v
@@ -109,7 +117,7 @@ let fold t init f =
   !acc
 
 let clear t =
-  t.root <- Array.make fanout Empty;
+  t.root <- [||];
   t.height <- 1;
   t.count <- 0
 

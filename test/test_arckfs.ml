@@ -244,6 +244,50 @@ let test_rename_directory () =
 let test_rename_missing_src () =
   with_fs (fun _ _ ops -> err "missing" ENOENT (ops.Fs.rename "/nope" "/x"))
 
+(* Minidb's manifest swap: create /d/tmp, append 4 KiB, close, rename it
+   over /d/m, 1,000 times; with [unlink_first], /d/m is unlinked before
+   each rename.  With [drop], the LibFS forgets each file's cached state
+   after the close, as [with_retry] does after a fault, so the pages
+   must be found from the dentry.  Every /d/m replaced or unlinked is a
+   file this process created and never shared, so its pages must go
+   back to the controller: after the handoff, the process may keep only
+   its journal, the last /d/m, the directory and what its allocation
+   cache holds. *)
+let rename_over_unshared ~unlink_first ~drop =
+  Helpers.run_sim (fun env ->
+      let free_pages () =
+        List.fold_left
+          (fun acc s -> acc + s.Trio_core.Controller.ss_reserve_free)
+          0
+          (Trio_core.Controller.shard_stats env.Helpers.ctl)
+      in
+      let start = free_pages () in
+      let fs = Helpers.mount ~proc:1 env in
+      let ops = Libfs.ops fs in
+      ok "mkdir" (ops.Fs.mkdir "/d" 0o755);
+      for _ = 1 to 1000 do
+        let fd = ok "create" (ops.Fs.create "/d/tmp" 0o644) in
+        ignore (ok "append" (ops.Fs.append fd (Bytes.make 4096 'x')) : int);
+        ok "close" (ops.Fs.close fd);
+        if drop then Libfs.drop_aux fs (ok "stat" (ops.Fs.stat "/d/tmp")).st_ino;
+        if unlink_first then
+          (match ops.Fs.unlink "/d/m" with Ok () | Error ENOENT -> () | r -> ok "unlink" r);
+        ok "rename" (ops.Fs.rename "/d/tmp" "/d/m")
+      done;
+      Libfs.unmap_everything fs;
+      let kept = start - free_pages () in
+      if kept > 64 then
+        Alcotest.failf "unlink first %b, drop %b: %d pages not handed back" unlink_first drop kept;
+      Alcotest.(check string)
+        "last file" (String.make 4096 'x')
+        (ok "read" (Fs.read_file ops "/d/m")))
+
+let test_rename_over_unshared_frees () =
+  List.iter (fun drop -> rename_over_unshared ~unlink_first:false ~drop) [ false; true ]
+
+let test_unlink_unshared_frees () =
+  List.iter (fun drop -> rename_over_unshared ~unlink_first:true ~drop) [ false; true ]
+
 (* ------------------------------------------------------------------ *)
 (* Concurrency within one LibFS *)
 
@@ -741,6 +785,116 @@ let handoff_crossings ?ring () =
       count "unlink" (1, 2) (fun () -> ok "unlink" (ops.Fs.unlink "/d/victim"));
       Alcotest.(check (list string)) "entries" [ "a"; "b"; "warm"; "x" ] (names_of ops "/d"))
 
+(* ------------------------------------------------------------------ *)
+(* The index-node mirror (DESIGN.md §4.18) *)
+
+(* Index nodes the LibFSes' descents took from their mirrors and from
+   the device so far: (mirrored, device). *)
+let node_reads ctl =
+  let s = Controller.stats ctl in
+  ( Trio_sim.Stats.get s "verify.dindex.mirror_nodes",
+    Trio_sim.Stats.get s "verify.dindex.device_nodes" )
+
+let mirrored fs ops path =
+  match Libfs.cached_dir fs (ino_of ops path) with
+  | Some d -> Hashtbl.length d.Libfs.d_nodes
+  | None -> Alcotest.failf "%s: no cached state" path
+
+let create_in ops dir name =
+  ok "close" (ops.Fs.close (ok ("create " ^ name) (ops.Fs.create (dir ^ "/" ^ name) 0o666)))
+
+let names_n prefix n = List.init n (Printf.sprintf "%s%02d" prefix)
+
+(* The takeover of /d by B, another trust group, after A warmed its
+   mirror of /d: with [lease], A never hands /d back and B takes it when
+   A's write lease expires; otherwise A hands it back first.  B's
+   creates split the leaves A mirrored.  A's next create, lookups and
+   unlink must see B's names (a handoff drops the mirror with the
+   directory's state; after a lease expiry the create's first store
+   faults and starts over), and every handoff must certify. *)
+let mirror_after_takeover ~lease =
+  Trio_core.Dirindex.with_test_capacity 4 @@ fun () ->
+  Helpers.run_sim ~lease_ns:1.0e6 (fun env ->
+      let ctl = env.Helpers.ctl in
+      let a_fs = Helpers.mount ~proc:1 env in
+      let a = Libfs.ops a_fs in
+      ok "mkdir" (a.Fs.mkdir "/d" 0o777);
+      List.iter (create_in a "/d") (names_n "a" 8);
+      (* a directory A built itself answers a miss from its name table;
+         after a handoff, A's rebuilt state descends the index *)
+      Libfs.unmap_everything a_fs;
+      List.iter (create_in a "/d") (names_n "x" 4);
+      (* the first miss may read a leaf no create touched; the second
+         finds every node of its descent mirrored *)
+      err "A: missing name" ENOENT (a.Fs.stat "/d/zz");
+      let m0, d0 = node_reads ctl in
+      err "A: missing name again" ENOENT (a.Fs.stat "/d/zz");
+      let m1, d1 = node_reads ctl in
+      Alcotest.(check bool) "A's descent served from its mirror" true (m1 > m0 && d1 = d0);
+      Alcotest.(check bool) "A's mirror is warm" true (mirrored a_fs a "/d" > 1);
+      if not lease then Libfs.unmap_everything a_fs;
+      let b_fs = Helpers.mount ~proc:2 env in
+      let b = Libfs.ops b_fs in
+      List.iter (create_in b "/d") (names_n "b" 16);
+      Libfs.unmap_everything b_fs;
+      create_in a "/d" "a_new";
+      err "A: B's name" EEXIST (a.Fs.create "/d/b03" 0o666);
+      List.iter
+        (fun n -> ignore (ok ("A: stat " ^ n) (a.Fs.stat ("/d/" ^ n)) : stat))
+        (names_n "b" 16);
+      ok "A: unlink B's name" (a.Fs.unlink "/d/b05");
+      err "A: unlinked" ENOENT (a.Fs.stat "/d/b05");
+      Libfs.unmap_everything a_fs;
+      Alcotest.(check int) "corruption events" 0 (List.length (Controller.corruption_events ctl));
+      let _, bad = Controller.audit_all ctl in
+      Alcotest.(check int) "certified" 0 bad;
+      let expected =
+        List.sort compare
+          (("a_new" :: names_n "a" 8)
+          @ names_n "x" 4
+          @ List.filter (( <> ) "b05") (names_n "b" 16))
+      in
+      let fresh = Libfs.ops (Helpers.mount ~proc:3 env) in
+      Alcotest.(check (list string)) "entries, fresh process" expected (names_of fresh "/d"))
+
+let test_mirror_after_handoff () = mirror_after_takeover ~lease:false
+let test_mirror_after_lease_expiry () = mirror_after_takeover ~lease:true
+
+(* Only a LibFS that holds a directory write-mapped alone in its trust
+   group uses a mirror: a read-mapped reader of another group and a
+   co-writer of a two-process group read every node from the device and
+   mirror none. *)
+let test_mirror_needs_solo_writer () =
+  Trio_core.Dirindex.with_test_capacity 4 @@ fun () ->
+  Helpers.run_sim (fun env ->
+      let ctl = env.Helpers.ctl in
+      let owner = Helpers.mount ~proc:1 env in
+      let oops = Libfs.ops owner in
+      ok "mkdir" (oops.Fs.mkdir "/d" 0o777);
+      List.iter (create_in oops "/d") (names_n "e" 16);
+      Libfs.unmap_everything owner;
+      let from_device what fs ops f =
+        let m0, d0 = node_reads ctl in
+        f ();
+        let m1, d1 = node_reads ctl in
+        Alcotest.(check bool) (what ^ ": nodes from the device") true (d1 > d0);
+        Alcotest.(check (float 0.0)) (what ^ ": nodes from a mirror") 0.0 (m1 -. m0);
+        Alcotest.(check int) (what ^ ": mirrored") 0 (mirrored fs ops "/d")
+      in
+      let r_fs = Helpers.mount ~proc:2 env in
+      let r = Libfs.ops r_fs in
+      from_device "reader" r_fs r (fun () ->
+          List.iter (fun n -> ignore (ok "stat" (r.Fs.stat ("/d/" ^ n)) : stat)) (names_n "e" 8);
+          err "missing" ENOENT (r.Fs.stat "/d/zz"));
+      let w_fs = Helpers.mount ~proc:3 ~group:77 env in
+      ignore (Helpers.mount ~proc:4 ~group:77 env : Libfs.t);
+      let w = Libfs.ops w_fs in
+      from_device "co-writer" w_fs w (fun () ->
+          List.iter (create_in w "/d") (names_n "c" 8);
+          ok "unlink" (w.Fs.unlink "/d/e03"));
+      Libfs.unmap_everything w_fs;
+      Alcotest.(check int) "corruption events" 0 (List.length (Controller.corruption_events ctl)))
+
 let test_handoff_crossings_sync () = handoff_crossings ()
 let test_handoff_crossings_ring () = handoff_crossings ~ring:4 ()
 
@@ -901,6 +1055,10 @@ let () =
           Alcotest.test_case "replaces destination" `Quick test_rename_replaces_destination;
           Alcotest.test_case "directory" `Quick test_rename_directory;
           Alcotest.test_case "missing src" `Quick test_rename_missing_src;
+          Alcotest.test_case "over an unshared file frees it" `Quick
+            test_rename_over_unshared_frees;
+          Alcotest.test_case "unlink of an unshared file frees it" `Quick
+            test_unlink_unshared_frees;
         ] );
       ( "concurrency",
         [
@@ -925,6 +1083,13 @@ let () =
           Alcotest.test_case "file upgrade after a revoked read" `Quick
             test_file_upgrade_after_revoked_read;
           Alcotest.test_case "directory write permission" `Quick test_dir_write_permission;
+        ] );
+      ( "mirror",
+        [
+          Alcotest.test_case "after a cross-group handoff" `Quick test_mirror_after_handoff;
+          Alcotest.test_case "after a lease expiry" `Quick test_mirror_after_lease_expiry;
+          Alcotest.test_case "reader and co-writer read the device" `Quick
+            test_mirror_needs_solo_writer;
         ] );
       ( "delegation",
         [

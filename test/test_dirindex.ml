@@ -349,6 +349,118 @@ let test_build_dry_allocator () =
         [ 0; 3 ])
 
 (* ------------------------------------------------------------------ *)
+(* The LibFS's node mirror *)
+
+(* The (hash, dentry address) keys of the live dentries of directory
+   [d], read from the device. *)
+let dentry_keys pm (d : Libfs.dir_state) =
+  List.concat_map
+    (fun pg ->
+      List.filter_map
+        (fun slot ->
+          let addr = Layout.dentry_slot_addr pg slot in
+          match Layout.read_dentry pm ~actor:Pmem.kernel_actor ~addr with
+          | Some (Ok (_, name)) -> Some (Dirindex.hash_name name, addr)
+          | _ -> None)
+        (List.init Layout.dentries_per_page Fun.id))
+    d.Libfs.d_data_pages
+  |> List.sort compare
+
+(* Every node the LibFS mirrors for [d] is the node on the device and a
+   page of its tree, the root is among them (each op descends from it),
+   and the tree holds exactly the dentries' keys. *)
+let mirror_agrees pm (d : Libfs.dir_state) =
+  let root = d.Libfs.d_dindex_root in
+  let tree = Dirindex.pages pm ~actor:Pmem.kernel_actor ~root in
+  Hashtbl.iter
+    (fun page node ->
+      if not (List.mem page tree) then Alcotest.failf "mirrored page %d is not in the tree" page;
+      match Dirindex.read_node pm ~actor:Pmem.kernel_actor page with
+      | Ok dev when dev = node -> ()
+      | Ok _ -> Alcotest.failf "mirrored node %d differs from the device" page
+      | Error e -> Alcotest.failf "device node %d: %s" page e)
+    d.Libfs.d_nodes;
+  let au = Dirindex.audit pm ~actor:Pmem.kernel_actor ~root in
+  if au.Dirindex.au_violations <> [] then
+    Alcotest.failf "audit: %s" (String.concat "; " au.Dirindex.au_violations);
+  if List.sort compare au.Dirindex.au_entries <> dentry_keys pm d then
+    Alcotest.fail "index keys disagree with the dentries";
+  if root <> 0 && not (Hashtbl.mem d.Libfs.d_nodes root) then Alcotest.fail "root not mirrored"
+
+(* Random create/unlink/rename (and the odd handoff, after which the
+   mirror starts over) in one directory the process holds write-mapped
+   alone, at node capacities that split leaves and the root: after every
+   op, each mirrored node must equal the device's, and the tree must
+   hold the dentries' keys. *)
+let prop_mirror_matches_device =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (5, map (fun i -> `Create i) (int_bound 23));
+          (3, map (fun i -> `Unlink i) (int_bound 23));
+          (3, map2 (fun i j -> `Rename (i, j)) (int_bound 23) (int_bound 23));
+          (1, return `Handoff);
+        ])
+  in
+  let print = function
+    | `Create i -> Printf.sprintf "create %d" i
+    | `Unlink i -> Printf.sprintf "unlink %d" i
+    | `Rename (i, j) -> Printf.sprintf "rename %d %d" i j
+    | `Handoff -> "handoff"
+  in
+  QCheck.Test.make ~name:"mirrored nodes match the device" ~count:40
+    QCheck.(
+      pair (int_range 2 5)
+        (make ~print:(Print.list print) Gen.(list_size (int_range 1 60) op)))
+    (fun (cap, ops) ->
+      Dirindex.with_test_capacity cap @@ fun () ->
+      with_fs (fun env fs fops ->
+          let pm = env.Helpers.pmem in
+          let path i = Printf.sprintf "/d/n%02d" i in
+          ok "mkdir" (fops.Fs.mkdir "/d" 0o755);
+          let ino = (ok "stat" (fops.Fs.stat "/d")).st_ino in
+          let live = Hashtbl.create 16 in
+          List.iter
+            (fun op ->
+              (match op with
+              | `Create i -> (
+                match fops.Fs.create (path i) 0o644 with
+                | Ok fd ->
+                  if Hashtbl.mem live i then Alcotest.failf "create %d: no EEXIST" i;
+                  Hashtbl.replace live i ();
+                  ok "close" (fops.Fs.close fd)
+                | Error EEXIST when Hashtbl.mem live i -> ()
+                | Error e -> Alcotest.failf "create %d: %s" i (errno_to_string e))
+              | `Unlink i -> (
+                match fops.Fs.unlink (path i) with
+                | Ok () -> Hashtbl.remove live i
+                | Error ENOENT when not (Hashtbl.mem live i) -> ()
+                | Error e -> Alcotest.failf "unlink %d: %s" i (errno_to_string e))
+              | `Rename (i, j) -> (
+                match fops.Fs.rename (path i) (path j) with
+                | Ok () ->
+                  if i <> j then begin
+                    Hashtbl.remove live i;
+                    Hashtbl.replace live j ()
+                  end
+                | Error ENOENT when not (Hashtbl.mem live i) -> ()
+                | Error e -> Alcotest.failf "rename %d %d: %s" i j (errno_to_string e))
+              | `Handoff -> Libfs.unmap_everything fs);
+              match Libfs.cached_dir fs ino with
+              | Some d when d.Libfs.d_write_mapped -> mirror_agrees pm d
+              | _ -> ())
+            ops;
+          let names = List.map (fun e -> e.d_name) (ok "readdir" (fops.Fs.readdir "/d")) in
+          let expected = Hashtbl.fold (fun i () acc -> Filename.basename (path i) :: acc) live [] in
+          Alcotest.(check (list string)) "entries" (List.sort compare expected)
+            (List.sort compare names);
+          Libfs.unmap_everything fs;
+          Alcotest.(check int) "corruption events" 0
+            (List.length (Controller.corruption_events env.Helpers.ctl));
+          true))
+
+(* ------------------------------------------------------------------ *)
 (* Exploration campaigns *)
 
 (* SIGKILL at sampled points inside index mutations: every recovered
@@ -386,6 +498,7 @@ let () =
         [
           Alcotest.test_case "rename across indexed dirs" `Quick test_rename_across_indexed_dirs;
           Alcotest.test_case "readdir order" `Quick test_readdir_order;
+          QCheck_alcotest.to_alcotest prop_mirror_matches_device;
         ] );
       ( "explore",
         [

@@ -100,6 +100,37 @@ let test_radix_max_key () =
   Radix.insert r 7777 ();
   Alcotest.(check (option int)) "max" (Some 7777) (Radix.max_key r)
 
+(* A tree that never held a key has no node: every query and walk must
+   answer from the empty root, and a cleared tree starts over from it. *)
+let test_radix_empty () =
+  let r : int Radix.t = Radix.create () in
+  Alcotest.(check (option int)) "find" None (Radix.find r 0);
+  Alcotest.(check (option int)) "find big" None (Radix.find r 1_000_000);
+  Alcotest.(check bool) "mem" false (Radix.mem r 63);
+  Radix.remove r 0;
+  Radix.remove r 424242;
+  Radix.iter r (fun k _ -> Alcotest.failf "iter visited %d" k);
+  Alcotest.(check int) "fold" 0 (Radix.fold r 0 (fun n _ _ -> n + 1));
+  Alcotest.(check (option int)) "max_key" None (Radix.max_key r);
+  Alcotest.(check int) "length" 0 (Radix.length r)
+
+let test_radix_insert_after_clear () =
+  let r = Radix.create () in
+  List.iter (fun k -> Radix.insert r k (k * 2)) [ 5; 4096; 300_000 ];
+  Radix.clear r;
+  Alcotest.(check int) "cleared" 0 (Radix.length r);
+  Alcotest.(check (option int)) "gone" None (Radix.find r 4096);
+  Alcotest.(check (option int)) "max_key cleared" None (Radix.max_key r);
+  Radix.insert r 70 1;
+  Radix.insert r 2 2;
+  Alcotest.(check (option int)) "find 70" (Some 1) (Radix.find r 70);
+  Alcotest.(check (option int)) "find 2" (Some 2) (Radix.find r 2);
+  Alcotest.(check (option int)) "old key stays gone" None (Radix.find r 300_000);
+  Alcotest.(check (list int))
+    "keys" [ 2; 70 ]
+    (List.rev (Radix.fold r [] (fun acc k _ -> k :: acc)));
+  Alcotest.(check int) "length" 2 (Radix.length r)
+
 let prop_radix_model =
   QCheck.Test.make ~name:"radix agrees with Hashtbl model" ~count:200
     QCheck.(list (pair (int_bound 100_000) (int_bound 1000)))
@@ -338,6 +369,8 @@ let () =
           Alcotest.test_case "remove" `Quick test_radix_remove;
           Alcotest.test_case "iter order" `Quick test_radix_iter_order;
           Alcotest.test_case "max_key" `Quick test_radix_max_key;
+          Alcotest.test_case "empty tree" `Quick test_radix_empty;
+          Alcotest.test_case "insert after clear" `Quick test_radix_insert_after_clear;
           qc prop_radix_model;
         ] );
       ( "htbl",
