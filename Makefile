@@ -132,7 +132,8 @@ qoscheck:
 # certification: verifier invariant I5 flagged the unmaintained tree at
 # a sharing point), and the dirscale bench gate (index >= 10x the
 # linear scan, sub-linear growth, readdir via range scan, no index node
-# read from the device by a create the node mirror serves).
+# read from the device by a create the node mirror serves, and
+# create_index_bytes: at most 512 index bytes stored per create).
 dircheck:
 	dune build
 	dune exec test/test_dirindex.exe

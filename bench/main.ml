@@ -635,6 +635,7 @@ let micro () =
            dn_high_hash = max_int;
            dn_high_addr = max_int;
            dn_entries = Array.init Trio_core.Layout.dnode_capacity (fun i -> (i * 7919, i * 64, 0));
+           dn_slots = Array.init Trio_core.Layout.dnode_capacity Fun.id;
          }
        in
        Test.make ~name:"dnode-encode-decode"
@@ -674,24 +675,25 @@ let micro () =
                  done);
              ignore (Sched.run sched)));
       (* index-node updates as the index issues them: a 100-entry leaf
-         written, then rewritten with one entry inserted in the middle,
-         through [Dirindex.write_node] on a fresh device; both writes
-         pay the line store's compares *)
-      (let leaf entries =
+         written, then rewritten with one entry inserted in the middle
+         (into slot 100, every other entry in its own), through
+         [Dirindex.write_node] on a fresh device; both writes pay the
+         line store's compares *)
+      (let leaf entries slots =
          {
            Trio_core.Layout.dn_level = 0;
            dn_right = 0;
            dn_high_hash = max_int;
            dn_high_addr = max_int;
            dn_entries = entries;
+           dn_slots = slots;
          }
        in
        let old_entries = Array.init 100 (fun i -> (i * 7919, i * 64, 0)) in
-       let fresh = [| ((49 * 7919) + 1, 1, 0) |] in
-       let before = leaf old_entries
-       and after =
-         leaf (Array.concat [ Array.sub old_entries 0 50; fresh; Array.sub old_entries 50 50 ])
-       in
+       let old_slots = Array.init 100 Fun.id in
+       let split a x = Array.concat [ Array.sub a 0 50; [| x |]; Array.sub a 50 50 ] in
+       let before = leaf old_entries old_slots
+       and after = leaf (split old_entries ((49 * 7919) + 1, 1, 0)) (split old_slots 100) in
        Test.make ~name:"dnode-rewrite"
          (Staged.stage (fun () ->
               let sched = Sched.create () in
@@ -1177,8 +1179,21 @@ let qos () =
    the index itself.  Emits BENCH_dirscale.json; the gate requires the
    index >= 10x the scan at the largest end-to-end size, sub-linear
    lookup growth per decade in both sweeps, readdir served by an index
-   range scan, and no index node read from the device by the writer's
-   creates (its node mirror serves them, DESIGN.md §4.18). *)
+   range scan, no index node read from the device by the writer's
+   creates (its node mirror serves them, DESIGN.md §4.18), and at most
+   512 index bytes stored per create: the writer's device bytes per
+   create minus its unindexed twin's, which a node that kept its
+   entries sorted would exceed by shifting them. *)
+type dirscale_point = {
+  create_ns : float;
+  create_nodes : float; (* index nodes the writer read from the device, per create *)
+  create_bytes : float; (* device bytes the writer stored, per create *)
+  lookup_ns : float;
+  readdir_ns : float;
+  range_scan : bool;
+  delete_ns : float;
+}
+
 let dirscale () =
   section "Directory scaling: B-link index vs linear dentry scan";
   let sizes = if !fast then [ 1_000; 10_000 ] else [ 1_000; 10_000; 100_000 ] in
@@ -1194,16 +1209,26 @@ let dirscale () =
         ignore (get_ok "mkdir" (fs.Fs.mkdir "/big" 0o755));
         let cstats = Controller.stats rig.Rig.ctl in
         let device_nodes () = Stats.get cstats "verify.dindex.device_nodes" in
-        let t0 = Sched.now sched and nodes0 = device_nodes () in
+        let written () =
+          List.fold_left
+            (fun acc node ->
+              let _, _, w = Pmem.node_stats rig.Rig.pmem node in
+              acc +. w)
+            0.0
+            (List.init (Numa.nodes (Pmem.topo rig.Rig.pmem)) Fun.id)
+        in
+        let t0 = Sched.now sched and nodes0 = device_nodes () and bytes0 = written () in
         for i = 0 to n - 1 do
           match fs.Fs.create (name_of i) 0o644 with
           | Ok fd -> ignore (fs.Fs.close fd)
           | Error e -> failwith ("create: " ^ Trio_core.Fs_types.errno_to_string e)
         done;
-        let create_ns = (Sched.now sched -. t0) /. float_of_int n in
+        let per_create x = x /. float_of_int n in
+        let create_ns = per_create (Sched.now sched -. t0) in
         (* the writer holds /big write-mapped and alone from its mkdir
            on, so every node its creates descend is mirrored *)
-        let create_nodes = (device_nodes () -. nodes0) /. float_of_int n in
+        let create_nodes = per_create (device_nodes () -. nodes0) in
+        let create_bytes = per_create (written () -. bytes0) in
         (* the sharing point: hand the directory to the kernel, then
            measure from a second process whose caches start cold *)
         Libfs.unmap_everything writer;
@@ -1224,7 +1249,18 @@ let dirscale () =
               incr i;
               ignore (get_ok "stat" (fs2.Fs.stat name)))
         in
-        if not indexed then (create_ns, create_nodes, lookup_ns, 0.0, false, 0.0)
+        let point =
+          {
+            create_ns;
+            create_nodes;
+            create_bytes;
+            lookup_ns;
+            readdir_ns = 0.0;
+            range_scan = false;
+            delete_ns = 0.0;
+          }
+        in
+        if not indexed then point
         else begin
           let scans0 = Stats.get cstats "verify.dindex.range_scans" in
           let t0 = Sched.now sched in
@@ -1241,27 +1277,28 @@ let dirscale () =
                 incr i;
                 ignore (get_ok "unlink" (fs2.Fs.unlink name)))
           in
-          (create_ns, create_nodes, lookup_ns, readdir_ns, range_scan, delete_ns)
+          { point with readdir_ns; range_scan; delete_ns }
         end)
   in
+  (* (entries, indexed point, unindexed twin's point) *)
   let points =
     List.map
       (fun n ->
-        let create_ns, create_nodes, lookup_ns, readdir_ns, range_scan, delete_ns =
-          run_point ~indexed:true n
-        in
-        let _, _, scan_ns, _, _, _ = run_point ~indexed:false n in
+        let p = run_point ~indexed:true n and twin = run_point ~indexed:false n in
         Printf.printf
-          "  [%7d entries] create %.0fns (%.2f device nodes)  lookup %.0fns  scan %.0fns  \
-           readdir %.0fus (range scan %b)  delete %.0fns\n%!"
-          n create_ns create_nodes lookup_ns scan_ns (readdir_ns /. 1e3) range_scan delete_ns;
-        (n, create_ns, create_nodes, lookup_ns, scan_ns, ratio scan_ns lookup_ns, readdir_ns,
-         range_scan, delete_ns))
+          "  [%7d entries] create %.0fns (%.2f device nodes, %.0f index B)  lookup %.0fns  \
+           scan %.0fns  readdir %.0fus (range scan %b)  delete %.0fns\n%!"
+          n p.create_ns p.create_nodes (p.create_bytes -. twin.create_bytes) p.lookup_ns
+          twin.lookup_ns (p.readdir_ns /. 1e3) p.range_scan p.delete_ns;
+        (n, p, twin))
       sizes
   in
+  let speedup (_, p, twin) = ratio twin.lookup_ns p.lookup_ns in
+  let index_bytes (_, p, twin) = p.create_bytes -. twin.create_bytes in
   print_header "entries" [ "create"; "lookup"; "scan"; "speedup" ];
   List.iter
-    (fun (n, c, _, l, b, sp, _, _, _) -> print_row (string_of_int n) [ c; l; b; sp ])
+    (fun ((n, p, twin) as pt) ->
+      print_row (string_of_int n) [ p.create_ns; p.lookup_ns; twin.lookup_ns; speedup pt ])
     points;
   let required = 10.0 in
   (* lookup grows sub-linearly: each 10x in entries costs well under 10x *)
@@ -1337,17 +1374,18 @@ let dirscale () =
       ]
     ~points:
       (List.map
-         (fun (n, c, cn, l, b, sp, rd, rs, d) ->
+         (fun ((n, p, twin) as pt) ->
            [
              ("entries", int n);
-             ("create_ns", num 1 c);
-             ("create_device_nodes", num 2 cn);
-             ("lookup_ns", num 1 l);
-             ("linear_scan_ns", num 1 b);
-             ("speedup", num 2 sp);
-             ("readdir_ns", num 1 rd);
-             ("readdir_range_scan", string_of_bool rs);
-             ("delete_ns", num 1 d);
+             ("create_ns", num 1 p.create_ns);
+             ("create_device_nodes", num 2 p.create_nodes);
+             ("create_index_bytes", num 1 (index_bytes pt));
+             ("lookup_ns", num 1 p.lookup_ns);
+             ("linear_scan_ns", num 1 twin.lookup_ns);
+             ("speedup", num 2 (speedup pt));
+             ("readdir_ns", num 1 p.readdir_ns);
+             ("readdir_range_scan", string_of_bool p.range_scan);
+             ("delete_ns", num 1 p.delete_ns);
            ])
          points
       @ List.map
@@ -1355,15 +1393,14 @@ let dirscale () =
           tree_points)
     [
       (* at the largest size, descent beats the scan 10x *)
-      ( "speedup",
-        match List.rev points with
-        | (_, _, _, _, _, sp, _, _, _) :: _ -> sp >= required
-        | [] -> false );
-      ("sublinear", sublinear (List.map (fun (_, _, _, l, _, _, _, _, _) -> l) points));
+      ("speedup", match List.rev points with pt :: _ -> speedup pt >= required | [] -> false);
+      ("sublinear", sublinear (List.map (fun (_, p, _) -> p.lookup_ns) points));
       (* every readdir was served by an index range scan *)
-      ("range_scan", all (fun (_, _, _, _, _, _, _, rs, _) -> rs) points);
+      ("range_scan", all (fun (_, p, _) -> p.range_scan) points);
       (* a warm create descends its mirror, never the device *)
-      ("create_mirrored", all (fun (_, _, cn, _, _, _, _, _, _) -> cn = 0.0) points);
+      ("create_mirrored", all (fun (_, p, _) -> p.create_nodes = 0.0) points);
+      (* an index update stores a few lines, not the entries after it *)
+      ("create_index_bytes", all (fun pt -> index_bytes pt <= 512.0) points);
       (* the bare tree's lookup also grows sub-linearly, all the way to 10^6 *)
       ("tree_sublinear", sublinear (List.map (fun (_, _, lk) -> lk) tree_points));
     ]

@@ -712,31 +712,54 @@ let current_root t (d : dir_state) =
     d.d_dindex_root <- Layout.read_dindex_root t.pmem ~actor:t.proc ~dentry_addr:d.d_addr;
   d.d_dindex_root
 
+(* The (hash, dentry address) keys a materialized directory's index
+   must hold. *)
+let index_keys (d : dir_state) =
+  Htbl.fold d.d_names [] (fun acc name r -> (Dirindex.hash_name name, r.e_addr) :: acc)
+
+(* Index a materialized directory that has no tree in one fresh tree
+   and swing the root word to it; out of space, it stays unindexed.
+   The caller holds the index lock. *)
+let build_index t (d : dir_state) =
+  match
+    Dirindex.build ?mirror:(mirror t d) ~stats:(kstats t) t.pmem ~actor:t.proc
+      ~alloc:(dindex_alloc t) ~free:(dindex_free t) ~entries:(index_keys d)
+  with
+  | Ok (root, _) when root <> 0 ->
+    Layout.write_dindex_root t.pmem ~actor:t.proc ~dentry_addr:d.d_addr root;
+    d.d_dindex_root <- root
+  | Ok _ | Error `Nospace | (exception Pmem.Media_fault _) -> ()
+
 (* Insert (name -> dentry address) into the directory's index — called
    *after* the dentry itself is persisted (truth first, accelerator
    second; a crash between the two is reconciled at recovery).  A first
-   insert builds the root leaf and swings the dentry's root word.
+   insert builds the root leaf and swings the dentry's root word; into
+   a directory whose tree was dropped, a tree started from this one key
+   would miss the others, so a complete name table indexes them all.
    Failure is never fatal: out of space or damaged, the directory just
    drops to unindexed.  [Mutation.Skip_index] drops maintenance on
    insert and delete alike. *)
 let index_insert t (d : dir_state) name addr =
   if not (Mutation.active Skip_index) then
     with_index_lock t d (fun () ->
-        match
-          Dirindex.insert ?mirror:(mirror t d) ~stats:(kstats t) t.pmem ~actor:t.proc
-            ~alloc:(dindex_alloc t) ~free:(dindex_free t) ~root:(current_root t d)
-            ~hash:(Dirindex.hash_name name) ~addr
-        with
-        | Ok (root, _fresh) ->
-          if root <> d.d_dindex_root then begin
-            Layout.write_dindex_root t.pmem ~actor:t.proc ~dentry_addr:d.d_addr root;
-            d.d_dindex_root <- root
-          end
-        | Error (`Nospace | `Damaged _) -> drop_index t d
-        | exception Pmem.Media_fault _ ->
-          (* a media fault mid-maintenance leaves the tree suspect; the
-             dentry is already durable, so unindexed is the safe state *)
-          drop_index t d)
+        match current_root t d with
+        | 0 when d.d_aux_built && Htbl.length d.d_names > 1 -> build_index t d
+        | root -> (
+          match
+            Dirindex.insert ?mirror:(mirror t d) ~stats:(kstats t) t.pmem ~actor:t.proc
+              ~alloc:(dindex_alloc t) ~free:(dindex_free t) ~root ~hash:(Dirindex.hash_name name)
+              ~addr
+          with
+          | Ok (root, _fresh) ->
+            if root <> d.d_dindex_root then begin
+              Layout.write_dindex_root t.pmem ~actor:t.proc ~dentry_addr:d.d_addr root;
+              d.d_dindex_root <- root
+            end
+          | Error (`Nospace | `Damaged _) -> drop_index t d
+          | exception Pmem.Media_fault _ ->
+            (* a media fault mid-maintenance leaves the tree suspect; the
+               dentry is already durable, so unindexed is the safe state *)
+            drop_index t d))
 
 (* Remove (name -> address) after the dentry tombstone is persisted. *)
 let index_delete t (d : dir_state) name addr =
@@ -752,28 +775,12 @@ let index_delete t (d : dir_state) name addr =
         | Ok () -> ()
         | Error _ | exception Pmem.Media_fault _ -> drop_index t d)
 
-(* The (hash, dentry address) keys a materialized directory's index
-   must hold. *)
-let index_keys (d : dir_state) =
-  Htbl.fold d.d_names [] (fun acc name r -> (Dirindex.hash_name name, r.e_addr) :: acc)
-
 (* Re-index an unindexed-nonempty directory from its materialized aux
    table (scrub gave up under pressure, a snapshot restore dropped the
    tree, or a crash left it detached). *)
 let rebuild_index t (d : dir_state) =
   if d.d_dindex_root = 0 && d.d_aux_built && d.d_size > 0 then
-    with_index_lock t d (fun () ->
-        match current_root t d with
-        | 0 -> (
-          match
-            Dirindex.build ?mirror:(mirror t d) ~stats:(kstats t) t.pmem ~actor:t.proc
-              ~alloc:(dindex_alloc t) ~free:(dindex_free t) ~entries:(index_keys d)
-          with
-          | Ok (root, _) when root <> 0 ->
-            Layout.write_dindex_root t.pmem ~actor:t.proc ~dentry_addr:d.d_addr root;
-            d.d_dindex_root <- root
-          | Ok _ | Error `Nospace | exception Pmem.Media_fault _ -> ())
-        | _ | (exception Pmem.Media_fault _) -> ())
+    with_index_lock t d (fun () -> if current_root t d = 0 then build_index t d)
 
 (* Mutating name ops need certainty about existence; an
    unindexed-nonempty directory only offers it through the full scan.
@@ -1579,14 +1586,9 @@ let op_rmdir t ~resolve path =
         Ok ())
 
 (* Readdir ordering contract (README): entries come back in ascending
-   (name-hash, slot-address) key order — the index's native range-scan
-   order, stable across mounts and processes.  The unindexed fallback
-   sorts to the same order so the contract holds either way. *)
-let readdir_order a b =
-  compare
-    (Dirindex.hash_name a.d_name, a.d_name)
-    (Dirindex.hash_name b.d_name, b.d_name)
-
+   (name-hash, dentry-address) key order — the index's native range-scan
+   order, stable across mounts and processes.  A listing from the name
+   table sorts to the same order, so the contract holds either way. *)
 let op_readdir t path =
   with_retry t (fun () ->
       match split_path path with
@@ -1595,14 +1597,18 @@ let op_readdir t path =
         let* d = resolve_dir t ~write:false components in
         let from_table () =
           materialize t d;
-          let entries =
+          let keyed =
             Htbl.fold d.d_names [] (fun acc name r ->
                 Sched.cpu_work Perf.Cpu.hash_lookup;
-                { d_ino = r.e_ino; d_name = name; d_ftype = r.e_ftype } :: acc)
+                let entry = { d_ino = r.e_ino; d_name = name; d_ftype = r.e_ftype } in
+                ((Dirindex.hash_name name, r.e_addr), entry) :: acc)
           in
-          Ok (List.sort readdir_order entries)
+          Ok (List.map snd (List.sort (fun (a, _) (b, _) -> compare a b) keyed))
         in
-        if d.d_dindex_root = 0 then from_table ()
+        (* a complete table nobody else can change (the [mirror] rule)
+           is listed with no device read *)
+        if d.d_dindex_root = 0 || (d.d_aux_built && Option.is_some (mirror t d)) then
+          from_table ()
         else
           (* served by an index range scan, already in key order *)
           match

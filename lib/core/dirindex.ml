@@ -8,13 +8,17 @@
    from the leaves.
 
    Every node update is one store of the lines the re-encoded node
-   changes ({!Pmem.write_lines}) and one fence over its page: an insert
-   at position i of an n-entry leaf stores the header line, the lines
-   spanning entries i..n and the CRC line.  Comparing with the device
-   stands in for tracking the changed lines because the writer is
-   exclusive: callers hold the directory's index lock, one per (trust
-   group, directory) on the controller, so the page holds exactly the
-   node the writer decoded.
+   changes ({!Pmem.write_lines}) and one fence over its page.  An entry
+   keeps its physical slot for as long as it stays in its node, and a
+   new one takes the lowest free slot, so an insert or delete stores
+   the header line, the slot-map bytes that move, the one slot it fills
+   or clears and the CRC line: at most 6 of the page's 64 lines,
+   whatever the node's fill.  Only [build] and the fresh right node of
+   a split are packed.  Comparing with the device stands in for
+   tracking the changed lines because the writer is exclusive: callers
+   hold the directory's index lock, one per (trust group, directory)
+   on the controller, so the page holds exactly the node the writer
+   decoded.
 
    Crash discipline (single writer per directory; readers are lock-free
    thanks to the B-link right-sibling pointers):
@@ -187,19 +191,47 @@ let lookup ?mirror ?fetch ?stats pm ~actor ~root ~hash =
 (* ------------------------------------------------------------------ *)
 (* Insert *)
 
-let sorted_insert entries entry =
-  let key_of (h, a, _) = (h, a) in
-  let key = key_of entry in
+(* The position at which [key] enters [entries] in key order; [None]
+   when it is present already. *)
+let insert_pos entries key =
   let len = Array.length entries in
-  let rec pos i = if i >= len then i else if key < key_of entries.(i) then i else pos (i + 1) in
-  let i = pos 0 in
-  if i < len && key_of entries.(i) = key then None (* already present *)
-  else begin
-    let out = Array.make (len + 1) entry in
-    Array.blit entries 0 out 0 i;
-    Array.blit entries i out (i + 1) (len - i);
-    Some out
-  end
+  let rec pos i =
+    if i >= len then Some i
+    else
+      let h, a, _ = entries.(i) in
+      if key < (h, a) then Some i else if key = (h, a) then None else pos (i + 1)
+  in
+  pos 0
+
+(* Fresh copies of [a] with [x] inserted at, or the element removed
+   from, position [i]: a decoded node is never changed in place. *)
+let insert_at a i x =
+  let len = Array.length a in
+  let out = Array.make (len + 1) x in
+  Array.blit a 0 out 0 i;
+  Array.blit a i out (i + 1) (len - i);
+  out
+
+let remove_at a i =
+  Array.append (Array.sub a 0 i) (Array.sub a (i + 1) (Array.length a - i - 1))
+
+(* The slot a new entry fills: the lowest one none of [slots] holds. *)
+let lowest_free slots =
+  let used = Bytes.make Layout.dnode_capacity '\000' in
+  Array.iter (fun s -> Bytes.set used s '\001') slots;
+  let rec go s = if Bytes.get used s = '\000' then s else go (s + 1) in
+  go 0
+
+let packed n = Array.init n Fun.id
+
+(* [n] with [entry] inserted at position [i] into the lowest free slot,
+   every other entry staying in its own. *)
+let with_entry (n : Layout.dnode) i entry =
+  {
+    n with
+    Layout.dn_entries = insert_at n.Layout.dn_entries i entry;
+    dn_slots = insert_at n.Layout.dn_slots i (lowest_free n.Layout.dn_slots);
+  }
 
 (* Find the node at [start] (following right links) holding a child
    entry for [child_page]; defensive against a reader racing a split. *)
@@ -230,6 +262,7 @@ let insert ?mirror ?stats pm ~actor ~alloc ~free ~root ~hash ~addr =
           dn_high_hash = fst max_key;
           dn_high_addr = snd max_key;
           dn_entries = [| (hash, addr, 0) |];
+          dn_slots = packed 1;
         };
       Ok (pg, [ pg ])
   else begin
@@ -253,12 +286,12 @@ let insert ?mirror ?stats pm ~actor ~alloc ~free ~root ~hash ~addr =
     match descend root [] 0 with
     | Error _ as e -> e
     | Ok (leaf_page, leaf, path) -> (
-      match sorted_insert leaf.Layout.dn_entries (hash, addr, 0) with
+      match insert_pos leaf.Layout.dn_entries key with
       | None -> Ok (root, []) (* exact (hash, addr) already indexed *)
-      | Some entries when Array.length entries <= cap ->
-        write_node ?mirror pm ~actor leaf_page { leaf with Layout.dn_entries = entries };
+      | Some i when Array.length leaf.Layout.dn_entries < cap ->
+        write_node ?mirror pm ~actor leaf_page (with_entry leaf i (hash, addr, 0));
         Ok (root, [])
-      | Some entries ->
+      | Some i ->
         (* Overflow: pre-allocate every page the worst case needs (one
            per level plus a new root) so a full device fails cleanly
            before any write. *)
@@ -285,13 +318,23 @@ let insert ?mirror ?stats pm ~actor ~alloc ~free ~root ~hash ~addr =
               pg
             | [] -> assert false
           in
-          (* Split [node] (already holding its overflowing entry set):
-             write the right half to a fresh page, rewrite the node,
-             return the separator to push up. *)
-          let split node_page (node : Layout.dnode) entries =
+          (* Split full [node] whose overflowing entry goes in at
+             position [i]: write the right half, packed, to a fresh
+             page, rewrite the node with the left half in its slots,
+             return the separator to push up.  The node has no free
+             slot for the new entry: if it falls left, it takes the
+             lowest slot the right half vacated. *)
+          let split node_page (node : Layout.dnode) i entry =
+            let entries = insert_at node.Layout.dn_entries i entry in
             let len = Array.length entries in
             let k = len / 2 in
             let left_entries = Array.sub entries 0 k in
+            let left_slots =
+              if i < k then
+                let kept = Array.sub node.Layout.dn_slots 0 (k - 1) in
+                insert_at kept i (lowest_free kept)
+              else Array.sub node.Layout.dn_slots 0 k
+            in
             let right_entries = Array.sub entries k (len - k) in
             let sep =
               if node.Layout.dn_level = 0 then
@@ -309,6 +352,7 @@ let insert ?mirror ?stats pm ~actor ~alloc ~free ~root ~hash ~addr =
                 dn_high_hash = node.Layout.dn_high_hash;
                 dn_high_addr = node.Layout.dn_high_addr;
                 dn_entries = right_entries;
+                dn_slots = packed (len - k);
               };
             write_node ?mirror pm ~actor node_page
               {
@@ -317,6 +361,7 @@ let insert ?mirror ?stats pm ~actor ~alloc ~free ~root ~hash ~addr =
                 dn_high_hash = fst sep;
                 dn_high_addr = snd sep;
                 dn_entries = left_entries;
+                dn_slots = left_slots;
               };
             (sep, right_page)
           in
@@ -334,34 +379,39 @@ let insert ?mirror ?stats pm ~actor ~alloc ~free ~root ~hash ~addr =
                   dn_high_addr = snd max_key;
                   dn_entries =
                     [| (fst sep, snd sep, child_page); (fst max_key, snd max_key, right_page) |];
+                  dn_slots = packed 2;
                 };
               Ok new_root
             | parent_start :: rest -> (
               match find_parent ?mirror ?stats pm ~actor ~start:parent_start ~child_page with
               | Error e -> Error (`Damaged e)
               | Ok (parent_page, parent) ->
-                (* the child's old entry now names the right half; a new
-                   entry at the separator keeps naming the left half *)
+                (* the child's old entry, in its slot, now names the
+                   right half; a new entry at the separator keeps naming
+                   the left half *)
                 let updated =
-                  Array.map
-                    (fun (h, a, c) -> if c = child_page then (h, a, right_page) else (h, a, c))
-                    parent.Layout.dn_entries
+                  {
+                    parent with
+                    Layout.dn_entries =
+                      Array.map
+                        (fun (h, a, c) -> if c = child_page then (h, a, right_page) else (h, a, c))
+                        parent.Layout.dn_entries;
+                  }
                 in
-                let entries =
-                  match sorted_insert updated (fst sep, snd sep, child_page) with
-                  | Some e -> e
-                  | None -> updated (* separator collides: tree is damaged *)
-                in
-                if Array.length entries <= cap then begin
-                  write_node ?mirror pm ~actor parent_page
-                    { parent with Layout.dn_entries = entries };
+                let entry = (fst sep, snd sep, child_page) in
+                match insert_pos updated.Layout.dn_entries sep with
+                | None ->
+                  (* separator collides: tree is damaged *)
+                  write_node ?mirror pm ~actor parent_page updated;
                   Ok root
-                end
-                else
-                  let psep = split parent_page parent entries in
-                  propagate parent_page psep rest (parent.Layout.dn_level))
+                | Some i when Array.length updated.Layout.dn_entries < cap ->
+                  write_node ?mirror pm ~actor parent_page (with_entry updated i entry);
+                  Ok root
+                | Some i ->
+                  let psep = split parent_page updated i entry in
+                  propagate parent_page psep rest updated.Layout.dn_level)
           in
-          let leaf_sep = split leaf_page leaf entries in
+          let leaf_sep = split leaf_page leaf i (hash, addr, 0) in
           match propagate leaf_page leaf_sep path 0 with
           | Error _ as e -> e
           | Ok new_root ->
@@ -391,17 +441,16 @@ let delete ?mirror ?stats pm ~actor ~root ~hash ~addr =
         | Ok n ->
           if key >= high_of n && n.Layout.dn_right <> 0 then descend n.Layout.dn_right (steps + 1)
           else if n.Layout.dn_level = 0 then begin
-            let keep = Array.exists (fun (h, a, _) -> (h, a) = key) n.Layout.dn_entries in
-            if keep then
+            (match Array.find_index (fun (h, a, _) -> (h, a) = key) n.Layout.dn_entries with
+            | Some i ->
+              (* the freed slot is stored zeroed; every other entry stays put *)
               write_node ?mirror pm ~actor page
                 {
                   n with
-                  Layout.dn_entries =
-                    Array.of_list
-                      (List.filter
-                         (fun (h, a, _) -> (h, a) <> key)
-                         (Array.to_list n.Layout.dn_entries));
-                };
+                  Layout.dn_entries = remove_at n.Layout.dn_entries i;
+                  dn_slots = remove_at n.Layout.dn_slots i;
+                }
+            | None -> ());
             Ok ()
           end
           else (
@@ -548,6 +597,7 @@ let build ?mirror ?stats pm ~actor ~alloc ~free ~entries =
                 dn_high_hash = fst high;
                 dn_high_addr = snd high;
                 dn_entries = Array.of_list (List.map (fun (h, a) -> (h, a, 0)) g);
+                dn_slots = packed (List.length g);
               };
             Some ((pg, first_key, high) :: tail)))
     in
@@ -590,6 +640,7 @@ let build ?mirror ?stats pm ~actor ~alloc ~free ~entries =
                     dn_high_hash = fst high;
                     dn_high_addr = snd high;
                     dn_entries = entries;
+                    dn_slots = packed (Array.length entries);
                   };
                 Some ((pg, first_key, high) :: tail)))
         in

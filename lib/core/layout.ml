@@ -188,8 +188,16 @@ let write_index_head pm ~actor ~dentry_addr page =
   Pmem.write_u64 pm ~actor ~addr:(dentry_addr + off_index_head) page;
   Pmem.persist pm ~addr:(dentry_addr + off_index_head) ~len:8
 
+(* Userspace actors read the root word through ECC like every other
+   metadata read: a poisoned word reads as 0 (unindexed), the legal
+   fallback, instead of raising. *)
 let read_dindex_root pm ~actor ~dentry_addr =
-  Pmem.read_u64 pm ~actor ~addr:(dentry_addr + off_dindex_root)
+  let addr = dentry_addr + off_dindex_root in
+  if actor = Pmem.kernel_actor then Pmem.read_u64 pm ~actor ~addr
+  else
+    match Pmem.read_ecc pm ~actor ~addr ~len:8 with
+    | Pmem.Ecc.Ok b -> get_u64 b 0
+    | Pmem.Ecc.Poisoned _ -> 0
 
 let write_dindex_root pm ~actor ~dentry_addr page =
   Pmem.write_u64 pm ~actor ~addr:(dentry_addr + off_dindex_root) page;
@@ -292,25 +300,41 @@ let dentry_slot_addr page slot =
    equal-hash entries are simply adjacent in key order.
 
      magic u32 | level u8 | nkeys u16 | right-sibling page u64
-     | high hash u64 | high addr u64 | entries (24 bytes each)
-     | ... zero fill ... | crc u64 (CRC32 of everything before it)
+     | high hash u64 | high addr u64 | entry slots (162 x 24 bytes)
+     | zero fill | slot map (162 x u8, growing down from the crc)
+     | crc u64 (CRC32 of everything before it)
 
-   A leaf entry is (hash, dentry addr, 0); an internal entry is
-   (separator hash, separator addr, child page) where the child covers
-   keys strictly below its separator and the node's high key equals the
-   last separator.  The rightmost node at each level has high key
-   (max_int, max_int) and no right sibling.
+   The slot map lists, in key order, the physical slot of each of the
+   node's [nkeys] entries: map position p is the byte p + 1 below the
+   CRC.  An entry keeps its slot for as long as it stays in the node,
+   so an insert or delete moves map bytes and fills or clears one slot
+   instead of shifting every entry after it; a free slot is all zero.
+   Every update stores the header line and the CRC line, and those two
+   lines also hold slot 0 and the first 56 map positions, so an update
+   of a one-entry node stores only them.  A leaf entry is (hash, dentry
+   addr, 0); an internal entry is (separator hash, separator addr,
+   child page) where the child covers keys strictly below its separator
+   and the node's high key equals the last separator.  The rightmost
+   node at each level has high key (max_int, max_int) and no right
+   sibling.
 
    The CRC covers the whole page body, so a torn node write decodes as
    an error — readers fall back to the dentry-page scan and the index
    is rebuilt from its leaves (the dentry pages stay the source of
-   truth; the tree is an accelerator). *)
+   truth; the tree is an accelerator).  So does a map that names a slot
+   twice or past the capacity, and a node of the older DIX1 format,
+   which fails the magic check. *)
 
-let dnode_magic = 0x44495831 (* "DIX1" *)
+let dnode_magic = 0x44495832 (* "DIX2" *)
 let dnode_hdr_size = 32
 let dnode_entry_size = 24
 let dnode_crc_off = page_size - 8
-let dnode_capacity = (dnode_crc_off - dnode_hdr_size) / dnode_entry_size (* 169 *)
+
+(* The most entries whose slots and map fit between the header and the
+   CRC: 32 + 162 x 24 = 3,920 <= 4,088 - 162. *)
+let dnode_capacity = 162
+let dnode_slots_off = dnode_hdr_size
+let dnode_map_byte p = dnode_crc_off - 1 - p
 
 let dn_off_magic = 0
 let dn_off_level = 4
@@ -324,12 +348,16 @@ type dnode = {
   dn_right : int; (* right-sibling page; 0 = rightmost at this level *)
   dn_high_hash : int; (* exclusive upper bound of this node's key space *)
   dn_high_addr : int;
-  dn_entries : (int * int * int) array;
+  dn_entries : (int * int * int) array; (* key order *)
+  dn_slots : int array; (* physical slot of each entry, parallel to [dn_entries] *)
 }
+
+let dnode_slot_off slot = dnode_slots_off + (slot * dnode_entry_size)
 
 let encode_dnode (n : dnode) : Bytes.t =
   let nkeys = Array.length n.dn_entries in
-  if nkeys > dnode_capacity then invalid_arg "Layout.encode_dnode: too many entries";
+  if nkeys > dnode_capacity || Array.length n.dn_slots <> nkeys then
+    invalid_arg "Layout.encode_dnode: bad entry or slot count";
   let b = Bytes.make page_size '\000' in
   set_u32 b dn_off_magic dnode_magic;
   set_u8 b dn_off_level n.dn_level;
@@ -337,16 +365,22 @@ let encode_dnode (n : dnode) : Bytes.t =
   set_u64 b dn_off_right n.dn_right;
   set_u64 b dn_off_high_hash n.dn_high_hash;
   set_u64 b dn_off_high_addr n.dn_high_addr;
-  Array.iteri
-    (fun i (h, a, x) ->
-      let off = dnode_hdr_size + (i * dnode_entry_size) in
-      set_u64 b off h;
-      set_u64 b (off + 8) a;
-      set_u64 b (off + 16) x)
-    n.dn_entries;
+  for i = 0 to nkeys - 1 do
+    let slot = n.dn_slots.(i) and h, a, x = n.dn_entries.(i) in
+    if slot < 0 || slot >= dnode_capacity then invalid_arg "Layout.encode_dnode: bad slot";
+    set_u8 b (dnode_map_byte i) slot;
+    let off = dnode_slot_off slot in
+    set_u64 b off h;
+    set_u64 b (off + 8) a;
+    set_u64 b (off + 16) x
+  done;
   set_u64 b dnode_crc_off (Crc32.of_bytes ~pos:0 ~len:dnode_crc_off b);
   b
 
+exception Bad_map of string
+
+(* One pass over the map reads the entries through it; each slot must
+   be inside the capacity and named once. *)
 let decode_dnode (b : Bytes.t) : (dnode, string) result =
   if Bytes.length b <> page_size then Error "index node: wrong page size"
   else if get_u32 b dn_off_magic <> dnode_magic then Error "index node: bad magic"
@@ -355,18 +389,32 @@ let decode_dnode (b : Bytes.t) : (dnode, string) result =
   else begin
     let nkeys = get_u16 b dn_off_nkeys in
     if nkeys > dnode_capacity then Error "index node: bad key count"
-    else
-      Ok
-        {
-          dn_level = get_u8 b dn_off_level;
-          dn_right = get_u64 b dn_off_right;
-          dn_high_hash = get_u64 b dn_off_high_hash;
-          dn_high_addr = get_u64 b dn_off_high_addr;
-          dn_entries =
-            Array.init nkeys (fun i ->
-                let off = dnode_hdr_size + (i * dnode_entry_size) in
-                (get_u64 b off, get_u64 b (off + 8), get_u64 b (off + 16)));
-        }
+    else begin
+      let seen = Bytes.make dnode_capacity '\000' in
+      let slots = Array.make nkeys 0 in
+      let entry i =
+        let slot = get_u8 b (dnode_map_byte i) in
+        if slot >= dnode_capacity then raise_notrace (Bad_map "index node: slot past capacity");
+        if Bytes.get seen slot <> '\000' then
+          raise_notrace (Bad_map "index node: slot mapped twice");
+        Bytes.set seen slot '\001';
+        slots.(i) <- slot;
+        let off = dnode_slot_off slot in
+        (get_u64 b off, get_u64 b (off + 8), get_u64 b (off + 16))
+      in
+      match Array.init nkeys entry with
+      | exception Bad_map e -> Error e
+      | entries ->
+        Ok
+          {
+            dn_level = get_u8 b dn_off_level;
+            dn_right = get_u64 b dn_off_right;
+            dn_high_hash = get_u64 b dn_off_high_hash;
+            dn_high_addr = get_u64 b dn_off_high_addr;
+            dn_entries = entries;
+            dn_slots = slots;
+          }
+    end
   end
 
 (* ------------------------------------------------------------------ *)

@@ -95,7 +95,7 @@ let checks : (string * (Fs.t -> unit)) list =
         Alcotest.(check (list string)) "names" [ "a"; "b"; "sub" ] names );
     ( "readdir entry set is order-independent",
       (* File systems are free to pick their own readdir order (ArckFS
-         returns ascending (name-hash, name) from the B-link index;
+         returns ascending (name-hash, dentry address) from the B-link index;
          baselines return page-scan order) — but after the same mutation
          history every one of them must report the exact same entry
          *set*, with no duplicates and no ghosts.  Checked by sorting

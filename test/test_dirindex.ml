@@ -184,21 +184,28 @@ let test_boundaries () =
       done)
 
 (* The node CRC covers every byte before [dnode_crc_off]: flipping any
-   one byte of an encoded node (header, entries, the zero fill of a
-   10-entry node, byte 4,087 of a full one, or the CRC itself) must make
-   it decode as an error. *)
+   one byte of an encoded node (header, a live slot, a free slot, the
+   zero fill, the slot map, whose last byte is 4,087, or the CRC
+   itself) must make it decode as an error.  The slots are scattered
+   (slot 37i mod 162 for entry i) so live and free slots interleave. *)
 let test_node_byte_flips () =
-  Alcotest.(check int)
-    "a full node's entries end at the CRC" Layout.dnode_crc_off
-    (Layout.dnode_hdr_size + (Layout.dnode_capacity * Layout.dnode_entry_size));
-  let region n off =
-    if off < Layout.dnode_hdr_size then "header"
-    else if off < Layout.dnode_hdr_size + (n * Layout.dnode_entry_size) then "entries"
-    else if off < Layout.dnode_crc_off then "zero fill"
-    else "crc"
-  in
+  let slots_end = Layout.dnode_slot_off Layout.dnode_capacity
+  and map_start = Layout.dnode_map_byte (Layout.dnode_capacity - 1) in
+  Alcotest.(check bool) "a full node's slots end before its map" true (slots_end <= map_start);
+  Alcotest.(check int) "the map ends at the CRC" Layout.dnode_crc_off (Layout.dnode_map_byte (-1));
   List.iter
     (fun n ->
+      let slots = Array.init n (fun i -> i * 37 mod Layout.dnode_capacity) in
+      let region off =
+        if off < Layout.dnode_slots_off then "header"
+        else if off < slots_end then
+          if Array.mem ((off - Layout.dnode_slots_off) / Layout.dnode_entry_size) slots then
+            "live slot"
+          else "free slot"
+        else if off < map_start then "zero fill"
+        else if off < Layout.dnode_crc_off then "slot map"
+        else "crc"
+      in
       let node =
         {
           Layout.dn_level = 0;
@@ -206,6 +213,7 @@ let test_node_byte_flips () =
           dn_high_hash = max_int;
           dn_high_addr = max_int;
           dn_entries = Array.init n (fun i -> (i * 7919, 4096 + (i * 64), 0));
+          dn_slots = slots;
         }
       in
       let b = Layout.encode_dnode node in
@@ -213,53 +221,147 @@ let test_node_byte_flips () =
       | Ok d -> Alcotest.(check bool) "clean node round-trips" true (d = node)
       | Error e -> Alcotest.failf "%d-entry node: clean copy: %s" n e);
       let flip off = Bytes.set_uint8 b off (Bytes.get_uint8 b off lxor 0x01) in
+      let seen = Hashtbl.create 5 in
       for off = 0 to Layout.page_size - 1 do
         flip off;
+        Hashtbl.replace seen (region off) ();
         (match Layout.decode_dnode b with
         | Error _ -> ()
         | Ok _ ->
-          Alcotest.failf "%d-entry node: %s byte %d flipped, still decodes" n (region n off) off);
+          Alcotest.failf "%d-entry node: %s byte %d flipped, still decodes" n (region off) off);
         flip off
-      done)
+      done;
+      Alcotest.(check int) (Printf.sprintf "%d-entry node: regions flipped" n)
+        (if n = Layout.dnode_capacity then 5 else 6)
+        (Hashtbl.length seen))
     [ 10; Layout.dnode_capacity ]
 
-(* A node update stores only the lines it changes: inserting into an
-   n-entry leaf at position i rewrites the header line (the key count),
-   the lines spanning entries i..n (shifted up by one) and the CRC line,
-   and is charged for exactly those — not for the whole 4 KiB page. *)
-let test_insert_writes_changed_lines () =
-  let n = 40 in
+(* A node whose map names a slot twice or past the capacity, or whose
+   key count is past the capacity, is damaged even under a good CRC:
+   decode refuses it, and the audit behind verifier invariant I5
+   reports it. *)
+let test_bad_slot_map () =
+  let reseal b =
+    Layout.(set_u64 b dnode_crc_off (Trio_util.Crc32.of_bytes ~pos:0 ~len:dnode_crc_off b))
+  in
   List.iter
-    (fun i ->
+    (fun (what, damage) ->
       with_tree (fun pm alloc free ->
           let actor = Pmem.kernel_actor in
-          (* hashes 1000, 2000, ...; the new key sorts at position i *)
-          let entries = List.init n (fun k -> ((k + 1) * 1000, k)) in
+          let entries = List.init 10 (fun k -> ((k + 1) * 1000, k)) in
           let root, _ = iok "build" (Dirindex.build pm ~actor ~alloc ~free ~entries) in
-          let node = Pmem.node_of_page pm root in
-          let written () =
-            let _, _, w = Pmem.node_stats pm node in
-            int_of_float w
-          in
-          let before = written () in
-          let r, fresh =
-            iok "insert"
-              (Dirindex.insert pm ~actor ~alloc ~free ~root ~hash:((i * 1000) + 500) ~addr:n)
-          in
-          Alcotest.(check bool) "no split" true (r = root && fresh = []);
-          let line off = off / Pmem.line_size in
-          let first = line (Layout.dnode_hdr_size + (i * Layout.dnode_entry_size))
-          and last = line (Layout.dnode_hdr_size + ((n + 1) * Layout.dnode_entry_size) - 1) in
-          let lines =
-            (0 :: List.init (last - first + 1) (fun k -> first + k)) @ [ line Layout.dnode_crc_off ]
-            |> List.sort_uniq compare
-          in
-          Alcotest.(check int)
-            (Printf.sprintf "bytes stored for an insert at %d of %d" i n)
-            (List.length lines * Pmem.line_size)
-            (written () - before);
-          ignore (audit_clean "after insert" pm root)))
-    [ 0; 17; n ]
+          let b = Pmem.read pm ~actor ~addr:(root * Layout.page_size) ~len:Layout.page_size in
+          damage b;
+          reseal b;
+          (match Layout.decode_dnode b with
+          | Error _ -> ()
+          | Ok _ -> Alcotest.failf "%s: decodes" what);
+          Pmem.write pm ~actor ~addr:(root * Layout.page_size) ~src:b;
+          let au = Dirindex.audit pm ~actor ~root in
+          Alcotest.(check bool)
+            (what ^ ": audit reports it")
+            true
+            (au.Dirindex.au_violations <> [])))
+    [
+      ( "repeated slot",
+        fun b -> Layout.(set_u8 b (dnode_map_byte 3) (get_u8 b (dnode_map_byte 0))) );
+      ("slot past capacity", fun b -> Layout.(set_u8 b (dnode_map_byte 9) dnode_capacity));
+      ("key count past capacity", fun b -> Layout.(set_u16 b dn_off_nkeys (dnode_capacity + 1)));
+    ]
+
+(* A node update stores only the lines it changes: inserting into or
+   deleting from an n-entry leaf at position i stores the header line
+   (the key count), the lines of the map bytes that move (positions i..
+   of the slot map), the lines of the one slot filled or cleared and
+   the CRC line, and is charged for exactly those: at most 6 lines
+   wherever the entry sorts and however full the node is. *)
+let test_update_writes_changed_lines () =
+  let line off = off / Pmem.line_size in
+  let span first last = List.init (line last - line first + 1) (fun k -> line first + k) in
+  (* a leaf entry's third word is 0 filled or cleared alike: its lines
+     are those of the hash and address words *)
+  let slot_lines s = span (Layout.dnode_slot_off s) (Layout.dnode_slot_off s + 15) in
+  let expect ~map_first ~map_last ~slot =
+    (0 :: line Layout.dnode_crc_off :: slot_lines slot)
+    @ span (Layout.dnode_map_byte map_last) (Layout.dnode_map_byte map_first)
+    |> List.sort_uniq compare |> List.length
+  in
+  let check what n i update =
+    with_tree (fun pm alloc free ->
+        let actor = Pmem.kernel_actor in
+        (* hashes 1000, 2000, ... in slots 0, 1, ... *)
+        let entries = List.init n (fun k -> ((k + 1) * 1000, k)) in
+        let root, _ = iok "build" (Dirindex.build pm ~actor ~alloc ~free ~entries) in
+        let node = Pmem.node_of_page pm root in
+        let written () =
+          let _, _, w = Pmem.node_stats pm node in
+          int_of_float w
+        in
+        let before = written () in
+        let lines = update pm ~actor ~alloc ~free ~root in
+        let stored = written () - before in
+        let label = Printf.sprintf "%s at %d of %d" what i n in
+        Alcotest.(check int) (label ^ ": bytes stored") (lines * Pmem.line_size) stored;
+        Alcotest.(check bool) (label ^ ": at most 6 lines") true (stored <= 6 * Pmem.line_size);
+        ignore (audit_clean label pm root))
+  in
+  List.iter
+    (fun n ->
+      List.iter
+        (fun i ->
+          (* the new key sorts at position i and takes free slot n *)
+          check "insert" n i (fun pm ~actor ~alloc ~free ~root ->
+              let r, fresh =
+                iok "insert"
+                  (Dirindex.insert pm ~actor ~alloc ~free ~root ~hash:((i * 1000) + 500) ~addr:n)
+              in
+              Alcotest.(check bool) "no split" true (r = root && fresh = []);
+              expect ~map_first:i ~map_last:n ~slot:n))
+        (List.sort_uniq compare [ 0; min 17 n; n / 2; n ]);
+      List.iter
+        (fun i ->
+          (* the entry at position i sits in slot i *)
+          check "delete" n i (fun pm ~actor ~alloc:_ ~free:_ ~root ->
+              tok "delete" (Dirindex.delete pm ~actor ~root ~hash:((i + 1) * 1000) ~addr:i);
+              expect ~map_first:i ~map_last:(n - 1) ~slot:i))
+        (List.sort_uniq compare [ 0; min 17 (n - 1); n - 1 ]))
+    [ 1; 40; Layout.dnode_capacity - 1 ];
+  (* a one-entry leaf emptied and refilled, as a rename within a
+     one-file directory does: slot 0 and map position 0 share the header
+     and CRC lines, so each update stores those two alone *)
+  check "delete, then insert" 1 0 (fun pm ~actor ~alloc ~free ~root ->
+      tok "delete" (Dirindex.delete pm ~actor ~root ~hash:1000 ~addr:0);
+      ignore (iok "insert" (Dirindex.insert pm ~actor ~alloc ~free ~root ~hash:500 ~addr:1)
+        : int * int list);
+      2 * expect ~map_first:0 ~map_last:0 ~slot:0);
+  Alcotest.(check int) "lines of a one-entry update" 2 (expect ~map_first:0 ~map_last:0 ~slot:0)
+
+(* A deleted entry's slot is the next insert's, and every other entry
+   keeps its own. *)
+let test_slot_reuse () =
+  with_tree (fun pm alloc free ->
+      let actor = Pmem.kernel_actor in
+      let entries = List.init 20 (fun k -> ((k + 1) * 1000, k)) in
+      let root, _ = iok "build" (Dirindex.build pm ~actor ~alloc ~free ~entries) in
+      let slots () =
+        let n = tok "read" (Dirindex.read_node pm ~actor root) in
+        Array.to_list (Array.map2 (fun (h, _, _) s -> (h, s)) n.Layout.dn_entries n.Layout.dn_slots)
+      in
+      tok "delete" (Dirindex.delete pm ~actor ~root ~hash:6000 ~addr:5);
+      tok "delete" (Dirindex.delete pm ~actor ~root ~hash:3000 ~addr:2);
+      let insert hash addr =
+        let r, _ = iok "insert" (Dirindex.insert pm ~actor ~alloc ~free ~root ~hash ~addr) in
+        Alcotest.(check int) "no split" root r
+      in
+      insert 50 50;
+      insert 99_000 51;
+      let kept =
+        List.filter_map
+          (fun k -> if k = 2 || k = 5 then None else Some ((k + 1) * 1000, k))
+          (List.init 20 Fun.id)
+      in
+      let expected = ((50, 2) :: kept) @ [ (99_000, 5) ] in
+      Alcotest.(check (list (pair int int))) "(hash, slot) in key order" expected (slots ()))
 
 (* ------------------------------------------------------------------ *)
 (* LibFS integration *)
@@ -300,8 +402,9 @@ let test_rename_across_indexed_dirs () =
       let _checked, bad = Controller.audit_all env.Helpers.ctl in
       Alcotest.(check int) "full sweep clean" 0 bad)
 
-(* The readdir contract: entries stream in ascending (name-hash, name)
-   order — the index's native order — and repeated scans agree. *)
+(* The readdir contract: entries stream in ascending (name-hash, dentry
+   address) order — the index's native order — and repeated scans
+   agree. *)
 let test_readdir_order () =
   with_fs (fun _ _ ops ->
       ok "mkdir" (ops.Fs.mkdir "/d" 0o755);
@@ -312,10 +415,59 @@ let test_readdir_order () =
       let first = names (ok "readdir" (ops.Fs.readdir "/d")) in
       let second = names (ok "readdir again" (ops.Fs.readdir "/d")) in
       Alcotest.(check (list string)) "stable across scans" first second;
-      let keyed = List.map (fun n -> (Dirindex.hash_name n, n)) first in
-      let sorted = List.sort compare keyed in
-      Alcotest.(check bool) "ascending (hash, name)" true (keyed = sorted);
+      let hashes = List.map Dirindex.hash_name first in
+      Alcotest.(check (list int)) "ascending hash" (List.sort compare hashes) hashes;
       Alcotest.(check int) "complete" 41 (List.length first))
+
+(* A LibFS that holds a directory write-mapped alone in its trust group,
+   with a complete name table, lists it from the table: no device byte
+   read, no range scan, and the index's own key order, which a second
+   process's range scan reproduces.  A read-mapped reader and a
+   same-group co-writer still range-scan. *)
+let test_readdir_from_table () =
+  Dirindex.with_test_capacity 4 @@ fun () ->
+  Helpers.run_sim (fun env ->
+      let pm = env.Helpers.pmem and ctl = env.Helpers.ctl in
+      let device_reads () =
+        List.fold_left
+          (fun acc node ->
+            let _, r, _ = Pmem.node_stats pm node in
+            acc +. r)
+          0.0
+          (List.init (Trio_nvm.Numa.nodes (Pmem.topo pm)) Fun.id)
+      in
+      let scans () = Trio_sim.Stats.get (Controller.stats ctl) "verify.dindex.range_scans" in
+      let listing what ops ~scanned =
+        let s0 = scans () and r0 = device_reads () in
+        let entries = ok what (ops.Fs.readdir "/d") in
+        Alcotest.(check bool) (what ^ ": range scan") scanned (scans () > s0);
+        if not scanned then
+          Alcotest.(check (float 0.0)) (what ^ ": device bytes read") 0.0 (device_reads () -. r0);
+        List.map (fun e -> (e.d_name, e.d_ino)) entries
+      in
+      let writer = Helpers.mount ~proc:1 env in
+      let w = Libfs.ops writer in
+      ok "mkdir" (w.Fs.mkdir "/d" 0o777);
+      for i = 0 to 29 do
+        ok "close" (w.Fs.close (ok "create" (w.Fs.create (Printf.sprintf "/d/n%02d" i) 0o644)))
+      done;
+      ok "unlink" (w.Fs.unlink "/d/n07");
+      let from_table = listing "writer" w ~scanned:false in
+      Alcotest.(check int) "writer: entries" 29 (List.length from_table);
+      Libfs.unmap_everything writer;
+      let r = Libfs.ops (Helpers.mount ~proc:2 env) in
+      Alcotest.(check (list (pair string int)))
+        "reader's range scan: same listing, same order" from_table
+        (listing "reader" r ~scanned:true);
+      let c_fs = Helpers.mount ~proc:3 ~group:77 env in
+      ignore (Helpers.mount ~proc:4 ~group:77 env : Libfs.t);
+      let c = Libfs.ops c_fs in
+      ok "close" (c.Fs.close (ok "co-writer create" (c.Fs.create "/d/c00" 0o644)));
+      Alcotest.(check int)
+        "co-writer: entries" 30
+        (List.length (listing "co-writer" c ~scanned:true));
+      Libfs.unmap_everything c_fs;
+      Alcotest.(check int) "corruption events" 0 (List.length (Controller.corruption_events ctl)))
 
 (* Allocator exhaustion mid-build (the scan fallback, mount-time
    recovery and the scrubber all rebuild): dry at the first page and
@@ -366,8 +518,8 @@ let dentry_keys pm (d : Libfs.dir_state) =
     d.Libfs.d_data_pages
   |> List.sort compare
 
-(* Every node the LibFS mirrors for [d] is the node on the device and a
-   page of its tree, the root is among them (each op descends from it),
+(* Every node the LibFS mirrors for [d] is the node on the device, slot
+   map included, and a page of its tree, the root is among them (each op descends from it),
    and the tree holds exactly the dentries' keys. *)
 let mirror_agrees pm (d : Libfs.dir_state) =
   let root = d.Libfs.d_dindex_root in
@@ -386,6 +538,30 @@ let mirror_agrees pm (d : Libfs.dir_state) =
   if List.sort compare au.Dirindex.au_entries <> dentry_keys pm d then
     Alcotest.fail "index keys disagree with the dentries";
   if root <> 0 && not (Hashtbl.mem d.Libfs.d_nodes root) then Alcotest.fail "root not mirrored"
+
+(* A create in a directory whose tree was dropped (a failed or faulted
+   index update) indexes every name of its complete table, not just its
+   own: a tree started from the one new key would disagree with the
+   dentries, and the next verification would roll the directory back
+   on I5. *)
+let test_create_after_drop () =
+  Dirindex.with_test_capacity 4 @@ fun () ->
+  with_fs (fun env fs ops ->
+      let pm = env.Helpers.pmem in
+      ok "mkdir" (ops.Fs.mkdir "/d" 0o755);
+      for i = 0 to 9 do
+        ok "close" (ops.Fs.close (ok "create" (ops.Fs.create (Printf.sprintf "/d/f%d" i) 0o644)))
+      done;
+      let ino = (ok "stat" (ops.Fs.stat "/d")).st_ino in
+      let d = Option.get (Libfs.cached_dir fs ino) in
+      Libfs.drop_index fs d;
+      Alcotest.(check int) "dropped" 0 d.Libfs.d_dindex_root;
+      ok "close" (ops.Fs.close (ok "create" (ops.Fs.create "/d/g" 0o644)));
+      Alcotest.(check bool) "indexed again" true (d.Libfs.d_dindex_root <> 0);
+      mirror_agrees pm d;
+      Libfs.unmap_everything fs;
+      Alcotest.(check int) "corruption events" 0
+        (List.length (Controller.corruption_events env.Helpers.ctl)))
 
 (* Random create/unlink/rename (and the odd handoff, after which the
    mirror starts over) in one directory the process holds write-mapped
@@ -491,13 +667,17 @@ let () =
           Alcotest.test_case "empty tree and first split" `Quick test_boundaries;
           Alcotest.test_case "build with a dry allocator" `Quick test_build_dry_allocator;
           Alcotest.test_case "node CRC catches any flipped byte" `Quick test_node_byte_flips;
+          Alcotest.test_case "decode rejects a bad slot map" `Quick test_bad_slot_map;
           Alcotest.test_case "insert stores only changed lines" `Quick
-            test_insert_writes_changed_lines;
+            test_update_writes_changed_lines;
+          Alcotest.test_case "a freed slot is the next insert's" `Quick test_slot_reuse;
         ] );
       ( "libfs",
         [
           Alcotest.test_case "rename across indexed dirs" `Quick test_rename_across_indexed_dirs;
           Alcotest.test_case "readdir order" `Quick test_readdir_order;
+          Alcotest.test_case "readdir from a trusted table" `Quick test_readdir_from_table;
+          Alcotest.test_case "create after a dropped index" `Quick test_create_after_drop;
           QCheck_alcotest.to_alcotest prop_mirror_matches_device;
         ] );
       ( "explore",
