@@ -54,7 +54,10 @@ fmt:
 # kill sweep, conformance over the batched plane), a pinned-seed
 # process-death exploration with ring-mounted victims, and the
 # ring-batching bench (the batched plane must beat synchronous map/unmap
-# by >= 1.5x on create/close/unlink with unmap-after-write).
+# by >= 1.5x on create/close/unlink with unmap-after-write, and
+# sync_kernel_read_bytes: the sync side's controller device reads stay
+# at or below 32 KiB per op at every point, so a verified handoff keeps
+# reading each metadata page once).
 ringcheck:
 	dune build
 	dune exec test/test_ring.exe

@@ -911,6 +911,9 @@ let shardscale () =
    (fire-and-forget) and its verification settle off that path and
    amortizes the kernel crossing over the drained batch; the gate
    requires batched >= 1.5x synchronous at >= 32 concurrent processes.
+   A second gate holds the controller to one device read per metadata
+   page per verified handoff: the sync side's kernel-actor device reads
+   must stay at or below 32 KiB per op at every point.
    Emits BENCH_ring_batching.json. *)
 let ringbatch () =
   section "Ring batching: create/delete-heavy ops/us, sync vs batched syscall plane";
@@ -930,51 +933,59 @@ let ringbatch () =
           (fun i fs -> ignore (get_ok "mkdir" (fs.Fs.mkdir (Printf.sprintf "/rb%d" i) 0o755)))
           fss;
         let max_ops = if !fast then 4000 else 12_000 in
+        let kernel_bytes () = float_of_int (snd (Pmem.kernel_read_stats rig.Rig.pmem)) in
+        let bytes0 = kernel_bytes () in
         let r =
           Runner.run ~sched:rig.Rig.sched ~topo:rig.Rig.topo ~threads:nprocs ~max_ops
             ~max_ns:20.0e6
             ~body:(churn ~threads:nprocs ~path:(Printf.sprintf "/rb%d/f%d") (Array.get fss))
             ()
         in
-        Printf.printf "  [%3d procs, %s] ops=%d %.4f ops/us\n%!" nprocs
+        let read_per_op = ratio (kernel_bytes () -. bytes0) (float_of_int r.Runner.ops) in
+        Printf.printf "  [%3d procs, %s] ops=%d %.4f ops/us, controller reads %.0f B/op\n%!"
+          nprocs
           (if ring then "ring" else "sync")
-          r.Runner.ops r.Runner.ops_per_us;
-        r.Runner.ops_per_us)
+          r.Runner.ops r.Runner.ops_per_us read_per_op;
+        (r.Runner.ops_per_us, read_per_op))
   in
   let points =
     List.map
       (fun n ->
-        let sync = run_point ~ring:false n in
-        let batched = run_point ~ring:true n in
-        (n, sync, batched, ratio batched sync))
+        let sync, sync_read = run_point ~ring:false n in
+        let batched, _ = run_point ~ring:true n in
+        (n, sync, batched, ratio batched sync, sync_read))
       proc_counts
   in
-  print_header "procs" [ "sync"; "ring"; "speedup" ];
+  print_header "procs" [ "sync"; "ring"; "speedup"; "sync B/op" ];
   List.iter
-    (fun (n, sync, batched, sp) -> print_row (string_of_int n) [ sync; batched; sp ])
+    (fun (n, sync, batched, sp, rd) -> print_row (string_of_int n) [ sync; batched; sp; rd ])
     points;
-  let required = 1.5 in
+  let required = 1.5 and max_read = 32768.0 in
   record "ring_batching"
     ~config:
       [
         ("ring_depth", int depth);
         ("workload", str "create-close-unlink, unmap_after_write");
         ("required_speedup", num 2 required);
+        ("max_sync_kernel_read_bytes_per_op", num 0 max_read);
       ]
     ~points:
       (List.map
-         (fun (n, sync, batched, sp) ->
+         (fun (n, sync, batched, sp, rd) ->
            [
              ("procs", int n);
              ("sync_ops_per_us", num 4 sync);
              ("ring_ops_per_us", num 4 batched);
              ("speedup", num 3 sp);
+             ("sync_kernel_read_bytes_per_op", num 0 rd);
            ])
          points)
     [
       ( "speedup",
-        all (fun (_, _, _, sp) -> sp >= required) (List.filter (fun (n, _, _, _) -> n >= 32) points)
-      );
+        all
+          (fun (_, _, _, sp, _) -> sp >= required)
+          (List.filter (fun (n, _, _, _, _) -> n >= 32) points) );
+      ("sync_kernel_read_bytes", all (fun (_, _, _, _, rd) -> rd <= max_read) points);
     ]
 
 (* ------------------------------------------------------------------ *)

@@ -410,6 +410,17 @@ let print_verify_counters ctl =
     Printf.printf "verification plane (per-invariant timers, pipeline counters):\n";
     List.iter (fun (k, v) -> Printf.printf "  %-32s %.1f\n" k v) kvs
 
+(* The map path's timers, the wait for verification ("settle"), and the
+   device reads the controller made. *)
+let print_controller_counters ctl pmem =
+  let stats = Controller.stats ctl in
+  Printf.printf "controller timers (virtual ns) and device reads:\n";
+  List.iter
+    (fun k -> Printf.printf "  %-32s %.1f\n" k (Trio_sim.Stats.get stats k))
+    [ "settle"; "map.walk"; "map.checkpoint"; "map"; "unmap" ];
+  let reads, bytes = Pmem.kernel_read_stats pmem in
+  Printf.printf "  %-32s %d (%d B)\n" "kernel device reads" reads bytes
+
 let stats_cmd =
   let run fs_name =
     Rig.run ~nodes:2 ~cpus_per_node:4 ~pages_per_node:65536 ~store_data:true (fun rig ->
@@ -427,6 +438,7 @@ let stats_cmd =
         Format.printf "per-op counters, errno breakdown and latency percentiles:@.%a"
           Vfs.pp_breakdown vfs;
         print_verify_counters rig.Rig.ctl;
+        print_controller_counters rig.Rig.ctl rig.Rig.pmem;
         Format.printf "per-socket shards (free pages, verify queues):@.%a@."
           Controller.pp_shard_stats
           (Controller.shard_stats rig.Rig.ctl);
@@ -819,7 +831,7 @@ let snap_cmd =
                   (if path = "" then "/" else path)
                   inode.Layout.ino
                   (match inode.Layout.ftype with Trio_core.Fs_types.Dir -> "dir" | _ -> "reg")
-                  ck.Controller.ck_size (List.length ck.Controller.ck_pages))
+                  ck.Controller.ck_size (Trio_core.Ctl_state.Page_map.cardinal ck.Controller.ck_pages))
               paths;
             paths
         in

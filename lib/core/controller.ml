@@ -42,7 +42,7 @@ type ino_owner = Ctl_state.ino_owner = Ino_free | Ino_allocated_to of int | Ino_
 
 type checkpoint = Ctl_state.checkpoint = {
   ck_dentry : Bytes.t;
-  ck_pages : (int * Bytes.t) list;
+  ck_pages : Bytes.t Ctl_state.Page_map.t;
   ck_children : int list;
   ck_size : int;
   ck_index_head : int;

@@ -5,11 +5,14 @@
    pages together with the MMU write-set mark current when they were
    read.  While a page has no recorded content mutation past that mark,
    the snapshot bytes equal the device bytes bit for bit — so they can
-   be (a) reused when the next checkpoint is taken and (b) served to
-   the verifier in incremental mode (see {!Verifier}).  Any doubt —
-   write-set overflow, no checkpoint, dirty page, a checkpoint decoded
-   from a durable root — falls back to the device read, never the other
-   way around. *)
+   be (a) reused when the next checkpoint is taken, (b) served to the
+   verifier in incremental mode (see {!Verifier}) and (c) served to the
+   map walk.  A verification pass's read set ({!Ctl_state.reads}) obeys
+   the same rule against its own mark, so the checkpoint that ends an
+   ingestion takes the pages the verifier just read without reading
+   them again.  Any doubt — write-set overflow, no checkpoint, dirty
+   page, a checkpoint decoded from a durable root — falls back to the
+   device read, never the other way around. *)
 
 module Pmem = Trio_nvm.Pmem
 module Crc32 = Trio_util.Crc32
@@ -17,38 +20,52 @@ open Ctl_state
 
 let page_size = Layout.page_size
 
-let take_checkpoint t (f : file_info) =
+(* The bytes that may stand in for a device read of page [pg]: [ck]'s
+   while the page is clean since the checkpoint's mark, else those of
+   the pass's read set [reads] while it is clean since the set's mark.
+   Both tests are made now, as the bytes are used: ingestion itself
+   stores after the verifier read (a refused child's dentry, a size
+   field, an index entry, I4 repairs).  [None]: read the device. *)
+let stand_in t ?ck ?reads pg =
+  let clean mark = Mmu.clean_since t.mmu ~mark ~page:pg in
+  let from_ck = match ck with Some ck when clean ck.ck_mark -> checkpoint_page ck pg | _ -> None in
+  if Option.is_some from_ck then from_ck
+  else
+    match reads with Some r when clean r.r_mark -> Hashtbl.find_opt r.r_pages pg | _ -> None
+
+let take_checkpoint ?reads t (f : file_info) =
   let actor = Pmem.kernel_actor in
   (* Capture the mark before any read: stores racing the snapshot then
      land after the mark and invalidate what they touched. *)
   let mark = Mmu.write_mark t.mmu in
-  let old_ck = f.f_checkpoint in
-  let reuse pg =
-    match old_ck with
-    | Some ck when Mmu.clean_since t.mmu ~mark:ck.ck_mark ~page:pg ->
-      List.assoc_opt pg ck.ck_pages
-    | _ -> None
+  let ck = f.f_checkpoint in
+  let dentry =
+    match stand_in t ?reads (f.f_dentry_addr / page_size) with
+    | Some b -> Bytes.sub b (f.f_dentry_addr mod page_size) Layout.dentry_size
+    | None -> Pmem.read t.pmem ~actor ~addr:f.f_dentry_addr ~len:Layout.dentry_size
   in
-  let dentry = Pmem.read t.pmem ~actor ~addr:f.f_dentry_addr ~len:Layout.dentry_size in
   let meta_pages =
     match f.f_ftype with
     | Fs_types.Reg -> f.f_index_pages
     | Fs_types.Dir -> f.f_index_pages @ f.f_data_pages @ f.f_dindex_pages
   in
   let ck_pages =
-    List.map
-      (fun pg ->
-        match reuse pg with
-        | Some b -> (pg, b)
-        | None -> (pg, Pmem.read t.pmem ~actor ~addr:(pg * page_size) ~len:page_size))
-      meta_pages
+    List.fold_left
+      (fun m pg ->
+        let b =
+          match stand_in t ?ck ?reads pg with
+          | Some b -> b
+          | None -> Pmem.read t.pmem ~actor ~addr:(pg * page_size) ~len:page_size
+        in
+        Page_map.add pg b m)
+      Page_map.empty meta_pages
   in
   let children =
     if f.f_ftype = Fs_types.Dir then
       List.concat_map
         (fun pg ->
           (* the snapshot just built holds every dir data page *)
-          let b = List.assoc pg ck_pages in
+          let b = Page_map.find pg ck_pages in
           List.filter_map
             (fun slot ->
               let ino = Layout.get_u64 b (slot * Layout.dentry_size) in
@@ -96,17 +113,16 @@ let restore_checkpoint t f ck ~offender =
     let actor = Pmem.kernel_actor in
     Pmem.write t.pmem ~actor ~addr:f.f_dentry_addr ~src:ck.ck_dentry;
     Pmem.persist t.pmem ~addr:f.f_dentry_addr ~len:Layout.dentry_size;
-    List.iter
-      (fun (pg, snapshot) ->
+    Page_map.iter
+      (fun pg snapshot ->
         Pmem.write t.pmem ~actor ~addr:(pg * page_size) ~src:snapshot;
         Pmem.persist t.pmem ~addr:(pg * page_size) ~len:page_size)
       ck.ck_pages;
     (* Pages added since the checkpoint return to the offender. *)
-    let ck_set = List.map fst ck.ck_pages in
     let offender_info = proc_info t offender in
     List.iter
       (fun pg ->
-        if not (List.mem pg ck_set) then begin
+        if not (Page_map.mem pg ck.ck_pages) then begin
           set_page_owner t pg (Allocated_to offender);
           Hashtbl.replace offender_info.p_pages pg ()
         end)
@@ -132,7 +148,7 @@ let rollback_to_checkpoint t f ~offender =
 
 let checkpoint_page_bytes t ~ino ~page =
   match file_find t ino with
-  | Some { f_checkpoint = Some ck; _ } -> List.assoc_opt page ck.ck_pages
+  | Some { f_checkpoint = Some ck; _ } -> checkpoint_page ck page
   | _ -> None
 
 (* ------------------------------------------------------------------ *)
@@ -142,19 +158,17 @@ let checkpoint_page_bytes t ~ino ~page =
    The lookup is global, not per-verified-file: a directory walk reads
    pages of child files too, and each is covered by its own file's
    checkpoint.  Returning [None] is always safe (device read). *)
-let page_snapshot t pg =
+let owner_checkpoint t pg =
   match owner_of t pg with
-  | In_file ino -> (
-    match file_find t ino with
-    | Some { f_checkpoint = Some ck; _ } when Mmu.clean_since t.mmu ~mark:ck.ck_mark ~page:pg ->
-      List.assoc_opt pg ck.ck_pages
-    | _ -> None)
+  | In_file ino -> Option.bind (file_find t ino) (fun f -> f.f_checkpoint)
   | Free | Allocated_to _ -> None
 
-let delta_of t =
+let page_snapshot t pg = stand_in t ?ck:(owner_checkpoint t pg) pg
+
+let delta_of ?reads t =
   match current_verify_mode () with
   | Full -> None
-  | Incremental -> Some (fun pg -> page_snapshot t pg)
+  | Incremental -> Some (fun pg -> stand_in t ?ck:(owner_checkpoint t pg) ?reads pg)
 
 (* ------------------------------------------------------------------ *)
 (* Durable encoding.  Checkpoints are DRAM soft state; serializing them
@@ -175,7 +189,7 @@ let magic = "TRCK"
 let version = 2
 
 let encode_checkpoint (ck : checkpoint) =
-  let buf = Buffer.create (256 + (List.length ck.ck_pages * (page_size + 8))) in
+  let buf = Buffer.create (256 + (Page_map.cardinal ck.ck_pages * (page_size + 8))) in
   let u64 n =
     let b = Bytes.create 8 in
     Bytes.set_int64_le b 0 (Int64.of_int n);
@@ -187,9 +201,9 @@ let encode_checkpoint (ck : checkpoint) =
   u64 ck.ck_index_head;
   u64 (Bytes.length ck.ck_dentry);
   Buffer.add_bytes buf ck.ck_dentry;
-  u64 (List.length ck.ck_pages);
-  List.iter
-    (fun (pg, b) ->
+  u64 (Page_map.cardinal ck.ck_pages);
+  Page_map.iter
+    (fun pg b ->
       u64 pg;
       u64 (Bytes.length b);
       Buffer.add_bytes buf b)
@@ -230,16 +244,22 @@ let decode_checkpoint b =
         let ck_index_head = u64 () in
         let ck_dentry = bytes (u64 ()) in
         let npages = u64 () in
-        let ck_pages =
-          List.init npages (fun _ ->
-              let pg = u64 () in
-              let b = bytes (u64 ()) in
-              (pg, b))
-        in
+        let ck_pages = ref Page_map.empty in
+        for _ = 1 to npages do
+          let pg = u64 () in
+          ck_pages := Page_map.add pg (bytes (u64 ())) !ck_pages
+        done;
         let nchildren = u64 () in
         let ck_children = List.init nchildren (fun _ -> u64 ()) in
         if !pos <> crc_off then failwith "trailing garbage";
-        { ck_dentry; ck_pages; ck_children; ck_size; ck_index_head; ck_mark = Mmu.no_mark }
+        {
+          ck_dentry;
+          ck_pages = !ck_pages;
+          ck_children;
+          ck_size;
+          ck_index_head;
+          ck_mark = Mmu.no_mark;
+        }
       with
       | ck -> Ok ck
       | exception Failure msg -> fail msg

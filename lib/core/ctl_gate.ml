@@ -17,7 +17,14 @@
 
    Each check runs through {!check_file_now}, which picks full or
    incremental mode ({!Ctl_checkpoint.delta_of}), feeds the
-   per-invariant stats, and fires the observability hook. *)
+   per-invariant stats, and fires the observability hook.
+
+   A verification pass — [verify_file], [commit], [ensure_verified] —
+   opens one read set ({!Ctl_state.reads}) before its first read and
+   passes it down: the verifier records the pages it reads from the
+   device, the fresh-children checks of the same ingestion see them as
+   snapshot bytes, and the checkpoint that ends each ingestion takes
+   them without a second read.  The set dies when the pass returns. *)
 
 module Pmem = Trio_nvm.Pmem
 module Perf = Trio_nvm.Perf
@@ -54,13 +61,18 @@ let quarantine_copy t f ~offender =
 (* One verification, instrumented *)
 
 (* Run the verifier on one file: incremental when the global mode allows
-   (clean pages served from delta checkpoints), full otherwise.  Also
-   the single place the mode counters and the observability hook fire. *)
-let check_file_now t ~proc ~ino ~dentry_addr =
-  let delta = Ctl_checkpoint.delta_of t in
+   (clean pages served from delta checkpoints and the pass's read set
+   [reads]), full otherwise; either way the pages read from the device
+   join [reads].  Also the single place the mode counters and the
+   observability hook fire. *)
+let check_file_now ?reads t ~proc ~ino ~dentry_addr =
+  let delta = Ctl_checkpoint.delta_of ?reads t in
   let hits0 = Stats.get t.stats "verify.dirty.hits" in
   let t0 = Sched.now t.sched in
-  let report = Verifier.check_file ?delta ~stats:t.stats (view t) ~proc ~ino ~dentry_addr in
+  let report =
+    Verifier.check_file ?delta ?record:(Option.map record_read reads) ~stats:t.stats (view t)
+      ~proc ~ino ~dentry_addr
+  in
   (* Label by what the check actually did, not the global mode: write-set
      overflow or a missing/stale checkpoint forces every page to a device
      read, and such a walk is full no matter what mode is configured. *)
@@ -114,17 +126,19 @@ let reclaim_deferred t =
 (* ------------------------------------------------------------------ *)
 (* Ingestion: after a successful verification, reconcile global info *)
 
-let rec ingest_verified t ~proc ~(f : file_info) (report : Verifier.report) =
+let rec ingest_verified t ~reads ~proc ~(f : file_info) (report : Verifier.report) =
   let pinfo = proc_info t proc in
   (* Page attribution: everything the walk saw becomes In_file; pages that
      left the file (truncate without free) return to the proc. *)
   let new_pages =
     report.Verifier.index_pages @ report.Verifier.data_pages @ report.Verifier.dindex_pages
   in
+  let is_new = Hashtbl.create 64 in
+  List.iter (fun pg -> Hashtbl.replace is_new pg ()) new_pages;
   let old_pages = f.f_index_pages @ f.f_data_pages @ f.f_dindex_pages in
   List.iter
     (fun pg ->
-      if not (List.mem pg new_pages) then begin
+      if not (Hashtbl.mem is_new pg) then begin
         set_page_owner t pg (Allocated_to proc);
         Hashtbl.replace pinfo.p_pages pg ()
       end)
@@ -150,13 +164,6 @@ let rec ingest_verified t ~proc ~(f : file_info) (report : Verifier.report) =
         (* Fresh file: establish the shadow inode with the creator's
            credentials as ground truth. *)
         let cred = cred_of_proc t proc in
-        let mode =
-          match
-            Layout.read_dentry t.pmem ~actor:Pmem.kernel_actor ~addr:c.Verifier.c_dentry_addr
-          with
-          | Some (Ok (inode, _)) -> inode.Layout.mode land 0o7777
-          | _ -> 0o644
-        in
         let child_file =
           new_file ~ino:c.Verifier.c_ino ~dentry_addr:c.Verifier.c_dentry_addr ~parent:f.f_ino
             ~ftype:c.Verifier.c_ftype ()
@@ -164,7 +171,7 @@ let rec ingest_verified t ~proc ~(f : file_info) (report : Verifier.report) =
         set_shadow t c.Verifier.c_ino
           {
             Verifier.s_ftype = c.Verifier.c_ftype;
-            s_mode = mode;
+            s_mode = c.Verifier.c_mode land 0o7777;
             s_uid = cred.uid;
             s_gid = cred.gid;
           };
@@ -173,9 +180,10 @@ let rec ingest_verified t ~proc ~(f : file_info) (report : Verifier.report) =
         set_file t c.Verifier.c_ino child_file;
         (* Recursively verify and ingest the fresh subtree. *)
         let child_report =
-          check_file_now t ~proc ~ino:c.Verifier.c_ino ~dentry_addr:c.Verifier.c_dentry_addr
+          check_file_now ~reads t ~proc ~ino:c.Verifier.c_ino
+            ~dentry_addr:c.Verifier.c_dentry_addr
         in
-        if child_report.Verifier.ok then ingest_verified t ~proc ~f:child_file child_report
+        if child_report.Verifier.ok then ingest_verified t ~reads ~proc ~f:child_file child_report
         else begin
           t.corruption_events <-
             (proc, c.Verifier.c_ino, child_report.Verifier.violations) :: t.corruption_events;
@@ -241,20 +249,21 @@ let rec ingest_verified t ~proc ~(f : file_info) (report : Verifier.report) =
      state — including for freshly ingested children, via the recursion
      above.  This is what the patrol scrubber repairs media-damaged
      metadata lines from (see {!Scrub}). *)
-  Ctl_checkpoint.take_checkpoint t f
+  Ctl_checkpoint.take_checkpoint ~reads t f
 
 (* ------------------------------------------------------------------ *)
 (* Verification driver *)
 
 let verify_file t ~proc ~(f : file_info) =
+  let reads = open_reads t in
   let report =
     Stats.timed t.stats t.sched "verify" (fun () ->
-        check_file_now t ~proc ~ino:f.f_ino ~dentry_addr:f.f_dentry_addr)
+        check_file_now ~reads t ~proc ~ino:f.f_ino ~dentry_addr:f.f_dentry_addr)
   in
   if report.Verifier.ok then begin
     (* ingestion recursively verifies freshly created children, so its
        time also counts as verification *)
-    Stats.timed t.stats t.sched "verify" (fun () -> ingest_verified t ~proc ~f report);
+    Stats.timed t.stats t.sched "verify" (fun () -> ingest_verified t ~reads ~proc ~f report);
     true
   end
   else begin
@@ -266,9 +275,9 @@ let verify_file t ~proc ~(f : file_info) =
       | Some fix_fn -> (
         match fix_fn f.f_ino with
         | true ->
-          let retry = check_file_now t ~proc ~ino:f.f_ino ~dentry_addr:f.f_dentry_addr in
+          let retry = check_file_now ~reads t ~proc ~ino:f.f_ino ~dentry_addr:f.f_dentry_addr in
           if retry.Verifier.ok then begin
-            ingest_verified t ~proc ~f retry;
+            ingest_verified t ~reads ~proc ~f retry;
             true
           end
           else false
@@ -308,16 +317,20 @@ let run_pending t (f : file_info) =
    is run inline (charged to the caller — the file is being demanded
    right now); an in-flight one is waited out on the file's waiter
    queue.  Callers outside a fiber are safe: there the queue is always
-   empty and nothing is in flight, so neither branch is taken. *)
-let rec settle t (f : file_info) =
-  if f.f_pending <> None then begin
-    run_pending t f;
-    settle t f
-  end
-  else if f.f_verifying then begin
-    Sched.park (fun waker -> Queue.push waker f.f_waiters);
-    settle t f
-  end
+   empty and nothing is in flight, so neither branch is taken.  The
+   wait accumulates under "settle". *)
+let settle t (f : file_info) =
+  let rec wait () =
+    if f.f_pending <> None then begin
+      run_pending t f;
+      wait ()
+    end
+    else if f.f_verifying then begin
+      Sched.park (fun waker -> Queue.push waker f.f_waiters);
+      wait ()
+    end
+  in
+  Stats.timed t.stats t.sched "settle" wait
 
 (* Settle [f] and its ancestor chain, root first: a pending parent
    verification may re-ingest (or refuse) this very file. *)
@@ -430,9 +443,10 @@ let ensure_verified t ~(f : file_info) =
   | None -> Ok ()
   | Some dead ->
     drop_unverified t f;
+    let reads = open_reads t in
     let check () =
       Stats.timed t.stats t.sched "verify" (fun () ->
-          check_file_now t ~proc:dead ~ino:f.f_ino ~dentry_addr:f.f_dentry_addr)
+          check_file_now ~reads t ~proc:dead ~ino:f.f_ino ~dentry_addr:f.f_dentry_addr)
     in
     (* Deepest rung: the durable snapshot root.  Restoration itself can
        fail (file absent from the root, payload poisoned — never written
@@ -442,13 +456,13 @@ let ensure_verified t ~(f : file_info) =
       | Error _ -> false
       | Ok () ->
         let r = check () in
-        if r.Verifier.ok then ingest_verified t ~proc:dead ~f r;
+        if r.Verifier.ok then ingest_verified t ~reads ~proc:dead ~f r;
         r.Verifier.ok
     in
     let report = check () in
     let outcome =
       if report.Verifier.ok then begin
-        ingest_verified t ~proc:dead ~f report;
+        ingest_verified t ~reads ~proc:dead ~f report;
         Ok ()
       end
       else begin
@@ -464,7 +478,7 @@ let ensure_verified t ~(f : file_info) =
           Ctl_checkpoint.rollback_to_checkpoint t f ~offender:dead;
           let retry = check () in
           if retry.Verifier.ok then begin
-            ingest_verified t ~proc:dead ~f retry;
+            ingest_verified t ~reads ~proc:dead ~f retry;
             Ok ()
           end
           else if try_snapshot () then Ok ()
@@ -713,14 +727,21 @@ let map_file_body t ~proc ~ino ~write =
           end
           else Hashtbl.replace f.f_readers proc ();
           f.f_lease_expire <- Sched.now t.sched +. t.lease_ns;
-          (* Walk the file to find the page set. *)
-          (match walk_file t ~ino ~dentry_addr:f.f_dentry_addr with
-          | Some (_, index_pages, data_pages, dindex_pages) ->
-            f.f_index_pages <- index_pages;
-            f.f_data_pages <- data_pages;
-            f.f_dindex_pages <- dindex_pages
-          | None -> ());
-          if write then Ctl_checkpoint.take_checkpoint t f;
+          (* Walk the file to find the page set: a settled file's clean
+             pages come from its checkpoint, under the rule incremental
+             verification follows (the device in [Full] mode). *)
+          Stats.timed t.stats t.sched "map.walk" (fun () ->
+              match
+                walk_file ?fetch:(Ctl_checkpoint.delta_of t) t ~ino ~dentry_addr:f.f_dentry_addr
+              with
+              | Some (_, index_pages, data_pages, dindex_pages) ->
+                f.f_index_pages <- index_pages;
+                f.f_data_pages <- data_pages;
+                f.f_dindex_pages <- dindex_pages
+              | None -> ());
+          if write then
+            Stats.timed t.stats t.sched "map.checkpoint" (fun () ->
+                Ctl_checkpoint.take_checkpoint t f);
           let pages = file_pages f in
           Stats.timed t.stats t.sched "map" (fun () ->
               Mmu.grant t.mmu ~actor:proc ~pages
@@ -743,13 +764,14 @@ let commit t ~proc ~ino =
   | Some f ->
     if f.f_writer <> Some proc then Error EBADF
     else begin
+      let reads = open_reads t in
       let report =
         Stats.timed t.stats t.sched "verify" (fun () ->
-            check_file_now t ~proc ~ino ~dentry_addr:f.f_dentry_addr)
+            check_file_now ~reads t ~proc ~ino ~dentry_addr:f.f_dentry_addr)
       in
       if report.Verifier.ok then begin
-        ingest_verified t ~proc ~f report;
-        Ctl_checkpoint.take_checkpoint t f;
+        (* ingestion ends with the fresh checkpoint *)
+        ingest_verified t ~reads ~proc ~f report;
         reclaim_deferred t;
         Ok ()
       end

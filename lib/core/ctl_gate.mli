@@ -2,15 +2,24 @@
     pipeline, commit, the dead-writer gate, namespace operations.
     Internal to [lib/core] — external code goes through {!Controller}. *)
 
-val check_file_now : Ctl_state.t -> proc:int -> ino:int -> dentry_addr:int -> Verifier.report
+val check_file_now :
+  ?reads:Ctl_state.reads ->
+  Ctl_state.t ->
+  proc:int ->
+  ino:int ->
+  dentry_addr:int ->
+  Verifier.report
 (** One instrumented verification: full or incremental per the global
-    mode, feeding the per-invariant stats and the observability hook. *)
+    mode, feeding the per-invariant stats and the observability hook.
+    The pages it reads from the device join [reads]; in incremental
+    mode, clean pages of [reads] serve as snapshot bytes. *)
 
 val verify_file : Ctl_state.t -> proc:int -> f:Ctl_state.file_info -> bool
 val drain_unverified : Ctl_state.t -> int
 
 val settle : Ctl_state.t -> Ctl_state.file_info -> unit
-(** Wait until the file has no queued or in-flight verification. *)
+(** Wait until the file has no queued or in-flight verification; the
+    wait accumulates under the "settle" timer. *)
 
 val drain_verification : Ctl_state.t -> unit
 (** Run every queued verification inline; wait out in-flight ones.

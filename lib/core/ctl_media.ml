@@ -125,7 +125,12 @@ let replace_page t ~ino ~bad ~zero_lines =
         (match f.f_checkpoint with
         | Some ck ->
           f.f_checkpoint <-
-            Some { ck with ck_pages = List.map (fun (p, b) -> (remap p, b)) ck.ck_pages }
+            Some
+              {
+                ck with
+                ck_pages =
+                  Page_map.fold (fun p b m -> Page_map.add (remap p) b m) ck.ck_pages Page_map.empty;
+              }
         | None -> ());
         retire_page_raw t bad;
         Ok fresh

@@ -160,19 +160,17 @@ let valid_roots pm =
    device page is never touched).  This keeps every root
    self-consistent: mounting it can never surface a dentry whose inode
    the snapshot does not describe. *)
-let ck_fetch ck pg = List.assoc_opt pg ck.ck_pages
-
 let ck_data_pages t ck =
-  let _, data_pages, _ = chain_pages ~fetch:(ck_fetch ck) t ~head:ck.ck_index_head in
+  let _, data_pages, _ = chain_pages ~fetch:(checkpoint_page ck) t ~head:ck.ck_index_head in
   data_pages
 
 let sanitize_dir_ck t ~emitted (f : file_info) ck =
   let dentry_pages = ck_data_pages t ck in
   let tombstoned = ref false in
   let ck_pages =
-    List.map
-      (fun (pg, b) ->
-        if not (List.mem pg dentry_pages) then (pg, b)
+    Page_map.mapi
+      (fun pg b ->
+        if not (List.mem pg dentry_pages) then b
         else begin
           let b = Bytes.copy b in
           for slot = 0 to Layout.dentries_per_page - 1 do
@@ -186,7 +184,7 @@ let sanitize_dir_ck t ~emitted (f : file_info) ck =
                 tombstoned := true
             end
           done;
-          (pg, b)
+          b
         end)
       ck.ck_pages
   in
@@ -200,9 +198,7 @@ let sanitize_dir_ck t ~emitted (f : file_info) ck =
        lazily from the dentries it actually carries. *)
     let ck_dentry = Bytes.copy ck.ck_dentry in
     Layout.set_u64 ck_dentry Layout.off_dindex_root 0;
-    let ck_pages =
-      List.filter (fun (pg, _) -> not (List.mem pg f.f_dindex_pages)) ck_pages
-    in
+    let ck_pages = Page_map.filter (fun pg _ -> not (List.mem pg f.f_dindex_pages)) ck_pages in
     { ck with ck_dentry; ck_pages; ck_children }
   end
 
@@ -337,7 +333,7 @@ let entry_for t ino =
 let snapshot_page_bytes t ~ino ~page =
   match entry_for t ino with
   | Error _ -> None
-  | Ok (_, ck) -> List.assoc_opt page ck.ck_pages
+  | Ok (_, ck) -> checkpoint_page ck page
 
 (* Roll one file back to its state in the durable root — the rung
    below DRAM-checkpoint rollback on the recovery ladder.  Every byte
@@ -527,8 +523,8 @@ let build_state ~sched ~pmem ~mmu ~lease_ns (slot, root, stream, chain) =
           in
           if inode.Layout.ino <> e.e_ino then failwith "dentry/entry inode mismatch";
           let f =
-            adopt ~fetch:(ck_fetch ck) t ~parent:e.e_parent ~dentry_addr:e.e_dentry_addr inode
-              ~dindex_root:(fun () -> Layout.get_u64 ck.ck_dentry Layout.off_dindex_root)
+            adopt ~fetch:(checkpoint_page ck) t ~parent:e.e_parent ~dentry_addr:e.e_dentry_addr
+              inode ~dindex_root:(fun () -> Layout.get_u64 ck.ck_dentry Layout.off_dindex_root)
           in
           f.f_checkpoint <- Some ck)
         decoded;
@@ -552,7 +548,7 @@ let build_state ~sched ~pmem ~mmu ~lease_ns (slot, root, stream, chain) =
       in
       List.iter
         (fun (_, ck) ->
-          List.iter (fun (pg, b) -> restore_bytes (pg * page_size) b) ck.ck_pages)
+          Page_map.iter (fun pg b -> restore_bytes (pg * page_size) b) ck.ck_pages)
         decoded;
       List.iter (fun (e, ck) -> restore_bytes e.e_dentry_addr ck.ck_dentry) decoded;
       List.iter (fun (e, _) -> mark_snapshot_restored t e.e_ino) decoded;

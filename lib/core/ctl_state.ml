@@ -19,9 +19,11 @@ type page_owner = Verifier.page_owner = Free | Allocated_to of int | In_file of 
 
 type ino_owner = Verifier.ino_owner = Ino_free | Ino_allocated_to of int | Ino_in_dir of int
 
+module Page_map = Map.Make (Int)
+
 type checkpoint = {
   ck_dentry : Bytes.t; (* snapshot of the file's dentry block *)
-  ck_pages : (int * Bytes.t) list; (* metadata pages: index (+ data for dirs) *)
+  ck_pages : Bytes.t Page_map.t; (* metadata pages by number: index (+ data for dirs) *)
   ck_children : int list; (* dir only: live child inos *)
   ck_size : int;
   ck_index_head : int;
@@ -31,6 +33,15 @@ type checkpoint = {
          is what lets incremental verification serve it from DRAM.  A
          checkpoint decoded from a snapshot root carries [Mmu.no_mark]. *)
 }
+
+let checkpoint_page ck pg = Page_map.find_opt pg ck.ck_pages
+
+(* One verification pass's read set (DESIGN.md §4.13): the MMU write
+   mark taken before the pass's first device read, and the whole pages
+   the pass read from the device ([Ctl_checkpoint.stand_in] says when
+   they may stand in for it).  A pass opens its set and passes it down
+   as an argument; the set dies when the pass returns. *)
+type reads = { r_mark : int; r_pages : (int, Bytes.t) Hashtbl.t }
 
 (* Health of a file after media damage (see {!Scrub}): [Degraded_ro]
    files reject writes with EROFS but stay readable where the media
@@ -167,6 +178,9 @@ let with_verify_mode m f =
   Fun.protect ~finally:(fun () -> verify_mode := saved) f
 
 let page_size = Layout.page_size
+
+let open_reads t = { r_mark = Mmu.write_mark t.mmu; r_pages = Hashtbl.create 16 }
+let record_read r pg b = Hashtbl.replace r.r_pages pg b
 
 (* ------------------------------------------------------------------ *)
 (* Routing and the registry.  Pages belong to the node of their backing
@@ -478,21 +492,27 @@ let chain_pages ?fetch ?(claim = ignore) t ~head =
   in
   (List.rev !index_pages, List.rev !data_pages, verdict)
 
-(* Walk a file's on-NVM page tree with kernel reads.  Used at map time to
-   find what to grant and at ingestion to attribute pages. *)
-let walk_file t ~ino:_ ~dentry_addr =
+(* Walk a file's on-NVM page tree with kernel reads, [fetch] serving
+   pages (the dentry's too) from a checkpoint instead of the device.
+   Used at map time to find what to grant and at rollback to
+   attribute pages. *)
+let walk_file ?fetch t ~ino:_ ~dentry_addr =
   let actor = Pmem.kernel_actor in
-  match Layout.read_dentry t.pmem ~actor ~addr:dentry_addr with
+  let block =
+    match Option.bind fetch (fun f -> f (dentry_addr / page_size)) with
+    | Some b -> Bytes.sub b (dentry_addr mod page_size) Layout.dentry_size
+    | None -> Pmem.read t.pmem ~actor ~addr:dentry_addr ~len:Layout.dentry_size
+  in
+  match Layout.decode_dentry block with
   | None | Some (Error _) -> None
   | Some (Ok (inode, _name)) ->
-    let index_pages, data_pages, _ = chain_pages t ~head:inode.Layout.index_head in
+    let index_pages, data_pages, _ = chain_pages ?fetch t ~head:inode.Layout.index_head in
     (* Directory B-link index: reachable from the root page stored in
        the dentry tail word.  [Dirindex.pages] is total, so a damaged
        tree still yields its reachable nodes for attribution. *)
     let dindex_pages =
       if inode.Layout.ftype = Dir then
-        let root = Layout.read_dindex_root t.pmem ~actor ~dentry_addr in
-        Dirindex.pages t.pmem ~actor ~root
+        Dirindex.pages ?fetch t.pmem ~actor ~root:(Layout.get_u64 block Layout.off_dindex_root)
       else []
     in
     Some (inode, index_pages, data_pages, dindex_pages)

@@ -17,9 +17,11 @@ type page_owner = Verifier.page_owner = Free | Allocated_to of int | In_file of 
 
 type ino_owner = Verifier.ino_owner = Ino_free | Ino_allocated_to of int | Ino_in_dir of int
 
+module Page_map : Map.S with type key = int
+
 type checkpoint = {
   ck_dentry : Bytes.t;
-  ck_pages : (int * Bytes.t) list;
+  ck_pages : Bytes.t Page_map.t;  (** metadata pages by number *)
   ck_children : int list;
   ck_size : int;
   ck_index_head : int;
@@ -27,6 +29,15 @@ type checkpoint = {
       (** MMU write-set mark at snapshot time; [Mmu.no_mark] when decoded
           from a snapshot root *)
 }
+
+val checkpoint_page : checkpoint -> int -> Bytes.t option
+(** A page's bytes in the checkpoint, whether or not still clean. *)
+
+type reads = { r_mark : int; r_pages : (int, Bytes.t) Hashtbl.t }
+(** One verification pass's read set (DESIGN.md §4.13): the MMU write
+    mark taken before the pass's first device read, and the whole pages
+    the pass read from the device.  Passed down as an argument; it dies
+    with the pass. *)
 
 type degradation = Healthy | Degraded_ro | Failed
 
@@ -238,8 +249,20 @@ val chain_pages :
     from a checkpoint instead): its index and data pages in chain order,
     each passed to [claim] as it is found, and the walk's verdict. *)
 
-(* (inode, index pages, data pages, directory-index pages) *)
+val open_reads : t -> reads
+(** An empty read set marked now, before the pass's first read. *)
+
+val record_read : reads -> int -> Bytes.t -> unit
+
 val walk_file :
-  t -> ino:int -> dentry_addr:int -> (Layout.inode * int list * int list * int list) option
+  ?fetch:(int -> Bytes.t option) ->
+  t ->
+  ino:int ->
+  dentry_addr:int ->
+  (Layout.inode * int list * int list * int list) option
+(** (inode, index pages, data pages, directory-index pages); [fetch]
+    may serve a page (the dentry's page included) from a checkpoint
+    instead of the device. *)
+
 val dir_page_is_empty : t -> int -> bool
 val wake_all : file_info -> unit

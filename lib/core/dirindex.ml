@@ -670,6 +670,8 @@ type audit = {
    with the parents' child sequences, levels decrease by one, and the
    root is rightmost-complete (no right sibling, high = top).  Returns
    the leaf entries for the agreement check against the dentry truth.
+   Each node is read once: the root, decoded first for its level, seeds
+   its own level's chain.
 
    Total and cycle-safe: damaged or revisited nodes become violations,
    never exceptions. *)
@@ -696,8 +698,9 @@ let audit ?fetch pm ~actor ~root =
         | Ok n -> Some n
       end
     in
-    (* read one level's sibling chain *)
-    let chain start =
+    (* read one level's sibling chain; [first] is [start] already
+       decoded (the root, whose level the walk needed up front) *)
+    let chain ?first start =
       let bound = Pmem.total_pages pm in
       let rec go acc page steps =
         if page = 0 then List.rev acc
@@ -710,7 +713,9 @@ let audit ?fetch pm ~actor ~root =
           | None -> List.rev acc
           | Some n -> go ((page, n) :: acc) n.Layout.dn_right (steps + 1)
       in
-      go [] start 0
+      match first with
+      | Some n -> go [ (start, n) ] n.Layout.dn_right 1
+      | None -> go [] start 0
     in
     let check_node expected_level (page, (n : Layout.dnode)) =
       if n.Layout.dn_level <> expected_level then
@@ -734,9 +739,9 @@ let audit ?fetch pm ~actor ~root =
         end
       end
     in
-    let rec down start expected_level =
+    let rec down ?first start expected_level =
       (* returns the chain's pages in order, for the parent check *)
-      let nodes = chain start in
+      let nodes = chain ?first start in
       List.iter (check_node expected_level) nodes;
       (* sibling highs strictly ascend; the rightmost high is the top *)
       let rec seams = function
@@ -781,8 +786,6 @@ let audit ?fetch pm ~actor ~root =
     | Some rn ->
       if rn.Layout.dn_right <> 0 then add "index root %d has a right sibling" root;
       if high_of rn <> max_key then add "index root %d: high key is not the top" root;
-      Hashtbl.remove seen root;
-      pages := [];
-      ignore (down root rn.Layout.dn_level));
+      ignore (down ~first:rn root rn.Layout.dn_level));
     { au_pages = List.rev !pages; au_entries = List.rev !entries; au_violations = List.rev !violations }
   end

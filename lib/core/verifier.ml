@@ -31,7 +31,15 @@
    full walk; only the inspection cost drops, because clean pages skip
    the media read and pay a spot-check CPU charge instead of the full
    per-entry scan (the byte-format validation of those entries was
-   already vouched for when the checkpoint was taken). *)
+   already vouched for when the checkpoint was taken).
+
+   Read set (DESIGN.md §4.13): the caller may pass [record], which
+   receives every whole page the verifier reads from the device —
+   dentry pages, index-chain pages and B-link nodes — with the bytes
+   it read.  The controller keeps them for the rest of the verification
+   pass, so ingestion checkpoints them without reading them again.
+   Recording changes no verdict: it only observes reads the checks
+   make anyway. *)
 
 module Pmem = Trio_nvm.Pmem
 module Perf = Trio_nvm.Perf
@@ -83,7 +91,13 @@ type view = {
    reusing the same corruption-event plumbing. *)
 type violation = { check : [ `I1 | `I2 | `I3 | `I4 | `I5 | `Media ]; detail : string }
 
-type child = { c_ino : int; c_ftype : Fs_types.ftype; c_dentry_addr : int; c_name : string }
+type child = {
+  c_ino : int;
+  c_ftype : Fs_types.ftype;
+  c_mode : int; (* as the dentry holds it: a fresh child's shadow takes it *)
+  c_dentry_addr : int;
+  c_name : string;
+}
 
 type report = {
   ok : bool;
@@ -114,6 +128,7 @@ let empty_report =
 (* Incremental-mode plumbing *)
 
 let no_delta : int -> Bytes.t option = fun _ -> None
+let no_record : int -> Bytes.t -> unit = fun _ _ -> ()
 
 let count stats name = match stats with Some s -> Stats.incr s name | None -> ()
 
@@ -134,17 +149,23 @@ let phase p name =
     p.ph <- name;
     p.t0 <- now
 
+(* A whole page from the device, handed to [record]. *)
+let read_device view ~record ~actor page =
+  let b = Pmem.read view.pmem ~actor ~addr:(page * Layout.page_size) ~len:Layout.page_size in
+  record page b;
+  b
+
 (* Read a whole (meta)data page, serving clean pages from the delta
    checkpoint.  Returns the bytes and whether they came from a
    snapshot. *)
-let fetch_page view ~delta ~stats ~actor page =
+let fetch_page view ~delta ~record ~stats ~actor page =
   match delta page with
   | Some b ->
     count stats "verify.dirty.hits";
     (b, true)
   | None ->
     count stats "verify.dirty.misses";
-    (Pmem.read view.pmem ~actor ~addr:(page * Layout.page_size) ~len:Layout.page_size, false)
+    (read_device view ~record ~actor page, false)
 
 let check_name ~check name seen violations =
   if not (Fs_types.valid_name name) then
@@ -194,22 +215,33 @@ let check_page view ~proc ~ino ~refs ~violations page what =
    whole verification so pages referenced by two files (or twice within
    one) are caught.  Clean index pages come from the delta checkpoint:
    same bytes, a spot-check CPU charge instead of the full 511-entry
-   scan, and no media read. *)
-let collect_pages ?refs ?(delta = no_delta) ?stats view ~actor ~proc ~ino ~head ~violations =
+   scan, and no media read.  Whether a page is a snapshot hit is
+   decided once, when it is fetched: a page read from the device joins
+   [record]'s set, where a second [delta] lookup would find it. *)
+let collect_pages ?refs ~delta ~record ?stats view ~actor ~proc ~ino ~head ~violations =
   let refs = match refs with Some r -> r | None -> Hashtbl.create 64 in
   let index_pages = ref [] and data_pages = ref [] in
+  let from_snapshot = Hashtbl.create 8 in
+  let fetch pg =
+    match delta pg with
+    | Some b ->
+      Hashtbl.replace from_snapshot pg ();
+      Some b
+    | None -> Some (read_device view ~record ~actor pg)
+  in
   let result =
-    Layout.walk_index_chain ~fetch:delta view.pmem ~actor ~head ~max_pages:view.total_pages
+    Layout.walk_index_chain ~fetch view.pmem ~actor ~head ~max_pages:view.total_pages
       (fun ~index_page ~entries ~next:_ ->
         check_page view ~proc ~ino ~refs ~violations index_page "index page";
         index_pages := index_page :: !index_pages;
-        (match delta index_page with
-        | Some _ ->
+        if Hashtbl.mem from_snapshot index_page then begin
           count stats "verify.dirty.hits";
           Sched.cpu_work (Perf.Cpu.index_entry_check *. 8.0)
-        | None ->
+        end
+        else begin
           count stats "verify.dirty.misses";
-          Sched.cpu_work (Perf.Cpu.index_entry_check *. float_of_int Layout.index_entries));
+          Sched.cpu_work (Perf.Cpu.index_entry_check *. float_of_int Layout.index_entries)
+        end;
         Array.iter
           (fun entry ->
             if entry <> 0 then begin
@@ -262,10 +294,11 @@ let check_size_consistency ~violations ~(inode : Layout.inode) ~npages =
 
 (* Check a regular file rooted at [inode].  [ph] is the (optional)
    phase switcher of the enclosing check_file. *)
-let check_regular ?refs ?delta ?stats ~ph view ~actor ~proc ~(inode : Layout.inode) ~violations =
+let check_regular ~delta ~record ?stats ~ph view ~actor ~proc ~(inode : Layout.inode) ~violations
+    =
   phase ph (Some "verify.i2");
   let index_pages, data_pages =
-    collect_pages ?refs ?delta ?stats view ~actor ~proc ~ino:inode.ino ~head:inode.index_head
+    collect_pages ~delta ~record ?stats view ~actor ~proc ~ino:inode.ino ~head:inode.index_head
       ~violations
   in
   phase ph (Some "verify.i1");
@@ -277,11 +310,12 @@ let check_regular ?refs ?delta ?stats ~ph view ~actor ~proc ~(inode : Layout.ino
    tree and size field here.  Children held write-mapped by another
    process are skipped (they are verified at their own unmap); fresh
    children are fully verified at ingestion. *)
-let check_child_tree ?delta ?stats view ~refs ~actor ~proc ~(child : Layout.inode) ~violations =
+let check_child_tree ~delta ~record ?stats view ~refs ~actor ~proc ~(child : Layout.inode)
+    ~violations =
   if not (view.write_mapped_by_other ~ino:child.ino ~proc) then begin
     let _, data_pages =
-      collect_pages ~refs ?delta ?stats view ~actor ~proc ~ino:child.ino ~head:child.index_head
-        ~violations
+      collect_pages ~refs ~delta ~record ?stats view ~actor ~proc ~ino:child.ino
+        ~head:child.index_head ~violations
     in
     match child.ftype with
     | Fs_types.Reg -> check_size_consistency ~violations ~inode:child ~npages:(List.length data_pages)
@@ -292,7 +326,7 @@ let check_child_tree ?delta ?stats view ~refs ~actor ~proc ~(child : Layout.inod
       let live = ref 0 in
       List.iter
         (fun pg ->
-          let b, _ = fetch_page view ~delta:(Option.value delta ~default:no_delta) ~stats ~actor pg in
+          let b, _ = fetch_page view ~delta ~record ~stats ~actor pg in
           for slot = 0 to Layout.dentries_per_page - 1 do
             if Layout.get_u64 b (slot * Layout.dentry_size) <> 0 then incr live
           done)
@@ -308,14 +342,6 @@ let check_child_tree ?delta ?stats view ~refs ~actor ~proc ~(child : Layout.inod
           :: !violations
   end
 
-(* The directory's B-link index root, from the (possibly snapshot-clean)
-   parent data page holding its dentry block. *)
-let read_dindex_root_via ~delta view ~actor ~dentry_addr =
-  match delta (dentry_addr / Layout.page_size) with
-  | Some page_bytes ->
-    Layout.get_u64 page_bytes ((dentry_addr mod Layout.page_size) + Layout.off_dindex_root)
-  | None -> Layout.read_dindex_root view.pmem ~actor ~dentry_addr
-
 (* I5: index <-> dentry-page agreement (DESIGN.md §4.18).  The audit
    walks the whole tree checking structure (CRCs, ordering, fanout,
    seams, parent/child agreement); its leaf entries are then matched —
@@ -323,7 +349,7 @@ let read_dindex_root_via ~delta view ~actor ~dentry_addr =
    pages join the shared [refs] set so the index can never smuggle in a
    page the file does not own (I2 discipline), and clean nodes served
    from the delta checkpoint pay a spot-check charge like I1–I4. *)
-let check_dindex ?(delta = no_delta) ?stats view ~refs ~actor ~proc ~(inode : Layout.inode) ~root
+let check_dindex ~delta ~record ?stats view ~refs ~actor ~proc ~(inode : Layout.inode) ~root
     ~(children : child list) ~violations =
   if root = 0 then []
   else begin
@@ -340,7 +366,7 @@ let check_dindex ?(delta = no_delta) ?stats view ~refs ~actor ~proc ~(inode : La
       | None ->
         count stats "verify.dirty.misses";
         Sched.cpu_work (Perf.Cpu.index_entry_check *. float_of_int Layout.dnode_capacity);
-        None
+        Some (read_device view ~record ~actor pg)
     in
     let a = Dirindex.audit ~fetch view.pmem ~actor ~root in
     List.iter
@@ -367,14 +393,15 @@ let check_dindex ?(delta = no_delta) ?stats view ~refs ~actor ~proc ~(inode : La
 
 (* Check a directory: every live dentry is validated (I1), children are
    accounted (I2), the deleted-child rule is enforced (I3), and an
-   indexed directory's B-link tree must agree with its dentries (I5). *)
-let check_directory ?(delta = no_delta) ?stats ~ph view ~actor ~proc ~(inode : Layout.inode)
-    ~dentry_addr ~fixed ~violations =
+   indexed directory's B-link tree, rooted at [root], must agree with
+   its dentries (I5). *)
+let check_directory ~delta ~record ?stats ~ph view ~actor ~proc ~(inode : Layout.inode) ~root
+    ~fixed ~violations =
   let refs = Hashtbl.create 64 in
   phase ph (Some "verify.i2");
   let index_pages, data_pages =
-    collect_pages ~refs ~delta ?stats view ~actor ~proc ~ino:inode.ino ~head:inode.index_head
-      ~violations
+    collect_pages ~refs ~delta ~record ?stats view ~actor ~proc ~ino:inode.ino
+      ~head:inode.index_head ~violations
   in
   phase ph (Some "verify.i1");
   let seen_names = Hashtbl.create 64 in
@@ -383,7 +410,7 @@ let check_directory ?(delta = no_delta) ?stats ~ph view ~actor ~proc ~(inode : L
   List.iter
     (fun page ->
       phase ph (Some "verify.i1");
-      let page_bytes, from_snapshot = fetch_page view ~delta ~stats ~actor page in
+      let page_bytes, from_snapshot = fetch_page view ~delta ~record ~stats ~actor page in
       (* A snapshot-served directory page pays one spot-check charge; a
          device read is validated slot by slot. *)
       if from_snapshot then Sched.cpu_work Perf.Cpu.dentry_check;
@@ -421,7 +448,7 @@ let check_directory ?(delta = no_delta) ?stats ~ph view ~actor ~proc ~(inode : L
               phase ph (Some "verify.i4");
               check_perms view ~actor ~fixed ~violations ~inode:child ~dentry_addr;
               phase ph (Some "verify.i2");
-              check_child_tree ~delta ?stats view ~refs ~actor ~proc ~child ~violations;
+              check_child_tree ~delta ~record ?stats view ~refs ~actor ~proc ~child ~violations;
               phase ph (Some "verify.i1")
             end;
             (match view.ino_owner child.ino with
@@ -451,7 +478,15 @@ let check_directory ?(delta = no_delta) ?stats ~ph view ~actor ~proc ~(inode : L
               violations :=
                 { check = `I2; detail = Printf.sprintf "inode %d is not a valid inode" child.ino }
                 :: !violations);
-            children := { c_ino = child.ino; c_ftype = child.ftype; c_dentry_addr = dentry_addr; c_name = name } :: !children
+            children :=
+              {
+                c_ino = child.ino;
+                c_ftype = child.ftype;
+                c_mode = child.mode;
+                c_dentry_addr = dentry_addr;
+                c_name = name;
+              }
+              :: !children
           end
       done)
     data_pages;
@@ -507,40 +542,41 @@ let check_directory ?(delta = no_delta) ?stats ~ph view ~actor ~proc ~(inode : L
     deleted;
   (* I5: the ordered index must agree with the dentry truth. *)
   phase ph (Some "verify.i5");
-  let root = read_dindex_root_via ~delta view ~actor ~dentry_addr in
   let dindex_pages =
-    check_dindex ~delta ?stats view ~refs ~actor ~proc ~inode ~root ~children ~violations
+    check_dindex ~delta ~record ?stats view ~refs ~actor ~proc ~inode ~root ~children ~violations
   in
   (index_pages, data_pages, dindex_pages, children, deleted)
 
 (* Entry point: verify the file whose dentry block sits at [dentry_addr],
    which process [proc] had write-mapped.  [delta] enables incremental
-   mode (see the module comment); [stats] enables the per-invariant
-   timers and dirty-hit counters. *)
-let check_file ?delta ?stats view ~proc ~ino ~dentry_addr : report =
+   mode and [record] receives the pages read from the device (see the
+   module comment); [stats] enables the per-invariant timers and
+   dirty-hit counters. *)
+let check_file ?(delta = no_delta) ?(record = no_record) ?stats view ~proc ~ino ~dentry_addr :
+    report =
   let actor = Pmem.kernel_actor in
   let violations = ref [] in
   let fixed = ref [] in
   let ph = make_phaser view stats in
-  let d = Option.value delta ~default:no_delta in
   phase ph (Some "verify.i1");
-  let dentry =
+  let block =
     (* The file's own dentry lives in a parent data page: serve it from
-       the snapshot when that page is clean. *)
-    match d (dentry_addr / Layout.page_size) with
+       the snapshot when that page is clean.  The block is read once:
+       the B-link root word (I5) comes from it too. *)
+    match delta (dentry_addr / Layout.page_size) with
     | Some page_bytes ->
       count stats "verify.dirty.hits";
-      Layout.decode_dentry
-        (Bytes.sub page_bytes (dentry_addr mod Layout.page_size) Layout.dentry_size)
+      Bytes.sub page_bytes (dentry_addr mod Layout.page_size) Layout.dentry_size
     | None ->
       count stats "verify.dirty.misses";
-      Layout.read_dentry view.pmem ~actor ~addr:dentry_addr
+      Pmem.read view.pmem ~actor ~addr:dentry_addr ~len:Layout.dentry_size
   in
+  let root = Layout.get_u64 block Layout.off_dindex_root in
   let finish report =
     phase ph None;
     report
   in
-  match dentry with
+  match Layout.decode_dentry block with
   | None ->
     (* The file itself was deleted while write-mapped; the parent's
        verification will run the deleted-child checks. *)
@@ -557,14 +593,12 @@ let check_file ?delta ?stats view ~proc ~ino ~dentry_addr : report =
         :: !violations;
     phase ph (Some "verify.i4");
     check_perms view ~actor ~fixed ~violations ~inode ~dentry_addr;
-    (* Re-read: I4 repairs may have rewritten the permission fields. *)
     let index_pages, data_pages, dindex_pages, children, deleted =
       match inode.ftype with
       | Fs_types.Reg ->
-        let ip, dp = check_regular ?delta ?stats ~ph view ~actor ~proc ~inode ~violations in
+        let ip, dp = check_regular ~delta ~record ?stats ~ph view ~actor ~proc ~inode ~violations in
         (* A regular file must not carry a directory-index root. *)
         phase ph (Some "verify.i5");
-        let root = read_dindex_root_via ~delta:d view ~actor ~dentry_addr in
         if root <> 0 then begin
           count stats "verify.i5.violations";
           violations :=
@@ -576,8 +610,7 @@ let check_file ?delta ?stats view ~proc ~ino ~dentry_addr : report =
         end;
         (ip, dp, [], [], [])
       | Fs_types.Dir ->
-        check_directory ~delta:d ?stats ~ph view ~actor ~proc ~inode ~dentry_addr ~fixed
-          ~violations
+        check_directory ~delta ~record ?stats ~ph view ~actor ~proc ~inode ~root ~fixed ~violations
     in
     finish
       {

@@ -122,6 +122,8 @@ type t = {
   mutable events_rev : event list;
   mutable event_count : int;
   mutable user_store_count : int; (* recorded stores by non-kernel actors *)
+  mutable kernel_reads : int; (* device reads by the kernel actor ... *)
+  mutable kernel_read_bytes : int; (* ... and the bytes they took *)
   (* --- media-fault plane (see "Media faults" below) --- *)
   poison : (int * int, unit) Hashtbl.t; (* (page, line) -> poisoned *)
   mutable fault_rng : Rng.t option; (* None = probabilistic injection off *)
@@ -158,6 +160,8 @@ let create ~sched ~topo ~profile ~pages_per_node ~store_data () =
     events_rev = [];
     event_count = 0;
     user_store_count = 0;
+    kernel_reads = 0;
+    kernel_read_bytes = 0;
     poison = Hashtbl.create 16;
     fault_rng = None;
     transient_read_p = 0.0;
@@ -176,6 +180,16 @@ let pages_per_node t = t.pages_per_node
 let set_perm_check t f = t.perm_check <- f
 let set_store_hook t f = t.store_hook <- f
 let persist_count t = t.persist_count
+
+(* The controller's share of the device read traffic: (reads, bytes)
+   taken by the kernel actor — verification, map walks, checkpoints. *)
+let kernel_read_stats t = (t.kernel_reads, t.kernel_read_bytes)
+
+let note_read t ~actor ~len =
+  if actor = kernel_actor then begin
+    t.kernel_reads <- t.kernel_reads + 1;
+    t.kernel_read_bytes <- t.kernel_read_bytes + len
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Event recording
@@ -488,6 +502,7 @@ let read_into t ~actor ~addr ~dst ~pos ~len =
   check_bounds t ~what:"Pmem.read_into" ~addr ~len;
   check_range t ~actor ~addr ~len ~write:false;
   fault_on_read t ~actor ~addr ~len;
+  note_read t ~actor ~len;
   iter_node_runs t addr len (fun ~node ~addr:_ ~len -> node_access t ~node ~write:false ~bytes:len);
   iter_pages addr len (fun ~pg ~off ~chunk ~done_ ->
       blit_from_page t pg ~off ~dst ~dst_pos:(pos + done_) ~len:chunk)
@@ -511,6 +526,7 @@ let read_ecc t ~actor ~addr ~len : Ecc.read =
   match poisoned_in_range t ~addr ~len with
   | [] ->
     let dst = Bytes.create len in
+    note_read t ~actor ~len;
     iter_node_runs t addr len (fun ~node ~addr:_ ~len ->
         node_access t ~node ~write:false ~bytes:len);
     iter_pages addr len (fun ~pg ~off ~chunk ~done_ ->

@@ -500,6 +500,42 @@ let test_build_dry_allocator () =
             (List.sort compare !taken) (List.sort compare !freed))
         [ 0; 3 ])
 
+(* The audit reads every node once: a counting [fetch] that always
+   defers to the device sees each visited page exactly once, over a
+   one-node tree and over a two-level one (the root, whose level the
+   audit needs first, used to be read twice). *)
+let test_audit_reads_once () =
+  with_tree (fun pm alloc free ->
+      let actor = Pmem.kernel_actor in
+      let audit_counting what ~entries ~levels =
+        let root, _ = iok what (Dirindex.build pm ~actor ~alloc ~free ~entries) in
+        (match Dirindex.read_node pm ~actor root with
+        | Ok n -> Alcotest.(check int) (what ^ ": root level") (levels - 1) n.Layout.dn_level
+        | Error e -> Alcotest.failf "%s: %s" what e);
+        let fetches = Hashtbl.create 16 in
+        let fetch pg =
+          Hashtbl.replace fetches pg (1 + Option.value (Hashtbl.find_opt fetches pg) ~default:0);
+          None
+        in
+        let au = Dirindex.audit ~fetch pm ~actor ~root in
+        Alcotest.(check (list string)) (what ^ ": clean") [] au.Dirindex.au_violations;
+        Alcotest.(check (list (pair int int)))
+          (what ^ ": entries") (List.sort compare entries) au.Dirindex.au_entries;
+        List.iter
+          (fun pg ->
+            Alcotest.(check int)
+              (Printf.sprintf "%s: node %d fetched" what pg)
+              1
+              (Option.value (Hashtbl.find_opt fetches pg) ~default:0))
+          au.Dirindex.au_pages;
+        Alcotest.(check int)
+          (what ^ ": no page outside the tree fetched")
+          (List.length au.Dirindex.au_pages) (Hashtbl.length fetches)
+      in
+      audit_counting "one node" ~entries:(List.init 5 (fun i -> (i * 7919, i))) ~levels:1;
+      Dirindex.with_test_capacity 4 (fun () ->
+          audit_counting "two levels" ~entries:(List.init 12 (fun i -> (i * 7919, i))) ~levels:2))
+
 (* ------------------------------------------------------------------ *)
 (* The LibFS's node mirror *)
 
@@ -671,6 +707,7 @@ let () =
           Alcotest.test_case "insert stores only changed lines" `Quick
             test_update_writes_changed_lines;
           Alcotest.test_case "a freed slot is the next insert's" `Quick test_slot_reuse;
+          Alcotest.test_case "audit reads each node once" `Quick test_audit_reads_once;
         ] );
       ( "libfs",
         [

@@ -7,6 +7,9 @@ module Pmem = Trio_nvm.Pmem
 module Layout = Trio_core.Layout
 module Controller = Trio_core.Controller
 module Ctl_state = Trio_core.Ctl_state
+module Ctl_checkpoint = Trio_core.Ctl_checkpoint
+module Ctl_gate = Trio_core.Ctl_gate
+module Stats = Trio_sim.Stats
 module Mmu = Trio_core.Mmu
 module Verifier = Trio_core.Verifier
 module Libfs = Arckfs.Libfs
@@ -345,13 +348,12 @@ let checkpoint_of env ino =
 
 let check_ck_equal name (a : Controller.checkpoint) (b : Controller.checkpoint) =
   Alcotest.(check bool) (name ^ ": dentry") true (Bytes.equal a.ck_dentry b.ck_dentry);
-  Alcotest.(check (list int))
-    (name ^ ": page ids")
-    (List.map fst a.ck_pages) (List.map fst b.ck_pages);
+  let pages ck = Ctl_state.Page_map.bindings ck.Controller.ck_pages in
+  Alcotest.(check (list int)) (name ^ ": page ids") (List.map fst (pages a)) (List.map fst (pages b));
   List.iter2
     (fun (pg, ba) (_, bb) ->
       if not (Bytes.equal ba bb) then Alcotest.failf "%s: page %d bytes differ" name pg)
-    a.ck_pages b.ck_pages;
+    (pages a) (pages b);
   Alcotest.(check (list int)) (name ^ ": children") a.ck_children b.ck_children;
   Alcotest.(check int) (name ^ ": size") a.ck_size b.ck_size;
   Alcotest.(check int) (name ^ ": index head") a.ck_index_head b.ck_index_head
@@ -431,6 +433,252 @@ let test_write_set_overflow_fallback () =
       in
       expect_check "size lie caught on fallback" `I1 tags)
 
+(* ------------------------------------------------------------------ *)
+(* One device read per metadata page per verified handoff *)
+
+(* The checkpoint [f] would get from device reads alone. *)
+let device_checkpoint env (f : Ctl_state.file_info) =
+  let g = { f with Ctl_state.f_checkpoint = None } in
+  Ctl_checkpoint.take_checkpoint env.Helpers.ctl g;
+  Option.get g.Ctl_state.f_checkpoint
+
+(* A map walk served from the checkpoints finds the pages a device walk
+   finds, whatever is dirty. *)
+let check_walks_agree env what ino =
+  let ctl = env.Helpers.ctl in
+  match Controller.dentry_addr_of ctl ino with
+  | None -> ()
+  | Some dentry_addr ->
+    let pages = function
+      | Some (inode, ip, dp, xp) -> Some (inode.Layout.ino, inode.Layout.size, ip, dp, xp)
+      | None -> None
+    in
+    let device = pages (Controller.walk_file ctl ~ino ~dentry_addr) in
+    let fetched =
+      pages
+        (Controller.walk_file ~fetch:(Controller.page_snapshot ctl) ctl ~ino ~dentry_addr)
+    in
+    if device <> fetched then Alcotest.failf "%s: inode %d: walks disagree" what ino
+
+type handoff_op =
+  | Create of int * int (* name, bytes written *)
+  | Unlink of int
+  | Repair of int (* cached mode bits that I4 must restore *)
+  | Bad_fresh (* a fresh child whose own verification fails *)
+  | Subdir of int (* a fresh directory holding one fresh file *)
+
+let print_handoff_op = function
+  | Create (i, n) -> Printf.sprintf "create n%d (%d B)" i n
+  | Unlink i -> Printf.sprintf "unlink n%d" i
+  | Repair i -> Printf.sprintf "repair n%d" i
+  | Bad_fresh -> "bad fresh child"
+  | Subdir i -> Printf.sprintf "subdir s%d" i
+
+(* Random sync handoffs of one directory.  After each ingestion the
+   directory's checkpoint, and each fresh child's, equals one taken from
+   device reads alone — also when ingestion itself stored (an I4 repair,
+   a refused fresh child) after the verifier read the page — and map
+   walks served from checkpoints agree with device walks, both while the
+   directory is write-mapped and dirty and after its handoff. *)
+let prop_handoff_checkpoints =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (5, map2 (fun i n -> Create (i, n)) (int_bound 15) (int_bound 9000));
+          (3, map (fun i -> Unlink i) (int_bound 15));
+          (2, map (fun i -> Repair i) (int_bound 15));
+          (1, return Bad_fresh);
+          (1, map (fun i -> Subdir i) (int_bound 3));
+        ])
+  in
+  QCheck.Test.make ~name:"ingestion checkpoints equal device reads" ~count:25
+    QCheck.(
+      make
+        ~print:Print.(list (list print_handoff_op))
+        Gen.(list_size (int_range 1 4) (list_size (int_range 1 8) op)))
+    (fun rounds ->
+      Helpers.run_sim (fun env ->
+          let ctl = env.Helpers.ctl and pm = env.Helpers.pmem in
+          let fs = Helpers.mount ~proc:1 env in
+          let ops = Libfs.ops fs in
+          ok "mkdir" (ops.Fs.mkdir "/d" 0o755);
+          Libfs.unmap_everything fs;
+          let d_ino = (ok "stat" (ops.Fs.stat "/d")).st_ino in
+          let path i = Printf.sprintf "/d/n%d" i in
+          let live = Hashtbl.create 16 and subdirs = Hashtbl.create 4 in
+          let bad = ref 0 in
+          let ino_of p = (ok "stat" (ops.Fs.stat p)).st_ino in
+          let check_all what =
+            check_walks_agree env what d_ino;
+            Hashtbl.iter (fun i () -> check_walks_agree env what (ino_of (path i))) live
+          in
+          List.iter
+            (fun round ->
+              let fresh = ref [] in
+              List.iter
+                (function
+                  | Create (i, n) ->
+                    if not (Hashtbl.mem live i) then begin
+                      ok "create" (Fs.write_file ops (path i) (String.make n 'c'));
+                      Hashtbl.replace live i ();
+                      fresh := path i :: !fresh
+                    end
+                  | Unlink i ->
+                    if Hashtbl.mem live i then begin
+                      ok "unlink" (ops.Fs.unlink (path i));
+                      Hashtbl.remove live i;
+                      fresh := List.filter (( <> ) (path i)) !fresh
+                    end
+                  | Repair i ->
+                    (* an ingested child's cached mode bits, in the
+                       directory's dentry page, now disagree with its
+                       shadow inode; the directory is write-mapped, so
+                       its handoff verifies the page *)
+                    if Hashtbl.mem live i && not (List.mem (path i) !fresh) then begin
+                      ok "map" (Fs.write_file ops "/d/t" "");
+                      ok "unmap" (ops.Fs.unlink "/d/t");
+                      let addr = Option.get (Controller.dentry_addr_of ctl (ino_of (path i))) in
+                      let b = Bytes.create 2 in
+                      Layout.set_u16 b 0 0o600;
+                      Pmem.write pm ~actor:kactor ~addr:(addr + Layout.off_mode) ~src:b
+                    end
+                  | Bad_fresh ->
+                    incr bad;
+                    let p = Printf.sprintf "/d/b%d" !bad in
+                    ok "bad fresh" (Fs.write_file ops p "b");
+                    let r =
+                      Option.get
+                        (Libfs.lookup fs (Option.get (Libfs.cached_dir fs d_ino))
+                           (Filename.basename p))
+                    in
+                    Pmem.write_u64 pm ~actor:kactor ~addr:(r.Libfs.e_addr + Layout.off_index_head)
+                      (Pmem.total_pages pm - 3)
+                  | Subdir i ->
+                    let p = Printf.sprintf "/d/s%d" i in
+                    if not (Hashtbl.mem subdirs i) then begin
+                      ok "subdir" (ops.Fs.mkdir p 0o755);
+                      ok "subdir file" (Fs.write_file ops (p ^ "/x") "x");
+                      Hashtbl.replace subdirs i ();
+                      fresh := (p ^ "/x") :: p :: !fresh
+                    end)
+                round;
+              check_all "write-mapped";
+              Libfs.unmap_everything fs;
+              Controller.drain_verification ctl;
+              check_all "handed off";
+              let same what ino =
+                match Controller.file_info ctl ino with
+                | Some f -> check_ck_equal what (checkpoint_of env ino) (device_checkpoint env f)
+                | None -> Alcotest.failf "%s: inode %d not ingested" what ino
+              in
+              same "directory" d_ino;
+              List.iter (fun p -> same p (ino_of p)) !fresh)
+            rounds;
+          (* every refused fresh child left the namespace consistent *)
+          let names = List.map (fun e -> e.d_name) (ok "readdir" (ops.Fs.readdir "/d")) in
+          List.iter
+            (fun i ->
+              if List.mem (Printf.sprintf "b%d" i) names then
+                Alcotest.failf "refused child b%d still listed" i)
+            (List.init !bad (fun i -> i + 1));
+          true))
+
+(* A page the pass reads from the device is a miss, charged the full
+   per-entry scan, although it then joins the pass's read set: a check
+   of files no checkpoint vouches for counts no hit and is labeled
+   full.  A second check in the same pass finds those pages recorded
+   and counts them as hits; only the own dentry, a 256-byte read that
+   is not recorded, misses again. *)
+let test_device_read_is_a_miss () =
+  Helpers.run_sim (fun env ->
+      let ctl = env.Helpers.ctl in
+      let fs = Helpers.mount ~proc:1 env in
+      let ops = Libfs.ops fs in
+      ok "file" (Fs.write_file ops "/v" (String.make 6000 'p'));
+      ok "mkdir" (ops.Fs.mkdir "/d" 0o755);
+      List.iter
+        (fun p -> ok "close" (ops.Fs.close (ok "create" (ops.Fs.create p 0o644))))
+        [ "/d/a"; "/d/b"; "/d/c" ];
+      Libfs.unmap_everything fs;
+      Controller.drain_verification ctl;
+      let ino p = (ok "stat" (ops.Fs.stat p)).st_ino in
+      let v = ino "/v" and d = ino "/d" in
+      let info i = Option.get (Controller.file_info ctl i) in
+      List.iter (fun i -> (info i).Ctl_state.f_checkpoint <- None) [ Controller.root_ino; v; d ];
+      let get = Stats.get (Controller.stats ctl) in
+      let counts () =
+        ( get "verify.dirty.hits",
+          get "verify.dirty.misses",
+          get "verify.full",
+          get "verify.incremental" )
+      in
+      let labels = ref [] in
+      Controller.set_verify_hook ctl (fun ~ino ~incremental ~dur:_ ~ok:_ ->
+          labels := (ino, incremental) :: !labels);
+      List.iter
+        (fun (what, i, pages) ->
+          let reads = Ctl_state.open_reads ctl in
+          let check () =
+            let r =
+              Ctl_gate.check_file_now ~reads ctl ~proc:1 ~ino:i
+                ~dentry_addr:(info i).Ctl_state.f_dentry_addr
+            in
+            Alcotest.(check bool) (what ^ ": verified") true r.Verifier.ok
+          in
+          let h0, m0, f0, i0 = counts () in
+          check ();
+          let h1, m1, f1, i1 = counts () in
+          Alcotest.(check (float 0.)) (what ^ ": no hit") 0. (h1 -. h0);
+          Alcotest.(check (float 0.)) (what ^ ": misses") (float_of_int (pages + 1)) (m1 -. m0);
+          Alcotest.(check (float 0.)) (what ^ ": labeled full") 1. (f1 -. f0);
+          Alcotest.(check (float 0.)) (what ^ ": not incremental") 0. (i1 -. i0);
+          check ();
+          let h2, m2, _, i2 = counts () in
+          Alcotest.(check (float 0.)) (what ^ ": again, hits") (float_of_int pages) (h2 -. h1);
+          Alcotest.(check (float 0.)) (what ^ ": again, the dentry misses") 1. (m2 -. m1);
+          Alcotest.(check (float 0.)) (what ^ ": again, incremental") 1. (i2 -. i1))
+        (* the pages besides the dentry: /v's index page; /d's index
+           page, dentry page and one-node B-link tree *)
+        [ ("file with data", v, 1); ("directory", d, 3) ];
+      (* a handoff no checkpoint vouches for (the one the write map
+         took is dropped) is a full pass too *)
+      labels := [];
+      let fd = ok "open" (ops.Fs.open_ "/v" [ O_RDWR ]) in
+      ignore (ok "append" (ops.Fs.append fd (Bytes.of_string "q")));
+      ok "close" (ops.Fs.close fd);
+      (info v).Ctl_state.f_checkpoint <- None;
+      Libfs.unmap_everything fs;
+      Controller.drain_verification ctl;
+      Alcotest.(check (list (pair int bool))) "handoff labeled full" [ (v, false) ] !labels)
+
+(* A steady-state sync create handoff in a 64-entry directory reads
+   each metadata page from the device at most once: the verification
+   reads the own dentry, the dentry page the create changed and the
+   changed index leaf; ingestion and the next map's walk and checkpoint
+   take the rest from the read set and the checkpoint. *)
+let test_handoff_device_reads () =
+  Helpers.run_sim (fun env ->
+      let fs = Helpers.mount ~proc:1 ~unmap_after_write:true env in
+      let ops = Libfs.ops fs in
+      let create p = ok "close" (ops.Fs.close (ok "create" (ops.Fs.create p 0o644))) in
+      ok "mkdir" (ops.Fs.mkdir "/d" 0o777);
+      for i = 0 to 63 do
+        create (Printf.sprintf "/d/pre%02d" i)
+      done;
+      Libfs.unmap_everything fs;
+      for i = 0 to 3 do
+        create (Printf.sprintf "/d/warm%d" i)
+      done;
+      for i = 0 to 7 do
+        let reads0, _ = Pmem.kernel_read_stats env.Helpers.pmem in
+        create (Printf.sprintf "/d/n%d" i);
+        let reads1, _ = Pmem.kernel_read_stats env.Helpers.pmem in
+        if reads1 - reads0 > 8 then
+          Alcotest.failf "create n%d: %d controller device reads, at most 8 expected" i
+            (reads1 - reads0)
+      done)
+
 let () =
   Alcotest.run "verifier"
     [
@@ -465,5 +713,9 @@ let () =
           Alcotest.test_case "decode rejects corruption" `Quick test_checkpoint_decode_rejects;
           Alcotest.test_case "write-set overflow falls back" `Quick
             test_write_set_overflow_fallback;
+          QCheck_alcotest.to_alcotest prop_handoff_checkpoints;
+          Alcotest.test_case "a create handoff reads each page once" `Quick
+            test_handoff_device_reads;
+          Alcotest.test_case "a device read is a miss" `Quick test_device_read_is_a_miss;
         ] );
     ]
