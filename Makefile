@@ -1,6 +1,6 @@
 # Convenience entry points; the project itself is a plain dune build.
 
-.PHONY: all build quick test check clean bench crashcheck-quick crashcheck-deep faultcheck proccheck verifycheck shardcheck ringcheck snapcheck qoscheck dircheck fmt
+.PHONY: all build quick test check clean bench crashcheck-quick crashcheck-deep faultcheck proccheck verifycheck shardcheck ringcheck snapcheck qoscheck dircheck kvcheck fmt
 
 all: build
 
@@ -23,7 +23,7 @@ test:
 # state goes through the controller's and the LibFS's recovery.
 # CI runs exactly this target.  Its `bench --fast` gates check their
 # thresholds but leave the tracked BENCH_*.json records untouched.
-check: fmt crashcheck-quick crashcheck-deep faultcheck proccheck verifycheck shardcheck ringcheck snapcheck qoscheck dircheck
+check: fmt crashcheck-quick crashcheck-deep faultcheck proccheck verifycheck shardcheck ringcheck snapcheck qoscheck dircheck kvcheck
 
 # Verification-plane gate: full vs incremental verification must give
 # byte-identical verdicts over the attack suite, the corruption
@@ -143,6 +143,15 @@ dircheck:
 	dune exec bin/trioctl.exe -- dircheck
 	dune exec bin/trioctl.exe -- dircheck --mutate
 	dune exec bench/main.exe -- --fast dirscale
+
+# Key-value gate: the Minidb suite and Table 5's fill100K signature
+# (bench tab5 exits 1 unless ArckFS writes 100 KB values at least 2x as
+# fast as ext4 and ArckFS-nd trails ArckFS).  A LibFS that pays the
+# kernel for every page it frees falls below the 2x.
+kvcheck:
+	dune build
+	dune exec test/test_minidb.exe
+	dune exec bench/main.exe -- --fast tab5
 
 bench:
 	dune exec bench/main.exe

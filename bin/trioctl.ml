@@ -410,8 +410,8 @@ let print_verify_counters ctl =
     Printf.printf "verification plane (per-invariant timers, pipeline counters):\n";
     List.iter (fun (k, v) -> Printf.printf "  %-32s %.1f\n" k v) kvs
 
-(* The map path's timers, the wait for verification ("settle"), and the
-   device reads the controller made. *)
+(* The map path's timers, the wait for verification ("settle"), the
+   device reads the controller made and the PTE ops the MMU charged. *)
 let print_controller_counters ctl pmem =
   let stats = Controller.stats ctl in
   Printf.printf "controller timers (virtual ns) and device reads:\n";
@@ -419,7 +419,8 @@ let print_controller_counters ctl pmem =
     (fun k -> Printf.printf "  %-32s %.1f\n" k (Trio_sim.Stats.get stats k))
     [ "settle"; "map.walk"; "map.checkpoint"; "map"; "unmap" ];
   let reads, bytes = Pmem.kernel_read_stats pmem in
-  Printf.printf "  %-32s %d (%d B)\n" "kernel device reads" reads bytes
+  Printf.printf "  %-32s %d (%d B)\n" "kernel device reads" reads bytes;
+  Printf.printf "  %-32s %d\n" "pte ops" (Controller.pte_ops ctl)
 
 let stats_cmd =
   let run fs_name =

@@ -107,11 +107,33 @@ let alloc_ino t =
   Sync.Mutex.unlock t.ino_lock;
   result
 
-(* Give a page back to the local pool (e.g. after an aborted create). *)
-let recycle_page t ~page ~kind =
+(* Give pages back to their node/kind pools (a page's kind is the one
+   the device keeps for it).  Each pool takes its share ahead of what
+   it holds, lowest page first, so a run drawn from a recycled batch is
+   contiguous again.  The caller vouches that every page reads as zero:
+   one the LibFS never wrote, or one [Controller.recycle_pages]
+   returned. *)
+let recycle_pages t pages =
   let pmem = Controller.pmem t.ctl in
-  let node = page / Pmem.pages_per_node pmem in
-  let pool = t.pools.(node).(kind_index kind) in
-  Sync.Mutex.lock pool.lock;
-  pool.pages <- page :: pool.pages;
-  Sync.Mutex.unlock pool.lock
+  let per_node = Pmem.pages_per_node pmem in
+  let shares = Array.map (Array.map (fun _ -> [])) t.pools in
+  (* highest first, so that each share ends up lowest first *)
+  List.iter
+    (fun pg ->
+      let share = shares.(pg / per_node) and k = kind_index (Pmem.kind_of pmem pg) in
+      share.(k) <- pg :: share.(k))
+    (List.sort (fun a b -> Int.compare b a) pages);
+  Array.iter2
+    (Array.iter2 (fun pool mine ->
+         if mine <> [] then begin
+           Sync.Mutex.lock pool.lock;
+           pool.pages <- mine @ pool.pages;
+           Sync.Mutex.unlock pool.lock
+         end))
+    t.pools shares
+
+(* Pages the pools hold, all nodes and kinds. *)
+let cached_pages t =
+  Array.fold_left
+    (fun acc kinds -> Array.fold_left (fun acc pool -> acc + List.length pool.pages) acc kinds)
+    0 t.pools

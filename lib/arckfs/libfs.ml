@@ -445,14 +445,11 @@ let flush_free_backlog t =
     let pages = t.free_backlog in
     t.free_backlog <- [];
     t.free_backlog_len <- 0;
-    (* recycle into the local pools (no MMU churn); fall back to a real
-       free if the kernel refuses the transfer *)
+    (* recycle into the local pools (no MMU churn; the kernel zeroes
+       each page); fall back to a real free if the kernel refuses the
+       transfer *)
     match Controller.recycle_pages t.ctl ~proc:t.proc ~pages with
-    | Ok () ->
-      List.iter
-        (fun pg ->
-          Alloc_cache.recycle_page t.cache ~page:pg ~kind:(Pmem.kind_of t.pmem pg))
-        pages
+    | Ok () -> Alloc_cache.recycle_pages t.cache pages
     | Error _ -> ignore (Controller.free_pages t.ctl ~proc:t.proc ~pages)
   end
 
@@ -695,7 +692,9 @@ let dindex_alloc t () =
   | Ok pg -> Some pg
   | Error _ -> None
 
-let dindex_free t pg = Alloc_cache.recycle_page t.cache ~page:pg ~kind:Pmem.Meta
+(* A page the index took and never wrote goes straight back to the
+   cache; one it wrote must be zeroed first ([free_pages_lazily]). *)
+let dindex_free t pg = Alloc_cache.recycle_pages t.cache [ pg ]
 
 (* Every index update runs under the directory's index lock, one per
    (trust group, directory) on the controller: this process' fibers and
@@ -718,12 +717,15 @@ let index_keys (d : dir_state) =
   Htbl.fold d.d_names [] (fun acc name r -> (Dirindex.hash_name name, r.e_addr) :: acc)
 
 (* Index a materialized directory that has no tree in one fresh tree
-   and swing the root word to it; out of space, it stays unindexed.
-   The caller holds the index lock. *)
+   and swing the root word to it; out of space, it stays unindexed and
+   the nodes the build already wrote are freed to be zeroed.  The
+   caller holds the index lock. *)
 let build_index t (d : dir_state) =
   match
     Dirindex.build ?mirror:(mirror t d) ~stats:(kstats t) t.pmem ~actor:t.proc
-      ~alloc:(dindex_alloc t) ~free:(dindex_free t) ~entries:(index_keys d)
+      ~alloc:(dindex_alloc t)
+      ~free:(fun pg -> free_pages_lazily t [ pg ])
+      ~entries:(index_keys d)
   with
   | Ok (root, _) when root <> 0 ->
     Layout.write_dindex_root t.pmem ~actor:t.proc ~dentry_addr:d.d_addr root;
@@ -864,7 +866,7 @@ let claim_slot t (d : dir_state) =
       in
       match link_ok with
       | Error e ->
-        Alloc_cache.recycle_page t.cache ~page:data_pg ~kind:Pmem.Meta;
+        Alloc_cache.recycle_pages t.cache [ data_pg ];
         Error e
       | Ok () ->
         Layout.write_index_entry t.pmem ~actor:t.proc ~page:d.d_index_tail d.d_index_used data_pg;
@@ -899,9 +901,9 @@ let bump_dir_size t (d : dir_state) delta =
 (* Unlink and rename drop a file's last name.  [free_file t r] takes
    what frees the file's pages while its dentry still names them, and
    returns that free, to run once the drop is durable: the kernel frees
-   a file it knows; this LibFS hands back the pages of one it created
-   and never shared, listed from its cached state or, with none cached,
-   from the dentry's index chain. *)
+   a file it knows; this LibFS recycles the pages of one it created and
+   never shared into its own cache, listed from its cached state or,
+   with none cached, from the dentry's index chain. *)
 let free_file t (r : dentry_ref) =
   if known_to_kernel t r.e_ino then fun () ->
     ignore (Controller.free_file_tree t.ctl ~proc:t.proc ~ino:r.e_ino)
@@ -917,7 +919,7 @@ let free_file t (r : dentry_ref) =
         List.rev_append f.r_index_pages (Radix.fold f.r_index [] (fun acc _ pg -> pg :: acc))
       | Error _ -> []
     in
-    fun () -> if pages <> [] then ignore (Controller.free_pages t.ctl ~proc:t.proc ~pages)
+    fun () -> if pages <> [] then free_pages_lazily t pages
 
 (* ------------------------------------------------------------------ *)
 (* Create / mkdir *)
@@ -1570,16 +1572,18 @@ let op_rmdir t ~resolve path =
            ignore (Controller.free_file_tree t.ctl ~proc:t.proc ~ino:r.e_ino)
          end
          else begin
-           (* a directory this LibFS created and never shared: free its
-              chain, dentry and index-node pages directly *)
+           (* a directory this LibFS created and never shared: recycle
+              its chain, dentry and index-node pages into the cache *)
            let dindex_pages =
              if child.d_dindex_root = 0 then []
-             else Dirindex.pages t.pmem ~actor:t.proc ~root:child.d_dindex_root
+             else
+               Dirindex.pages ?mirror:(mirror t child) t.pmem ~actor:t.proc
+                 ~root:child.d_dindex_root
            in
            let pages =
              List.rev_append child.d_index_pages @@ List.rev_append child.d_data_pages dindex_pages
            in
-           if pages <> [] then ignore (Controller.free_pages t.ctl ~proc:t.proc ~pages)
+           if pages <> [] then free_pages_lazily t pages
          end);
         drop_aux t r.e_ino;
         if t.unmap_after_write then unmap t d.d_ino;

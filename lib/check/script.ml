@@ -16,6 +16,7 @@ open Trio_core.Fs_types
 type op =
   | Create of int (* name index *)
   | Write of int * int (* name, size *)
+  | Pwrite of int * int * int (* name, offset, size *)
   | Append of int * int
   | Unlink of int
   | Mkdir of int
@@ -32,6 +33,7 @@ let dirname_of i = Printf.sprintf "/d%02d" (i mod dir_names)
 let show_op = function
   | Create i -> Printf.sprintf "create %s" (name_of i)
   | Write (i, s) -> Printf.sprintf "write %s %d" (name_of i) s
+  | Pwrite (i, off, s) -> Printf.sprintf "pwrite %s %d %d" (name_of i) off s
   | Append (i, s) -> Printf.sprintf "append %s %d" (name_of i) s
   | Unlink i -> Printf.sprintf "unlink %s" (name_of i)
   | Mkdir i -> Printf.sprintf "mkdir %s" (dirname_of i)
@@ -71,6 +73,11 @@ let parse s =
       let* i = file n in
       let* s = int_arg "size" s in
       Ok (Write (i, s))
+    | [ "pwrite"; n; off; s ] ->
+      let* i = file n in
+      let* off = int_arg "offset" off in
+      let* s = int_arg "size" s in
+      Ok (Pwrite (i, off, s))
     | [ "append"; n; s ] ->
       let* i = file n in
       let* s = int_arg "size" s in
@@ -142,7 +149,8 @@ let names_of_model m =
 let model_files m = Hashtbl.fold (fun k v acc -> (k, v) :: acc) m.files [] |> List.sort compare
 
 let touched_paths = function
-  | Create i | Write (i, _) | Append (i, _) | Unlink i | Truncate (i, _) -> [ name_of i ]
+  | Create i | Write (i, _) | Pwrite (i, _, _) | Append (i, _) | Unlink i | Truncate (i, _) ->
+    [ name_of i ]
   | Mkdir i | Rmdir i -> [ dirname_of i ]
   | Rename (a, b) -> [ name_of a; name_of b ]
 
@@ -163,6 +171,28 @@ let apply fs model op_idx op =
         (Printf.sprintf "%s: fs failed with %s but model predicts success" what
            (errno_to_string e))
   in
+  (* [size] bytes at [off]; past EOF, the gap reads as zeros *)
+  let pwrite i off size =
+    let path = name_of i in
+    let can = Hashtbl.mem model.files path in
+    let data = String.make size (content_byte op_idx) in
+    if can then begin
+      let old = Hashtbl.find model.files path in
+      let merged = Bytes.make (max (String.length old) (off + size)) '\000' in
+      Bytes.blit_string old 0 merged 0 (String.length old);
+      Bytes.blit_string data 0 merged off size;
+      Hashtbl.replace model.files path (Bytes.to_string merged)
+    end;
+    let r =
+      match fs.Fs.open_ path [ O_RDWR ] with
+      | Ok fd ->
+        let r = fs.Fs.pwrite fd (Bytes.of_string data) off in
+        let (_ : (unit, errno) result) = fs.Fs.close fd in
+        Result.map (fun _ -> ()) r
+      | Error e -> Error e
+    in
+    expect_same (show_op op) r can
+  in
   match op with
   | Create i ->
     let path = name_of i in
@@ -176,27 +206,8 @@ let apply fs model op_idx op =
       | Error e -> Error e
     in
     expect_same (show_op op) r can
-  | Write (i, size) ->
-    let path = name_of i in
-    let can = Hashtbl.mem model.files path in
-    let data = String.make size (content_byte op_idx) in
-    if can then begin
-      let old = Hashtbl.find model.files path in
-      let merged =
-        if String.length old <= size then data
-        else data ^ String.sub old size (String.length old - size)
-      in
-      Hashtbl.replace model.files path merged
-    end;
-    let r =
-      match fs.Fs.open_ path [ O_RDWR ] with
-      | Ok fd ->
-        let r = fs.Fs.pwrite fd (Bytes.of_string data) 0 in
-        let (_ : (unit, errno) result) = fs.Fs.close fd in
-        Result.map (fun _ -> ()) r
-      | Error e -> Error e
-    in
-    expect_same (show_op op) r can
+  | Write (i, size) -> pwrite i 0 size
+  | Pwrite (i, off, size) -> pwrite i off size
   | Append (i, size) ->
     let path = name_of i in
     let can = Hashtbl.mem model.files path in
@@ -318,6 +329,9 @@ let shrink_candidates ops =
   in
   let shrink_size = function
     | Write (i, s) when s > 1 -> [ Write (i, s / 2); Write (i, 1) ]
+    | Pwrite (i, off, s) when off > 0 || s > 1 ->
+      (if off > 0 then [ Pwrite (i, off / 2, s); Pwrite (i, 0, s) ] else [])
+      @ if s > 1 then [ Pwrite (i, off, s / 2); Pwrite (i, off, 1) ] else []
     | Append (i, s) when s > 1 -> [ Append (i, s / 2); Append (i, 1) ]
     | Truncate (i, s) when s > 1 -> [ Truncate (i, s / 2); Truncate (i, 1) ]
     | _ -> []

@@ -78,6 +78,10 @@ let cold_start ~sched ~pmem ~mmu ?lease_ns () =
 (* Accessors *)
 
 let stats (t : t) = t.Ctl_state.stats
+
+(* Page-table entries the MMU has programmed (grants and charged
+   revokes), one per page. *)
+let pte_ops (t : t) = Mmu.pte_ops t.Ctl_state.mmu
 let sched (t : t) = t.Ctl_state.sched
 let pmem (t : t) = t.Ctl_state.pmem
 let root_ino = Layout.root_ino

@@ -11,8 +11,6 @@
    allocator.  Batching is the LibFS's job, in its allocation cache. *)
 
 module Pmem = Trio_nvm.Pmem
-module Perf = Trio_nvm.Perf
-module Sched = Trio_sim.Sched
 module Extent_alloc = Trio_util.Extent_alloc
 open Fs_types
 open Ctl_state
@@ -151,17 +149,16 @@ let free_pages t ~proc ~pages =
         Hashtbl.remove p.p_pages pg;
         release_page t pg)
       pages;
-    (* Revoke before the unmap cost is charged: once released, a page
-       can be handed to another fiber during the delay, and a later
-       revoke would strip the new owner's grant. *)
-    Mmu.revoke_everyone_on_pages t.mmu ~pages;
-    Sched.delay (Perf.Cpu.page_table_op *. float_of_int (List.length pages));
+    Mmu.revoke_everyone_charged t.mmu ~pages;
     Ok ()
 
-(* Return pages of a write-mapped file to the calling process'
-   allocation pool *without* touching the MMU: the LibFS keeps its
-   existing access and reuses the pages directly (the fast truncate /
-   rewrite path; the ownership change is what keeps check I2 sound). *)
+(* Return pages of a write-mapped file, or pages the process already
+   holds, to the calling process' allocation pool *without* touching
+   the MMU: the LibFS keeps its existing access and reuses the pages
+   directly (the fast truncate / unlink path; the ownership change is
+   what keeps check I2 sound).  Each page comes back zeroed with its
+   kind kept, as [release_page] would leave it: a fresh page reads as
+   zero wherever it came from. *)
 let recycle_pages t ~proc ~pages =
   syscall t proc ~admit:false @@ fun () ->
   let p = proc_info t proc in
@@ -194,7 +191,10 @@ let recycle_pages t ~proc ~pages =
           | None -> ())
         | _ -> ());
         set_page_owner t pg (Allocated_to proc);
-        Hashtbl.replace p.p_pages pg ())
+        Hashtbl.replace p.p_pages pg ();
+        let kind = Pmem.kind_of t.pmem pg in
+        Pmem.discard_page t.pmem pg;
+        Pmem.set_kind t.pmem pg kind)
       pages;
     Ok ()
   end

@@ -39,6 +39,12 @@ val pin_snapshot_page : Ctl_state.t -> int -> bool
 
 val free_pages : Ctl_state.t -> proc:int -> pages:int list -> (unit, Fs_types.errno) result
 val recycle_pages : Ctl_state.t -> proc:int -> pages:int list -> (unit, Fs_types.errno) result
+(** Hand pages the caller holds, or pages of a file it has write-mapped,
+    back to the caller as [Allocated_to proc], with no MMU work.  Each
+    page's bytes are dropped and its kind kept, so it reads as zero when
+    the LibFS's allocation cache hands it out again.  [EACCES], and
+    nothing changes, if any page is neither. *)
+
 val alloc_inos : Ctl_state.t -> proc:int -> count:int -> int list
 
 val grant_inos : Ctl_state.t -> proc:int -> count:int -> int list

@@ -507,8 +507,10 @@ let fold ?mirror ?fetch ?stats pm ~actor ~root ~init ~f =
 (* Every page reachable from [root] (children and right siblings),
    cycle-safe and total: damaged nodes contribute their own page (it is
    still attributed to the directory) but no children.  This is what
-   the controller uses for page attribution, checkpointing and frees. *)
-let pages ?fetch pm ~actor ~root =
+   the controller uses for page attribution, checkpointing and frees,
+   and what a LibFS frees with a directory it never shared (from its
+   [mirror] when it holds one). *)
+let pages ?mirror ?fetch pm ~actor ~root =
   if root = 0 then []
   else begin
     let seen = Hashtbl.create 16 in
@@ -522,7 +524,7 @@ let pages ?fetch pm ~actor ~root =
       then begin
         Hashtbl.replace seen page ();
         acc := page :: !acc;
-        match read_node ?fetch pm ~actor page with
+        match read_node ?mirror ?fetch pm ~actor page with
         | Error _ -> ()
         | Ok n ->
           if n.Layout.dn_level > 0 then

@@ -174,4 +174,14 @@ let revoke_everyone_on_pages t ~pages =
     (fun _actor table -> List.iter (fun page -> Hashtbl.remove table page) pages)
     t.tables
 
+(* The same revoke, charged one PTE op per page to the calling fiber.
+   Every grant goes before the delay: a page released by the caller can
+   be handed to another fiber during it, and a later revoke would strip
+   the new owner's grant. *)
+let revoke_everyone_charged t ~pages =
+  revoke_everyone_on_pages t ~pages;
+  let n = List.length pages in
+  t.pte_ops <- t.pte_ops + n;
+  Sched.delay (Perf.Cpu.page_table_op *. float_of_int n)
+
 let pte_ops t = t.pte_ops

@@ -599,6 +599,50 @@ let test_create_after_drop () =
       Alcotest.(check int) "corruption events" 0
         (List.length (Controller.corruption_events env.Helpers.ctl)))
 
+(* A LibFS build that runs dry mid-way has already written its leaves;
+   it frees them through the zeroing path, so when the cache hands them
+   out again (as a fresh dentry page, whose slots [claim_slot] lists as
+   free unread, or as a fresh node) they read as zero.  One node, so
+   every page the test hoards or gives back is in the pool the build
+   draws from. *)
+let test_dry_build_frees_zeroed () =
+  Dirindex.with_test_capacity 4 @@ fun () ->
+  Helpers.run_sim ~nodes:1 ~pages_per_node:4096 (fun env ->
+      let pm = env.Helpers.pmem in
+      let fs = Helpers.mount ~proc:1 env in
+      let ops = Libfs.ops fs in
+      let cache = Libfs.cache_of fs in
+      ok "mkdir" (ops.Fs.mkdir "/d" 0o755);
+      for i = 0 to 19 do
+        ok "close" (ops.Fs.close (ok "create" (ops.Fs.create (Printf.sprintf "/d/f%d" i) 0o644)))
+      done;
+      let d = Option.get (Libfs.cached_dir fs (ok "stat" (ops.Fs.stat "/d")).st_ino) in
+      Libfs.drop_index fs d;
+      (* run the cache and the device behind it dry ... *)
+      let rec drain acc =
+        match Arckfs.Alloc_cache.alloc_page cache ~node:0 ~kind:Pmem.Meta with
+        | Ok pg -> drain (pg :: acc)
+        | Error _ -> acc
+      in
+      (* ... then give back enough pages for the 6 leaves of 21 names,
+         not for their 2 parents *)
+      let given = List.filteri (fun i _ -> i < 6) (drain []) in
+      Arckfs.Alloc_cache.recycle_pages cache given;
+      ok "close" (ops.Fs.close (ok "create" (ops.Fs.create "/d/g" 0o644)));
+      Alcotest.(check int) "unindexed" 0 d.Libfs.d_dindex_root;
+      let page_bytes pg = Pmem.read pm ~actor:Pmem.kernel_actor ~addr:(pg * 4096) ~len:4096 in
+      let zero = Bytes.make 4096 '\000' in
+      if List.for_all (fun pg -> Bytes.equal (page_bytes pg) zero) given then
+        Alcotest.fail "the build wrote no leaf before it ran dry";
+      Libfs.flush_free_backlog fs;
+      let back = ok "realloc" (Arckfs.Alloc_cache.alloc_pages cache ~node:0 ~kind:Pmem.Meta ~count:6) in
+      Alcotest.(check (list int)) "the freed leaves, lowest first" (List.sort compare given) back;
+      List.iter
+        (fun pg ->
+          if not (Bytes.equal (page_bytes pg) zero) then
+            Alcotest.failf "recycled page %d keeps an old node's bytes" pg)
+        back)
+
 (* Random create/unlink/rename (and the odd handoff, after which the
    mirror starts over) in one directory the process holds write-mapped
    alone, at node capacities that split leaves and the root: after every
@@ -715,6 +759,7 @@ let () =
           Alcotest.test_case "readdir order" `Quick test_readdir_order;
           Alcotest.test_case "readdir from a trusted table" `Quick test_readdir_from_table;
           Alcotest.test_case "create after a dropped index" `Quick test_create_after_drop;
+          Alcotest.test_case "a dry build frees zeroed nodes" `Quick test_dry_build_frees_zeroed;
           QCheck_alcotest.to_alcotest prop_mirror_matches_device;
         ] );
       ( "explore",
