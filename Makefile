@@ -54,10 +54,12 @@ fmt:
 # kill sweep, conformance over the batched plane), a pinned-seed
 # process-death exploration with ring-mounted victims, and the
 # ring-batching bench (the batched plane must beat synchronous map/unmap
-# by >= 1.5x on create/close/unlink with unmap-after-write, and
+# by >= 1.5x on create/close/unlink with unmap-after-write;
 # sync_kernel_read_bytes: the sync side's controller device reads stay
 # at or below 32 KiB per op at every point, so a verified handoff keeps
-# reading each metadata page once).
+# reading each metadata page once; and libfs_read_bytes: each side's
+# LibFS device reads stay at or below 4 KiB per op at every point, so a
+# LibFS keeps the directory state it handed back).
 ringcheck:
 	dune build
 	dune exec test/test_ring.exe

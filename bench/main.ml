@@ -928,7 +928,10 @@ let shardscale () =
    requires batched >= 1.5x synchronous at >= 32 concurrent processes.
    A second gate holds the controller to one device read per metadata
    page per verified handoff: the sync side's kernel-actor device reads
-   must stay at or below 32 KiB per op at every point.
+   must stay at or below 32 KiB per op at every point.  A third holds
+   each side's LibFSes to the state they handed back (DESIGN.md §4.5):
+   their device reads (every node's reads less the kernel's) must stay
+   at or below 4 KiB per op at every point.
    Emits BENCH_ring_batching.json. *)
 let ringbatch () =
   section "Ring batching: create/delete-heavy ops/us, sync vs batched syscall plane";
@@ -948,34 +951,47 @@ let ringbatch () =
           (fun i fs -> ignore (get_ok "mkdir" (fs.Fs.mkdir (Printf.sprintf "/rb%d" i) 0o755)))
           fss;
         let max_ops = if !fast then 4000 else 12_000 in
-        let kernel_bytes () = float_of_int (snd (Pmem.kernel_read_stats rig.Rig.pmem)) in
-        let bytes0 = kernel_bytes () in
+        let pm = rig.Rig.pmem in
+        let kernel_bytes () = float_of_int (snd (Pmem.kernel_read_stats pm)) in
+        let all_bytes () =
+          List.fold_left
+            (fun acc node ->
+              let _, read, _ = Pmem.node_stats pm node in
+              acc +. read)
+            0.0
+            (List.init (Numa.nodes (Pmem.topo pm)) Fun.id)
+        in
+        let kernel0 = kernel_bytes () and all0 = all_bytes () in
         let r =
           Runner.run ~sched:rig.Rig.sched ~topo:rig.Rig.topo ~threads:nprocs ~max_ops
             ~max_ns:20.0e6
             ~body:(churn ~threads:nprocs ~path:(Printf.sprintf "/rb%d/f%d") (Array.get fss))
             ()
         in
-        let read_per_op = ratio (kernel_bytes () -. bytes0) (float_of_int r.Runner.ops) in
-        Printf.printf "  [%3d procs, %s] ops=%d %.4f ops/us, controller reads %.0f B/op\n%!"
+        let kernel = kernel_bytes () -. kernel0 in
+        let per_op b = ratio b (float_of_int r.Runner.ops) in
+        let read_per_op = per_op kernel and libfs_per_op = per_op (all_bytes () -. all0 -. kernel) in
+        Printf.printf
+          "  [%3d procs, %s] ops=%d %.4f ops/us, controller reads %.0f B/op, LibFS reads %.0f B/op\n%!"
           nprocs
           (if ring then "ring" else "sync")
-          r.Runner.ops r.Runner.ops_per_us read_per_op;
-        (r.Runner.ops_per_us, read_per_op))
+          r.Runner.ops r.Runner.ops_per_us read_per_op libfs_per_op;
+        (r.Runner.ops_per_us, read_per_op, libfs_per_op))
   in
   let points =
     List.map
       (fun n ->
-        let sync, sync_read = run_point ~ring:false n in
-        let batched, _ = run_point ~ring:true n in
-        (n, sync, batched, ratio batched sync, sync_read))
+        let sync, sync_read, sync_libfs = run_point ~ring:false n in
+        let batched, _, ring_libfs = run_point ~ring:true n in
+        (n, sync, batched, ratio batched sync, sync_read, (sync_libfs, ring_libfs)))
       proc_counts
   in
-  print_header "procs" [ "sync"; "ring"; "speedup"; "sync B/op" ];
+  print_header "procs" [ "sync"; "ring"; "speedup"; "sync B/op"; "sync LibFS"; "ring LibFS" ];
   List.iter
-    (fun (n, sync, batched, sp, rd) -> print_row (string_of_int n) [ sync; batched; sp; rd ])
+    (fun (n, sync, batched, sp, rd, (sl, rl)) ->
+      print_row (string_of_int n) [ sync; batched; sp; rd; sl; rl ])
     points;
-  let required = 1.5 and max_read = 32768.0 in
+  let required = 1.5 and max_read = 32768.0 and max_libfs_read = 4096.0 in
   record "ring_batching"
     ~config:
       [
@@ -983,24 +999,30 @@ let ringbatch () =
         ("workload", str "create-close-unlink, unmap_after_write");
         ("required_speedup", num 2 required);
         ("max_sync_kernel_read_bytes_per_op", num 0 max_read);
+        ("max_libfs_read_bytes_per_op", num 0 max_libfs_read);
       ]
     ~points:
       (List.map
-         (fun (n, sync, batched, sp, rd) ->
+         (fun (n, sync, batched, sp, rd, (sl, rl)) ->
            [
              ("procs", int n);
              ("sync_ops_per_us", num 4 sync);
              ("ring_ops_per_us", num 4 batched);
              ("speedup", num 3 sp);
              ("sync_kernel_read_bytes_per_op", num 0 rd);
+             ("sync_libfs_read_bytes_per_op", num 0 sl);
+             ("ring_libfs_read_bytes_per_op", num 0 rl);
            ])
          points)
     [
       ( "speedup",
         all
-          (fun (_, _, _, sp, _) -> sp >= required)
-          (List.filter (fun (n, _, _, _, _) -> n >= 32) points) );
-      ("sync_kernel_read_bytes", all (fun (_, _, _, _, rd) -> rd <= max_read) points);
+          (fun (_, _, _, sp, _, _) -> sp >= required)
+          (List.filter (fun (n, _, _, _, _, _) -> n >= 32) points) );
+      ("sync_kernel_read_bytes", all (fun (_, _, _, _, rd, _) -> rd <= max_read) points);
+      ( "libfs_read_bytes",
+        all (fun (_, _, _, _, _, (sl, rl)) -> sl <= max_libfs_read && rl <= max_libfs_read) points
+      );
     ]
 
 (* ------------------------------------------------------------------ *)

@@ -285,92 +285,134 @@ let known_to_kernel t ino = Option.is_some (Controller.dentry_addr_of t.ctl ino)
    the ring and parks on the CQ; the synchronous path is one shielded
    kernel crossing.  Either way the result is the controller's verdict
    for the same op, which is what the batch-drain equivalence tests pin
-   down. *)
+   down.  [Ok current] says whether every page of the ino's walked set
+   is unchanged since this process' view of it was current. *)
 let map_ctl t ~ino ~write =
   let result =
     match t.ring with
     | Some r -> Controller.ring_map r ~ino ~write
     | None -> Controller.map_file t.ctl ~proc:t.proc ~ino ~write
   in
-  if result = Ok () then Hashtbl.replace t.held ino ();
+  if Result.is_ok result then Hashtbl.replace t.held ino ();
   result
 
-(* The map of a first build: none for an ino the kernel does not know. *)
-let map_known t ~ino ~write = if known_to_kernel t ino then map_ctl t ~ino ~write else Ok ()
+(* The map of a build or a re-hold: none for an ino the kernel does not
+   know, which is this LibFS's own creation, so nobody else can have
+   changed it. *)
+let map_known t ~ino ~write = if known_to_kernel t ino then map_ctl t ~ino ~write else Ok true
 
-(* The one way this LibFS comes to hold an ino, for directories (the
-   root included) and files alike: map it with the access the caller's
-   op needs, [build] its aux state and cache it in [table].  An op that
-   will change a directory asks for the write mapping in its one map
-   call; [mark] flags the state write-mapped when the map was writable
-   or the ino is this LibFS's own creation.  Fibers that first touch
-   the same ino at once share one map and one build behind that ino's
-   lock in [building], dropped when the build ends; a fiber that waited
-   probes [table] again (a failed build left nothing there).  Callers
-   probe [table] first, so a hit builds no closure. *)
-let rec hold t table ~ino ~write ~build ~mark =
+(* A cached state serves ops while this LibFS holds its ino:
+   write-mapped (its own creations included) or read-mapped ([held]).
+   A state it handed back stays cached but serves nothing until
+   [rehold] revives it. *)
+let live t ~ino ~write_mapped = write_mapped || Hashtbl.mem t.held ino
+
+(* Run [f], the one map and build of [ino] in flight, behind that ino's
+   lock in [building], dropped when [f] ends.  A fiber that finds one in
+   flight waits it out and answers [None], to probe again. *)
+let building t ino f =
   match Hashtbl.find_opt t.building ino with
-  | Some lock -> (
+  | Some lock ->
     Sync.Mutex.with_lock lock ignore;
-    match Hashtbl.find_opt table ino with
-    | Some s -> Ok s
-    | None -> hold t table ~ino ~write ~build ~mark)
+    None
   | None ->
     let lock = Sync.Mutex.create () in
     Sync.Mutex.lock lock;
     Hashtbl.replace t.building ino lock;
-    Fun.protect
-      ~finally:(fun () ->
-        Hashtbl.remove t.building ino;
-        Sync.Mutex.unlock lock)
-      (fun () ->
-        let* () = map_known t ~ino ~write in
+    Some
+      (Fun.protect
+         ~finally:(fun () ->
+           Hashtbl.remove t.building ino;
+           Sync.Mutex.unlock lock)
+         f)
+
+(* The one re-hold of a state [s] this LibFS caches for [ino], for every
+   kind of state (directory, file, KVFS entry): once [ready s] fails — a
+   state handed back, or read-mapped when the op writes — map [ino] with
+   the op's access and let the kind's [refresh] keep [s] or rebuild it
+   in place under the kind's locks, given the reply's [current]. *)
+let rec rehold t s ~ino ~write ~ready ~refresh =
+  if ready s then Ok ()
+  else
+    match
+      building t ino (fun () ->
+          let* current = map_known t ~ino ~write in
+          refresh s ~current ~write)
+    with
+    | Some r -> r
+    | None -> rehold t s ~ino ~write ~ready ~refresh
+
+(* The one way this LibFS comes to hold an ino it caches no state for,
+   directories (the root included) and files alike: map it with the
+   access the caller's op needs, [build] its aux state and cache it in
+   [table].  An op that will change a directory asks for the write
+   mapping in its one map call; [mark] flags the state write-mapped
+   when the map was writable or the ino is this LibFS's own creation.
+   Fibers that first touch the same ino at once share one map and one
+   build; a fiber that waited probes [table] again (a failed build left
+   nothing there).  Callers probe [table] first, so a hit builds no
+   closure, and re-hold a state they find there. *)
+let rec hold t table ~ino ~write ~build ~mark =
+  match
+    building t ino (fun () ->
+        let* _ = map_known t ~ino ~write in
         let* s = build () in
         if write || not (known_to_kernel t ino) then mark s;
         Hashtbl.replace table ino s;
         Ok s)
+  with
+  | Some r -> r
+  | None -> (
+    match Hashtbl.find_opt table ino with
+    | Some s -> Ok s
+    | None -> hold t table ~ino ~write ~build ~mark)
 
 let mark_dir (d : dir_state) = d.d_write_mapped <- true
 let mark_file (f : file_state) = f.r_write_mapped <- true
 
-let get_dir t ~write ~ino ~addr =
-  match Hashtbl.find_opt t.dirs ino with
-  | Some d -> Ok d
-  | None ->
-    hold t t.dirs ~ino ~write ~build:(fun () -> Ok (build_dir_aux t ~ino ~addr)) ~mark:mark_dir
+(* The head of an index chain cached newest first. *)
+let chain_head pages = List.fold_left (fun _ pg -> pg) 0 pages
 
-let get_file t ~ino ~addr =
-  match Hashtbl.find_opt t.files ino with
-  | Some f -> Ok f
-  | None ->
-    hold t t.files ~ino ~write:false ~build:(fun () -> build_file_aux t ~ino ~addr) ~mark:mark_file
+(* May a state cached for [ino] at [addr] outlive a handoff or a read
+   grant?  The map reply must vouch for it ([current]), and only under
+   the [mirror] rule: alone in its trust group.  Then one read of its
+   256-byte dentry must still show the ino, size, index head and B-link
+   root it cached.  The dentry sits in the parent's page, which
+   siblings' size updates dirty, so the kernel leaves that page out of
+   its answer and this compare covers it; it also catches a parent
+   rollback that restores an old dentry block.  A state kept wrongly
+   can only corrupt this process' own next handoff, which the verifier
+   still checks.  [Mutation.Keep_handed_back] keeps every state. *)
+let still_current t ~current ~ino ~addr ~size ~index_head ~dindex_root =
+  Mutation.active Keep_handed_back
+  || current
+     && Controller.group_solo t.ctl ~proc:t.proc
+     &&
+     match Pmem.read_ecc t.pmem ~actor:t.proc ~addr ~len:Layout.dentry_size with
+     | Pmem.Ecc.Poisoned _ -> false
+     | Pmem.Ecc.Ok b -> (
+       match Layout.decode_dentry b with
+       | Some (Ok (inode, _)) ->
+         inode.Layout.ino = ino
+         && inode.Layout.size = size
+         && inode.Layout.index_head = index_head
+         && Layout.get_u64 b Layout.off_dindex_root = dindex_root
+       | _ -> false)
 
-(* A read grant can go at any moment without the LibFS noticing: another
-   trust group's write map revokes readers at once, and nothing faults
-   until the pages are touched.  So aux state cached under a read grant
-   is not trusted across an upgrade.  The one upgrade, for every kind of
-   cached state: a write map, then the kind's in-place [rebuild], which
-   takes the kind's locks and re-checks its write-mapped flag under them
-   (a racing upgrader of this process may have rebuilt already and be
-   writing).  An ino the kernel does not know yet is this LibFS's own
-   creation: nothing to map, nobody else can have changed it, so it is
-   only marked. *)
-let upgrade t s ~ino ~mark ~rebuild =
-  if not (known_to_kernel t ino) then begin
-    mark s;
-    Ok ()
-  end
-  else
-    let* () = map_ctl t ~ino ~write:true in
-    rebuild s
-
-(* A directory rebuilds as a first write map builds it, under every
-   stripe write lock (as [materialize] fills it). *)
-let rebuild_upgraded_dir t (d : dir_state) =
-  Array.iter Sync.Rwlock.write_lock d.d_stripes;
-  try
-    if not d.d_write_mapped then begin
-      let fresh = build_dir_aux t ~ino:d.d_ino ~addr:d.d_addr in
+(* A directory's one in-place refresh: kept when [still_current],
+   otherwise rebuilt as a first map builds it, under every stripe write
+   lock (as [materialize] fills it).  Only a write map flags it
+   write-mapped. *)
+let refresh_dir t ~addr (d : dir_state) ~current ~write =
+  d.d_addr <- addr;
+  if
+    not
+      (still_current t ~current ~ino:d.d_ino ~addr ~size:d.d_size
+         ~index_head:(chain_head d.d_index_pages) ~dindex_root:d.d_dindex_root)
+  then begin
+    Array.iter Sync.Rwlock.write_lock d.d_stripes;
+    try
+      let fresh = build_dir_aux t ~ino:d.d_ino ~addr in
       Htbl.clear d.d_names;
       d.d_free_slots <- fresh.d_free_slots;
       d.d_unscanned <- fresh.d_unscanned;
@@ -382,51 +424,92 @@ let rebuild_upgraded_dir t (d : dir_state) =
       d.d_dindex_root <- fresh.d_dindex_root;
       Hashtbl.reset d.d_nodes;
       d.d_aux_built <- fresh.d_aux_built;
-      d.d_write_mapped <- true
-    end;
-    Array.iter Sync.Rwlock.write_unlock d.d_stripes;
-    Ok ()
-  with e ->
-    Array.iter Sync.Rwlock.write_unlock d.d_stripes;
-    raise e
+      Array.iter Sync.Rwlock.write_unlock d.d_stripes
+    with e ->
+      Array.iter Sync.Rwlock.write_unlock d.d_stripes;
+      raise e
+  end;
+  if write then d.d_write_mapped <- true;
+  Ok ()
 
+let get_dir t ~write ~ino ~addr =
+  match Hashtbl.find_opt t.dirs ino with
+  | Some d when live t ~ino ~write_mapped:d.d_write_mapped -> Ok d
+  | Some d ->
+    let* () =
+      rehold t d ~ino ~write
+        ~ready:(fun d -> live t ~ino ~write_mapped:d.d_write_mapped)
+        ~refresh:(refresh_dir t ~addr)
+    in
+    Ok d
+  | None -> hold t t.dirs ~ino ~write ~build:(fun () -> Ok (build_dir_aux t ~ino ~addr)) ~mark:mark_dir
+
+(* A read grant can go at any moment without the LibFS noticing: another
+   trust group's write map revokes readers at once, and nothing faults
+   until the pages are touched.  So aux state cached under a read grant
+   is kept across the upgrade only when the write map's reply vouches
+   for it. *)
 let ensure_dir_writable t (d : dir_state) =
-  if d.d_write_mapped then Ok ()
-  else upgrade t d ~ino:d.d_ino ~mark:mark_dir ~rebuild:(rebuild_upgraded_dir t)
+  rehold t d ~ino:d.d_ino ~write:true
+    ~ready:(fun d -> d.d_write_mapped)
+    ~refresh:(refresh_dir t ~addr:d.d_addr)
 
-(* A file rebuilds under the inode write lock. *)
-let rebuild_upgraded_file t (f : file_state) =
+(* A file's one in-place refresh, under the inode write lock. *)
+let refresh_file t ~addr (f : file_state) ~current ~write =
   Sync.Rwlock.with_write f.r_ilock (fun () ->
-      if f.r_write_mapped then Ok ()
-      else
-        let* fresh = build_file_aux t ~ino:f.r_ino ~addr:f.r_addr in
-        f.r_size <- fresh.r_size;
-        f.r_index <- fresh.r_index;
-        f.r_index_pages <- fresh.r_index_pages;
-        f.r_index_tail <- fresh.r_index_tail;
-        f.r_index_used <- fresh.r_index_used;
-        f.r_npages <- fresh.r_npages;
-        f.r_write_mapped <- true;
-        Ok ())
+      f.r_addr <- addr;
+      let* () =
+        if
+          still_current t ~current ~ino:f.r_ino ~addr ~size:f.r_size
+            ~index_head:(chain_head f.r_index_pages) ~dindex_root:0
+        then Ok ()
+        else
+          let* fresh = build_file_aux t ~ino:f.r_ino ~addr in
+          f.r_size <- fresh.r_size;
+          f.r_index <- fresh.r_index;
+          f.r_index_pages <- fresh.r_index_pages;
+          f.r_index_tail <- fresh.r_index_tail;
+          f.r_index_used <- fresh.r_index_used;
+          f.r_npages <- fresh.r_npages;
+          Ok ()
+      in
+      if write then f.r_write_mapped <- true;
+      Ok ())
+
+let get_file t ~ino ~addr =
+  match Hashtbl.find_opt t.files ino with
+  | Some f when live t ~ino ~write_mapped:f.r_write_mapped -> Ok f
+  | Some f ->
+    let* () =
+      rehold t f ~ino ~write:false
+        ~ready:(fun f -> live t ~ino ~write_mapped:f.r_write_mapped)
+        ~refresh:(refresh_file t ~addr)
+    in
+    Ok f
+  | None -> hold t t.files ~ino ~write:false ~build:(fun () -> build_file_aux t ~ino ~addr) ~mark:mark_file
 
 let ensure_file_writable t (f : file_state) =
-  if f.r_write_mapped then Ok ()
-  else upgrade t f ~ino:f.r_ino ~mark:mark_file ~rebuild:(rebuild_upgraded_file t)
+  rehold t f ~ino:f.r_ino ~write:true
+    ~ready:(fun f -> f.r_write_mapped)
+    ~refresh:(refresh_file t ~addr:f.r_addr)
 
-(* Drop cached state for a file/dir (after a lease revocation fault or an
-   explicit unmap). *)
+(* Drop cached state for a file/dir (after a lease revocation fault, or
+   the unmap of an ino this process never mapped). *)
 let drop_aux t ino =
   Hashtbl.remove t.dirs ino;
   Hashtbl.remove t.files ino
 
-(* An ino this process never mapped through the controller (a file or
-   directory it created since its parent's last handoff) has nothing to
-   hand back: the controller would answer ENOENT before ingesting it
-   and EBADF after, so no call is made. *)
+(* Hand an ino back.  Its cached state stays, neither held nor
+   write-mapped, for the next [hold] to revive.  An ino this process
+   never mapped through the controller (a file or directory it created
+   since its parent's last handoff) has nothing to hand back: the
+   controller would answer ENOENT before ingesting it and EBADF after,
+   so no call is made and its state goes. *)
 let unmap t ino =
-  drop_aux t ino;
   if Hashtbl.mem t.held ino then begin
     Hashtbl.remove t.held ino;
+    Option.iter (fun d -> d.d_write_mapped <- false) (Hashtbl.find_opt t.dirs ino);
+    Option.iter (fun f -> f.r_write_mapped <- false) (Hashtbl.find_opt t.files ino);
     match t.ring with
     | Some r ->
       (* Fire-and-forget: the entry feeds the verification pipeline when
@@ -435,6 +518,7 @@ let unmap t ino =
       Controller.ring_unmap r ~ino
     | None -> ignore (Controller.unmap_file t.ctl ~proc:t.proc ~ino)
   end
+  else drop_aux t ino
 
 (* Page frees are batched: a truncate-heavy workload (DWTL) would
    otherwise pay one kernel call per page. *)
@@ -1834,9 +1918,13 @@ let commit_file t path =
 (* Accessors for customized LibFSes (KVFS, FPFS) built on these
    internals. *)
 
-(* The directory state this LibFS caches for [ino], if any: a state
-   [with_retry] or a handoff dropped is gone from here too. *)
-let cached_dir t ino = Hashtbl.find_opt t.dirs ino
+(* The directory state this LibFS holds for [ino], if any: a state
+   [with_retry] dropped is gone from here, and one it handed back is
+   not served until [hold] revives it. *)
+let cached_dir t ino =
+  match Hashtbl.find_opt t.dirs ino with
+  | Some d when live t ~ino ~write_mapped:d.d_write_mapped -> Some d
+  | _ -> None
 
 let pmem_of t = t.pmem
 let proc_of t = t.proc

@@ -211,9 +211,11 @@ let attack_slash_in_name ctx =
    it holds matching credentials; the corruption must still be caught
    when the mapping is released. *)
 let attack_index_cycle ctx =
-  fail_on "map victim"
-    (Controller.map_file ctx.rig.Rig.ctl ~proc:(Libfs.proc_of ctx.attacker) ~ino:ctx.victim_ino
-       ~write:true);
+  ignore
+    (fail_on "map victim"
+       (Controller.map_file ctx.rig.Rig.ctl ~proc:(Libfs.proc_of ctx.attacker)
+          ~ino:ctx.victim_ino ~write:true)
+      : bool);
   match Layout.read_dentry ctx.rig.Rig.pmem ~actor:Pmem.kernel_actor ~addr:ctx.victim_addr with
   | Some (Ok (inode, _)) when inode.Layout.index_head <> 0 ->
     (* make the first index page link to itself *)

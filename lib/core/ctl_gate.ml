@@ -510,12 +510,17 @@ let drain_unverified t =
 (* ------------------------------------------------------------------ *)
 (* Map / unmap *)
 
+(* A revoked write mapping leaves the process' view current as of now:
+   every store it made landed before this mark, and any later one
+   dirties a page past it (see [view_current]). *)
 let revoke_mapping t ~proc ~(f : file_info) ~was_writer =
   let pages = file_pages f in
   let perm = if was_writer then Mmu.P_readwrite else Mmu.P_read in
   Stats.timed t.stats t.sched "unmap" (fun () -> Mmu.revoke t.mmu ~actor:proc ~pages ~perm);
-  Hashtbl.remove (proc_info t proc).p_mapped f.f_ino;
+  let p = proc_info t proc in
+  Hashtbl.remove p.p_mapped f.f_ino;
   if was_writer then begin
+    Hashtbl.replace p.p_seen f.f_ino (Mmu.write_mark t.mmu);
     f.f_writer <- None;
     (* The pipelining win: the write handoff only queues verification;
        a background fiber picks it up while the LibFS moves on. *)
@@ -672,6 +677,23 @@ let find_file t ino =
       file_find t ino
     end
 
+(* The map reply's answer (DESIGN.md §4.5): is every index-chain, data
+   and B-link page of [f]'s walked set unchanged since the mark at which
+   [proc]'s view of it was current?  The write-set already sees every
+   store (other processes', ingestion repairs, rollbacks, scrub writes,
+   page discards, poison), and an overflow fails old marks.  The
+   dentry's page is left out: siblings' size updates dirty it, so the
+   LibFS compares its own dentry instead.  The answer only decides
+   whether a LibFS re-reads its own state; nothing here trusts it. *)
+let view_current t ~proc (f : file_info) =
+  match Hashtbl.find_opt (proc_info t proc).p_seen f.f_ino with
+  | None -> false
+  | Some mark ->
+    let clean page = Mmu.clean_since t.mmu ~mark ~page in
+    List.for_all clean f.f_index_pages
+    && List.for_all clean f.f_data_pages
+    && List.for_all clean f.f_dindex_pages
+
 let map_file_body t ~proc ~ino ~write =
   match find_file t ino with
   | None -> Error ENOENT
@@ -690,9 +712,10 @@ let map_file_body t ~proc ~ino ~write =
          rarely hits this (a LibFS tracks its mappings and does not
          re-map); it is load-bearing for the ring drain plane, where a
          fused unmap+remap leaves the original mapping standing and
-         every later re-map is exactly this renewal. *)
+         every later re-map is exactly this renewal.  The mapping never
+         went away, so the view it was read under still holds. *)
       f.f_lease_expire <- Sched.now t.sched +. t.lease_ns;
-      Ok ()
+      Ok true
     | Ok () ->
       (* Block only while this file — or an ancestor directory whose
          verification may re-ingest it — is still in the pipeline. *)
@@ -747,8 +770,16 @@ let map_file_body t ~proc ~ino ~write =
               Mmu.grant t.mmu ~actor:proc ~pages
                 ~perm:(if write then Mmu.P_readwrite else Mmu.P_read));
           f.f_lease_expire <- Sched.now t.sched +. t.lease_ns;
-          Hashtbl.replace (proc_info t proc).p_mapped ino ();
-          Ok ()
+          let p = proc_info t proc in
+          Hashtbl.replace p.p_mapped ino ();
+          (* Answered after the settle and the grant, so the handback's
+             own verification and ingestion have landed.  A read grant
+             makes the view current now; a writer's is dropped, since
+             it will write, and taken again when its mapping goes. *)
+          let current = view_current t ~proc f in
+          if write then Hashtbl.remove p.p_seen ino
+          else Hashtbl.replace p.p_seen ino (Mmu.write_mark t.mmu);
+          Ok current
           end)))
 
 let map_file t ~proc ~ino ~write =
@@ -871,8 +902,8 @@ let ring_batch_limit = 64
 
 let run_ring_op t ~proc = function
   | Ctl_ring.Op_map { ino; write } -> map_file_body t ~proc ~ino ~write
-  | Ctl_ring.Op_unmap { ino } -> unmap_file_body t ~proc ~ino
-  | Ctl_ring.Op_lease -> Ok () (* the batch's touch below is the point *)
+  | Ctl_ring.Op_unmap { ino } -> Result.map (fun () -> false) (unmap_file_body t ~proc ~ino)
+  | Ctl_ring.Op_lease -> Ok false (* the batch's touch below is the point *)
 
 (* Batch fusion: an unmap chased by a re-map of the same file by the
    same process, both visible in one batch, annihilate — the mapping
@@ -889,7 +920,8 @@ let run_ring_op t ~proc = function
    the real unmap/map pair, i.e. a genuine handoff with its full
    verification.  This is the batched plane's structural advantage:
    the synchronous path must execute an unmap before it can know that
-   a re-map follows. *)
+   a re-map follows.  The re-map answers that the process' view holds:
+   its mapping never went away. *)
 let try_fuse_remap t ~proc ~ino ~write =
   match file_find t ino with
   | Some f
@@ -972,8 +1004,8 @@ let drain_one_ring t ring =
               | _ -> false
             then begin
               Ctl_ring.note_fused ring;
-              Ctl_ring.post ring ~seq:useq (Ok ());
-              Ctl_ring.post ring ~seq (Ok ())
+              Ctl_ring.post ring ~seq:useq (Ok false);
+              Ctl_ring.post ring ~seq (Ok true)
             end
             else begin
               (* Real handoff: run the deferred unmap, then the map. *)

@@ -28,7 +28,10 @@ val drain_verification : Ctl_state.t -> unit
 val start : Ctl_state.t -> unit
 (** Spawn the background verifier fibers. *)
 
-val map_file : Ctl_state.t -> proc:int -> ino:int -> write:bool -> (unit, Fs_types.errno) result
+val map_file : Ctl_state.t -> proc:int -> ino:int -> write:bool -> (bool, Fs_types.errno) result
+(** [Ok current]: [current] when every page of the file's walked set is
+    unchanged since [proc]'s view of it was current (DESIGN.md §4.5). *)
+
 val unmap_file : Ctl_state.t -> proc:int -> ino:int -> (unit, Fs_types.errno) result
 val commit : Ctl_state.t -> proc:int -> ino:int -> (unit, Fs_types.errno) result
 val unmap_all : Ctl_state.t -> proc:int -> unit

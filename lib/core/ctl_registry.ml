@@ -28,6 +28,7 @@ let register_process t ~proc ~cred ?group ?qos_share ?fix ?recovery () =
       p_pages = Hashtbl.create 64;
       p_inos = Hashtbl.create 64;
       p_mapped = Hashtbl.create 16;
+      p_seen = Hashtbl.create 16;
       p_last_heartbeat = Sched.now t.sched;
       p_dead = false;
     }
@@ -133,6 +134,7 @@ let abnormal_teardown ?report t ~proc =
           bump (fun r -> r.wd_unverified <- r.wd_unverified + 1)
         end);
     Hashtbl.reset p.p_mapped;
+    Hashtbl.reset p.p_seen;
     p.p_fix <- None;
     p.p_recovery <- None;
     p.p_dead <- true;

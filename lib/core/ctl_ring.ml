@@ -41,7 +41,9 @@ open Fs_types
 
 type op = Op_map of { ino : int; write : bool } | Op_unmap of { ino : int } | Op_lease
 
-type completion = (unit, errno) result
+(* A map's [Ok current] says whether the process' view of the file
+   still holds (DESIGN.md §4.5); every other op completes [Ok false]. *)
+type completion = (bool, errno) result
 
 type t = {
   r_proc : int;

@@ -12,7 +12,10 @@ module Sched = Trio_sim.Sched
 
 type op = Op_map of { ino : int; write : bool } | Op_unmap of { ino : int } | Op_lease
 
-type completion = (unit, Fs_types.errno) result
+type completion = (bool, Fs_types.errno) result
+(** A map's [Ok current]: whether every page of the file's walked set is
+    unchanged since the process' view of it was current (DESIGN.md
+    §4.5).  Unmaps and lease renewals complete [Ok false]. *)
 
 type t
 

@@ -81,6 +81,10 @@ type proc_info = {
   mutable p_pages : (int, unit) Hashtbl.t; (* pages Allocated_to this proc *)
   mutable p_inos : (int, unit) Hashtbl.t; (* inos Ino_allocated_to this proc *)
   mutable p_mapped : (int, unit) Hashtbl.t; (* inos this proc has mapped *)
+  p_seen : (int, int) Hashtbl.t;
+      (* ino -> MMU write mark at which this proc's view of the file was
+         current: taken at its read grant and when its write mapping is
+         revoked, dropped at its write grant (DESIGN.md §4.5) *)
   mutable p_last_heartbeat : float; (* virtual time of the last syscall *)
   mutable p_dead : bool; (* abnormally torn down by the watchdog *)
 }

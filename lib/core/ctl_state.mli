@@ -70,6 +70,9 @@ type proc_info = {
   mutable p_pages : (int, unit) Hashtbl.t;
   mutable p_inos : (int, unit) Hashtbl.t;
   mutable p_mapped : (int, unit) Hashtbl.t;
+  p_seen : (int, int) Hashtbl.t;
+      (** ino -> MMU write mark at which this process' view of the file
+          was current (DESIGN.md §4.5) *)
   mutable p_last_heartbeat : float;
   mutable p_dead : bool;
 }

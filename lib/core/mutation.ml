@@ -1,6 +1,14 @@
-type t = Reorder_commit | Drop_writes | Skip_gc | Qos_bypass | Torn_commit | Skip_index
+type t =
+  | Reorder_commit
+  | Drop_writes
+  | Skip_gc
+  | Qos_bypass
+  | Torn_commit
+  | Skip_index
+  | Keep_handed_back
 
-let all = [ Reorder_commit; Drop_writes; Skip_gc; Qos_bypass; Torn_commit; Skip_index ]
+let all =
+  [ Reorder_commit; Drop_writes; Skip_gc; Qos_bypass; Torn_commit; Skip_index; Keep_handed_back ]
 
 let to_string = function
   | Reorder_commit -> "reorder-commit"
@@ -9,6 +17,7 @@ let to_string = function
   | Qos_bypass -> "qos-bypass"
   | Torn_commit -> "torn-commit"
   | Skip_index -> "skip-index"
+  | Keep_handed_back -> "keep-handed-back"
 
 let armed : t option ref = ref None
 

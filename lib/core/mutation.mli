@@ -31,6 +31,11 @@ type t =
   | Skip_index
       (** The LibFS drops B-link directory-index maintenance (caught by
           verifier invariant I5 at a sharing point). *)
+  | Keep_handed_back
+      (** The LibFS keeps every state it handed back whatever the map
+          reply says, so it writes from a stale name table and free-slot
+          list after another trust group wrote the directory (caught by
+          the verifier at its next handoff). *)
 
 val all : t list
 val to_string : t -> string

@@ -113,7 +113,7 @@ let read_entry t e =
 (* Build the fixed-array auxiliary state of one small file, read-mapping
    it first if the kernel knows it. *)
 let build_entry t (r : Libfs.dentry_ref) =
-  let* () = Libfs.map_known t.fs ~ino:r.Libfs.e_ino ~write:false in
+  let* _ = Libfs.map_known t.fs ~ino:r.Libfs.e_ino ~write:false in
   let e =
     {
       k_ino = r.Libfs.e_ino;
@@ -130,20 +130,22 @@ let build_entry t (r : Libfs.dentry_ref) =
   if not (Libfs.known_to_kernel t.fs e.k_ino) then e.k_write_mapped <- true;
   Ok e
 
-(* The LibFS's one upgrade, with the entry's in-place rebuild under its
-   lock. *)
+(* The LibFS's one re-hold, with the entry's in-place refresh under its
+   lock: kept when the write map's reply and the dentry vouch for it. *)
 let ensure_writable t e =
-  if e.k_write_mapped then Ok ()
-  else
-    Libfs.upgrade t.fs e ~ino:e.k_ino
-      ~mark:(fun e -> e.k_write_mapped <- true)
-      ~rebuild:(fun e ->
-        Sync.Spinlock.with_lock e.k_lock (fun () ->
-            if e.k_write_mapped then Ok ()
-            else
-              let* () = read_entry t e in
-              e.k_write_mapped <- true;
-              Ok ()))
+  Libfs.rehold t.fs e ~ino:e.k_ino ~write:true
+    ~ready:(fun e -> e.k_write_mapped)
+    ~refresh:(fun e ~current ~write:_ ->
+      Sync.Spinlock.with_lock e.k_lock (fun () ->
+          let* () =
+            if
+              Libfs.still_current t.fs ~current ~ino:e.k_ino ~addr:e.k_addr ~size:e.k_size
+                ~index_head:e.k_index_page ~dindex_root:0
+            then Ok ()
+            else read_entry t e
+          in
+          e.k_write_mapped <- true;
+          Ok ()))
 
 let remember t name e =
   Sync.Mutex.with_lock t.entries_lock (fun () -> Htbl.replace t.entries name e)

@@ -48,20 +48,29 @@ module Spinlock = Mutex
 (* ------------------------------------------------------------------ *)
 
 module Rwlock = struct
+  (* Most locks are never contended (every cached inode and directory
+     stripe has one), so a lock makes its waiter queues on first
+     contention: until then both fields hold [no_waiters], one shared
+     queue that is never pushed to.  An uncontended lock is 5 words. *)
   type t = {
     mutable readers : int;
     mutable writer : bool;
-    read_waiters : Sched.waker Queue.t;
-    write_waiters : Sched.waker Queue.t;
+    mutable read_waiters : Sched.waker Queue.t;
+    mutable write_waiters : Sched.waker Queue.t;
   }
 
+  let no_waiters : Sched.waker Queue.t = Queue.create ()
+
   let create () =
-    {
-      readers = 0;
-      writer = false;
-      read_waiters = Queue.create ();
-      write_waiters = Queue.create ();
-    }
+    { readers = 0; writer = false; read_waiters = no_waiters; write_waiters = no_waiters }
+
+  let read_queue l =
+    if l.read_waiters == no_waiters then l.read_waiters <- Queue.create ();
+    l.read_waiters
+
+  let write_queue l =
+    if l.write_waiters == no_waiters then l.write_waiters <- Queue.create ();
+    l.write_waiters
 
   (* Writer preference: readers queue behind a waiting writer so writers
      cannot starve (matches the BRAVO-style locks ArckFS builds on). *)
@@ -72,7 +81,7 @@ module Rwlock = struct
             (fun () ->
               l.readers <- l.readers + 1;
               waker ())
-            l.read_waiters)
+            (read_queue l))
     end
     else l.readers <- l.readers + 1
 
@@ -94,7 +103,7 @@ module Rwlock = struct
     wake_next l
 
   let write_lock l =
-    if l.writer || l.readers > 0 then Sched.park (fun waker -> Queue.push waker l.write_waiters)
+    if l.writer || l.readers > 0 then Sched.park (fun waker -> Queue.push waker (write_queue l))
     else l.writer <- true
 
   let write_unlock l =

@@ -1058,6 +1058,406 @@ let test_dir_write_permission () =
       Alcotest.(check (list string)) "untouched" [ "g" ] (names_of ops "/w"))
 
 (* ------------------------------------------------------------------ *)
+(* Handback: a LibFS keeps the state it hands back (DESIGN.md §4.5) *)
+
+module Dirindex = Trio_core.Dirindex
+
+(* Bytes the LibFSes have read from the device so far: every node's
+   reads less the kernel's. *)
+let libfs_reads env =
+  let pm = env.Helpers.pmem in
+  let nodes = Trio_nvm.Numa.nodes (Pmem.topo pm) in
+  let total =
+    List.fold_left
+      (fun acc node ->
+        let _, read, _ = Pmem.node_stats pm node in
+        acc +. read)
+      0.0 (List.init nodes Fun.id)
+  in
+  int_of_float total - snd (Pmem.kernel_read_stats pm)
+
+let quiesce env ~proc =
+  Option.iter Controller.ring_drain (Controller.ring_of env.Helpers.ctl proc);
+  Controller.drain_verification env.Helpers.ctl
+
+(* The state [fs] caches for [ino] must agree with a fresh
+   [build_dir_aux] + [materialize] of the device, made by the checker
+   process [chk] under a read map of its own: the same size, chain,
+   index root and (for a complete table) names, every cached name and
+   free slot present on the device, and every mirrored node equal to
+   the device's. *)
+let agrees_with_device env ~chk (d : Libfs.dir_state) =
+  let ctl = env.Helpers.ctl and pm = env.Helpers.pmem in
+  let ino = d.Libfs.d_ino in
+  ignore (ok "checker map" (Controller.map_file ctl ~proc:(Libfs.proc_of chk) ~ino ~write:false));
+  let fresh = Libfs.build_dir_aux chk ~ino ~addr:d.Libfs.d_addr in
+  Libfs.materialize chk fresh;
+  ok "checker unmap" (Controller.unmap_file ctl ~proc:(Libfs.proc_of chk) ~ino);
+  let check what eq = if not eq then Alcotest.failf "handed-back state of %d: %s" ino what in
+  check "size" (d.Libfs.d_size = fresh.Libfs.d_size);
+  check "data pages" (d.Libfs.d_data_pages = fresh.Libfs.d_data_pages);
+  check "index pages" (d.Libfs.d_index_pages = fresh.Libfs.d_index_pages);
+  check "index tail"
+    (d.Libfs.d_index_tail = fresh.Libfs.d_index_tail
+    && d.Libfs.d_index_used = fresh.Libfs.d_index_used);
+  check "index root" (d.Libfs.d_dindex_root = fresh.Libfs.d_dindex_root);
+  let names (d : Libfs.dir_state) =
+    Trio_util.Htbl.fold d.Libfs.d_names [] (fun acc n r ->
+        (n, (r.Libfs.e_ino, r.Libfs.e_addr, r.Libfs.e_ftype)) :: acc)
+    |> List.sort compare
+  in
+  let cached = names d and device = names fresh in
+  check "names" (List.for_all (fun e -> List.mem e device) cached);
+  if d.Libfs.d_aux_built then check "complete names" (cached = device);
+  let slots = List.sort compare d.Libfs.d_free_slots in
+  check "free slots listed once" (List.sort_uniq compare slots = slots);
+  check "free slots free" (List.for_all (fun s -> List.mem s fresh.Libfs.d_free_slots) slots);
+  check "unscanned pages" (List.for_all (fun pg -> List.mem pg d.Libfs.d_data_pages) d.Libfs.d_unscanned);
+  if d.Libfs.d_aux_built then
+    check "every free slot listed" (slots = List.sort compare fresh.Libfs.d_free_slots);
+  Hashtbl.iter
+    (fun page node ->
+      match Dirindex.read_node pm ~actor:Pmem.kernel_actor page with
+      | Ok dev -> check "mirrored node" (dev = node)
+      | Error e -> Alcotest.failf "mirrored node %d: %s" page e)
+    d.Libfs.d_nodes
+
+type disturbance =
+  | Nothing
+  | Other_group  (** another trust group creates or unlinks *)
+  | Co_writer  (** a member of P's group creates *)
+  | Takeover  (** another group holds the directory until its lease expires *)
+  | Chmod  (** the kernel rewrites a child's mode bits *)
+  | Rejected_child  (** a fresh child whose index chain cycles *)
+  | Rollback  (** a size lie the verifier rolls back *)
+  | Poison  (** a poisoned line of a dentry page, scrubbed *)
+
+let disturbance_name = function
+  | Nothing -> "-"
+  | Other_group -> "other-group"
+  | Co_writer -> "co-writer"
+  | Takeover -> "takeover"
+  | Chmod -> "chmod"
+  | Rejected_child -> "rejected-child"
+  | Rollback -> "rollback"
+  | Poison -> "poison"
+
+type p_op = Create of int | Unlink of int | Rename of int * int | Mkdir of int | Rmdir of int | Pwrite of int
+
+let p_op_name = function
+  | Create i -> Printf.sprintf "create %d" i
+  | Unlink i -> Printf.sprintf "unlink %d" i
+  | Rename (i, j) -> Printf.sprintf "rename %d %d" i j
+  | Mkdir i -> Printf.sprintf "mkdir %d" i
+  | Rmdir i -> Printf.sprintf "rmdir %d" i
+  | Pwrite i -> Printf.sprintf "pwrite %d" i
+
+(* Process P, alone in its trust group unless a co-writer runs, works in
+   /d with [unmap_after_write] (synchronously or over a 4-deep ring).
+   Between its ops come writers of another group, a same-group
+   co-writer, a lease-expiry takeover, a chmod of a child, a fresh child
+   the verifier rejects, a rollback and a poisoned line.  After each of
+   P's ops that re-held /d and succeeded, the state P keeps must agree
+   with the device; no handoff of P's may be flagged, and only the two
+   attacks may log a corruption event. *)
+let handback_run (ring, co_writer, steps) =
+  Dirindex.with_test_capacity 4 @@ fun () ->
+  Helpers.run_sim ~lease_ns:1.0e6 (fun env ->
+      let ctl = env.Helpers.ctl and pm = env.Helpers.pmem in
+      let owner_fs = Helpers.mount ~proc:5 env in
+      let owner = Libfs.ops owner_fs in
+      ok "mkdir" (owner.Fs.mkdir "/d" 0o777);
+      List.iter (create_in owner "/d") (names_n "pre" 12);
+      Libfs.unmap_everything owner_fs;
+      let p_fs =
+        Helpers.mount ~proc:1 ~group:1 ~unmap_after_write:true
+          ?ring:(if ring then Some 4 else None)
+          env
+      in
+      let p = Libfs.ops p_fs in
+      let co =
+        if co_writer then
+          Some (Libfs.ops (Helpers.mount ~proc:2 ~group:1 ~unmap_after_write:true env))
+        else None
+      in
+      let other = Libfs.ops (Helpers.mount ~proc:3 ~unmap_after_write:true env) in
+      let holder_fs = Helpers.mount ~proc:4 env in
+      let holder = Libfs.ops holder_fs in
+      let attacker_fs = Helpers.mount ~proc:6 env in
+      let attacker = Libfs.ops attacker_fs in
+      let chk = Helpers.mount ~proc:9 env in
+      let d_ino = ino_of owner "/d" in
+      let path i = Printf.sprintf "/d/n%d" i in
+      let fresh = ref 0 in
+      let fresh_name prefix =
+        incr fresh;
+        Printf.sprintf "/d/%s%d" prefix !fresh
+      in
+      let unlinked = ref (-1) in
+      let ignore_result r = ignore (r : (unit, errno) result) in
+      let create_fresh ops prefix =
+        match ops.Fs.create (fresh_name prefix) 0o666 with
+        | Ok fd -> ignore_result (ops.Fs.close fd)
+        | Error _ -> ()
+      in
+      (* P holds /d after a failed op (it hands back only what it
+         wrote), and its next op does not re-hold it *)
+      let handed_back () =
+        match Hashtbl.find_opt p_fs.Libfs.dirs d_ino with
+        | Some d -> not (Libfs.live p_fs ~ino:d_ino ~write_mapped:d.Libfs.d_write_mapped)
+        | None -> true
+      in
+      let run_p = function
+        | Create i -> (
+          match p.Fs.create (path i) 0o666 with
+          | Ok fd ->
+            ok "close" (p.Fs.close fd);
+            true
+          | Error _ -> false)
+        | Unlink i -> Result.is_ok (p.Fs.unlink (path i))
+        | Rename (i, j) -> Result.is_ok (p.Fs.rename (path i) (path j))
+        | Mkdir i -> Result.is_ok (p.Fs.mkdir (path i) 0o777)
+        | Rmdir i -> Result.is_ok (p.Fs.rmdir (path i))
+        | Pwrite i -> (
+          match p.Fs.open_ (path i) [ O_RDWR ] with
+          | Ok fd ->
+            let wrote = Result.is_ok (p.Fs.pwrite fd (Bytes.make 5000 'p') 100) in
+            ok "close" (p.Fs.close fd);
+            wrote
+          | Error _ -> false)
+      in
+      let disturb = function
+        | Nothing -> ()
+        | Other_group ->
+          (* unlink the next pre-existing name, or create once they
+             are gone *)
+          incr unlinked;
+          if Result.is_error (other.Fs.unlink (Printf.sprintf "/d/pre%02d" !unlinked)) then
+            create_fresh other "o"
+        | Co_writer ->
+          (* only in turn: co-writers that hold one directory at once
+             lose creates (ROADMAP item 1) *)
+          if handed_back () then Option.iter (fun c -> create_fresh c "c") co
+        | Takeover ->
+          (* held write-mapped until the lease expires: P's next map
+             forces it off *)
+          create_fresh holder "h"
+        | Chmod -> (
+          match List.find_opt (fun n -> n <> "") (names_of owner "/d") with
+          | Some n -> ignore_result (owner.Fs.chmod ("/d/" ^ n) 0o640)
+          | None -> ())
+        | Rejected_child -> (
+          let name = fresh_name "evil" in
+          let fd = ok "evil" (attacker.Fs.create name 0o666) in
+          ignore (ok "evil data" (attacker.Fs.pwrite fd (Bytes.make 8192 'e') 0) : int);
+          ok "close" (attacker.Fs.close fd);
+          let d = Option.get (Libfs.cached_dir attacker_fs d_ino) in
+          match Libfs.lookup attacker_fs d (Filename.basename name) with
+          | Some r -> (
+            match Layout.read_dentry pm ~actor:Pmem.kernel_actor ~addr:r.Libfs.e_addr with
+            | Some (Ok (inode, _)) ->
+              let head = inode.Layout.index_head in
+              Pmem.write_u64 pm ~actor:6
+                ~addr:((head * Layout.page_size) + Layout.index_next_off)
+                head;
+              Libfs.unmap_everything attacker_fs
+            | _ -> Alcotest.fail "evil dentry unreadable")
+          | None -> Alcotest.fail "evil child lost")
+        | Rollback ->
+          create_fresh attacker "a";
+          let d = Option.get (Libfs.cached_dir attacker_fs d_ino) in
+          Pmem.write_u64 pm ~actor:6 ~addr:(d.Libfs.d_addr + Layout.off_size) 4242;
+          Libfs.unmap_everything attacker_fs
+        | Poison -> (
+          (* the scrubber defers a page whose file is write-mapped;
+             poison only what it repairs at once *)
+          match Controller.dentry_addr_of ctl d_ino with
+          | Some _ when Controller.writer_of ctl d_ino <> None -> ()
+          | None -> ()
+          | Some dentry_addr -> (
+            match Controller.walk_file ctl ~ino:d_ino ~dentry_addr with
+            | Some (_, _, page :: _, _) ->
+              Pmem.poison_line pm ~page ~line:5;
+              ignore (Trio_core.Scrub.patrol_once ctl : Trio_core.Scrub.stats)
+            | _ -> ()))
+      in
+      let events () = Controller.corruption_events ctl in
+      List.iter
+        (fun (op, x) ->
+          let before = List.length (events ()) in
+          let reheld = handed_back () in
+          let done_ = run_p op in
+          quiesce env ~proc:1;
+          (match List.find_opt (fun (proc, _, _) -> proc = 1) (events ()) with
+          | Some (_, ino, vs) ->
+            Alcotest.failf "P's handoff of %d after %s was flagged: %s" ino (p_op_name op)
+              (String.concat "; " (List.map (Fmt.str "%a" Trio_core.Verifier.pp_violation) vs))
+          | None -> ());
+          (if done_ && reheld then
+             match Hashtbl.find_opt p_fs.Libfs.dirs d_ino with
+             | Some d -> agrees_with_device env ~chk d
+             | None -> ());
+          disturb x;
+          quiesce env ~proc:1;
+          let logged = List.length (events ()) - before in
+          let attack = x = Rejected_child || x = Rollback in
+          if logged > (if attack then 1 else 0) then
+            Alcotest.failf "%d corruption event(s) after %s / %s" logged (p_op_name op)
+              (disturbance_name x))
+        steps;
+      true)
+
+(* [handback_run] over random op and disturbance sequences. *)
+let prop_handback_matches_device =
+  let p_op =
+    QCheck.Gen.(
+      frequency
+        [
+          (5, map (fun i -> Create i) (int_bound 7));
+          (3, map (fun i -> Unlink i) (int_bound 7));
+          (2, map2 (fun i j -> Rename (i, j)) (int_bound 7) (int_bound 7));
+          (1, map (fun i -> Mkdir i) (int_bound 7));
+          (1, map (fun i -> Rmdir i) (int_bound 7));
+          (2, map (fun i -> Pwrite i) (int_bound 7));
+        ])
+  in
+  let disturbance co_writer =
+    QCheck.Gen.(
+      frequency
+        ([
+           (4, return Nothing);
+           (4, return Other_group);
+           (1, return Takeover);
+           (1, return Chmod);
+           (1, return Rejected_child);
+           (1, return Rollback);
+           (1, return Poison);
+         ]
+        @ if co_writer then [ (3, return Co_writer) ] else []))
+  in
+  let gen =
+    QCheck.Gen.(
+      bool >>= fun ring ->
+      bool >>= fun co_writer ->
+      list_size (int_range 4 14) (pair p_op (disturbance co_writer)) >|= fun steps ->
+      (ring, co_writer, steps))
+  in
+  let print (ring, co_writer, steps) =
+    Printf.sprintf "%s%s: %s"
+      (if ring then "ring" else "sync")
+      (if co_writer then " +co-writer" else "")
+      (String.concat "; "
+         (List.map (fun (op, x) -> p_op_name op ^ " / " ^ disturbance_name x) steps))
+  in
+  QCheck.Test.make ~name:"a kept state matches the device" ~count:20 (QCheck.make ~print gen)
+    handback_run
+
+(* A steady-state create in a 64-entry directory, handed back after
+   every write, reads only its own 256-byte dentry on the LibFS side:
+   no chain page, no dentry page, no index node. *)
+let test_handback_create_reads () =
+  Helpers.run_sim (fun env ->
+      let owner_fs = Helpers.mount ~proc:1 env in
+      let owner = Libfs.ops owner_fs in
+      ok "mkdir" (owner.Fs.mkdir "/d" 0o777);
+      List.iter (create_in owner "/d") (names_n "e" 64);
+      Libfs.unmap_everything owner_fs;
+      let ops = Libfs.ops (Helpers.mount ~proc:2 ~unmap_after_write:true env) in
+      (* the first creates fill the allocation caches and the mirror *)
+      List.iter (create_in ops "/d") (names_n "w" 4);
+      let r0 = libfs_reads env in
+      create_in ops "/d" "x";
+      let read = libfs_reads env - r0 in
+      if read > 512 then Alcotest.failf "a handed-back create read %d B" read)
+
+(* Over the ring, an unmap and the re-map that chases it fuse: the
+   mapping never went away, and the LibFS rebuilds nothing. *)
+let test_handback_fused_rebuilds_nothing () =
+  Helpers.run_sim (fun env ->
+      let ctl = env.Helpers.ctl in
+      let owner_fs = Helpers.mount ~proc:1 env in
+      let owner = Libfs.ops owner_fs in
+      ok "mkdir" (owner.Fs.mkdir "/d" 0o777);
+      List.iter (create_in owner "/d") (names_n "e" 16);
+      Libfs.unmap_everything owner_fs;
+      let fs = Helpers.mount ~proc:2 ~unmap_after_write:true ~ring:4 env in
+      let ops = Libfs.ops fs in
+      create_in ops "/d" "warm";
+      let fused () =
+        List.fold_left
+          (fun acc s -> if s.Controller.rg_proc = 2 then acc + s.Controller.rg_fused else acc)
+          0 (Controller.ring_stats ctl)
+      in
+      let rebuild () = Trio_sim.Stats.get (Libfs.stats_of fs) "rebuild" in
+      let f0 = fused () and b0 = rebuild () in
+      List.iter (create_in ops "/d") (names_n "x" 8);
+      Alcotest.(check bool) "re-maps fused" true (fused () > f0);
+      Alcotest.(check (float 0.0)) "rebuild time" 0.0 (rebuild () -. b0))
+
+(* A handed-back directory stays cached but is not served: [cached_dir]
+   (FPFS's path table, KVFS) answers [None] until a re-hold. *)
+let test_handback_not_served () =
+  Helpers.run_sim (fun env ->
+      let fs = Helpers.mount ~proc:1 ~unmap_after_write:true env in
+      let ops = Libfs.ops fs in
+      ok "mkdir" (ops.Fs.mkdir "/d" 0o777);
+      create_in ops "/d" "a";
+      Controller.drain_verification env.Helpers.ctl;
+      let d = ino_of ops "/d" in
+      create_in ops "/d" "b";
+      Alcotest.(check bool) "state kept" true (Hashtbl.mem fs.Libfs.dirs d);
+      Alcotest.(check bool) "not served" true (Libfs.cached_dir fs d = None);
+      ignore (ok "stat" (ops.Fs.stat "/d/b") : stat);
+      Alcotest.(check bool) "served after a re-hold" true (Libfs.cached_dir fs d <> None))
+
+(* Removing an ino drops the state this LibFS kept for it: rmdir of a
+   directory and unlink of a file it had handed back. *)
+let test_handback_removal_drops () =
+  Helpers.run_sim (fun env ->
+      let owner_fs = Helpers.mount ~proc:1 env in
+      let owner = Libfs.ops owner_fs in
+      ok "mkdir" (owner.Fs.mkdir "/d" 0o777);
+      ok "mkdir" (owner.Fs.mkdir "/d/sub" 0o777);
+      ok "write" (Fs.write_file owner "/d/f" "0123");
+      ok "chmod" (owner.Fs.chmod "/d/f" 0o666);
+      Libfs.unmap_everything owner_fs;
+      let fs = Helpers.mount ~proc:2 ~unmap_after_write:true env in
+      let ops = Libfs.ops fs in
+      let sub = ino_of ops "/d/sub" and f = ino_of ops "/d/f" in
+      create_in ops "/d/sub" "x";
+      ok "unlink" (ops.Fs.unlink "/d/sub/x");
+      Alcotest.(check bool) "directory kept" true (Hashtbl.mem fs.Libfs.dirs sub);
+      ok "rmdir" (ops.Fs.rmdir "/d/sub");
+      Alcotest.(check bool) "directory dropped" false (Hashtbl.mem fs.Libfs.dirs sub);
+      let fd = ok "open" (ops.Fs.open_ "/d/f" [ O_RDWR ]) in
+      ignore (ok "pwrite" (ops.Fs.pwrite fd (Bytes.of_string "ab") 0) : int);
+      ok "close" (ops.Fs.close fd);
+      Alcotest.(check bool) "file kept" true (Hashtbl.mem fs.Libfs.files f);
+      ok "unlink" (ops.Fs.unlink "/d/f");
+      Alcotest.(check bool) "file dropped" false (Hashtbl.mem fs.Libfs.files f))
+
+(* A read->write upgrade that no writer came before keeps the state
+   built under the read grant: a pwrite into a 600-page file (two index
+   pages) reads no index page. *)
+let test_upgrade_reads_no_index () =
+  Helpers.run_sim (fun env ->
+      let owner_fs = Helpers.mount ~proc:1 env in
+      let owner = Libfs.ops owner_fs in
+      ok "write" (Fs.write_file owner "/f" (String.make (600 * Layout.page_size) 'o'));
+      ok "chmod" (owner.Fs.chmod "/f" 0o666);
+      Libfs.unmap_everything owner_fs;
+      let ops = Libfs.ops (Helpers.mount ~proc:2 env) in
+      let fd = ok "open" (ops.Fs.open_ "/f" [ O_RDWR ]) in
+      ignore (ok "pread" (ops.Fs.pread fd (Bytes.create 16) 0) : int);
+      let r0 = libfs_reads env in
+      ignore (ok "pwrite" (ops.Fs.pwrite fd (Bytes.make 16 'a') 0) : int);
+      let read = libfs_reads env - r0 in
+      if read >= Layout.page_size then Alcotest.failf "the upgrade read %d B" read;
+      ok "close" (ops.Fs.close fd);
+      Alcotest.(check string) "contents" ("aaaaaaaaaaaaaaaa" ^ String.make ((600 * Layout.page_size) - 16) 'o')
+        (ok "read" (Fs.read_file ops "/f")))
+
+(* ------------------------------------------------------------------ *)
 
 (* The shared conformance suite (including errno parity and VFS counter
    checks) over a fresh ArckFS per check. *)
@@ -1136,6 +1536,16 @@ let () =
           Alcotest.test_case "file upgrade after a revoked read" `Quick
             test_file_upgrade_after_revoked_read;
           Alcotest.test_case "directory write permission" `Quick test_dir_write_permission;
+        ] );
+      ( "handback",
+        [
+          QCheck_alcotest.to_alcotest prop_handback_matches_device;
+          Alcotest.test_case "a create reads only its dentry" `Quick test_handback_create_reads;
+          Alcotest.test_case "a fused re-map rebuilds nothing" `Quick
+            test_handback_fused_rebuilds_nothing;
+          Alcotest.test_case "a handed-back state is not served" `Quick test_handback_not_served;
+          Alcotest.test_case "removing an ino drops its state" `Quick test_handback_removal_drops;
+          Alcotest.test_case "an upgrade reads no index page" `Quick test_upgrade_reads_no_index;
         ] );
       ( "mirror",
         [

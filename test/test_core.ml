@@ -332,9 +332,9 @@ let test_trust_group_shares_without_verify () =
       Controller.register_process ctl ~proc:3 ~cred:{ uid = 1000; gid = 1000 } ~group:7 ();
       Controller.register_process ctl ~proc:4 ~cred:{ uid = 1000; gid = 1000 } ~group:7 ();
       (* proc 3 maps root for write; proc 4's map must not wait *)
-      Helpers.check_ok "map 3" (Controller.map_file ctl ~proc:3 ~ino:Controller.root_ino ~write:true);
+      ignore (Helpers.check_ok "map 3" (Controller.map_file ctl ~proc:3 ~ino:Controller.root_ino ~write:true) : bool);
       let t0 = Sched.now env.Helpers.sched in
-      Helpers.check_ok "map 4" (Controller.map_file ctl ~proc:4 ~ino:Controller.root_ino ~write:true);
+      ignore (Helpers.check_ok "map 4" (Controller.map_file ctl ~proc:4 ~ino:Controller.root_ino ~write:true) : bool);
       let waited = Sched.now env.Helpers.sched -. t0 in
       if waited > 1.0e6 then Alcotest.failf "trust-group map waited %.0fns" waited)
 

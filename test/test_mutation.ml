@@ -31,6 +31,36 @@ let of_report expect (r : Explore.report) =
 
 let parse s = match Script.parse s with Ok ops -> ops | Error e -> failwith e
 
+(* Two trust groups share one directory and hand it back after every
+   write: the victim creates, the other group unlinks a name, the victim
+   creates again, then an outsider lists the directory.  A victim that
+   keeps its handed-back state writes the live-entry count and the index
+   leaf it cached, one entry too many, and the verifier flags its
+   handoff and rolls the directory back: a corruption event, and the
+   victim's second create is gone. *)
+let stale_handback () =
+  Helpers.run_sim (fun env ->
+      let victim = Libfs.ops (Helpers.mount ~proc:1 ~unmap_after_write:true env) in
+      let other = Libfs.ops (Helpers.mount ~proc:2 ~unmap_after_write:true env) in
+      let create fs path =
+        let fd = Helpers.check_ok ("create " ^ path) (fs.Fs.create path 0o644) in
+        Helpers.check_ok "close" (fs.Fs.close fd)
+      in
+      Helpers.check_ok "mkdir" (victim.Fs.mkdir "/d" 0o777);
+      List.iter (fun n -> create victim ("/d/" ^ n)) [ "p0"; "p1"; "p2"; "p3" ];
+      create victim "/d/x";
+      Helpers.check_ok "unlink" (other.Fs.unlink "/d/p1");
+      create victim "/d/y";
+      let outsider = Libfs.ops (Helpers.mount ~proc:3 env) in
+      let names =
+        Helpers.check_ok "readdir" (outsider.Fs.readdir "/d")
+        |> List.map (fun e -> e.Trio_core.Fs_types.d_name)
+        |> List.sort compare
+      in
+      if Controller.corruption_events env.Helpers.ctl = [] && names = [ "p0"; "p2"; "p3"; "x"; "y" ]
+      then Passed
+      else Caught)
+
 (* The campaign that must catch each mutation.  An exhaustive match on
    purpose: a new constructor does not compile until it has one. *)
 let campaign : Mutation.t -> unit -> verdict = function
@@ -60,6 +90,7 @@ let campaign : Mutation.t -> unit -> verdict = function
         (Explore.explore_snapshot_commit ~config:(Explore.kills 16)
            (parse "mkdir /d00; create /n00; write /n00 900; create /n01"))
   | Skip_index -> fun () -> of_report Certification (Explore.explore_dir_index ())
+  | Keep_handed_back -> stale_handback
 
 let test_caught m () =
   Alcotest.check verdict "caught under the mutation" Caught

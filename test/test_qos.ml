@@ -104,7 +104,7 @@ let test_ring_submit_parks_until_admitted () =
       (match Controller.Ring.submit ring Controller.Ring.Op_lease with
       | Ok seq -> (
         match Controller.Ring.await ring ~seq with
-        | Ok () -> ()
+        | Ok _ -> ()
         | Error e -> Alcotest.failf "lease completion: %s" (errno_to_string e))
       | Error e -> Alcotest.failf "blocking submit: %s" (errno_to_string e));
       Alcotest.(check bool)
@@ -153,7 +153,9 @@ let test_syscall_entry_charges_one_unit () =
       in
       let ignore_result r = ignore (r : (unit, errno) result) in
       entry "map_file" (fun () ->
-          Helpers.check_ok "map root" (Controller.map_file ctl ~proc:7 ~ino:root ~write:false));
+          ignore
+            (Helpers.check_ok "map root" (Controller.map_file ctl ~proc:7 ~ino:root ~write:false)
+              : bool));
       entry "unmap_file" (fun () ->
           Helpers.check_ok "unmap root" (Controller.unmap_file ctl ~proc:7 ~ino:root));
       let inos = ref [] in
@@ -191,7 +193,9 @@ let test_releases_never_wait () =
       Controller.set_qos_share ctl ~group:99 50.0;
       Controller.register_process ctl ~proc:7 ~cred ~qos_share:0.02 ();
       let root = Layout.root_ino in
-      Helpers.check_ok "map root" (Controller.map_file ctl ~proc:7 ~ino:root ~write:false);
+      ignore
+        (Helpers.check_ok "map root" (Controller.map_file ctl ~proc:7 ~ino:root ~write:false)
+          : bool);
       let inos = Controller.alloc_inos ctl ~proc:7 ~count:1 in
       drain_tenant_bucket ctl ~proc:7;
       let throttled () =
@@ -236,7 +240,7 @@ let test_no_enforcement_no_throttle () =
       (match Controller.Ring.submit ring Controller.Ring.Op_lease with
       | Ok seq -> (
         match Controller.Ring.await ring ~seq with
-        | Ok () -> ()
+        | Ok _ -> ()
         | Error e -> Alcotest.failf "lease completion: %s" (errno_to_string e))
       | Error e -> Alcotest.failf "unenforced submit refused: %s" (errno_to_string e));
       Alcotest.(check int) "no throttle parks" 0 (Controller.Ring.throttle_parks ring))

@@ -34,11 +34,11 @@ let test_wraparound () =
         in
         let batch = Ring.take_batch r ~max:64 in
         Alcotest.(check int) "whole SQ drained" 4 (List.length batch);
-        List.iter (fun (seq, _) -> Ring.post r ~seq (Ok ())) batch;
+        List.iter (fun (seq, _) -> Ring.post r ~seq (Ok false)) batch;
         List.iter
           (fun seq ->
             match Ring.await r ~seq with
-            | Ok () -> ()
+            | Ok _ -> ()
             | Error e -> Alcotest.failf "await %d: %s" seq (errno_to_string e))
           seqs
       done;
@@ -70,7 +70,7 @@ let test_backpressure () =
       let drained = ref 0 in
       while !drained < 5 do
         let batch = Ring.take_batch r ~max:1 in
-        List.iter (fun (seq, _) -> Ring.post r ~seq (Ok ())) batch;
+        List.iter (fun (seq, _) -> Ring.post r ~seq (Ok false)) batch;
         drained := !drained + List.length batch;
         Sched.delay 1.0e3
       done;
@@ -96,7 +96,7 @@ let test_interleaved_producers () =
               match Ring.submit r Ring.Op_lease with
               | Error e -> Alcotest.failf "submit: %s" (errno_to_string e)
               | Ok seq ->
-                let expect = if seq mod 2 = 0 then Ok () else Error EINVAL in
+                let expect = if seq mod 2 = 0 then Ok false else Error EINVAL in
                 if Ring.await r ~seq <> expect then incr mismatches;
                 incr completions
             done)
@@ -108,7 +108,7 @@ let test_interleaved_producers () =
         Sched.delay 0.9e3;
         List.iter
           (fun (seq, _) ->
-            Ring.post r ~seq (if seq mod 2 = 0 then Ok () else Error EINVAL);
+            Ring.post r ~seq (if seq mod 2 = 0 then Ok false else Error EINVAL);
             incr posted)
           (Ring.take_batch r ~max:3)
       done;
@@ -318,7 +318,7 @@ let test_unpause_wakes_every_ring () =
               | Error e -> Alcotest.failf "ring %d submit: %s" proc (errno_to_string e)
               | Ok seq -> (
                 match Ring.await (ring proc) ~seq with
-                | Ok () -> Hashtbl.replace completed proc ()
+                | Ok _ -> Hashtbl.replace completed proc ()
                 | Error e -> Alcotest.failf "ring %d lease: %s" proc (errno_to_string e))))
         procs;
       Sched.delay 1.0e6;

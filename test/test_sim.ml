@@ -180,6 +180,30 @@ let test_rwlock_writer_not_starved () =
   if !writer_done_at > 30.0 then
     Alcotest.failf "writer starved until %.1f" !writer_done_at
 
+(* An uncontended lock makes no waiter queue: 1,000 locks, each taken
+   and released in both modes, hold 5 words apiece (13 with two queues
+   made at creation), plus the array slot that keeps them alive. *)
+let test_rwlock_uncontended_no_queue () =
+  let n = 1_000 in
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let locks = ref [||] in
+  let before = live_words () in
+  ignore
+    (run (fun _ ->
+         locks := Array.init n (fun _ -> Sync.Rwlock.create ());
+         Array.iter
+           (fun l ->
+             Sync.Rwlock.with_read l ignore;
+             Sync.Rwlock.with_write l ignore)
+           !locks));
+  let per_lock = float_of_int (live_words () - before) /. float_of_int n in
+  ignore (Sys.opaque_identity !locks);
+  if per_lock >= 7.0 then
+    Alcotest.failf "an uncontended rwlock holds %.1f heap words (at most 6 expected)" per_lock
+
 (* ------------------------------------------------------------------ *)
 (* Range lock *)
 
@@ -456,6 +480,7 @@ let () =
           Alcotest.test_case "readers concurrent" `Quick test_rwlock_readers_concurrent;
           Alcotest.test_case "writer excludes" `Quick test_rwlock_writer_excludes;
           Alcotest.test_case "writer not starved" `Quick test_rwlock_writer_not_starved;
+          Alcotest.test_case "uncontended makes no queue" `Quick test_rwlock_uncontended_no_queue;
         ] );
       ( "range_lock",
         [
