@@ -411,7 +411,8 @@ let print_verify_counters ctl =
     List.iter (fun (k, v) -> Printf.printf "  %-32s %.1f\n" k v) kvs
 
 (* The map path's timers, the wait for verification ("settle"), the
-   device reads the controller made and the PTE ops the MMU charged. *)
+   device reads the controller made, the PTE ops the MMU charged and
+   how many of them were first-touch faults of on-demand maps. *)
 let print_controller_counters ctl pmem =
   let stats = Controller.stats ctl in
   Printf.printf "controller timers (virtual ns) and device reads:\n";
@@ -420,7 +421,8 @@ let print_controller_counters ctl pmem =
     [ "settle"; "map.walk"; "map.checkpoint"; "map"; "unmap" ];
   let reads, bytes = Pmem.kernel_read_stats pmem in
   Printf.printf "  %-32s %d (%d B)\n" "kernel device reads" reads bytes;
-  Printf.printf "  %-32s %d\n" "pte ops" (Controller.pte_ops ctl)
+  Printf.printf "  %-32s %d (%d demand faults)\n" "pte ops" (Controller.pte_ops ctl)
+    (Controller.demand_faults ctl)
 
 let stats_cmd =
   let run fs_name =

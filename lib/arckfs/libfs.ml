@@ -1486,9 +1486,22 @@ let stat_of_inode (inode : Layout.inode) =
     st_ctime = float_of_int inode.Layout.ctime;
   }
 
+(* Under [unmap_after_write] a namespace op hands back the directories
+   it resolved for writing however it ends: one left write-mapped by a
+   failed op (EEXIST, ENOENT, ENOTEMPTY) would hold every other trust
+   group off until its lease expires.  The first is handed back first,
+   which puts a rename's destination ahead of its source, so the
+   verifier sees a moved entry arrive before the source's
+   deleted-child diff (DESIGN.md). *)
+let hand_back t dirs result =
+  if t.unmap_after_write then List.iter (fun (d : dir_state) -> unmap t d.d_ino) dirs;
+  result
+
 let op_create t ~resolve path mode =
   with_retry t (fun () ->
       let* d, name = resolve ~write:true path in
+      hand_back t [ d ]
+      @@
       let* r = create_entry t d name ~ftype:Reg ~mode in
       (* the file is known empty: construct its auxiliary state directly
          rather than re-reading the dentry we just wrote *)
@@ -1510,7 +1523,6 @@ let op_create t ~resolve path mode =
       Hashtbl.replace t.files r.e_ino f;
       let fd = alloc_fd t in
       Hashtbl.replace t.fds fd { fd_ino = r.e_ino; fd_addr = r.e_addr };
-      if t.unmap_after_write then unmap t d.d_ino;
       Ok fd)
 
 let op_open t ~resolve path flags =
@@ -1584,6 +1596,8 @@ let op_truncate t ~resolve path size =
 let op_unlink t ~resolve path =
   with_retry t (fun () ->
       let* d, name = resolve ~write:true path in
+      hand_back t [ d ]
+      @@
       let* () = ensure_dir_writable t d in
       ensure_resolvable t d;
       let stripe = Htbl.stripe_of_key d.d_names name in
@@ -1607,19 +1621,18 @@ let op_unlink t ~resolve path =
         bump_dir_size t d (-1);
         free ();
         Hashtbl.remove t.files r.e_ino;
-        if t.unmap_after_write then unmap t d.d_ino;
         Ok ())
 
 let op_mkdir t ~resolve path mode =
   with_retry t (fun () ->
       let* d, name = resolve ~write:true path in
-      let* _r = create_entry t d name ~ftype:Dir ~mode in
-      if t.unmap_after_write then unmap t d.d_ino;
-      Ok ())
+      hand_back t [ d ] (Result.map ignore (create_entry t d name ~ftype:Dir ~mode)))
 
 let op_rmdir t ~resolve path =
   with_retry t (fun () ->
       let* d, name = resolve ~write:true path in
+      hand_back t [ d ]
+      @@
       let* () = ensure_dir_writable t d in
       ensure_resolvable t d;
       let stripe = Htbl.stripe_of_key d.d_names name in
@@ -1670,7 +1683,6 @@ let op_rmdir t ~resolve path =
            if pages <> [] then free_pages_lazily t pages
          end);
         drop_aux t r.e_ino;
-        if t.unmap_after_write then unmap t d.d_ino;
         Ok ())
 
 (* Readdir ordering contract (README): entries come back in ascending
@@ -1754,7 +1766,13 @@ let op_chmod t ~resolve path mode =
 let op_rename t ~resolve src dst =
   with_retry t (fun () ->
       let* sd, sname = resolve ~write:true src in
-      let* dd, dname = resolve ~write:true dst in
+      let* dd, dname =
+        match resolve ~write:true dst with
+        | Ok r -> Ok r
+        | Error _ as e -> hand_back t [ sd ] e
+      in
+      hand_back t (if sd.d_ino = dd.d_ino then [ dd ] else [ dd; sd ])
+      @@
       let* () = ensure_dir_writable t sd in
       let* () = ensure_dir_writable t dd in
       ensure_resolvable t sd;
@@ -1874,12 +1892,6 @@ let op_rename t ~resolve src dst =
               | Some er -> index_delete t dd dname er.e_addr
               | None -> ());
               index_insert t dd dname dst_addr;
-              (* unmap destination first so the verifier sees the move
-                 before the source's deleted-child diff (DESIGN.md) *)
-              if t.unmap_after_write then begin
-                unmap t dd.d_ino;
-                if sd.d_ino <> dd.d_ino then unmap t sd.d_ino
-              end;
               finish (Ok ())
             | _ -> finish (Error EIO)))))
       with e -> unwind e)

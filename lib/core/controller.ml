@@ -82,6 +82,11 @@ let stats (t : t) = t.Ctl_state.stats
 (* Page-table entries the MMU has programmed (grants and charged
    revokes), one per page. *)
 let pte_ops (t : t) = Mmu.pte_ops t.Ctl_state.mmu
+
+(* Of those, the PTEs on-demand directory write maps made on first
+   touch (DESIGN.md §4.5). *)
+let demand_faults (t : t) = Mmu.faults t.Ctl_state.mmu
+
 let sched (t : t) = t.Ctl_state.sched
 let pmem (t : t) = t.Ctl_state.pmem
 let root_ino = Layout.root_ino

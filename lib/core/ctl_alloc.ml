@@ -60,6 +60,7 @@ let alloc_pages t ~proc ~node ~count ~kind =
    readable until the next root supersedes it. *)
 let release_page t pg =
   if not (snap_pinned_mem t pg) then begin
+    unfaultable t pg;
     clear_page_owner t pg;
     Pmem.discard_page t.pmem pg;
     put_free t pg

@@ -153,9 +153,21 @@ let rec ingest_verified t ~reads ~proc ~(f : file_info) (report : Verifier.repor
   f.f_dindex_pages <- report.Verifier.dindex_pages;
   (* Once pages belong to a file the creator no longer holds write-mapped,
      its allocation-time grants must go: otherwise it would retain access
-     after the handoff, defeating the exclusive-write policy. *)
+     after the handoff, defeating the exclusive-write policy.  A writer
+     still mapping it on demand (a commit, crash recovery) hands each
+     page's grant to the mapping, which revokes it with the rest. *)
   if f.f_writer <> Some proc then
-    Mmu.revoke_free t.mmu ~actor:proc ~pages:new_pages ~perm:Mmu.P_readwrite;
+    Mmu.revoke_free t.mmu ~actor:proc ~pages:new_pages ~perm:Mmu.P_readwrite
+  else begin
+    match Hashtbl.find_opt pinfo.p_mapped f.f_ino with
+    | Some (On_demand d) ->
+      List.iter
+        (fun pg ->
+          if not (List.exists (fun (pte : Mmu.pte) -> pte.pte_page = pg) d.ptes) then
+            Option.iter (fun pte -> d.ptes <- pte :: d.ptes) (Mmu.pte_of t.mmu ~actor:proc ~page:pg))
+        new_pages
+    | Some Eager | None -> ()
+  end;
   (* Children: ingest newly created files, update moved dentries. *)
   List.iter
     (fun (c : Verifier.child) ->
@@ -413,18 +425,6 @@ let rec service t (sh : shard) =
     Sched.park (fun waker -> Queue.push waker sh.sh_vq_idle);
     service t sh
 
-(* Each shard gets its own verifier fibers, pinned to CPUs of the
-   matching NUMA node so their device reads charge that socket's
-   bandwidth domain. *)
-let start t =
-  Array.iter
-    (fun (sh : shard) ->
-      for i = 0 to verifier_fiber_count - 1 do
-        let cpu = Numa.cpu_of_node_local t.topo ~node:sh.sh_id ~local:i in
-        Sched.spawn ~cpu t.sched (fun () -> service t sh)
-      done)
-    t.shards
-
 (* ------------------------------------------------------------------ *)
 (* Verifier gate for files whose last writer died or wedged (§4.4 of the
    paper: crash consistency of the handoff).  The watchdog only marks
@@ -510,24 +510,50 @@ let drain_unverified t =
 (* ------------------------------------------------------------------ *)
 (* Map / unmap *)
 
-(* A revoked write mapping leaves the process' view current as of now:
-   every store it made landed before this mark, and any later one
-   dirties a page past it (see [view_current]). *)
+(* Take away the PTEs [proc]'s [mapping] of [f] holds: an eager one's
+   on every page the controller attributes to the file, an on-demand
+   one's exactly those its faults made, after it stops faulting.
+   [Mutation.Keep_faulted_ptes] revokes only those made at map time. *)
+let revoke_ptes t ~proc ~(f : file_info) mapping ~perm ~charge =
+  match mapping with
+  | Eager ->
+    let pages = file_pages f in
+    if charge then Mmu.revoke t.mmu ~actor:proc ~pages ~perm
+    else Mmu.revoke_free t.mmu ~actor:proc ~pages ~perm
+  | On_demand d ->
+    drop_faultable (proc_info t proc) ~ino:f.f_ino d.faultable;
+    let ptes = if Mutation.active Keep_faulted_ptes then [] else d.ptes in
+    Mmu.revoke_ptes t.mmu ~actor:proc ~ptes ~charge
+
+(* Revoke [proc]'s mapping of [f].  A write mapping is revoked once:
+   the revoke claims it before its PTE edits take their time, so a
+   second revoker (another waiter at the same lease expiry, or the
+   holder's own unmap) finds it gone.  A revoked write mapping leaves
+   the process' view current as of now: every store it made landed
+   before this mark, and any later one dirties a page past it (see
+   [view_current]).  Only a claim still [proc]'s is cleared, so a
+   revoke never undoes a newer writer's.  A read mapping needs no
+   verification, and a second revoke of one only repeats its PTE
+   edits. *)
 let revoke_mapping t ~proc ~(f : file_info) ~was_writer =
-  let pages = file_pages f in
-  let perm = if was_writer then Mmu.P_readwrite else Mmu.P_read in
-  Stats.timed t.stats t.sched "unmap" (fun () -> Mmu.revoke t.mmu ~actor:proc ~pages ~perm);
   let p = proc_info t proc in
-  Hashtbl.remove p.p_mapped f.f_ino;
-  if was_writer then begin
-    Hashtbl.replace p.p_seen f.f_ino (Mmu.write_mark t.mmu);
-    f.f_writer <- None;
-    (* The pipelining win: the write handoff only queues verification;
-       a background fiber picks it up while the LibFS moves on. *)
-    enqueue_verify t ~proc ~f
-  end
-  else Hashtbl.remove f.f_readers proc;
-  wake_all f
+  match Hashtbl.find_opt p.p_mapped f.f_ino with
+  | None when was_writer -> ()
+  | mapping ->
+    Hashtbl.remove p.p_mapped f.f_ino;
+    let mapping = Option.value mapping ~default:Eager in
+    let perm = if was_writer then Mmu.P_readwrite else Mmu.P_read in
+    Stats.timed t.stats t.sched "unmap" (fun () ->
+        revoke_ptes t ~proc ~f mapping ~perm ~charge:true);
+    if was_writer then begin
+      Hashtbl.replace p.p_seen f.f_ino (Mmu.write_mark t.mmu);
+      if f.f_writer = Some proc then f.f_writer <- None;
+      (* The pipelining win: the write handoff only queues verification;
+         a background fiber picks it up while the LibFS moves on. *)
+      enqueue_verify t ~proc ~f
+    end
+    else Hashtbl.remove f.f_readers proc;
+    wake_all f
 
 (* The op body, shared by the synchronous syscall below and the ring
    drain plane (which pays the kernel-crossing cost once per batch). *)
@@ -553,16 +579,38 @@ let unmap_file t ~proc ~ino = syscall t proc ~admit:false (fun () -> unmap_file_
    fiber that requests the conflicting access — including the
    verification of the revoked writer's state, which is settled inline
    rather than left to the background fibers (the waiter needs the
-   verdict before it can be granted anything). *)
+   verdict before it can be granted anything).
+
+   Every waiter parked on an expiring lease wakes here at once.  The
+   first to reach the writer revokes it, once; a writer whose mapping
+   is already claimed has its revoke in flight in another fiber, which
+   wakes the waiters when it ends (DESIGN.md §4.5, "The takeover").
+   Readers are revoked by every waiter that finds them, as before.
+   The revoke and the verification serve every waiter of the expired
+   lease, so they buy the one that ran them no head start: when others
+   parked on its revoke, it yields once the verdict is in, and the
+   waiters the verification woke take the file in wake order. *)
 let force_unmap_holders t ~(f : file_info) ~for_writer =
-  (match f.f_writer with
-  | Some holder -> revoke_mapping t ~proc:holder ~f ~was_writer:true
-  | None -> ());
+  let claimed proc = not (Hashtbl.mem (proc_info t proc).p_mapped f.f_ino) in
+  let revoker =
+    match f.f_writer with
+    | Some holder when not (claimed holder) ->
+      f.f_contended <- false;
+      revoke_mapping t ~proc:holder ~f ~was_writer:true;
+      true
+    | _ -> false
+  in
   settle t f;
+  if revoker && f.f_contended then Sched.yield ();
   if for_writer then
     Hashtbl.iter
       (fun r () -> revoke_mapping t ~proc:r ~f ~was_writer:false)
-      (Hashtbl.copy f.f_readers)
+      (Hashtbl.copy f.f_readers);
+  (* checked and parked on with no yield between, so no wake is lost *)
+  if Option.fold ~none:false ~some:claimed f.f_writer then begin
+    f.f_contended <- true;
+    Sched.park (fun waker -> Queue.push waker f.f_waiters)
+  end
 
 (* A write mapping held by a process of another trust group. *)
 let writer_conflict t ~proc ~(f : file_info) =
@@ -694,6 +742,53 @@ let view_current t ~proc (f : file_info) =
     && List.for_all clean f.f_data_pages
     && List.for_all clean f.f_dindex_pages
 
+(* May [proc]'s write map of [f] make each PTE on first touch instead
+   of all of them now (DESIGN.md §4.5)?  A steady-state handoff stores
+   to 3 pages of its directory, while a file write touches most of its
+   file, and a fault (a kernel entry and a PTE edit) costs more than an
+   eager PTE: so directories only.  A view the LibFS will rebuild reads
+   every page, so only one the reply vouches for; a same-group peer may
+   be writing the directory too, so only a process alone in its trust
+   group; and an upgrade keeps its eager grant. *)
+let on_demand t ~proc ~(f : file_info) ~current ~upgrade =
+  f.f_ftype = Dir && current && (not upgrade) && Ctl_registry.group_solo t ~proc
+
+(* Resolve a first touch of a faultable page: one kernel entry and one
+   PTE edit, timed under "map", then one read-write PTE that the
+   mapping records.  Only for a page the controller attributes to the
+   mapped directory (its dentry's page, or a page of its own) while the
+   process still holds the mapping, checked again after the fault's
+   delay: a force-unmap, a free or a reattribution in the meantime
+   refuses it, and the access faults. *)
+let resolve_fault t ~actor:proc ~page ~write:_ =
+  let demand () =
+    match Hashtbl.find_opt t.procs proc with
+    | None -> None
+    | Some p ->
+      let of_ino ino =
+        match (file_find t ino, Hashtbl.find_opt p.p_mapped ino) with
+        | Some f, Some (On_demand d)
+          when f.f_writer = Some proc
+               && (page = f.f_dentry_addr / page_size || owner_of t page = In_file ino) ->
+          Some d
+        | _ -> None
+      in
+      List.find_map of_ino (Option.value (Hashtbl.find_opt p.p_faultable page) ~default:[])
+  in
+  match demand () with
+  | None -> false
+  | Some _ -> (
+    Sched.shield (fun () ->
+        Stats.timed t.stats t.sched "map" (fun () ->
+            Sched.delay (Perf.Cpu.syscall +. Perf.Cpu.page_table_op)));
+    match demand () with
+    | None -> false
+    | Some d ->
+      (* a sibling fiber's fault may have made it during the delay *)
+      if not (Mmu.permits t.mmu ~actor:proc ~page ~write:true) then
+        d.ptes <- Mmu.make_pte t.mmu ~actor:proc ~page :: d.ptes;
+      true)
+
 let map_file_body t ~proc ~ino ~write =
   match find_file t ino with
   | None -> Error ENOENT
@@ -739,11 +834,15 @@ let map_file_body t ~proc ~ino ~write =
           else begin
           (* Claim the mapping before the (slow) walk/checkpoint/grant so
              no other fiber slips in during those delays. *)
+          let upgrade = write && Hashtbl.mem f.f_readers proc in
+          let p = proc_info t proc in
+          (* recorded at the claim, so a revoke always finds what to undo *)
+          Hashtbl.replace p.p_mapped ino Eager;
           if write then begin
             f.f_writer <- Some proc;
             (* read-to-write upgrade: the earlier read grants must go,
                or revoking the write mapping later would leave access *)
-            if Hashtbl.mem f.f_readers proc then begin
+            if upgrade then begin
               Hashtbl.remove f.f_readers proc;
               Mmu.revoke_free t.mmu ~actor:proc ~pages:(file_pages f) ~perm:Mmu.P_read
             end
@@ -765,18 +864,29 @@ let map_file_body t ~proc ~ino ~write =
           if write then
             Stats.timed t.stats t.sched "map.checkpoint" (fun () ->
                 Ctl_checkpoint.take_checkpoint t f);
-          let pages = file_pages f in
-          Stats.timed t.stats t.sched "map" (fun () ->
-              Mmu.grant t.mmu ~actor:proc ~pages
-                ~perm:(if write then Mmu.P_readwrite else Mmu.P_read));
-          f.f_lease_expire <- Sched.now t.sched +. t.lease_ns;
-          let p = proc_info t proc in
-          Hashtbl.replace p.p_mapped ino ();
-          (* Answered after the settle and the grant, so the handback's
-             own verification and ingestion have landed.  A read grant
-             makes the view current now; a writer's is dropped, since
-             it will write, and taken again when its mapping goes. *)
+          (* Answered after the settle, so the handback's own
+             verification and ingestion have landed, and before the
+             grant, which it shapes. *)
           let current = view_current t ~proc f in
+          let pages = file_pages f in
+          let mapping =
+            if write && on_demand t ~proc ~f ~current ~upgrade then begin
+              add_faultable p ~ino pages;
+              On_demand { faultable = pages; ptes = [] }
+            end
+            else begin
+              Stats.timed t.stats t.sched "map" (fun () ->
+                  Mmu.grant t.mmu ~actor:proc ~pages
+                    ~perm:(if write then Mmu.P_readwrite else Mmu.P_read));
+              Eager
+            end
+          in
+          f.f_lease_expire <- Sched.now t.sched +. t.lease_ns;
+          (* unless a takeover revoked it while the grant took its time *)
+          if Hashtbl.mem p.p_mapped ino then Hashtbl.replace p.p_mapped ino mapping;
+          (* A read grant makes the view current now; a writer's is
+             dropped, since it will write, and taken again when its
+             mapping goes. *)
           if write then Hashtbl.remove p.p_seen ino
           else Hashtbl.replace p.p_seen ino (Mmu.write_mark t.mmu);
           Ok current
@@ -784,6 +894,19 @@ let map_file_body t ~proc ~ino ~write =
 
 let map_file t ~proc ~ino ~write =
   syscall t proc ~admit:true (fun () -> map_file_body t ~proc ~ino ~write)
+
+(* Start the controller's kernel side: the MMU's fault handler, and
+   each shard's verifier fibers, pinned to CPUs of the matching NUMA
+   node so their device reads charge that socket's bandwidth domain. *)
+let start t =
+  Mmu.set_fault_handler t.mmu (resolve_fault t);
+  Array.iter
+    (fun (sh : shard) ->
+      for i = 0 to verifier_fiber_count - 1 do
+        let cpu = Numa.cpu_of_node_local t.topo ~node:sh.sh_id ~local:i in
+        Sched.spawn ~cpu t.sched (fun () -> service t sh)
+      done)
+    t.shards
 
 (* Commit: re-verify now and, on success, replace the checkpoint so a
    later rollback cannot lose the committed changes (§4.3).  Stays
@@ -812,7 +935,7 @@ let commit t ~proc ~ino =
 (* Release everything a process has mapped (process teardown). *)
 let unmap_all t ~proc =
   let p = proc_info t proc in
-  let inos = Hashtbl.fold (fun ino () acc -> ino :: acc) p.p_mapped [] in
+  let inos = Hashtbl.fold (fun ino _ acc -> ino :: acc) p.p_mapped [] in
   List.iter (fun ino -> ignore (unmap_file t ~proc ~ino)) inos
 
 (* ------------------------------------------------------------------ *)
@@ -875,9 +998,10 @@ let crash_recover t =
       match f.f_writer with
       | Some proc ->
         ignore (verify_file t ~proc ~f);
-        let pages = file_pages f in
-        Mmu.revoke_free t.mmu ~actor:proc ~pages ~perm:Mmu.P_readwrite;
-        Hashtbl.remove (proc_info t proc).p_mapped f.f_ino;
+        let p = proc_info t proc in
+        let mapping = Option.value (Hashtbl.find_opt p.p_mapped f.f_ino) ~default:Eager in
+        Hashtbl.remove p.p_mapped f.f_ino;
+        revoke_ptes t ~proc ~f mapping ~perm:Mmu.P_readwrite ~charge:false;
         f.f_writer <- None;
         wake_all f
       | None -> ());

@@ -26,7 +26,8 @@ val drain_verification : Ctl_state.t -> unit
     A no-op outside fibers (the pipeline is always empty there). *)
 
 val start : Ctl_state.t -> unit
-(** Spawn the background verifier fibers. *)
+(** Install the MMU's fault handler (on-demand directory write maps,
+    DESIGN.md §4.5) and spawn the background verifier fibers. *)
 
 val map_file : Ctl_state.t -> proc:int -> ino:int -> write:bool -> (bool, Fs_types.errno) result
 (** [Ok current]: [current] when every page of the file's walked set is

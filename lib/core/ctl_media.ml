@@ -39,6 +39,7 @@ let degrade_file t ~ino level ~detail =
    extent allocators, onto the badblock list.  Content and poison are
    left in place — the media there is unreliable by definition. *)
 let retire_page_raw t pg =
+  unfaultable t pg;
   clear_page_owner t pg;
   if not (List.mem pg t.badblocks) then t.badblocks <- pg :: t.badblocks;
   Mmu.revoke_everyone_on_pages t.mmu ~pages:[ pg ]

@@ -28,6 +28,7 @@ let register_process t ~proc ~cred ?group ?qos_share ?fix ?recovery () =
       p_pages = Hashtbl.create 64;
       p_inos = Hashtbl.create 64;
       p_mapped = Hashtbl.create 16;
+      p_faultable = Hashtbl.create 16;
       p_seen = Hashtbl.create 16;
       p_last_heartbeat = Sched.now t.sched;
       p_dead = false;
@@ -109,7 +110,7 @@ let abnormal_teardown ?report t ~proc =
        invariant owes it nothing. *)
     (match ring_find t proc with Some r -> Ctl_ring.close r | None -> ());
     Hashtbl.iter
-      (fun ino () ->
+      (fun ino _ ->
         match file_find t ino with
         | None -> ()
         | Some f ->
@@ -134,6 +135,7 @@ let abnormal_teardown ?report t ~proc =
           bump (fun r -> r.wd_unverified <- r.wd_unverified + 1)
         end);
     Hashtbl.reset p.p_mapped;
+    Hashtbl.reset p.p_faultable;
     Hashtbl.reset p.p_seen;
     p.p_fix <- None;
     p.p_recovery <- None;
@@ -168,7 +170,7 @@ let watchdog_once ?report t ~timeout_ns =
         in
         let lease_running =
           Hashtbl.fold
-            (fun ino () acc ->
+            (fun ino _ acc ->
               acc
               ||
               match file_find t ino with

@@ -70,7 +70,19 @@ type file_info = {
       (* queued for background verification on behalf of this proc
          (set by unmap, cleared when a verifier fiber claims the file) *)
   mutable f_verifying : bool; (* a verifier fiber is checking it right now *)
+  mutable f_contended : bool;
+      (* another waiter of an expired lease parked on the revoke in
+         flight (see Ctl_gate.force_unmap_holders) *)
 }
+
+(* How a process holds a file mapped (DESIGN.md §4.5).  An eager
+   mapping holds a PTE on every page the controller attributes to the
+   file, so its revoke takes [file_pages] as they stand then.  A
+   directory write map granted on first touch holds only the PTEs its
+   faults made, and its revoke takes exactly those. *)
+type demand = { faultable : int list; mutable ptes : Mmu.pte list }
+
+type mapping = Eager | On_demand of demand
 
 type proc_info = {
   p_id : int;
@@ -80,7 +92,10 @@ type proc_info = {
   mutable p_recovery : (unit -> unit) option; (* LibFS crash-recovery program *)
   mutable p_pages : (int, unit) Hashtbl.t; (* pages Allocated_to this proc *)
   mutable p_inos : (int, unit) Hashtbl.t; (* inos Ino_allocated_to this proc *)
-  mutable p_mapped : (int, unit) Hashtbl.t; (* inos this proc has mapped *)
+  mutable p_mapped : (int, mapping) Hashtbl.t; (* inos this proc has mapped *)
+  p_faultable : (int, int list) Hashtbl.t;
+      (* page -> the directory whose on-demand write mapping makes a
+         PTE for it on first touch *)
   p_seen : (int, int) Hashtbl.t;
       (* ino -> MMU write mark at which this proc's view of the file was
          current: taken at its read grant and when its write mapping is
@@ -264,6 +279,7 @@ let new_file ~ino ~dentry_addr ~parent ~ftype ?(index_pages = []) ?(data_pages =
     f_unverified = None;
     f_pending = None;
     f_verifying = false;
+    f_contended = false;
   }
 
 let make_node_allocs topo ~pages_per_node =
@@ -536,3 +552,27 @@ let wake_all f =
   while not (Queue.is_empty f.f_waiters) do
     (Queue.pop f.f_waiters) ()
   done
+
+(* [p]'s faultable pages: each names the directories whose on-demand
+   write mapping may make its PTE on first touch. *)
+let add_faultable p ~ino pages =
+  List.iter
+    (fun pg ->
+      let inos = Option.value (Hashtbl.find_opt p.p_faultable pg) ~default:[] in
+      Hashtbl.replace p.p_faultable pg (ino :: inos))
+    pages
+
+let drop_faultable p ~ino pages =
+  List.iter
+    (fun pg ->
+      match Hashtbl.find_opt p.p_faultable pg with
+      | Some inos -> (
+        match List.filter (fun i -> i <> ino) inos with
+        | [] -> Hashtbl.remove p.p_faultable pg
+        | rest -> Hashtbl.replace p.p_faultable pg rest)
+      | None -> ())
+    pages
+
+(* A freed or retired page is faultable for no one, whoever it goes to
+   next. *)
+let unfaultable t pg = Hashtbl.iter (fun _ p -> Hashtbl.remove p.p_faultable pg) t.procs

@@ -59,7 +59,19 @@ type file_info = {
   mutable f_unverified : int option;
   mutable f_pending : int option;
   mutable f_verifying : bool;
+  mutable f_contended : bool;
+      (** another waiter of an expired lease parked on the revoke in flight *)
 }
+
+(** How a process holds a file mapped (DESIGN.md §4.5). *)
+type demand = {
+  faultable : int list;  (** the pages that get a PTE on first touch *)
+  mutable ptes : Mmu.pte list;  (** the PTEs made so far *)
+}
+
+type mapping =
+  | Eager  (** a PTE on every page the controller attributes to the file *)
+  | On_demand of demand  (** a directory write map granted on first touch *)
 
 type proc_info = {
   p_id : int;
@@ -69,7 +81,9 @@ type proc_info = {
   mutable p_recovery : (unit -> unit) option;
   mutable p_pages : (int, unit) Hashtbl.t;
   mutable p_inos : (int, unit) Hashtbl.t;
-  mutable p_mapped : (int, unit) Hashtbl.t;
+  mutable p_mapped : (int, mapping) Hashtbl.t;
+  p_faultable : (int, int list) Hashtbl.t;
+      (** page -> the directory whose on-demand mapping faults it in *)
   p_seen : (int, int) Hashtbl.t;
       (** ino -> MMU write mark at which this process' view of the file
           was current (DESIGN.md §4.5) *)
@@ -269,3 +283,13 @@ val walk_file :
 
 val dir_page_is_empty : t -> int -> bool
 val wake_all : file_info -> unit
+
+(** {2 On-demand directory write maps (DESIGN.md §4.5)} *)
+
+val add_faultable : proc_info -> ino:int -> int list -> unit
+(** Make [pages] faultable for [ino]'s on-demand mapping. *)
+
+val drop_faultable : proc_info -> ino:int -> int list -> unit
+
+val unfaultable : t -> int -> unit
+(** A freed or retired page is faultable for no process. *)

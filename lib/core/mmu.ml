@@ -11,6 +11,12 @@
    overlap (a dentry page belongs to both the file's mapping and the
    parent directory's), so a revoke must only undo its own grant.
 
+   A page the controller marked faultable is mapped on first touch: an
+   access that finds no grant asks the fault handler, which may make
+   the PTE and let the access through ({!set_fault_handler}).  A PTE
+   made that way is a {!pte}, which its mapping revokes later only if
+   the grant is still the one it made.
+
    The MMU also keeps the device's one dirty-page write-set: a single
    page -> mark table that incremental verification asks, through
    [clean_since], whether a page changed since a checkpoint's mark. *)
@@ -23,11 +29,19 @@ type perm = P_read | P_readwrite
 
 type entry = { mutable readers : int; mutable writers : int }
 
+(* One PTE a mapping made: a revoke undoes it only while the page's
+   grant record is still [pte_entry], so a page freed (every grant
+   dropped) and granted again is never revoked on a stale claim. *)
+type pte = { pte_page : int; pte_entry : entry }
+
 type t = {
   pmem : Pmem.t;
   (* actor -> page -> grant counts *)
   tables : (int, (int, entry) Hashtbl.t) Hashtbl.t;
   mutable pte_ops : int;
+  mutable faults : int; (* PTEs made on first touch *)
+  mutable fault : actor:int -> page:int -> write:bool -> bool;
+      (* asked when an access finds no grant: true once it made one *)
   (* --- dirty-page write-set (incremental verification, §4.3/§6) ---
      [wmark] is a monotonic device-wide store counter and [wset] maps
      each page to the mark of its last content mutation, fed by
@@ -72,12 +86,22 @@ let set_write_set_capacity t n =
   t.wcapacity <- n;
   if Hashtbl.length t.wset > n then overflow t
 
+let permits t ~actor ~page ~write =
+  match Hashtbl.find_opt t.tables actor with
+  | None -> false
+  | Some table -> (
+    match Hashtbl.find_opt table page with
+    | Some e -> if write then e.writers > 0 else e.writers > 0 || e.readers > 0
+    | None -> false)
+
 let create pmem =
   let t =
     {
       pmem;
       tables = Hashtbl.create 16;
       pte_ops = 0;
+      faults = 0;
+      fault = (fun ~actor:_ ~page:_ ~write:_ -> false);
       wset = Hashtbl.create 4096;
       wcapacity = 1 lsl 16;
       overflow_mark = 0;
@@ -85,14 +109,11 @@ let create pmem =
     }
   in
   Pmem.set_perm_check pmem (fun ~actor ~page ~write ->
-      match Hashtbl.find_opt t.tables actor with
-      | None -> false
-      | Some table -> (
-        match Hashtbl.find_opt table page with
-        | Some e -> if write then e.writers > 0 else e.writers > 0 || e.readers > 0
-        | None -> false));
+      permits t ~actor ~page ~write || t.fault ~actor ~page ~write);
   Pmem.set_store_hook pmem (fun pg -> record_store t pg);
   t
+
+let set_fault_handler t f = t.fault <- f
 
 let table_of t actor =
   match Hashtbl.find_opt t.tables actor with
@@ -111,9 +132,10 @@ let grant_one table page perm =
       Hashtbl.add table page e;
       e
   in
-  match perm with
+  (match perm with
   | P_read -> e.readers <- e.readers + 1
-  | P_readwrite -> e.writers <- e.writers + 1
+  | P_readwrite -> e.writers <- e.writers + 1);
+  e
 
 let revoke_one table page perm =
   match Hashtbl.find_opt table page with
@@ -132,7 +154,7 @@ let grant_extent t ~actor ~pages ~perm =
   let n = List.length pages in
   t.pte_ops <- t.pte_ops + n;
   Sched.delay (600.0 +. (Perf.Cpu.page_table_bulk *. float_of_int n));
-  List.iter (fun page -> grant_one table page perm) pages
+  List.iter (fun page -> ignore (grant_one table page perm)) pages
 
 (* Grant permission on a set of (scattered) pages.  Charges the
    page-table programming cost to the calling fiber — the dominant term
@@ -142,7 +164,7 @@ let grant t ~actor ~pages ~perm =
   let n = List.length pages in
   t.pte_ops <- t.pte_ops + n;
   Sched.delay (Perf.Cpu.page_table_op *. float_of_int n);
-  List.iter (fun page -> grant_one table page perm) pages
+  List.iter (fun page -> ignore (grant_one table page perm)) pages
 
 let revoke t ~actor ~pages ~perm =
   match Hashtbl.find_opt t.tables actor with
@@ -156,7 +178,43 @@ let revoke t ~actor ~pages ~perm =
 (* Zero-cost variants for setup paths (mkfs, registration, reconcile). *)
 let grant_free t ~actor ~pages ~perm =
   let table = table_of t actor in
-  List.iter (fun page -> grant_one table page perm) pages
+  List.iter (fun page -> ignore (grant_one table page perm)) pages
+
+(* The PTE a first touch makes: one read-write grant, counted as one PTE
+   op and one fault.  The fault handler charged its time already. *)
+let make_pte t ~actor ~page =
+  t.pte_ops <- t.pte_ops + 1;
+  t.faults <- t.faults + 1;
+  { pte_page = page; pte_entry = grant_one (table_of t actor) page P_readwrite }
+
+(* The read-write grant [actor] holds on [page] now, as a {!pte}: the
+   handle a mapping takes over when a page it will revoke joins it. *)
+let pte_of t ~actor ~page =
+  match Hashtbl.find_opt t.tables actor with
+  | None -> None
+  | Some table -> (
+    match Hashtbl.find_opt table page with
+    | Some e when e.writers > 0 -> Some { pte_page = page; pte_entry = e }
+    | _ -> None)
+
+(* Is [pte] still the grant on its page? *)
+let live table pte =
+  match Hashtbl.find_opt table pte.pte_page with Some e -> e == pte.pte_entry | None -> false
+
+(* Revoke the PTEs a mapping made, one PTE op each for those still
+   live; a page freed since holds none.  [~charge:false] is the free
+   variant of the setup and recovery paths. *)
+let revoke_ptes t ~actor ~ptes ~charge =
+  match Hashtbl.find_opt t.tables actor with
+  | None -> ()
+  | Some table ->
+    let ptes = List.filter (live table) ptes in
+    if charge then begin
+      let n = List.length ptes in
+      t.pte_ops <- t.pte_ops + n;
+      Sched.delay (Perf.Cpu.page_table_op *. float_of_int n)
+    end;
+    List.iter (fun pte -> if live table pte then revoke_one table pte.pte_page P_readwrite) ptes
 
 let revoke_free t ~actor ~pages ~perm =
   match Hashtbl.find_opt t.tables actor with
@@ -185,3 +243,4 @@ let revoke_everyone_charged t ~pages =
   Sched.delay (Perf.Cpu.page_table_op *. float_of_int n)
 
 let pte_ops t = t.pte_ops
+let faults t = t.faults

@@ -6,9 +6,19 @@ type t =
   | Torn_commit
   | Skip_index
   | Keep_handed_back
+  | Keep_faulted_ptes
 
 let all =
-  [ Reorder_commit; Drop_writes; Skip_gc; Qos_bypass; Torn_commit; Skip_index; Keep_handed_back ]
+  [
+    Reorder_commit;
+    Drop_writes;
+    Skip_gc;
+    Qos_bypass;
+    Torn_commit;
+    Skip_index;
+    Keep_handed_back;
+    Keep_faulted_ptes;
+  ]
 
 let to_string = function
   | Reorder_commit -> "reorder-commit"
@@ -18,6 +28,7 @@ let to_string = function
   | Torn_commit -> "torn-commit"
   | Skip_index -> "skip-index"
   | Keep_handed_back -> "keep-handed-back"
+  | Keep_faulted_ptes -> "keep-faulted-ptes"
 
 let armed : t option ref = ref None
 

@@ -36,6 +36,11 @@ type t =
           reply says, so it writes from a stale name table and free-slot
           list after another trust group wrote the directory (caught by
           the verifier at its next handoff). *)
+  | Keep_faulted_ptes
+      (** An unmap revokes only the PTEs a mapping made at map time and
+          keeps those its faults made, so a process that handed a
+          directory back can still store to it (caught when the store
+          lands and an outsider's readdir sees it). *)
 
 val all : t list
 val to_string : t -> string

@@ -1470,6 +1470,285 @@ let arckfs_conformance =
             Libfs.unmap_everything fs;
             Conformance.accounting env.Helpers.ctl)) )
 
+(* ------------------------------------------------------------------ *)
+(* On-demand directory write maps (DESIGN.md §4.5) *)
+
+module Mmu = Trio_core.Mmu
+module Ctl_state = Trio_core.Ctl_state
+
+let file_of ctl ino =
+  match Controller.file_info ctl ino with
+  | Some f -> f
+  | None -> Alcotest.failf "ino %d unknown to the controller" ino
+
+(* The pages a write map of [ino] grants eagerly: the dentry's page and
+   every page the controller attributes to it. *)
+let dir_pages ctl ino = Ctl_state.file_pages (file_of ctl ino)
+
+(* (PTE ops, faults) so far. *)
+let pte_counts env = (Controller.pte_ops env.Helpers.ctl, Mmu.faults env.Helpers.mmu)
+
+(* No PTE of [proc] is left on [ino]'s pages: none at all on its own
+   pages, and no write access to its dentry's page (the parent's, which
+   a read map of the parent covers). *)
+let check_no_ptes env ~proc ino =
+  let f = file_of env.Helpers.ctl ino in
+  let dentry_page = f.Ctl_state.f_dentry_addr / Layout.page_size in
+  List.iter
+    (fun pg ->
+      let held =
+        if pg = dentry_page then Mmu.permits env.Helpers.mmu ~actor:proc ~page:pg ~write:true
+        else Mmu.permits env.Helpers.mmu ~actor:proc ~page:pg ~write:false
+      in
+      if held then Alcotest.failf "process %d still holds a PTE on page %d" proc pg)
+    (Ctl_state.file_pages f)
+
+(* /d with [n] entries made by process 1, handed back. *)
+let shared_dir env n =
+  let owner = Helpers.mount ~proc:1 env in
+  let oops = Libfs.ops owner in
+  ok "mkdir" (oops.Fs.mkdir "/d" 0o777);
+  List.iter (create_in oops "/d") (names_n "pre" n);
+  Libfs.unmap_everything owner;
+  ino_of oops "/d"
+
+(* A steady-state create handoff in a 64-entry directory stores to 3 of
+   its pages (its dentry's, one slot page, one index leaf): 3 faults
+   and 3 revokes, where an eager map and unmap edit 2 PTEs per page of
+   the directory.  After the handback the process holds no PTE on the
+   directory, and a fresh process sees every name. *)
+let test_demand_create_ptes () =
+  Helpers.run_sim (fun env ->
+      let d = shared_dir env 64 in
+      let ops = Libfs.ops (Helpers.mount ~proc:2 ~unmap_after_write:true env) in
+      (* the first create maps eagerly (no view yet) and fills the
+         allocation caches; the second is the first on demand *)
+      List.iter (create_in ops "/d") [ "w0"; "w1" ];
+      let eager = List.length (dir_pages env.Helpers.ctl d) in
+      Alcotest.(check bool) "a 64-entry directory spans more than 3 pages" true (eager > 3);
+      let pte0, faults0 = pte_counts env in
+      create_in ops "/d" "x";
+      Controller.drain_verification env.Helpers.ctl;
+      let pte1, faults1 = pte_counts env in
+      Alcotest.(check int) "faults" 3 (faults1 - faults0);
+      Alcotest.(check int) "PTE ops: 3 faults + 3 revokes" 6 (pte1 - pte0);
+      check_no_ptes env ~proc:2 d;
+      ok "unlink" (ops.Fs.unlink "/d/x");
+      Controller.drain_verification env.Helpers.ctl;
+      check_no_ptes env ~proc:2 d;
+      Alcotest.(check int) "corruption events" 0
+        (List.length (Controller.corruption_events env.Helpers.ctl));
+      let fresh = Libfs.ops (Helpers.mount ~proc:3 env) in
+      Alcotest.(check (list string)) "entries" (List.sort compare ("w0" :: "w1" :: names_n "pre" 64))
+        (names_of fresh "/d"))
+
+(* Map [ino] for [proc] through the controller and return the PTE ops
+   and faults the map itself made. *)
+let map_counts env ~proc ~ino ~write =
+  let pte0, faults0 = pte_counts env in
+  ignore (ok "map" (Controller.map_file env.Helpers.ctl ~proc ~ino ~write) : bool);
+  let pte1, faults1 = pte_counts env in
+  (pte1 - pte0, faults1 - faults0)
+
+(* Unmap [ino] for [proc] and let its verification land. *)
+let hand_back env ~proc ~ino =
+  ok "unmap" (Controller.unmap_file env.Helpers.ctl ~proc ~ino);
+  Controller.drain_verification env.Helpers.ctl
+
+(* Only a current directory view of a process alone in its trust group,
+   not upgrading, maps on demand; a file write map, an upgrade, a view
+   not yet current and a process with a live group peer grant one PTE
+   per page, as before. *)
+let test_demand_only_where_it_pays () =
+  Helpers.run_sim (fun env ->
+      let ctl = env.Helpers.ctl in
+      let d = shared_dir env 20 in
+      let owner_fs = Helpers.mount ~proc:9 env in
+      let owner = Libfs.ops owner_fs in
+      ok "write" (Fs.write_file owner "/file" (String.make 20000 'f'));
+      let file = ino_of owner "/file" in
+      Libfs.unmap_everything owner_fs;
+      let eager what ~proc ~ino ~write =
+        let n = List.length (dir_pages ctl ino) in
+        Alcotest.(check (pair int int)) (what ^ ": (PTE ops, faults)") (n, 0)
+          (map_counts env ~proc ~ino ~write)
+      in
+      Controller.register_process ctl ~proc:2 ~cred:{ uid = 1000; gid = 1000 } ();
+      eager "a view not yet current" ~proc:2 ~ino:d ~write:true;
+      hand_back env ~proc:2 ~ino:d;
+      Alcotest.(check (pair int int)) "a current view: (PTE ops, faults)" (0, 0)
+        (map_counts env ~proc:2 ~ino:d ~write:true);
+      hand_back env ~proc:2 ~ino:d;
+      eager "a file write map" ~proc:2 ~ino:file ~write:true;
+      hand_back env ~proc:2 ~ino:file;
+      eager "a file write map, current" ~proc:2 ~ino:file ~write:true;
+      hand_back env ~proc:2 ~ino:file;
+      eager "a read map" ~proc:2 ~ino:d ~write:false;
+      eager "an upgrade" ~proc:2 ~ino:d ~write:true;
+      hand_back env ~proc:2 ~ino:d;
+      Controller.register_process ctl ~proc:3 ~cred:{ uid = 1000; gid = 1000 } ~group:2 ();
+      eager "a process with a live group peer" ~proc:2 ~ino:d ~write:true;
+      hand_back env ~proc:2 ~ino:d;
+      check_no_ptes env ~proc:2 d)
+
+(* Process 2 holds /d, a 40-entry directory, write-mapped on demand;
+   returns /d's ino. *)
+let demand_mapped env =
+  let ctl = env.Helpers.ctl in
+  let d = shared_dir env 40 in
+  Controller.register_process ctl ~proc:2 ~cred:{ uid = 1000; gid = 1000 } ();
+  ignore (ok "map" (Controller.map_file ctl ~proc:2 ~ino:d ~write:true) : bool);
+  hand_back env ~proc:2 ~ino:d;
+  Alcotest.(check (pair int int)) "on demand" (0, 0) (map_counts env ~proc:2 ~ino:d ~write:true);
+  d
+
+let touch env ~proc pg =
+  match Pmem.read env.Helpers.pmem ~actor:proc ~addr:(pg * Layout.page_size) ~len:8 with
+  | (_ : Bytes.t) -> true
+  | exception Pmem.Mmu_fault _ -> false
+
+(* A page that leaves the directory while the mapping stands is no
+   longer faultable, whoever it goes to next; a page still in it is. *)
+let test_demand_freed_page_not_faultable () =
+  Helpers.run_sim (fun env ->
+      let ctl = env.Helpers.ctl in
+      let d = demand_mapped env in
+      let f = file_of ctl d in
+      (match (f.Ctl_state.f_data_pages, f.Ctl_state.f_index_pages) with
+      | slot :: _, chain :: _ ->
+        Alcotest.(check bool) "a page of the directory faults in" true (touch env ~proc:2 slot);
+        ok "free the chain page" (Controller.free_pages ctl ~proc:2 ~pages:[ chain ]);
+        Alcotest.(check bool) "a freed page does not" false (touch env ~proc:2 chain);
+        Controller.register_process ctl ~proc:3 ~cred:{ uid = 1000; gid = 1000 } ();
+        let node = Controller.node_of_page ctl chain in
+        let pages =
+          ok "alloc" (Controller.alloc_pages ctl ~proc:3 ~node ~count:1 ~kind:Pmem.Meta)
+        in
+        Alcotest.(check (list int)) "another process owns it" [ chain ] pages;
+        Alcotest.(check bool) "nor once another process owns it" false (touch env ~proc:2 chain)
+      | _ -> Alcotest.fail "a 40-entry directory has a chain page and slot pages"))
+
+(* A lease-expiry force-unmap that lands during a fault's delay refuses
+   the fault: the access faults, and the page stays unmapped. *)
+let test_demand_fault_refused_after_takeover () =
+  Helpers.run_sim ~lease_ns:1.0e6 (fun env ->
+      let ctl = env.Helpers.ctl and sched = env.Helpers.sched in
+      let d = demand_mapped env in
+      let slot = List.hd (file_of ctl d).Ctl_state.f_data_pages in
+      let expire = (file_of ctl d).Ctl_state.f_lease_expire in
+      Controller.register_process ctl ~proc:3 ~cred:{ uid = 1000; gid = 1000 } ();
+      let took = ref false in
+      Sched.spawn sched (fun () ->
+          ignore (ok "takeover" (Controller.map_file ctl ~proc:3 ~ino:d ~write:true) : bool);
+          took := true);
+      (* the fault starts just before the lease expires *)
+      Sched.delay (expire -. Sched.now sched -. 100.0);
+      Alcotest.(check bool) "the fault is refused" false (touch env ~proc:2 slot);
+      Sched.delay 1.0e6;
+      Alcotest.(check bool) "the waiter took the directory" true !took;
+      check_no_ptes env ~proc:2 d)
+
+(* Crash recovery and process teardown take the PTEs an on-demand
+   mapping faulted in, like an unmap. *)
+let test_demand_recovery_and_teardown () =
+  Helpers.run_sim (fun env ->
+      let ctl = env.Helpers.ctl in
+      let d = demand_mapped env in
+      let touch_all proc =
+        List.iter
+          (fun pg -> Alcotest.(check bool) "faults in" true (touch env ~proc pg))
+          (file_of ctl d).Ctl_state.f_data_pages
+      in
+      touch_all 2;
+      Controller.crash_recover ctl;
+      check_no_ptes env ~proc:2 d;
+      (* recovery leaves no view to vouch for: one eager map first *)
+      ignore (ok "map" (Controller.map_file ctl ~proc:2 ~ino:d ~write:true) : bool);
+      hand_back env ~proc:2 ~ino:d;
+      Alcotest.(check (pair int int)) "on demand again" (0, 0)
+        (map_counts env ~proc:2 ~ino:d ~write:true);
+      touch_all 2;
+      Controller.abnormal_teardown ctl ~proc:2;
+      check_no_ptes env ~proc:2 d)
+
+(* Crash recovery of a directory mapped on demand takes the grants of
+   the dentry page its creates added too, as an eager revoke would. *)
+let test_demand_recovery_takes_new_pages () =
+  Helpers.run_sim (fun env ->
+      let ctl = env.Helpers.ctl in
+      let d = shared_dir env 40 in
+      let fs = Helpers.mount ~proc:2 env in
+      let ops = Libfs.ops fs in
+      create_in ops "/d" "x00";
+      Libfs.unmap_everything fs;
+      let pages0 = List.length (file_of ctl d).Ctl_state.f_data_pages in
+      let _, faults0 = pte_counts env in
+      List.iter (create_in ops "/d") (names_n "y" 16);
+      Alcotest.(check bool) "mapped on demand" true (snd (pte_counts env) > faults0);
+      Controller.crash_recover ctl;
+      Alcotest.(check bool) "a dentry page was added" true
+        (List.length (file_of ctl d).Ctl_state.f_data_pages > pages0);
+      check_no_ptes env ~proc:2 d;
+      let fresh = Libfs.ops (Helpers.mount ~proc:3 env) in
+      Alcotest.(check int) "entries" 57 (List.length (names_of fresh "/d")))
+
+(* Three waiters parked on one expiring lease: the holder is revoked
+   once, its verification is queued once, and one waiter writes. *)
+let test_takeover_revokes_once () =
+  Helpers.run_sim ~lease_ns:1.0e6 (fun env ->
+      let ctl = env.Helpers.ctl and sched = env.Helpers.sched in
+      let d = shared_dir env 40 in
+      let stats = Controller.stats ctl in
+      Controller.register_process ctl ~proc:2 ~cred:{ uid = 1000; gid = 1000 } ();
+      ignore (ok "holder" (Controller.map_file ctl ~proc:2 ~ino:d ~write:true) : bool);
+      let expire = (file_of ctl d).Ctl_state.f_lease_expire in
+      let pages = List.length (dir_pages ctl d) in
+      let unmap0 = Trio_sim.Stats.get stats "unmap" in
+      let queued0 = Trio_sim.Stats.get stats "verify.queue.enqueued" in
+      let writers = ref [] in
+      List.iter
+        (fun proc ->
+          Controller.register_process ctl ~proc ~cred:{ uid = 1000; gid = 1000 } ();
+          Sched.spawn sched (fun () ->
+              ignore (ok "waiter" (Controller.map_file ctl ~proc ~ino:d ~write:true) : bool);
+              writers := proc :: !writers))
+        [ 3; 4; 5 ];
+      Sched.delay (expire -. Sched.now sched +. 200.0e3);
+      Alcotest.(check (float 0.0)) "one revoke of the holder"
+        (Trio_nvm.Perf.Cpu.page_table_op *. float_of_int pages)
+        (Trio_sim.Stats.get stats "unmap" -. unmap0);
+      Alcotest.(check (float 0.0)) "one queued verification" 1.0
+        (Trio_sim.Stats.get stats "verify.queue.enqueued" -. queued0);
+      (match !writers with
+      | [ w ] ->
+        Alcotest.(check (option int)) "the writer holds the claim" (Some w)
+          (file_of ctl d).Ctl_state.f_writer
+      | ws -> Alcotest.failf "%d writers" (List.length ws));
+      check_no_ptes env ~proc:2 d)
+
+(* A failed namespace op under [unmap_after_write] hands its directory
+   back: another trust group's create does not wait out the lease. *)
+let test_failed_op_hands_back () =
+  Helpers.run_sim ~lease_ns:1.0e6 (fun env ->
+      let ctl = env.Helpers.ctl and sched = env.Helpers.sched in
+      ignore (shared_dir env 4 : int);
+      let ops = Libfs.ops (Helpers.mount ~proc:2 ~unmap_after_write:true env) in
+      create_in ops "/d" "a";
+      err "create again" EEXIST (ops.Fs.create "/d/a" 0o644);
+      err "unlink a missing name" ENOENT (ops.Fs.unlink "/d/zz");
+      err "rmdir a missing name" ENOENT (ops.Fs.rmdir "/d/zz");
+      err "rename a missing name" ENOENT (ops.Fs.rename "/d/zz" "/d/yy");
+      ok "mkdir" (ops.Fs.mkdir "/d/sub" 0o777);
+      create_in ops "/d/sub" "child";
+      err "rmdir a full directory" ENOTEMPTY (ops.Fs.rmdir "/d/sub");
+      err "mkdir again" EEXIST (ops.Fs.mkdir "/d/sub" 0o777);
+      Alcotest.(check (list int)) "write-mapped" []
+        (List.map (fun (ino, _, _) -> ino) (Controller.write_mapped_inos ctl ~proc:2));
+      let other = Libfs.ops (Helpers.mount ~proc:3 env) in
+      let t0 = Sched.now sched in
+      create_in other "/d" "b";
+      Alcotest.(check bool) "no lease wait" true (Sched.now sched -. t0 < 0.1e6))
+
 let () =
   Alcotest.run "arckfs"
     [
@@ -1546,6 +1825,21 @@ let () =
           Alcotest.test_case "a handed-back state is not served" `Quick test_handback_not_served;
           Alcotest.test_case "removing an ino drops its state" `Quick test_handback_removal_drops;
           Alcotest.test_case "an upgrade reads no index page" `Quick test_upgrade_reads_no_index;
+        ] );
+      ( "on-demand maps",
+        [
+          Alcotest.test_case "a create faults 3 pages" `Quick test_demand_create_ptes;
+          Alcotest.test_case "only where it pays" `Quick test_demand_only_where_it_pays;
+          Alcotest.test_case "a freed page is not faultable" `Quick
+            test_demand_freed_page_not_faultable;
+          Alcotest.test_case "a takeover refuses a fault" `Quick
+            test_demand_fault_refused_after_takeover;
+          Alcotest.test_case "a takeover revokes once" `Quick test_takeover_revokes_once;
+          Alcotest.test_case "recovery and teardown revoke" `Quick
+            test_demand_recovery_and_teardown;
+          Alcotest.test_case "recovery takes new pages" `Quick
+            test_demand_recovery_takes_new_pages;
+          Alcotest.test_case "a failed op hands back" `Quick test_failed_op_hands_back;
         ] );
       ( "mirror",
         [

@@ -61,6 +61,42 @@ let stale_handback () =
       then Passed
       else Caught)
 
+(* A process that handed its directory back clears the directory's
+   dentry, in its parent's page: the one page its on-demand mapping
+   faulted in that the directory's verification does not attribute to
+   the directory.  Every PTE the mapping made went with the handback,
+   so the store faults.  A mapping that kept the faulted ones lets it
+   land, and an outsider's readdir of the parent loses the directory. *)
+let store_after_handback () =
+  Helpers.run_sim (fun env ->
+      let ctl = env.Helpers.ctl in
+      let owner_fs = Helpers.mount ~proc:1 env in
+      let owner = Libfs.ops owner_fs in
+      let create fs path =
+        let fd = Helpers.check_ok ("create " ^ path) (fs.Fs.create path 0o644) in
+        Helpers.check_ok "close" (fs.Fs.close fd)
+      in
+      Helpers.check_ok "mkdir" (owner.Fs.mkdir "/d" 0o777);
+      List.iter (fun n -> create owner ("/d/" ^ n)) [ "p0"; "p1"; "p2"; "p3" ];
+      Libfs.unmap_everything owner_fs;
+      let victim = Libfs.ops (Helpers.mount ~proc:2 ~unmap_after_write:true env) in
+      (* the first create maps /d eagerly, the second on demand *)
+      List.iter (fun n -> create victim ("/d/" ^ n)) [ "v0"; "v1" ];
+      Controller.drain_verification ctl;
+      let ino = (Helpers.check_ok "stat" (owner.Fs.stat "/d")).Trio_core.Fs_types.st_ino in
+      match Controller.dentry_addr_of ctl ino with
+      | None -> Missed "/d unknown to the controller"
+      | Some addr -> (
+        match Trio_core.Layout.clear_dentry_atomic env.Helpers.pmem ~actor:2 ~addr with
+        | exception Trio_nvm.Pmem.Mmu_fault _ -> Passed
+        | () ->
+          let outsider = Libfs.ops (Helpers.mount ~proc:3 env) in
+          let names =
+            Helpers.check_ok "readdir" (outsider.Fs.readdir "/")
+            |> List.map (fun e -> e.Trio_core.Fs_types.d_name)
+          in
+          if List.mem "d" names then Missed "the store landed unseen" else Caught))
+
 (* The campaign that must catch each mutation.  An exhaustive match on
    purpose: a new constructor does not compile until it has one. *)
 let campaign : Mutation.t -> unit -> verdict = function
@@ -91,6 +127,7 @@ let campaign : Mutation.t -> unit -> verdict = function
            (parse "mkdir /d00; create /n00; write /n00 900; create /n01"))
   | Skip_index -> fun () -> of_report Certification (Explore.explore_dir_index ())
   | Keep_handed_back -> stale_handback
+  | Keep_faulted_ptes -> store_after_handback
 
 let test_caught m () =
   Alcotest.check verdict "caught under the mutation" Caught
