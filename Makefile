@@ -1,6 +1,6 @@
 # Convenience entry points; the project itself is a plain dune build.
 
-.PHONY: all build quick test check clean bench crashcheck-quick crashcheck-deep faultcheck proccheck verifycheck shardcheck ringcheck snapcheck qoscheck dircheck kvcheck fmt
+.PHONY: all build quick test check clean bench crashcheck-quick crashcheck-deep faultcheck proccheck verifycheck shardcheck ringcheck snapcheck qoscheck dircheck kvcheck sharecheck fmt
 
 all: build
 
@@ -23,7 +23,7 @@ test:
 # state goes through the controller's and the LibFS's recovery.
 # CI runs exactly this target.  Its `bench --fast` gates check their
 # thresholds but leave the tracked BENCH_*.json records untouched.
-check: fmt crashcheck-quick crashcheck-deep faultcheck proccheck verifycheck shardcheck ringcheck snapcheck qoscheck dircheck kvcheck
+check: fmt crashcheck-quick crashcheck-deep faultcheck proccheck verifycheck shardcheck ringcheck snapcheck qoscheck dircheck kvcheck sharecheck
 
 # Verification-plane gate: full vs incremental verification must give
 # byte-identical verdicts over the attack suite, the corruption
@@ -154,6 +154,14 @@ kvcheck:
 	dune build
 	dune exec test/test_minidb.exe
 	dune exec bench/main.exe -- --fast tab5
+
+# Sharing gate: Table 3 (bench tab3 exits 1 unless, after each ArckFS
+# and trust-group create run, both processes hand back and a third
+# process lists exactly the prepopulated names and every name a create
+# acknowledged and no unlink removed, with no corruption event).
+sharecheck:
+	dune build
+	dune exec bench/main.exe -- --fast tab3
 
 bench:
 	dune exec bench/main.exe

@@ -276,16 +276,15 @@ let get_ok what = function
   | Error e -> failwith (what ^ ": " ^ Trio_core.Fs_types.errno_to_string e)
 
 (* Two ArckFS processes [pa] then [pb] on one rig, each as (LibFS,
-   ops); with [group] each joins trust group 77 once it is mounted. *)
+   ops); with [group], [pb] joins [pa]'s trust group at its mount. *)
 let two_procs ?(group = false) ?unmap_after_write rig (pa, pb) =
   let cred = { Trio_core.Fs_types.uid = 1000; gid = 1000 } in
-  let mk proc =
-    let t = Libfs.mount ~ctl:rig.Rig.ctl ~proc ~cred ?unmap_after_write () in
-    if group then Controller.register_process rig.Rig.ctl ~proc ~cred ~group:77 ();
+  let mk ?group proc =
+    let t = Libfs.mount ~ctl:rig.Rig.ctl ~proc ~cred ?group ?unmap_after_write () in
     (t, Libfs.ops t)
   in
-  let a = mk pa in
-  (a, mk pb)
+  let ((a, _) as pa) = mk pa in
+  (pa, mk ?group:(if group then Some a else None) pb)
 
 (* Process a creates /shared at [file_size] bytes and hands it back. *)
 let create_shared (a, aops) ~file_size =
@@ -311,8 +310,9 @@ let shared_dir ops prefix n =
 let shared_name = Printf.sprintf "/shared_dir/t%d_%d"
 
 (* A Runner body: each call creates, closes and unlinks a fresh file,
-   thread [tid]'s nth being [path tid n] through [ops_of tid]. *)
-let churn ~threads ~path ops_of =
+   thread [tid]'s nth being [path tid n] through [ops_of tid].  [live]
+   collects the paths a create acknowledged and no unlink removed. *)
+let churn ?(live = Hashtbl.create 0) ~threads ~path ops_of =
   let counters = Array.make threads 0 in
   fun ~tid ->
     let ops = ops_of tid in
@@ -321,8 +321,9 @@ let churn ~threads ~path ops_of =
     let path = path tid n in
     (match ops.Fs.create path 0o644 with
     | Ok fd ->
+      Hashtbl.replace live path ();
       ignore (ops.Fs.close fd);
-      ignore (ops.Fs.unlink path)
+      if Result.is_ok (ops.Fs.unlink path) then Hashtbl.remove live path
     | Error _ -> ());
     0
 
@@ -354,31 +355,56 @@ let run_write_sharing ?lease_ns ?(procs = (301, 302)) ~file_size mode =
         write_sharing_body rig ~file_size ~ops_of:(open_shared a b ~file_size))
 
 (* Concurrent create+unlink in a shared directory, unmapping after every
-   operation (the paper's stress mode); reports us per metadata op. *)
+   operation (the paper's stress mode) unless the two processes form a
+   trust group; reports us per metadata op.  After an ArckFS run both
+   processes hand back and a third lists /shared_dir: [Some ok] says
+   whether it lists exactly the prepopulated names and every name a
+   create acknowledged and no unlink removed, with no corruption
+   event. *)
 let run_create_sharing ~prepopulate mode =
   sharing_rig (fun rig ->
-      let ops_of =
+      let live = Hashtbl.create 16 in
+      let ops_of, listing =
         match mode with
         | `Nova ->
           let fs = Vfs.ops (Rig.mount_fs ~store_data:false rig "nova") in
           shared_dir fs "base" prepopulate;
-          fun _ -> fs
+          ((fun _ -> fs), fun () -> None)
         | `Arckfs group ->
-          let (a, aops), (_, bops) =
+          let (a, aops), (b, bops) =
             two_procs ~group ~unmap_after_write:(not group) rig (311, 312)
           in
           shared_dir aops "base" prepopulate;
           Libfs.unmap_everything a;
-          fun tid -> if tid = 0 then aops else bops
+          let listing () =
+            List.iter Libfs.unmap_everything [ a; b ];
+            let cred = { Trio_core.Fs_types.uid = 1000; gid = 1000 } in
+            let c = Libfs.ops (Libfs.mount ~ctl:rig.Rig.ctl ~proc:313 ~cred ()) in
+            let listed =
+              List.sort compare
+                (List.map
+                   (fun e -> e.Trio_core.Fs_types.d_name)
+                   (get_ok "readdir" (c.Fs.readdir "/shared_dir")))
+            in
+            let expected =
+              List.sort compare
+                (List.init prepopulate (Printf.sprintf "base%d")
+                @ Hashtbl.fold (fun path () acc -> Filename.basename path :: acc) live [])
+            in
+            Some (listed = expected && Controller.corruption_events rig.Rig.ctl = [])
+          in
+          ((fun tid -> if tid = 0 then aops else bops), listing)
       in
       let r =
         Runner.run ~sched:rig.Rig.sched ~topo:rig.Rig.topo ~threads:2 ~max_ops:600
           ~max_ns:400.0e6
-          ~body:(churn ~threads:2 ~path:shared_name ops_of)
+          ~body:(churn ~live ~threads:2 ~path:shared_name ops_of)
           ()
       in
-      r.Runner.elapsed_ns /. float_of_int r.Runner.ops /. 1e3 /. 2.0)
+      (r.Runner.elapsed_ns /. float_of_int r.Runner.ops /. 1e3 /. 2.0, listing ()))
 
+(* Gates: after each ArckFS and Arck-TG create run, a third process
+   lists exactly the names the run left (see [run_create_sharing]). *)
 let tab3 () =
   section "Table 3: sharing cost (two processes on one file/directory)";
   Printf.printf "(scaled: paper's 1GiB file + 100ms lease -> 128MiB + 12.5ms; see DESIGN.md)\n";
@@ -386,8 +412,19 @@ let tab3 () =
   let row name run = print_row name [ run `Nova; run (`Arckfs false); run (`Arckfs true) ] in
   row "4KBw-2MB GiB/s" (run_write_sharing ~file_size:share_file_small);
   row "4KBw-128MB GiB/s" (run_write_sharing ~file_size:share_file_large);
-  row "create-10 us" (run_create_sharing ~prepopulate:10);
-  row "create-100 us" (run_create_sharing ~prepopulate:100)
+  let gates = ref [] in
+  let create_row prepopulate =
+    row (Printf.sprintf "create-%d us" prepopulate) (fun mode ->
+        let us, listing = run_create_sharing ~prepopulate mode in
+        let name = match mode with `Arckfs true -> "arck_tg" | _ -> "arckfs" in
+        Option.iter
+          (fun ok -> gates := (Printf.sprintf "create%d_%s_listing" prepopulate name, ok) :: !gates)
+          listing;
+        us)
+  in
+  create_row 10;
+  create_row 100;
+  check_gates "tab3" (List.rev !gates)
 
 (* Figure 8: where the sharing time goes. *)
 let fig8 () =

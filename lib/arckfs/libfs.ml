@@ -8,6 +8,9 @@
    rebuilt from the core state on demand, and freely customizable
    (KVFS and FPFS below replace parts of it).
 
+   The members of one trust group share these states (DESIGN.md §4.5,
+   "Trust groups"); how a process holds an ino stays its own.
+
    Concurrency (paper §4.2):
    - regular file: readers-writer inode lock + byte-range lock; one
      thread can extend the file while others write disjoint regions and
@@ -55,14 +58,16 @@ type dir_state = {
   d_tail_lock : Sync.Mutex.t;
   mutable d_size : int; (* cached live-entry count (the inode size field) *)
   d_size_lock : Sync.Mutex.t;
-  mutable d_write_mapped : bool;
+  mutable d_created : bool;
+      (* created by this trust group since the kernel last saw its
+         parent: held through the group's allocation grants, with no
+         mapping of its own *)
   (* B-link name index over this directory (DESIGN.md §4.18).  The
      dentry pages stay the source of truth; the index is a rebuildable
      accelerator, so [d_dindex_root = 0] (unindexed) is always a legal
      state to fall back to. *)
-  mutable d_dindex_root : int;
-      (* updated under the controller's per-(group, directory) index
-         lock ([with_index_lock]); readers are lock-free *)
+  mutable d_dindex_root : int; (* updated under [d_index_lock]; readers are lock-free *)
+  d_index_lock : Sync.Mutex.t; (* held around every update of the index *)
   d_nodes : Dirindex.mirror;
       (* the index nodes this state read or wrote, decoded: descents
          use them instead of the device while [mirror] trusts them *)
@@ -84,7 +89,7 @@ type file_state = {
   mutable r_npages : int;
   r_ilock : Sync.Rwlock.t;
   r_range : Sync.Range_lock.t;
-  mutable r_write_mapped : bool;
+  mutable r_created : bool; (* as [d_created] *)
 }
 
 (* A descriptor names the file by inode: after a lease revocation drops
@@ -103,12 +108,14 @@ type t = {
   delegation : Delegation.t option;
   dirs : (int, dir_state) Hashtbl.t;
   files : (int, file_state) Hashtbl.t;
-  held : (int, unit) Hashtbl.t;
+  building : (int, Sync.Mutex.t) Hashtbl.t; (* ino -> lock of its map and build in flight *)
+  members : t list ref; (* the trust group's, first member first; these four are shared *)
+  held : (int, bool) Hashtbl.t;
       (* inos this process mapped through the controller and has not
-         unmapped since: the only ones an unmap call can hand back *)
+         unmapped since, each with whether the map was writable: the
+         only ones an unmap call can hand back *)
   fds : (int, fd_state) Hashtbl.t;
   fd_counters : int array; (* per-CPU fd allocation, no lock *)
-  building : (int, Sync.Mutex.t) Hashtbl.t; (* ino -> lock of its map and build in flight *)
   stats : Stats.t;
   unmap_after_write : bool; (* stress mode for the sharing benchmarks *)
   ring : Controller.ring option;
@@ -140,8 +147,9 @@ let new_dir_state ~ino ~addr =
     d_tail_lock = Sync.Mutex.create ();
     d_size = 0;
     d_size_lock = Sync.Mutex.create ();
-    d_write_mapped = false;
+    d_created = false;
     d_dindex_root = 0;
+    d_index_lock = Sync.Mutex.create ();
     d_nodes = Hashtbl.create 8;
     d_aux_built = false;
   }
@@ -248,7 +256,7 @@ let build_file_aux t ~ino ~addr =
             r_npages = 0;
             r_ilock = Sync.Rwlock.create ();
             r_range = Sync.Range_lock.create ();
-            r_write_mapped = false;
+            r_created = false;
           }
         in
         let fpi = ref 0 in
@@ -281,6 +289,10 @@ let build_file_aux t ~ino ~addr =
    pages (allocation grants), so no map call is needed. *)
 let known_to_kernel t ino = Option.is_some (Controller.dentry_addr_of t.ctl ino)
 
+(* Does this process hold [ino] mapped, writable if [write]? *)
+let holds t ino ~write =
+  match Hashtbl.find_opt t.held ino with Some w -> w || not write | None -> false
+
 (* Every map goes through this dispatcher: the batched path submits to
    the ring and parks on the CQ; the synchronous path is one shielded
    kernel crossing.  Either way the result is the controller's verdict
@@ -293,7 +305,7 @@ let map_ctl t ~ino ~write =
     | Some r -> Controller.ring_map r ~ino ~write
     | None -> Controller.map_file t.ctl ~proc:t.proc ~ino ~write
   in
-  if Result.is_ok result then Hashtbl.replace t.held ino ();
+  if Result.is_ok result then Hashtbl.replace t.held ino (write || holds t ino ~write:true);
   result
 
 (* The map of a build or a re-hold: none for an ino the kernel does not
@@ -301,15 +313,19 @@ let map_ctl t ~ino ~write =
    changed it. *)
 let map_known t ~ino ~write = if known_to_kernel t ino then map_ctl t ~ino ~write else Ok true
 
-(* A cached state serves ops while this LibFS holds its ino:
-   write-mapped (its own creations included) or read-mapped ([held]).
-   A state it handed back stays cached but serves nothing until
-   [rehold] revives it. *)
-let live t ~ino ~write_mapped = write_mapped || Hashtbl.mem t.held ino
+(* A cached state serves an op while this process holds its ino with
+   the op's access, or its trust group created the ino since the kernel
+   last saw it.  A state handed back serves nothing until [rehold]. *)
+let dir_serves t (d : dir_state) ~write = d.d_created || holds t d.d_ino ~write
+let file_serves t (f : file_state) ~write = f.r_created || holds t f.r_ino ~write
+
+(* Does another member of this trust group hold [ino] write-mapped? *)
+let peer_writes t ino =
+  List.exists (fun m -> m != t && Hashtbl.find_opt m.held ino = Some true) !(t.members)
 
 (* Run [f], the one map and build of [ino] in flight, behind that ino's
-   lock in [building], dropped when [f] ends.  A fiber that finds one in
-   flight waits it out and answers [None], to probe again. *)
+   lock in [building], dropped when [f] ends.  A fiber (of any member)
+   that finds one in flight waits it out and answers [None]. *)
 let building t ino f =
   match Hashtbl.find_opt t.building ino with
   | Some lock ->
@@ -337,73 +353,73 @@ let rec rehold t s ~ino ~write ~ready ~refresh =
     match
       building t ino (fun () ->
           let* current = map_known t ~ino ~write in
-          refresh s ~current ~write)
+          refresh s ~current)
     with
     | Some r -> r
     | None -> rehold t s ~ino ~write ~ready ~refresh
 
-(* The one way this LibFS comes to hold an ino it caches no state for,
-   directories (the root included) and files alike: map it with the
-   access the caller's op needs, [build] its aux state and cache it in
-   [table].  An op that will change a directory asks for the write
-   mapping in its one map call; [mark] flags the state write-mapped
-   when the map was writable or the ino is this LibFS's own creation.
-   Fibers that first touch the same ino at once share one map and one
-   build; a fiber that waited probes [table] again (a failed build left
-   nothing there).  Callers probe [table] first, so a hit builds no
-   closure, and re-hold a state they find there. *)
-let rec hold t table ~ino ~write ~build ~mark =
-  match
-    building t ino (fun () ->
-        let* _ = map_known t ~ino ~write in
-        let* s = build () in
-        if write || not (known_to_kernel t ino) then mark s;
-        Hashtbl.replace table ino s;
-        Ok s)
-  with
-  | Some r -> r
+(* The one way this LibFS comes to hold an ino, directories (the root
+   included) and files alike: a state in [table] that [serves] the op
+   is used, one that does not is re-held; with none, map the ino with
+   the access the caller's op needs, [build] its aux state and cache it
+   in [table].  An op that will change a directory asks for the write
+   mapping in its one map call; [mark] flags a state this trust group
+   created, which the kernel does not know yet.  Fibers that first
+   touch the same ino at once share one map and one build.  Callers
+   probe [table] first, so a hit builds no closure. *)
+let rec hold t table ~ino ~write ~serves ~build ~mark ~refresh =
+  match Hashtbl.find_opt table ino with
+  | Some s when serves s -> Ok s
+  | Some s ->
+    let* () = rehold t s ~ino ~write ~ready:serves ~refresh in
+    Ok s
   | None -> (
-    match Hashtbl.find_opt table ino with
-    | Some s -> Ok s
-    | None -> hold t table ~ino ~write ~build ~mark)
-
-let mark_dir (d : dir_state) = d.d_write_mapped <- true
-let mark_file (f : file_state) = f.r_write_mapped <- true
+    match
+      building t ino (fun () ->
+          let known = known_to_kernel t ino in
+          let* _ = if known then map_ctl t ~ino ~write else Ok true in
+          let* s = build () in
+          if not known then mark s;
+          Hashtbl.replace table ino s;
+          Ok s)
+    with
+    | Some r -> r
+    | None -> hold t table ~ino ~write ~serves ~build ~mark ~refresh)
 
 (* The head of an index chain cached newest first. *)
 let chain_head pages = List.fold_left (fun _ pg -> pg) 0 pages
 
 (* May a state cached for [ino] at [addr] outlive a handoff or a read
-   grant?  The map reply must vouch for it ([current]), and only under
-   the [mirror] rule: alone in its trust group.  Then one read of its
-   256-byte dentry must still show the ino, size, index head and B-link
-   root it cached.  The dentry sits in the parent's page, which
-   siblings' size updates dirty, so the kernel leaves that page out of
-   its answer and this compare covers it; it also catches a parent
-   rollback that restores an old dentry block.  A state kept wrongly
-   can only corrupt this process' own next handoff, which the verifier
-   still checks.  [Mutation.Keep_handed_back] keeps every state. *)
+   grant?  The map reply must vouch for it ([current]).  A state another
+   member holds writable is kept as it is: its dentry may read
+   mid-update.  Otherwise one read of its 256-byte dentry must still
+   show the ino, size, index head and B-link root it cached.  The
+   dentry sits in the parent's page, which siblings' size updates
+   dirty, so the kernel leaves that page out of its answer and this
+   compare covers it; it also catches a parent rollback that restores
+   an old dentry block.  A state kept wrongly can only corrupt this
+   group's own next handoff, which the verifier still checks.
+   [Mutation.Keep_handed_back] keeps every state. *)
 let still_current t ~current ~ino ~addr ~size ~index_head ~dindex_root =
   Mutation.active Keep_handed_back
   || current
-     && Controller.group_solo t.ctl ~proc:t.proc
-     &&
-     match Pmem.read_ecc t.pmem ~actor:t.proc ~addr ~len:Layout.dentry_size with
-     | Pmem.Ecc.Poisoned _ -> false
-     | Pmem.Ecc.Ok b -> (
-       match Layout.decode_dentry b with
-       | Some (Ok (inode, _)) ->
-         inode.Layout.ino = ino
-         && inode.Layout.size = size
-         && inode.Layout.index_head = index_head
-         && Layout.get_u64 b Layout.off_dindex_root = dindex_root
-       | _ -> false)
+     && (peer_writes t ino
+        ||
+        match Pmem.read_ecc t.pmem ~actor:t.proc ~addr ~len:Layout.dentry_size with
+        | Pmem.Ecc.Poisoned _ -> false
+        | Pmem.Ecc.Ok b -> (
+          match Layout.decode_dentry b with
+          | Some (Ok (inode, _)) ->
+            inode.Layout.ino = ino
+            && inode.Layout.size = size
+            && inode.Layout.index_head = index_head
+            && Layout.get_u64 b Layout.off_dindex_root = dindex_root
+          | _ -> false))
 
 (* A directory's one in-place refresh: kept when [still_current],
    otherwise rebuilt as a first map builds it, under every stripe write
-   lock (as [materialize] fills it).  Only a write map flags it
-   write-mapped. *)
-let refresh_dir t ~addr (d : dir_state) ~current ~write =
+   lock (as [materialize] fills it). *)
+let refresh_dir t ~addr (d : dir_state) ~current =
   d.d_addr <- addr;
   if
     not
@@ -429,20 +445,16 @@ let refresh_dir t ~addr (d : dir_state) ~current ~write =
       Array.iter Sync.Rwlock.write_unlock d.d_stripes;
       raise e
   end;
-  if write then d.d_write_mapped <- true;
   Ok ()
 
 let get_dir t ~write ~ino ~addr =
   match Hashtbl.find_opt t.dirs ino with
-  | Some d when live t ~ino ~write_mapped:d.d_write_mapped -> Ok d
-  | Some d ->
-    let* () =
-      rehold t d ~ino ~write
-        ~ready:(fun d -> live t ~ino ~write_mapped:d.d_write_mapped)
-        ~refresh:(refresh_dir t ~addr)
-    in
-    Ok d
-  | None -> hold t t.dirs ~ino ~write ~build:(fun () -> Ok (build_dir_aux t ~ino ~addr)) ~mark:mark_dir
+  | Some d when dir_serves t d ~write:false -> Ok d
+  | _ ->
+    hold t t.dirs ~ino ~write ~serves:(dir_serves t ~write:false)
+      ~build:(fun () -> Ok (build_dir_aux t ~ino ~addr))
+      ~mark:(fun d -> d.d_created <- true)
+      ~refresh:(refresh_dir t ~addr)
 
 (* A read grant can go at any moment without the LibFS noticing: another
    trust group's write map revokes readers at once, and nothing faults
@@ -450,12 +462,11 @@ let get_dir t ~write ~ino ~addr =
    is kept across the upgrade only when the write map's reply vouches
    for it. *)
 let ensure_dir_writable t (d : dir_state) =
-  rehold t d ~ino:d.d_ino ~write:true
-    ~ready:(fun d -> d.d_write_mapped)
+  rehold t d ~ino:d.d_ino ~write:true ~ready:(dir_serves t ~write:true)
     ~refresh:(refresh_dir t ~addr:d.d_addr)
 
 (* A file's one in-place refresh, under the inode write lock. *)
-let refresh_file t ~addr (f : file_state) ~current ~write =
+let refresh_file t ~addr (f : file_state) ~current =
   Sync.Rwlock.with_write f.r_ilock (fun () ->
       f.r_addr <- addr;
       let* () =
@@ -473,43 +484,38 @@ let refresh_file t ~addr (f : file_state) ~current ~write =
           f.r_npages <- fresh.r_npages;
           Ok ()
       in
-      if write then f.r_write_mapped <- true;
       Ok ())
 
 let get_file t ~ino ~addr =
   match Hashtbl.find_opt t.files ino with
-  | Some f when live t ~ino ~write_mapped:f.r_write_mapped -> Ok f
-  | Some f ->
-    let* () =
-      rehold t f ~ino ~write:false
-        ~ready:(fun f -> live t ~ino ~write_mapped:f.r_write_mapped)
-        ~refresh:(refresh_file t ~addr)
-    in
-    Ok f
-  | None -> hold t t.files ~ino ~write:false ~build:(fun () -> build_file_aux t ~ino ~addr) ~mark:mark_file
+  | Some f when file_serves t f ~write:false -> Ok f
+  | _ ->
+    hold t t.files ~ino ~write:false ~serves:(file_serves t ~write:false)
+      ~build:(fun () -> build_file_aux t ~ino ~addr)
+      ~mark:(fun f -> f.r_created <- true)
+      ~refresh:(refresh_file t ~addr)
 
 let ensure_file_writable t (f : file_state) =
-  rehold t f ~ino:f.r_ino ~write:true
-    ~ready:(fun f -> f.r_write_mapped)
+  rehold t f ~ino:f.r_ino ~write:true ~ready:(file_serves t ~write:true)
     ~refresh:(refresh_file t ~addr:f.r_addr)
 
-(* Drop cached state for a file/dir (after a lease revocation fault, or
-   the unmap of an ino this process never mapped). *)
+(* Drop the cached state of a file or directory and this process' hold
+   on it (after a lease revocation fault, or the unmap of an ino this
+   process never mapped). *)
 let drop_aux t ino =
   Hashtbl.remove t.dirs ino;
-  Hashtbl.remove t.files ino
+  Hashtbl.remove t.files ino;
+  Hashtbl.remove t.held ino
 
-(* Hand an ino back.  Its cached state stays, neither held nor
-   write-mapped, for the next [hold] to revive.  An ino this process
-   never mapped through the controller (a file or directory it created
-   since its parent's last handoff) has nothing to hand back: the
-   controller would answer ENOENT before ingesting it and EBADF after,
-   so no call is made and its state goes. *)
+(* Hand an ino back.  Its cached state stays for the next [hold] to
+   revive, and serves this process nothing meanwhile.  An ino this
+   process never mapped through the controller (a file or directory its
+   trust group created since its parent's last handoff) has nothing to
+   hand back: the controller would answer ENOENT before ingesting it
+   and EBADF after, so no call is made and its state goes. *)
 let unmap t ino =
   if Hashtbl.mem t.held ino then begin
     Hashtbl.remove t.held ino;
-    Option.iter (fun d -> d.d_write_mapped <- false) (Hashtbl.find_opt t.dirs ino);
-    Option.iter (fun f -> f.r_write_mapped <- false) (Hashtbl.find_opt t.files ino);
     match t.ring with
     | Some r ->
       (* Fire-and-forget: the entry feeds the verification pipeline when
@@ -592,12 +598,18 @@ let with_retry t f =
            state built on the revoked page is stale too (a file created
            since the parent's last handoff has no mapping of its own) *)
         Hashtbl.filter_map_inplace
-          (fun _ (f : file_state) -> if f.r_addr / page_size = page then None else Some f)
+          (fun ino (f : file_state) ->
+            if f.r_addr / page_size = page then begin
+              Hashtbl.remove t.held ino;
+              None
+            end
+            else Some f)
           t.files
       | _ ->
         (* conservative: forget everything *)
         Hashtbl.reset t.dirs;
-        Hashtbl.reset t.files);
+        Hashtbl.reset t.files;
+        Hashtbl.reset t.held);
       go (n - 1) m
     | Pmem.Mmu_fault _ -> Error EAGAIN
     | Pmem.Media_fault { transient = true; _ } when m > 0 && not (expired ()) ->
@@ -634,13 +646,13 @@ let load_ref t name addr =
   | _ -> None
 
 (* The directory's node mirror, while this LibFS can trust it: the
-   directory is write-mapped and the process is alone in its trust
-   group, so nobody else writes its pages (the rule [current_root]
-   applies to the root word).  The controller writes the nodes only of
-   a directory no LibFS holds writable.  A co-writer may change any
-   node, so once one shows up the mirror is forgotten, not bypassed. *)
+   directory is write-mapped, so nobody outside its trust group writes
+   its pages, and the group's members write its nodes through this one
+   shared state.  The controller writes the nodes only of a directory
+   no LibFS holds writable, so a reader forgets the mirror instead of
+   bypassing it. *)
 let mirror t (d : dir_state) =
-  if d.d_write_mapped && Controller.group_solo t.ctl ~proc:t.proc then Some d.d_nodes
+  if dir_serves t d ~write:true then Some d.d_nodes
   else begin
     Hashtbl.reset d.d_nodes;
     None
@@ -780,20 +792,10 @@ let dindex_alloc t () =
    cache; one it wrote must be zeroed first ([free_pages_lazily]). *)
 let dindex_free t pg = Alloc_cache.recycle_pages t.cache [ pg ]
 
-(* Every index update runs under the directory's index lock, one per
-   (trust group, directory) on the controller: this process' fibers and
-   its same-group co-writers update the tree one at a time. *)
-let with_index_lock t (d : dir_state) f =
-  Sync.Mutex.with_lock (Controller.index_lock t.ctl ~proc:t.proc ~ino:d.d_ino) f
-
-(* The index root to update from; the caller holds the index lock.  A
-   same-group co-writer may have split the root, built a tree or dropped
-   it since this process last looked, so unless the process is alone in
-   its trust group the dentry's root word is re-read. *)
-let current_root t (d : dir_state) =
-  if not (Controller.group_solo t.ctl ~proc:t.proc) then
-    d.d_dindex_root <- Layout.read_dindex_root t.pmem ~actor:t.proc ~dentry_addr:d.d_addr;
-  d.d_dindex_root
+(* Every index update runs under the directory's index lock: the
+   fibers of every member of the trust group update the tree one at a
+   time. *)
+let with_index_lock (d : dir_state) f = Sync.Mutex.with_lock d.d_index_lock f
 
 (* The (hash, dentry address) keys a materialized directory's index
    must hold. *)
@@ -827,8 +829,8 @@ let build_index t (d : dir_state) =
    insert and delete alike. *)
 let index_insert t (d : dir_state) name addr =
   if not (Mutation.active Skip_index) then
-    with_index_lock t d (fun () ->
-        match current_root t d with
+    with_index_lock d (fun () ->
+        match d.d_dindex_root with
         | 0 when d.d_aux_built && Htbl.length d.d_names > 1 -> build_index t d
         | root -> (
           match
@@ -850,9 +852,9 @@ let index_insert t (d : dir_state) name addr =
 (* Remove (name -> address) after the dentry tombstone is persisted. *)
 let index_delete t (d : dir_state) name addr =
   if not (Mutation.active Skip_index) then
-    with_index_lock t d (fun () ->
+    with_index_lock d (fun () ->
         match
-          let root = current_root t d in
+          let root = d.d_dindex_root in
           if root = 0 then Ok ()
           else
             Dirindex.delete ?mirror:(mirror t d) ~stats:(kstats t) t.pmem ~actor:t.proc ~root
@@ -866,7 +868,7 @@ let index_delete t (d : dir_state) name addr =
    tree, or a crash left it detached). *)
 let rebuild_index t (d : dir_state) =
   if d.d_dindex_root = 0 && d.d_aux_built && d.d_size > 0 then
-    with_index_lock t d (fun () -> if current_root t d = 0 then build_index t d)
+    with_index_lock d (fun () -> if d.d_dindex_root = 0 then build_index t d)
 
 (* Mutating name ops need certainty about existence; an
    unindexed-nonempty directory only offers it through the full scan.
@@ -886,16 +888,11 @@ let ensure_resolvable t (d : dir_state) =
    live-entry count says every slot is taken.  Without this, a LibFS
    that rebuilds its aux state after every handoff would claim a fresh
    page per create and never reuse one.  A slot is free when its ino
-   word is 0; a poisoned page offers none.  Only a process alone in its
-   trust group scans: a same-group co-writer may hold the directory
-   mapped too, with its own list of the same holes.  Caller holds
+   word is 0; a poisoned page offers none.  Caller holds
    [d_tail_lock]. *)
 let refill_free_slots t (d : dir_state) =
   let worth_scanning () = d.d_free_slots = [] && d.d_unscanned <> [] in
-  if
-    worth_scanning ()
-    && List.length d.d_data_pages * Layout.dentries_per_page > d.d_size
-    && Controller.group_solo t.ctl ~proc:t.proc
+  if worth_scanning () && List.length d.d_data_pages * Layout.dentries_per_page > d.d_size
   then
     Stats.timed t.stats t.sched "rebuild" (fun () ->
         while worth_scanning () do
@@ -1381,13 +1378,18 @@ let recover t =
 (* ------------------------------------------------------------------ *)
 (* Mount *)
 
+(* [?group] names a mounted member of the trust group this process
+   joins (DESIGN.md §4.5, "Trust groups"). *)
 let mount ~ctl ~proc ~cred ?group ?qos_share ?(retry_deadline_ns = 5.0e6) ?delegation
     ?(unmap_after_write = false) ?ring ?fix () =
   let pmem = Controller.pmem ctl in
   let sched = Controller.sched ctl in
   let topo = Pmem.topo pmem in
   let t_ref = ref None in
-  Controller.register_process ctl ~proc ~cred ?group ?qos_share ?fix
+  let shared of_member fresh = match group with Some m -> of_member m | None -> fresh () in
+  Controller.register_process ctl ~proc ~cred
+    ?group:(Option.map (fun m -> (List.hd !(m.members)).proc) group)
+    ?qos_share ?fix
     ~recovery:(fun () -> Option.iter recover !t_ref)
     ();
   (* The ring must exist before the first map: its drain fiber is what
@@ -1431,12 +1433,13 @@ let mount ~ctl ~proc ~cred ?group ?qos_share ?(retry_deadline_ns = 5.0e6) ?deleg
       cache;
       journal;
       delegation;
-      dirs = Hashtbl.create 64;
-      files = Hashtbl.create 64;
+      dirs = shared (fun m -> m.dirs) (fun () -> Hashtbl.create 64);
+      files = shared (fun m -> m.files) (fun () -> Hashtbl.create 64);
+      building = shared (fun m -> m.building) (fun () -> Hashtbl.create 16);
+      members = shared (fun m -> m.members) (fun () -> ref []);
       held = Hashtbl.create 64;
       fds = Hashtbl.create 64;
       fd_counters = Array.make (Numa.total_cpus topo) 0;
-      building = Hashtbl.create 16;
       stats = Stats.create ();
       unmap_after_write;
       ring;
@@ -1446,6 +1449,7 @@ let mount ~ctl ~proc ~cred ?group ?qos_share ?(retry_deadline_ns = 5.0e6) ?deleg
       retry_rng = Rng.create (0x51ab5 + proc);
     }
   in
+  t.members := !(t.members) @ [ t ];
   t_ref := Some t;
   t
 
@@ -1517,7 +1521,7 @@ let op_create t ~resolve path mode =
           r_npages = 0;
           r_ilock = Sync.Rwlock.create ();
           r_range = Sync.Range_lock.create ();
-          r_write_mapped = true;
+          r_created = true;
         }
       in
       Hashtbl.replace t.files r.e_ino f;
@@ -1554,7 +1558,7 @@ let op_close t fd =
   | Some { fd_ino; _ } ->
     Hashtbl.remove t.fds fd;
     (match Hashtbl.find_opt t.files fd_ino with
-    | Some f when t.unmap_after_write && f.r_write_mapped -> unmap t fd_ino
+    | Some f when t.unmap_after_write && file_serves t f ~write:true -> unmap t fd_ino
     | _ -> ());
     Ok ()
 
@@ -1907,14 +1911,17 @@ let op_fsync t fd =
 (* Teardown is a sharing point: the caller expects every verification
    triggered by its unmaps to have *landed* when this returns, so after
    dropping the mappings we quiesce the background pipeline.  Per-file
-   unmaps stay asynchronous. *)
+   unmaps stay asynchronous.  A process with trust-group peers leaves
+   the aux states to them. *)
 let unmap_everything t =
   flush_free_backlog t;
   (* Quiesce the ring first: fire-and-forget unmaps still in flight
      must land before unmap_all decides what this process still holds. *)
   (match t.ring with Some r -> Controller.ring_drain r | None -> ());
-  Hashtbl.reset t.dirs;
-  Hashtbl.reset t.files;
+  if List.for_all (fun m -> m == t) !(t.members) then begin
+    Hashtbl.reset t.dirs;
+    Hashtbl.reset t.files
+  end;
   Hashtbl.reset t.held;
   Hashtbl.reset t.fds;
   Controller.unmap_all t.ctl ~proc:t.proc;
@@ -1935,7 +1942,7 @@ let commit_file t path =
    not served until [hold] revives it. *)
 let cached_dir t ino =
   match Hashtbl.find_opt t.dirs ino with
-  | Some d when live t ~ino ~write_mapped:d.d_write_mapped -> Some d
+  | Some d when dir_serves t d ~write:false -> Some d
   | _ -> None
 
 let pmem_of t = t.pmem

@@ -264,8 +264,6 @@ let ring_drain = Ctl_ring.drain
 
 let register_process = Ctl_registry.register_process
 let process_dead = Ctl_registry.process_dead
-let group_solo = Ctl_registry.group_solo
-let index_lock = Ctl_registry.index_lock
 
 type watchdog_report = Ctl_registry.watchdog_report = {
   mutable wd_scanned : int;

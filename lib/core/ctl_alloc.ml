@@ -118,10 +118,7 @@ let free_pages t ~proc ~pages =
     | Allocated_to q when q = proc -> Ok ()
     | In_file ino -> (
       match file_find t ino with
-      | Some f
-        when f.f_writer = Some proc
-             || (Option.is_some f.f_writer && group_of t (Option.get f.f_writer) = group_of t proc)
-        ->
+      | Some f when List.mem proc f.f_writers ->
         (* Freeing a directory data page requires it to be empty. *)
         if f.f_ftype = Dir && List.mem pg f.f_data_pages && not (dir_page_is_empty t pg) then
           Error EACCES
@@ -163,18 +160,13 @@ let free_pages t ~proc ~pages =
 let recycle_pages t ~proc ~pages =
   syscall t proc ~admit:false @@ fun () ->
   let p = proc_info t proc in
-  let my_group = group_of t proc in
   let check pg =
     match owner_of t pg with
     | Allocated_to q when q = proc -> true
     | In_file ino -> (
       match file_find t ino with
-      | Some f -> (
-        match f.f_writer with
-        | Some w ->
-          (w = proc || group_of t w = my_group)
-          && not (f.f_ftype = Dir && List.mem pg f.f_data_pages)
-        | None -> false)
+      | Some f ->
+        List.mem proc f.f_writers && not (f.f_ftype = Dir && List.mem pg f.f_data_pages)
       | None -> false)
     | Allocated_to _ | Free -> false
   in
@@ -228,10 +220,7 @@ let free_file_tree t ~proc ~ino =
   | None -> Error ENOENT
   | Some f -> (
     match file_find t f.f_parent with
-    | Some parent
-      when (match parent.f_writer with
-           | Some w -> w = proc || group_of t w = group_of t proc
-           | None -> false) ->
+    | Some parent when List.mem proc parent.f_writers ->
       if f.f_ftype = Dir && not (List.for_all (dir_page_is_empty t) f.f_data_pages) then
         Error ENOTEMPTY
       else begin

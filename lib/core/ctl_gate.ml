@@ -99,7 +99,7 @@ let reclaim_deleted t ~proc ~parent ~dino =
   match ino_owner_of t dino with
   | Ino_in_dir p when p = parent -> (
     match file_find t dino with
-    | Some df when df.f_writer <> None || Hashtbl.length df.f_readers > 0 ->
+    | Some df when df.f_writers <> [] || Hashtbl.length df.f_readers > 0 ->
       (* re-mapped in the window between verification and this flush:
          not safe to free under someone's feet — try again at the next
          pipeline idle *)
@@ -143,39 +143,41 @@ let rec ingest_verified t ~reads ~proc ~(f : file_info) (report : Verifier.repor
         Hashtbl.replace pinfo.p_pages pg ()
       end)
     old_pages;
+  (* A page a member of the group allocated leaves that member's pool.
+     Once it belongs to a file the member no longer holds write-mapped,
+     its allocation-time grant must go: otherwise the member would
+     retain access after the handoff, defeating the exclusive-write
+     policy.  A member still mapping it (a commit, crash recovery) keeps
+     the grant: an on-demand mapping takes it over, to revoke it with
+     the rest, and an eager one's revoke covers the file's pages. *)
   List.iter
     (fun pg ->
-      set_page_owner t pg (In_file f.f_ino);
-      Hashtbl.remove pinfo.p_pages pg)
+      (match owner_of t pg with
+      | Allocated_to q -> (
+        let qinfo = proc_info t q in
+        Hashtbl.remove qinfo.p_pages pg;
+        if not (List.mem q f.f_writers) then
+          Mmu.revoke_free t.mmu ~actor:q ~pages:[ pg ] ~perm:Mmu.P_readwrite
+        else
+          match Hashtbl.find_opt qinfo.p_mapped f.f_ino with
+          | Some (On_demand d)
+            when not (List.exists (fun (pte : Mmu.pte) -> pte.pte_page = pg) d.ptes) ->
+            Option.iter (fun pte -> d.ptes <- pte :: d.ptes) (Mmu.pte_of t.mmu ~actor:q ~page:pg)
+          | _ -> ())
+      | In_file _ | Free -> ());
+      set_page_owner t pg (In_file f.f_ino))
     new_pages;
   f.f_index_pages <- report.Verifier.index_pages;
   f.f_data_pages <- report.Verifier.data_pages;
   f.f_dindex_pages <- report.Verifier.dindex_pages;
-  (* Once pages belong to a file the creator no longer holds write-mapped,
-     its allocation-time grants must go: otherwise it would retain access
-     after the handoff, defeating the exclusive-write policy.  A writer
-     still mapping it on demand (a commit, crash recovery) hands each
-     page's grant to the mapping, which revokes it with the rest. *)
-  if f.f_writer <> Some proc then
-    Mmu.revoke_free t.mmu ~actor:proc ~pages:new_pages ~perm:Mmu.P_readwrite
-  else begin
-    match Hashtbl.find_opt pinfo.p_mapped f.f_ino with
-    | Some (On_demand d) ->
-      List.iter
-        (fun pg ->
-          if not (List.exists (fun (pte : Mmu.pte) -> pte.pte_page = pg) d.ptes) then
-            Option.iter (fun pte -> d.ptes <- pte :: d.ptes) (Mmu.pte_of t.mmu ~actor:proc ~page:pg))
-        new_pages
-    | Some Eager | None -> ()
-  end;
   (* Children: ingest newly created files, update moved dentries. *)
   List.iter
     (fun (c : Verifier.child) ->
       match ino_owner_of t c.Verifier.c_ino with
-      | Ino_allocated_to p when p = proc ->
+      | Ino_allocated_to creator when same_group t proc creator ->
         (* Fresh file: establish the shadow inode with the creator's
            credentials as ground truth. *)
-        let cred = cred_of_proc t proc in
+        let cred = cred_of_proc t creator in
         let child_file =
           new_file ~ino:c.Verifier.c_ino ~dentry_addr:c.Verifier.c_dentry_addr ~parent:f.f_ino
             ~ftype:c.Verifier.c_ftype ()
@@ -188,7 +190,7 @@ let rec ingest_verified t ~reads ~proc ~(f : file_info) (report : Verifier.repor
             s_gid = cred.gid;
           };
         set_ino_owner t c.Verifier.c_ino (Ino_in_dir f.f_ino);
-        Hashtbl.remove pinfo.p_inos c.Verifier.c_ino;
+        Hashtbl.remove (proc_info t creator).p_inos c.Verifier.c_ino;
         set_file t c.Verifier.c_ino child_file;
         (* Recursively verify and ingest the fresh subtree. *)
         let child_report =
@@ -228,7 +230,7 @@ let rec ingest_verified t ~reads ~proc ~(f : file_info) (report : Verifier.repor
              | Error _ -> ignore (Ctl_media.rebuild_dindex t ~ino:f.f_ino : (int, _) result));
           remove_file t c.Verifier.c_ino;
           remove_shadow t c.Verifier.c_ino;
-          set_ino_owner t c.Verifier.c_ino (Ino_allocated_to proc)
+          set_ino_owner t c.Verifier.c_ino (Ino_allocated_to creator)
         end
       | Ino_in_dir parent when parent = f.f_ino -> (
         (* Existing child: its dentry may have moved within the dir. *)
@@ -238,7 +240,7 @@ let rec ingest_verified t ~reads ~proc ~(f : file_info) (report : Verifier.repor
       | Ino_in_dir _other -> (
         (* Cross-directory move (rename): accept, since the verifier
            only lets this through when the source is write-mapped by
-           the same process. *)
+           the same trust group. *)
         set_ino_owner t c.Verifier.c_ino (Ino_in_dir f.f_ino);
         match file_find t c.Verifier.c_ino with
         | Some cf ->
@@ -510,31 +512,16 @@ let drain_unverified t =
 (* ------------------------------------------------------------------ *)
 (* Map / unmap *)
 
-(* Take away the PTEs [proc]'s [mapping] of [f] holds: an eager one's
-   on every page the controller attributes to the file, an on-demand
-   one's exactly those its faults made, after it stops faulting.
-   [Mutation.Keep_faulted_ptes] revokes only those made at map time. *)
-let revoke_ptes t ~proc ~(f : file_info) mapping ~perm ~charge =
-  match mapping with
-  | Eager ->
-    let pages = file_pages f in
-    if charge then Mmu.revoke t.mmu ~actor:proc ~pages ~perm
-    else Mmu.revoke_free t.mmu ~actor:proc ~pages ~perm
-  | On_demand d ->
-    drop_faultable (proc_info t proc) ~ino:f.f_ino d.faultable;
-    let ptes = if Mutation.active Keep_faulted_ptes then [] else d.ptes in
-    Mmu.revoke_ptes t.mmu ~actor:proc ~ptes ~charge
-
 (* Revoke [proc]'s mapping of [f].  A write mapping is revoked once:
    the revoke claims it before its PTE edits take their time, so a
    second revoker (another waiter at the same lease expiry, or the
    holder's own unmap) finds it gone.  A revoked write mapping leaves
    the process' view current as of now: every store it made landed
    before this mark, and any later one dirties a page past it (see
-   [view_current]).  Only a claim still [proc]'s is cleared, so a
-   revoke never undoes a newer writer's.  A read mapping needs no
-   verification, and a second revoke of one only repeats its PTE
-   edits. *)
+   [view_current]).  It takes only [proc] out of the claim, whose
+   other members hold on; the last member's revoke ends the claim and
+   queues its one verification.  A read mapping needs no verification,
+   and a second revoke of one only repeats its PTE edits. *)
 let revoke_mapping t ~proc ~(f : file_info) ~was_writer =
   let p = proc_info t proc in
   match Hashtbl.find_opt p.p_mapped f.f_ino with
@@ -547,10 +534,10 @@ let revoke_mapping t ~proc ~(f : file_info) ~was_writer =
         revoke_ptes t ~proc ~f mapping ~perm ~charge:true);
     if was_writer then begin
       Hashtbl.replace p.p_seen f.f_ino (Mmu.write_mark t.mmu);
-      if f.f_writer = Some proc then f.f_writer <- None;
+      f.f_writers <- List.filter (( <> ) proc) f.f_writers;
       (* The pipelining win: the write handoff only queues verification;
          a background fiber picks it up while the LibFS moves on. *)
-      enqueue_verify t ~proc ~f
+      if f.f_writers = [] then enqueue_verify t ~proc ~f
     end
     else Hashtbl.remove f.f_readers proc;
     wake_all f
@@ -561,7 +548,7 @@ let unmap_file_body t ~proc ~ino =
   match file_find t ino with
   | None -> Error ENOENT
   | Some f ->
-    if f.f_writer = Some proc then begin
+    if List.mem proc f.f_writers then begin
       revoke_mapping t ~proc ~f ~was_writer:true;
       Ok ()
     end
@@ -582,9 +569,11 @@ let unmap_file t ~proc ~ino = syscall t proc ~admit:false (fun () -> unmap_file_
    verdict before it can be granted anything).
 
    Every waiter parked on an expiring lease wakes here at once.  The
-   first to reach the writer revokes it, once; a writer whose mapping
-   is already claimed has its revoke in flight in another fiber, which
-   wakes the waiters when it ends (DESIGN.md §4.5, "The takeover").
+   first to reach each member of the claim revokes it, once; a member
+   whose mapping is already claimed has its revoke in flight in
+   another fiber, which wakes the waiters when it ends (DESIGN.md
+   §4.5, "The takeover").  The last member's revoke queues the claim's
+   verification.
    Readers are revoked by every waiter that finds them, as before.
    The revoke and the verification serve every waiter of the expired
    lease, so they buy the one that ran them no head start: when others
@@ -592,14 +581,10 @@ let unmap_file t ~proc ~ino = syscall t proc ~admit:false (fun () -> unmap_file_
    waiters the verification woke take the file in wake order. *)
 let force_unmap_holders t ~(f : file_info) ~for_writer =
   let claimed proc = not (Hashtbl.mem (proc_info t proc).p_mapped f.f_ino) in
-  let revoker =
-    match f.f_writer with
-    | Some holder when not (claimed holder) ->
-      f.f_contended <- false;
-      revoke_mapping t ~proc:holder ~f ~was_writer:true;
-      true
-    | _ -> false
-  in
+  let holders = List.filter (fun w -> not (claimed w)) f.f_writers in
+  let revoker = holders <> [] in
+  if revoker then f.f_contended <- false;
+  List.iter (fun holder -> revoke_mapping t ~proc:holder ~f ~was_writer:true) holders;
   settle t f;
   if revoker && f.f_contended then Sched.yield ();
   if for_writer then
@@ -607,22 +592,19 @@ let force_unmap_holders t ~(f : file_info) ~for_writer =
       (fun r () -> revoke_mapping t ~proc:r ~f ~was_writer:false)
       (Hashtbl.copy f.f_readers);
   (* checked and parked on with no yield between, so no wake is lost *)
-  if Option.fold ~none:false ~some:claimed f.f_writer then begin
+  if List.exists claimed f.f_writers then begin
     f.f_contended <- true;
     Sched.park (fun waker -> Queue.push waker f.f_waiters)
   end
 
-(* A write mapping held by a process of another trust group. *)
+(* A write claim held by another trust group. *)
 let writer_conflict t ~proc ~(f : file_info) =
-  match f.f_writer with None -> false | Some w -> w <> proc && group_of t w <> group_of t proc
+  match f.f_writers with w :: _ -> not (same_group t w proc) | [] -> false
 
 (* A writer additionally conflicts with readers of other trust groups. *)
 let conflicts t ~proc ~(f : file_info) ~write =
   writer_conflict t ~proc ~f
-  || write
-     &&
-     let my_group = group_of t proc in
-     Hashtbl.fold (fun r () acc -> acc || (r <> proc && group_of t r <> my_group)) f.f_readers false
+  || (write && Hashtbl.fold (fun r () acc -> acc || not (same_group t proc r)) f.f_readers false)
 
 let rec wait_for_access t ~proc ~(f : file_info) ~write =
   if conflicts t ~proc ~f ~write then begin
@@ -747,11 +729,9 @@ let view_current t ~proc (f : file_info) =
    to 3 pages of its directory, while a file write touches most of its
    file, and a fault (a kernel entry and a PTE edit) costs more than an
    eager PTE: so directories only.  A view the LibFS will rebuild reads
-   every page, so only one the reply vouches for; a same-group peer may
-   be writing the directory too, so only a process alone in its trust
-   group; and an upgrade keeps its eager grant. *)
-let on_demand t ~proc ~(f : file_info) ~current ~upgrade =
-  f.f_ftype = Dir && current && (not upgrade) && Ctl_registry.group_solo t ~proc
+   every page, so only one the reply vouches for; and an upgrade keeps
+   its eager grant. *)
+let on_demand ~(f : file_info) ~current ~upgrade = f.f_ftype = Dir && current && not upgrade
 
 (* Resolve a first touch of a faultable page: one kernel entry and one
    PTE edit, timed under "map", then one read-write PTE that the
@@ -768,7 +748,7 @@ let resolve_fault t ~actor:proc ~page ~write:_ =
       let of_ino ino =
         match (file_find t ino, Hashtbl.find_opt p.p_mapped ino) with
         | Some f, Some (On_demand d)
-          when f.f_writer = Some proc
+          when List.mem proc f.f_writers
                && (page = f.f_dentry_addr / page_size || owner_of t page = In_file ino) ->
           Some d
         | _ -> None
@@ -798,9 +778,7 @@ let map_file_body t ~proc ~ino ~write =
        with EACCES must trigger neither. *)
     match gate_checks t ~proc ~f ~write with
     | Error e -> Error e
-    | Ok ()
-      when (write && f.f_writer = Some proc)
-           || ((not write) && (f.f_writer = Some proc || Hashtbl.mem f.f_readers proc)) ->
+    | Ok () when List.mem proc f.f_writers || ((not write) && Hashtbl.mem f.f_readers proc) ->
       (* Idempotent re-map: the process already holds a sufficient
          mapping, so there is nothing to hand off, verify, walk or
          grant — renew the lease and return.  The synchronous path
@@ -836,10 +814,16 @@ let map_file_body t ~proc ~ino ~write =
              no other fiber slips in during those delays. *)
           let upgrade = write && Hashtbl.mem f.f_readers proc in
           let p = proc_info t proc in
+          (* A member of this process' trust group holds [f] writable
+             ([acquire] let no other group's claim stand): this map
+             joins the group's claim, which keeps the page set walked
+             and the checkpoint taken when it began, and the view it
+             hands over is the group's own, current. *)
+          let joining = f.f_writers <> [] in
           (* recorded at the claim, so a revoke always finds what to undo *)
           Hashtbl.replace p.p_mapped ino Eager;
           if write then begin
-            f.f_writer <- Some proc;
+            f.f_writers <- proc :: f.f_writers;
             (* read-to-write upgrade: the earlier read grants must go,
                or revoking the write mapping later would leave access *)
             if upgrade then begin
@@ -849,28 +833,31 @@ let map_file_body t ~proc ~ino ~write =
           end
           else Hashtbl.replace f.f_readers proc ();
           f.f_lease_expire <- Sched.now t.sched +. t.lease_ns;
-          (* Walk the file to find the page set: a settled file's clean
-             pages come from its checkpoint, under the rule incremental
-             verification follows (the device in [Full] mode). *)
-          Stats.timed t.stats t.sched "map.walk" (fun () ->
-              match
-                walk_file ?fetch:(Ctl_checkpoint.delta_of t) t ~ino ~dentry_addr:f.f_dentry_addr
-              with
-              | Some (_, index_pages, data_pages, dindex_pages) ->
-                f.f_index_pages <- index_pages;
-                f.f_data_pages <- data_pages;
-                f.f_dindex_pages <- dindex_pages
-              | None -> ());
-          if write then
-            Stats.timed t.stats t.sched "map.checkpoint" (fun () ->
-                Ctl_checkpoint.take_checkpoint t f);
+          if not joining then begin
+            (* Walk the file to find the page set: a settled file's
+               clean pages come from its checkpoint, under the rule
+               incremental verification follows (the device in [Full]
+               mode). *)
+            Stats.timed t.stats t.sched "map.walk" (fun () ->
+                match
+                  walk_file ?fetch:(Ctl_checkpoint.delta_of t) t ~ino ~dentry_addr:f.f_dentry_addr
+                with
+                | Some (_, index_pages, data_pages, dindex_pages) ->
+                  f.f_index_pages <- index_pages;
+                  f.f_data_pages <- data_pages;
+                  f.f_dindex_pages <- dindex_pages
+                | None -> ());
+            if write then
+              Stats.timed t.stats t.sched "map.checkpoint" (fun () ->
+                  Ctl_checkpoint.take_checkpoint t f)
+          end;
           (* Answered after the settle, so the handback's own
              verification and ingestion have landed, and before the
              grant, which it shapes. *)
-          let current = view_current t ~proc f in
+          let current = joining || view_current t ~proc f in
           let pages = file_pages f in
           let mapping =
-            if write && on_demand t ~proc ~f ~current ~upgrade then begin
+            if write && on_demand ~f ~current ~upgrade then begin
               add_faultable p ~ino pages;
               On_demand { faultable = pages; ptes = [] }
             end
@@ -916,7 +903,7 @@ let commit t ~proc ~ino =
   match file_find t ino with
   | None -> Error ENOENT
   | Some f ->
-    if f.f_writer <> Some proc then Error EBADF
+    if not (List.mem proc f.f_writers) then Error EBADF
     else begin
       let reads = open_reads t in
       let report =
@@ -978,7 +965,7 @@ let chown t ~proc ~ino ~uid ~gid =
 let write_mapped_inos t ~proc =
   fold_files t
     (fun ino (f : file_info) acc ->
-      if f.f_writer = Some proc then (ino, f.f_dentry_addr, f.f_ftype) :: acc else acc)
+      if List.mem proc f.f_writers then (ino, f.f_dentry_addr, f.f_ftype) :: acc else acc)
     []
 
 (* A file created moments ago may still be riding the pipeline inside
@@ -988,23 +975,27 @@ let dentry_addr_of t ino = Option.map (fun (f : file_info) -> f.f_dentry_addr) (
 (* After a crash: any verification still in the pipeline runs against
    the post-crash state first, then every LibFS-registered recovery
    program runs (undo journals etc.), then every file that was
-   write-mapped at crash time is verified (§4.4). *)
+   write-mapped at crash time is verified once, for its claim, and
+   every member of the claim is revoked (§4.4). *)
 let crash_recover t =
   drain_verification t;
   Hashtbl.iter
     (fun _ p -> match p.p_recovery with Some recovery -> recovery () | None -> ())
     t.procs;
   iter_files_snapshot t (fun _ (f : file_info) ->
-      match f.f_writer with
-      | Some proc ->
+      match f.f_writers with
+      | proc :: _ ->
         ignore (verify_file t ~proc ~f);
-        let p = proc_info t proc in
-        let mapping = Option.value (Hashtbl.find_opt p.p_mapped f.f_ino) ~default:Eager in
-        Hashtbl.remove p.p_mapped f.f_ino;
-        revoke_ptes t ~proc ~f mapping ~perm:Mmu.P_readwrite ~charge:false;
-        f.f_writer <- None;
+        List.iter
+          (fun w ->
+            let p = proc_info t w in
+            let mapping = Option.value (Hashtbl.find_opt p.p_mapped f.f_ino) ~default:Eager in
+            Hashtbl.remove p.p_mapped f.f_ino;
+            revoke_ptes t ~proc:w ~f mapping ~perm:Mmu.P_readwrite ~charge:false)
+          f.f_writers;
+        f.f_writers <- [];
         wake_all f
-      | None -> ());
+      | [] -> ());
   reclaim_deferred t
 
 (* ------------------------------------------------------------------ *)
@@ -1053,9 +1044,8 @@ let try_fuse_remap t ~proc ~ino ~write =
          && f.f_unverified = None
          && f.f_degraded = Healthy
          && f.f_quarantined_for = None
-         && (match f.f_writer with
-            | Some w -> w = proc (* a write grant satisfies either mode *)
-            | None -> (not write) && Hashtbl.mem f.f_readers proc)
+         && (List.mem proc f.f_writers (* a write grant satisfies either mode *)
+            || ((not write) && Hashtbl.mem f.f_readers proc))
          && gate_checks t ~proc ~f ~write = Ok () ->
     f.f_lease_expire <- Sched.now t.sched +. t.lease_ns;
     true

@@ -13,7 +13,8 @@ open Ctl_state
 let page_size = Layout.page_size
 let badblocks t = t.badblocks
 let degradation_of t ino = Option.map (fun f -> f.f_degraded) (file_find t ino)
-let writer_of t ino = Option.bind (file_find t ino) (fun f -> f.f_writer)
+let writer_of t ino =
+  Option.bind (file_find t ino) (fun f -> match f.f_writers with w :: _ -> Some w | [] -> None)
 
 let record_media_event t ~ino ~detail =
   t.corruption_events <-

@@ -16,8 +16,16 @@ module Sched = Trio_sim.Sched
 module Extent_alloc = Trio_util.Extent_alloc
 open Ctl_state
 
+(* A live member of trust group [group] other than [proc], if any. *)
+let live_member t ~group ~proc =
+  Seq.find_map
+    (fun (id, (p : proc_info)) ->
+      if id <> proc && p.p_group = group && not p.p_dead then Some id else None)
+    (Hashtbl.to_seq t.procs)
+
 let register_process t ~proc ~cred ?group ?qos_share ?fix ?recovery () =
   if proc = Pmem.kernel_actor then invalid_arg "Controller.register_process: reserved id";
+  if Hashtbl.mem t.procs proc then invalid_arg "Controller.register_process: already registered";
   let info =
     {
       p_id = proc;
@@ -34,6 +42,11 @@ let register_process t ~proc ~cred ?group ?qos_share ?fix ?recovery () =
       p_dead = false;
     }
   in
+  (* A process joining a trust group with a live member shares its page
+     table (DESIGN.md §4.5, "Trust groups"). *)
+  Option.iter
+    (fun member -> Mmu.share_table t.mmu ~actor:proc ~member)
+    (live_member t ~group:info.p_group ~proc);
   Hashtbl.replace t.procs proc info;
   (* Configuring a share turns QoS enforcement on for this process'
      whole trust group; without it the group is charged (observability)
@@ -47,25 +60,6 @@ let register_process t ~proc ~cred ?group ?qos_share ?fix ?recovery () =
 
 let process_dead t ~proc =
   match Hashtbl.find_opt t.procs proc with Some p -> p.p_dead | None -> false
-
-let group_solo t ~proc =
-  let group = group_of t proc in
-  Hashtbl.fold
-    (fun id (p : proc_info) solo -> solo && (id = proc || p.p_dead || p.p_group <> group))
-    t.procs true
-
-(* One lock per (trust group, directory), taken by the group's LibFSes
-   around every update of the directory's index, so same-group
-   co-writers never interleave tree updates.  It lives on the
-   controller, so it goes with the machine it guards. *)
-let index_lock t ~proc ~ino =
-  let key = (group_of t proc, ino) in
-  match Hashtbl.find_opt t.index_locks key with
-  | Some m -> m
-  | None ->
-    let m = Trio_sim.Sync.Mutex.create () in
-    Hashtbl.add t.index_locks key m;
-    m
 
 (* Release the inode numbers a dead process still holds.  Its cached
    *pages* are deliberately left attributed (Allocated_to) for the
@@ -94,13 +88,34 @@ type watchdog_report = {
 let make_watchdog_report () =
   { wd_scanned = 0; wd_escalated = []; wd_unverified = 0; wd_revoked = 0 }
 
+(* A dead member's pools pass to [heir], a live member of its group:
+   the group's directories may link what it drew. *)
+let bequeath t (p : proc_info) ~heir =
+  let h = proc_info t heir in
+  Hashtbl.iter
+    (fun pg () ->
+      set_page_owner t pg (Allocated_to heir);
+      Hashtbl.replace h.p_pages pg ())
+    p.p_pages;
+  Hashtbl.iter
+    (fun ino () ->
+      set_ino_owner t ino (Ino_allocated_to heir);
+      Hashtbl.replace h.p_inos ino ())
+    p.p_inos;
+  Hashtbl.reset p.p_pages;
+  Hashtbl.reset p.p_inos
+
 (* The ladder's last rung.  Unlike unmap_file this never verifies
    inline: the process is gone, so the kernel neither trusts nor runs
    its callbacks — files are only marked unverified and verification is
-   charged to whoever maps them next.  MMU teardown is wholesale. *)
+   charged to whoever maps them next; a claim other members of its
+   trust group still hold goes on.  MMU teardown is wholesale, but a
+   member whose peers live loses only its own mappings' grants, and its
+   pools pass to a live member. *)
 let abnormal_teardown ?report t ~proc =
   let p = proc_info t proc in
   if not p.p_dead then begin
+    let heir = live_member t ~group:p.p_group ~proc in
     let bump g = match report with Some r -> g r | None -> () in
     (* Close the ring first: unconsumed submissions and unreaped
        completions drop, parked producer fibers wake with EIO, and any
@@ -110,17 +125,24 @@ let abnormal_teardown ?report t ~proc =
        invariant owes it nothing. *)
     (match ring_find t proc with Some r -> Ctl_ring.close r | None -> ());
     Hashtbl.iter
-      (fun ino _ ->
+      (fun ino mapping ->
         match file_find t ino with
         | None -> ()
         | Some f ->
           bump (fun r -> r.wd_revoked <- r.wd_revoked + 1);
-          if f.f_writer = Some proc then begin
-            f.f_writer <- None;
-            mark_unverified t f proc;
-            bump (fun r -> r.wd_unverified <- r.wd_unverified + 1)
+          let writer = List.mem proc f.f_writers in
+          if writer then begin
+            f.f_writers <- List.filter (( <> ) proc) f.f_writers;
+            if f.f_writers = [] then begin
+              mark_unverified t f proc;
+              bump (fun r -> r.wd_unverified <- r.wd_unverified + 1)
+            end
           end
           else Hashtbl.remove f.f_readers proc;
+          if Option.is_some heir then
+            revoke_ptes t ~proc ~f mapping
+              ~perm:(if writer then Mmu.P_readwrite else Mmu.P_read)
+              ~charge:false;
           wake_all f)
       (Hashtbl.copy p.p_mapped);
     (* A verification the dead process queued but no verifier fiber
@@ -134,6 +156,7 @@ let abnormal_teardown ?report t ~proc =
           mark_unverified t f proc;
           bump (fun r -> r.wd_unverified <- r.wd_unverified + 1)
         end);
+    Option.iter (fun heir -> bequeath t p ~heir) heir;
     Hashtbl.reset p.p_mapped;
     Hashtbl.reset p.p_faultable;
     Hashtbl.reset p.p_seen;
@@ -174,7 +197,7 @@ let watchdog_once ?report t ~timeout_ns =
               acc
               ||
               match file_find t ino with
-              | Some f -> f.f_writer = Some proc && now < f.f_lease_expire
+              | Some f -> List.mem proc f.f_writers && now < f.f_lease_expire
               | None -> false)
             p.p_mapped false
         in

@@ -12,22 +12,15 @@ val register_process :
   ?recovery:(unit -> unit) ->
   unit ->
   unit
-(** [?qos_share] configures the process' trust group's QoS weight and
-    turns admission enforcement on for that group (DESIGN.md §4.17);
-    omitted, the group is charged for observability but never
-    throttled. *)
+(** [?group] joins trust group [group] (by default the process is a
+    group of its own, numbered [proc]); a process joining a group with
+    a live member shares that member's page table.  [?qos_share]
+    configures the group's QoS weight and turns admission enforcement
+    on for that group (DESIGN.md §4.17); omitted, the group is charged
+    for observability but never throttled.  Raises [Invalid_argument]
+    for a process already registered. *)
 
 val process_dead : Ctl_state.t -> proc:int -> bool
-
-val group_solo : Ctl_state.t -> proc:int -> bool
-(** No other live process shares [proc]'s trust group.  Read-only: a
-    LibFS asks before it trusts its own view of a directory's free
-    dentry slots, which a same-group co-writer could be filling. *)
-
-val index_lock : Ctl_state.t -> proc:int -> ino:int -> Trio_sim.Sync.Mutex.t
-(** The lock [proc]'s LibFS holds around every update of directory
-    [ino]'s B-link index: one per (trust group, directory), shared by
-    every process of the group (DESIGN.md §4.18). *)
 
 val reap_dead : Ctl_state.t -> int -> int
 (** Release a dead process' inode numbers; returns how many. *)

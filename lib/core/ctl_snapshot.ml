@@ -216,7 +216,7 @@ let publish t =
   List.iter
     (fun (_, f) ->
       if
-        f.f_checkpoint = None && f.f_writer = None && f.f_unverified = None
+        f.f_checkpoint = None && f.f_writers = [] && f.f_unverified = None
         && (not f.f_verifying) && f.f_degraded = Healthy
       then Ctl_checkpoint.take_checkpoint t f)
     files;

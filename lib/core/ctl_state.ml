@@ -57,7 +57,7 @@ type file_info = {
   mutable f_data_pages : int list;
   mutable f_dindex_pages : int list; (* dir only: B-link index nodes (§4.18) *)
   mutable f_readers : (int, unit) Hashtbl.t; (* proc -> () *)
-  mutable f_writer : int option;
+  mutable f_writers : int list; (* one trust group's claim (DESIGN.md §4.5) *)
   mutable f_lease_expire : float;
   mutable f_checkpoint : checkpoint option;
   mutable f_waiters : Sched.waker Queue.t;
@@ -177,10 +177,6 @@ type t = {
       (* per-trust-group token buckets: admission control over
          syscalls, ring slots, verification and page draw
          (DESIGN.md §4.17) *)
-  index_locks : (int * int, Trio_sim.Sync.Mutex.t) Hashtbl.t;
-      (* (trust group, directory ino) -> the lock that group's LibFSes
-         hold around every update of that directory's B-link index
-         (DESIGN.md §4.18) *)
 }
 
 (* Global verification-mode switch (differential testing flips it, only
@@ -270,7 +266,7 @@ let new_file ~ino ~dentry_addr ~parent ~ftype ?(index_pages = []) ?(data_pages =
     f_data_pages = data_pages;
     f_dindex_pages = dindex_pages;
     f_readers = Hashtbl.create 4;
-    f_writer = None;
+    f_writers = [];
     f_lease_expire = 0.0;
     f_checkpoint = None;
     f_waiters = Queue.create ();
@@ -332,7 +328,6 @@ let make ~sched ~pmem ~mmu ~lease_ns =
     snap_pages = [];
     snap_restored = Hashtbl.create 16;
     qos = Ctl_qos.create ();
-    index_locks = Hashtbl.create 16;
   }
 
 let create ~sched ~pmem ~mmu ?(lease_ns = 100.0e6) () =
@@ -360,7 +355,14 @@ let touch t proc =
   | Some p -> p.p_last_heartbeat <- Sched.now t.sched
   | None -> ()
 
-let group_of t proc = (proc_info t proc).p_group
+(* One process, or two members of one trust group?  An unregistered id
+   (the kernel actor) is only itself. *)
+let same_group t p q =
+  p = q
+  ||
+  match (Hashtbl.find_opt t.procs p, Hashtbl.find_opt t.procs q) with
+  | Some a, Some b -> a.p_group = b.p_group
+  | _ -> false
 let cred_of_proc t proc = (proc_info t proc).p_cred
 let file_info = file_find
 
@@ -451,6 +453,7 @@ let view t =
     page_owner = (fun pg -> owner_of t pg);
     ino_owner = (fun ino -> ino_owner_of t ino);
     shadow = (fun ino -> shadow_find t ino);
+    member = (fun ~proc p -> same_group t proc p);
     checkpoint_children =
       (fun ino ->
         match file_find t ino with
@@ -461,13 +464,13 @@ let view t =
         match file_find t ino with
         | None -> false
         | Some f ->
-          (match f.f_writer with Some w when w <> proc -> true | _ -> false)
+          List.exists (fun w -> w <> proc) f.f_writers
           || Hashtbl.fold (fun r () acc -> acc || r <> proc) f.f_readers false);
     write_mapped_by_other =
       (fun ~ino ~proc ->
         match file_find t ino with
-        | Some { f_writer = Some w; _ } -> w <> proc
-        | _ -> false);
+        | Some f -> List.exists (fun w -> w <> proc) f.f_writers
+        | None -> false);
     pages_attributed_to =
       (fun ino ->
         match file_find t ino with
@@ -475,13 +478,14 @@ let view t =
         | Some f -> f.f_index_pages @ f.f_data_pages @ f.f_dindex_pages);
     rename_source_ok =
       (fun ~src ~ino ~proc ->
+        let member = same_group t proc in
         (match file_find t src with
-        | Some { f_writer = Some w; _ } when w = proc -> true
-        | Some { f_pending = Some p; _ } when p = proc -> true
+        | Some { f_writers = w :: _; _ } when member w -> true
+        | Some { f_pending = Some p; _ } when member p -> true
         | Some { f_verifying = true; _ } -> true
         | _ -> false)
         || List.exists
-             (fun (p, parent, child) -> p = proc && parent = src && child = ino)
+             (fun (p, parent, child) -> member p && parent = src && child = ino)
              t.deferred_deletes);
   }
 
@@ -576,3 +580,18 @@ let drop_faultable p ~ino pages =
 (* A freed or retired page is faultable for no one, whoever it goes to
    next. *)
 let unfaultable t pg = Hashtbl.iter (fun _ p -> Hashtbl.remove p.p_faultable pg) t.procs
+
+(* Take away the PTEs [proc]'s [mapping] of [f] holds: an eager one's
+   on every page the controller attributes to the file, an on-demand
+   one's exactly those its faults made, after it stops faulting.
+   [Mutation.Keep_faulted_ptes] revokes only those made at map time. *)
+let revoke_ptes t ~proc ~(f : file_info) mapping ~perm ~charge =
+  match mapping with
+  | Eager ->
+    let pages = file_pages f in
+    if charge then Mmu.revoke t.mmu ~actor:proc ~pages ~perm
+    else Mmu.revoke_free t.mmu ~actor:proc ~pages ~perm
+  | On_demand d ->
+    drop_faultable (proc_info t proc) ~ino:f.f_ino d.faultable;
+    let ptes = if Mutation.active Keep_faulted_ptes then [] else d.ptes in
+    Mmu.revoke_ptes t.mmu ~actor:proc ~ptes ~charge

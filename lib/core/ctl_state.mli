@@ -50,7 +50,7 @@ type file_info = {
   mutable f_data_pages : int list;
   mutable f_dindex_pages : int list;  (** dir only: B-link index nodes (§4.18) *)
   mutable f_readers : (int, unit) Hashtbl.t;
-  mutable f_writer : int option;
+  mutable f_writers : int list;  (** one trust group's write claim *)
   mutable f_lease_expire : float;
   mutable f_checkpoint : checkpoint option;
   mutable f_waiters : Sched.waker Queue.t;
@@ -137,9 +137,6 @@ type t = {
       (** inos rolled back to the durable root since mount *)
   qos : Ctl_qos.t;
       (** per-trust-group token buckets (DESIGN.md §4.17) *)
-  index_locks : (int * int, Trio_sim.Sync.Mutex.t) Hashtbl.t;
-      (** (trust group, directory ino) -> its index-update lock
-          (DESIGN.md §4.18) *)
 }
 
 type vmode = Full | Incremental
@@ -216,8 +213,10 @@ val make : sched:Sched.t -> pmem:Pmem.t -> mmu:Mmu.t -> lease_ns:float -> t
 val create : sched:Sched.t -> pmem:Pmem.t -> mmu:Mmu.t -> ?lease_ns:float -> unit -> t
 val proc_info : t -> int -> proc_info
 val touch : t -> int -> unit
-val group_of : t -> int -> int
 val cred_of_proc : t -> int -> Fs_types.cred
+
+val same_group : t -> int -> int -> bool
+(** One process, or two members of one trust group. *)
 
 (** {2 QoS plane (DESIGN.md §4.17)} *)
 
@@ -293,3 +292,7 @@ val drop_faultable : proc_info -> ino:int -> int list -> unit
 
 val unfaultable : t -> int -> unit
 (** A freed or retired page is faultable for no process. *)
+
+val revoke_ptes :
+  t -> proc:int -> f:file_info -> mapping -> perm:Mmu.perm -> charge:bool -> unit
+(** Take away the PTEs [proc]'s mapping of [f] holds. *)

@@ -16,9 +16,9 @@
    whatever the node's fill.  Only [build] and the fresh right node of
    a split are packed.  Comparing with the device stands in for
    tracking the changed lines because the writer is exclusive: callers
-   hold the directory's index lock, one per (trust group, directory)
-   on the controller, so the page holds exactly the node the writer
-   decoded.
+   hold the directory's index lock, in the one aux state a trust
+   group keeps per directory, so the page holds exactly the node the
+   writer decoded.
 
    Crash discipline (single writer per directory; readers are lock-free
    thanks to the B-link right-sibling pointers):

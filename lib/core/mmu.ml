@@ -9,7 +9,8 @@
 
    Grants are reference-counted per (process, page, kind): mappings
    overlap (a dentry page belongs to both the file's mapping and the
-   parent directory's), so a revoke must only undo its own grant.
+   parent directory's), so a revoke must only undo its own grant, also
+   in the one table the members of a trust group share.
 
    A page the controller marked faultable is mapped on first touch: an
    access that finds no grant asks the fault handler, which may make
@@ -123,6 +124,10 @@ let table_of t actor =
     Hashtbl.add t.tables actor table;
     table
 
+(* A joining trust-group member's actor aliases [member]'s table: the
+   permission check stays one lookup. *)
+let share_table t ~actor ~member = Hashtbl.replace t.tables actor (table_of t member)
+
 let grant_one table page perm =
   let e =
     match Hashtbl.find_opt table page with
@@ -223,7 +228,8 @@ let revoke_free t ~actor ~pages ~perm =
 
 (* Tear down a process' whole address space (abnormal process death):
    every grant it holds disappears at once, refcounts and all.  Free —
-   the kernel reclaims a dead process' page tables wholesale. *)
+   the kernel reclaims a dead process' page tables wholesale (a table
+   shared with live trust-group members stays theirs). *)
 let revoke_actor t ~actor = Hashtbl.remove t.tables actor
 
 (* A page returning to the free pool must not be accessible to anyone. *)

@@ -8,8 +8,8 @@
        consistent with the page count);
    I2  a file's inode number, index pages and data pages are valid:
        every page belongs to this file or was freshly allocated to the
-       LibFS that had the file write-mapped; nothing is referenced
-       twice; chains do not cycle;
+       LibFS that had the file write-mapped, or to a member of its
+       trust group; nothing is referenced twice; chains do not cycle;
    I3  the directory hierarchy stays a connected tree: a child directory
        deleted since the checkpoint must be unmapped, empty, and own no
        pages;
@@ -60,6 +60,7 @@ type view = {
   page_owner : int -> page_owner;
   ino_owner : int -> ino_owner;
   shadow : int -> shadow option;
+  member : proc:int -> int -> bool; (* [p] is [proc] or a peer in its trust group *)
   checkpoint_children : int -> int list option;
       (* child inos of a directory at its last checkpoint *)
   is_mapped_elsewhere : ino:int -> proc:int -> bool;
@@ -134,19 +135,30 @@ let count stats name = match stats with Some s -> Stats.incr s name | None -> ()
 
 (* Per-invariant observability: a phase switcher that attributes elapsed
    virtual time exclusively to the current phase, so the four timers sum
-   to the whole verification with no double counting. *)
-type phaser = { mutable ph : string option; mutable t0 : float; st : Stats.t; sc : Sched.t }
+   to the whole verification with no double counting.  It keeps the
+   current phase's cell, so staying in a phase hashes no name. *)
+type phaser = {
+  mutable ph : string;
+  mutable cell : float ref;
+  mutable t0 : float;
+  st : Stats.t;
+  sc : Sched.t;
+}
 
 let make_phaser view stats =
-  Option.map (fun st -> { ph = None; t0 = 0.0; st; sc = Pmem.sched view.pmem }) stats
+  Option.map (fun st -> { ph = ""; cell = ref 0.0; t0 = 0.0; st; sc = Pmem.sched view.pmem }) stats
 
 let phase p name =
   match p with
   | None -> ()
   | Some p ->
     let now = Sched.now p.sc in
-    (match p.ph with Some n -> Stats.add p.st n (now -. p.t0) | None -> ());
-    p.ph <- name;
+    p.cell := !(p.cell) +. (now -. p.t0);
+    let name = Option.value name ~default:"" in
+    if not (String.equal name p.ph) then begin
+      p.ph <- name;
+      p.cell <- (if name = "" then ref 0.0 else Stats.cell p.st name)
+    end;
     p.t0 <- now
 
 (* A whole page from the device, handed to [record]. *)
@@ -175,7 +187,8 @@ let check_name ~check name seen violations =
   else Hashtbl.add seen name ()
 
 (* Validate one page reference for I2 and record it in [refs].  A valid
-   page either already belongs to the file or was allocated to [proc]. *)
+   page either already belongs to the file or was allocated to [proc]'s
+   group. *)
 let check_page view ~proc ~ino ~refs ~violations page what =
   if page <= Layout.root_dentry_page || page >= view.total_pages then
     violations :=
@@ -189,7 +202,7 @@ let check_page view ~proc ~ino ~refs ~violations page what =
     Hashtbl.add refs page ();
     match view.page_owner page with
     | In_file owner when owner = ino -> ()
-    | Allocated_to p when p = proc -> ()
+    | Allocated_to p when view.member ~proc p -> ()
     | In_file owner ->
       violations :=
         {
@@ -217,45 +230,48 @@ let check_page view ~proc ~ino ~refs ~violations page what =
    same bytes, a spot-check CPU charge instead of the full 511-entry
    scan, and no media read.  Whether a page is a snapshot hit is
    decided once, when it is fetched: a page read from the device joins
-   [record]'s set, where a second [delta] lookup would find it. *)
+   [record]'s set, where a second [delta] lookup would find it.  An
+   empty chain (head 0) has nothing to walk. *)
 let collect_pages ?refs ~delta ~record ?stats view ~actor ~proc ~ino ~head ~violations =
-  let refs = match refs with Some r -> r | None -> Hashtbl.create 64 in
-  let index_pages = ref [] and data_pages = ref [] in
-  let from_snapshot = Hashtbl.create 8 in
-  let fetch pg =
-    match delta pg with
-    | Some b ->
-      Hashtbl.replace from_snapshot pg ();
-      Some b
-    | None -> Some (read_device view ~record ~actor pg)
-  in
-  let result =
-    Layout.walk_index_chain ~fetch view.pmem ~actor ~head ~max_pages:view.total_pages
-      (fun ~index_page ~entries ~next:_ ->
-        check_page view ~proc ~ino ~refs ~violations index_page "index page";
-        index_pages := index_page :: !index_pages;
-        if Hashtbl.mem from_snapshot index_page then begin
-          count stats "verify.dirty.hits";
-          Sched.cpu_work (Perf.Cpu.index_entry_check *. 8.0)
-        end
-        else begin
-          count stats "verify.dirty.misses";
-          Sched.cpu_work (Perf.Cpu.index_entry_check *. float_of_int Layout.index_entries)
-        end;
-        Array.iter
-          (fun entry ->
-            if entry <> 0 then begin
-              check_page view ~proc ~ino ~refs ~violations entry "data page";
-              (* only in-range pages may be dereferenced later *)
-              if entry > Layout.root_dentry_page && entry < view.total_pages then
-                data_pages := entry :: !data_pages
-            end)
-          entries)
-  in
-  (match result with
-  | Ok () -> ()
-  | Error msg -> violations := { check = `I2; detail = msg } :: !violations);
-  (List.rev !index_pages, List.rev !data_pages)
+  if head = 0 then ([], [])
+  else
+    let refs = match refs with Some r -> r | None -> Hashtbl.create 64 in
+    let index_pages = ref [] and data_pages = ref [] in
+    let from_snapshot = Hashtbl.create 8 in
+    let fetch pg =
+      match delta pg with
+      | Some b ->
+        Hashtbl.replace from_snapshot pg ();
+        Some b
+      | None -> Some (read_device view ~record ~actor pg)
+    in
+    let result =
+      Layout.walk_index_chain ~fetch view.pmem ~actor ~head ~max_pages:view.total_pages
+        (fun ~index_page ~entries ~next:_ ->
+          check_page view ~proc ~ino ~refs ~violations index_page "index page";
+          index_pages := index_page :: !index_pages;
+          if Hashtbl.mem from_snapshot index_page then begin
+            count stats "verify.dirty.hits";
+            Sched.cpu_work (Perf.Cpu.index_entry_check *. 8.0)
+          end
+          else begin
+            count stats "verify.dirty.misses";
+            Sched.cpu_work (Perf.Cpu.index_entry_check *. float_of_int Layout.index_entries)
+          end;
+          Array.iter
+            (fun entry ->
+              if entry <> 0 then begin
+                check_page view ~proc ~ino ~refs ~violations entry "data page";
+                (* only in-range pages may be dereferenced later *)
+                if entry > Layout.root_dentry_page && entry < view.total_pages then
+                  data_pages := entry :: !data_pages
+              end)
+            entries)
+    in
+    (match result with
+    | Ok () -> ()
+    | Error msg -> violations := { check = `I2; detail = msg } :: !violations);
+    (List.rev !index_pages, List.rev !data_pages)
 
 (* I4 on one inode: permission fields must agree with the shadow inode
    table; mismatches are repaired in place from the shadow. *)
@@ -437,12 +453,14 @@ let check_directory ~delta ~record ?stats ~ph view ~actor ~proc ~(inode : Layout
               :: !violations
           else begin
             Hashtbl.add seen_inos child.ino ();
-            (* A fresh child (inode allocated to the mapping process) has
-               no shadow inode yet: the kernel establishes it, with the
-               creator's credentials, at ingestion.  Known children must
-               agree with their shadow (I4). *)
+            (* A fresh child (inode allocated to the mapping process'
+               group) has no shadow inode yet: the kernel establishes
+               it, with the creator's credentials, at ingestion.  Known
+               children must agree with their shadow (I4). *)
             let fresh =
-              match view.ino_owner child.ino with Ino_allocated_to p -> p = proc | _ -> false
+              match view.ino_owner child.ino with
+              | Ino_allocated_to p -> view.member ~proc p
+              | _ -> false
             in
             if not fresh then begin
               phase ph (Some "verify.i4");
@@ -453,7 +471,7 @@ let check_directory ~delta ~record ?stats ~ph view ~actor ~proc ~(inode : Layout
             end;
             (match view.ino_owner child.ino with
             | Ino_in_dir parent when parent = inode.ino -> ()
-            | Ino_allocated_to p when p = proc -> ()
+            | Ino_allocated_to p when view.member ~proc p -> ()
             | Ino_in_dir parent when view.rename_source_ok ~src:parent ~ino:child.ino ~proc -> ()
               (* in-flight rename out of a directory this process is
                  handing off (or already handed off, with the child seen

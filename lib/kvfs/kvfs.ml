@@ -135,7 +135,7 @@ let build_entry t (r : Libfs.dentry_ref) =
 let ensure_writable t e =
   Libfs.rehold t.fs e ~ino:e.k_ino ~write:true
     ~ready:(fun e -> e.k_write_mapped)
-    ~refresh:(fun e ~current ~write:_ ->
+    ~refresh:(fun e ~current ->
       Sync.Spinlock.with_lock e.k_lock (fun () ->
           let* () =
             if

@@ -8,6 +8,9 @@ val create : unit -> t
 val add : t -> string -> float -> unit
 (** Accumulate [v] under [name]. *)
 
+val cell : t -> string -> float ref
+(** The accumulator of [name] (made at 0), for a hot path to keep. *)
+
 val incr : t -> string -> unit
 
 val get : t -> string -> float

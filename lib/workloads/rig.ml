@@ -61,12 +61,12 @@ let fresh_proc t =
   t.next_proc <- t.next_proc + 1;
   t.next_proc
 
-let mount_arckfs ?(delegated = true) ?(uid = 1000) ?group ?qos_share ?retry_deadline_ns
+let mount_arckfs ?(delegated = true) ?(uid = 1000) ?qos_share ?retry_deadline_ns
     ?unmap_after_write ?ring t =
   let delegation = if delegated then Some (Lazy.force t.delegation) else None in
   let libfs =
     Libfs.mount ~ctl:t.ctl ~proc:(fresh_proc t) ~cred:{ Trio_core.Fs_types.uid; gid = uid }
-      ?group ?qos_share ?retry_deadline_ns ?delegation ?unmap_after_write ?ring ()
+      ?qos_share ?retry_deadline_ns ?delegation ?unmap_after_write ?ring ()
   in
   t.mounts <- libfs :: t.mounts;
   libfs

@@ -1,7 +1,7 @@
 (* YCSB-style multi-tenant key-value driver over the mini-LevelDB.
 
    The QoS evaluation workload (DESIGN.md §4.17): several *tenants*,
-   each a trust group of one or more LibFS processes running its own
+   each one LibFS process (a trust group of its own) running its own
    Minidb instance over its own Vfs-instrumented mount, execute the
    standard YCSB mixes concurrently on one rig:
 
@@ -26,9 +26,8 @@
 
    Per-tenant latency is recorded two ways: a driver-level histogram of
    whole-DB-op latencies (the p50/p99 in {!tenant_result} — exact
-   per-tenant percentiles, shared across the tenant's processes) and
-   the per-process {!Vfs} handles (per-FS-op breakdowns, kept in the
-   result for callers that want them). *)
+   per-tenant percentiles) and the {!Vfs} handle (per-FS-op
+   breakdowns, kept in the result for callers that want them). *)
 
 module Sched = Trio_sim.Sched
 module Sync = Trio_sim.Sync
@@ -47,35 +46,32 @@ type spec = {
   s_name : string;
   s_workload : workload;
   s_share : float option; (* QoS share; None = unenforced tenant *)
-  s_procs : int; (* LibFS processes in this tenant's trust group *)
   s_kill_after : int option; (* arm the SIGKILL injector (at most one tenant) *)
-  s_ops : int; (* measured operations per process *)
+  s_ops : int; (* measured operations *)
 }
 
-let spec ?(procs = 1) ?share ?kill_after ?(ops = 200) name workload =
-  { s_name = name; s_workload = workload; s_share = share; s_procs = procs;
-    s_kill_after = kill_after; s_ops = ops }
+let spec ?share ?kill_after ?(ops = 200) name workload =
+  { s_name = name; s_workload = workload; s_share = share; s_kill_after = kill_after; s_ops = ops }
 
 type tenant_result = {
   y_name : string;
   y_workload : workload;
-  y_group : int; (* the tenant's trust group (first process id) *)
+  y_group : int; (* the tenant's trust group: its process id *)
   y_share : float option;
-  y_procs : int;
   y_ops_done : int;
   y_errors : int; (* failed measured operations, ETIMEDOUT included *)
   y_etimedout : int; (* of [y_errors], terminal retry-budget expiries *)
   y_killed : bool;
   y_p50 : float; (* whole-DB-op latency percentiles, virtual ns *)
   y_p99 : float;
-  y_vfs : Vfs.t list; (* per-process FS-op instrumentation *)
+  y_vfs : Vfs.t; (* FS-op instrumentation *)
 }
 
 let pp_tenant_result ppf r =
-  Fmt.pf ppf "%-10s YCSB-%s %s%d proc(s) %6d ops  p50=%9.0fns p99=%9.0fns  err=%d%s%s"
+  Fmt.pf ppf "%-10s YCSB-%s %s%6d ops  p50=%9.0fns p99=%9.0fns  err=%d%s%s"
     r.y_name (workload_name r.y_workload)
     (match r.y_share with Some s -> Fmt.str "share=%.3f " s | None -> "")
-    r.y_procs r.y_ops_done r.y_p50 r.y_p99 r.y_errors
+    r.y_ops_done r.y_p50 r.y_p99 r.y_errors
     (if r.y_etimedout > 0 then Fmt.str " (etimedout=%d)" r.y_etimedout else "")
     (if r.y_killed then " KILLED" else "")
 
@@ -129,91 +125,75 @@ let run_op db wl rng ~records ~inserted ~value ~scan_max =
 let run rig ?(records = 128) ?(value_size = 64) ?(ring_depth = 0) ?(scan_max = 8)
     ?(chaos = []) specs =
   let sched = rig.Rig.sched in
-  let workers = List.fold_left (fun acc s -> acc + s.s_procs) 0 specs in
+  let workers = List.length specs in
   let warm = Sync.Waitgroup.create workers in
   let gate = Sync.Ivar.create () in
   let wg = Sync.Waitgroup.create workers in
   let live = ref workers in
   let stop () = !live = 0 in
   let kill_after = List.find_map (fun s -> s.s_kill_after) specs in
-  (* Mount every tenant's processes up front (in the caller's fiber) so
-     trust-group membership is fixed before any worker runs. *)
+  (* Mount every tenant up front (in the caller's fiber), before any
+     worker runs. *)
   let tenants =
     List.map
       (fun s ->
         let ring = if ring_depth > 0 then Some ring_depth else None in
-        let first =
-          Rig.mount_arckfs ~delegated:false ?qos_share:s.s_share ?ring rig
-        in
-        let group = Libfs.proc_of first in
-        let rest =
-          List.init (s.s_procs - 1) (fun _ ->
-              Rig.mount_arckfs ~delegated:false ~group ?qos_share:s.s_share ?ring rig)
-        in
-        (s, group, first :: rest))
+        (s, Rig.mount_arckfs ~delegated:false ?qos_share:s.s_share ?ring rig))
       specs
   in
   let results =
     List.map
-      (fun (s, group, mounts) ->
+      (fun (s, libfs) ->
+        let group = Libfs.proc_of libfs in
         let hist = Stats.Hist.create () in
         let ops_done = ref 0 and errors = ref 0 and etimedout = ref 0 in
         let killed = ref false in
-        let vfss =
-          List.mapi
-            (fun i libfs ->
-              let vfs = Vfs.wrap ~sched (Libfs.ops libfs) in
-              let ops = Vfs.ops vfs in
-              let dir = Printf.sprintf "/y_%s_%d" s.s_name i in
-              let rng = Rng.create (0x9c5b + (group * 131) + i) in
-              let value = String.make value_size 'y' in
-              Sched.spawn sched (fun () ->
-                  let ok what = function
-                    | Ok v -> v
-                    | Error e ->
-                      failwith
-                        (Printf.sprintf "ycsb %s: %s: %s" s.s_name what (errno_to_string e))
-                  in
-                  let work () =
-                    let db = ok "open_db" (Minidb.Db.open_db ops ~dir) in
-                    for k = 0 to records - 1 do
-                      ok "preload" (Minidb.Db.put db ~key:(key_of k) ~value)
-                    done;
-                    (* Close and reopen: the close flushes the preload to an
-                       SSTable, so measured reads reach the file system
-                       instead of the memtable, which charges no virtual
-                       time. *)
-                    ok "flush" (Minidb.Db.close db);
-                    let db = ok "reopen" (Minidb.Db.open_db ops ~dir) in
-                    let inserted = ref (records - 1) in
-                    Sync.Waitgroup.done_ warm;
-                    Sync.Ivar.read gate;
-                    for _ = 1 to s.s_ops do
-                      let t0 = Sched.now sched in
-                      (match run_op db s.s_workload rng ~records ~inserted ~value ~scan_max with
-                      | Ok () -> ()
-                      | Error ETIMEDOUT ->
-                        incr etimedout;
-                        incr errors
-                      | Error _ -> incr errors);
-                      Stats.Hist.observe hist (Sched.now sched -. t0);
-                      incr ops_done
-                    done;
-                    ignore (Minidb.Db.close db)
-                  in
-                  (try
-                     if s.s_kill_after <> None then Sched.killable work
-                     else work ()
-                   with Sched.Killed ->
-                     killed := true;
-                     (* the barrier must not deadlock on a dead worker *)
-                     if not (Sync.Ivar.is_full gate) then Sync.Waitgroup.done_ warm);
-                  decr live;
-                  Sync.Waitgroup.done_ wg);
-              vfs)
-            mounts
-        in
-        (s, group, vfss, hist, ops_done, errors, etimedout, killed))
+        let vfs = Vfs.wrap ~sched (Libfs.ops libfs) in
+        let ops = Vfs.ops vfs in
+        let dir = Printf.sprintf "/y_%s_0" s.s_name in
+        let rng = Rng.create (0x9c5b + (group * 131)) in
+        let value = String.make value_size 'y' in
+        Sched.spawn sched (fun () ->
+            let ok what = function
+              | Ok v -> v
+              | Error e ->
+                failwith (Printf.sprintf "ycsb %s: %s: %s" s.s_name what (errno_to_string e))
+            in
+            let work () =
+              let db = ok "open_db" (Minidb.Db.open_db ops ~dir) in
+              for k = 0 to records - 1 do
+                ok "preload" (Minidb.Db.put db ~key:(key_of k) ~value)
+              done;
+              (* Close and reopen: the close flushes the preload to an
+                 SSTable, so measured reads reach the file system
+                 instead of the memtable, which charges no virtual
+                 time. *)
+              ok "flush" (Minidb.Db.close db);
+              let db = ok "reopen" (Minidb.Db.open_db ops ~dir) in
+              let inserted = ref (records - 1) in
+              Sync.Waitgroup.done_ warm;
+              Sync.Ivar.read gate;
+              for _ = 1 to s.s_ops do
+                let t0 = Sched.now sched in
+                (match run_op db s.s_workload rng ~records ~inserted ~value ~scan_max with
+                | Ok () -> ()
+                | Error ETIMEDOUT ->
+                  incr etimedout;
+                  incr errors
+                | Error _ -> incr errors);
+                Stats.Hist.observe hist (Sched.now sched -. t0);
+                incr ops_done
+              done;
+              ignore (Minidb.Db.close db)
+            in
+            (try if s.s_kill_after <> None then Sched.killable work else work ()
+             with Sched.Killed ->
+               killed := true;
+               (* the barrier must not deadlock on a dead worker *)
+               if not (Sync.Ivar.is_full gate) then Sync.Waitgroup.done_ warm);
+            decr live;
+            Sync.Waitgroup.done_ wg);
+        (s, group, vfs, hist, ops_done, errors, etimedout, killed))
       tenants
   in
   List.iter (fun body -> Sched.spawn sched (fun () -> body ~stop)) chaos;
@@ -222,19 +202,18 @@ let run rig ?(records = 128) ?(value_size = 64) ?(ring_depth = 0) ?(scan_max = 8
   Sync.Ivar.fill gate ();
   Sync.Waitgroup.wait wg;
   List.map
-    (fun (s, group, vfss, hist, ops_done, errors, etimedout, killed) ->
+    (fun (s, group, vfs, hist, ops_done, errors, etimedout, killed) ->
       {
         y_name = s.s_name;
         y_workload = s.s_workload;
         y_group = group;
         y_share = s.s_share;
-        y_procs = s.s_procs;
         y_ops_done = !ops_done;
         y_errors = !errors;
         y_etimedout = !etimedout;
         y_killed = !killed;
         y_p50 = Stats.Hist.percentile hist 50.0;
         y_p99 = Stats.Hist.percentile hist 99.0;
-        y_vfs = vfss;
+        y_vfs = vfs;
       })
     results

@@ -700,17 +700,19 @@ let test_materialize_lists_slot_once () =
 
 (* [writers] processes of one trust group create and unlink in one
    directory at once, as in Table 3's trust-group run, for [rounds]
-   rounds of [files] files each: each keeps its own slot list, so none
-   may take holes from pages another is filling, and their index
-   updates must not interleave.  A shared slot shows as a stat that
-   reads another writer's dentry (each writer uses its own mode); a
-   lost index update shows as a corruption event when the directory is
-   handed back.  Afterwards the directory must hold exactly its
-   prepopulated entries and certify. *)
+   rounds of [files] files each: they share one slot list, so no two
+   may take one hole, and their index updates must not interleave.  A
+   shared slot shows as a stat that reads another writer's dentry (each
+   writer uses its own mode); a lost index update shows as a corruption
+   event when the directory is handed back.  Afterwards the directory
+   must hold exactly its prepopulated entries and certify. *)
 let trust_group_co_writers ~writers ~rounds ~files =
   let label what = Printf.sprintf "(%d, %d, %d) %s" writers rounds files what in
   Helpers.run_sim (fun env ->
-      let fss = List.init writers (fun i -> Helpers.mount ~proc:(i + 1) ~group:77 env) in
+      let first = Helpers.mount ~proc:1 env in
+      let fss =
+        first :: List.init (writers - 1) (fun i -> Helpers.mount ~proc:(i + 2) ~group:first env)
+      in
       let aops = Libfs.ops (List.hd fss) in
       ok "mkdir" (aops.Fs.mkdir "/g" 0o777);
       (* leave holes in the pages every writer will see *)
@@ -911,11 +913,12 @@ let mirror_after_takeover ~lease =
 let test_mirror_after_handoff () = mirror_after_takeover ~lease:false
 let test_mirror_after_lease_expiry () = mirror_after_takeover ~lease:true
 
-(* Only a LibFS that holds a directory write-mapped alone in its trust
-   group uses a mirror: a read-mapped reader of another group and a
-   co-writer of a two-process group read every node from the device and
-   mirror none. *)
-let test_mirror_needs_solo_writer () =
+(* Only a LibFS that holds a directory write-mapped uses a mirror: a
+   read-mapped reader reads every node from the device and mirrors
+   none.  The two members of a trust group that write the directory
+   share its one state, and so one mirror: a descent by either takes
+   the nodes the other's updates left there. *)
+let test_mirror_reader_and_group () =
   Trio_core.Dirindex.with_test_capacity 4 @@ fun () ->
   Helpers.run_sim (fun env ->
       let ctl = env.Helpers.ctl in
@@ -937,14 +940,23 @@ let test_mirror_needs_solo_writer () =
       from_device "reader" r_fs r (fun () ->
           List.iter (fun n -> ignore (ok "stat" (r.Fs.stat ("/d/" ^ n)) : stat)) (names_n "e" 8);
           err "missing" ENOENT (r.Fs.stat "/d/zz"));
-      let w_fs = Helpers.mount ~proc:3 ~group:77 env in
-      ignore (Helpers.mount ~proc:4 ~group:77 env : Libfs.t);
-      let w = Libfs.ops w_fs in
-      from_device "co-writer" w_fs w (fun () ->
-          List.iter (create_in w "/d") (names_n "c" 8);
-          ok "unlink" (w.Fs.unlink "/d/e03"));
-      Libfs.unmap_everything w_fs;
-      Alcotest.(check int) "corruption events" 0 (List.length (Controller.corruption_events ctl)))
+      let w_fs = Helpers.mount ~proc:3 env in
+      let peer_fs = Helpers.mount ~proc:4 ~group:w_fs env in
+      let w = Libfs.ops w_fs and peer = Libfs.ops peer_fs in
+      List.iter (create_in w "/d") (names_n "c" 8);
+      ok "unlink" (w.Fs.unlink "/d/e03");
+      create_in peer "/d" "p00";
+      err "peer: missing name" ENOENT (peer.Fs.stat "/d/zz");
+      let m0, d0 = node_reads ctl in
+      err "peer: missing name again" ENOENT (peer.Fs.stat "/d/zz");
+      let m1, d1 = node_reads ctl in
+      Alcotest.(check bool) "the peer's descent served from the mirror" true (m1 > m0 && d1 = d0);
+      Alcotest.(check bool) "one mirror" true
+        (mirrored w_fs w "/d" > 1 && mirrored w_fs w "/d" = mirrored peer_fs peer "/d");
+      List.iter Libfs.unmap_everything [ w_fs; peer_fs ];
+      Alcotest.(check int) "corruption events" 0 (List.length (Controller.corruption_events ctl));
+      let fresh = Libfs.ops (Helpers.mount ~proc:5 env) in
+      Alcotest.(check int) "entries" 24 (List.length (names_of fresh "/d")))
 
 let test_handoff_crossings_sync () = handoff_crossings ()
 let test_handoff_crossings_ring () = handoff_crossings ~ring:4 ()
@@ -1170,14 +1182,12 @@ let handback_run (ring, co_writer, steps) =
       List.iter (create_in owner "/d") (names_n "pre" 12);
       Libfs.unmap_everything owner_fs;
       let p_fs =
-        Helpers.mount ~proc:1 ~group:1 ~unmap_after_write:true
-          ?ring:(if ring then Some 4 else None)
-          env
+        Helpers.mount ~proc:1 ~unmap_after_write:true ?ring:(if ring then Some 4 else None) env
       in
       let p = Libfs.ops p_fs in
       let co =
         if co_writer then
-          Some (Libfs.ops (Helpers.mount ~proc:2 ~group:1 ~unmap_after_write:true env))
+          Some (Libfs.ops (Helpers.mount ~proc:2 ~group:p_fs ~unmap_after_write:true env))
         else None
       in
       let other = Libfs.ops (Helpers.mount ~proc:3 ~unmap_after_write:true env) in
@@ -1204,7 +1214,7 @@ let handback_run (ring, co_writer, steps) =
          wrote), and its next op does not re-hold it *)
       let handed_back () =
         match Hashtbl.find_opt p_fs.Libfs.dirs d_ino with
-        | Some d -> not (Libfs.live p_fs ~ino:d_ino ~write_mapped:d.Libfs.d_write_mapped)
+        | Some d -> not (Libfs.dir_serves p_fs d ~write:false)
         | None -> true
       in
       let run_p = function
@@ -1234,10 +1244,7 @@ let handback_run (ring, co_writer, steps) =
           incr unlinked;
           if Result.is_error (other.Fs.unlink (Printf.sprintf "/d/pre%02d" !unlinked)) then
             create_fresh other "o"
-        | Co_writer ->
-          (* only in turn: co-writers that hold one directory at once
-             lose creates (ROADMAP item 1) *)
-          if handed_back () then Option.iter (fun c -> create_fresh c "c") co
+        | Co_writer -> Option.iter (fun c -> create_fresh c "c") co
         | Takeover ->
           (* held write-mapped until the lease expires: P's next map
              forces it off *)
@@ -1555,10 +1562,10 @@ let hand_back env ~proc ~ino =
   ok "unmap" (Controller.unmap_file env.Helpers.ctl ~proc ~ino);
   Controller.drain_verification env.Helpers.ctl
 
-(* Only a current directory view of a process alone in its trust group,
-   not upgrading, maps on demand; a file write map, an upgrade, a view
-   not yet current and a process with a live group peer grant one PTE
-   per page, as before. *)
+(* Only a current directory view, not upgrading, maps on demand, a
+   process with a live trust-group peer's included; a file write map,
+   an upgrade and a view not yet current grant one PTE per page, as
+   before. *)
 let test_demand_only_where_it_pays () =
   Helpers.run_sim (fun env ->
       let ctl = env.Helpers.ctl in
@@ -1587,7 +1594,8 @@ let test_demand_only_where_it_pays () =
       eager "an upgrade" ~proc:2 ~ino:d ~write:true;
       hand_back env ~proc:2 ~ino:d;
       Controller.register_process ctl ~proc:3 ~cred:{ uid = 1000; gid = 1000 } ~group:2 ();
-      eager "a process with a live group peer" ~proc:2 ~ino:d ~write:true;
+      Alcotest.(check (pair int int)) "a process with a live group peer: (PTE ops, faults)" (0, 0)
+        (map_counts env ~proc:2 ~ino:d ~write:true);
       hand_back env ~proc:2 ~ino:d;
       check_no_ptes env ~proc:2 d)
 
@@ -1721,8 +1729,8 @@ let test_takeover_revokes_once () =
         (Trio_sim.Stats.get stats "verify.queue.enqueued" -. queued0);
       (match !writers with
       | [ w ] ->
-        Alcotest.(check (option int)) "the writer holds the claim" (Some w)
-          (file_of ctl d).Ctl_state.f_writer
+        Alcotest.(check (list int)) "the writer holds the claim" [ w ]
+          (file_of ctl d).Ctl_state.f_writers
       | ws -> Alcotest.failf "%d writers" (List.length ws));
       check_no_ptes env ~proc:2 d)
 
@@ -1748,6 +1756,213 @@ let test_failed_op_hands_back () =
       let t0 = Sched.now sched in
       create_in other "/d" "b";
       Alcotest.(check bool) "no lease wait" true (Sched.now sched -. t0 < 0.1e6))
+
+(* ------------------------------------------------------------------ *)
+(* Trust groups (DESIGN.md §4.5, "Trust groups") *)
+
+type group_config = {
+  g_members : int;  (** 2 or 3 processes of one trust group *)
+  g_creates : int;  (** per member *)
+  g_stagger : bool;  (** members start 1 ms apart *)
+  g_same_names : bool;  (** all create the same names; else each its own, unlinking every third *)
+  g_prefilled : bool;  (** /g starts with 48 entries *)
+  g_each_op : bool;  (** hand back after every write; else hold /g to the end *)
+  g_ring : bool;  (** every other member crosses over a 4-deep ring *)
+}
+
+let group_config n =
+  let bit i = n land (1 lsl i) <> 0 in
+  {
+    g_members = (if bit 0 then 3 else 2);
+    g_creates = (if bit 1 then 9 else 4);
+    g_stagger = bit 2;
+    g_same_names = bit 3;
+    g_prefilled = bit 4;
+    g_each_op = bit 5;
+    g_ring = bit 6;
+  }
+
+let print_group_config g =
+  Printf.sprintf "%d members, %d creates each, stagger %b, same names %b, prefilled %b, %s%s"
+    g.g_members g.g_creates g.g_stagger g.g_same_names g.g_prefilled
+    (if g.g_each_op then "hand back each op" else "hold to the end")
+    (if g.g_ring then ", ring" else "")
+
+(* The members of one trust group create (and unlink) in /g at once,
+   then hand back; a process outside the group must list every name a
+   create acknowledged and no unlink removed, and nothing else, and the
+   run logs no corruption event. *)
+let group_run g =
+  Helpers.run_sim (fun env ->
+      let ctl = env.Helpers.ctl in
+      let owner = Helpers.mount ~proc:9 env in
+      let oops = Libfs.ops owner in
+      ok "mkdir" (oops.Fs.mkdir "/g" 0o777);
+      let pre = if g.g_prefilled then names_n "pre" 48 else [] in
+      List.iter (create_in oops "/g") pre;
+      Libfs.unmap_everything owner;
+      let mount i ?group () =
+        Helpers.mount ~proc:(i + 1) ?group ~unmap_after_write:g.g_each_op
+          ?ring:(if g.g_ring && i mod 2 = 1 then Some 4 else None)
+          env
+      in
+      let first = mount 0 () in
+      let fss = first :: List.init (g.g_members - 1) (fun i -> mount (i + 1) ~group:first ()) in
+      let acked = Hashtbl.create 16 in
+      let wg = Trio_sim.Sync.Waitgroup.create g.g_members in
+      List.iteri
+        (fun i fs ->
+          let ops = Libfs.ops fs in
+          Sched.spawn ~cpu:i env.Helpers.sched (fun () ->
+              if g.g_stagger then Sched.delay (float_of_int i *. 1.0e6);
+              for n = 0 to g.g_creates - 1 do
+                let name =
+                  if g.g_same_names then Printf.sprintf "s%d" n else Printf.sprintf "m%d_%d" i n
+                in
+                (match ops.Fs.create ("/g/" ^ name) 0o644 with
+                | Ok fd ->
+                  Hashtbl.replace acked name ();
+                  ok "close" (ops.Fs.close fd)
+                | Error EEXIST when g.g_same_names -> ()
+                | Error e -> Alcotest.failf "member %d: create %s: %s" i name (errno_to_string e));
+                if (not g.g_same_names) && n mod 3 = 2 then begin
+                  ok "unlink" (ops.Fs.unlink ("/g/" ^ name));
+                  Hashtbl.remove acked name
+                end
+              done;
+              Trio_sim.Sync.Waitgroup.done_ wg))
+        fss;
+      Trio_sim.Sync.Waitgroup.wait wg;
+      List.iter Libfs.unmap_everything fss;
+      let outsider = Libfs.ops (Helpers.mount ~proc:8 env) in
+      let expected = List.sort compare (pre @ Hashtbl.fold (fun n () acc -> n :: acc) acked []) in
+      Alcotest.(check (list string)) "the outsider's listing" expected (names_of outsider "/g");
+      Alcotest.(check int) "corruption events" 0 (List.length (Controller.corruption_events ctl));
+      true)
+
+let prop_group_creates_survive =
+  QCheck.Test.make ~name:"every acknowledged create survives" ~count:256
+    (QCheck.make ~print:print_group_config QCheck.Gen.(map group_config (int_bound 127)))
+    group_run
+
+(* Two members of one trust group write /d, a 4-entry directory. *)
+let two_members env =
+  let d = shared_dir env 4 in
+  let a_fs = Helpers.mount ~proc:2 env in
+  let b_fs = Helpers.mount ~proc:3 ~group:a_fs env in
+  create_in (Libfs.ops a_fs) "/d" "a";
+  create_in (Libfs.ops b_fs) "/d" "b";
+  (d, a_fs, b_fs)
+
+let queued env = Trio_sim.Stats.get (Controller.stats env.Helpers.ctl) "verify.queue.enqueued"
+
+(* What a process outside the group lists in /d once every member has
+   handed back, and the corruption events logged. *)
+let outsider_view env fss =
+  List.iter Libfs.unmap_everything fss;
+  Alcotest.(check int) "corruption events" 0
+    (List.length (Controller.corruption_events env.Helpers.ctl));
+  names_of (Libfs.ops (Helpers.mount ~proc:7 env)) "/d"
+
+let test_group_same_name () =
+  Helpers.run_sim (fun env ->
+      let _, a_fs, b_fs = two_members env in
+      err "the same name by the other member" EEXIST ((Libfs.ops b_fs).Fs.create "/d/a" 0o644);
+      err "and back" EEXIST ((Libfs.ops a_fs).Fs.create "/d/b" 0o644);
+      Alcotest.(check (list string)) "entries" ("a" :: "b" :: names_n "pre" 4)
+        (outsider_view env [ a_fs; b_fs ]))
+
+(* A member's unmap takes only it out of the group's claim, and answers
+   Ok; the last member's queues the claim's one verification.  Then
+   neither holds a PTE on /d, through another group's claim too. *)
+let test_group_member_unmap () =
+  Helpers.run_sim (fun env ->
+      let ctl = env.Helpers.ctl in
+      let d, a_fs, b_fs = two_members env in
+      Alcotest.(check (list int)) "one claim" [ 2; 3 ]
+        (List.sort compare (file_of ctl d).Ctl_state.f_writers);
+      let q0 = queued env in
+      ok "a member's unmap" (Controller.unmap_file ctl ~proc:2 ~ino:d);
+      Alcotest.(check (list int)) "the claim holds on" [ 3 ] (file_of ctl d).Ctl_state.f_writers;
+      Alcotest.(check (float 0.0)) "no verification yet" 0.0 (queued env -. q0);
+      ok "the last member's unmap" (Controller.unmap_file ctl ~proc:3 ~ino:d);
+      Alcotest.(check (float 0.0)) "one verification" 1.0 (queued env -. q0);
+      Controller.drain_verification ctl;
+      check_no_ptes env ~proc:2 d;
+      check_no_ptes env ~proc:3 d;
+      let o_fs = Helpers.mount ~proc:4 env in
+      create_in (Libfs.ops o_fs) "/d" "o";
+      check_no_ptes env ~proc:2 d;
+      check_no_ptes env ~proc:3 d;
+      Alcotest.(check (list string)) "entries" ("a" :: "b" :: "o" :: names_n "pre" 4)
+        (outsider_view env [ a_fs; b_fs; o_fs ]))
+
+(* Crash recovery verifies a two-member claim once and revokes both
+   members. *)
+let test_group_crash_recovery () =
+  Helpers.run_sim (fun env ->
+      let ctl = env.Helpers.ctl in
+      let d, a_fs, b_fs = two_members env in
+      Controller.crash_recover ctl;
+      Alcotest.(check (list int)) "no claim" [] (file_of ctl d).Ctl_state.f_writers;
+      check_no_ptes env ~proc:2 d;
+      check_no_ptes env ~proc:3 d;
+      Alcotest.(check (list string)) "entries" ("a" :: "b" :: names_n "pre" 4)
+        (outsider_view env [ a_fs; b_fs ]))
+
+(* Another group's map at the lease expiry revokes every member of the
+   claim, once each, and verifies the claim once; a member's next create
+   waits for that group's claim to end, rather than landing under it. *)
+let test_group_takeover () =
+  Helpers.run_sim ~lease_ns:1.0e6 (fun env ->
+      let ctl = env.Helpers.ctl and sched = env.Helpers.sched in
+      let d, a_fs, b_fs = two_members env in
+      let q0 = queued env in
+      let o_fs = Helpers.mount ~proc:4 env in
+      create_in (Libfs.ops o_fs) "/d" "o";
+      Alcotest.(check (float 0.0)) "one verification of the group's claim" 1.0 (queued env -. q0);
+      Alcotest.(check (list int))
+        "the other group's claim" [ 4 ] (file_of ctl d).Ctl_state.f_writers;
+      check_no_ptes env ~proc:2 d;
+      check_no_ptes env ~proc:3 d;
+      let expire = (file_of ctl d).Ctl_state.f_lease_expire in
+      create_in (Libfs.ops a_fs) "/d" "a2";
+      Alcotest.(check bool)
+        "the member waited out the other claim" true (Sched.now sched >= expire);
+      Alcotest.(check bool)
+        "and holds /d now" true
+        (List.mem 2 (file_of ctl d).Ctl_state.f_writers);
+      Alcotest.(check (list string)) "entries"
+        (List.sort compare ("a" :: "a2" :: "b" :: "o" :: names_n "pre" 4))
+        (outsider_view env [ a_fs; b_fs; o_fs ]))
+
+(* A member that dies while its peer holds /d loses only its own grants;
+   its pools pass to the peer, so the GC reclaims nothing /d links, the
+   peer keeps writing, and a process outside the group lists every
+   acknowledged name. *)
+let test_group_member_death () =
+  Helpers.run_sim (fun env ->
+      let ctl = env.Helpers.ctl in
+      let d, a_fs, b_fs = two_members env in
+      let a = Libfs.ops a_fs and b = Libfs.ops b_fs in
+      List.iter (create_in a "/d") (names_n "x" 40);
+      ok "mkdir" (a.Fs.mkdir "/d/sub" 0o777);
+      create_in a "/d/sub" "y";
+      create_in b "/d" "b2";
+      Controller.abnormal_teardown ctl ~proc:2;
+      check_no_ptes env ~proc:2 d;
+      let gc = Controller.gc_once ctl in
+      Alcotest.(check (pair int int)) "reclaimed (pages, inos)" (0, 0)
+        (gc.Controller.gc_reclaimed_pages, gc.Controller.gc_reclaimed_inos);
+      Alcotest.(check bool) "page accounting" true gc.Controller.gc_invariant_ok;
+      List.iter (create_in b "/d") (names_n "z" 8);
+      create_in b "/d/sub" "w";
+      Alcotest.(check (list string)) "entries"
+        (List.sort compare
+           (("a" :: "b" :: "b2" :: "sub" :: names_n "pre" 4) @ names_n "x" 40 @ names_n "z" 8))
+        (outsider_view env [ b_fs ]);
+      Alcotest.(check (list string)) "the subdirectory" [ "w"; "y" ]
+        (names_of (Libfs.ops (Helpers.mount ~proc:8 env)) "/d/sub"))
 
 let () =
   Alcotest.run "arckfs"
@@ -1845,8 +2060,17 @@ let () =
         [
           Alcotest.test_case "after a cross-group handoff" `Quick test_mirror_after_handoff;
           Alcotest.test_case "after a lease expiry" `Quick test_mirror_after_lease_expiry;
-          Alcotest.test_case "reader and co-writer read the device" `Quick
-            test_mirror_needs_solo_writer;
+          Alcotest.test_case "a reader reads the device, a group one mirror" `Quick
+            test_mirror_reader_and_group;
+        ] );
+      ( "trust groups",
+        [
+          QCheck_alcotest.to_alcotest prop_group_creates_survive;
+          Alcotest.test_case "a same-name create answers EEXIST" `Quick test_group_same_name;
+          Alcotest.test_case "a member's unmap" `Quick test_group_member_unmap;
+          Alcotest.test_case "a takeover revokes every member" `Quick test_group_takeover;
+          Alcotest.test_case "crash recovery revokes every member" `Quick test_group_crash_recovery;
+          Alcotest.test_case "a member dies while its peer holds" `Quick test_group_member_death;
         ] );
       ( "delegation",
         [

@@ -338,6 +338,25 @@ let test_trust_group_shares_without_verify () =
       let waited = Sched.now env.Helpers.sched -. t0 in
       if waited > 1.0e6 then Alcotest.failf "trust-group map waited %.0fns" waited)
 
+(* A process registers once: a second registration would replace its
+   record, and the journal pages its mount drew would drop out of its
+   pool.  A process joins a trust group at its mount instead. *)
+let test_register_twice_refused () =
+  Helpers.run_sim (fun env ->
+      let ctl = env.Helpers.ctl in
+      let fs = Helpers.mount ~proc:1 env in
+      let cred = { uid = 1000; gid = 1000 } in
+      (match Controller.register_process ctl ~proc:1 ~cred ~group:7 () with
+      | () -> Alcotest.fail "a second registration was accepted"
+      | exception Invalid_argument _ -> ());
+      let ops = Arckfs.Libfs.ops fs in
+      let fd = Helpers.check_ok "create" (ops.Trio_core.Fs_intf.create "/f" 0o644) in
+      Helpers.check_ok "close" (ops.close fd);
+      Arckfs.Libfs.unmap_everything fs;
+      let gc = Controller.gc_once ctl in
+      Alcotest.(check bool) "page accounting" true gc.Controller.gc_invariant_ok;
+      Alcotest.(check int) "nothing to reclaim" 0 gc.Controller.gc_reclaimed_pages)
+
 (* Access control: the shadow inode table is the ground truth the
    controller consults when granting mappings. *)
 let test_map_denied_without_permission () =
@@ -536,6 +555,7 @@ let () =
           Alcotest.test_case "corruption detected and rolled back" `Quick
             test_corruption_detected_and_rolled_back;
           Alcotest.test_case "trust group skips wait" `Quick test_trust_group_shares_without_verify;
+          Alcotest.test_case "a process registers once" `Quick test_register_twice_refused;
         ] );
       ( "scrub",
         [

@@ -419,11 +419,11 @@ let test_readdir_order () =
       Alcotest.(check (list int)) "ascending hash" (List.sort compare hashes) hashes;
       Alcotest.(check int) "complete" 41 (List.length first))
 
-(* A LibFS that holds a directory write-mapped alone in its trust group,
-   with a complete name table, lists it from the table: no device byte
-   read, no range scan, and the index's own key order, which a second
-   process's range scan reproduces.  A read-mapped reader and a
-   same-group co-writer still range-scan. *)
+(* A LibFS that holds a directory write-mapped, with a complete name
+   table, lists it from the table: no device byte read, no range scan,
+   and the index's own key order, which a second process's range scan
+   reproduces.  A read-mapped reader range-scans, and so does a trust
+   group whose shared state has no complete table. *)
 let test_readdir_from_table () =
   Dirindex.with_test_capacity 4 @@ fun () ->
   Helpers.run_sim (fun env ->
@@ -459,8 +459,8 @@ let test_readdir_from_table () =
       Alcotest.(check (list (pair string int)))
         "reader's range scan: same listing, same order" from_table
         (listing "reader" r ~scanned:true);
-      let c_fs = Helpers.mount ~proc:3 ~group:77 env in
-      ignore (Helpers.mount ~proc:4 ~group:77 env : Libfs.t);
+      let c_fs = Helpers.mount ~proc:3 env in
+      ignore (Helpers.mount ~proc:4 ~group:c_fs env : Libfs.t);
       let c = Libfs.ops c_fs in
       ok "close" (c.Fs.close (ok "co-writer create" (c.Fs.create "/d/c00" 0o644)));
       Alcotest.(check int)
@@ -704,7 +704,7 @@ let prop_mirror_matches_device =
                 | Error e -> Alcotest.failf "rename %d %d: %s" i j (errno_to_string e))
               | `Handoff -> Libfs.unmap_everything fs);
               match Libfs.cached_dir fs ino with
-              | Some d when d.Libfs.d_write_mapped -> mirror_agrees pm d
+              | Some d when Libfs.dir_serves fs d ~write:true -> mirror_agrees pm d
               | _ -> ())
             ops;
           let names = List.map (fun e -> e.d_name) (ok "readdir" (fops.Fs.readdir "/d")) in
